@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the substrates the authority's per-play cost is
-//! built from: the simnet message substrate (zero-copy broadcast fan-out
-//! and the steady-state step loop, against a naive `Vec<u8>`-clone
-//! baseline), hashing, commitments, committed-PRG audits, and one
-//! consensus of each backend via the pure executor.
+//! built from: the simnet message substrate (zero-copy broadcast fan-out,
+//! the steady-state step loop and the build path), hashing, commitments,
+//! committed-PRG audits, and one consensus of each backend via the pure
+//! executor.
 //!
 //! Run `scripts/bench_substrate.sh` to capture the substrate numbers as a
 //! `BENCH_substrate.json` perf snapshot.
@@ -43,68 +43,12 @@ impl Process for BytesBroadcaster {
     }
 }
 
-/// Faithful re-implementation of the pre-zero-copy scheduler round — the
-/// "before" side of the before/after comparison, kept here so future PRs
-/// can still measure against it. Per round it: deep-clones the `Vec<u8>`
-/// payload once per recipient, stages the whole round in one flat
-/// `(from, to, payload)` vector, re-copies each payload into its `Bytes`
-/// envelope on delivery, tears down and reallocates every inbox, checks
-/// links by binary search, and derives the loss RNG unconditionally from a
-/// `format!`ted label.
-struct NaiveSubstrate {
-    n: usize,
-    adj: Vec<Vec<usize>>,
-    inboxes: Vec<Vec<(usize, u64, Bytes)>>,
-    payload: Vec<u8>,
-    seed: u64,
-    round: u64,
-    delivered: u64,
-}
-
-impl NaiveSubstrate {
-    fn new(n: usize, payload: Vec<u8>) -> NaiveSubstrate {
-        NaiveSubstrate {
-            n,
-            adj: (0..n)
-                .map(|i| (0..n).filter(|&j| j != i).collect())
-                .collect(),
-            inboxes: vec![Vec::new(); n],
-            payload,
-            seed: 0,
-            round: 0,
-            delivered: 0,
-        }
-    }
-
-    fn step(&mut self) {
-        let n = self.n;
-        let inboxes = std::mem::replace(&mut self.inboxes, vec![Vec::new(); n]);
-        let mut outgoing: Vec<(usize, usize, Vec<u8>)> = Vec::new();
-        for (i, inbox) in inboxes.iter().enumerate() {
-            std::hint::black_box(inbox);
-            for &nb in &self.adj[i] {
-                outgoing.push((i, nb, self.payload.clone()));
-            }
-        }
-        let mut _loss_rng = ga_simnet::rng::labeled_rng(self.seed, &format!("loss-{}", self.round));
-        for (from, to, payload) in outgoing {
-            if to >= n || self.adj[from].binary_search(&to).is_err() {
-                continue;
-            }
-            self.delivered += 1;
-            self.inboxes[to].push((from, self.round, payload.into()));
-        }
-        self.round += 1;
-    }
-}
-
 fn bench_substrate(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
 
-    // Pure fan-out cost: queueing one payload for 63 recipients, shared
-    // `Bytes` vs a deep `Vec<u8>` clone per recipient, across payload
-    // sizes. The refcount path is size-independent; the clone path
-    // degrades with payload size.
+    // Pure fan-out cost: queueing one shared `Bytes` payload for 63
+    // recipients, across payload sizes. The refcount path must stay
+    // size-independent.
     for size in [8usize, 256, 4096] {
         g.throughput(Throughput::Elements(FANOUT as u64));
         g.bench_with_input(
@@ -122,28 +66,13 @@ fn bench_substrate(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("fanout63_naive_vec_clone", size),
-            &size,
-            |b, &size| {
-                let payload = vec![0x5Au8; size];
-                let mut queue: Vec<Vec<u8>> = Vec::with_capacity(FANOUT);
-                b.iter(|| {
-                    queue.clear();
-                    for _ in 0..FANOUT {
-                        queue.push(payload.clone());
-                    }
-                    std::hint::black_box(queue.len())
-                })
-            },
-        );
     }
 
     // Steady-state step loop: complete(n), every process broadcasts 8
     // bytes per pulse — n × (n-1) routed messages per step — on the
-    // zero-copy substrate. n=64 is the paper's default population (and the
-    // before/after anchor vs the naive substrate below); n=256/1024 form
-    // the scaling series the sharded variants are measured against.
+    // zero-copy substrate. n=64 is the paper's default population;
+    // n=256/1024 form the scaling series the sharded variants are
+    // measured against.
     for n in [64usize, 256, 1024] {
         g.throughput(Throughput::Elements((n * (n - 1)) as u64));
         g.bench_function(BenchmarkId::new("step_loop_bytes", format!("n{n}")), |b| {
@@ -154,21 +83,6 @@ fn bench_substrate(c: &mut Criterion) {
             })
         });
     }
-    let n = 64;
-    g.throughput(Throughput::Elements((n * (n - 1)) as u64));
-    g.bench_function(
-        BenchmarkId::new("step_loop_naive_substrate", format!("n{n}")),
-        |b| {
-            let mut naive = NaiveSubstrate::new(n, vec![0xEEu8; 8]);
-            naive.step();
-            naive.step();
-            b.iter(|| {
-                naive.step();
-                std::hint::black_box(naive.delivered)
-            })
-        },
-    );
-
     // Telemetry event plane priced against the sink-disabled default: the
     // same n=64 step loop with an `EventSink` attached, pushing one event
     // per delivered message plus round brackets into the ring. The
@@ -176,6 +90,7 @@ fn bench_substrate(c: &mut Criterion) {
     // sink disabled the only telemetry residue on the hot path is an
     // `is_some()` branch per message, which must stay within noise of the
     // pre-telemetry substrate.
+    let n = 64;
     g.throughput(Throughput::Elements((n * (n - 1)) as u64));
     g.bench_function(BenchmarkId::new("step_loop_events", format!("n{n}")), |b| {
         let mut sim = Simulation::builder(Topology::complete(n))
@@ -280,18 +195,12 @@ fn bench_substrate(c: &mut Criterion) {
     }
 
     // Build path: constructing the paper-scale sparse topologies. The
-    // streaming rows emit rows directly into one pre-sized CSR flat array
-    // (no per-vertex `Vec` intermediates, no sort/dedup for family
-    // constructors); the naive row is a faithful reimplementation of the
-    // pre-streaming path — per-vertex `Vec<Vec<usize>>` adjacency, row
-    // sort + dedup, then CSR flattening — kept as the "before" baseline
-    // the ≥3x build-speed claim is measured against.
+    // streaming builders emit rows directly into one pre-sized CSR flat
+    // array (no per-vertex `Vec` intermediates, no sort/dedup for family
+    // constructors).
     g.throughput(Throughput::Elements(1));
     g.bench_function(BenchmarkId::new("build_grid1m", "streaming"), |b| {
         b.iter(|| std::hint::black_box(Topology::grid(1000, 1000).edge_count()))
-    });
-    g.bench_function(BenchmarkId::new("build_grid1m", "naive"), |b| {
-        b.iter(|| std::hint::black_box(naive_grid_csr(1000, 1000)))
     });
     g.bench_function(BenchmarkId::new("build_ring1m", "streaming"), |b| {
         b.iter(|| std::hint::black_box(Topology::ring(1_000_000).edge_count()))
@@ -352,37 +261,6 @@ fn bench_substrate(c: &mut Criterion) {
         }
     }
     g.finish();
-}
-
-/// The pre-streaming topology build path (see the build rows above): a
-/// per-vertex `Vec<Vec<usize>>` adjacency for a w×h grid, sorted and
-/// deduped per row, then flattened into CSR arrays.
-fn naive_grid_csr(w: usize, h: usize) -> usize {
-    let n = w * h;
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in 0..h {
-        for c in 0..w {
-            let i = r * w + c;
-            if c + 1 < w {
-                adj[i].push(i + 1);
-                adj[i + 1].push(i);
-            }
-            if r + 1 < h {
-                adj[i].push(i + w);
-                adj[i + w].push(i);
-            }
-        }
-    }
-    let mut starts = Vec::with_capacity(n + 1);
-    let mut flat = Vec::new();
-    for row in &mut adj {
-        row.sort_unstable();
-        row.dedup();
-        starts.push(flat.len());
-        flat.extend_from_slice(row);
-    }
-    starts.push(flat.len());
-    flat.len() / 2
 }
 
 /// Perpetually circulating token: the start process emits once, then every

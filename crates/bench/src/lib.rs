@@ -1,9 +1,9 @@
 //! # ga-bench — experiment library
 //!
-//! One function per paper artifact (see DESIGN.md §4 and EXPERIMENTS.md).
-//! Each returns a structured table so the `experiments` binary, the
-//! Criterion benches and the integration tests all share one
-//! implementation.
+//! One function per paper artifact (`e1`–`e8`). Each returns a structured
+//! table, so the `paper` suite's scenario ports (`ga_scenario::ports`,
+//! run with `scenario run --suite paper`) and the integration tests
+//! (`tests/paper_claims.rs`) share one implementation.
 
 pub mod e1_fig1;
 pub mod e2_pom_pennies;

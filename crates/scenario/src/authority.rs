@@ -303,10 +303,10 @@ mod tests {
         // The authority's per-process randomness is all (seed, id, round)
         // derived, so intra-run sharding must not change a single play.
         for scenario in suite() {
-            let serial = scenario.run_sharded(40, 1);
+            let serial = scenario.run_on(40, 1, &Runtime::global());
             for shards in [2, 4] {
                 assert_eq!(
-                    scenario.run_sharded(40, shards),
+                    scenario.run_on(40, shards, &Runtime::global()),
                     serial,
                     "{} diverged at {shards} shards",
                     scenario.name()

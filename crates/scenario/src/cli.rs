@@ -6,8 +6,6 @@
 //!              [--out FILE] [--records FILE.jsonl] [--no-records]
 //!              [--events FILE.jsonl] [--profile FILE.json]
 //!              [--table METRIC]
-//! scenario bench [--suite bench64] [--seeds N] [--workers N] [--shards N]
-//!                [--out FILE] [--table METRIC]
 //! scenario trace EVENTS.jsonl [--out trace.json]
 //! ```
 //!
@@ -29,9 +27,9 @@
 //! in memory. `--table METRIC` appends a cross-run convergence table
 //! (one row per scenario/grid point: parameter values, pass rate, and
 //! p50/p90/p99 of METRIC — `rounds` for rounds-to-stop) so E4-style
-//! plots read straight off the CLI output. `bench` times a sweep and
-//! records throughput — timing lives only in the bench output, never in
-//! run summaries, so summaries stay reproducible.
+//! plots read straight off the CLI output. No wall-clock figure ever
+//! enters a summary, so summaries stay reproducible; throughput is
+//! measured from outside, by `benchmark/run.sh`.
 //!
 //! `--events FILE` switches the deterministic telemetry event plane on
 //! for every run and streams one JSON line per retained event to FILE
@@ -60,20 +58,17 @@
 //! `--table rounds_to_stabilize` — censored points surface as failed
 //! verdicts, so exit code 2 there means "frontier charted", not
 //! "suite broken"), `examples`, `smoke` (the tier-1 gate), and the
-//! `bench64`/`bench256` throughput workloads.
+//! `bench64`/`bench256` 64- and 256-processor workloads.
 
 use std::io::Write;
-use std::time::Instant;
 
 use ga_simnet::runtime::Runtime;
-use ga_simnet::sim::set_plan_cache;
 use ga_simnet::telemetry::{ProfileData, Profiler, TelemetryConfig};
-use ga_simnet::topology::{set_default_repr, AdjacencyRepr};
 
 use crate::json::Json;
 use crate::record::event_json;
 use crate::suites;
-use crate::sweep::{ScenarioSummary, SweepSummary};
+use crate::sweep::{Job, ScenarioSummary, SweepSummary};
 
 /// Entry point; returns the process exit code (0 = all verdicts passed,
 /// 2 = verdict failures, 1 = real errors: usage, unknown suite, I/O).
@@ -83,12 +78,8 @@ pub fn main(args: Vec<String>) -> i32 {
             list();
             0
         }
-        Some("run") => match Options::parse(&args[1..], "paper") {
+        Some("run") => match Options::parse(&args[1..]) {
             Ok(opts) => run(&opts),
-            Err(err) => usage(&err),
-        },
-        Some("bench") => match Options::parse(&args[1..], "bench64") {
-            Ok(opts) => bench(&opts),
             Err(err) => usage(&err),
         },
         Some("trace") => trace(&args[1..]),
@@ -116,21 +107,12 @@ struct Options {
     /// Metric to render as a cross-run convergence table (`rounds` for
     /// rounds-to-stop).
     table: Option<String>,
-    /// Forced adjacency representation: `None` keeps the size-based
-    /// auto-selection, `Some` pins every topology built during the
-    /// invocation to the dense bitmask or the pure-CSR path. Traces are
-    /// identical either way; the knob exists so CI can prove it.
-    repr: Option<AdjacencyRepr>,
-    /// `false` disables shard-plan caching for every simulation built
-    /// during the invocation. Caching never changes a trace; the knob
-    /// exists so CI can prove it (cached vs uncached byte-identity).
-    plan_cache: bool,
 }
 
 impl Options {
-    fn parse(args: &[String], default_suite: &str) -> Result<Options, String> {
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut opts = Options {
-            suite: default_suite.to_string(),
+            suite: "paper".to_string(),
             seeds: None,
             workers: default_workers(),
             shards: None,
@@ -140,8 +122,6 @@ impl Options {
             events: None,
             profile: None,
             table: None,
-            repr: None,
-            plan_cache: true,
         };
         let mut i = 0;
         while i < args.len() {
@@ -155,11 +135,13 @@ impl Options {
                     i += 2;
                 }
                 "--seeds" => {
-                    opts.seeds = Some(
-                        take(i)?
-                            .parse()
-                            .map_err(|_| "--seeds needs an integer".to_string())?,
-                    );
+                    let seeds: u64 = take(i)?
+                        .parse()
+                        .map_err(|_| "--seeds needs an integer".to_string())?;
+                    if seeds == 0 {
+                        return Err("--seeds must be positive".into());
+                    }
+                    opts.seeds = Some(seeds);
                     i += 2;
                 }
                 "--workers" => {
@@ -203,23 +185,6 @@ impl Options {
                 }
                 "--table" => {
                     opts.table = Some(take(i)?.clone());
-                    i += 2;
-                }
-                "--no-plan-cache" => {
-                    opts.plan_cache = false;
-                    i += 1;
-                }
-                "--repr" => {
-                    opts.repr = Some(match take(i)?.as_str() {
-                        "auto" => AdjacencyRepr::Auto,
-                        "dense" => AdjacencyRepr::Dense,
-                        "sparse" => AdjacencyRepr::Sparse,
-                        other => {
-                            return Err(format!(
-                                "--repr must be auto, dense or sparse (got {other})"
-                            ))
-                        }
-                    });
                     i += 2;
                 }
                 other => return Err(format!("unknown argument: {other}")),
@@ -274,7 +239,7 @@ fn default_workers() -> usize {
 fn usage(err: &str) -> i32 {
     eprintln!("error: {err}");
     eprintln!();
-    eprintln!("usage: scenario <list | run | bench | trace> [options]");
+    eprintln!("usage: scenario <list | run | trace> [options]");
     eprintln!("  list                      show every named suite");
     eprintln!("  run   --suite NAME        run a suite, print its JSON summary");
     eprintln!("        [--seeds N]         seeds per scenario (default: suite plan)");
@@ -297,18 +262,6 @@ fn usage(err: &str) -> i32 {
     eprintln!("                            FILE (never folded into summaries/events)");
     eprintln!("        [--table METRIC]    append a convergence-vs-param table of METRIC");
     eprintln!("                            ('rounds' for rounds-to-stop percentiles)");
-    eprintln!("        [--repr MODE]       force the adjacency representation for every");
-    eprintln!("                            topology: auto (size-based, default), dense");
-    eprintln!("                            (bitmask) or sparse (pure CSR); traces are");
-    eprintln!("                            byte-identical across modes");
-    eprintln!("        [--no-plan-cache]   recompute the shard plan every round instead");
-    eprintln!("                            of reusing it when the active set and topology");
-    eprintln!("                            are unchanged; traces are byte-identical");
-    eprintln!("                            either way");
-    eprintln!("  bench [--suite NAME]      time a sweep, write throughput JSON");
-    eprintln!("        [--seeds N] [--workers N] [--shards N] [--table METRIC]");
-    eprintln!("        [--repr MODE] [--no-plan-cache]  as for run");
-    eprintln!("        [--out FILE (default BENCH_scenarios.json)]");
     eprintln!("  trace EVENTS.jsonl        convert an --events file to Chrome trace-event");
     eprintln!("        [--out FILE]        JSON (Perfetto/chrome://tracing); stdout");
     eprintln!("                            unless --out is given");
@@ -331,6 +284,30 @@ fn list() {
     }
 }
 
+/// Refuses a `--seeds` value whose sweep cannot exist, before any job is
+/// built: the seed range must end inside `u64`, and the sweep engine
+/// materialises `scenarios × seeds` jobs up front, so that list must have
+/// a length and fit in memory. Without this the range wraps to an empty
+/// sweep that exits 0, or the job list aborts the process.
+fn check_seed_plan(suite: &suites::Suite, seeds: Option<u64>) -> Result<(), String> {
+    let count = seeds.unwrap_or(suite.default_seeds);
+    if suite.seed_base.checked_add(count).is_none() {
+        return Err(format!(
+            "--seeds {count} runs past the last seed (suite `{}` starts at seed {})",
+            suite.name, suite.seed_base
+        ));
+    }
+    let scenarios = suite.scenarios().len();
+    let too_many = || format!("--seeds {count} makes too many runs ({scenarios} scenarios each)");
+    let jobs = usize::try_from(count)
+        .ok()
+        .and_then(|count| scenarios.checked_mul(count))
+        .ok_or_else(too_many)?;
+    Vec::<Job>::new()
+        .try_reserve_exact(jobs)
+        .map_err(|_| too_many())
+}
+
 fn run(opts: &Options) -> i32 {
     let Some(suite) = suites::find(&opts.suite) else {
         return usage(&format!(
@@ -338,10 +315,9 @@ fn run(opts: &Options) -> i32 {
             opts.suite
         ));
     };
-    if let Some(repr) = opts.repr {
-        set_default_repr(repr);
+    if let Err(err) = check_seed_plan(&suite, opts.seeds) {
+        return usage(&err);
     }
-    set_plan_cache(opts.plan_cache);
     // The one pool behind the whole invocation: concurrent runs and their
     // sharded step loops all draw from these `--workers` threads.
     let runtime = Runtime::new(opts.workers);
@@ -496,57 +472,6 @@ fn profile_json(data: &ProfileData) -> Json {
         ("task_queue_ns", Json::Uint(data.task_queue_ns)),
         ("task_busy_ns", Json::Uint(data.task_busy_ns)),
     ])
-}
-
-fn bench(opts: &Options) -> i32 {
-    let Some(suite) = suites::find(&opts.suite) else {
-        return usage(&format!(
-            "unknown suite: {} (try `scenario list`)",
-            opts.suite
-        ));
-    };
-    if let Some(repr) = opts.repr {
-        set_default_repr(repr);
-    }
-    set_plan_cache(opts.plan_cache);
-    // Resolve the budget split once: it also prints the ignored---shards
-    // note, and the bench region must not re-trigger it.
-    let workers = opts.sweep_workers(&suite);
-    // Build the pool *outside* the timed region: its spawn cost is paid
-    // once per process, which is the steady state benches should price.
-    let runtime = Runtime::new(opts.workers);
-    let start = Instant::now();
-    let summary = suite.run_on(&runtime, opts.seeds, workers, opts.shard_hint());
-    let elapsed = start.elapsed().as_secs_f64();
-    let runs = summary.runs();
-    // `workers` records the *effective* sweep thread count (the --workers
-    // budget divided by --shards), so runs_per_sec comparisons across
-    // snapshots attribute throughput to the parallelism actually used.
-    let json = Json::obj(vec![
-        ("suite", Json::str(suite.name)),
-        ("runs", Json::Uint(runs)),
-        ("workers", Json::Uint(workers as u64)),
-        ("shards", Json::Uint(opts.shards.unwrap_or(1) as u64)),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("runs_per_sec", Json::Num(runs as f64 / elapsed.max(1e-9))),
-        ("all_passed", Json::Bool(summary.all_passed())),
-    ])
-    .render();
-    println!("{json}");
-    if let Some(metric) = &opts.table {
-        print!("{}", render_table(&summary, metric));
-    }
-    let path = opts.out.as_deref().unwrap_or("BENCH_scenarios.json");
-    if let Err(err) = std::fs::write(path, format!("{json}\n")) {
-        eprintln!("error: cannot write {path}: {err}");
-        return 1;
-    }
-    eprintln!("wrote {path}");
-    if summary.all_passed() {
-        0
-    } else {
-        2
-    }
 }
 
 /// `scenario trace EVENTS.jsonl [--out FILE]` — converts an `--events`
@@ -907,25 +832,21 @@ mod tests {
 
     #[test]
     fn parse_full_option_set() {
-        let opts = Options::parse(
-            &args(&[
-                "--suite",
-                "smoke",
-                "--seeds",
-                "5",
-                "--workers",
-                "3",
-                "--shards",
-                "2",
-                "--out",
-                "x.json",
-                "--records",
-                "runs.jsonl",
-                "--no-records",
-                "--no-plan-cache",
-            ]),
-            "paper",
-        )
+        let opts = Options::parse(&args(&[
+            "--suite",
+            "smoke",
+            "--seeds",
+            "5",
+            "--workers",
+            "3",
+            "--shards",
+            "2",
+            "--out",
+            "x.json",
+            "--records",
+            "runs.jsonl",
+            "--no-records",
+        ]))
         .unwrap();
         assert_eq!(opts.suite, "smoke");
         assert_eq!(opts.seeds, Some(5));
@@ -934,27 +855,73 @@ mod tests {
         assert_eq!(opts.out.as_deref(), Some("x.json"));
         assert_eq!(opts.record_sink.as_deref(), Some("runs.jsonl"));
         assert!(!opts.records);
-        assert!(!opts.plan_cache);
     }
 
     #[test]
     fn parse_rejects_bad_input() {
-        assert!(Options::parse(&args(&["--seeds"]), "paper").is_err());
-        assert!(Options::parse(&args(&["--workers", "0"]), "paper").is_err());
-        assert!(Options::parse(&args(&["--shards", "0"]), "paper").is_err());
-        assert!(Options::parse(&args(&["--frobnicate"]), "paper").is_err());
+        assert!(Options::parse(&args(&["--seeds"])).is_err());
+        assert!(Options::parse(&args(&["--workers", "0"])).is_err());
+        assert!(Options::parse(&args(&["--shards", "0"])).is_err());
+        assert!(Options::parse(&args(&["--frobnicate"])).is_err());
     }
 
     #[test]
-    fn defaults_follow_subcommand() {
-        let opts = Options::parse(&[], "bench64").unwrap();
-        assert_eq!(opts.suite, "bench64");
+    fn removed_flags_and_subcommand_are_usage_errors() {
+        for gone in [
+            &["run", "--suite", "smoke", "--repr", "sparse"][..],
+            &["run", "--suite", "smoke", "--no-plan-cache"],
+            &["bench"],
+            &["bench", "--suite", "bench64"],
+        ] {
+            assert_eq!(main(args(gone)), 1, "{gone:?}");
+        }
+    }
+
+    #[test]
+    fn seeds_that_cannot_make_a_sweep_are_usage_errors() {
+        // Zero seeds used to run one silently.
+        assert_eq!(main(args(&["run", "--suite", "smoke", "--seeds", "0"])), 1);
+        // `authority` starts at seed 40: the range used to wrap to an
+        // empty sweep that exited 0.
+        let max = u64::MAX.to_string();
+        assert_eq!(
+            main(args(&["run", "--suite", "authority", "--seeds", &max])),
+            1
+        );
+        // `smoke` starts at seed 0, so the range fits, but 9 × (2^64 − 1)
+        // jobs have no length: this used to panic with capacity overflow.
+        assert_eq!(main(args(&["run", "--suite", "smoke", "--seeds", &max])), 1);
+        // 9 × 2^60 jobs have a length and no allocation: the byte size
+        // overflows on every host (`--seeds 4000000000`, 96 GB of jobs,
+        // is the same refusal wherever the allocator says no).
+        let huge = (1u64 << 60).to_string();
+        assert_eq!(
+            main(args(&[
+                "run",
+                "--suite",
+                "smoke",
+                "--seeds",
+                &huge,
+                "--no-records"
+            ])),
+            1
+        );
+        let suite = suites::find("smoke").unwrap();
+        assert!(check_seed_plan(&suite, None).is_ok());
+        assert!(check_seed_plan(&suite, Some(1000)).is_ok());
+        let err = check_seed_plan(&suite, Some(1 << 60)).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+    }
+
+    #[test]
+    fn defaults() {
+        let opts = Options::parse(&[]).unwrap();
+        assert_eq!(opts.suite, "paper");
         assert_eq!(opts.seeds, None);
         assert!(opts.records);
         assert!(opts.workers >= 1);
         assert_eq!(opts.shards, None);
         assert!(opts.record_sink.is_none());
-        assert!(opts.plan_cache);
     }
 
     #[test]
@@ -963,8 +930,7 @@ mod tests {
         // computation (the budget split would be pure loss).
         let smoke = suites::find("smoke").unwrap();
         let paper = suites::find("paper").unwrap();
-        let mut opts =
-            Options::parse(&args(&["--workers", "8", "--shards", "4"]), "paper").unwrap();
+        let mut opts = Options::parse(&args(&["--workers", "8", "--shards", "4"])).unwrap();
         assert_eq!(opts.shard_hint(), 4);
         assert_eq!(opts.sweep_workers(&smoke), 2);
         assert_eq!(
@@ -1140,10 +1106,10 @@ mod tests {
 
     #[test]
     fn parse_table_option() {
-        let opts = Options::parse(&args(&["--table", "rounds"]), "paper").unwrap();
+        let opts = Options::parse(&args(&["--table", "rounds"])).unwrap();
         assert_eq!(opts.table.as_deref(), Some("rounds"));
-        assert!(Options::parse(&args(&["--table"]), "paper").is_err());
-        assert!(Options::parse(&[], "paper").unwrap().table.is_none());
+        assert!(Options::parse(&args(&["--table"])).is_err());
+        assert!(Options::parse(&[]).unwrap().table.is_none());
     }
 
     #[test]

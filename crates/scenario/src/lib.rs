@@ -9,7 +9,7 @@
 //!   a simulator execution family: topology family, delivery model,
 //!   adversary/colluder placement, a churn/fault
 //!   [`Schedule`](ga_simnet::schedule::Schedule), the protocol under test
-//!   and stop/verdict predicates. [`run(seed)`](spec::ScenarioSpec::run)
+//!   and stop/verdict predicates. [`run(seed)`](record::Scenario::run)
 //!   is a pure function of the seed.
 //! * [`sweep`] — fans scenarios out over seed ranges and
 //!   [`ParamGrid`](sweep::ParamGrid)s across a persistent
@@ -26,6 +26,25 @@
 //! * [`spec::PlacementStrategy`] — seed-derived adversary placement
 //!   families (`RandomF`, `WorstCaseByDegree`), so one spec covers every
 //!   adversary position instead of one pinned id.
+//!
+//! ## Entry points: one full form per layer
+//!
+//! Every layer runs one way. The three execution knobs — the pool, the
+//! per-run shard hint, the event plane — are arguments of the layer's
+//! full form; the plain form beside it is a one-line call of the full
+//! form on [`Runtime::global`](ga_simnet::runtime::Runtime::global) with
+//! no shard hint. None of the knobs changes a record, a summary or an
+//! event stream.
+//!
+//! | layer | plain | full | full, streaming / events |
+//! | --- | --- | --- | --- |
+//! | one run ([`Scenario`](record::Scenario)) | `run(seed)` | `run_on(seed, shards, &runtime)` | `run_telemetry(seed, shards, &runtime, telemetry)` |
+//! | a sweep ([`sweep`]) | `sweep(name, scenarios, seeds, workers)` | `sweep_on(&runtime, …, workers, shards)` | `sweep_stream_on(&runtime, …, workers, shards, telemetry, sink)` |
+//! | a named suite ([`Suite`](suites::Suite)) | `run(seeds, workers)` | `run_on(&runtime, seeds, workers, shards)` | `run_stream_on(&runtime, seeds, workers, shards, telemetry, sink)` |
+//!
+//! Under the sweeps, [`jobs_for`](sweep::jobs_for) enumerates
+//! `scenarios × seeds` and [`run_jobs_on`](sweep::run_jobs_on) executes a
+//! job list, handing records to a consumer in job order.
 //!
 //! ## Stabilization probes and the recovery frontier
 //!
@@ -151,8 +170,8 @@ pub mod prelude {
     pub use crate::spec::{PlacementStrategy, Role, ScenarioSpec, TopologyFamily};
     pub use crate::suites::Suite;
     pub use crate::sweep::{
-        expand_grid, sweep, sweep_on, sweep_sharded, sweep_stream, sweep_stream_on, MetricAgg,
-        ParamGrid, RecordSink, SummaryBuilder, SweepSummary,
+        expand_grid, sweep, sweep_on, sweep_stream_on, MetricAgg, ParamGrid, RecordSink,
+        SummaryBuilder, SweepSummary,
     };
     pub use crate::workload::{Flood, MaxGossip};
     pub use ga_simnet::prelude::*;

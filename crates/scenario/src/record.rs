@@ -255,35 +255,27 @@ pub trait Scenario: Send + Sync {
     /// Scenario name (stable; used in summaries and CLI selection).
     fn name(&self) -> &str;
 
-    /// Executes one run.
+    /// Executes one run: the plain form, on the process-wide pool with no
+    /// shard hint.
     fn run(&self, seed: u64) -> RunRecord;
 
-    /// Executes one run with an intra-run parallelism hint: simulator-
-    /// backed scenarios shard `Simulation::step` across `shards` threads.
-    /// A hint of 0 means "unspecified" — scenarios carrying their own
-    /// shard default (`ScenarioSpec::shards`) fall back to it; any
-    /// explicit value (1 = force serial) wins.
+    /// Executes one run with an intra-run parallelism hint, drawing that
+    /// parallelism from `runtime`: simulator-backed scenarios shard
+    /// `Simulation::step` across `shards` threads of the pool. A hint of 0
+    /// means "unspecified" — scenarios carrying their own shard default
+    /// (`ScenarioSpec::shards`) fall back to it; any explicit value (1 =
+    /// force serial) wins. The sweep engine calls this so one persistent
+    /// pool backs both the sweep's workers and every run's sharded
+    /// stepping (`--workers` is one global thread budget).
     ///
-    /// Sharding is an execution knob, never a semantic one — the record
-    /// must be identical at every shard count (sharded stepping is
-    /// byte-identical to serial, see `ga_simnet::sim::StepExec`). The
-    /// default ignores the hint, which is trivially conformant for pure
-    /// computations.
-    fn run_sharded(&self, seed: u64, shards: usize) -> RunRecord {
-        let _ = shards;
-        self.run(seed)
-    }
-
-    /// [`run_sharded`](Scenario::run_sharded) drawing intra-run
-    /// parallelism from `runtime` — the sweep engine calls this so one
-    /// persistent pool backs both the sweep's workers and every run's
-    /// sharded stepping (`--workers` is one global thread budget). The
-    /// pool is an execution detail: records are identical whichever pool
-    /// executes them. The default ignores the handle, which is trivially
-    /// conformant for pure computations.
+    /// Shards and pool are execution knobs, never semantic ones — the
+    /// record must be identical at every shard count and on every pool
+    /// (sharded stepping is byte-identical to serial, see
+    /// `ga_simnet::sim::StepExec`). The default ignores both, which is
+    /// trivially conformant for pure computations.
     fn run_on(&self, seed: u64, shards: usize, runtime: &Runtime) -> RunRecord {
-        let _ = runtime;
-        self.run_sharded(seed, shards)
+        let _ = (shards, runtime);
+        self.run(seed)
     }
 
     /// [`run_on`](Scenario::run_on) with the deterministic telemetry
@@ -306,7 +298,7 @@ pub trait Scenario: Send + Sync {
         self.run_on(seed, shards, runtime)
     }
 
-    /// Whether [`run_sharded`](Scenario::run_sharded) actually honors the
+    /// Whether [`run_on`](Scenario::run_on) actually honors the
     /// shard hint (default false — pure computations step no simulator).
     /// Sweep frontends use this to avoid carving a thread budget up for
     /// sharding that would buy nothing.

@@ -3,7 +3,7 @@
 //! A spec composes everything a simnet execution family needs — topology
 //! family, delivery model, adversary/colluder placement, a churn/fault
 //! [`Schedule`], the protocol under test, and stop/verdict predicates —
-//! into one `Clone + Send + Sync` value. [`ScenarioSpec::run`] is a pure
+//! into one `Clone + Send + Sync` value. [`Scenario::run`] on it is a pure
 //! function of `(spec, seed)`, which is what lets the sweep engine fan a
 //! spec out across threads and still produce byte-identical aggregates.
 
@@ -18,7 +18,7 @@ use ga_simnet::sim::Delivery;
 use ga_simnet::telemetry::{Event, TelemetryConfig};
 use rand::seq::SliceRandom;
 
-use crate::record::{MessageStats, RunRecord, Verdict};
+use crate::record::{MessageStats, RunRecord, Scenario, Verdict};
 
 /// A family of communication graphs, instantiated per run.
 ///
@@ -200,15 +200,13 @@ struct StabilizationProbe {
 
 /// A declarative description of a family of simulator executions.
 ///
-/// Built with chained setters; executed with [`run`](ScenarioSpec::run).
+/// Built with chained setters; executed through its [`Scenario`] impl
+/// ([`run`](Scenario::run) and the fuller forms beside it).
 /// See the crate docs for a complete example.
 #[derive(Clone)]
 pub struct ScenarioSpec {
     name: String,
     topology: TopologyFamily,
-    /// Adjacency representation override for each run's graph; `None`
-    /// keeps the size-based auto choice (or the process-wide default).
-    repr: Option<AdjacencyRepr>,
     delivery: Delivery,
     placements: Vec<(usize, Role)>,
     strategies: Vec<PlacementStrategy>,
@@ -257,7 +255,6 @@ impl ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
             topology,
-            repr: None,
             delivery: Delivery::Reliable,
             placements: Vec::new(),
             strategies: Vec::new(),
@@ -290,17 +287,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn delivery(mut self, delivery: Delivery) -> Self {
         self.delivery = delivery;
-        self
-    }
-
-    /// Forces the adjacency representation of every run's graph (default:
-    /// the size-based auto choice). Purely a memory/speed knob — dense
-    /// and sparse answer every query identically, so records are
-    /// byte-identical either way; see
-    /// [`Topology::set_repr`](ga_simnet::topology::Topology::set_repr).
-    #[must_use]
-    pub fn repr(mut self, repr: AdjacencyRepr) -> Self {
-        self.repr = Some(repr);
         self
     }
 
@@ -368,10 +354,8 @@ impl ScenarioSpec {
     /// Shards each run's `Simulation::step` compute phase across this many
     /// threads (default 1 = serial). Purely a throughput knob for large-n
     /// specs: records are identical at every shard count. An explicit
-    /// sweep-level hint
-    /// ([`Scenario::run_sharded`](crate::record::Scenario::run_sharded),
-    /// the CLI's `--shards` — 1 included, forcing serial) overrides this;
-    /// a hint of 0 defers to it.
+    /// sweep-level hint ([`Scenario::run_on`], the CLI's `--shards` — 1
+    /// included, forcing serial) overrides this; a hint of 0 defers to it.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -524,61 +508,22 @@ impl ScenarioSpec {
         }
     }
 
-    /// Executes one run at `seed`. Pure: equal seeds give equal records.
-    pub fn run(&self, seed: u64) -> RunRecord {
-        self.run_sharded(seed, 0)
-    }
-
-    /// Executes one run at `seed` with the compute phase of every
-    /// `Simulation::step` sharded across `shards` threads. The record is
-    /// identical at every shard count (the spec's own
-    /// [`shards`](ScenarioSpec::shards) default included) — sharding only
-    /// changes wall-clock time.
-    pub fn run_sharded(&self, seed: u64, shards: usize) -> RunRecord {
-        self.run_inner(seed, shards, None, None)
-    }
-
-    /// [`run_sharded`](ScenarioSpec::run_sharded) with the sharded
-    /// compute phase drawing from `runtime` — the sweep engine passes its
-    /// own pool here so sweep- and shard-level parallelism share one
-    /// thread budget. The pool never changes the record.
-    pub fn run_on(&self, seed: u64, shards: usize, runtime: &Runtime) -> RunRecord {
-        self.run_inner(seed, shards, Some(runtime), None)
-    }
-
-    /// [`run_on`](ScenarioSpec::run_on) with the deterministic event
-    /// plane switched on: the simulation carries an
-    /// [`EventSink`](ga_simnet::telemetry::EventSink) sized by
-    /// `telemetry` and the retained events (plus the spec's own
-    /// [`Event::LegalityFlip`] markers from the stabilization probe) land
-    /// in [`RunRecord::events`]. Events never change the rest of the
-    /// record, and the stream itself is identical at every shard count
-    /// and on every pool.
-    pub fn run_telemetry(
+    /// The one execution path behind every [`Scenario`] entry point of a
+    /// spec. Pure: equal seeds give equal records, at every `shards` and
+    /// on every `runtime`; `telemetry` adds [`RunRecord::events`] and
+    /// changes nothing else.
+    fn run_inner(
         &self,
         seed: u64,
         shards: usize,
         runtime: &Runtime,
         telemetry: Option<&TelemetryConfig>,
     ) -> RunRecord {
-        self.run_inner(seed, shards, Some(runtime), telemetry)
-    }
-
-    fn run_inner(
-        &self,
-        seed: u64,
-        shards: usize,
-        runtime: Option<&Runtime>,
-        telemetry: Option<&TelemetryConfig>,
-    ) -> RunRecord {
         // A hint of 0 means "unspecified" (the sweep default): fall back
         // to the spec's own knob so `.shards(n)` survives every sweep
         // path. Any explicit hint — including 1 = force serial — wins.
         let shards = if shards == 0 { self.shards } else { shards };
-        let mut topology = self.topology.build(seed);
-        if let Some(repr) = self.repr {
-            topology.set_repr(repr);
-        }
+        let topology = self.topology.build(seed);
         let n = topology.len();
         let placements = self.resolve_placements(&topology, seed);
         // The cabal's per-round lies derive from the run seed, so records
@@ -589,18 +534,16 @@ impl ScenarioSpec {
             .seed(seed)
             .delivery(self.delivery)
             .schedule(self.schedule.clone())
-            .shards(shards);
+            .shards(shards)
+            .runtime(runtime.clone());
         if let Some(cfg) = telemetry {
             builder = builder.telemetry(*cfg);
         }
-        if let Some(runtime) = runtime {
-            builder = builder.runtime(runtime.clone());
-            // Timing plane: if the pool carries a profiler, per-step wall
-            // clock flows into that side channel. It is never read back
-            // into the record.
-            if let Some(profiler) = runtime.profiler() {
-                builder = builder.profiler(profiler);
-            }
+        // Timing plane: if the pool carries a profiler, per-step wall
+        // clock flows into that side channel. It is never read back into
+        // the record.
+        if let Some(profiler) = runtime.profiler() {
+            builder = builder.profiler(profiler);
         }
         let mut sim =
             builder.build_with(
@@ -745,23 +688,22 @@ impl ScenarioSpec {
     }
 }
 
-impl crate::record::Scenario for ScenarioSpec {
+impl Scenario for ScenarioSpec {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn run(&self, seed: u64) -> RunRecord {
-        ScenarioSpec::run(self, seed)
-    }
-
-    fn run_sharded(&self, seed: u64, shards: usize) -> RunRecord {
-        ScenarioSpec::run_sharded(self, seed, shards)
+        self.run_on(seed, 0, &Runtime::global())
     }
 
     fn run_on(&self, seed: u64, shards: usize, runtime: &Runtime) -> RunRecord {
-        ScenarioSpec::run_on(self, seed, shards, runtime)
+        self.run_inner(seed, shards, runtime, None)
     }
 
+    /// The retained events (plus the spec's own [`Event::LegalityFlip`]
+    /// markers from the stabilization probe) land in
+    /// [`RunRecord::events`].
     fn run_telemetry(
         &self,
         seed: u64,
@@ -769,7 +711,7 @@ impl crate::record::Scenario for ScenarioSpec {
         runtime: &Runtime,
         telemetry: Option<&TelemetryConfig>,
     ) -> RunRecord {
-        ScenarioSpec::run_telemetry(self, seed, shards, runtime, telemetry)
+        self.run_inner(seed, shards, runtime, telemetry)
     }
 
     fn supports_sharding(&self) -> bool {

@@ -405,10 +405,10 @@ mod tests {
             .iter()
             .find(|s| s.name() == "stabilize_ssba[loss=0.05,c=1,n=4]")
             .expect("grid point exists");
-        let serial = point.run_sharded(60, 1);
+        let serial = point.run_on(60, 1, &Runtime::global());
         assert_eq!(point.run(60), serial, "pure in the seed");
         assert_eq!(
-            point.run_sharded(60, 4),
+            point.run_on(60, 4, &Runtime::global()),
             serial,
             "corruption draws are (seed, id, round) anchored, not visit-ordered"
         );

@@ -14,8 +14,7 @@
 //!   axis: topology families, lossy delivery, adversaries, colluders,
 //!   churn schedules (healable partitions included) and transient faults.
 //!   Wired into `scripts/tier1.sh`.
-//! * **bench64** — 64-processor workloads used by
-//!   `scripts/bench_scenarios.sh` to track sweep throughput.
+//! * **bench64** / **bench256** — 64- and 256-processor workloads.
 
 use std::sync::Arc;
 
@@ -52,24 +51,36 @@ impl Suite {
         (self.build)()
     }
 
+    /// The seed range of a run over `seeds` seeds per scenario (default
+    /// plan if `None`; never fewer than one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range would end past `u64::MAX` — the CLI refuses
+    /// such a `--seeds` before it gets here.
+    fn seeds(&self, seeds: Option<u64>) -> std::ops::Range<u64> {
+        let count = seeds.unwrap_or(self.default_seeds).max(1);
+        let end = self
+            .seed_base
+            .checked_add(count)
+            .expect("seed_base + seeds fits in u64");
+        self.seed_base..end
+    }
+
     /// Runs the suite over `seeds` seeds (default plan if `None`) on
-    /// `workers` threads.
+    /// `workers` threads of the process-wide [`Runtime::global`] pool:
+    /// the plain form of [`run_on`](Suite::run_on), with every scenario's
+    /// own shard default.
     pub fn run(&self, seeds: Option<u64>, workers: usize) -> SweepSummary {
-        self.run_sharded(seeds, workers, 0)
+        self.run_on(&Runtime::global(), seeds, workers, 0)
     }
 
-    /// [`run`](Suite::run) with each run's `Simulation::step` sharded
-    /// across `shards` threads (0 defers to each scenario's own default,
-    /// 1 forces serial). Summaries are byte-identical at any
-    /// `(workers, shards)` combination.
-    pub fn run_sharded(&self, seeds: Option<u64>, workers: usize, shards: usize) -> SweepSummary {
-        self.run_on(&Runtime::global(), seeds, workers, shards)
-    }
-
-    /// [`run_sharded`](Suite::run_sharded) drawing sweep workers *and*
-    /// every run's shard tasks from `runtime` — the CLI builds one pool
-    /// from `--workers` and passes it here, so the flag is a true global
-    /// thread budget. The pool never changes a summary.
+    /// Runs the suite drawing sweep workers *and* every run's shard tasks
+    /// from `runtime` — the CLI builds one pool from `--workers` and
+    /// passes it here, so the flag is a true global thread budget.
+    /// `shards` is each run's `Simulation::step` shard hint (0 defers to
+    /// each scenario's own default, 1 forces serial). Summaries are
+    /// byte-identical at any `(pool, workers, shards)` combination.
     pub fn run_on(
         &self,
         runtime: &Runtime,
@@ -77,32 +88,20 @@ impl Suite {
         workers: usize,
         shards: usize,
     ) -> SweepSummary {
-        let count = seeds.unwrap_or(self.default_seeds).max(1);
         sweep::sweep_on(
             runtime,
             self.name,
             &self.scenarios(),
-            self.seed_base..self.seed_base + count,
+            self.seeds(seeds),
             workers,
             shards,
         )
     }
 
-    /// [`run_sharded`](Suite::run_sharded) that streams every record to
-    /// `sink` (in job order) instead of retaining them in the summary.
-    pub fn run_stream(
-        &self,
-        seeds: Option<u64>,
-        workers: usize,
-        shards: usize,
-        sink: sweep::RecordSink<'_>,
-    ) -> SweepSummary {
-        self.run_stream_on(&Runtime::global(), seeds, workers, shards, None, sink)
-    }
-
-    /// [`run_stream`](Suite::run_stream) on an explicit [`Runtime`] pool,
-    /// optionally with the deterministic event plane on for every run
-    /// (`telemetry` — see [`sweep::sweep_stream_on`]).
+    /// [`run_on`](Suite::run_on) that streams every record to `sink` (in
+    /// job order) instead of retaining them in the summary, optionally
+    /// with the deterministic event plane on for every run (`telemetry` —
+    /// see [`sweep::sweep_stream_on`]).
     pub fn run_stream_on(
         &self,
         runtime: &Runtime,
@@ -112,12 +111,11 @@ impl Suite {
         telemetry: Option<&TelemetryConfig>,
         sink: sweep::RecordSink<'_>,
     ) -> SweepSummary {
-        let count = seeds.unwrap_or(self.default_seeds).max(1);
         sweep::sweep_stream_on(
             runtime,
             self.name,
             &self.scenarios(),
-            self.seed_base..self.seed_base + count,
+            self.seeds(seeds),
             workers,
             shards,
             telemetry,
@@ -680,8 +678,13 @@ mod tests {
     #[test]
     fn bench256_sharded_summary_matches_serial() {
         let suite = find("bench256").unwrap();
-        let serial = suite.run_sharded(Some(1), 2, 1).to_json(true).render();
-        let sharded = suite.run_sharded(Some(1), 2, 4).to_json(true).render();
+        let run = |shards| {
+            suite
+                .run_on(&Runtime::global(), Some(1), 2, shards)
+                .to_json(true)
+                .render()
+        };
+        let (serial, sharded) = (run(1), run(4));
         assert_eq!(serial, sharded, "--shards must never change a summary");
     }
 }

@@ -124,10 +124,6 @@ impl<S: Scenario> Scenario for GridPoint<S> {
         self.stamp(self.inner.run(seed))
     }
 
-    fn run_sharded(&self, seed: u64, shards: usize) -> RunRecord {
-        self.stamp(self.inner.run_sharded(seed, shards))
-    }
-
     fn run_on(&self, seed: u64, shards: usize, runtime: &Runtime) -> RunRecord {
         self.stamp(self.inner.run_on(seed, shards, runtime))
     }
@@ -221,34 +217,7 @@ fn reorder_window(workers: usize, jobs: usize) -> usize {
     (workers * 4).max(16).min(jobs).max(1)
 }
 
-/// Executes `jobs` across `workers` threads; the result order equals the
-/// job order no matter how work is interleaved.
-///
-/// # Panics
-///
-/// Propagates panics from scenario runs (a panicking worker poisons the
-/// slot mutex, surfacing the failure instead of silently dropping runs).
-pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(jobs.len());
-    run_jobs_ordered(jobs, workers, 0, &mut |_, record| records.push(record));
-    records
-}
-
-/// [`run_jobs_on`] on the process-wide [`Runtime::global`] pool.
-///
-/// # Panics
-///
-/// Propagates panics from scenario runs (see [`run_jobs_on`]).
-pub fn run_jobs_ordered(
-    jobs: &[Job],
-    workers: usize,
-    shards: usize,
-    consume: &mut (dyn FnMut(usize, RunRecord) + Send),
-) {
-    run_jobs_on(&Runtime::global(), jobs, workers, shards, None, consume);
-}
-
-/// The fully-general executor behind [`run_jobs`] and the sweeps:
+/// The executor behind the sweeps:
 /// `workers` worker-loop tasks are submitted to `runtime` (so sweep-level
 /// parallelism shares the pool's thread budget with everything else),
 /// `shards` is passed to every scenario as the intra-run parallelism hint
@@ -677,33 +646,24 @@ impl SweepSummary {
     }
 }
 
-/// Runs `scenarios × seeds` on `workers` threads and aggregates.
+/// Runs `scenarios × seeds` on `workers` threads of the process-wide
+/// [`Runtime::global`] pool and aggregates: the plain form of
+/// [`sweep_on`], with every scenario's own shard default.
 pub fn sweep(
     name: &str,
     scenarios: &[Arc<dyn Scenario>],
     seeds: std::ops::Range<u64>,
     workers: usize,
 ) -> SweepSummary {
-    sweep_sharded(name, scenarios, seeds, workers, 0)
+    sweep_on(&Runtime::global(), name, scenarios, seeds, workers, 0)
 }
 
-/// [`sweep`] with every run's `Simulation::step` sharded across `shards`
-/// threads ([`Scenario::run_sharded`]; 0 defers to each scenario's own
-/// default, 1 forces serial). The summary is byte-identical at any
-/// `(workers, shards)` combination.
-pub fn sweep_sharded(
-    name: &str,
-    scenarios: &[Arc<dyn Scenario>],
-    seeds: std::ops::Range<u64>,
-    workers: usize,
-    shards: usize,
-) -> SweepSummary {
-    sweep_on(&Runtime::global(), name, scenarios, seeds, workers, shards)
-}
-
-/// [`sweep_sharded`] drawing both sweep workers and every run's shard
-/// tasks from `runtime` — one pool, one thread budget. The summary is
-/// byte-identical at any `(pool size, workers, shards)` combination.
+/// Runs `scenarios × seeds` and aggregates, drawing both the `workers`
+/// sweep workers and every run's shard tasks from `runtime` — one pool,
+/// one thread budget. `shards` is every run's `Simulation::step` shard
+/// hint ([`Scenario::run_on`]; 0 defers to each scenario's own default, 1
+/// forces serial). The summary is byte-identical at any `(pool size,
+/// workers, shards)` combination.
 pub fn sweep_on(
     runtime: &Runtime,
     name: &str,
@@ -726,31 +686,9 @@ pub fn sweep_on(
 /// The streaming sweep: every finished record is handed to `sink` in job
 /// order and then **dropped** — the summary aggregates incrementally and
 /// carries no `records`, so memory stays bounded by the out-of-order
-/// window regardless of sweep size.
-pub fn sweep_stream(
-    name: &str,
-    scenarios: &[Arc<dyn Scenario>],
-    seeds: std::ops::Range<u64>,
-    workers: usize,
-    shards: usize,
-    sink: RecordSink<'_>,
-) -> SweepSummary {
-    sweep_stream_on(
-        &Runtime::global(),
-        name,
-        scenarios,
-        seeds,
-        workers,
-        shards,
-        None,
-        sink,
-    )
-}
-
-/// [`sweep_stream`] on an explicit [`Runtime`] pool, with the
-/// deterministic event plane switched on for every run when `telemetry`
-/// is set — the sink reads each run's events off
-/// [`RunRecord::events`] before the record is dropped.
+/// window regardless of sweep size. With `telemetry` set the
+/// deterministic event plane is on for every run, and the sink reads each
+/// run's events off [`RunRecord::events`] before the record is dropped.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_stream_on(
     runtime: &Runtime,
@@ -833,13 +771,22 @@ mod tests {
         );
     }
 
+    /// Every record of `jobs`, in job order, off the global pool.
+    fn collect(jobs: &[Job], workers: usize) -> Vec<RunRecord> {
+        let mut records = Vec::with_capacity(jobs.len());
+        run_jobs_on(&Runtime::global(), jobs, workers, 0, None, &mut |_, r| {
+            records.push(r)
+        });
+        records
+    }
+
     #[test]
     fn worker_count_does_not_change_results() {
         let scenarios = vec![toy("a"), toy("b"), toy("c")];
         let jobs = jobs_for(&scenarios, 0..5);
-        let one = run_jobs(&jobs, 1);
+        let one = collect(&jobs, 1);
         for workers in [2, 4, 8, 64] {
-            assert_eq!(run_jobs(&jobs, workers), one, "workers={workers}");
+            assert_eq!(collect(&jobs, workers), one, "workers={workers}");
         }
     }
 
@@ -979,7 +926,16 @@ mod tests {
             let mut sink = |i: usize, r: &RunRecord| {
                 seen.push((i, r.scenario.clone(), r.seed));
             };
-            let streamed = sweep_stream("s", &scenarios, 0..6, workers, 1, &mut sink);
+            let streamed = sweep_stream_on(
+                &Runtime::global(),
+                "s",
+                &scenarios,
+                0..6,
+                workers,
+                1,
+                None,
+                &mut sink,
+            );
             assert_eq!(
                 seen.iter().map(|(i, _, _)| *i).collect::<Vec<_>>(),
                 (0..12).collect::<Vec<_>>(),
@@ -1014,7 +970,7 @@ mod tests {
         let jobs = jobs_for(&scenarios, 0..500);
         assert!(reorder_window(8, jobs.len()) < jobs.len());
         let mut indexes = Vec::new();
-        run_jobs_ordered(&jobs, 8, 1, &mut |i, r| {
+        run_jobs_on(&Runtime::global(), &jobs, 8, 1, None, &mut |i, r| {
             assert_eq!(r.seed, i as u64, "slot {i} holds its own job's record");
             indexes.push(i);
         });
@@ -1033,7 +989,7 @@ mod tests {
         }));
         let jobs = jobs_for(&[bomb], 0..200);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_jobs(&jobs, 8);
+            collect(&jobs, 8);
         }));
         assert!(outcome.is_err(), "the seed-10 panic must propagate");
     }
@@ -1052,7 +1008,7 @@ mod tests {
         let baseline = sweep("s", &scenarios, 0..4, 2).to_json(true).render();
         for shards in [2, 4] {
             assert_eq!(
-                sweep_sharded("s", &scenarios, 0..4, 2, shards)
+                sweep_on(&Runtime::global(), "s", &scenarios, 0..4, 2, shards)
                     .to_json(true)
                     .render(),
                 baseline,

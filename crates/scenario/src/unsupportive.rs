@@ -232,6 +232,10 @@ mod tests {
             .unwrap();
         let a = scenario.run(80);
         assert_eq!(a, scenario.run(80), "pure in the seed");
-        assert_eq!(a, scenario.run_sharded(80, 4), "shards never change it");
+        assert_eq!(
+            a,
+            scenario.run_on(80, 4, &Runtime::global()),
+            "shards never change it"
+        );
     }
 }

@@ -69,13 +69,16 @@ fn smoke_suite_json_identical_across_shard_counts() {
     // The intra-run sharding knob composes with sweep-level parallelism:
     // any (workers, shards) combination must render the same summary.
     let suite = suites::find("smoke").expect("smoke suite registered");
-    let baseline = suite.run_sharded(Some(2), 1, 1).to_json(true).render();
+    let render = |workers: usize, shards: usize| {
+        suite
+            .run_on(&Runtime::global(), Some(2), workers, shards)
+            .to_json(true)
+            .render()
+    };
+    let baseline = render(1, 1);
     for (workers, shards) in [(1, 2), (1, 8), (4, 2), (2, 4)] {
         assert_eq!(
-            suite
-                .run_sharded(Some(2), workers, shards)
-                .to_json(true)
-                .render(),
+            render(workers, shards),
             baseline,
             "workers={workers} shards={shards}"
         );
@@ -89,14 +92,17 @@ fn authority_suite_json_identical_across_workers_and_shards() {
     // the clock RNG, commitment nonces and BA traffic are all
     // (seed, id, round) derived.
     let suite = suites::find("authority").expect("authority suite registered");
-    let baseline = suite.run_sharded(Some(1), 1, 1).to_json(true).render();
+    let render = |workers: usize, shards: usize| {
+        suite
+            .run_on(&Runtime::global(), Some(1), workers, shards)
+            .to_json(true)
+            .render()
+    };
+    let baseline = render(1, 1);
     assert!(baseline.contains("authority_selfish_cluster"));
     for (workers, shards) in [(4, 1), (2, 2), (1, 4), (4, 4)] {
         assert_eq!(
-            suite
-                .run_sharded(Some(1), workers, shards)
-                .to_json(true)
-                .render(),
+            render(workers, shards),
             baseline,
             "workers={workers} shards={shards}"
         );
@@ -217,7 +223,7 @@ fn lossy_grid_records_identical_across_shard_counts() {
     // shard count (the loss RNG is per-sender, not per-routing-order).
     let scenarios = lossy_grid_scenarios();
     let render = |shards: usize| {
-        sweep_sharded("det", &scenarios, 0..6, 4, shards)
+        sweep_on(&Runtime::global(), "det", &scenarios, 0..6, 4, shards)
             .to_json(true)
             .render()
     };
@@ -234,7 +240,16 @@ fn streamed_sweep_matches_batch_aggregates() {
     let batch = sweep("det", &scenarios, 0..4, 4);
     let mut lines: Vec<String> = Vec::new();
     let mut sink = |_i: usize, r: &RunRecord| lines.push(r.to_json().render());
-    let streamed = sweep_stream("det", &scenarios, 0..4, 4, 2, &mut sink);
+    let streamed = sweep_stream_on(
+        &Runtime::global(),
+        "det",
+        &scenarios,
+        0..4,
+        4,
+        2,
+        None,
+        &mut sink,
+    );
     assert_eq!(
         streamed.to_json(false).render(),
         batch.to_json(false).render()

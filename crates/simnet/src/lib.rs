@@ -71,12 +71,9 @@
 //! trace:
 //!
 //! * **CSR adjacency.** [`Topology`](topology::Topology) stores sorted
-//!   compressed-sparse-row neighbor lists; the O(n²/8) dense bitmask plane
-//!   used for O(1) `connected` checks is kept only at small n (or when
-//!   forced via [`AdjacencyRepr`](topology::AdjacencyRepr) /
-//!   [`Topology::set_repr`](topology::Topology::set_repr)), with binary
-//!   search on the row as the sparse path. Both representations answer
-//!   every query identically.
+//!   compressed-sparse-row neighbor lists — O(n + E) memory and the one
+//!   adjacency representation at every n; `connected` is a binary search
+//!   on the row.
 //! * **Quiescence-aware stepping.** Each round steps only the *active
 //!   set*: processes whose inbox gained a message last round, processes
 //!   woken by a schedule/fault intervention (scramble, corruption,
@@ -133,8 +130,9 @@
 //!   set misses the exact-compare confirm. Dense-activity rounds (everyone
 //!   active) therefore pay the bin-pack once, not every round; the plan
 //!   only decides which thread steps whom, so caching can never change a
-//!   trace ([`set_plan_cache`](sim::set_plan_cache) turns it off for the
-//!   byte-identity gates).
+//!   trace ([`SimulationBuilder::plan_cache`](sim::SimulationBuilder::plan_cache)
+//!   turns it off for one simulation, which is how the unit tests pin
+//!   cached vs uncached byte-identity).
 //!
 //! ## Two-plane telemetry
 //!
@@ -198,13 +196,11 @@ pub mod prelude {
     pub use crate::process::{Context, Process};
     pub use crate::runtime::Runtime;
     pub use crate::schedule::{Recurrence, Schedule, ScheduledAction};
-    pub use crate::sim::{
-        plan_cache_enabled, set_plan_cache, Delivery, Simulation, SimulationBuilder, StepExec,
-    };
+    pub use crate::sim::{Delivery, Simulation, SimulationBuilder, StepExec};
     pub use crate::telemetry::{
         DropReason, Event, EventSink, ProfileData, Profiler, TelemetryConfig,
     };
-    pub use crate::topology::{AdjacencyRepr, Topology};
+    pub use crate::topology::Topology;
     pub use crate::trace::Trace;
 }
 

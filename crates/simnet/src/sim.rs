@@ -18,7 +18,6 @@ use crate::topology::Topology;
 use crate::trace::Trace;
 use crate::SimError;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Numeric RNG domain for the message-loss model (see
@@ -29,24 +28,6 @@ use std::time::Instant;
 /// thread) in which senders are routed — the property that lets
 /// [`StepExec::Sharded`] reproduce serial traces byte-for-byte.
 const LOSS_DOMAIN: u64 = 0x1055_1055_1055_1055;
-
-/// Process-wide default for the shard-plan cache (see
-/// [`set_plan_cache`]). On by default; simulations snapshot it at build
-/// time, and [`SimulationBuilder::plan_cache`] overrides it per run.
-static PLAN_CACHE: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide shard-plan cache default. The cache only skips
-/// re-running the deterministic bin-pack when the active set and topology
-/// are unchanged — it can never change a trace — so the off switch exists
-/// purely so byte-identity gates can compare cached vs uncached runs.
-pub fn set_plan_cache(enabled: bool) {
-    PLAN_CACHE.store(enabled, Ordering::Relaxed);
-}
-
-/// The current process-wide shard-plan cache default.
-pub fn plan_cache_enabled() -> bool {
-    PLAN_CACHE.load(Ordering::Relaxed)
-}
 
 /// Fingerprint of the inputs the shard plan depends on: the topology
 /// generation (degrees), the shard count, and the active id set
@@ -206,7 +187,8 @@ pub struct Simulation {
     /// full on a key hit so fingerprint collisions are harmless.
     plan_active: Vec<usize>,
     /// Whether to reuse `shard_plan` across rounds when its inputs are
-    /// unchanged (never affects any trace; see [`set_plan_cache`]).
+    /// unchanged (never affects any trace; see
+    /// [`SimulationBuilder::plan_cache`]).
     plan_cache: bool,
     /// Per-shard compute buffers, recycled across rounds (one entry when
     /// stepping serially).
@@ -251,8 +233,7 @@ pub struct SimulationBuilder {
     runtime: Option<Runtime>,
     telemetry: Option<TelemetryConfig>,
     profiler: Option<Profiler>,
-    /// `None` = adopt the process-wide default at build time.
-    plan_cache: Option<bool>,
+    plan_cache: bool,
 }
 
 impl SimulationBuilder {
@@ -318,12 +299,14 @@ impl SimulationBuilder {
         self
     }
 
-    /// Overrides the shard-plan cache for this simulation (default: the
-    /// process-wide [`plan_cache_enabled`] setting). Caching only skips
-    /// re-running the deterministic bin-pack when its inputs are
-    /// unchanged, so it never changes a trace.
+    /// Turns the shard-plan cache off (or back on) for this simulation;
+    /// it is on by default. Caching only skips re-running the
+    /// deterministic bin-pack when the active set and topology are
+    /// unchanged, so it never changes a trace — the off switch is what
+    /// the cached-vs-uncached byte-identity tests and the benchmark's
+    /// A/B row compare against.
     pub fn plan_cache(mut self, enabled: bool) -> Self {
-        self.plan_cache = Some(enabled);
+        self.plan_cache = enabled;
         self
     }
 
@@ -383,7 +366,7 @@ impl SimulationBuilder {
             plan_loads: Vec::new(),
             plan_key: None,
             plan_active: Vec::new(),
-            plan_cache: self.plan_cache.unwrap_or_else(plan_cache_enabled),
+            plan_cache: self.plan_cache,
             shard_scratch: Vec::new(),
             exec: self.exec,
             runtime: self.runtime,
@@ -414,7 +397,7 @@ impl Simulation {
             runtime: None,
             telemetry: None,
             profiler: None,
-            plan_cache: None,
+            plan_cache: true,
         }
     }
 

@@ -3,6 +3,7 @@
 use ga_simnet::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// A process that broadcasts a constant and counts receipts.
 struct Beacon {
@@ -83,45 +84,54 @@ proptest! {
         prop_assert!(t.is_connected());
     }
 
-    /// The dense bitmask plane and the pure-CSR path answer `connected`
-    /// and `degree` identically on random graphs driven through random
-    /// cut/heal/isolate sequences — the representations are
-    /// interchangeable, which is what lets the auto threshold pick by
-    /// size alone.
+    /// `connected`, `degree` and the neighbor rows agree with an independent
+    /// edge-set model on random graphs driven through random
+    /// cut/heal/link/isolate sequences: the sorted-row binary search is
+    /// checked against a reference that shares none of its code.
     #[test]
-    fn csr_and_dense_agree_under_mutation(
+    fn connected_matches_reference_under_mutation(
         seed in any::<u64>(),
         n in 4usize..12,
         k in 2usize..4,
-        ops in proptest::collection::vec((0usize..3, 0usize..12, 0usize..12), 0..24),
+        ops in proptest::collection::vec((0usize..4, 0usize..12, 0usize..12), 0..24),
     ) {
         prop_assume!(k < n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let base = Topology::random_k_connected(n, k, 0.1, &mut rng);
-        let mut dense = base.clone();
-        dense.set_repr(AdjacencyRepr::Dense);
-        let mut sparse = base;
-        sparse.set_repr(AdjacencyRepr::Sparse);
+        let mut t = Topology::random_k_connected(n, k, 0.1, &mut rng);
+        let mut model = BTreeSet::new();
+        for a in 0..n {
+            for &b in t.neighbors(ProcessId(a)) {
+                model.insert((a, b));
+            }
+        }
         for (op, a, b) in ops {
-            let (a, b) = (ProcessId(a % n), ProcessId(b % n));
+            let (a, b) = (a % n, b % n);
+            let (pa, pb) = (ProcessId(a), ProcessId(b));
             match op {
-                0 => {
-                    prop_assert_eq!(dense.cut_link(a, b), sparse.cut_link(a, b));
+                0 if a != b => {
+                    let had = model.remove(&(a, b)) | model.remove(&(b, a));
+                    prop_assert_eq!(t.cut_link(pa, pb), Ok(had));
                 }
-                1 => {
-                    prop_assert_eq!(dense.heal_link(a, b), sparse.heal_link(a, b));
+                1 | 2 if a != b => {
+                    let added = model.insert((a, b)) | model.insert((b, a));
+                    let got = if op == 1 { t.heal_link(pa, pb) } else { t.link(pa, pb) };
+                    prop_assert_eq!(got, Ok(added));
                 }
-                _ => {
-                    dense.isolate(a);
-                    sparse.isolate(a);
+                3 => {
+                    model.retain(|&(u, v)| u != a && v != a);
+                    t.isolate(pa);
                 }
+                _ => prop_assert!(t.cut_link(pa, pb).is_err(), "self loops are rejected"),
             }
             for i in 0..n {
-                prop_assert_eq!(dense.degree(ProcessId(i)), sparse.degree(ProcessId(i)));
+                let row = t.neighbors(ProcessId(i));
+                let expect: Vec<usize> = model.range((i, 0)..(i + 1, 0)).map(|&(_, v)| v).collect();
+                prop_assert_eq!(row, &expect[..], "row {} diverged from the model", i);
+                prop_assert_eq!(t.degree(ProcessId(i)), expect.len());
                 for j in 0..n {
                     prop_assert_eq!(
-                        dense.connected(ProcessId(i), ProcessId(j)),
-                        sparse.connected(ProcessId(i), ProcessId(j)),
+                        t.connected(ProcessId(i), ProcessId(j)),
+                        model.contains(&(i, j)),
                         "connected({}, {}) diverged", i, j
                     );
                 }

@@ -4,8 +4,8 @@
 //! docs: processes that opt out of [`Process::always_active`] are not
 //! stepped on pulses where nothing addressed them, fully quiescent
 //! rounds still advance the clock and fire due schedule entries, and
-//! none of it changes a trace — dense and sparse adjacency, serial and
-//! sharded stepping all produce byte-identical histories.
+//! none of it changes a trace — serial and sharded stepping produce
+//! byte-identical histories.
 
 use bytes::Bytes;
 use ga_simnet::prelude::*;
@@ -137,12 +137,10 @@ fn a_single_token_keeps_exactly_one_process_active() {
 }
 
 #[test]
-fn traces_are_identical_across_repr_and_exec_choices() {
+fn traces_are_identical_across_exec_choices() {
     let n = 48;
-    let run = |repr: AdjacencyRepr, shards: usize| {
-        let mut topology = Topology::ring(n);
-        topology.set_repr(repr);
-        let mut sim = Simulation::builder(topology)
+    let run = |shards: usize| {
+        let mut sim = Simulation::builder(Topology::ring(n))
             .seed(11)
             .shards(shards)
             .telemetry(TelemetryConfig::default())
@@ -155,19 +153,10 @@ fn traces_are_identical_across_repr_and_exec_choices() {
         let events = sim.events_mut().expect("telemetry on").drain();
         (sim.trace().clone(), events)
     };
-    let baseline = run(AdjacencyRepr::Dense, 1);
-    for (repr, shards) in [
-        (AdjacencyRepr::Sparse, 1),
-        (AdjacencyRepr::Dense, 4),
-        (AdjacencyRepr::Sparse, 4),
-    ] {
-        let other = run(repr, shards);
-        assert_eq!(baseline.0, other.0, "trace diverged at {repr:?} s{shards}");
-        assert_eq!(
-            baseline.1, other.1,
-            "event stream diverged at {repr:?} s{shards}"
-        );
-    }
+    let baseline = run(1);
+    let sharded = run(4);
+    assert_eq!(baseline.0, sharded.0, "trace diverged at s4");
+    assert_eq!(baseline.1, sharded.1, "event stream diverged at s4");
 }
 
 #[test]

@@ -4,9 +4,7 @@
 #
 # The snapshot contains, among others:
 #   substrate/step_loop_bytes/n64        — zero-copy steady-state step
-#   substrate/step_loop_naive_substrate/n64 — pre-rewrite baseline
-# whose ratio is the substrate speedup claimed by the zero-copy PR, plus
-# the scaling series:
+# plus the scaling series:
 #   substrate/step_loop_bytes/n{256,1024}   — serial large-n step loops
 #   substrate/step_loop_sharded/n1024s{1,2,4} — intra-run sharded variants
 # whose ratio vs the serial n1024 row is the sharding speedup (bounded by
@@ -26,9 +24,9 @@
 # 1000×1000 grid (n = 10⁶), with the process's Linux peak RSS recorded as
 #   substrate/step_loop_sparse/grid1m_peak_rss_bytes
 # so CSR-topology / inbox-arena memory regressions land in the snapshot, and
-#   substrate/build_grid1m/{streaming,naive}   — constructing the 10⁶-vertex
-# grid via the streaming CSR builder vs the old per-vertex Vec<Vec> path
-# (their ratio is the build-speed win; the gate is ≥3x), plus
+#   substrate/build_grid1m/streaming           — constructing the 10⁶-vertex
+# grid via the streaming CSR builder (tier1's grid1m timeout smoke is the
+# gate against a reintroduced per-vertex build), plus
 #   substrate/build_ring1m/streaming           — the 10⁶-ring build, and
 #   substrate/build_sim1m/{slab,boxed}         — one arena allocation vs 10⁶
 # boxes for the n=10⁶ process table, and
@@ -53,10 +51,6 @@ if command -v python3 >/dev/null; then
 import json, os, sys
 data = json.load(open(sys.argv[1]))
 ns = {b["name"]: b["ns_per_iter"] for b in data["benchmarks"]}
-new = ns.get("substrate/step_loop_bytes/n64")
-old = ns.get("substrate/step_loop_naive_substrate/n64")
-if new and old:
-    print(f"step-loop speedup vs naive substrate: {old / new:.2f}x")
 serial = ns.get("substrate/step_loop_bytes/n1024")
 cores = os.cpu_count() or 1
 if serial:
@@ -87,10 +81,8 @@ if grid:
     extra = f", peak RSS {rss / 2**20:.0f} MiB" if rss else ""
     print(f"sparse token step at n=10^6 grid: {grid:.0f} ns/round{extra}")
 streaming = ns.get("substrate/build_grid1m/streaming")
-naive = ns.get("substrate/build_grid1m/naive")
-if streaming and naive:
-    print(f"grid 10^6 build streaming vs naive: {naive / streaming:.2f}x "
-          f"({streaming / 1e6:.1f} ms vs {naive / 1e6:.1f} ms; gate >= 3x)")
+if streaming:
+    print(f"grid 10^6 build: {streaming / 1e6:.1f} ms")
 ring = ns.get("substrate/build_ring1m/streaming")
 if ring:
     print(f"ring 10^6 build: {ring / 1e6:.1f} ms")

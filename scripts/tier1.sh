@@ -63,27 +63,6 @@ run_unsupportive 4 4 target/scenario_unsup_b.json target/scenario_unsup_b_events
 cmp target/scenario_unsup_a.json target/scenario_unsup_b.json
 cmp target/scenario_unsup_a_events.jsonl target/scenario_unsup_b_events.jsonl
 
-echo "==> sparse-vs-dense adjacency byte-identity (smoke + unsupportive)"
-# The CSR neighbor lists and the dense bitmask plane must be perfectly
-# interchangeable: forcing every topology down each path has to produce
-# identical summaries — and, for the event-enabled unsupportive run,
-# identical event JSONL (corruption targeting uses degree queries, so a
-# repr divergence would surface here first).
-./target/release/scenario run --suite smoke --workers 4 --repr dense > target/scenario_smoke_dense.json
-./target/release/scenario run --suite smoke --workers 4 --repr sparse > target/scenario_smoke_sparse.json
-cmp target/scenario_smoke_dense.json target/scenario_smoke_sparse.json
-cmp target/scenario_smoke_a.json target/scenario_smoke_dense.json
-run_unsupportive_repr() {
-    ./target/release/scenario run --suite unsupportive --no-records --repr "$1" \
-        --workers 4 --shards 4 --out "$2" --events "$3" > /dev/null && rc=0 || rc=$?
-    [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] || exit "$rc"
-}
-run_unsupportive_repr dense target/scenario_unsup_dense.json target/scenario_unsup_dense_events.jsonl
-run_unsupportive_repr sparse target/scenario_unsup_sparse.json target/scenario_unsup_sparse_events.jsonl
-cmp target/scenario_unsup_dense.json target/scenario_unsup_sparse.json
-cmp target/scenario_unsup_dense_events.jsonl target/scenario_unsup_sparse_events.jsonl
-cmp target/scenario_unsup_a.json target/scenario_unsup_dense.json
-
 echo "==> large-n sparse smoke (quiescence-aware stepping at n=65536)"
 # A 65536-ring and a 64x64 grid relay wavefront: viable only because a
 # round costs O(active), so a hang or an O(n)-scan regression blows the
@@ -98,25 +77,6 @@ echo "==> grid1m build smoke (streaming CSR constructs n=10^6 inside the timeout
 timeout 60 cargo test -q -p ga-simnet --release --offline \
     --test sparse grid1m_builds_fast -- --exact
 
-echo "==> cached vs uncached shard-plan byte-identity (smoke + unsupportive)"
-# The shard-plan cache reuses the previous round's bin-pack whenever the
-# active set and topology are unchanged. The plan only decides which
-# thread steps whom, so disabling the cache must reproduce the exact
-# summary JSON — and, for the event-enabled unsupportive run (whose churn
-# and corruption bursts invalidate the cache mid-run), the exact event
-# JSONL.
-./target/release/scenario run --suite smoke --workers 4 --shards 4 --no-plan-cache \
-    > target/scenario_smoke_noplancache.json
-cmp target/scenario_smoke_s4.json target/scenario_smoke_noplancache.json
-run_unsupportive_nocache() {
-    ./target/release/scenario run --suite unsupportive --no-records --no-plan-cache \
-        --workers 4 --shards 4 --out "$1" --events "$2" > /dev/null && rc=0 || rc=$?
-    [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] || exit "$rc"
-}
-run_unsupportive_nocache target/scenario_unsup_nocache.json target/scenario_unsup_nocache_events.jsonl
-cmp target/scenario_unsup_b.json target/scenario_unsup_nocache.json
-cmp target/scenario_unsup_b_events.jsonl target/scenario_unsup_nocache_events.jsonl
-
 echo "==> scenario trace smoke (event JSONL -> Chrome trace-event JSON)"
 ./target/release/scenario trace target/scenario_stab_a_events.jsonl \
     --out target/scenario_stab_trace.json
@@ -130,6 +90,13 @@ assert any(e.get("ph") == "X" for e in events), "round spans present"
 assert trace["displayTimeUnit"] == "ms"
 print(f"trace OK ({len(events)} trace events)")
 EOF
+
+echo "==> repo benchmark smoke (benchmark/ builds against the workspace API; 0 failed ops)"
+# benchmark/ is its own workspace, so `cargo test --workspace` never
+# compiles it: a PR that removes an API it calls must fail here, not in
+# the pipeline afterwards. --quick runs 1/100 of the ops and exits
+# non-zero on any failed correctness check.
+bash benchmark/run.sh --quick > target/benchmark_quick.txt
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --bin scenario -- list
 //! cargo run --release --bin scenario -- run --suite paper
-//! cargo run --release --bin scenario -- bench --out BENCH_scenarios.json
+//! cargo run --release --bin scenario -- trace events.jsonl --out trace.json
 //! ```
 //!
 //! All logic lives in [`ga_scenario::cli`]; this shim only exists so the

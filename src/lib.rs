@@ -21,7 +21,7 @@
 //!   sweep engine, and the named suites behind the `scenario` CLI binary.
 //!
 //! See the `examples/` directory for runnable walkthroughs and
-//! `ga-bench`'s `experiments` binary for the paper's reproduced artifacts.
+//! `scenario run --suite paper` for the paper's reproduced artifacts.
 //!
 //! ```
 //! use game_authority_suite::games::matching_pennies;

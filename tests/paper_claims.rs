@@ -1,6 +1,6 @@
 //! The paper's claims as executable assertions, via the experiment
-//! library (`ga-bench`). These are the same computations the
-//! `experiments` binary prints; here they gate CI.
+//! library (`ga-bench`). These are the same computations the `paper`
+//! scenario suite runs as verdicts; here they gate CI.
 
 use ga_bench::{e1_fig1, e2_pom_pennies, e3_rra, e5_virus, e6_overhead, e7_dynamics};
 
