@@ -13,9 +13,9 @@ use bytes::Bytes;
 use ga_crypto::mac::Authenticator;
 
 use crate::dolev_strong::DolevStrongBroadcast;
-use crate::om::OmBroadcast;
+use crate::om::{full_relay_len, OmBroadcast};
 use crate::traits::{BaInstance, Send};
-use crate::wire::{Reader, Writer};
+use crate::wire::{same_buffer, Reader, Writer, FRAME_LIMIT};
 use crate::{Value, DEFAULT_VALUE};
 
 /// Majority consensus over `n` parallel per-source broadcasts.
@@ -100,16 +100,20 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
             };
             inst.step(rel_round, &per_instance[idx], &mut capture);
         }
-        for (to, parts) in outgoing.into_iter().enumerate() {
+        // A broadcast round hands every destination clones of the same
+        // parts; such destinations share one wire buffer. Parts that are
+        // not the very same buffers get a buffer of their own.
+        let mut last: Option<(&[(u16, Bytes)], Bytes)> = None;
+        for (to, parts) in outgoing.iter().enumerate() {
             if parts.is_empty() {
                 continue;
             }
-            let mut w = Writer::new();
-            for (idx, inner) in parts {
-                w.put_u16(idx);
-                w.put_bytes(&inner);
-            }
-            send(to, w.finish().into());
+            let wire = match &last {
+                Some((prev, wire)) if same_parts(prev, parts) => wire.clone(),
+                _ => mux(parts),
+            };
+            send(to, wire.clone());
+            last = Some((parts, wire));
         }
 
         if rel_round == self.rounds() - 1 {
@@ -128,6 +132,26 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
     fn name(&self) -> &'static str {
         "vector-consensus"
     }
+}
+
+/// Encodes `parts` as one wire message: `(instance u16, inner payload)*`.
+fn mux(parts: &[(u16, Bytes)]) -> Bytes {
+    let len = parts.iter().map(|(_, inner)| 4 + inner.len()).sum();
+    let mut w = Writer::with_capacity(len);
+    for (idx, inner) in parts {
+        w.put_u16(*idx);
+        w.put_bytes(inner);
+    }
+    w.finish().into()
+}
+
+/// Whether two destinations were sent the very same buffers by the same
+/// instances, in the same order.
+fn same_parts(a: &[(u16, Bytes)], b: &[(u16, Bytes)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|((ia, pa), (ib, pb))| ia == ib && same_buffer(pa, pb))
 }
 
 /// Strict-majority vote over `values` with population size `n`; falls back
@@ -153,10 +177,38 @@ impl OmConsensus {
     ///
     /// # Panics
     ///
-    /// Panics unless `n > 3f`.
+    /// Panics unless `n > 3f`, or if one source's relay payload at
+    /// `(n, f)` can outgrow the `u16` length prefix its part is framed
+    /// with.
     pub fn new(me: usize, n: usize, f: usize) -> OmConsensus {
+        assert!(n > 3 * f, "oral messages require n > 3f");
+        assert!(
+            full_relay_len(n, f).is_some_and(|len| len <= FRAME_LIMIT),
+            "OM consensus at n={n}, f={f}: one source's relay payload exceeds \
+             the {FRAME_LIMIT}-byte frame limit"
+        );
         let instances = (0..n).map(|src| OmBroadcast::new(me, n, f, src)).collect();
         VectorConsensus::from_instances(me, instances)
+    }
+
+    /// The longest wire message an honest processor sends in one
+    /// consensus at `(n, f)`; `None` on overflow. Callers that frame the
+    /// message behind a `u16` length compare it to [`FRAME_LIMIT`] up
+    /// front instead of panicking mid-run.
+    ///
+    /// Round 0 carries the processor's own announcement; round `t ≥ 1`
+    /// carries `n - 1` relays of at most [`full_relay_len`] bytes and an
+    /// empty one (nobody relays its own broadcast), each behind a 4-byte
+    /// part header.
+    pub fn max_frame_len(n: usize, f: usize) -> Option<usize> {
+        let mut longest = 4 + 15;
+        for t in 1..=f {
+            let relays = n
+                .checked_sub(1)?
+                .checked_mul(full_relay_len(n, t)?.checked_add(4)?)?;
+            longest = longest.max(relays.checked_add(4 + 4)?);
+        }
+        Some(longest)
     }
 }
 
@@ -272,6 +324,103 @@ mod tests {
             // No strict majority among {10,20,30,40} → default.
             assert_eq!(inst.decided(), Some(DEFAULT_VALUE));
         }
+    }
+
+    /// Steps processor 0's consensus through round `rel` with an empty
+    /// inbox and returns what it sent.
+    fn sends<B: BaInstance>(c: &mut VectorConsensus<B>, rel: u64) -> Vec<(usize, Bytes)> {
+        let mut sent = Vec::new();
+        c.step(rel, &[], &mut |to, p| sent.push((to, p)));
+        sent
+    }
+
+    #[test]
+    fn broadcast_round_shares_one_wire_buffer() {
+        let mut c = OmConsensus::new(0, 4, 1);
+        c.begin(9);
+        for rel in 0..2 {
+            let sent = sends(&mut c, rel);
+            assert_eq!(
+                sent.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+                [1, 2, 3]
+            );
+            assert!(
+                sent.iter().all(|(_, p)| same_buffer(p, &sent[0].1)),
+                "round {rel}: one allocation for all destinations"
+            );
+        }
+    }
+
+    #[test]
+    fn per_destination_content_is_never_merged() {
+        /// Sends each destination its own byte, from a fresh buffer
+        /// (`split`) or the same bytes from fresh buffers (`!split`).
+        struct PerDestination {
+            split: bool,
+        }
+        impl BaInstance for PerDestination {
+            fn begin(&mut self, _: Value) {}
+            fn step(&mut self, _: u64, _: &[(usize, &[u8])], send: &mut Send<'_>) {
+                for to in 1..4usize {
+                    send(to, vec![if self.split { to as u8 } else { 7 }].into());
+                }
+            }
+            fn rounds(&self) -> u64 {
+                1
+            }
+            fn decided(&self) -> Option<Value> {
+                None
+            }
+        }
+        for split in [true, false] {
+            let instances = (0..4).map(|_| PerDestination { split }).collect();
+            let mut c = VectorConsensus::from_instances(0, instances);
+            let sent = sends(&mut c, 0);
+            assert_eq!(sent.len(), 3);
+            for (to, wire) in &sent {
+                // Four parts `(idx, [byte])`, all naming this destination.
+                let byte = if split { *to as u8 } else { 7 };
+                let expected: Vec<u8> = (0..4u8).flat_map(|idx| [0, idx, 0, 1, byte]).collect();
+                assert_eq!(wire, &expected, "to={to} split={split}");
+            }
+            // Equal content in distinct buffers is still not shared: the
+            // dedupe goes by buffer identity alone.
+            assert!(!same_buffer(&sent[0].1, &sent[1].1));
+            assert!(!same_buffer(&sent[1].1, &sent[2].1));
+        }
+    }
+
+    #[test]
+    fn max_frame_len_is_the_longest_message_of_a_run() {
+        for (n, f) in [(4, 1), (7, 2), (10, 3)] {
+            let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
+            let inputs = vec![5; n];
+            let mut longest = 0;
+            run_pure(
+                instances,
+                &inputs,
+                |_: usize, _: u64, _: usize, p: &[u8]| {
+                    longest = longest.max(p.len());
+                    None
+                },
+            );
+            assert_eq!(
+                OmConsensus::max_frame_len(n, f),
+                Some(longest),
+                "n={n} f={f}"
+            );
+        }
+        assert_eq!(OmConsensus::max_frame_len(13, 3), Some(22_544));
+        assert_eq!(OmConsensus::max_frame_len(13, 4), Some(225_824));
+        assert_eq!(OmConsensus::max_frame_len(usize::MAX, 3), None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "n=16, f=5: one source's relay payload exceeds the 65535-byte frame limit"
+    )]
+    fn om_consensus_refuses_a_relay_its_framing_cannot_carry() {
+        OmConsensus::new(0, 16, 5);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! undecodable messages as absent (the oral-messages model's "no message"
 //! default).
 
+use bytes::Bytes;
+
+/// Longest byte string [`Writer::put_bytes`] can frame: its length prefix
+/// is a `u16`.
+pub const FRAME_LIMIT: usize = u16::MAX as usize;
+
 /// Append-only encoder.
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
@@ -15,6 +21,13 @@ impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Writer {
         Writer::default()
+    }
+
+    /// Creates an empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Appends a single byte.
@@ -57,6 +70,13 @@ impl Writer {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// Whether `a` and `b` are handles to the same buffer: clones of one
+/// [`Bytes`], so equal content without comparing it. Re-framing code uses
+/// this to wrap a broadcast payload once for all its destinations.
+pub fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
+    a.as_ptr() == b.as_ptr() && a.len() == b.len()
 }
 
 /// Cursor-based decoder; every getter is failure-safe.
@@ -160,6 +180,13 @@ mod tests {
     fn bogus_length_prefix_yields_none() {
         let mut r = Reader::new(&[0xff, 0xff, 1, 2, 3]);
         assert_eq!(r.get_bytes(), None);
+    }
+
+    #[test]
+    fn same_buffer_is_identity_not_equality() {
+        let a = Bytes::from(vec![1u8, 2, 3]);
+        assert!(same_buffer(&a, &a.clone()));
+        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2, 3])));
     }
 
     #[test]

@@ -22,6 +22,19 @@
 //! arbitrary clock) heals at the next clock wrap — the same argument as
 //! Theorem 1, now for the whole middleware loop.
 //!
+//! # Frame limit
+//!
+//! Every authority message is `tag u8, length u16, body`, so a body is at
+//! most 65 535 bytes. The largest body is a whole OM-consensus message of
+//! the last relay round — `n − 1` relays of `(n−2)(n−3)…(n−f)` entries of
+//! `11 + 2f` bytes each — which grows like `n^f`: 8.6 KB at `n = 10, f = 3`,
+//! 22 KB at `(13, 3)`, 226 KB at `(13, 4)`. So the authority runs `f ≤ 2`
+//! at any `n ≤ 64`, `f = 3` up to `n = 17`, and no `f ≥ 4`. A cluster
+//! whose largest round does not fit is refused at construction
+//! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle
+//! of its first play; widening the prefix would change every frame on the
+//! wire.
+//!
 //! Disconnected agents are not expected to submit; the executive plays the
 //! null action 0 on their behalf (their demand is dropped) so the game
 //! stays well-formed for the survivors.
@@ -33,7 +46,7 @@ use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::traits::BaInstance;
-use ga_agreement::wire::{Reader, Writer};
+use ga_agreement::wire::{same_buffer, Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
 use ga_clocksync::process::ClockProcess;
 use ga_crypto::commitment::{Commitment, Opening};
@@ -102,6 +115,17 @@ pub struct PlayRecord {
     pub fouls: u64,
 }
 
+/// The size contracts of an `n`-agent authority tolerating `f` faults.
+fn assert_size_supported(n: usize, f: usize) {
+    assert!(n > 3 * f, "distributed authority requires n > 3f");
+    assert!(n <= 64, "foul bitmask supports up to 64 agents");
+    assert!(
+        OmConsensus::max_frame_len(n, f).is_some_and(|len| len <= FRAME_LIMIT),
+        "distributed authority at n={n}, f={f}: the largest agreement message \
+         exceeds the {FRAME_LIMIT}-byte frame limit"
+    );
+}
+
 /// One processor of the distributed authority.
 pub struct AuthorityProcess {
     game: Arc<dyn Game + Send + Sync>,
@@ -144,7 +168,9 @@ impl AuthorityProcess {
     /// # Panics
     ///
     /// Panics unless `n > 3f` (OM backend + clock rule), `n ≤ 64` (the
-    /// foul bitmask), and the game has `n` agents.
+    /// foul bitmask), the largest agreement message at `(n, f)` fits the
+    /// 65 535-byte [frame limit](self#frame-limit), and the game has `n`
+    /// agents.
     pub fn new(
         game: Arc<dyn Game + Send + Sync>,
         me: usize,
@@ -153,7 +179,7 @@ impl AuthorityProcess {
         mode: AgentMode,
         seed: u64,
     ) -> AuthorityProcess {
-        assert!(n <= 64, "foul bitmask supports up to 64 agents");
+        assert_size_supported(n, f);
         assert_eq!(game.num_agents(), n, "game arity must match n");
         let ba = [
             OmConsensus::new(me, n, f),
@@ -299,31 +325,40 @@ impl AuthorityProcess {
         &mut self,
         idx: usize,
         rel: u64,
-        inbox: &[(usize, Vec<u8>)],
+        inbox: &[(usize, Bytes)],
         out: &mut Vec<(usize, Bytes)>,
     ) {
         let t = [tag::BA1, tag::BA2, tag::BA3][idx];
-        let filtered: Vec<(usize, Vec<u8>)> = inbox
+        let view: Vec<(usize, &[u8])> = inbox
             .iter()
             .filter_map(|(from, payload)| {
                 let mut r = Reader::new(payload);
                 if r.get_u8()? != t {
                     return None;
                 }
-                Some((*from, r.get_bytes()?.to_vec()))
+                Some((*from, r.get_bytes()?))
             })
             .collect();
-        let view: Vec<(usize, &[u8])> = filtered.iter().map(|(s, p)| (*s, p.as_slice())).collect();
         let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
         {
             let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
             self.ba[idx].step(rel, &view, &mut send);
         }
+        // Destinations handed the same buffer (a broadcast round: all of
+        // them) share one tagged frame.
+        let mut last: Option<(Bytes, Bytes)> = None;
         for (to, inner) in outgoing {
-            let mut w = Writer::new();
-            w.put_u8(t);
-            w.put_bytes(&inner);
-            out.push((to, w.finish().into()));
+            let frame = match &last {
+                Some((prev, frame)) if same_buffer(prev, &inner) => frame.clone(),
+                _ => {
+                    let mut w = Writer::with_capacity(3 + inner.len());
+                    w.put_u8(t);
+                    w.put_bytes(&inner);
+                    w.finish().into()
+                }
+            };
+            out.push((to, frame.clone()));
+            last = Some((inner, frame));
         }
     }
 
@@ -415,7 +450,7 @@ impl Process for AuthorityProcess {
         // Sort the inbox: clock claims vs tagged authority traffic. Ignore
         // traffic from agents the executive disconnected.
         let mut clock_claims: Vec<Option<u64>> = vec![None; self.n];
-        let mut traffic: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut traffic: Vec<(usize, Bytes)> = Vec::new();
         for m in ctx.inbox() {
             let from = m.from.index();
             if from < self.n && self.punished[from] {
@@ -426,7 +461,7 @@ impl Process for AuthorityProcess {
                     clock_claims[from] = Some(v);
                 }
             } else {
-                traffic.push((from, m.bytes().to_vec()));
+                traffic.push((from, m.payload.clone()));
             }
         }
 
@@ -618,11 +653,11 @@ impl AuthorityCluster {
     ///
     /// # Panics
     ///
-    /// Same contracts as [`AuthorityProcess::new`]: `n > 3f`, `n ≤ 64`.
+    /// Same contracts as [`AuthorityProcess::new`]: `n > 3f`, `n ≤ 64`,
+    /// agreement messages within the frame limit.
     pub fn new(game: Arc<dyn Game + Send + Sync>, f: usize) -> AuthorityCluster {
         let n = game.num_agents();
-        assert!(n > 3 * f, "distributed authority requires n > 3f");
-        assert!(n <= 64, "foul bitmask supports up to 64 agents");
+        assert_size_supported(n, f);
         AuthorityCluster {
             game,
             f,
@@ -706,17 +741,17 @@ mod tests {
     use super::*;
     use ga_game_theory::game::ClosureGame;
 
-    /// A 4-agent, 2-action congestion game: cost = #agents on my resource.
+    /// An `n`-agent, 2-action congestion game: cost = #agents on my
+    /// resource.
+    fn congestion_of(n: usize) -> Arc<dyn Game + Send + Sync> {
+        Arc::new(ClosureGame::new("cong", n, vec![2; n], |agent, p| {
+            let mine = p.action(agent);
+            p.actions().iter().filter(|&&a| a == mine).count() as f64
+        }))
+    }
+
     fn congestion() -> Arc<dyn Game + Send + Sync> {
-        Arc::new(ClosureGame::new(
-            "cong4",
-            4,
-            vec![2, 2, 2, 2],
-            |agent, p| {
-                let mine = p.action(agent);
-                p.actions().iter().filter(|&&a| a == mine).count() as f64
-            },
-        ))
+        congestion_of(4)
     }
 
     fn run_plays(modes: Vec<AgentMode>, pulses: u64, seed: u64) -> Simulation {
@@ -903,6 +938,38 @@ mod tests {
             assert_eq!(records(&sim, i), r0, "identical play records at p{i}");
             let p = sim.process_as::<AuthorityProcess>(ProcessId(i)).unwrap();
             assert!(p.punished()[3], "agent 3 disconnected at p{i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "n=13, f=4: the largest agreement message exceeds the 65535-byte frame limit"
+    )]
+    fn process_refuses_a_size_whose_frames_cannot_be_carried() {
+        AuthorityProcess::new(congestion_of(13), 0, 13, 4, AgentMode::Honest, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "n=13, f=4: the largest agreement message exceeds the 65535-byte frame limit"
+    )]
+    fn cluster_refuses_a_size_whose_frames_cannot_be_carried() {
+        // Regression: this legal (n > 3f) cluster used to build, then
+        // panic inside the frame encoder on its first level-4 relay.
+        let _ = AuthorityCluster::new(congestion_of(13), 4);
+    }
+
+    #[test]
+    fn thirteen_agents_three_faults_complete_a_correct_play() {
+        let n = 13;
+        let cluster = AuthorityCluster::new(congestion_of(n), 3);
+        let mut sim = build_authority_sim(congestion_of(n), vec![AgentMode::Honest; n], 3, 17);
+        sim.run(cluster.play_len() + 1);
+        let r0 = records(&sim, 0);
+        assert_eq!(r0.len(), 1, "one play completed");
+        assert_eq!(r0[0].fouls, 0, "no honest fouls");
+        for i in 1..n {
+            assert_eq!(records(&sim, i), r0, "identical play record at p{i}");
         }
     }
 

@@ -29,6 +29,16 @@ echo "==> scenario authority suite (§3.3 plays; pooled workers 4/shards 4 vs se
 ./target/release/scenario run --suite authority --seeds 1 --workers 4 --shards 4 > target/scenario_auth_b.json
 cmp target/scenario_auth_a.json target/scenario_auth_b.json
 
+echo "==> authority trace identity (summary + event JSONL against tests/golden/authority_seed1.sha256)"
+# The digests were taken from the binary before the flat EIG tree (PR 14)
+# and every play's bytes go through the agreement path: a change to entry
+# order, framing or round structure there fails here, by name, instead of
+# surfacing later as a bytes_per_op drift in the benchmark. A deliberate
+# wire change regenerates the file with `sha256sum` from inside target/.
+./target/release/scenario run --suite authority --seeds 1 \
+    --events target/scenario_auth_golden_events.jsonl > target/scenario_auth_golden.json
+(cd target && sha256sum -c ../tests/golden/authority_seed1.sha256)
+
 echo "==> scenario stabilize suite (recovery frontier; pooled workers 4/shards 4 vs serial 1/1 byte-identity)"
 # The harsh (lossy, high-intensity) frontier points censor by design and
 # fail their verdicts, so the CLI exits 2 — that charts the frontier, it
@@ -76,6 +86,13 @@ echo "==> grid1m build smoke (streaming CSR constructs n=10^6 inside the timeout
 # before it blows a bench snapshot.
 timeout 60 cargo test -q -p ga-simnet --release --offline \
     --test sparse grid1m_builds_fast -- --exact
+
+echo "==> n=13, f=3 authority smoke (one play, 22 KB agreement frames, inside the timeout)"
+# One play moves ~12 MB through three agreements, so an
+# exponential-constant regression in the EIG tree, or a frame that
+# outgrows its u16 length prefix mid-play, shows here.
+timeout 120 cargo test -q -p game-authority --release --offline --lib \
+    distributed::tests::thirteen_agents_three_faults_complete_a_correct_play -- --exact
 
 echo "==> scenario trace smoke (event JSONL -> Chrome trace-event JSON)"
 ./target/release/scenario trace target/scenario_stab_a_events.jsonl \

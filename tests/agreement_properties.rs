@@ -2,9 +2,11 @@
 //! cryptographic primitives — the invariants everything above relies on.
 
 use ga_agreement::consensus::OmConsensus;
-use ga_agreement::executor::{honest_agreement, run_pure};
+use ga_agreement::executor::{honest_agreement, run_pure, run_pure_instances};
 use ga_agreement::harness::{run_consensus_with, Backend, Misbehavior};
 use ga_agreement::king::PhaseKing;
+use ga_agreement::traits::BaInstance;
+use ga_agreement::wire::Writer;
 use game_authority_suite::crypto::commitment::{Commitment, Opening};
 use game_authority_suite::crypto::prg::{CommittedPrg, Prg};
 use proptest::prelude::*;
@@ -44,25 +46,43 @@ proptest! {
         prop_assert!(CommittedPrg::verify_samples(cp.commitment(), cp.reveal(), &transcript).is_err());
     }
 
-    /// OM consensus: agreement + validity under an arbitrary garbling
-    /// single Byzantine processor, for n in 4..=7.
+    /// OM consensus at full resilience, n in 4..=10 with f = ⌊(n−1)/3⌋
+    /// Byzantine processors that garble everything they send; half the
+    /// time the first of them opens with a well-formed equivocation (a
+    /// different announced value per destination) instead. The honest
+    /// processors agree on the whole interactive-consistency vector —
+    /// the equivocator's entry included — and decide the common input.
     #[test]
-    fn om_agreement_under_garbling(n in 4usize..8,
+    fn om_agreement_under_garbling(n in 4usize..=10,
                                    byz_seed in any::<u64>(),
                                    common in 1u64..100) {
-        let byz = n - 1;
-        let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, 1)).collect();
+        let f = (n - 1) / 3;
+        let byz: Vec<usize> = (n - f..n).collect();
+        let equivocator = (byz_seed & 1 == 1).then_some(byz[0]);
+        let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
         let inputs: Vec<u64> = (0..n).map(|_| common).collect();
         let mut salt = byz_seed;
-        let decided = run_pure(instances, &inputs, move |from: usize, r: u64, to: usize, _p: &[u8]| {
-            if from == byz {
+        let (instances, _) = run_pure_instances(instances, &inputs, |from: usize, r: u64, to: usize, _p: &[u8]| {
+            if r == 0 && Some(from) == equivocator {
+                let mut announce = Writer::new();
+                announce.put_u32(1).put_u8(1).put_u16(from as u16).put_u64(1000 + to as u64 % 3);
+                let mut frame = Writer::new();
+                frame.put_u16(from as u16).put_bytes(&announce.finish());
+                Some(frame.finish())
+            } else if byz.contains(&from) {
                 salt = salt.wrapping_mul(6364136223846793005).wrapping_add(r ^ to as u64);
                 Some(salt.to_be_bytes().to_vec())
             } else {
                 None
             }
         });
-        prop_assert!(honest_agreement(&decided, &[byz], Some(common)));
+        let decided: Vec<Option<u64>> = instances.iter().map(|i| i.decided()).collect();
+        prop_assert!(honest_agreement(&decided, &byz, Some(common)));
+        let vector = instances[0].vector();
+        for honest in 0..n - f {
+            prop_assert_eq!(instances[honest].vector(), vector.clone(), "p{}'s vector", honest);
+            prop_assert_eq!(vector[honest], Some(common), "validity for source {}", honest);
+        }
     }
 
     /// Phase-king: agreement under a garbling minority for n in 5..=9.
