@@ -11,6 +11,7 @@ use ga_simnet::adversary::{ByzantineProcess, RandomNoise, Silent};
 use ga_simnet::prelude::*;
 
 use crate::consensus::{DolevStrongConsensus, OmConsensus};
+use crate::executor::honest_agreement;
 use crate::king::PhaseKing;
 use crate::traits::{BaInstance, BaProcess};
 use crate::Value;
@@ -91,15 +92,7 @@ pub struct ConsensusReport {
 impl ConsensusReport {
     /// Whether every honest processor decided, and all alike.
     pub fn agreement(&self) -> bool {
-        let honest: Vec<Value> = self
-            .decisions
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.byzantine.contains(i))
-            .filter_map(|(_, d)| *d)
-            .collect();
-        honest.len() == self.decisions.len() - self.byzantine.len()
-            && honest.windows(2).all(|w| w[0] == w[1])
+        honest_agreement(&self.decisions, &self.byzantine, None)
     }
 
     /// The common honest decision, if [`agreement`](Self::agreement) holds.

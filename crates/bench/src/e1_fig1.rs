@@ -10,8 +10,6 @@ use ga_games::matching_pennies::{
     fig1_expected_payoffs, manipulated_matching_pennies, HEADS, MANIPULATE, TAILS,
 };
 
-use crate::table::{f3, Table};
-
 /// The numbers behind Fig. 1 / §5.1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Result {
@@ -44,36 +42,6 @@ pub fn run() -> Fig1Result {
     Fig1Result { matrix, expected }
 }
 
-/// Renders E1 as printable tables.
-pub fn tables() -> Vec<Table> {
-    let r = run();
-    let mut matrix = Table::new(
-        "E1 / Fig. 1 — matching pennies with a hidden manipulation strategy",
-        &["A\\B", "Heads", "Tails", "Manipulate"],
-    );
-    let rows = ["Heads", "Tails"];
-    for (i, name) in rows.iter().enumerate() {
-        let mut cells = vec![name.to_string()];
-        for c in 0..3 {
-            let (a, b) = r.matrix[i][c];
-            cells.push(format!("({:+},{:+})", a as i64, b as i64));
-        }
-        matrix.row(cells);
-    }
-    matrix.note("paper Fig. 1, regenerated from the game definition");
-
-    let mut expected = Table::new(
-        "E1 / §5.1 — expected profits vs. A's uniform mixture",
-        &["B plays", "E[A]", "E[B]"],
-    );
-    for (i, name) in ["Heads", "Tails", "Manipulate"].iter().enumerate() {
-        let (ea, eb) = r.expected[i];
-        expected.row(vec![name.to_string(), f3(ea), f3(eb)]);
-    }
-    expected.note("paper: manipulation moves B from 0 to +4, A from 0 to −4");
-    vec![matrix, expected]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,12 +59,5 @@ mod tests {
         assert_eq!(r.expected[0], (0.0, 0.0));
         assert_eq!(r.expected[1], (0.0, 0.0));
         assert_eq!(r.expected[2], (-4.0, 4.0));
-    }
-
-    #[test]
-    fn tables_render() {
-        for t in tables() {
-            assert!(!t.render().is_empty());
-        }
     }
 }

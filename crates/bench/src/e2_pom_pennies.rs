@@ -19,8 +19,6 @@ use game_authority::agent::Behavior;
 use game_authority::authority::{Authority, AuthorityConfig};
 use game_authority::executive::Punishment;
 
-use crate::table::{f3, Table};
-
 /// One regime's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegimeResult {
@@ -123,38 +121,6 @@ pub fn run(rounds: u64, seed: u64) -> PomPenniesResult {
         regimes,
         rounds,
     }
-}
-
-/// Renders E2.
-pub fn tables(rounds: u64, seed: u64) -> Vec<Table> {
-    let r = run(rounds, seed);
-    let mut t = Table::new(
-        format!(
-            "E2 — price of malice in Fig. 1's game over {} plays (baseline honest A payoff: {})",
-            r.rounds,
-            f3(r.baseline_honest_payoff)
-        ),
-        &[
-            "regime",
-            "A payoff",
-            "B payoff",
-            "A loss/round",
-            "detected at",
-        ],
-    );
-    for reg in &r.regimes {
-        t.row(vec![
-            reg.label.to_string(),
-            f3(reg.honest_payoff),
-            f3(reg.manipulator_payoff),
-            f3(-reg.honest_payoff / r.rounds as f64),
-            reg.detected_at
-                .map(|d| format!("play {d}"))
-                .unwrap_or_else(|| "never".into()),
-        ]);
-    }
-    t.note("paper §5.1: unsupervised manipulation costs A ≈ 4/round; §5.4: auditing removes it");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@ use ga_games::resource_allocation::RraProcess;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::table::{f3, Table};
-
 /// One sweep point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RraPoint {
@@ -58,47 +56,6 @@ pub fn run(configs: &[(usize, usize)], checkpoints: &[u64], seed: u64) -> Vec<Rr
         }
     }
     out
-}
-
-/// Renders E3.
-pub fn tables(seed: u64) -> Vec<Table> {
-    let points = run(
-        &[(4, 2), (4, 4), (8, 4), (16, 8)],
-        &[10, 100, 1000, 5000],
-        seed,
-    );
-    let mut t = Table::new(
-        "E3 / Theorem 5 + Lemma 6 — RRA multi-round anarchy cost R(k) and gap Δ(k)",
-        &[
-            "n",
-            "b",
-            "k",
-            "R(k)",
-            "1+2b/k",
-            "Δ(k)",
-            "2n−1",
-            "bounds held",
-        ],
-    );
-    for p in &points {
-        t.row(vec![
-            p.n.to_string(),
-            p.b.to_string(),
-            p.k.to_string(),
-            f3(p.ratio),
-            f3(p.bound),
-            p.gap.to_string(),
-            p.gap_bound.to_string(),
-            if p.bounds_held_throughout {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
-        ]);
-    }
-    t.note("paper: R(k) ≤ 1 + 2b/k for all k; R → 1 (asymptotically optimal)");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -7,8 +7,6 @@
 
 use ga_clocksync::harness::{measure_convergence_with, run_ssba};
 
-use crate::table::{f3, Table};
-
 /// Convergence statistics for one `(n, f)` configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergencePoint {
@@ -73,47 +71,6 @@ pub fn run_closure(n: usize, f: usize, seed: u64) -> (bool, usize) {
     let report = run_ssba(n, f, f.min(1), 1500, Some(200), seed);
     let recovered = report.common_suffix(2);
     (recovered, report.logs[0].len())
-}
-
-/// Renders E4.
-pub fn tables(seed: u64) -> Vec<Table> {
-    let points = run_convergence(&[(4, 0), (4, 1), (7, 1), (7, 2)], 10, 300_000, seed);
-    let mut t = Table::new(
-        "E4 / Lemma 2 — SSBA convergence from arbitrary configurations",
-        &["n", "f", "trials", "converged", "mean pulses", "max pulses"],
-    );
-    for p in &points {
-        t.row(vec![
-            p.n.to_string(),
-            p.f.to_string(),
-            p.trials.to_string(),
-            p.converged.to_string(),
-            f3(p.mean_pulses),
-            p.max_pulses.to_string(),
-        ]);
-    }
-    t.note("paper: expected convergence within O(n^(n−f)) pulses (randomized, exponential flavor)");
-
-    let (recovered, plays) = run_closure(4, 1, seed);
-    let mut t2 = Table::new(
-        "E4 / Lemma 3 + Theorem 1 — closure after a total transient fault",
-        &[
-            "n",
-            "f",
-            "fault at pulse",
-            "recovered",
-            "completed agreements",
-        ],
-    );
-    t2.row(vec![
-        "4".into(),
-        "1".into(),
-        "200".into(),
-        if recovered { "yes" } else { "NO" }.into(),
-        plays.to_string(),
-    ]);
-    t2.note("closure: identical agreement logs across honest processors after recovery");
-    vec![t, t2]
 }
 
 #[cfg(test)]

@@ -21,8 +21,6 @@ use ga_game_theory::game::Game;
 use ga_game_theory::profile::PureProfile;
 use ga_games::virus_inoculation::{VirusGame, INOCULATE, RISK};
 
-use crate::table::{f3, Table};
-
 /// E5 outcome for one malicious count `k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VirusPoint {
@@ -124,34 +122,6 @@ pub fn run(side: usize, cost_c: f64, loss_l: f64, ks: &[usize]) -> Vec<VirusPoin
             }
         })
         .collect()
-}
-
-/// Renders E5.
-pub fn tables() -> Vec<Table> {
-    let points = run(6, 1.0, 36.0, &[0, 2, 4, 6, 9]);
-    let mut t = Table::new(
-        "E5 — price of malice in the virus inoculation game (6×6 grid, C=1, L=n)",
-        &[
-            "k malicious",
-            "baseline/agent",
-            "unsupervised/agent",
-            "supervised/agent",
-            "PoM unsup.",
-            "PoM superv.",
-        ],
-    );
-    for p in &points {
-        t.row(vec![
-            p.k.to_string(),
-            f3(p.baseline),
-            f3(p.unsupervised),
-            f3(p.supervised),
-            f3(p.pom_unsupervised),
-            f3(p.pom_supervised),
-        ]);
-    }
-    t.note("paper §5.4: auditing reduces the ability of dishonest agents to manipulate (PoM → ≈1)");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 
 use ga_agreement::harness::{run_consensus, Backend};
 
-use crate::table::Table;
-
 /// One `(backend, n, f)` measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadPoint {
@@ -56,38 +54,6 @@ pub fn run(ns: &[usize], seed: u64) -> Vec<OverheadPoint> {
         }
     }
     out
-}
-
-/// Renders E6.
-pub fn tables(seed: u64) -> Vec<Table> {
-    let points = run(&[4, 7, 9, 13], seed);
-    let mut t = Table::new(
-        "E6 — per-consensus and per-play cost of the authority's BA schedule",
-        &[
-            "backend",
-            "n",
-            "f",
-            "rounds",
-            "messages",
-            "bytes",
-            "play pulses",
-            "agreement",
-        ],
-    );
-    for p in &points {
-        t.row(vec![
-            p.backend.label().to_string(),
-            p.n.to_string(),
-            p.f.to_string(),
-            p.rounds.to_string(),
-            p.messages.to_string(),
-            p.bytes.to_string(),
-            p.play_pulses.to_string(),
-            if p.agreement { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t.note("om: optimal resilience, exponential bytes; phase-king: O(f) rounds, polynomial; dolev-strong: honest majority via authentication");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -13,8 +13,6 @@ use ga_games::resource_allocation::{RraBehavior, RraProcess};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::table::Table;
-
 /// Gap trajectories of the three regimes, sampled at checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsResult {
@@ -73,28 +71,6 @@ pub fn run(n: usize, b: usize, checkpoints: &[u64], seed: u64) -> DynamicsResult
         supervised,
         envelope: 2 * n as u64 - 1,
     }
-}
-
-/// Renders E7.
-pub fn tables(seed: u64) -> Vec<Table> {
-    let r = run(6, 3, &[1, 10, 50, 200, 1000], seed);
-    let mut t = Table::new(
-        format!(
-            "E7 — RRA load-gap Δ(k) trajectories (n={}, b={}, Lemma 6 envelope 2n−1 = {})",
-            r.n, r.b, r.envelope
-        ),
-        &["k", "honest", "cheater unsupervised", "cheater + authority"],
-    );
-    for (i, k) in r.checkpoints.iter().enumerate() {
-        t.row(vec![
-            k.to_string(),
-            r.honest[i].to_string(),
-            r.cheated[i].to_string(),
-            r.supervised[i].to_string(),
-        ]);
-    }
-    t.note("the authority disconnects the cheater after play 1 (legitimate-action audit)");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -11,8 +11,6 @@ use ga_games::matching_pennies::{manipulated_matching_pennies, MANIPULATE};
 use game_authority::agent::Behavior;
 use game_authority::authority::{Authority, AuthorityConfig};
 
-use crate::table::{f3, Table};
-
 /// One cadence's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CadencePoint {
@@ -81,36 +79,6 @@ pub fn run(rounds: u64, seed: u64) -> Vec<CadencePoint> {
         .iter()
         .map(|&l| run_cadence(l, rounds, seed))
         .collect()
-}
-
-/// Renders E8.
-pub fn tables(seed: u64) -> Vec<Table> {
-    let points = run(128, seed);
-    let mut t = Table::new(
-        "E8 — ablation: audit cadence on the Fig. 1 manipulation (per-play vs epoch seed audit)",
-        &[
-            "epoch len",
-            "detected at",
-            "A's loss until detection",
-            "audit ops",
-        ],
-    );
-    for p in &points {
-        t.row(vec![
-            if p.epoch_len == 1 {
-                "per-play".into()
-            } else {
-                p.epoch_len.to_string()
-            },
-            p.detected_at
-                .map(|d| format!("play {d}"))
-                .unwrap_or_else(|| "never".into()),
-            f3(p.honest_loss_until_detection),
-            p.audit_ops.to_string(),
-        ]);
-    }
-    t.note("§5.3: deferring audits to the epoch boundary trades detection latency (≈4/play interim loss) for batched audit work");
-    vec![t]
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! # ga-bench — experiment library
 //!
-//! One function per paper artifact (`e1`–`e8`). Each returns a structured
-//! table, so the `paper` suite's scenario ports (`ga_scenario::ports`,
-//! run with `scenario run --suite paper`) and the integration tests
-//! (`tests/paper_claims.rs`) share one implementation.
+//! One module per paper artifact (`e1`–`e8`). Each `run` returns the
+//! experiment's result as plain data, so the `paper` suite's scenario
+//! ports (`ga_scenario::ports`, run with `scenario run --suite paper`) and
+//! the integration tests (`tests/paper_claims.rs`) share one
+//! implementation; rendering is the scenario CLI's job.
 
 pub mod e1_fig1;
 pub mod e2_pom_pennies;
@@ -13,4 +14,3 @@ pub mod e5_virus;
 pub mod e6_overhead;
 pub mod e7_dynamics;
 pub mod e8_audit_cadence;
-pub mod table;

@@ -127,7 +127,7 @@ pub fn run_ssba(
                     n,
                     f,
                     modulus,
-                    Box::new(OmConsensus::new(id.index(), n, f)),
+                    OmConsensus::new(id.index(), n, f),
                     1 + id.index() as u64,
                 ))
             }
@@ -142,7 +142,7 @@ pub fn run_ssba(
     }
     let logs = (0..n - byzantine_count)
         .map(|i| {
-            sim.process_as::<SsbaProcess>(ProcessId(i))
+            sim.process_as::<SsbaProcess<OmConsensus>>(ProcessId(i))
                 .unwrap()
                 .agreements()
                 .to_vec()

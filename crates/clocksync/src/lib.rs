@@ -2,16 +2,24 @@
 //! the SSBA composition
 //!
 //! Section 4 of the game-authority paper builds its self-stabilizing
-//! middleware on two pieces:
+//! middleware on two pieces, each of which exists here exactly once:
 //!
 //! 1. a **self-stabilizing Byzantine clock synchronization** algorithm "in
 //!    the spirit of Dolev–Welch (JACM 2004)" — digital clocks over `0..M`
 //!    that, from *any* starting configuration and despite `f` Byzantine
-//!    processors, eventually tick in unison ([`clock`]);
-//! 2. **SSBA** (Theorem 1): whenever the synchronized clock wraps to 1, a
-//!    (non-stabilizing) Byzantine agreement protocol is freshly invoked,
-//!    with the clock period `M` sized to fit exactly one agreement —
-//!    yielding a *self-stabilizing Byzantine agreement* ([`ssba`]).
+//!    processors, eventually tick in unison ([`clock::ClockRule`]). Run
+//!    over the network it is §3.3's **Byzantine common pulse generator**:
+//!    [`process::pulse`] takes one clock claim per admitted sender, steps
+//!    the rule and broadcasts the new value; [`process::ClockProcess`] is
+//!    that function as a simulator process.
+//! 2. **Theorem 1's composition**: whenever the synchronized clock reaches
+//!    a designated value, a (non-stabilizing) Byzantine agreement protocol
+//!    is freshly invoked and then run round by round —
+//!    [`ssba::Activation`]. One activation per clock period, started at
+//!    value 1 with `M` sized to fit exactly one agreement, is **SSBA**, the
+//!    *self-stabilizing Byzantine agreement* ([`ssba::SsbaProcess`]); three
+//!    activations per period are one play of the distributed authority
+//!    (`game_authority::distributed`).
 //!
 //! The clock rule here is randomized; as in the paper's reference \[11\],
 //! *closure* is deterministic (synchronized clocks stay synchronized, even
@@ -34,7 +42,6 @@
 pub mod clock;
 pub mod harness;
 pub mod process;
-pub mod pulse;
 pub mod ssba;
 
 /// Channel tags distinguishing multiplexed traffic inside one simulation

@@ -1,4 +1,12 @@
-//! The clock-synchronization simulator process.
+//! The common pulse generator: the clock rule run over the network.
+//!
+//! §3.3: "we use a Byzantine common pulse generator (similar to the one of
+//! \[11\]) to synchronize the different services … the Byzantine common
+//! pulse generator allows the system to repeat a sequence of activating the
+//! different instantiations of the Byzantine agreement protocol." Every
+//! process that keeps a clock — [`ClockProcess`], SSBA, the distributed
+//! authority — calls [`pulse`] once per round and keys its schedule off
+//! the value it returns.
 
 use ga_agreement::wire::{Reader, Writer};
 use ga_simnet::prelude::*;
@@ -7,8 +15,8 @@ use rand::Rng;
 use crate::clock::ClockRule;
 use crate::tags;
 
-/// Runs a [`ClockRule`] over `ga-simnet`: broadcasts the clock every pulse
-/// and applies the rule to what arrived.
+/// The pulse generator alone as a `ga-simnet` process: [`pulse`] every
+/// round, nothing scheduled off it (the `stabilize` suite sweeps it).
 ///
 /// State is scrambleable for transient-fault experiments.
 #[derive(Debug, Clone)]
@@ -50,22 +58,32 @@ impl ClockProcess {
     }
 }
 
+/// One pulse of the common pulse generator: steps `rule` on the first
+/// well-formed clock claim of every sender below `n` that `heard` admits
+/// (one claim per sender — a Byzantine flood must not multiply votes),
+/// broadcasts the new clock value and returns it.
+pub fn pulse(
+    rule: &mut ClockRule,
+    n: usize,
+    ctx: &mut Context<'_>,
+    heard: impl Fn(usize) -> bool,
+) -> u64 {
+    let mut claims: Vec<Option<u64>> = vec![None; n];
+    for m in ctx.inbox() {
+        let idx = m.from.index();
+        if idx < n && claims[idx].is_none() && heard(idx) {
+            claims[idx] = ClockProcess::decode(m.bytes());
+        }
+    }
+    let received: Vec<u64> = claims.into_iter().flatten().collect();
+    let value = rule.step(&received, ctx.rng());
+    ctx.broadcast(ClockProcess::encode(value));
+    value
+}
+
 impl Process for ClockProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        // One claim per sender: Byzantine floods must not multiply votes.
-        let mut claims: Vec<Option<u64>> = vec![None; self.n];
-        for m in ctx.inbox() {
-            if let Some(v) = Self::decode(m.bytes()) {
-                let idx = m.from.index();
-                if idx < self.n && claims[idx].is_none() {
-                    claims[idx] = Some(v);
-                }
-            }
-        }
-        let received: Vec<u64> = claims.into_iter().flatten().collect();
-        let rng = ctx.rng();
-        self.rule.step(&received, rng);
-        ctx.broadcast(Self::encode(self.rule.value()));
+        pulse(&mut self.rule, self.n, ctx, |_| true);
     }
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
@@ -95,6 +113,83 @@ mod tests {
         assert_eq!(ClockProcess::decode(&p), Some(17));
         assert_eq!(ClockProcess::decode(b"junk"), None);
         assert_eq!(ClockProcess::decode(&[]), None);
+    }
+
+    /// Process 0 runs [`pulse`] admitting `heard`; the others send it their
+    /// `script` at pulse 0.
+    struct Peer {
+        rule: ClockRule,
+        heard: fn(usize) -> bool,
+        script: Vec<Vec<u8>>,
+    }
+
+    impl Process for Peer {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            if ctx.id() == ProcessId(0) {
+                pulse(&mut self.rule, 4, ctx, self.heard);
+            }
+            for payload in self.script.drain(..) {
+                ctx.send(ProcessId(0), payload);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Process 0's clock (n = 4, f = 1; its own value is 5 or 0, never 7)
+    /// after hearing `scripts[i - 1]` from process `i`: 8 iff three claims
+    /// of 7 were counted.
+    fn listen(scripts: [Vec<Vec<u8>>; 3], heard: fn(usize) -> bool) -> u64 {
+        let mut sim = Simulation::builder(Topology::complete(4))
+            .seed(1)
+            .build_with(|id| {
+                Box::new(Peer {
+                    rule: ClockRule::new(4, 1, 10, 5),
+                    heard,
+                    script: id
+                        .index()
+                        .checked_sub(1)
+                        .map_or(vec![], |i| scripts[i].clone()),
+                })
+            });
+        sim.run(2); // pulse 0 sends the scripts, pulse 1 delivers them
+        sim.process_as::<Peer>(ProcessId(0)).unwrap().rule.value()
+    }
+
+    fn claim(v: u64) -> Vec<u8> {
+        ClockProcess::encode(v)
+    }
+
+    #[test]
+    fn pulse_counts_a_flood_from_one_sender_once() {
+        // A multiplied vote would reach the n − f = 3 quorum and adopt 8.
+        let flood = [vec![claim(7), claim(7), claim(7)], vec![claim(7)], vec![]];
+        assert_ne!(listen(flood, |_| true), 8, "two senders are no quorum");
+        let three = [vec![claim(7)], vec![claim(7)], vec![claim(7)]];
+        assert_eq!(listen(three, |_| true), 8);
+    }
+
+    #[test]
+    fn pulse_takes_the_first_well_formed_claim_per_sender() {
+        // A non-clock first message does not shadow the claim behind it;
+        // a second claim from the same sender is ignored.
+        let scripts = [
+            vec![b"junk".to_vec(), claim(7), claim(3)],
+            vec![vec![], claim(7)],
+            vec![claim(7)],
+        ];
+        assert_eq!(listen(scripts, |_| true), 8);
+    }
+
+    #[test]
+    fn pulse_ignores_senders_heard_rejects() {
+        let three = || [vec![claim(7)], vec![claim(7)], vec![claim(7)]];
+        assert_eq!(listen(three(), |from| from != 0), 8);
+        assert_ne!(listen(three(), |from| from != 3), 8, "vote not counted");
     }
 
     #[test]

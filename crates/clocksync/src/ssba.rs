@@ -8,7 +8,9 @@
 //! Byzantine agreement protocol (BAP) … We take the clock size M to be
 //! large enough to allow exactly one Byzantine agreement." (§4)
 //!
-//! [`SsbaProcess`] implements exactly that loop. The two lemmas become
+//! [`Activation`] is the composition itself — a clock-scheduled, freshly
+//! invoked agreement — and [`SsbaProcess`] is exactly the quoted loop over
+//! it: one activation, started at clock value 1. The two lemmas become
 //! executable properties:
 //!
 //! * **Convergence (Lemma 2)** — from an arbitrary configuration (scrambled
@@ -19,40 +21,157 @@
 
 use bytes::Bytes;
 use ga_agreement::traits::BaInstance;
-use ga_agreement::wire::{Reader, Writer};
+use ga_agreement::wire::{same_buffer, Reader, Writer};
 use ga_agreement::Value;
 use ga_simnet::prelude::*;
 use rand::Rng;
 
 use crate::clock::ClockRule;
-use crate::process::ClockProcess;
+use crate::process::pulse;
 use crate::tags;
 
-/// The composed clock + BA process of Theorem 1.
-pub struct SsbaProcess {
-    clock: ClockRule,
-    n: usize,
-    instance: Box<dyn BaInstance>,
+/// Wraps an inner BA payload into channel `tag`'s frame.
+fn frame(tag: u8, inner: &[u8]) -> Bytes {
+    let mut w = Writer::with_capacity(3 + inner.len());
+    w.put_u8(tag);
+    w.put_bytes(inner);
+    w.finish().into()
+}
+
+/// Unwraps a frame of channel `tag` (None for any other payload).
+fn unframe(tag: u8, payload: &[u8]) -> Option<&[u8]> {
+    let mut r = Reader::new(payload);
+    if r.get_u8()? != tag {
+        return None;
+    }
+    r.get_bytes()
+}
+
+/// One clock-scheduled activation of a Byzantine agreement protocol: the
+/// instance, the channel tag its traffic travels under (`tag u8, len u16,
+/// body` frames) and how far the agreement in flight has got.
+///
+/// The caller owns the stepping rule — at which clock values to
+/// [`start`](Activation::start) and [`advance`](Activation::advance): SSBA
+/// advances an agreement in flight whatever the clock says, the authority
+/// only inside the activation's clock window. The activation owns the
+/// round order, the tag demux and the framing.
+pub struct Activation<B> {
+    instance: B,
+    tag: u8,
     /// `Some(r)` while an agreement is in flight and has executed relative
     /// round `r`.
-    ba_round: Option<u64>,
+    progress: Option<u64>,
+}
+
+impl<B: BaInstance> Activation<B> {
+    /// An idle activation of `instance` on channel `tag`.
+    pub fn new(instance: B, tag: u8) -> Activation<B> {
+        Activation {
+            instance,
+            tag,
+            progress: None,
+        }
+    }
+
+    /// The protocol instance (its decision, its backend-specific views).
+    pub fn instance(&self) -> &B {
+        &self.instance
+    }
+
+    /// Executes relative round `rel` on this channel's share of `inbox`
+    /// and appends the framed sends to `out`.
+    fn step<'a>(
+        &mut self,
+        rel: u64,
+        inbox: impl Iterator<Item = (usize, &'a [u8])>,
+        out: &mut Vec<(usize, Bytes)>,
+    ) {
+        let tag = self.tag;
+        let view: Vec<(usize, &[u8])> = inbox
+            .filter_map(|(from, payload)| Some((from, unframe(tag, payload)?)))
+            .collect();
+        // Destinations handed the same buffer (a broadcast round: all of
+        // them) share one frame.
+        let mut last: Option<(Bytes, Bytes)> = None;
+        let mut send = |to: usize, inner: Bytes| {
+            let framed = match &last {
+                Some((prev, framed)) if same_buffer(prev, &inner) => framed.clone(),
+                _ => frame(tag, &inner),
+            };
+            out.push((to, framed.clone()));
+            last = Some((inner, framed));
+        };
+        self.instance.step(rel, &view, &mut send);
+        self.progress = Some(rel);
+    }
+
+    /// Freshly invokes the protocol on `input` and runs its round 0.
+    pub fn start<'a>(
+        &mut self,
+        input: Value,
+        inbox: impl Iterator<Item = (usize, &'a [u8])>,
+        out: &mut Vec<(usize, Bytes)>,
+    ) {
+        self.instance.begin(input);
+        self.step(0, inbox, out);
+    }
+
+    /// Runs the next round of the agreement in flight, if any; the last
+    /// round ends the activation and returns the decision.
+    pub fn advance<'a>(
+        &mut self,
+        inbox: impl Iterator<Item = (usize, &'a [u8])>,
+        out: &mut Vec<(usize, Bytes)>,
+    ) -> Option<Value> {
+        let rel = self.progress? + 1;
+        if rel >= self.instance.rounds() {
+            self.progress = None;
+            return None;
+        }
+        self.step(rel, inbox, out);
+        if rel + 1 < self.instance.rounds() {
+            return None;
+        }
+        self.progress = None;
+        self.instance.decided()
+    }
+
+    /// Abandons the agreement in flight.
+    pub fn reset(&mut self) {
+        self.progress = None;
+    }
+
+    /// Transient fault: an arbitrary epoch alignment.
+    pub fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
+        self.progress = rng
+            .gen_bool(0.5)
+            .then(|| rng.gen_range(0..self.instance.rounds()));
+    }
+}
+
+/// The composed clock + BA process of Theorem 1, over the BA protocol `B`.
+pub struct SsbaProcess<B> {
+    clock: ClockRule,
+    n: usize,
+    ba: Activation<B>,
     /// The input contributed to every agreement activation.
     input: Value,
     /// Log of completed agreement decisions, in order.
     agreements: Vec<Value>,
 }
 
-impl std::fmt::Debug for SsbaProcess {
+impl<B> std::fmt::Debug for SsbaProcess<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsbaProcess")
             .field("clock", &self.clock.value())
-            .field("ba_round", &self.ba_round)
+            .field("progress", &self.ba.progress)
             .field("agreements", &self.agreements.len())
             .finish_non_exhaustive()
     }
 }
 
-impl SsbaProcess {
+impl<B: BaInstance> SsbaProcess<B> {
     /// Composes a clock of modulus `modulus` with a BA `instance`.
     ///
     /// # Panics
@@ -60,13 +179,7 @@ impl SsbaProcess {
     /// Panics unless `modulus ≥ instance.rounds() + 1` — the paper's "large
     /// enough to allow exactly one Byzantine agreement" — and `n > 3f`
     /// (inherited from the clock rule).
-    pub fn new(
-        n: usize,
-        f: usize,
-        modulus: u64,
-        instance: Box<dyn BaInstance>,
-        input: Value,
-    ) -> SsbaProcess {
+    pub fn new(n: usize, f: usize, modulus: u64, instance: B, input: Value) -> SsbaProcess<B> {
         assert!(
             modulus > instance.rounds(),
             "clock modulus must fit one full agreement (need ≥ {})",
@@ -75,8 +188,7 @@ impl SsbaProcess {
         SsbaProcess {
             clock: ClockRule::new(n, f, modulus, 0),
             n,
-            instance,
-            ba_round: None,
+            ba: Activation::new(instance, tags::BA),
             input,
             agreements: Vec::new(),
         }
@@ -91,96 +203,33 @@ impl SsbaProcess {
     pub fn agreements(&self) -> &[Value] {
         &self.agreements
     }
-
-    /// Changes the input used by *future* agreement activations.
-    pub fn set_input(&mut self, input: Value) {
-        self.input = input;
-    }
-
-    /// Wraps an inner BA payload with the BA channel tag.
-    fn tag_ba(inner: &[u8]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(tags::BA);
-        w.put_bytes(inner);
-        w.finish()
-    }
-
-    /// Unwraps a BA-channel payload.
-    fn untag_ba(payload: &[u8]) -> Option<&[u8]> {
-        let mut r = Reader::new(payload);
-        if r.get_u8()? != tags::BA {
-            return None;
-        }
-        r.get_bytes()
-    }
 }
 
-impl Process for SsbaProcess {
+impl<B: BaInstance + 'static> Process for SsbaProcess<B> {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        // Split the multiplexed inbox (owned copies: the context is
-        // mutably borrowed again below for the clock tick and sends).
-        let mut clock_claims: Vec<Option<u64>> = vec![None; self.n];
-        let mut ba_owned: Vec<(usize, Vec<u8>)> = Vec::new();
-        for m in ctx.inbox() {
-            let idx = m.from.index();
-            if let Some(v) = ClockProcess::decode(m.bytes()) {
-                if idx < self.n && clock_claims[idx].is_none() {
-                    clock_claims[idx] = Some(v);
-                }
-            } else if let Some(inner) = Self::untag_ba(m.bytes()) {
-                ba_owned.push((idx, inner.to_vec()));
-            }
-        }
-        let ba_inbox: Vec<(usize, &[u8])> =
-            ba_owned.iter().map(|(s, p)| (*s, p.as_slice())).collect();
+        let clock_value = pulse(&mut self.clock, self.n, ctx, |_| true);
 
-        // Clock tick.
-        let received: Vec<u64> = clock_claims.into_iter().flatten().collect();
-        let clock_value = self.clock.step(&received, ctx.rng());
-        ctx.broadcast(ClockProcess::encode(clock_value));
-
-        // BA schedule, driven purely by the clock value. The relative round
-        // is *derived* from the clock (value 1 ⇒ round 0), so a scrambled
-        // `ba_round` from a transient fault cannot outlive one wrap.
-        let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
+        // The wrap to 1 invokes the protocol afresh, so a scrambled epoch
+        // from a transient fault cannot outlive one wrap; an agreement in
+        // flight advances whatever the clock says.
+        let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
+        let mut out: Vec<(usize, Bytes)> = Vec::new();
         if clock_value == 1 {
-            self.instance.begin(self.input);
-            self.ba_round = Some(0);
-            let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
-            self.instance.step(0, &ba_inbox, &mut send);
-        } else if let Some(prev) = self.ba_round {
-            let r = prev + 1;
-            if r < self.instance.rounds() {
-                {
-                    let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
-                    self.instance.step(r, &ba_inbox, &mut send);
-                }
-                self.ba_round = Some(r);
-                if r == self.instance.rounds() - 1 {
-                    if let Some(d) = self.instance.decided() {
-                        self.agreements.push(d);
-                    }
-                    self.ba_round = None;
-                }
-            } else {
-                self.ba_round = None;
-            }
+            self.ba.start(self.input, inbox, &mut out);
+        } else if let Some(decision) = self.ba.advance(inbox, &mut out) {
+            self.agreements.push(decision);
         }
-        for (to, inner) in outgoing {
-            ctx.send(ProcessId(to), Self::tag_ba(&inner));
+        for (to, frame) in out {
+            ctx.send(ProcessId(to), frame);
         }
     }
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
-        // The full transient fault of §4: arbitrary clock, arbitrary BA
-        // epoch alignment, arbitrary in-progress agreement state.
+        // The full transient fault of §4: arbitrary clock, arbitrary
+        // in-progress agreement state, arbitrary BA epoch alignment.
         self.clock.set_arbitrary(rng.gen());
-        self.instance.begin(rng.gen());
-        self.ba_round = if rng.gen_bool(0.5) {
-            Some(rng.gen_range(0..self.instance.rounds()))
-        } else {
-            None
-        };
+        self.ba.instance.begin(rng.gen());
+        self.ba.scramble(rng);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -199,7 +248,10 @@ impl Process for SsbaProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ClockProcess;
     use ga_agreement::consensus::OmConsensus;
+    use ga_agreement::traits;
+    use std::iter;
 
     fn build(n: usize, f: usize, seed: u64) -> Simulation {
         let rounds = OmConsensus::new(0, n, f).rounds();
@@ -211,7 +263,7 @@ mod tests {
                     n,
                     f,
                     modulus,
-                    Box::new(OmConsensus::new(id.index(), n, f)),
+                    OmConsensus::new(id.index(), n, f),
                     10 + id.index() as u64, // distinct inputs
                 )) as Box<dyn Process>
             })
@@ -220,7 +272,7 @@ mod tests {
     fn agreement_logs(sim: &Simulation, n: usize) -> Vec<Vec<Value>> {
         (0..n)
             .map(|i| {
-                sim.process_as::<SsbaProcess>(ProcessId(i))
+                sim.process_as::<SsbaProcess<OmConsensus>>(ProcessId(i))
                     .unwrap()
                     .agreements()
                     .to_vec()
@@ -270,15 +322,99 @@ mod tests {
     #[test]
     #[should_panic(expected = "clock modulus must fit")]
     fn modulus_too_small_rejected() {
-        SsbaProcess::new(4, 1, 2, Box::new(OmConsensus::new(0, 4, 1)), 0);
+        SsbaProcess::new(4, 1, 2, OmConsensus::new(0, 4, 1), 0);
     }
 
     #[test]
     fn tag_untag_round_trip() {
-        let tagged = SsbaProcess::tag_ba(b"inner");
-        assert_eq!(SsbaProcess::untag_ba(&tagged), Some(b"inner".as_slice()));
-        assert_eq!(SsbaProcess::untag_ba(b"junk"), None);
+        let tagged = frame(tags::BA, b"inner");
+        assert_eq!(unframe(tags::BA, &tagged), Some(b"inner".as_slice()));
+        assert_eq!(unframe(tags::BA, b"junk"), None);
+        assert_eq!(unframe(0xA1, &tagged), None, "another channel's frame");
         // Clock messages are not BA messages.
-        assert_eq!(SsbaProcess::untag_ba(&ClockProcess::encode(5)), None);
+        assert_eq!(unframe(tags::BA, &ClockProcess::encode(5)), None);
+    }
+
+    /// A 3-round instance: broadcasts `[round]` every round, decides its
+    /// input after the last, and logs the rounds and mail it was given
+    /// since `begin`.
+    #[derive(Default)]
+    struct Probe {
+        input: Value,
+        rounds: Vec<u64>,
+        mail: Vec<(usize, Vec<u8>)>,
+    }
+
+    impl BaInstance for Probe {
+        fn begin(&mut self, input: Value) {
+            (self.input, self.rounds, self.mail) = (input, vec![], vec![]);
+        }
+        fn step(&mut self, rel: u64, inbox: &[(usize, &[u8])], send: &mut traits::Send<'_>) {
+            self.rounds.push(rel);
+            self.mail
+                .extend(inbox.iter().map(|(s, p)| (*s, p.to_vec())));
+            traits::broadcast_others(4, 0, vec![rel as u8], send);
+        }
+        fn rounds(&self) -> u64 {
+            3
+        }
+        fn decided(&self) -> Option<Value> {
+            (self.rounds.len() == 3).then_some(self.input)
+        }
+    }
+
+    #[test]
+    fn activation_runs_rounds_in_order_and_decides_once_on_the_last() {
+        let mut a = Activation::new(Probe::default(), 0xA1);
+        let mut out = Vec::new();
+        assert_eq!(a.advance(iter::empty(), &mut out), None);
+        assert!(out.is_empty(), "an idle activation sends nothing");
+        assert!(a.instance().rounds.is_empty(), "and steps nothing");
+
+        a.start(7, iter::empty(), &mut out);
+        assert_eq!(a.advance(iter::empty(), &mut out), None, "round 1 of 3");
+        assert_eq!(
+            a.advance(iter::empty(), &mut out),
+            Some(7),
+            "the last round"
+        );
+        assert_eq!(a.advance(iter::empty(), &mut out), None, "exactly once");
+        assert_eq!(a.instance().rounds, [0, 1, 2]);
+        assert_eq!(out.len(), 9, "three broadcasts to three peers, no more");
+
+        // A fresh start abandons whatever was in flight; so does a reset.
+        a.start(8, iter::empty(), &mut out);
+        a.advance(iter::empty(), &mut out);
+        a.start(9, iter::empty(), &mut out);
+        assert_eq!(a.instance().rounds, [0], "begun afresh");
+        a.reset();
+        assert_eq!(a.advance(iter::empty(), &mut out), None, "idle after reset");
+    }
+
+    #[test]
+    fn activation_frames_and_demuxes_its_own_tag_only() {
+        let mut a = Activation::new(Probe::default(), 0xA2);
+        let (mine, other) = (frame(0xA2, b"mine"), frame(0xA3, b"other"));
+        let clock = ClockProcess::encode(1);
+        let inbox = [(1, &mine[..]), (2, &other[..]), (3, &clock[..]), (2, &[])];
+        let mut out = Vec::new();
+        a.start(0, inbox.into_iter(), &mut out);
+        assert_eq!(a.instance().mail, [(1, b"mine".to_vec())]);
+        for (i, (to, sent)) in out.iter().enumerate() {
+            assert_eq!((*to, unframe(0xA2, sent)), (i + 1, Some(&[0u8][..])));
+        }
+    }
+
+    #[test]
+    fn activation_broadcast_shares_one_frame() {
+        let mut a = Activation::new(Probe::default(), tags::BA);
+        let mut out = Vec::new();
+        a.start(0, iter::empty(), &mut out);
+        a.advance(iter::empty(), &mut out);
+        let ptrs: Vec<_> = out.iter().map(|(_, f)| f.as_ptr()).collect();
+        assert_eq!(ptrs.len(), 6);
+        assert!(ptrs[..3].iter().all(|&p| p == ptrs[0]), "one allocation");
+        assert!(ptrs[3..].iter().all(|&p| p == ptrs[3]), "per round");
+        assert_ne!(ptrs[0], ptrs[3]);
     }
 }

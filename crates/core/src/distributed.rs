@@ -5,22 +5,32 @@
 //! Byzantine agreement protocol."
 //!
 //! Each play occupies one period of the self-stabilizing clock
-//! (`ga-clocksync`); the clock value schedules the phases (R = rounds of
-//! one OM-consensus activation, M = 3R + 4):
+//! (`ga-clocksync`); the clock value schedules the phases. With R = rounds
+//! of one OM-consensus activation, activation `i ∈ {0, 1, 2}` starts at
+//! clock value `start_i = 1 + i(R+1)`, runs its R rounds at `start_i ..
+//! start_i + R`, and is followed by one single-pulse phase at
+//! `start_i + R`; the modulus is M = 3(R+1) + 1 = 3R + 4:
 //!
-//! | clock value    | phase                                                   |
-//! |----------------|---------------------------------------------------------|
-//! | 1 ..= R        | **BA 1** — agree on the previous play's outcome digest  |
-//! | R+1            | broadcast commitments (Blum)                            |
-//! | R+2 ..= 2R+1   | **BA 2** — agree on the commitment-set digest           |
-//! | 2R+2           | broadcast reveals                                       |
-//! | 2R+3 ..= 3R+2  | **BA 3** — agree on the foul set (bitmask)              |
-//! | 3R+3           | executive: punish the agreed fouls, record the outcome  |
+//! | clock value        | phase                                                |
+//! |--------------------|------------------------------------------------------|
+//! | `start_0 = 1` …    | **BA 1** — agree on the previous play's outcome digest |
+//! | `start_0 + R`      | broadcast commitments (Blum)                         |
+//! | `start_1 = R+2` …  | **BA 2** — agree on the commitment-set digest        |
+//! | `start_1 + R`      | broadcast reveals                                    |
+//! | `start_2 = 2R+3` … | **BA 3** — agree on the foul set (bitmask)           |
+//! | `start_2 + R`      | executive: punish the agreed fouls, record the outcome |
 //!
-//! Because every phase is *derived from the clock value*, a transient
-//! fault that scrambles play state (misaligned epochs, stale commitments,
-//! arbitrary clock) heals at the next clock wrap — the same argument as
-//! Theorem 1, now for the whole middleware loop.
+//! Each agreement is an [`Activation`] — Theorem 1's composition, the same
+//! one `SsbaProcess` runs — stepped only inside its clock window. Because
+//! every phase is *derived from the clock value*, a transient fault that
+//! scrambles play state (misaligned epochs, stale commitments, arbitrary
+//! clock) heals at the next clock wrap — the same argument as Theorem 1,
+//! now for the whole middleware loop.
+//!
+//! Only BA 3's decision is consumed (the executive folds its vector into
+//! the foul mask). BA 1's decision is read by nothing and BA 2's neither:
+//! the activations run and their bytes are on the wire, but no state
+//! depends on what they decide (ROADMAP: BA 1 buys nothing observable).
 //!
 //! # Frame limit
 //!
@@ -45,10 +55,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
-use ga_agreement::traits::BaInstance;
-use ga_agreement::wire::{same_buffer, Reader, Writer, FRAME_LIMIT};
+use ga_agreement::traits::{broadcast_others, BaInstance};
+use ga_agreement::wire::{Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
-use ga_clocksync::process::ClockProcess;
+use ga_clocksync::process::pulse;
+use ga_clocksync::ssba::Activation;
 use ga_crypto::commitment::{Commitment, Opening};
 use ga_crypto::prg::Prg;
 use ga_crypto::sha256::Sha256;
@@ -58,13 +69,12 @@ use ga_game_theory::profile::PureProfile;
 use ga_simnet::prelude::*;
 use rand::Rng;
 
-use crate::judicial::action_bytes;
+use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
 
 /// Message tags on the authority's multiplexed channel.
 mod tag {
-    pub const BA1: u8 = 0xA1;
-    pub const BA2: u8 = 0xA2;
-    pub const BA3: u8 = 0xA3;
+    /// The three agreement activations, in schedule order.
+    pub const BA: [u8; 3] = [0xA1, 0xA2, 0xA3];
     pub const COMMIT: u8 = 0xC0;
     pub const REVEAL: u8 = 0xD0;
 }
@@ -126,6 +136,12 @@ fn assert_size_supported(n: usize, f: usize) {
     );
 }
 
+/// Whether traffic from `from` is admitted: the executive's disconnection
+/// (`punished`, one flag per agent) cuts an agent off from every channel.
+fn hears(punished: &[bool], from: usize) -> bool {
+    !punished.get(from).copied().unwrap_or(false)
+}
+
 /// One processor of the distributed authority.
 pub struct AuthorityProcess {
     game: Arc<dyn Game + Send + Sync>,
@@ -135,9 +151,8 @@ pub struct AuthorityProcess {
     mode: AgentMode,
     clock: ClockRule,
     ba_rounds: u64,
-    ba: [OmConsensus; 3],
-    /// Rel-round trackers for the three BA activations.
-    ba_progress: [Option<u64>; 3],
+    /// The three agreement activations of a play, in schedule order.
+    ba: [Activation<OmConsensus>; 3],
     play: PlayState,
     nonce_prg: Prg,
     /// Locally recorded previous outcome (None before the first play).
@@ -146,8 +161,6 @@ pub struct AuthorityProcess {
     punished: Vec<bool>,
     /// Completed plays.
     records: Vec<PlayRecord>,
-    /// Digest agreement results (diagnostics).
-    last_outcome_digest: u64,
 }
 
 impl std::fmt::Debug for AuthorityProcess {
@@ -181,12 +194,8 @@ impl AuthorityProcess {
     ) -> AuthorityProcess {
         assert_size_supported(n, f);
         assert_eq!(game.num_agents(), n, "game arity must match n");
-        let ba = [
-            OmConsensus::new(me, n, f),
-            OmConsensus::new(me, n, f),
-            OmConsensus::new(me, n, f),
-        ];
-        let ba_rounds = ba[0].rounds();
+        let ba = tag::BA.map(|t| Activation::new(OmConsensus::new(me, n, f), t));
+        let ba_rounds = ba[0].instance().rounds();
         let modulus = Self::schedule_len(ba_rounds);
         AuthorityProcess {
             game,
@@ -197,13 +206,11 @@ impl AuthorityProcess {
             clock: ClockRule::new(n, f, modulus, 0),
             ba_rounds,
             ba,
-            ba_progress: [None; 3],
             play: PlayState::default(),
             nonce_prg: Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16),
             prev_outcome: None,
             punished: vec![false; n],
             records: Vec::new(),
-            last_outcome_digest: 0,
         }
     }
 
@@ -261,39 +268,45 @@ impl AuthorityProcess {
         Self::digest64(&bytes)
     }
 
-    /// Local audit producing the foul bitmask this processor proposes.
+    /// Local audit producing the foul bitmask this processor proposes:
+    /// the judicial service's pure-strategy audit of what was harvested,
+    /// plus the quarantined out-of-range reveals.
     fn local_foul_mask(&self) -> u64 {
+        let submissions: Vec<Submission> = (0..self.n)
+            .map(|agent| Submission {
+                commitment: self.play.commitments.get(&agent).copied(),
+                reveal: self.play.reveals.get(&agent).copied(),
+                claimed_strategy: None,
+            })
+            .collect();
+        let verdicts = audit_play(
+            self.game.as_ref(),
+            self.prev_outcome.as_ref(),
+            &submissions,
+            &self.punished,
+        );
         let mut mask = 0u64;
-        for agent in 0..self.n {
-            if self.punished[agent] {
-                continue; // already out; no fresh foul
-            }
-            if self.play.invalid & (1 << agent) != 0 {
-                mask |= 1 << agent; // revealed outside the action space
-                continue;
-            }
-            let fouled = match (
-                self.play.commitments.get(&agent),
-                self.play.reveals.get(&agent),
-            ) {
-                (Some(c), Some((action, opening))) => {
-                    if c.verify(&action_bytes(*action), opening).is_err()
-                        || *action >= self.game.num_actions(agent)
-                    {
-                        true
-                    } else if let Some(prev) = &self.prev_outcome {
-                        !best_responses(self.game.as_ref(), agent, prev).contains(action)
-                    } else {
-                        false
-                    }
-                }
-                _ => true, // missing commitment or reveal
+        for (agent, verdict) in verdicts.into_iter().enumerate() {
+            let fouled = match verdict {
+                Verdict::AlreadyPunished => false, // already out; no fresh foul
+                Verdict::Honest => self.play.invalid & (1 << agent) != 0,
+                _ => true,
             };
             if fouled {
                 mask |= 1 << agent;
             }
         }
         mask
+    }
+
+    /// The value this processor contributes to activation `i`.
+    fn ba_input(&self, i: usize) -> u64 {
+        match i {
+            0 => self.outcome_digest(),
+            1 => self.commitment_set_digest(),
+            // The false accusation against agent 0 rides on the audit.
+            _ => self.local_foul_mask() | u64::from(self.mode == AgentMode::Framer),
+        }
     }
 
     fn choose_action(&self) -> usize {
@@ -316,49 +329,6 @@ impl AuthorityProcess {
             },
             // The smallest action outside the agent's space.
             AgentMode::OutOfRangeReveal => actions,
-        }
-    }
-
-    /// Steps BA instance `idx` at relative round `rel` and sends its
-    /// traffic under the matching tag.
-    fn step_ba(
-        &mut self,
-        idx: usize,
-        rel: u64,
-        inbox: &[(usize, Bytes)],
-        out: &mut Vec<(usize, Bytes)>,
-    ) {
-        let t = [tag::BA1, tag::BA2, tag::BA3][idx];
-        let view: Vec<(usize, &[u8])> = inbox
-            .iter()
-            .filter_map(|(from, payload)| {
-                let mut r = Reader::new(payload);
-                if r.get_u8()? != t {
-                    return None;
-                }
-                Some((*from, r.get_bytes()?))
-            })
-            .collect();
-        let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
-        {
-            let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
-            self.ba[idx].step(rel, &view, &mut send);
-        }
-        // Destinations handed the same buffer (a broadcast round: all of
-        // them) share one tagged frame.
-        let mut last: Option<(Bytes, Bytes)> = None;
-        for (to, inner) in outgoing {
-            let frame = match &last {
-                Some((prev, frame)) if same_buffer(prev, &inner) => frame.clone(),
-                _ => {
-                    let mut w = Writer::with_capacity(3 + inner.len());
-                    w.put_u8(t);
-                    w.put_bytes(&inner);
-                    w.finish().into()
-                }
-            };
-            out.push((to, frame.clone()));
-            last = Some((inner, frame));
         }
     }
 
@@ -396,7 +366,8 @@ impl AuthorityProcess {
     /// fresh foul (a persistent accuser must not re-stamp their bit into
     /// every later play record).
     fn agreed_foul_mask(&self) -> u64 {
-        let proposals: Vec<u64> = self.ba[2].vector().into_iter().flatten().collect();
+        let vector = self.ba[2].instance().vector();
+        let proposals: Vec<u64> = vector.into_iter().flatten().collect();
         let mut mask = 0u64;
         for agent in 0..self.n {
             if self.punished[agent] {
@@ -408,6 +379,44 @@ impl AuthorityProcess {
             }
         }
         mask
+    }
+
+    /// The commit phase: choose this play's action and broadcast its
+    /// commitment (one allocation; every recipient shares the buffer).
+    fn commit_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
+        if self.mode == AgentMode::Mute || self.punished[self.me] {
+            return;
+        }
+        let action = self.choose_action();
+        let nonce = self.nonce_prg.next_block();
+        let (c, o) = Commitment::commit(&action_bytes(action), nonce);
+        self.play.my_action = Some(action);
+        self.play.my_opening = Some(o);
+        self.play.commitments.insert(self.me, c);
+        let mut w = Writer::new();
+        w.put_u8(tag::COMMIT);
+        w.put_bytes(c.digest());
+        broadcast_others(self.n, self.me, w.finish(), &mut |to, p| out.push((to, p)));
+    }
+
+    /// The reveal phase: open the commitment to everyone.
+    fn reveal_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
+        let (Some(action), Some(opening)) = (self.play.my_action, self.play.my_opening) else {
+            return;
+        };
+        let revealed_action = match self.mode {
+            // Reveal something other than the committed action.
+            AgentMode::EquivocalReveal => (action + 1) % self.game.num_actions(self.me),
+            _ => action,
+        };
+        // Same quarantine as harvested reveals: an out-of-range
+        // self-reveal is foul evidence, never outcome input.
+        self.harvest_reveal(self.me, revealed_action, opening);
+        let mut w = Writer::new();
+        w.put_u8(tag::REVEAL);
+        w.put_u64(revealed_action as u64);
+        w.put_bytes(opening.nonce());
+        broadcast_others(self.n, self.me, w.finish(), &mut |to, p| out.push((to, p)));
     }
 
     /// The executive phase: convict the agreed fouls, disconnect them,
@@ -447,148 +456,64 @@ impl AuthorityProcess {
 
 impl Process for AuthorityProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        // Sort the inbox: clock claims vs tagged authority traffic. Ignore
-        // traffic from agents the executive disconnected.
-        let mut clock_claims: Vec<Option<u64>> = vec![None; self.n];
-        let mut traffic: Vec<(usize, Bytes)> = Vec::new();
-        for m in ctx.inbox() {
-            let from = m.from.index();
-            if from < self.n && self.punished[from] {
-                continue;
-            }
-            if let Some(v) = ClockProcess::decode(m.bytes()) {
-                if from < self.n && clock_claims[from].is_none() {
-                    clock_claims[from] = Some(v);
-                }
-            } else {
-                traffic.push((from, m.payload.clone()));
-            }
-        }
-
-        // Clock tick drives the schedule.
-        let received: Vec<u64> = clock_claims.into_iter().flatten().collect();
-        let v = self.clock.step(&received, ctx.rng());
-        ctx.broadcast(ClockProcess::encode(v));
-
-        let r = self.ba_rounds;
-        let mut out: Vec<(usize, Bytes)> = Vec::new();
+        // The clock tick drives the schedule.
+        let v = pulse(&mut self.clock, self.n, ctx, |from| {
+            hears(&self.punished, from)
+        });
 
         // Harvest commitments/reveals whenever they arrive (they are sent
         // in their phase, delivered one pulse later).
-        for (from, payload) in &traffic {
-            let mut rd = Reader::new(payload);
+        for m in ctx.inbox() {
+            let from = m.from.index();
+            if !hears(&self.punished, from) {
+                continue;
+            }
+            let mut rd = Reader::new(m.bytes());
             match rd.get_u8() {
-                Some(t) if t == tag::COMMIT => {
+                Some(tag::COMMIT) => {
                     if let Some(digest) = rd.get_bytes().and_then(|b| <[u8; 32]>::try_from(b).ok())
                     {
-                        self.harvest_commit(*from, digest);
+                        self.harvest_commit(from, digest);
                     }
                 }
-                Some(t) if t == tag::REVEAL => {
+                Some(tag::REVEAL) => {
                     if let (Some(action), Some(nonce)) = (
                         rd.get_u64(),
                         rd.get_bytes().and_then(|b| <[u8; 32]>::try_from(b).ok()),
                     ) {
-                        self.harvest_reveal(*from, action as usize, Opening::from_nonce(nonce));
+                        self.harvest_reveal(from, action as usize, Opening::from_nonce(nonce));
                     }
                 }
                 _ => {}
             }
         }
 
-        // Phase dispatch.
+        let r = self.ba_rounds;
+        let mut out: Vec<(usize, Bytes)> = Vec::new();
         if v == 1 {
-            // Fresh play: reset per-play state, start BA1 on the previous
-            // outcome digest.
+            // Fresh play: reset per-play state.
             self.play = PlayState::default();
-            self.ba_progress = [None; 3];
-            self.ba[0].begin(self.outcome_digest());
-            self.ba_progress[0] = Some(0);
-            self.step_ba(0, 0, &traffic, &mut out);
-        } else if v >= 2 && v <= r {
-            if let Some(prev) = self.ba_progress[0] {
-                let rel = prev + 1;
-                if rel < r {
-                    self.step_ba(0, rel, &traffic, &mut out);
-                    self.ba_progress[0] = Some(rel);
-                }
+            self.ba.iter_mut().for_each(Activation::reset);
+        }
+        // An activation is stepped only inside its clock window.
+        let punished = &self.punished;
+        let mail = || {
+            let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
+            inbox.filter(|(from, _)| hears(punished, *from))
+        };
+        for i in 0..3 {
+            let start = 1 + i as u64 * (r + 1);
+            if v == start {
+                let input = self.ba_input(i);
+                self.ba[i].start(input, mail(), &mut out);
+            } else if start < v && v < start + r {
+                self.ba[i].advance(mail(), &mut out);
             }
-        } else if v == r + 1 {
-            self.last_outcome_digest = self.ba[0].decided().unwrap_or(0);
-            // Commit phase.
-            if self.mode != AgentMode::Mute && !self.punished[self.me] {
-                let action = self.choose_action();
-                let nonce = self.nonce_prg.next_block();
-                let (c, o) = Commitment::commit(&action_bytes(action), nonce);
-                self.play.my_action = Some(action);
-                self.play.my_opening = Some(o);
-                self.play.commitments.insert(self.me, c);
-                let mut w = Writer::new();
-                w.put_u8(tag::COMMIT);
-                w.put_bytes(c.digest());
-                // One allocation; every recipient shares the buffer.
-                let payload: Bytes = w.finish().into();
-                for to in 0..self.n {
-                    if to != self.me {
-                        out.push((to, payload.clone()));
-                    }
-                }
-            }
-        } else if v == r + 2 {
-            // Start BA2 on the commitment-set digest.
-            self.ba[1].begin(self.commitment_set_digest());
-            self.ba_progress[1] = Some(0);
-            self.step_ba(1, 0, &traffic, &mut out);
-        } else if v >= r + 3 && v <= 2 * r + 1 {
-            if let Some(prev) = self.ba_progress[1] {
-                let rel = prev + 1;
-                if rel < r {
-                    self.step_ba(1, rel, &traffic, &mut out);
-                    self.ba_progress[1] = Some(rel);
-                }
-            }
+        }
+        if v == r + 1 {
+            self.commit_phase(&mut out);
         } else if v == 2 * r + 2 {
-            // Reveal phase.
-            if let (Some(action), Some(opening)) = (self.play.my_action, self.play.my_opening) {
-                let revealed_action = match self.mode {
-                    AgentMode::EquivocalReveal => {
-                        // Reveal something other than the committed action.
-                        (action + 1) % self.game.num_actions(self.me)
-                    }
-                    _ => action,
-                };
-                // Same quarantine as harvested reveals: an out-of-range
-                // self-reveal is foul evidence, never outcome input.
-                self.harvest_reveal(self.me, revealed_action, opening);
-                let mut w = Writer::new();
-                w.put_u8(tag::REVEAL);
-                w.put_u64(revealed_action as u64);
-                w.put_bytes(opening.nonce());
-                // One allocation; every recipient shares the buffer.
-                let payload: Bytes = w.finish().into();
-                for to in 0..self.n {
-                    if to != self.me {
-                        out.push((to, payload.clone()));
-                    }
-                }
-            }
-        } else if v == 2 * r + 3 {
-            // Start BA3 on the locally audited foul mask.
-            let mut proposal = self.local_foul_mask();
-            if self.mode == AgentMode::Framer {
-                proposal |= 1; // the false accusation against agent 0
-            }
-            self.ba[2].begin(proposal);
-            self.ba_progress[2] = Some(0);
-            self.step_ba(2, 0, &traffic, &mut out);
-        } else if v >= 2 * r + 4 && v <= 3 * r + 2 {
-            if let Some(prev) = self.ba_progress[2] {
-                let rel = prev + 1;
-                if rel < r {
-                    self.step_ba(2, rel, &traffic, &mut out);
-                    self.ba_progress[2] = Some(rel);
-                }
-            }
+            self.reveal_phase(&mut out);
         } else if v == 3 * r + 3 {
             self.conclude_play();
         }
@@ -600,11 +525,7 @@ impl Process for AuthorityProcess {
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
         self.clock.set_arbitrary(rng.gen());
-        self.ba_progress = [
-            rng.gen_bool(0.5).then(|| rng.gen_range(0..self.ba_rounds)),
-            rng.gen_bool(0.5).then(|| rng.gen_range(0..self.ba_rounds)),
-            rng.gen_bool(0.5).then(|| rng.gen_range(0..self.ba_rounds)),
-        ];
+        self.ba.iter_mut().for_each(|ba| ba.scramble(rng));
         self.play = PlayState::default();
     }
 
@@ -908,6 +829,79 @@ mod tests {
         // An in-range reveal still lands in the outcome path.
         p.harvest_reveal(1, 1, Opening::from_nonce([1u8; 32]));
         assert_eq!(p.play.reveals.get(&1).map(|(a, _)| *a), Some(1));
+    }
+
+    /// The inline audit `local_foul_mask` ran before it was routed
+    /// through `judicial::audit_play`, kept as the reference (the
+    /// best-response test stated through `is_best_response`).
+    fn ref_foul_mask(p: &AuthorityProcess) -> u64 {
+        use ga_game_theory::best_response::is_best_response;
+        let mut mask = 0u64;
+        for agent in 0..p.n {
+            if p.punished[agent] {
+                continue; // already out; no fresh foul
+            }
+            if p.play.invalid & (1 << agent) != 0 {
+                mask |= 1 << agent; // revealed outside the action space
+                continue;
+            }
+            let fouled = match (p.play.commitments.get(&agent), p.play.reveals.get(&agent)) {
+                (Some(c), Some((action, opening))) => {
+                    if c.verify(&action_bytes(*action), opening).is_err()
+                        || *action >= p.game.num_actions(agent)
+                    {
+                        true
+                    } else if let Some(prev) = &p.prev_outcome {
+                        !is_best_response(p.game.as_ref(), agent, &prev.with_action(agent, *action))
+                    } else {
+                        false
+                    }
+                }
+                _ => true, // missing commitment or reveal
+            };
+            if fouled {
+                mask |= 1 << agent;
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn local_foul_mask_equals_the_reference_audit_on_random_play_states() {
+        use rand::SeedableRng;
+        let n = 4;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF001);
+        let mut seen = std::collections::HashSet::new();
+        for case in 0..2000 {
+            let mut p = AuthorityProcess::new(congestion(), 0, n, 1, AgentMode::Honest, 1);
+            if rng.gen_bool(0.7) {
+                p.prev_outcome = Some(PureProfile::new(
+                    (0..n).map(|_| rng.gen_range(0..2)).collect(),
+                ));
+            }
+            for agent in 0..n {
+                p.punished[agent] = rng.gen_bool(0.2);
+                if rng.gen_bool(0.3) {
+                    p.play.invalid |= 1 << agent; // with or without a reveal below
+                }
+                // Action 2 is outside the space: committed and opened
+                // faithfully, only the range audit catches it.
+                let committed = rng.gen_range(0..3);
+                let (c, o) = Commitment::commit(&action_bytes(committed), [rng.gen::<u8>(); 32]);
+                if rng.gen_bool(0.8) {
+                    p.play.commitments.insert(agent, c);
+                }
+                if rng.gen_bool(0.8) {
+                    // One time in five, a bad opening.
+                    let revealed = (committed + usize::from(rng.gen_bool(0.2))) % 3;
+                    p.play.reveals.insert(agent, (revealed, o));
+                }
+            }
+            let mask = p.local_foul_mask();
+            assert_eq!(mask, ref_foul_mask(&p), "case {case}: {:?}", p.play);
+            seen.insert(mask);
+        }
+        assert_eq!(seen.len(), 16, "every foul mask occurred");
     }
 
     #[test]

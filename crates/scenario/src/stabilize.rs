@@ -13,7 +13,7 @@
 //! * **stabilize_ssba** — the §3.1 self-stabilizing Byzantine agreement
 //!   composition ([`SsbaProcess`]); legal = all clocks equal.
 //! * **stabilize_pulse** — the §3.3 common pulse generator
-//!   ([`PulseProcess`]); legal = all clock values equal.
+//!   ([`ClockProcess`]); legal = all clock values equal.
 //!
 //! At `loss = 0` both legal sets are closed (an all-equal configuration
 //! keeps its quorum every round), so every run stabilizes and the
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::traits::BaInstance;
 use ga_clocksync::harness::{measure_convergence_with, run_ssba};
-use ga_clocksync::pulse::PulseProcess;
+use ga_clocksync::process::ClockProcess;
 use ga_clocksync::ssba::SsbaProcess;
 use ga_simnet::prelude::*;
 use ga_simnet::sim::Delivery;
@@ -113,32 +113,14 @@ fn stabilized_verdict(_sim: &Simulation, record: &RunRecord) -> Verdict {
     )
 }
 
-/// Legal set of the SSBA composition: every clock holds one value.
-fn ssba_clocks_agree(sim: &Simulation, n: usize) -> bool {
+/// Legal set of both frontier families: every process is a `P` and all
+/// their clocks hold one value.
+fn clocks_agree<P: 'static>(sim: &Simulation, n: usize, clock: fn(&P) -> u64) -> bool {
     let mut value = None;
-    for id in 0..n {
-        let Some(p) = sim.process_as::<SsbaProcess>(ProcessId(id)) else {
-            return false;
-        };
-        if *value.get_or_insert(p.clock_value()) != p.clock_value() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Legal set of the pulse generator: every clock holds one value.
-fn pulse_values_agree(sim: &Simulation, n: usize) -> bool {
-    let mut value = None;
-    for id in 0..n {
-        let Some(p) = sim.process_as::<PulseProcess>(ProcessId(id)) else {
-            return false;
-        };
-        if *value.get_or_insert(p.value()) != p.value() {
-            return false;
-        }
-    }
-    true
+    (0..n).all(|id| {
+        sim.process_as::<P>(ProcessId(id))
+            .is_some_and(|p| *value.get_or_insert(clock(p)) == clock(p))
+    })
 }
 
 /// §3.1 SSBA over the frontier grid.
@@ -157,7 +139,7 @@ fn ssba_family() -> Vec<Arc<dyn Scenario>> {
                     n,
                     f,
                     modulus,
-                    Box::new(OmConsensus::new(id.index(), n, f)),
+                    OmConsensus::new(id.index(), n, f),
                     1 + id.index() as u64,
                 ))
             },
@@ -168,7 +150,9 @@ fn ssba_family() -> Vec<Arc<dyn Scenario>> {
             ScheduledAction::Corrupt(corruption(n, c), Recurrence::Once),
         ))
         .max_rounds(ROUND_BUDGET)
-        .stabilization(CORRUPTION_ROUND, move |sim| ssba_clocks_agree(sim, n))
+        .stabilization(CORRUPTION_ROUND, move |sim| {
+            clocks_agree(sim, n, SsbaProcess::<OmConsensus>::clock_value)
+        })
         .verdict(stabilized_verdict)
     })
 }
@@ -183,7 +167,7 @@ fn pulse_family() -> Vec<Arc<dyn Scenario>> {
         ScenarioSpec::new(
             "stabilize_pulse",
             TopologyFamily::Complete(n),
-            move |_, _| Box::new(PulseProcess::new(n, f, 8, 1)),
+            move |_, _| Box::new(ClockProcess::new(n, f, 8, 0)),
         )
         .delivery(delivery(loss))
         .schedule(Schedule::new().at(
@@ -191,7 +175,9 @@ fn pulse_family() -> Vec<Arc<dyn Scenario>> {
             ScheduledAction::Corrupt(corruption(n, c), Recurrence::Once),
         ))
         .max_rounds(ROUND_BUDGET)
-        .stabilization(CORRUPTION_ROUND, move |sim| pulse_values_agree(sim, n))
+        .stabilization(CORRUPTION_ROUND, move |sim| {
+            clocks_agree(sim, n, ClockProcess::value)
+        })
         .verdict(stabilized_verdict)
     })
 }

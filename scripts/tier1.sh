@@ -73,6 +73,18 @@ run_unsupportive 4 4 target/scenario_unsup_b.json target/scenario_unsup_b_events
 cmp target/scenario_unsup_a.json target/scenario_unsup_b.json
 cmp target/scenario_unsup_a_events.jsonl target/scenario_unsup_b_events.jsonl
 
+echo "==> recovery trace identity (summaries against the committed snapshots, event JSONL against tests/golden/recovery_events.sha256)"
+# BENCH_stabilize.json / BENCH_unsupportive.json are exactly what the two
+# runs above summarise (scripts/bench_*.sh write the same --no-records
+# file), so a snapshot can no longer go stale unnoticed, and a change to
+# the clock pulse, the SSBA activation, the authority's recovery or the
+# BFS workloads fails here by name. A deliberate behaviour change
+# regenerates the snapshots with the scripts and the digest file with
+# `sha256sum` from inside target/.
+cmp target/scenario_stab_a.json BENCH_stabilize.json
+cmp target/scenario_unsup_a.json BENCH_unsupportive.json
+(cd target && sha256sum -c ../tests/golden/recovery_events.sha256)
+
 echo "==> large-n sparse smoke (quiescence-aware stepping at n=65536)"
 # A 65536-ring and a 64x64 grid relay wavefront: viable only because a
 # round costs O(active), so a hang or an O(n)-scan regression blows the
