@@ -38,8 +38,13 @@
 //! corruption applications, scrambles, and the stabilization probe's
 //! legality flips. The file is **byte-identical** across worker counts,
 //! shard counts and pool sizes — it lives on the same deterministic plane
-//! as the summary. `--profile FILE` writes wall-clock pool/step timing
-//! (per-step latency histogram, merge/batch/task times) to FILE; timing
+//! as the summary. Each run's ring retains its last 4096 events; the
+//! runs that produced more are named in one stderr warning (scenario,
+//! seed, events lost), so a file holding only tails never passes for a
+//! complete one.
+//! `--profile FILE` writes wall-clock pool/step timing (per-step latency
+//! histogram, the step's phase times — which sum to `step_ns` — and
+//! batch/task times) to FILE; timing
 //! is the *other* plane — it never appears in summaries, records, or
 //! event streams. `scenario trace` converts an `--events` JSONL file to
 //! Chrome trace-event JSON loadable in Perfetto (`ui.perfetto.dev`) or
@@ -63,7 +68,7 @@
 use std::io::Write;
 
 use ga_simnet::runtime::Runtime;
-use ga_simnet::telemetry::{ProfileData, Profiler, TelemetryConfig};
+use ga_simnet::telemetry::{ProfileData, Profiler, StepPhase, TelemetryConfig};
 
 use crate::json::Json;
 use crate::record::event_json;
@@ -331,6 +336,8 @@ fn run(opts: &Options) -> i32 {
     // Deterministic plane: --events switches every run's event sink on.
     let telemetry = opts.events.as_ref().map(|_| TelemetryConfig::default());
     let mut failures: Vec<String> = Vec::new();
+    // Runs whose event ring overflowed, for the one warning below.
+    let mut truncated: Vec<String> = Vec::new();
     let streaming = opts.record_sink.is_some() || opts.events.is_some();
     let summary = if streaming {
         // Stream one JSONL line per run record (and per event) as runs
@@ -369,6 +376,7 @@ fn run(opts: &Options) -> i32 {
                 }
             }
             if let (Some((path, out)), None) = (&mut events_out, &io_err) {
+                truncated.extend(truncation_note(record));
                 for event in &record.events {
                     let line = event_json(&record.scenario, record.seed, event).render();
                     if let Err(err) = writeln!(out, "{line}") {
@@ -397,6 +405,14 @@ fn run(opts: &Options) -> i32 {
         if let Some((path, err)) = io_err {
             eprintln!("error: cannot write {path}: {err}");
             return 1;
+        }
+        if !truncated.is_empty() {
+            eprintln!(
+                "warning: --events is incomplete: the event ring overwrote the \
+                 oldest events of {} run(s): {}",
+                truncated.len(),
+                truncated.join(", ")
+            );
         }
         summary
     } else {
@@ -446,11 +462,27 @@ fn run(opts: &Options) -> i32 {
     }
 }
 
+/// `scenario (seed N): K events lost, M kept` for a run whose event ring
+/// overflowed, so that an `--events` file holding only the tail of a run
+/// never passes for a complete one; `None` for a run that kept every
+/// event.
+fn truncation_note(record: &crate::record::RunRecord) -> Option<String> {
+    (record.events_overwritten > 0).then(|| {
+        format!(
+            "{} (seed {}): {} events lost, {} kept",
+            record.scenario,
+            record.seed,
+            record.events_overwritten,
+            record.events.len()
+        )
+    })
+}
+
 /// Serializes a [`ProfileData`] snapshot — the timing plane's output
 /// file. Wall-clock derived, so (unlike everything else the CLI writes)
 /// two invocations of the same sweep produce *different* profiles.
 fn profile_json(data: &ProfileData) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("steps", Json::Uint(data.steps)),
         ("step_ns", Json::Uint(data.step_ns)),
         (
@@ -465,13 +497,21 @@ fn profile_json(data: &ProfileData) -> Json {
             "step_hist_log2_ns",
             Json::Arr(data.step_hist.iter().map(|&c| Json::Uint(c)).collect()),
         ),
-        ("merge_ns", Json::Uint(data.merge_ns)),
+    ];
+    // The step's phases, in execution order; they sum to `step_ns`.
+    fields.extend(
+        StepPhase::ALL
+            .iter()
+            .map(|&phase| (phase.label(), Json::Uint(data.phase(phase)))),
+    );
+    fields.extend([
         ("batches", Json::Uint(data.batches)),
         ("batch_ns", Json::Uint(data.batch_ns)),
         ("tasks", Json::Uint(data.tasks)),
         ("task_queue_ns", Json::Uint(data.task_queue_ns)),
         ("task_busy_ns", Json::Uint(data.task_busy_ns)),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// `scenario trace EVENTS.jsonl [--out FILE]` — converts an `--events`
@@ -855,6 +895,31 @@ mod tests {
         assert_eq!(opts.out.as_deref(), Some("x.json"));
         assert_eq!(opts.record_sink.as_deref(), Some("runs.jsonl"));
         assert!(!opts.records);
+    }
+
+    #[test]
+    fn an_overflowed_event_ring_is_counted_and_warned_about() {
+        use crate::prelude::*;
+        let spec = ScenarioSpec::new("flood", TopologyFamily::Ring(4), |_, _| {
+            Box::new(Flood::default())
+        })
+        .max_rounds(3);
+        let run = |events_capacity| {
+            let config = TelemetryConfig { events_capacity };
+            spec.run_telemetry(7, 0, &Runtime::new(1), Some(&config))
+        };
+        let whole = run(4096);
+        assert_eq!(whole.events_overwritten, 0);
+        assert_eq!(truncation_note(&whole), None, "a whole stream is silent");
+
+        let tail = run(8);
+        let lost = whole.events.len() - 8;
+        assert_eq!(tail.events, whole.events[lost..], "the ring keeps the tail");
+        assert_eq!(tail.events_overwritten, lost as u64);
+        assert_eq!(
+            truncation_note(&tail),
+            Some(format!("flood (seed 7): {lost} events lost, 8 kept"))
+        );
     }
 
     #[test]

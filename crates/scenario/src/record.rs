@@ -111,6 +111,11 @@ pub struct RunRecord {
     /// channel (`scenario run --events`, rendered via [`event_json`]) so
     /// record/summary JSON stays unchanged whether or not events are on.
     pub events: Vec<Event>,
+    /// Events the run's ring overwrote before [`events`](RunRecord::events)
+    /// was taken: non-zero means `events` is only the run's last
+    /// `capacity` events. Like `events`, not part of
+    /// [`to_json`](RunRecord::to_json).
+    pub events_overwritten: u64,
 }
 
 impl RunRecord {
@@ -126,6 +131,7 @@ impl RunRecord {
             metrics: Vec::new(),
             messages: MessageStats::default(),
             events: Vec::new(),
+            events_overwritten: 0,
         }
     }
 

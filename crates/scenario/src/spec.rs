@@ -683,6 +683,8 @@ impl ScenarioSpec {
             Some(verdict) => verdict(&sim, &record),
             None => Verdict::Pass,
         };
+        // Taking the events resets the ring's loss counter: read it first.
+        record.events_overwritten = sim.events_mut().map_or(0, |sink| sink.overwritten());
         record.events = sim.take_events();
         record
     }

@@ -238,20 +238,20 @@ mod tests {
     use crate::ids::Round;
     use crate::message::Message;
     use crate::rng::process_rng;
+    use crate::sim::{RoundEnv, ShardScratch};
+    use crate::topology::Topology;
 
+    /// What process 4 of a complete(5) system sends when `adv` acts for it.
     fn run_one(adv: &mut dyn Adversary, round: u64, inbox: &[Message]) -> Vec<(ProcessId, Bytes)> {
-        let neigh = [0usize, 1, 2, 3];
-        let mut ctx = Context {
-            id: ProcessId(4),
-            round: Round(round),
-            neighbors: &neigh,
-            inbox,
-            outbox: Vec::new(),
-            rng: process_rng(1, ProcessId(4), Round(round)),
-            n: 5,
-        };
+        let topology = Topology::complete(5);
+        let env = RoundEnv::reliable(&topology, 1, Round(round));
+        let mut out = ShardScratch::default();
+        let mut ctx = Context::new(&env, &mut out, ProcessId(4), inbox);
         adv.act(&mut ctx);
-        ctx.outbox
+        ctx.sent()
+            .iter()
+            .map(|(to, m)| (*to, m.payload.clone()))
+            .collect()
     }
 
     #[test]
@@ -338,37 +338,23 @@ mod tests {
         let mut p = ByzantineProcess::new(Box::<Replayer>::default());
         let mut rng = process_rng(7, ProcessId(4), Round(0));
         Process::scramble(&mut p, &mut rng);
-        let neigh = [0usize, 1];
-        let inbox: Vec<Message> = Vec::new();
-        let mut ctx = Context {
-            id: ProcessId(2),
-            round: Round(0),
-            neighbors: &neigh,
-            inbox: &inbox,
-            outbox: Vec::new(),
-            rng: process_rng(0, ProcessId(2), Round(0)),
-            n: 3,
-        };
+        let topology = Topology::complete(3);
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let mut ctx = Context::new(&env, &mut out, ProcessId(2), &[]);
         p.on_pulse(&mut ctx);
-        assert_eq!(ctx.outbox.len(), 2, "scrambled stash is broadcast");
+        assert_eq!(ctx.sent().len(), 2, "scrambled stash is broadcast");
     }
 
     #[test]
     fn byzantine_process_delegates() {
         let mut p = ByzantineProcess::new(Box::new(Silent));
         assert_eq!(p.name(), "silent");
-        let neigh = [0usize];
-        let inbox: Vec<Message> = Vec::new();
-        let mut ctx = Context {
-            id: ProcessId(1),
-            round: Round(0),
-            neighbors: &neigh,
-            inbox: &inbox,
-            outbox: Vec::new(),
-            rng: process_rng(0, ProcessId(1), Round(0)),
-            n: 2,
-        };
+        let topology = Topology::complete(2);
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let mut ctx = Context::new(&env, &mut out, ProcessId(1), &[]);
         p.on_pulse(&mut ctx);
-        assert!(ctx.outbox.is_empty());
+        assert!(ctx.sent().is_empty());
     }
 }

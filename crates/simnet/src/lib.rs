@@ -32,14 +32,28 @@
 //!   `payload.as_ptr()` is identical across recipients). Protocols that
 //!   resend a received payload should clone `message.payload` instead of
 //!   copying out the bytes.
+//! * **A message makes one hop.** There is no outbox: a
+//!   [`Context`](process::Context) borrows the stepping shard's scratch,
+//!   and `send` link- and loss-filters the message where it is made and
+//!   writes it once, as the finished [`Message`](message::Message), into
+//!   the shard's `routed` buffer — one link check, one refcount bump and
+//!   one 32-byte write. A broadcast hands its own handle to the last
+//!   neighbour, so it costs `degree − 1` bumps and no drop. The merge then
+//!   moves each message into its destination's inbox without looking
+//!   inside it: message and byte totals are tallied per shard at route
+//!   time, while the payload is in hand.
 //! * **Buffers are recycled, not reallocated.** Inboxes are double-buffered
-//!   and swap+cleared each pulse, the per-process outbox is one scratch
-//!   vector reused across all processes and rounds, and messages are routed
-//!   inline per sender — there is no per-round flat staging vector.
+//!   and swap+cleared each pulse, each shard's `routed` buffer is reused
+//!   across all its processes and rounds — there is no per-round flat
+//!   staging vector.
 //! * **Derivation is numeric on the hot path.** The loss-model RNG comes
 //!   from [`rng::labeled_rng_u64_pair`] (integer mixing, no `format!`),
 //!   keyed per `(round, sender)`, and is only constructed when
-//!   [`Delivery::Lossy`](sim::Delivery) is configured;
+//!   [`Delivery::Lossy`](sim::Delivery) is configured and the sender has
+//!   an on-link message; the pulse RNG behind
+//!   [`Context::rng`](process::Context::rng) is derived on its first use,
+//!   so processes that never draw (most protocols, most pulses) pay
+//!   nothing for it;
 //!   [`Simulation::disconnect`](sim::Simulation::disconnect)
 //!   mutates adjacency in place via
 //!   [`Topology::isolate`](topology::Topology::isolate).
@@ -48,8 +62,8 @@
 //!
 //! [`Simulation::step`](sim::Simulation::step) splits every round into a
 //! **compute phase** (each shard's process id set steps against the
-//! immutable prior-round inboxes, filtering its outboxes into per-shard
-//! scratch) and a **deterministic merge phase** (a k-way walk over the
+//! immutable prior-round inboxes, its sends routed straight into the
+//! shard's scratch) and a **deterministic merge phase** (a k-way walk over the
 //! shards' per-sender segment tables replays ascending process-id order,
 //! counters summed in fixed order). With
 //! [`StepExec::Sharded`](sim::StepExec) the compute phase is submitted as
@@ -141,8 +155,10 @@
 //! [`Event`](telemetry::Event)s at stable `(round, process-id)` coordinates,
 //! ring-buffered in an [`EventSink`](telemetry::EventSink), byte-identical
 //! at any workers × shards × pool size) and a **wall-clock timing plane**
-//! ([`Profiler`](telemetry::Profiler)) that never feeds back into traces or
-//! any compared output. See the [`telemetry`] module docs for the rule.
+//! ([`Profiler`](telemetry::Profiler): step latency, its split over the
+//! step's phases — schedule, swap + clear, active set, compute + route,
+//! re-query, merge — and pool batch/task times) that never feeds back into
+//! traces or any compared output. See the [`telemetry`] module docs for the rule.
 //!
 //! ## Quickstart
 //!
@@ -198,7 +214,7 @@ pub mod prelude {
     pub use crate::schedule::{Recurrence, Schedule, ScheduledAction};
     pub use crate::sim::{Delivery, Simulation, SimulationBuilder, StepExec};
     pub use crate::telemetry::{
-        DropReason, Event, EventSink, ProfileData, Profiler, TelemetryConfig,
+        DropReason, Event, EventSink, ProfileData, Profiler, StepPhase, TelemetryConfig,
     };
     pub use crate::topology::Topology;
     pub use crate::trace::Trace;

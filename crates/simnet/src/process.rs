@@ -9,7 +9,10 @@
 //! [`Context::broadcast`] accept `impl Into<Bytes>`, so a broadcast
 //! allocates its payload **once** and every recipient shares the
 //! refcounted buffer. Steady-state sends are allocation-free when callers
-//! hand over an existing `Bytes` (cloning one is a refcount bump).
+//! hand over an existing `Bytes` (cloning one is a refcount bump). Nothing
+//! is queued on the way: a send is link- and loss-filtered where it is
+//! made and written once into the scheduler's routed buffer (see
+//! [`Context`]).
 //!
 //! How processes are *stored* is the scheduler's business, not the
 //! trait's: a heterogeneous population lives in one box per process,
@@ -23,6 +26,8 @@ use rand::rngs::StdRng;
 
 use crate::ids::{ProcessId, Round};
 use crate::message::Message;
+use crate::rng::process_rng;
+use crate::sim::{RoundEnv, ShardScratch};
 
 /// A processor's program, stepped once per pulse.
 ///
@@ -77,20 +82,47 @@ pub trait Process: Send {
 
 /// Everything a process can see and do during one pulse.
 ///
-/// The outbox buffer is owned by the scheduler and recycled across pulses;
-/// queueing messages in steady state costs no allocation.
+/// A context owns no buffer. It borrows the round's shared state and the
+/// stepping shard's scratch from the scheduler, and a send is routed where
+/// it is made: one link check, one refcount bump (none for a broadcast's
+/// last recipient, which takes the caller's own handle) and one 32-byte
+/// write of the finished [`Message`] into the shard's `routed` buffer — the
+/// only stop between the protocol and the merge into next-round inboxes.
 #[derive(Debug)]
 pub struct Context<'a> {
-    pub(crate) id: ProcessId,
-    pub(crate) round: Round,
-    pub(crate) neighbors: &'a [usize],
-    pub(crate) inbox: &'a [Message],
-    pub(crate) outbox: Vec<(ProcessId, Bytes)>,
-    pub(crate) rng: StdRng,
-    pub(crate) n: usize,
+    id: ProcessId,
+    neighbors: &'a [usize],
+    inbox: &'a [Message],
+    env: &'a RoundEnv<'a>,
+    out: &'a mut ShardScratch,
+    /// This pulse's private stream, derived on the first
+    /// [`rng`](Context::rng) call.
+    rng: Option<StdRng>,
+    /// This sender's loss stream, derived by the router on the first
+    /// on-link message under a lossy model.
+    loss_rng: Option<StdRng>,
 }
 
 impl<'a> Context<'a> {
+    /// The context of process `id` for the round `env` describes, reading
+    /// `inbox` and routing into `out`.
+    pub(crate) fn new(
+        env: &'a RoundEnv<'a>,
+        out: &'a mut ShardScratch,
+        id: ProcessId,
+        inbox: &'a [Message],
+    ) -> Context<'a> {
+        Context {
+            id,
+            neighbors: env.topology.neighbors(id),
+            inbox,
+            env,
+            out,
+            rng: None,
+            loss_rng: None,
+        }
+    }
+
     /// This processor's identity.
     pub fn id(&self) -> ProcessId {
         self.id
@@ -98,12 +130,12 @@ impl<'a> Context<'a> {
 
     /// The current round (pulse) number.
     pub fn round(&self) -> Round {
-        self.round
+        self.env.round
     }
 
     /// Total number of processors in the system.
     pub fn n(&self) -> usize {
-        self.n
+        self.env.topology.len()
     }
 
     /// Sorted neighbor indices.
@@ -116,94 +148,170 @@ impl<'a> Context<'a> {
         self.inbox
     }
 
-    /// Queues a message for delivery to `to` at the next pulse.
+    /// Sends a message for delivery to `to` at the next pulse.
     ///
-    /// Messages to non-neighbors are silently dropped by the scheduler (and
-    /// counted in the trace), modelling the absence of a link. Passing an
-    /// existing [`Bytes`] is free of payload copies.
+    /// The message is link- and loss-filtered on the spot: one to a
+    /// non-neighbor is dropped (and counted in the trace), modelling the
+    /// absence of a link. Passing an existing [`Bytes`] is free of payload
+    /// copies.
     pub fn send(&mut self, to: ProcessId, payload: impl Into<Bytes>) {
-        self.outbox.push((to, payload.into()));
+        self.out
+            .route(self.env, self.id, &mut self.loss_rng, to, payload.into());
     }
 
-    /// Queues the same payload to every neighbor.
+    /// Sends the same payload to every neighbor.
     ///
-    /// The payload is converted to [`Bytes`] once; all recipients share the
-    /// single refcounted buffer — fan-out is O(degree) refcount bumps, not
-    /// O(degree) allocations.
+    /// The payload is converted to [`Bytes`] once and all recipients share
+    /// the single refcounted buffer; the last neighbor receives the
+    /// converted handle itself, so fan-out is `degree − 1` refcount bumps
+    /// and no drop.
     pub fn broadcast(&mut self, payload: impl Into<Bytes>) {
+        let Some((&last, rest)) = self.neighbors.split_last() else {
+            return;
+        };
         let payload = payload.into();
-        for &nb in self.neighbors {
-            self.outbox.push((ProcessId(nb), payload.clone()));
+        for &nb in rest {
+            self.send(ProcessId(nb), payload.clone());
         }
+        self.send(ProcessId(last), payload);
     }
 
     /// This pulse's private randomness, derived from `(seed, id, round)` —
-    /// reproducible and independent of other processes.
+    /// reproducible and independent of other processes. Derived on first
+    /// use: a process that never draws pays nothing for it.
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+        let (env, id) = (self.env, self.id);
+        self.rng
+            .get_or_insert_with(|| process_rng(env.seed, id, env.round))
+    }
+
+    /// What this process has sent so far this pulse that survived the link
+    /// and loss filters, in send order.
+    #[cfg(test)]
+    pub(crate) fn sent(&self) -> &[(ProcessId, Message)] {
+        &self.out.routed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::process_rng;
-
-    fn ctx<'a>(neigh: &'a [usize], inbox: &'a [Message]) -> Context<'a> {
-        Context {
-            id: ProcessId(0),
-            round: Round(0),
-            neighbors: neigh,
-            inbox,
-            outbox: Vec::new(),
-            rng: process_rng(0, ProcessId(0), Round(0)),
-            n: 4,
-        }
-    }
+    use crate::topology::Topology;
+    use rand::RngCore;
 
     #[test]
     fn broadcast_reaches_all_neighbors() {
-        let neigh = [1usize, 2, 3];
-        let inbox: Vec<Message> = Vec::new();
-        let mut c = ctx(&neigh, &inbox);
+        let topology = Topology::complete(4);
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let mut c = Context::new(&env, &mut out, ProcessId(0), &[]);
         c.broadcast(vec![7]);
-        assert_eq!(c.outbox.len(), 3);
-        let targets: Vec<usize> = c.outbox.iter().map(|(t, _)| t.index()).collect();
+        let targets: Vec<usize> = c.sent().iter().map(|(t, _)| t.index()).collect();
         assert_eq!(targets, vec![1, 2, 3]);
     }
 
     #[test]
     fn broadcast_shares_one_buffer() {
-        let neigh = [1usize, 2, 3];
-        let inbox: Vec<Message> = Vec::new();
-        let mut c = ctx(&neigh, &inbox);
+        let topology = Topology::complete(4);
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let mut c = Context::new(&env, &mut out, ProcessId(0), &[]);
         c.broadcast(vec![1, 2, 3, 4]);
-        let first = c.outbox[0].1.as_ptr();
+        let first = c.sent()[0].1.payload.as_ptr();
         assert!(
-            c.outbox.iter().all(|(_, p)| p.as_ptr() == first),
-            "all queued copies alias the same allocation"
+            c.sent().iter().all(|(_, m)| m.payload.as_ptr() == first),
+            "all routed copies alias the same allocation"
         );
     }
 
     #[test]
+    fn broadcast_converts_once_at_any_degree() {
+        /// A payload that counts its conversions into `Bytes`.
+        struct Counted<'c>(&'c std::cell::Cell<usize>);
+        impl From<Counted<'_>> for Bytes {
+            fn from(counted: Counted<'_>) -> Bytes {
+                counted.0.set(counted.0.get() + 1);
+                Bytes::from(vec![9, 9])
+            }
+        }
+        // A lone vertex (degree 0), a star's leaf (1) and its hub (5):
+        // whatever the degree, every neighbour is a target, the payload is
+        // converted at most once and everybody holds that one buffer — the
+        // last neighbour the converted handle itself.
+        let lone = Topology::from_edges(1, &[]).unwrap();
+        let star = Topology::star(6);
+        for (topology, id, targets) in [
+            (&lone, 0, vec![]),
+            (&star, 3, vec![0]),
+            (&star, 0, vec![1, 2, 3, 4, 5]),
+        ] {
+            let env = RoundEnv::reliable(topology, 0, Round(0));
+            let mut out = ShardScratch::default();
+            let conversions = std::cell::Cell::new(0);
+            let mut c = Context::new(&env, &mut out, ProcessId(id), &[]);
+            c.broadcast(Counted(&conversions));
+            let sent: Vec<usize> = c.sent().iter().map(|(t, _)| t.index()).collect();
+            assert_eq!(sent, targets);
+            assert_eq!(conversions.get(), targets.len().min(1));
+            assert!(c
+                .sent()
+                .windows(2)
+                .all(|w| w[0].1.payload.as_ptr() == w[1].1.payload.as_ptr()));
+            assert!(c.sent().iter().all(|(_, m)| m.payload == vec![9u8, 9]));
+        }
+    }
+
+    #[test]
     fn send_queues_single_message() {
-        let neigh = [1usize];
-        let inbox: Vec<Message> = Vec::new();
-        let mut c = ctx(&neigh, &inbox);
+        let topology = Topology::from_edges(4, &[(0, 1)]).unwrap();
+        let env = RoundEnv::reliable(&topology, 0, Round(3));
+        let mut out = ShardScratch::default();
+        let mut c = Context::new(&env, &mut out, ProcessId(0), &[]);
         c.send(ProcessId(1), vec![1, 2]);
-        assert_eq!(c.outbox.len(), 1);
-        assert_eq!(c.outbox[0].0, ProcessId(1));
-        assert_eq!(c.outbox[0].1, vec![1u8, 2]);
+        assert_eq!(
+            c.sent(),
+            [(
+                ProcessId(1),
+                Message::new(ProcessId(0), Round(3), vec![1, 2])
+            )]
+        );
+    }
+
+    #[test]
+    fn send_off_link_or_out_of_range_routes_nothing() {
+        let topology = Topology::from_edges(4, &[(0, 1)]).unwrap();
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let mut c = Context::new(&env, &mut out, ProcessId(0), &[]);
+        c.send(ProcessId(2), vec![1]);
+        c.send(ProcessId(4), vec![1]);
+        c.send(ProcessId(0), vec![1]);
+        assert!(c.sent().is_empty());
+    }
+
+    #[test]
+    fn rng_is_the_process_stream_derived_on_first_use() {
+        let topology = Topology::complete(4);
+        let env = RoundEnv::reliable(&topology, 17, Round(5));
+        let mut out = ShardScratch::default();
+        let mut c = Context::new(&env, &mut out, ProcessId(2), &[]);
+        assert!(c.rng.is_none(), "nothing derived before the first draw");
+        let mut reference = process_rng(17, ProcessId(2), Round(5));
+        for _ in 0..4 {
+            assert_eq!(c.rng().next_u64(), reference.next_u64());
+        }
     }
 
     #[test]
     fn accessors_report_coordinates() {
-        let neigh = [1usize];
-        let inbox: Vec<Message> = Vec::new();
-        let c = ctx(&neigh, &inbox);
+        let topology = Topology::from_edges(4, &[(0, 1)]).unwrap();
+        let env = RoundEnv::reliable(&topology, 0, Round(0));
+        let mut out = ShardScratch::default();
+        let c = Context::new(&env, &mut out, ProcessId(0), &[]);
         assert_eq!(c.id(), ProcessId(0));
         assert_eq!(c.round(), Round(0));
         assert_eq!(c.n(), 4);
+        assert_eq!(c.neighbors(), [1]);
         assert!(c.inbox().is_empty());
     }
 }

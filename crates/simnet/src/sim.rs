@@ -9,16 +9,16 @@ use crate::ids::{ProcessId, Round};
 use crate::inbox::Inboxes;
 use crate::message::Message;
 use crate::process::{Context, Process};
-use crate::rng::{labeled_rng_u64_pair, process_rng};
+use crate::rng::labeled_rng_u64_pair;
 use crate::runtime::{BatchTask, Runtime};
 use crate::schedule::{Schedule, ScheduledAction};
 use crate::store::ProcessStore;
-use crate::telemetry::{DropReason, Event, EventSink, Profiler, TelemetryConfig};
+use crate::telemetry::{DropReason, Event, EventSink, Profiler, StepPhase, TelemetryConfig};
 use crate::topology::Topology;
 use crate::trace::Trace;
 use crate::SimError;
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Numeric RNG domain for the message-loss model (see
 /// [`labeled_rng_u64_pair`](crate::rng::labeled_rng_u64_pair)).
@@ -74,7 +74,7 @@ pub enum StepExec {
     /// The persistent [`Runtime`] pool's workers step degree-balanced
     /// process index sets in parallel (a deterministic greedy bin-pack
     /// over degrees, so one hub can't serialize a shard); a serial merge
-    /// then routes shard outboxes in ascending process-id order.
+    /// then delivers what each shard routed in ascending process-id order.
     Sharded {
         /// Number of shards (clamped to `[1, n]`; 1 behaves like
         /// [`StepExec::Serial`]).
@@ -101,16 +101,72 @@ impl StepExec {
     }
 }
 
+/// Splits one step's wall time over its [`StepPhase`]s: each `lap` charges
+/// the time since the previous one to the phase that just ended. Built only
+/// when a profiler is attached, so an unprofiled step never reads the clock.
+struct PhaseClock {
+    start: Instant,
+    last: Instant,
+    phases: [Duration; StepPhase::ALL.len()],
+}
+
+impl PhaseClock {
+    fn start() -> PhaseClock {
+        let start = Instant::now();
+        PhaseClock {
+            start,
+            last: start,
+            phases: [Duration::ZERO; StepPhase::ALL.len()],
+        }
+    }
+
+    fn lap(clock: &mut Option<PhaseClock>, phase: StepPhase) {
+        if let Some(clock) = clock {
+            let now = Instant::now();
+            clock.phases[phase as usize] += now - clock.last;
+            clock.last = now;
+        }
+    }
+}
+
+/// What every process stepped in one round shares: the post-schedule
+/// topology and delivery model, the run seed and the round's coordinates.
+/// Built once per step and borrowed by every [`Context`].
+#[derive(Debug)]
+pub(crate) struct RoundEnv<'a> {
+    pub(crate) topology: &'a Topology,
+    pub(crate) seed: u64,
+    pub(crate) round: Round,
+    pub(crate) delivery: Delivery,
+    /// Whether the event plane is on (per-message events are buffered).
+    pub(crate) events_on: bool,
+}
+
+#[cfg(test)]
+impl<'a> RoundEnv<'a> {
+    /// A reliable, event-free round over `topology` — what unit tests that
+    /// hand-build a [`Context`] step their process in.
+    pub(crate) fn reliable(topology: &'a Topology, seed: u64, round: Round) -> RoundEnv<'a> {
+        RoundEnv {
+            topology,
+            seed,
+            round,
+            delivery: Delivery::Reliable,
+            events_on: false,
+        }
+    }
+}
+
 /// Per-shard scratch buffers, persisted across rounds so steady-state
-/// sharded stepping allocates nothing: the outbox is recycled through each
-/// process of the shard in turn, and `routed` carries the shard's
-/// loss-filtered messages (plus drop tallies) to the merge phase.
+/// stepping allocates nothing: `routed` carries the shard's link- and
+/// loss-filtered messages (plus drop and byte tallies) to the merge phase.
 #[derive(Debug, Default)]
-struct ShardScratch {
-    /// Outbox handed to each of the shard's processes in turn.
-    outbox: Vec<(ProcessId, Bytes)>,
+pub(crate) struct ShardScratch {
     /// Messages that survived link and loss filtering, in sender order.
-    routed: Vec<(ProcessId, Message)>,
+    pub(crate) routed: Vec<(ProcessId, Message)>,
+    /// Payload bytes in `routed`, summed while each payload is in hand so
+    /// the merge never dereferences one for its length.
+    bytes_routed: u64,
     /// Messages dropped because the destination was not a neighbor.
     dropped_no_link: u64,
     /// Messages dropped by the loss model.
@@ -125,6 +181,66 @@ struct ShardScratch {
     /// no longer contiguous, so the merge k-way-walks these tables to
     /// recover global ascending-sender order.
     segs: Vec<(ProcessId, usize, usize)>,
+}
+
+impl ShardScratch {
+    /// Routes one message from `from`, the whole of what
+    /// [`Context::send`] does: only topology edges carry a message, the
+    /// loss model then draws from the sender's own `(round, sender)` stream
+    /// (derived on its first on-link message, only under a lossy model),
+    /// and a survivor is written once, as the finished [`Message`] the merge
+    /// moves into `to`'s next-round inbox.
+    #[inline]
+    pub(crate) fn route(
+        &mut self,
+        env: &RoundEnv<'_>,
+        from: ProcessId,
+        loss_rng: &mut Option<StdRng>,
+        to: ProcessId,
+        payload: Bytes,
+    ) {
+        let round = env.round.value();
+        if to.index() >= env.topology.len() || !env.topology.connected(from, to) {
+            self.dropped_no_link += 1;
+            if env.events_on {
+                self.events.push(Event::Dropped {
+                    round,
+                    from,
+                    to,
+                    reason: DropReason::NoLink,
+                });
+            }
+            return;
+        }
+        if let Delivery::Lossy { p } = env.delivery {
+            let rng = loss_rng.get_or_insert_with(|| {
+                labeled_rng_u64_pair(env.seed, LOSS_DOMAIN, round, from.index() as u64)
+            });
+            if rng.gen_bool(p.clamp(0.0, 1.0)) {
+                self.dropped_lossy += 1;
+                if env.events_on {
+                    self.events.push(Event::Dropped {
+                        round,
+                        from,
+                        to,
+                        reason: DropReason::Lossy,
+                    });
+                }
+                return;
+            }
+        }
+        if env.events_on {
+            self.events.push(Event::Delivered {
+                round,
+                from,
+                to,
+                bytes: payload.len(),
+            });
+        }
+        self.bytes_routed += payload.len() as u64;
+        self.routed
+            .push((to, Message::new(from, env.round, payload)));
+    }
 }
 
 /// Message-loss model applied on delivery.
@@ -291,9 +407,9 @@ impl SimulationBuilder {
     }
 
     /// Attaches a wall-clock [`Profiler`] recording per-step latency and
-    /// merge time (default off — the clock is never read). Timing-plane
-    /// data never enters traces or any compared output; see
-    /// [`crate::telemetry`].
+    /// its split over the step's phases ([`StepPhase`]; default off — the
+    /// clock is never read). Timing-plane data never enters traces or any
+    /// compared output; see [`crate::telemetry`].
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = Some(profiler);
         self
@@ -507,35 +623,38 @@ impl Simulation {
     /// its `RoundStart`/`RoundEnd` events.
     ///
     /// 1. **Compute** — every active process steps against the immutable
-    ///    snapshot of last pulse's deliveries; its messages are link- and
-    ///    loss-filtered into per-shard `routed` buffers. Under
+    ///    snapshot of last pulse's deliveries; each message is link- and
+    ///    loss-filtered as it is sent, straight into the shard's `routed`
+    ///    buffer (nothing is queued first: see [`Context`]). Under
     ///    [`StepExec::Sharded`] the active set is bin-packed into
     ///    degree-balanced index sets run as one indexed batch on the
     ///    persistent [`Runtime`] pool — no threads are spawned per round;
     ///    every random draw is derived from `(seed, id, round)`
     ///    coordinates, so nothing depends on the shard plan or thread
     ///    interleaving.
-    /// 2. **Merge** — a k-way walk over the shards' per-sender segment
-    ///    tables replays global ascending process-id order: drop counters
-    ///    are summed and surviving messages are appended to next-round
-    ///    inboxes sender-by-sender, exactly the order serial stepping
-    ///    produces. Traces (and the event stream) are therefore
-    ///    byte-identical at any shard count.
+    /// 2. **Merge** — the shards' routed, byte and drop tallies are folded
+    ///    into the trace once, then a k-way walk over the per-sender
+    ///    segment tables replays global ascending process-id order:
+    ///    surviving messages are moved into next-round inboxes
+    ///    sender-by-sender, exactly the order serial stepping produces,
+    ///    without looking inside a payload. Traces (and the event stream)
+    ///    are therefore byte-identical at any shard count.
     ///
     /// Scheduled churn/fault events fire once, before the compute phase,
     /// so the whole round sees the post-event topology and delivery model.
     ///
     /// Allocation-free in steady state on the serial path: inbox slots are
     /// recycled through the arena pool (idle processes' slots are never
-    /// visited), each shard recycles one outbox and one routed buffer
-    /// across all its processes and rounds, and payloads move as
-    /// refcounted [`Bytes`] — a broadcast's single buffer is shared by
-    /// every recipient's [`Message`]. The sharded path additionally boxes
-    /// one task header per shard per round (a few ns each — the point of
-    /// the persistent pool is eliminating the ~tens of µs of per-round
-    /// thread spawn/join the old `thread::scope` compute phase paid).
+    /// visited), each shard recycles one routed buffer across all its
+    /// processes and rounds, and payloads move as refcounted [`Bytes`] — a
+    /// broadcast's single buffer is shared by every recipient's
+    /// [`Message`], the last of which takes the sender's own handle. The
+    /// sharded path additionally boxes one task header per shard per round
+    /// (a few ns each — the point of the persistent pool is eliminating
+    /// the ~tens of µs of per-round thread spawn/join the old
+    /// `thread::scope` compute phase paid).
     pub fn step(&mut self) {
-        let step_start = self.profiler.as_ref().map(|_| Instant::now());
+        let mut clock = self.profiler.as_ref().map(|_| PhaseClock::start());
         if let Some(sink) = &mut self.telemetry {
             sink.push(Event::RoundStart {
                 round: self.round.value(),
@@ -547,11 +666,13 @@ impl Simulation {
         while let Some(action) = self.schedule.next_due(self.round) {
             self.apply_scheduled(action);
         }
+        PhaseClock::lap(&mut clock, StepPhase::Schedule);
         let n = self.processes.len();
         // Swap in last pulse's deliveries for consumption; the slots
         // consumed two pulses ago are recycled through the arena pool.
         std::mem::swap(&mut self.inboxes, &mut self.consumed);
         self.inboxes.clear();
+        PhaseClock::lap(&mut clock, StepPhase::SwapClear);
 
         // The round's active set, ascending and deduplicated — the serial
         // step order.
@@ -575,12 +696,18 @@ impl Simulation {
                 .resize_with(shards, ShardScratch::default);
         }
 
+        PhaseClock::lap(&mut clock, StepPhase::ActiveSet);
+
         // Compute phase: disjoint &mut process sets against shared
         // immutable round state.
-        let topology = &self.topology;
         let consumed = &self.consumed;
-        let (seed, round, delivery) = (self.seed, self.round, self.delivery);
-        let events_on = self.telemetry.is_some();
+        let env = RoundEnv {
+            topology: &self.topology,
+            seed: self.seed,
+            round: self.round,
+            delivery: self.delivery,
+            events_on: self.telemetry.is_some(),
+        };
         if shards == 1 {
             let scratch = &mut self.shard_scratch[0];
             for &i in &self.active {
@@ -589,11 +716,7 @@ impl Simulation {
                     ProcessId(i),
                     scratch,
                     consumed,
-                    topology,
-                    seed,
-                    round,
-                    delivery,
-                    events_on,
+                    &env,
                 );
             }
         } else {
@@ -610,13 +733,13 @@ impl Simulation {
             // an exact slice compare after the hash — the previous plan is
             // reused. Dense-activity rounds (everyone active, no churn)
             // therefore pay the bin-pack once, not every round.
-            let key = PlanKey::new(topology.generation(), shards, &self.active);
+            let key = PlanKey::new(env.topology.generation(), shards, &self.active);
             let hit =
                 self.plan_cache && self.plan_key == Some(key) && self.plan_active == self.active;
             if !hit {
                 plan_shards(
                     &self.active,
-                    topology,
+                    env.topology,
                     shards,
                     &mut self.shard_plan,
                     &mut self.plan_weights,
@@ -626,6 +749,8 @@ impl Simulation {
                 self.plan_active.extend_from_slice(&self.active);
                 self.plan_key = Some(key);
             }
+            // Planning is active-set work, not compute.
+            PhaseClock::lap(&mut clock, StepPhase::ActiveSet);
             let shared = self.processes.shared();
             let runtime = &*self.runtime.get_or_insert_with(Runtime::global);
             let tasks: Vec<BatchTask<'_>> = self
@@ -634,7 +759,7 @@ impl Simulation {
                 .zip(self.shard_scratch.iter_mut())
                 .filter(|(ids, _)| !ids.is_empty())
                 .map(|(ids, scratch)| {
-                    let shared = &shared;
+                    let (shared, env) = (&shared, &env);
                     Box::new(move || {
                         for &i in ids {
                             // SAFETY: the bins partition the active set
@@ -644,23 +769,15 @@ impl Simulation {
                             // a process and no reference outlives the
                             // batch.
                             let process = unsafe { &mut *shared.get_ptr(i) };
-                            step_one(
-                                process,
-                                ProcessId(i),
-                                scratch,
-                                consumed,
-                                topology,
-                                seed,
-                                round,
-                                delivery,
-                                events_on,
-                            );
+                            step_one(process, ProcessId(i), scratch, consumed, env);
                         }
                     }) as BatchTask<'_>
                 })
                 .collect();
             runtime.run_batch(tasks);
         }
+
+        PhaseClock::lap(&mut clock, StepPhase::ComputeRoute);
 
         // Re-query the quiescence opt-out for exactly the processes that
         // stepped — the only ones whose answer can have changed (scrambled
@@ -678,13 +795,15 @@ impl Simulation {
         // buffered telemetry events) are consumed in the same fixed order,
         // which is what keeps the event stream byte-identical at any shard
         // count.
-        let merge_start = self.profiler.as_ref().map(|_| Instant::now());
+        PhaseClock::lap(&mut clock, StepPhase::Requery);
         let mut delivered_this_round = 0u64;
         for scratch in &mut self.shard_scratch[..shards] {
-            self.trace.messages_dropped_no_link += scratch.dropped_no_link;
-            self.trace.messages_dropped_lossy += scratch.dropped_lossy;
-            scratch.dropped_no_link = 0;
-            scratch.dropped_lossy = 0;
+            let routed = scratch.routed.len() as u64;
+            delivered_this_round += routed;
+            self.trace
+                .record_routed(routed, std::mem::take(&mut scratch.bytes_routed));
+            self.trace.messages_dropped_no_link += std::mem::take(&mut scratch.dropped_no_link);
+            self.trace.messages_dropped_lossy += std::mem::take(&mut scratch.dropped_lossy);
         }
         {
             struct Cursor<'a> {
@@ -748,8 +867,7 @@ impl Simulation {
                     .by_ref()
                     .take(routed_end - cursor.routed_taken)
                 {
-                    delivered_this_round += 1;
-                    self.trace.record_delivery(to, message.payload.len());
+                    self.trace.record_delivered_to(to);
                     self.inboxes.push(to.index(), message);
                 }
                 cursor.routed_taken = routed_end;
@@ -767,13 +885,9 @@ impl Simulation {
 
         self.trace.record_round(self.round);
         self.round = self.round.next();
-        if let Some(profiler) = &self.profiler {
-            if let Some(start) = merge_start {
-                profiler.record_merge(start.elapsed());
-            }
-            if let Some(start) = step_start {
-                profiler.record_step(start.elapsed());
-            }
+        PhaseClock::lap(&mut clock, StepPhase::Merge);
+        if let (Some(profiler), Some(clock)) = (&self.profiler, clock) {
+            profiler.record_step(clock.start.elapsed(), &clock.phases);
         }
     }
 
@@ -990,91 +1104,37 @@ fn plan_shards(
     }
 }
 
-/// Steps one process against the immutable prior-round inboxes, link- and
-/// loss-filtering its outbox into the owning shard's `routed` buffer and
-/// closing the shard's per-sender segment-table entry.
+/// Steps one process against the immutable prior-round inboxes — its
+/// sends are routed into the owning shard's `routed` buffer as they are
+/// made (see [`ShardScratch::route`]) — and closes the shard's per-sender
+/// segment-table entry.
 ///
 /// Shard-plan independence: every draw a sender makes — its process RNG
 /// and its loss stream — is derived from `(seed, id, round)` alone, so the
 /// routed output for a sender is the same whichever shard (or thread)
-/// executes it. With `events_on`, per-message telemetry events are pushed
-/// into the shard's buffer in the same per-sender order, inheriting the
-/// same independence.
-#[allow(clippy::too_many_arguments)]
+/// executes it. With the event plane on, per-message telemetry events are
+/// pushed into the shard's buffer in the same per-sender order, inheriting
+/// the same independence.
 fn step_one(
     process: &mut dyn Process,
     id: ProcessId,
     scratch: &mut ShardScratch,
     consumed: &Inboxes,
-    topology: &Topology,
-    seed: u64,
-    round: Round,
-    delivery: Delivery,
-    events_on: bool,
+    env: &RoundEnv<'_>,
 ) {
-    let n = consumed.len();
-    let mut ctx = Context {
+    process.on_pulse(&mut Context::new(
+        env,
+        scratch,
         id,
-        round,
-        neighbors: topology.neighbors(id),
-        inbox: consumed.slot(id.index()),
-        outbox: std::mem::take(&mut scratch.outbox),
-        rng: process_rng(seed, id, round),
-        n,
-    };
-    process.on_pulse(&mut ctx);
-
-    // Route this sender's messages: only topology edges carry them,
-    // and they are read no earlier than the next pulse. The loss RNG
-    // is per-sender (derived lazily, only under a lossy model and only
-    // for senders that actually send).
-    let Context { mut outbox, .. } = ctx;
-    let mut loss_rng: Option<StdRng> = None;
-    for (to, payload) in outbox.drain(..) {
-        if to.index() >= n || !topology.connected(id, to) {
-            scratch.dropped_no_link += 1;
-            if events_on {
-                scratch.events.push(Event::Dropped {
-                    round: round.value(),
-                    from: id,
-                    to,
-                    reason: DropReason::NoLink,
-                });
-            }
-            continue;
-        }
-        if let Delivery::Lossy { p } = delivery {
-            let rng = loss_rng.get_or_insert_with(|| {
-                labeled_rng_u64_pair(seed, LOSS_DOMAIN, round.value(), id.index() as u64)
-            });
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                scratch.dropped_lossy += 1;
-                if events_on {
-                    scratch.events.push(Event::Dropped {
-                        round: round.value(),
-                        from: id,
-                        to,
-                        reason: DropReason::Lossy,
-                    });
-                }
-                continue;
-            }
-        }
-        if events_on {
-            scratch.events.push(Event::Delivered {
-                round: round.value(),
-                from: id,
-                to,
-                bytes: payload.len(),
-            });
-        }
-        scratch.routed.push((to, Message::new(id, round, payload)));
-    }
-    scratch.outbox = outbox;
+        consumed.slot(id.index()),
+    ));
     scratch
         .segs
         .push((id, scratch.routed.len(), scratch.events.len()));
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1510,6 +1570,71 @@ mod tests {
         sim.run(3);
         assert!(!sim.events_enabled());
         assert!(sim.take_events().is_empty());
+    }
+
+    /// Broadcasts a fixed payload; with `draws`, also pulls from the pulse
+    /// RNG and throws the value away.
+    struct Drawer {
+        draws: bool,
+    }
+
+    impl Process for Drawer {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            if self.draws {
+                ctx.rng().gen::<u64>();
+            }
+            ctx.broadcast(vec![ctx.id().index() as u8]);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn process_rng_laziness_is_unobservable() {
+        use crate::telemetry::TelemetryConfig;
+        // Whether the pulse RNG is ever derived touches nothing else: not
+        // the loss stream (its own domain), not the trace, not an event.
+        let run = |draws: bool| {
+            let mut sim = Simulation::builder(Topology::ring(9))
+                .seed(21)
+                .delivery(Delivery::Lossy { p: 0.3 })
+                .telemetry(TelemetryConfig::default())
+                .build_slab(|_| Drawer { draws });
+            sim.run(12);
+            (sim.trace().clone(), sim.take_events())
+        };
+        let (trace, events) = run(false);
+        assert!(trace.messages_dropped_lossy > 0 && trace.messages_delivered > 0);
+        assert_eq!((trace, events), run(true));
+    }
+
+    #[test]
+    fn profiled_phases_sum_to_the_step() {
+        use crate::telemetry::{Profiler, StepPhase};
+        let profiler = Profiler::new();
+        let mut sim = Simulation::builder(Topology::ring(4096))
+            .profiler(profiler.clone())
+            .build_slab(|_| Counter { received: 0 });
+        sim.run(200);
+        let data = profiler.snapshot();
+        assert_eq!(data.steps, 200);
+        let phases: u64 = data.phase_ns.iter().sum();
+        assert!(
+            phases <= data.step_ns && phases as f64 >= 0.95 * data.step_ns as f64,
+            "phases {phases} ns of step {} ns",
+            data.step_ns
+        );
+        for phase in [
+            StepPhase::SwapClear,
+            StepPhase::ComputeRoute,
+            StepPhase::Merge,
+        ] {
+            assert!(data.phase(phase) > 0, "{phase:?} was timed");
+        }
     }
 
     #[test]

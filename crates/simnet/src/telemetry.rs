@@ -18,8 +18,9 @@
 //!   deterministic outputs (the `--events` JSONL, byte-identity `cmp` gates).
 //!
 //! * **Timing plane** ([`Profiler`], [`ProfileData`]). Wall-clock
-//!   measurements — per-round step latency (with a log₂ histogram), merge
-//!   time, batch wall time, per-task queue wait and busy time from the
+//!   measurements — per-round step latency (with a log₂ histogram), its
+//!   split over the step's phases ([`StepPhase`]), batch wall time,
+//!   per-task queue wait and busy time from the
 //!   [`Runtime`](crate::runtime::Runtime) pool. Wall-clock readings differ
 //!   run to run by nature, so timing-plane data **must never** be folded
 //!   into [`Trace`](crate::trace::Trace) counters, run records, or summary
@@ -281,6 +282,52 @@ impl Default for TelemetryConfig {
 /// Number of log₂ latency buckets in [`ProfileData::step_hist`].
 pub const STEP_HIST_BUCKETS: usize = 32;
 
+/// The consecutive phases of one [`Simulation::step`](crate::sim::Simulation::step),
+/// in execution order — the inside-the-step half of the cost ledger. They
+/// partition the step, so their times sum to [`ProfileData::step_ns`] (up
+/// to the clock reads themselves).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepPhase {
+    /// `RoundStart` and firing the due schedule entries.
+    Schedule,
+    /// Swapping the inbox double buffer and clearing the consumed side
+    /// (where last pulse's payload handles are dropped).
+    SwapClear,
+    /// Building the round's active set (and the shard plan, if sharded).
+    ActiveSet,
+    /// Every active process's `on_pulse`, with its sends link- and
+    /// loss-filtered in place into the per-shard `routed` buffers.
+    ComputeRoute,
+    /// Re-querying `always_active` for the processes that stepped.
+    Requery,
+    /// The merge into next-round inboxes, `RoundEnd` and the round counter.
+    Merge,
+}
+
+impl StepPhase {
+    /// Every phase, in execution order (= [`ProfileData::phase_ns`] order).
+    pub const ALL: [StepPhase; 6] = [
+        StepPhase::Schedule,
+        StepPhase::SwapClear,
+        StepPhase::ActiveSet,
+        StepPhase::ComputeRoute,
+        StepPhase::Requery,
+        StepPhase::Merge,
+    ];
+
+    /// The phase's field name in the `--profile` report.
+    pub fn label(self) -> &'static str {
+        match self {
+            StepPhase::Schedule => "schedule_ns",
+            StepPhase::SwapClear => "swap_clear_ns",
+            StepPhase::ActiveSet => "active_set_ns",
+            StepPhase::ComputeRoute => "compute_route_ns",
+            StepPhase::Requery => "requery_ns",
+            StepPhase::Merge => "merge_ns",
+        }
+    }
+}
+
 /// Timing-plane accumulators. **Never** fold any of these into traces,
 /// records, or summaries — see the module docs' two-plane rule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -292,8 +339,9 @@ pub struct ProfileData {
     /// Log₂ step-latency histogram: bucket `i` counts steps whose latency
     /// was in `[2^i, 2^(i+1))` ns.
     pub step_hist: [u64; STEP_HIST_BUCKETS],
-    /// Total wall time in the serial merge phase, ns.
-    pub merge_ns: u64,
+    /// Total wall time per [`StepPhase`], ns, indexed in [`StepPhase::ALL`]
+    /// order.
+    pub phase_ns: [u64; StepPhase::ALL.len()],
     /// Batches submitted to the [`Runtime`](crate::runtime::Runtime) pool.
     pub batches: u64,
     /// Total batch wall time (submit to completion), ns.
@@ -318,6 +366,11 @@ impl ProfileData {
         let bucket = (63 - ns.max(1).leading_zeros() as usize).min(STEP_HIST_BUCKETS - 1);
         self.step_hist[bucket] += 1;
     }
+
+    /// Wall time accumulated in `phase`, ns.
+    pub fn phase(&self, phase: StepPhase) -> u64 {
+        self.phase_ns[phase as usize]
+    }
 }
 
 /// A cloneable handle to shared timing-plane accumulators.
@@ -336,14 +389,14 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Records one pulse's wall time (also feeds the latency histogram).
-    pub fn record_step(&self, d: Duration) {
-        self.0.lock().unwrap().record_step(d);
-    }
-
-    /// Records one merge phase's wall time.
-    pub fn record_merge(&self, d: Duration) {
-        self.0.lock().unwrap().merge_ns += as_ns(d);
+    /// Records one pulse: its wall time (also feeds the latency histogram)
+    /// and how that time split over the [`StepPhase`]s.
+    pub fn record_step(&self, d: Duration, phases: &[Duration; StepPhase::ALL.len()]) {
+        let mut data = self.0.lock().unwrap();
+        data.record_step(d);
+        for (total, phase) in data.phase_ns.iter_mut().zip(phases) {
+            *total += as_ns(*phase);
+        }
     }
 
     /// Records one pool batch's wall time (submit to completion).
@@ -452,9 +505,11 @@ mod tests {
     #[test]
     fn profiler_accumulates_both_planes_of_timing() {
         let p = Profiler::new();
-        p.record_step(Duration::from_nanos(900));
-        p.record_step(Duration::from_micros(3));
-        p.record_merge(Duration::from_nanos(100));
+        let mut phases = [Duration::ZERO; StepPhase::ALL.len()];
+        phases[StepPhase::Merge as usize] = Duration::from_nanos(100);
+        p.record_step(Duration::from_nanos(900), &phases);
+        phases[StepPhase::ComputeRoute as usize] = Duration::from_nanos(700);
+        p.record_step(Duration::from_micros(3), &phases);
         p.record_batch(Duration::from_micros(5));
         p.record_task(Duration::from_nanos(50), Duration::from_nanos(400));
         let data = p.snapshot();
@@ -463,7 +518,9 @@ mod tests {
         assert_eq!(data.step_hist.iter().sum::<u64>(), 2);
         assert_eq!(data.step_hist[9], 1, "900ns lands in [512, 1024)");
         assert_eq!(data.step_hist[11], 1, "3µs lands in [2048, 4096)");
-        assert_eq!(data.merge_ns, 100);
+        assert_eq!(data.phase(StepPhase::Merge), 200);
+        assert_eq!(data.phase(StepPhase::ComputeRoute), 700);
+        assert_eq!(data.phase(StepPhase::Schedule), 0);
         assert_eq!((data.batches, data.batch_ns), (1, 5000));
         assert_eq!(
             (data.tasks, data.task_queue_ns, data.task_busy_ns),

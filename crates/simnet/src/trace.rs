@@ -52,12 +52,27 @@ impl Trace {
         }
     }
 
-    pub(crate) fn record_delivery(&mut self, to: ProcessId, bytes: usize) {
-        self.messages_delivered += 1;
-        self.bytes_delivered += bytes as u64;
+    /// Adds a round's routed totals (summed per shard at route time, while
+    /// each payload is in hand).
+    pub(crate) fn record_routed(&mut self, messages: u64, bytes: u64) {
+        self.messages_delivered += messages;
+        self.bytes_delivered += bytes;
+    }
+
+    /// Counts one routed message towards its destination's tally (the
+    /// merge's share of the accounting: it has `to`, not the payload).
+    pub(crate) fn record_delivered_to(&mut self, to: ProcessId) {
         if let Some(c) = self.per_process.get_mut(to.index()) {
             *c += 1;
         }
+    }
+
+    /// One delivery, all at once — how the reference router and the unit
+    /// tests count.
+    #[cfg(test)]
+    pub(crate) fn record_delivery(&mut self, to: ProcessId, bytes: u64) {
+        self.record_routed(1, bytes);
+        self.record_delivered_to(to);
     }
 
     pub(crate) fn record_round(&mut self, _round: Round) {

@@ -211,7 +211,7 @@ fn inbox_reuse_keeps_histories_correct() {
     impl Process for Bursty {
         fn on_pulse(&mut self, ctx: &mut Context<'_>) {
             // Send only on even rounds; odd rounds are quiet.
-            if ctx.round().value() % 2 == 0 {
+            if ctx.round().value().is_multiple_of(2) {
                 ctx.broadcast(vec![7; 16]);
             }
         }

@@ -120,6 +120,21 @@ assert trace["displayTimeUnit"] == "ms"
 print(f"trace OK ({len(events)} trace events)")
 EOF
 
+echo "==> scenario profile smoke (the step's phase ledger exists and sums to step_ns)"
+./target/release/scenario run --suite smoke --profile target/scenario_smoke_profile.json > /dev/null
+python3 - <<'EOF'
+import json
+with open("target/scenario_smoke_profile.json") as f:
+    profile = json.load(f)
+phases = ["schedule_ns", "swap_clear_ns", "active_set_ns",
+          "compute_route_ns", "requery_ns", "merge_ns"]
+total = sum(profile[name] for name in phases)
+step = profile["step_ns"]
+assert profile["steps"] > 0, "the suite stepped"
+assert abs(total - step) <= 0.10 * step, f"phases {total} ns vs step {step} ns"
+print(f"profile OK (phases {total} ns of step {step} ns)")
+EOF
+
 echo "==> repo benchmark smoke (benchmark/ builds against the workspace API; 0 failed ops)"
 # benchmark/ is its own workspace, so `cargo test --workspace` never
 # compiles it: a PR that removes an API it calls must fail here, not in
