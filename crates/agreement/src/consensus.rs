@@ -348,21 +348,75 @@ mod tests {
                 sent.iter().all(|(_, p)| same_buffer(p, &sent[0].1)),
                 "round {rel}: one allocation for all destinations"
             );
+            // Both rounds' frames are past the inline cap, where "same"
+            // can only mean the very same allocation.
+            assert!(sent[0].1.len() > bytes::INLINE_CAP);
+            assert!(sent.iter().all(|(_, p)| p.as_ptr() == sent[0].1.as_ptr()));
         }
     }
 
     #[test]
+    fn an_empty_or_short_part_does_not_split_a_broadcast_frame() {
+        /// Broadcasts clones of one payload to processors 1..4.
+        struct Fixed(Bytes);
+        impl BaInstance for Fixed {
+            fn begin(&mut self, _: Value) {}
+            fn step(&mut self, _: u64, _: &[(usize, &[u8])], send: &mut Send<'_>) {
+                crate::traits::broadcast_others(4, 0, self.0.clone(), send);
+            }
+            fn rounds(&self) -> u64 {
+                1
+            }
+            fn decided(&self) -> Option<Value> {
+                None
+            }
+        }
+        // Clones of an empty or short part are inline copies at different
+        // addresses; they must still count as the same part, or the whole
+        // frame is rebuilt for every destination.
+        let parts = [
+            Bytes::from(vec![1u8; 20]),
+            Bytes::new(),
+            Bytes::from(vec![2u8, 3]),
+            Bytes::from(vec![4u8; bytes::INLINE_CAP + 1]),
+        ];
+        let instances = parts.iter().cloned().map(Fixed).collect();
+        let mut c = VectorConsensus::from_instances(0, instances);
+        let sent = sends(&mut c, 0);
+        assert_eq!(sent.len(), 3);
+        assert_eq!(
+            sent[0].1,
+            mux(&[0u16, 1, 2, 3].map(|i| (i, parts[i as usize].clone())))
+        );
+        assert!(sent[0].1.len() > bytes::INLINE_CAP);
+        assert!(
+            sent.iter().all(|(_, p)| p.as_ptr() == sent[0].1.as_ptr()),
+            "one frame, shared by all three destinations"
+        );
+    }
+
+    #[test]
     fn per_destination_content_is_never_merged() {
-        /// Sends each destination its own byte, from a fresh buffer
-        /// (`split`) or the same bytes from fresh buffers (`!split`).
+        /// Sends each destination `len` copies of its own byte (`split`)
+        /// or of the same byte (`!split`), always from a fresh buffer.
         struct PerDestination {
             split: bool,
+            len: usize,
+        }
+        impl PerDestination {
+            fn byte(&self, to: usize) -> u8 {
+                if self.split {
+                    to as u8
+                } else {
+                    7
+                }
+            }
         }
         impl BaInstance for PerDestination {
             fn begin(&mut self, _: Value) {}
             fn step(&mut self, _: u64, _: &[(usize, &[u8])], send: &mut Send<'_>) {
                 for to in 1..4usize {
-                    send(to, vec![if self.split { to as u8 } else { 7 }].into());
+                    send(to, vec![self.byte(to); self.len].into());
                 }
             }
             fn rounds(&self) -> u64 {
@@ -372,21 +426,37 @@ mod tests {
                 None
             }
         }
-        for split in [true, false] {
-            let instances = (0..4).map(|_| PerDestination { split }).collect();
+        let long = bytes::INLINE_CAP + 1;
+        for (split, len) in [(true, 1), (true, long), (false, long), (false, 1)] {
+            let instances = (0..4).map(|_| PerDestination { split, len }).collect();
             let mut c = VectorConsensus::from_instances(0, instances);
             let sent = sends(&mut c, 0);
             assert_eq!(sent.len(), 3);
             for (to, wire) in &sent {
-                // Four parts `(idx, [byte])`, all naming this destination.
-                let byte = if split { *to as u8 } else { 7 };
-                let expected: Vec<u8> = (0..4u8).flat_map(|idx| [0, idx, 0, 1, byte]).collect();
-                assert_eq!(wire, &expected, "to={to} split={split}");
+                // Four parts `(idx, [byte; len])`, all naming this
+                // destination.
+                let byte = c.instances[0].byte(*to);
+                let expected: Vec<u8> = (0..4u8)
+                    .flat_map(|idx| [0, idx, 0, len as u8].into_iter().chain(vec![byte; len]))
+                    .collect();
+                assert_eq!(wire, &expected, "to={to} split={split} len={len}");
             }
-            // Equal content in distinct buffers is still not shared: the
-            // dedupe goes by buffer identity alone.
-            assert!(!same_buffer(&sent[0].1, &sent[1].1));
-            assert!(!same_buffer(&sent[1].1, &sent[2].1));
+            // Different content is never merged, and neither is equal
+            // content in distinct shared buffers: past the inline cap the
+            // dedupe goes by buffer identity alone. Equal *inline* parts
+            // have no identity to go by — they compare by content, and
+            // three destinations owed the same bytes get one frame.
+            let merged = !split && len <= bytes::INLINE_CAP;
+            assert_eq!(
+                same_buffer(&sent[0].1, &sent[1].1),
+                merged,
+                "split={split} len={len}"
+            );
+            assert_eq!(
+                same_buffer(&sent[1].1, &sent[2].1),
+                merged,
+                "split={split} len={len}"
+            );
         }
     }
 

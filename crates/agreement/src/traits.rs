@@ -249,7 +249,7 @@ mod tests {
     fn broadcast_others_shares_one_buffer() {
         let mut ptrs = Vec::new();
         let mut send = |_to: usize, p: Bytes| ptrs.push(p.as_ptr());
-        broadcast_others(4, 0, vec![1u8, 2, 3], &mut send);
+        broadcast_others(4, 0, vec![1u8; bytes::INLINE_CAP + 1], &mut send);
         assert_eq!(ptrs.len(), 3);
         assert!(ptrs.iter().all(|&p| p == ptrs[0]), "one allocation, shared");
     }

@@ -72,11 +72,21 @@ impl Writer {
     }
 }
 
-/// Whether `a` and `b` are handles to the same buffer: clones of one
-/// [`Bytes`], so equal content without comparing it. Re-framing code uses
-/// this to wrap a broadcast payload once for all its destinations.
+/// Whether `a` and `b` are known to hold the same content without reading
+/// a long payload: clones of one shared [`Bytes`] (same address and
+/// length), or two payloads short enough to live inline, compared byte for
+/// byte. Re-framing code uses this to wrap a broadcast payload once for all
+/// its destinations.
+///
+/// The inline case is not a shortcut but a requirement: clones of a payload
+/// of at most [`bytes::INLINE_CAP`] bytes are copies at different
+/// addresses, so identity alone would call two clones of a short — or
+/// empty — part different and a whole multi-kilobyte frame would be rebuilt
+/// per destination. Equal content ⇒ equal frame is all a re-framer needs,
+/// and the compare is at most `INLINE_CAP` bytes.
 pub fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
-    a.as_ptr() == b.as_ptr() && a.len() == b.len()
+    a.len() == b.len()
+        && (a.as_ptr() == b.as_ptr() || (a.len() <= bytes::INLINE_CAP && a[..] == b[..]))
 }
 
 /// Cursor-based decoder; every getter is failure-safe.
@@ -184,9 +194,26 @@ mod tests {
 
     #[test]
     fn same_buffer_is_identity_not_equality() {
+        let long = vec![1u8; bytes::INLINE_CAP + 1];
+        let a = Bytes::from(long.clone());
+        assert!(same_buffer(&a, &a.clone()));
+        assert!(!same_buffer(&a, &Bytes::from(long)), "equal, two buffers");
+        assert!(!same_buffer(&a, &Bytes::from(vec![1u8; 64])));
+    }
+
+    #[test]
+    fn same_buffer_compares_inline_payloads_by_content() {
+        // A short payload lives in its handle: clones share no address, so
+        // content is all there is to go by.
+        let empty = Bytes::new();
+        assert!(same_buffer(&empty.clone(), &empty.clone()));
         let a = Bytes::from(vec![1u8, 2, 3]);
         assert!(same_buffer(&a, &a.clone()));
-        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2, 3])));
+        assert!(same_buffer(&a, &Bytes::from(vec![1u8, 2, 3])));
+        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2, 4])));
+        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2])));
+        let cap = Bytes::from([9u8; bytes::INLINE_CAP]);
+        assert!(same_buffer(&cap, &Bytes::from([9u8; bytes::INLINE_CAP])));
     }
 
     #[test]

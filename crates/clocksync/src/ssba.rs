@@ -343,6 +343,9 @@ mod tests {
         input: Value,
         rounds: Vec<u64>,
         mail: Vec<(usize, Vec<u8>)>,
+        /// Zero bytes appended to each broadcast (to outgrow the inline
+        /// `Bytes` form).
+        pad: usize,
     }
 
     impl BaInstance for Probe {
@@ -353,7 +356,9 @@ mod tests {
             self.rounds.push(rel);
             self.mail
                 .extend(inbox.iter().map(|(s, p)| (*s, p.to_vec())));
-            traits::broadcast_others(4, 0, vec![rel as u8], send);
+            let mut payload = vec![rel as u8];
+            payload.resize(1 + self.pad, 0);
+            traits::broadcast_others(4, 0, payload, send);
         }
         fn rounds(&self) -> u64 {
             3
@@ -407,14 +412,29 @@ mod tests {
 
     #[test]
     fn activation_broadcast_shares_one_frame() {
-        let mut a = Activation::new(Probe::default(), tags::BA);
-        let mut out = Vec::new();
-        a.start(0, iter::empty(), &mut out);
-        a.advance(iter::empty(), &mut out);
+        let two_rounds = |pad: usize| {
+            let probe = Probe {
+                pad,
+                ..Probe::default()
+            };
+            let mut a = Activation::new(probe, tags::BA);
+            let mut out = Vec::new();
+            a.start(0, iter::empty(), &mut out);
+            a.advance(iter::empty(), &mut out);
+            assert_eq!(out.len(), 6);
+            out
+        };
+        // Frames past the inline cap: one shared buffer per round.
+        let out = two_rounds(bytes::INLINE_CAP);
         let ptrs: Vec<_> = out.iter().map(|(_, f)| f.as_ptr()).collect();
-        assert_eq!(ptrs.len(), 6);
         assert!(ptrs[..3].iter().all(|&p| p == ptrs[0]), "one allocation");
         assert!(ptrs[3..].iter().all(|&p| p == ptrs[3]), "per round");
         assert_ne!(ptrs[0], ptrs[3]);
+        // Inline frames have no allocation to share: equal content per
+        // round.
+        let out = two_rounds(0);
+        assert!(out[..3].iter().all(|(_, f)| f == &out[0].1));
+        assert!(out[3..].iter().all(|(_, f)| f == &out[3].1));
+        assert_ne!(out[0].1, out[3].1);
     }
 }

@@ -286,15 +286,21 @@ mod tests {
     fn replayer_echoes_observed_message() {
         let mut adv = Replayer::default();
         assert!(run_one(&mut adv, 0, &[]).is_empty(), "nothing seen yet");
-        let seen = [Message::new(ProcessId(0), Round(0), vec![9, 9])];
+        let long = vec![9u8; bytes::INLINE_CAP + 1];
+        let seen = [Message::new(ProcessId(0), Round(0), long.clone())];
         let out = run_one(&mut adv, 1, &seen);
         assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|(_, p)| *p == vec![9u8, 9]));
-        let first = out[0].1.as_ptr();
+        assert!(out.iter().all(|(_, p)| *p == long));
         assert!(
-            out.iter().all(|(_, p)| p.as_ptr() == first),
-            "replayed broadcast shares one buffer"
+            out.iter()
+                .all(|(_, p)| p.as_ptr() == seen[0].payload.as_ptr()),
+            "replayed broadcast shares the observed buffer"
         );
+        // A short message is replayed by value: nothing to share.
+        let seen = [Message::new(ProcessId(0), Round(1), vec![9, 9])];
+        let out = run_one(&mut adv, 2, &seen);
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|(_, p)| *p == vec![9u8, 9]));
     }
 
     #[test]

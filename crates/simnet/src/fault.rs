@@ -137,8 +137,7 @@ impl TransientFault {
         // draw-for-draw identical, and a channel-only fault then doesn't
         // wake every idle process of a sparse run.
         if self.garbage_messages > 0 {
-            for owner in 0..n {
-                let inbox = inboxes.slot_mut(owner);
+            inboxes.edit(0..n, |owner, inbox| {
                 degrade_inbox(
                     inbox,
                     &mut rng,
@@ -156,14 +155,11 @@ impl TransientFault {
                     let from = ProcessId(rng.gen_range(0..n));
                     inbox.push(Message::new(from, round, payload));
                 }
-            }
+            });
         } else if drop_p > 0.0 || corrupt_p > 0.0 {
-            for owner in inboxes.touched_sorted() {
-                if inboxes.slot(owner).is_empty() {
-                    continue;
-                }
+            inboxes.edit(nonempty_ascending(inboxes), |owner, inbox| {
                 degrade_inbox(
-                    inboxes.slot_mut(owner),
+                    inbox,
                     &mut rng,
                     owner,
                     round,
@@ -172,10 +168,18 @@ impl TransientFault {
                     &mut dropped,
                     &mut events,
                 );
-            }
+            });
         }
         dropped
     }
+}
+
+/// The inboxes holding messages, ascending: the owners a channel-only fault
+/// visits.
+fn nonempty_ascending(inboxes: &Inboxes) -> Vec<usize> {
+    let mut owners = inboxes.touched_sorted();
+    owners.retain(|&owner| !inboxes.slot(owner).is_empty());
+    owners
 }
 
 /// Drops then bit-flips the messages of one inbox, emitting fault-reason
@@ -352,10 +356,7 @@ impl CorruptionFamily {
             // Per-owner keyed streams make skipping the untouched (empty)
             // inboxes draw-for-draw identical to visiting all n: an empty
             // inbox consumes no draws and emits no events.
-            for owner in inboxes.touched_sorted() {
-                if inboxes.slot(owner).is_empty() {
-                    continue;
-                }
+            inboxes.edit(nonempty_ascending(inboxes), |owner, inbox| {
                 let mut rng = labeled_rng_u64_pair(
                     seed ^ self.salt,
                     CORRUPT_CHANNEL_DOMAIN,
@@ -363,7 +364,7 @@ impl CorruptionFamily {
                     owner as u64,
                 );
                 degrade_inbox(
-                    inboxes.slot_mut(owner),
+                    inbox,
                     &mut rng,
                     owner,
                     round,
@@ -372,7 +373,7 @@ impl CorruptionFamily {
                     &mut dropped,
                     &mut events,
                 );
-            }
+            });
         }
         dropped
     }
@@ -599,5 +600,156 @@ mod tests {
         .apply(9, Round(0), &topo, &mut ps, &mut inboxes, None);
         assert_eq!(dropped, 2, "both in-flight messages dropped");
         assert_eq!(inboxes.pending(), 0);
+    }
+
+    /// A seeded mix of empty, short and long inboxes over `n` processes.
+    fn random_slots(n: usize, seed: u64) -> Vec<Vec<Message>> {
+        let mut rng = labeled_rng_u64(seed, 1, 2);
+        (0..n)
+            .map(|_| {
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        let payload = vec![rng.gen::<u8>(); rng.gen_range(0..20)];
+                        Message::new(ProcessId(rng.gen_range(0..n)), Round(3), payload)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn inert(n: usize) -> Vec<Box<dyn Process>> {
+        (0..n)
+            .map(|_| {
+                Box::new(Scrambleable {
+                    value: 0,
+                    scrambled: false,
+                }) as Box<dyn Process>
+            })
+            .collect()
+    }
+
+    fn assert_same_slots(inboxes: &Inboxes, plain: &[Vec<Message>], touched: &[usize]) {
+        for (i, slot) in plain.iter().enumerate() {
+            assert_eq!(inboxes.slot(i), &slot[..], "inbox of p{i}");
+        }
+        assert_eq!(inboxes.touched_sorted(), touched);
+    }
+
+    #[test]
+    fn transient_fault_rewrites_the_store_like_plain_vecs() {
+        // The injector's channel half, written over one `Vec` per process
+        // with the same sequential stream: the store must end up with the
+        // same contents, drop count and events.
+        let (n, seed, round) = (9, 11, Round(3));
+        let faults = [
+            TransientFault::total(0, 4),
+            TransientFault {
+                garbage_messages: 1,
+                ..TransientFault::default()
+            },
+            TransientFault {
+                corrupt_messages_p: 0.5,
+                drop_messages_p: 0.4,
+                salt: 6,
+                ..TransientFault::default()
+            },
+            TransientFault {
+                drop_messages_p: 1.0,
+                ..TransientFault::default()
+            },
+        ];
+        for fault in faults {
+            let mut plain = random_slots(n, seed);
+            let mut inboxes = Inboxes::from_slots(plain.clone());
+            let mut sink = EventSink::with_capacity(1 << 12);
+            let dropped = fault.apply(seed, round, &mut inert(n), &mut inboxes, Some(&mut sink));
+
+            let mut rng = labeled_rng_u64(seed ^ fault.salt, FAULT_DOMAIN, round.value());
+            let mut expected_sink = EventSink::with_capacity(1 << 12);
+            let mut events = Some(&mut expected_sink);
+            let mut expected_dropped = 0;
+            let (drop_p, corrupt_p) = (fault.drop_messages_p, fault.corrupt_messages_p);
+            let mut touched: Vec<usize> = (0..n).filter(|&i| !plain[i].is_empty()).collect();
+            for (owner, inbox) in plain.iter_mut().enumerate() {
+                if fault.garbage_messages == 0 && inbox.is_empty() {
+                    continue;
+                }
+                degrade_inbox(
+                    inbox,
+                    &mut rng,
+                    owner,
+                    round,
+                    drop_p,
+                    corrupt_p,
+                    &mut expected_dropped,
+                    &mut events,
+                );
+                for _ in 0..fault.garbage_messages {
+                    let mut payload = vec![0u8; rng.gen_range(0..24)];
+                    rng.fill_bytes(&mut payload);
+                    let from = ProcessId(rng.gen_range(0..n));
+                    inbox.push(Message::new(from, round, payload));
+                }
+            }
+            if fault.garbage_messages > 0 {
+                touched = (0..n).collect();
+            }
+            assert_same_slots(&inboxes, &plain, &touched);
+            assert_eq!(dropped, expected_dropped);
+            assert!(dropped > 0 || drop_p == 0.0, "the fault did something");
+            assert_eq!(sink.drain(), expected_sink.drain());
+        }
+    }
+
+    #[test]
+    fn corruption_family_rewrites_the_store_like_plain_vecs() {
+        let (n, seed, round) = (9, 12, Round(5));
+        let topo = Topology::ring(n);
+        for (corrupt_p, drop_p) in [(0.5, 0.4), (1.0, 0.0), (0.0, 1.0)] {
+            let f = CorruptionFamily {
+                targets: CorruptionTargets::Fixed(Vec::new()),
+                corrupt_messages_p: corrupt_p,
+                drop_messages_p: drop_p,
+                salt: 3,
+            };
+            let mut plain = random_slots(n, seed);
+            let mut inboxes = Inboxes::from_slots(plain.clone());
+            let mut sink = EventSink::with_capacity(1 << 12);
+            let dropped = f.apply(
+                seed,
+                round,
+                &topo,
+                &mut inert(n),
+                &mut inboxes,
+                Some(&mut sink),
+            );
+
+            let mut expected_sink = EventSink::with_capacity(1 << 12);
+            let mut events = Some(&mut expected_sink);
+            let mut expected_dropped = 0;
+            let touched: Vec<usize> = (0..n).filter(|&i| !plain[i].is_empty()).collect();
+            for (owner, inbox) in plain.iter_mut().enumerate() {
+                let mut rng = labeled_rng_u64_pair(
+                    seed ^ f.salt,
+                    CORRUPT_CHANNEL_DOMAIN,
+                    round.value(),
+                    owner as u64,
+                );
+                degrade_inbox(
+                    inbox,
+                    &mut rng,
+                    owner,
+                    round,
+                    drop_p,
+                    corrupt_p,
+                    &mut expected_dropped,
+                    &mut events,
+                );
+            }
+            assert_same_slots(&inboxes, &plain, &touched);
+            assert_eq!(dropped, expected_dropped);
+            assert!(dropped > 0 || drop_p == 0.0, "the fault did something");
+            assert_eq!(sink.drain(), expected_sink.drain());
+        }
     }
 }

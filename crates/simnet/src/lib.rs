@@ -26,26 +26,33 @@
 //! * **Payloads are [`bytes::Bytes`].**
 //!   [`Context::send`](process::Context::send) and
 //!   [`Context::broadcast`](process::Context::broadcast) take
-//!   `impl Into<Bytes>`; a broadcast converts its payload **once** and all
-//!   recipients' [`Message`](message::Message)s share the single
-//!   refcounted buffer (cloning `Bytes` is a refcount bump, and
-//!   `payload.as_ptr()` is identical across recipients). Protocols that
-//!   resend a received payload should clone `message.payload` instead of
-//!   copying out the bytes.
+//!   `impl Into<Bytes>`; a broadcast converts its payload **once**. A
+//!   payload of at most [`bytes::INLINE_CAP`] bytes (a clock value, a
+//!   vote, a flood token) lives inside the 16-byte handle: no allocation,
+//!   no refcount, each [`Message`](message::Message) carries its own copy.
+//!   A longer one is a single refcounted buffer shared by all recipients
+//!   (cloning is a refcount bump, and `payload.as_ptr()` is identical
+//!   across recipients). Protocols that resend a received payload should
+//!   clone `message.payload` instead of copying out the bytes.
 //! * **A message makes one hop.** There is no outbox: a
 //!   [`Context`](process::Context) borrows the stepping shard's scratch,
 //!   and `send` link- and loss-filters the message where it is made and
 //!   writes it once, as the finished [`Message`](message::Message), into
-//!   the shard's `routed` buffer — one link check, one refcount bump and
-//!   one 32-byte write. A broadcast hands its own handle to the last
-//!   neighbour, so it costs `degree − 1` bumps and no drop. The merge then
+//!   the shard's `routed` buffer — one link check, one handle clone (a
+//!   refcount bump, or a 16-byte copy for an inline payload) and one
+//!   40-byte write. A broadcast hands its own handle to the last
+//!   neighbour, so it costs `degree − 1` clones and no drop. The merge then
 //!   moves each message into its destination's inbox without looking
 //!   inside it: message and byte totals are tallied per shard at route
 //!   time, while the payload is in hand.
-//! * **Buffers are recycled, not reallocated.** Inboxes are double-buffered
-//!   and swap+cleared each pulse, each shard's `routed` buffer is reused
-//!   across all its processes and rounds — there is no per-round flat
-//!   staging vector.
+//! * **A round's messages live in one buffer.** All n inboxes are slices
+//!   of one `Vec<Message>` grouped by destination (see `inbox.rs`): the
+//!   merge counts every destination, lays the groups out and places each
+//!   message where it stays — a stable counting sort in ascending sender
+//!   order. The store is double-buffered; the per-pulse clear is one
+//!   sequential drop that keeps the capacity, and each shard's `routed`
+//!   buffer is reused across all its processes and rounds, so steady state
+//!   allocates nothing — for inline payloads not even a payload buffer.
 //! * **Derivation is numeric on the hot path.** The loss-model RNG comes
 //!   from [`rng::labeled_rng_u64_pair`] (integer mixing, no `format!`),
 //!   keyed per `(round, sender)`, and is only constructed when
@@ -96,8 +103,7 @@
 //!   default, so ordinary protocols are unaffected. A process opting out
 //!   promises that an `on_pulse` call with an empty inbox would be
 //!   unobservable; the scheduler re-queries the hook after every step it
-//!   executes, so the answer may be state-dependent. Inboxes live in an
-//!   arena ([`Vec<Message>`] slots recycled through a pool) whose
+//!   executes, so the answer may be state-dependent. The inbox store's
 //!   touched-slot list doubles as the active-set source and makes
 //!   [`pending_messages`](sim::Simulation::pending_messages) /
 //!   [`quiescent_processes`](sim::Simulation::quiescent_processes)

@@ -7,9 +7,12 @@
 //!
 //! Payloads travel as [`Bytes`]: [`Context::send`] and
 //! [`Context::broadcast`] accept `impl Into<Bytes>`, so a broadcast
-//! allocates its payload **once** and every recipient shares the
-//! refcounted buffer. Steady-state sends are allocation-free when callers
-//! hand over an existing `Bytes` (cloning one is a refcount bump). Nothing
+//! converts its payload **once**: at most [`bytes::INLINE_CAP`] bytes ride
+//! inside each message with no allocation at all, a longer payload is
+//! allocated once and every recipient shares the refcounted buffer.
+//! Steady-state sends are allocation-free when the payload is short (hand
+//! over an array, not a `Vec`) or when callers hand over an existing
+//! `Bytes` (cloning one is a refcount bump). Nothing
 //! is queued on the way: a send is link- and loss-filtered where it is
 //! made and written once into the scheduler's routed buffer (see
 //! [`Context`]).
@@ -84,10 +87,12 @@ pub trait Process: Send {
 ///
 /// A context owns no buffer. It borrows the round's shared state and the
 /// stepping shard's scratch from the scheduler, and a send is routed where
-/// it is made: one link check, one refcount bump (none for a broadcast's
-/// last recipient, which takes the caller's own handle) and one 32-byte
-/// write of the finished [`Message`] into the shard's `routed` buffer — the
-/// only stop between the protocol and the merge into next-round inboxes.
+/// it is made: one link check, one handle clone — a refcount bump, or a
+/// 16-byte copy when the payload is short enough to live inline (none for a
+/// broadcast's last recipient, which takes the caller's own handle) — and
+/// one 40-byte write of the destination and the finished [`Message`] into
+/// the shard's `routed` buffer, the only stop between the protocol and the
+/// merge into next-round inboxes.
 #[derive(Debug)]
 pub struct Context<'a> {
     id: ProcessId,
@@ -216,12 +221,17 @@ mod tests {
         let env = RoundEnv::reliable(&topology, 0, Round(0));
         let mut out = ShardScratch::default();
         let mut c = Context::new(&env, &mut out, ProcessId(0), &[]);
-        c.broadcast(vec![1, 2, 3, 4]);
+        c.broadcast(vec![1; bytes::INLINE_CAP + 1]);
         let first = c.sent()[0].1.payload.as_ptr();
         assert!(
             c.sent().iter().all(|(_, m)| m.payload.as_ptr() == first),
             "all routed copies alias the same allocation"
         );
+        // A short payload rides inside each envelope instead.
+        c.broadcast(vec![1, 2, 3, 4]);
+        let short = &c.sent()[3..];
+        assert!(short.iter().all(|(_, m)| m.payload == vec![1u8, 2, 3, 4]));
+        assert_ne!(short[0].1.payload.as_ptr(), short[1].1.payload.as_ptr());
     }
 
     #[test]
@@ -231,7 +241,7 @@ mod tests {
         impl From<Counted<'_>> for Bytes {
             fn from(counted: Counted<'_>) -> Bytes {
                 counted.0.set(counted.0.get() + 1);
-                Bytes::from(vec![9, 9])
+                Bytes::from(vec![9; bytes::INLINE_CAP + 1])
             }
         }
         // A lone vertex (degree 0), a star's leaf (1) and its hub (5):
@@ -257,7 +267,10 @@ mod tests {
                 .sent()
                 .windows(2)
                 .all(|w| w[0].1.payload.as_ptr() == w[1].1.payload.as_ptr()));
-            assert!(c.sent().iter().all(|(_, m)| m.payload == vec![9u8, 9]));
+            assert!(c
+                .sent()
+                .iter()
+                .all(|(_, m)| m.payload == [9u8; bytes::INLINE_CAP + 1]));
         }
     }
 

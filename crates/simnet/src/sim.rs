@@ -272,13 +272,14 @@ pub struct Simulation {
     /// [`build_slab`](SimulationBuilder::build_slab)) — behaviorally
     /// identical, see [`crate::store`].
     processes: ProcessStore,
-    /// Slot i = messages to deliver to process i at the next pulse
-    /// (arena-backed; tracks which slots were touched).
+    /// Slot i = messages to deliver to process i at the next pulse (one
+    /// flat buffer grouped by destination; tracks which slots were
+    /// touched).
     inboxes: Inboxes,
     /// Double buffer for `inboxes`: holds the pulse currently being
     /// consumed during [`step`](Simulation::step) and is recycled (swap +
-    /// clear through the arena pool) every round, so steady-state stepping
-    /// reallocates nothing and clearing costs O(previously active).
+    /// clear, capacity kept) every round, so steady-state stepping
+    /// reallocates nothing and clearing costs O(previously pending).
     consumed: Inboxes,
     /// Processes currently claiming [`Process::always_active`], ascending.
     /// Rebuilt each round from the stepped set — a process's answer can
@@ -633,22 +634,25 @@ impl Simulation {
     ///    coordinates, so nothing depends on the shard plan or thread
     ///    interleaving.
     /// 2. **Merge** — the shards' routed, byte and drop tallies are folded
-    ///    into the trace once, then a k-way walk over the per-sender
-    ///    segment tables replays global ascending process-id order:
-    ///    surviving messages are moved into next-round inboxes
-    ///    sender-by-sender, exactly the order serial stepping produces,
-    ///    without looking inside a payload. Traces (and the event stream)
-    ///    are therefore byte-identical at any shard count.
+    ///    into the trace once and every destination is counted, so the
+    ///    next-round inbox store can lay its one buffer out; then a k-way
+    ///    walk over the per-sender segment tables replays global ascending
+    ///    process-id order: surviving messages are placed into their
+    ///    destination's group sender-by-sender, exactly the order serial
+    ///    stepping produces, without looking inside a payload. Traces (and
+    ///    the event stream) are therefore byte-identical at any shard
+    ///    count.
     ///
     /// Scheduled churn/fault events fire once, before the compute phase,
     /// so the whole round sees the post-event topology and delivery model.
     ///
-    /// Allocation-free in steady state on the serial path: inbox slots are
-    /// recycled through the arena pool (idle processes' slots are never
-    /// visited), each shard recycles one routed buffer across all its
-    /// processes and rounds, and payloads move as refcounted [`Bytes`] — a
-    /// broadcast's single buffer is shared by every recipient's
-    /// [`Message`], the last of which takes the sender's own handle. The
+    /// Allocation-free in steady state on the serial path: the inbox
+    /// store keeps its one buffer's capacity across clears (idle
+    /// processes' slots are never visited), each shard recycles one routed
+    /// buffer across all its processes and rounds, and payloads move as
+    /// [`Bytes`] — inline in the [`Message`] when short, else a
+    /// broadcast's single refcounted buffer shared by every recipient,
+    /// the last of which takes the sender's own handle. The
     /// sharded path additionally boxes one task header per shard per round
     /// (a few ns each — the point of the persistent pool is eliminating
     /// the ~tens of µs of per-round thread spawn/join the old
@@ -668,8 +672,8 @@ impl Simulation {
         }
         PhaseClock::lap(&mut clock, StepPhase::Schedule);
         let n = self.processes.len();
-        // Swap in last pulse's deliveries for consumption; the slots
-        // consumed two pulses ago are recycled through the arena pool.
+        // Swap in last pulse's deliveries for consumption; the store
+        // consumed two pulses ago is emptied, keeping its capacity.
         std::mem::swap(&mut self.inboxes, &mut self.consumed);
         self.inboxes.clear();
         PhaseClock::lap(&mut clock, StepPhase::SwapClear);
@@ -804,7 +808,14 @@ impl Simulation {
                 .record_routed(routed, std::mem::take(&mut scratch.bytes_routed));
             self.trace.messages_dropped_no_link += std::mem::take(&mut scratch.dropped_no_link);
             self.trace.messages_dropped_lossy += std::mem::take(&mut scratch.dropped_lossy);
+            // Pass one of the inbox fill: every destination's count, so the
+            // walk below can place each message where it stays.
+            for (to, _) in &scratch.routed {
+                self.trace.record_delivered_to(*to);
+                self.inboxes.count(to.index());
+            }
         }
+        self.inboxes.layout();
         {
             struct Cursor<'a> {
                 segs: std::slice::Iter<'a, (ProcessId, usize, usize)>,
@@ -867,8 +878,7 @@ impl Simulation {
                     .by_ref()
                     .take(routed_end - cursor.routed_taken)
                 {
-                    self.trace.record_delivered_to(to);
-                    self.inboxes.push(to.index(), message);
+                    self.inboxes.place(to.index(), message);
                 }
                 cursor.routed_taken = routed_end;
             }

@@ -6,13 +6,17 @@ use bytes::Bytes;
 use ga_simnet::prelude::*;
 use ga_simnet::sim::Delivery;
 
+/// What [`OneShotBroadcaster`] sends: past the inline cap, so it travels as
+/// one shared buffer.
+const ONE_SHOT: [u8; bytes::INLINE_CAP + 1] = [0xAB; bytes::INLINE_CAP + 1];
+
 /// Broadcasts one fixed payload on round 0 only.
 struct OneShotBroadcaster;
 
 impl Process for OneShotBroadcaster {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
         if ctx.round().value() == 0 {
-            ctx.broadcast(vec![0xAB; 8]);
+            ctx.broadcast(ONE_SHOT.to_vec());
         }
     }
     fn as_any(&self) -> &dyn std::any::Any {
@@ -62,7 +66,7 @@ fn broadcast_recipients_share_one_allocation() {
     for i in 1..n {
         let cap = sim.process_as::<Capture>(ProcessId(i)).unwrap();
         assert_eq!(cap.payloads.len(), 1, "p{i} got the broadcast");
-        assert_eq!(cap.payloads[0], vec![0xABu8; 8]);
+        assert_eq!(cap.payloads[0], ONE_SHOT);
         pointers.push(cap.payloads[0].as_ptr());
     }
     assert_eq!(pointers.len(), n - 1);
@@ -79,7 +83,10 @@ fn steady_state_broadcasts_stay_shared() {
     struct EveryRound;
     impl Process for EveryRound {
         fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-            ctx.broadcast(ctx.round().value().to_be_bytes());
+            // The round, padded past the inline cap.
+            let mut payload = [0u8; bytes::INLINE_CAP + 1];
+            payload[..8].copy_from_slice(&ctx.round().value().to_be_bytes());
+            ctx.broadcast(payload);
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
@@ -114,6 +121,7 @@ fn steady_state_broadcasts_stay_shared() {
         let first = per_recipient[0][r].as_ptr();
         for caps in &per_recipient {
             assert_eq!(caps[r].as_ptr(), first, "round {r} payload shared");
+            assert_eq!(caps[r][..8], (r as u64).to_be_bytes());
         }
     }
 }

@@ -142,6 +142,11 @@ echo "==> repo benchmark smoke (benchmark/ builds against the workspace API; 0 f
 # non-zero on any failed correctness check.
 bash benchmark/run.sh --quick > target/benchmark_quick.txt
 
+echo "==> no unsafe in the payload handle or the inbox store"
+# The inline Bytes form and the flat inbox are safe Rust (the fill goes
+# through Message::default) and stay so.
+! grep -n unsafe vendor/bytes/src/lib.rs crates/simnet/src/inbox.rs
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
