@@ -23,7 +23,7 @@ pub struct Flood {
 impl Process for Flood {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
         self.heard += ctx.inbox().len();
-        ctx.broadcast(vec![0xF1]);
+        ctx.broadcast([0xF1]);
     }
 
     fn scramble(&mut self, rng: &mut StdRng) {
