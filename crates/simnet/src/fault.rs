@@ -404,15 +404,20 @@ mod tests {
         }
     }
 
-    fn fixture() -> (Vec<Box<dyn Process>>, Inboxes) {
-        let processes: Vec<Box<dyn Process>> = (0..3)
+    /// `n` processes that only record being scrambled.
+    fn unscrambled(n: usize) -> Vec<Box<dyn Process>> {
+        (0..n)
             .map(|_| {
                 Box::new(Scrambleable {
                     value: 7,
                     scrambled: false,
                 }) as Box<dyn Process>
             })
-            .collect();
+            .collect()
+    }
+
+    fn fixture() -> (Vec<Box<dyn Process>>, Inboxes) {
+        let processes = unscrambled(3);
         let inboxes = Inboxes::from_slots(vec![
             vec![Message::new(ProcessId(1), Round(0), vec![1, 2, 3])],
             vec![],
@@ -617,17 +622,6 @@ mod tests {
             .collect()
     }
 
-    fn inert(n: usize) -> Vec<Box<dyn Process>> {
-        (0..n)
-            .map(|_| {
-                Box::new(Scrambleable {
-                    value: 0,
-                    scrambled: false,
-                }) as Box<dyn Process>
-            })
-            .collect()
-    }
-
     fn assert_same_slots(inboxes: &Inboxes, plain: &[Vec<Message>], touched: &[usize]) {
         for (i, slot) in plain.iter().enumerate() {
             assert_eq!(inboxes.slot(i), &slot[..], "inbox of p{i}");
@@ -642,6 +636,7 @@ mod tests {
         // same contents, drop count and events.
         let (n, seed, round) = (9, 11, Round(3));
         let faults = [
+            // The total fault's channel half (nobody to scramble).
             TransientFault::total(0, 4),
             TransientFault {
                 garbage_messages: 1,
@@ -662,16 +657,27 @@ mod tests {
             let mut plain = random_slots(n, seed);
             let mut inboxes = Inboxes::from_slots(plain.clone());
             let mut sink = EventSink::with_capacity(1 << 12);
-            let dropped = fault.apply(seed, round, &mut inert(n), &mut inboxes, Some(&mut sink));
+            let dropped = fault.apply(
+                seed,
+                round,
+                &mut unscrambled(n),
+                &mut inboxes,
+                Some(&mut sink),
+            );
 
             let mut rng = labeled_rng_u64(seed ^ fault.salt, FAULT_DOMAIN, round.value());
             let mut expected_sink = EventSink::with_capacity(1 << 12);
             let mut events = Some(&mut expected_sink);
             let mut expected_dropped = 0;
             let (drop_p, corrupt_p) = (fault.drop_messages_p, fault.corrupt_messages_p);
-            let mut touched: Vec<usize> = (0..n).filter(|&i| !plain[i].is_empty()).collect();
+            // Garbage lands in every inbox; drop/corrupt alone visit only
+            // the ones holding messages.
+            let everywhere = fault.garbage_messages > 0;
+            let touched: Vec<usize> = (0..n)
+                .filter(|&i| everywhere || !plain[i].is_empty())
+                .collect();
             for (owner, inbox) in plain.iter_mut().enumerate() {
-                if fault.garbage_messages == 0 && inbox.is_empty() {
+                if !everywhere && inbox.is_empty() {
                     continue;
                 }
                 degrade_inbox(
@@ -690,9 +696,6 @@ mod tests {
                     let from = ProcessId(rng.gen_range(0..n));
                     inbox.push(Message::new(from, round, payload));
                 }
-            }
-            if fault.garbage_messages > 0 {
-                touched = (0..n).collect();
             }
             assert_same_slots(&inboxes, &plain, &touched);
             assert_eq!(dropped, expected_dropped);
@@ -719,7 +722,7 @@ mod tests {
                 seed,
                 round,
                 &topo,
-                &mut inert(n),
+                &mut unscrambled(n),
                 &mut inboxes,
                 Some(&mut sink),
             );

@@ -160,19 +160,18 @@ impl Inboxes {
         owners: impl IntoIterator<Item = usize>,
         mut f: impl FnMut(usize, &mut Vec<Message>),
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         for owner in owners {
             self.touch(owner);
             let old = self.spans[owner].range();
-            scratch.extend(self.flat[old].iter_mut().map(std::mem::take));
-            f(owner, &mut scratch);
+            self.scratch
+                .extend(self.flat[old].iter_mut().map(std::mem::take));
+            f(owner, &mut self.scratch);
             self.spans[owner] = Span {
                 start: span_index(self.flat.len()),
-                len: span_index(scratch.len()),
+                len: span_index(self.scratch.len()),
             };
-            self.flat.append(&mut scratch);
+            self.flat.append(&mut self.scratch);
         }
-        self.scratch = scratch;
     }
 
     /// The touched slot indices since the last clear, in first-touch order.
