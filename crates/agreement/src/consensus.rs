@@ -117,7 +117,8 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
         }
 
         if rel_round == self.rounds() - 1 {
-            self.decided = Some(majority(self.vector().into_iter().flatten(), self.n));
+            let votes = self.instances.iter().filter_map(|inst| inst.decided());
+            self.decided = Some(majority(votes, self.n));
         }
     }
 
@@ -155,18 +156,8 @@ fn same_parts(a: &[(u16, Bytes)], b: &[(u16, Bytes)]) -> bool {
 }
 
 /// Strict-majority vote over `values` with population size `n`; falls back
-/// to [`DEFAULT_VALUE`].
-pub fn majority(values: impl IntoIterator<Item = Value>, n: usize) -> Value {
-    let mut counts: std::collections::HashMap<Value, usize> = Default::default();
-    for v in values {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .find(|&(_, c)| 2 * c > n)
-        .map(|(v, _)| v)
-        .unwrap_or(DEFAULT_VALUE)
-}
+/// to [`DEFAULT_VALUE`]. The same vote an EIG tree resolves its nodes by.
+pub use crate::eig::strict_majority as majority;
 
 /// Oral-messages interactive consistency: `n > 3f`, `f+2` rounds,
 /// exponential messages.

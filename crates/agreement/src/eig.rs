@@ -32,8 +32,34 @@
 //!   lexicographically. A relay that scans a level's slots in ascending
 //!   order therefore emits its entries in exactly the order sorting the
 //!   paths would — the order the wire format has always carried.
+//!
+//! # Node bitmap
+//!
+//! Which slots name a node depends on `(n, f, source)` alone, so the tree
+//! computes it once, at construction: one bit per slot, the same shape as
+//! the presence bits, set iff the slot's digits are distinct and none is
+//! the source. The constructor is the only place that looks at a path's
+//! ids for that (a child is a node iff its parent is and its last id is
+//! not on the parent's path); everything else reads the bit:
+//!
+//! * `store` / `get` fold the path into its slot and accept it iff the bit
+//!   is set;
+//! * `relay` by `me` must skip every `α` that contains `me`. `α` is a
+//!   populated slot `s` (so already a node) and `α·me` is slot `s·n + me`
+//!   one level down, whose bit is set iff `me` is neither in `α` nor the
+//!   source — the bit of `α·me` answers the question;
+//! * `resolve` takes the children of slot `s` to be the set bits among the
+//!   contiguous slots `s·n .. s·n + n`.
+//!
+//! A tree carries `⌈(1 + n + … + n^f) / 64⌉` words of it: 18 at
+//! `n = 10, f = 3`, beside 1111 eight-byte values.
 
 use crate::{Value, DEFAULT_VALUE};
+
+/// Longest path (`f + 1` ids) a tree holds, so a relay builds its paths in
+/// a stack array. With `n > f`, a tree this deep is far beyond what
+/// [`EigTree::new`] can index.
+pub(crate) const MAX_DEPTH: usize = 16;
 
 /// The EIG tree of one broadcast instance at one processor.
 #[derive(Debug, Clone)]
@@ -47,7 +73,20 @@ pub struct EigTree {
     values: Vec<Value>,
     /// One presence bit per slot.
     present: Vec<u64>,
+    /// One bit per slot: whether the slot names a node (see the module
+    /// docs). Fixed at construction.
+    node: Vec<u64>,
     len: usize,
+}
+
+/// The word and mask of bit `index` of a bitmap.
+fn locate(index: usize) -> (usize, u64) {
+    (index / 64, 1 << (index % 64))
+}
+
+fn bit(words: &[u64], index: usize) -> bool {
+    let (word, mask) = locate(index);
+    words[word] & mask != 0
 }
 
 impl EigTree {
@@ -64,16 +103,22 @@ impl EigTree {
         assert!(n > f, "an EIG tree of depth f+1 needs n > f");
         let level_start = level_starts(n, f)
             .unwrap_or_else(|| panic!("EIG tree for n={n}, f={f} is too large to index"));
+        assert!(f < MAX_DEPTH, "EIG paths are at most {MAX_DEPTH} ids deep");
         let total = level_start[f + 1];
+        let words = total.div_ceil(64);
         let mut values = Vec::new();
         let mut present = Vec::new();
+        let mut node = Vec::new();
         if values.try_reserve_exact(total).is_err()
-            || present.try_reserve_exact(total.div_ceil(64)).is_err()
+            || present.try_reserve_exact(words).is_err()
+            || node.try_reserve_exact(words).is_err()
         {
             panic!("EIG tree for n={n}, f={f}: cannot allocate {total} slots");
         }
         values.resize(total, DEFAULT_VALUE);
-        present.resize(total.div_ceil(64), 0);
+        present.resize(words, 0);
+        node.resize(words, 0);
+        mark_nodes(&mut node, n, source, &level_start);
         EigTree {
             n,
             f,
@@ -81,6 +126,7 @@ impl EigTree {
             level_start,
             values,
             present,
+            node,
             len: 0,
         }
     }
@@ -93,24 +139,25 @@ impl EigTree {
             return None;
         }
         let mut slot = 0usize;
-        for (i, &q) in path.iter().enumerate().skip(1) {
-            if usize::from(q) >= self.n || path[..i].contains(&q) {
+        for &q in &path[1..] {
+            if usize::from(q) >= self.n {
                 return None;
             }
             slot = slot * self.n + usize::from(q);
         }
-        Some(self.level_start[path.len() - 1] + slot)
+        let index = self.level_start[path.len() - 1] + slot;
+        bit(&self.node, index).then_some(index)
     }
 
     fn at(&self, index: usize) -> Option<Value> {
-        ((self.present[index / 64] >> (index % 64)) & 1 == 1).then(|| self.values[index])
+        bit(&self.present, index).then(|| self.values[index])
     }
 
     /// First write wins.
     fn put(&mut self, index: usize, value: Value) {
-        let (word, bit) = (index / 64, 1u64 << (index % 64));
-        if self.present[word] & bit == 0 {
-            self.present[word] |= bit;
+        let (word, mask) = locate(index);
+        if self.present[word] & mask == 0 {
+            self.present[word] |= mask;
             self.values[index] = value;
             self.len += 1;
         }
@@ -122,6 +169,17 @@ impl EigTree {
     /// deep — is ignored.
     pub fn store(&mut self, path: &[u16], value: Value) {
         if let Some(index) = self.index(path) {
+            self.put(index, value);
+        }
+    }
+
+    /// [`store`](Self::store) for a caller that already folded the path
+    /// `(source, q2, …, q_level)` into `slot` (every `q < n`, so
+    /// `slot < n^(level-1)`): ignored unless the slot names a node.
+    pub(crate) fn store_slot(&mut self, level: usize, slot: usize, value: Value) {
+        let index = self.level_start[level - 1] + slot;
+        debug_assert!(index < self.level_start[level], "slot within its level");
+        if bit(&self.node, index) {
             self.put(index, value);
         }
     }
@@ -159,23 +217,22 @@ impl EigTree {
     pub fn relay(&mut self, level: usize, me: u16, mut emit: impl FnMut(&[u16], Value)) {
         assert!((1..=self.f).contains(&level), "relayed levels are 1..=f");
         assert!(usize::from(me) < self.n, "me in range");
+        let n = self.n;
         let (from, to) = (self.level_start[level - 1], self.level_start[level]);
-        let mut path = vec![self.source; level + 1];
+        // `α·me`; the ids between the source and `me` are the scanned
+        // slot's digits, advanced like an odometer.
+        let mut path = [0u16; MAX_DEPTH];
+        let path = &mut path[..=level];
+        path[0] = self.source;
         path[level] = me;
         for slot in 0..to - from {
-            let Some(value) = self.at(from + slot) else {
-                continue;
-            };
-            let mut digits = slot;
-            for id in path[1..level].iter_mut().rev() {
-                *id = (digits % self.n) as u16;
-                digits /= self.n;
+            let child = to + slot * n + usize::from(me);
+            if bit(&self.present, from + slot) && bit(&self.node, child) {
+                let value = self.values[from + slot];
+                self.put(child, value);
+                emit(path, value);
             }
-            if path[..level].contains(&me) {
-                continue;
-            }
-            self.put(to + slot * self.n + usize::from(me), value);
-            emit(&path, value);
+            advance(&mut path[1..level], n);
         }
     }
 
@@ -185,39 +242,35 @@ impl EigTree {
     /// strict majority of `resolve(α·q)` over all `q ∉ α`; missing values
     /// and tied majorities resolve to [`DEFAULT_VALUE`].
     pub fn resolve(&self) -> Value {
-        let mut on_path = vec![false; self.n];
-        on_path[usize::from(self.source)] = true;
-        // Children's values of every node on the current root-to-node
-        // chain, stacked.
-        let mut votes = Vec::with_capacity(self.f * self.n);
-        self.resolve_node(1, 0, &mut on_path, &mut votes)
-    }
-
-    fn resolve_node(
-        &self,
-        level: usize,
-        slot: usize,
-        on_path: &mut [bool],
-        votes: &mut Vec<Value>,
-    ) -> Value {
-        if level == self.f + 1 {
-            return self
-                .at(self.level_start[level - 1] + slot)
-                .unwrap_or(DEFAULT_VALUE);
+        let (n, f) = (self.n, self.f);
+        let leaf = |index: usize| self.at(index).unwrap_or(DEFAULT_VALUE);
+        if f == 0 {
+            return leaf(0);
         }
-        let base = votes.len();
-        for q in 0..self.n {
-            if on_path[q] {
-                continue;
+        // Bottom-up, one level at a time: `resolved[i]` for every slot `i`
+        // above the leaves that names a node.
+        let mut resolved = vec![DEFAULT_VALUE; self.level_start[f]];
+        for level in (1..=f).rev() {
+            let (from, to) = (self.level_start[level - 1], self.level_start[level]);
+            for slot in 0..to - from {
+                if !bit(&self.node, from + slot) {
+                    continue;
+                }
+                let first = to + slot * n;
+                let votes = (first..first + n)
+                    .filter(|&child| bit(&self.node, child))
+                    .map(|child| {
+                        if level == f {
+                            leaf(child)
+                        } else {
+                            resolved[child]
+                        }
+                    });
+                // A level-`level` node has one child per id off its path.
+                resolved[from + slot] = strict_majority(votes, n - level);
             }
-            on_path[q] = true;
-            let v = self.resolve_node(level + 1, slot * self.n + q, on_path, votes);
-            on_path[q] = false;
-            votes.push(v);
         }
-        let winner = strict_majority(&votes[base..]);
-        votes.truncate(base);
-        winner
+        resolved[0]
     }
 }
 
@@ -234,11 +287,56 @@ fn level_starts(n: usize, f: usize) -> Option<Vec<usize>> {
     Some(starts)
 }
 
-/// The value held by more than half of `votes`, else [`DEFAULT_VALUE`]
-/// (Boyer–Moore candidate, then a confirming count).
-fn strict_majority(votes: &[Value]) -> Value {
+/// Steps `digits`, a big-endian base-`n` odometer, to the next slot.
+fn advance(digits: &mut [u16], n: usize) {
+    for digit in digits.iter_mut().rev() {
+        if usize::from(*digit) + 1 < n {
+            *digit += 1;
+            return;
+        }
+        *digit = 0;
+    }
+}
+
+/// Sets the bit of every slot that names a node, level by level: the root
+/// is one, and a child is one iff its parent is and its last id is neither
+/// the source nor on the parent's path — so every node's `n` child slots
+/// are set and those few cleared again. One odometer pass per level.
+fn mark_nodes(node: &mut [u64], n: usize, source: u16, level_start: &[usize]) {
+    node[0] |= 1;
+    let mut digits = [0u16; MAX_DEPTH];
+    for level in 1..level_start.len() - 1 {
+        let digits = &mut digits[..level - 1];
+        digits.fill(0);
+        let (from, to) = (level_start[level - 1], level_start[level]);
+        for slot in 0..to - from {
+            if bit(node, from + slot) {
+                let first = to + slot * n;
+                for child in first..first + n {
+                    let (word, mask) = locate(child);
+                    node[word] |= mask;
+                }
+                for &q in digits.iter().chain([&source]) {
+                    let (word, mask) = locate(first + usize::from(q));
+                    node[word] &= !mask;
+                }
+            }
+            advance(digits, n);
+        }
+    }
+}
+
+/// The value more than half of a `population` voted for, else
+/// [`DEFAULT_VALUE`]; `votes` holds at most one vote per member, absent
+/// members count against every value. Boyer–Moore candidate, then a
+/// confirming count — skipped when the lead says every member voted alike.
+pub fn strict_majority(
+    votes: impl IntoIterator<Item = Value, IntoIter: Clone>,
+    population: usize,
+) -> Value {
+    let votes = votes.into_iter();
     let (mut candidate, mut lead) = (DEFAULT_VALUE, 0usize);
-    for &v in votes {
+    for v in votes.clone() {
         if lead == 0 {
             candidate = v;
             lead = 1;
@@ -248,8 +346,11 @@ fn strict_majority(votes: &[Value]) -> Value {
             lead -= 1;
         }
     }
-    let count = votes.iter().filter(|&&v| v == candidate).count();
-    if 2 * count > votes.len() {
+    if lead == population {
+        return candidate;
+    }
+    let count = votes.filter(|&v| v == candidate).count();
+    if 2 * count > population {
         candidate
     } else {
         DEFAULT_VALUE
@@ -266,6 +367,23 @@ pub(crate) mod reference {
     use crate::{Value, DEFAULT_VALUE};
 
     type Path = Vec<u16>;
+
+    /// Every node of an `(n, f, source)` tree, level by level.
+    pub(crate) fn all_nodes(n: usize, f: usize, source: u16) -> Vec<Path> {
+        let mut nodes = vec![vec![source]];
+        let mut level_begin = 0;
+        for _ in 0..f {
+            let level_end = nodes.len();
+            for i in level_begin..level_end {
+                let parent = nodes[i].clone();
+                for q in (0..n as u16).filter(|q| !parent.contains(q)) {
+                    nodes.push([parent.as_slice(), &[q]].concat());
+                }
+            }
+            level_begin = level_end;
+        }
+        nodes
+    }
 
     #[derive(Debug, Clone, Default)]
     pub(crate) struct RefTree {
@@ -331,6 +449,11 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
 
+    /// The vote-count form the tests below were written against.
+    fn strict_majority(votes: &[Value]) -> Value {
+        super::strict_majority(votes.iter().copied(), votes.len())
+    }
+
     #[test]
     fn store_first_write_wins() {
         let mut t = EigTree::new(4, 1, 0);
@@ -382,6 +505,17 @@ mod tests {
     }
 
     #[test]
+    fn resolve_votes_only_among_node_children() {
+        // Children of [0] are [0,1], [0,2], [0,3]: 7, missing, 7 — two of
+        // three. Slot [0,0] names no node; counted as a fourth, defaulted
+        // vote it would turn the strict majority into a tie.
+        let mut t = EigTree::new(4, 1, 0);
+        t.store(&[0, 1], 7);
+        t.store(&[0, 3], 7);
+        assert_eq!(t.resolve(), 7);
+    }
+
+    #[test]
     fn level_iterates_only_that_depth() {
         // A relay of level L reads level L only and writes level L+1 only.
         let mut t = EigTree::new(7, 2, 0);
@@ -409,6 +543,41 @@ mod tests {
         let mut count = 0;
         t.relay(2, 0, |_, _| count += 1);
         assert_eq!(count, 0);
+    }
+
+    #[test]
+    fn node_bitmap_is_exactly_the_set_of_paths() {
+        use std::collections::HashSet;
+        for n in 1..=10usize {
+            for f in 0..n.min(4) {
+                for source in 0..n as u16 {
+                    let tree = EigTree::new(n, f, source);
+                    let nodes: HashSet<Vec<u16>> =
+                        reference::all_nodes(n, f, source).into_iter().collect();
+                    let mut bits = 0;
+                    for level in 1..=f + 1 {
+                        let from = tree.level_start[level - 1];
+                        for slot in 0..tree.level_start[level] - from {
+                            // The slot's digits, most significant first.
+                            let mut path = vec![source; level];
+                            let mut digits = slot;
+                            for id in path[1..].iter_mut().rev() {
+                                *id = (digits % n) as u16;
+                                digits /= n;
+                            }
+                            let is_node = bit(&tree.node, from + slot);
+                            assert_eq!(
+                                is_node,
+                                nodes.contains(&path),
+                                "n={n} f={f} source={source} {path:?}"
+                            );
+                            bits += usize::from(is_node);
+                        }
+                    }
+                    assert_eq!(bits, nodes.len(), "n={n} f={f} source={source}");
+                }
+            }
+        }
     }
 
     #[test]

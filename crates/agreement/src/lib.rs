@@ -37,6 +37,8 @@
 //! assert!(report.agreement(), "honest processors all decided alike");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod consensus;
 pub mod dolev_strong;
 pub mod eig;

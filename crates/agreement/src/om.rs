@@ -16,7 +16,7 @@
 
 use crate::eig::EigTree;
 use crate::traits::{broadcast_others, BaInstance, Send};
-use crate::wire::{Reader, Writer};
+use crate::wire::Writer;
 use crate::{Value, DEFAULT_VALUE};
 
 /// One OM(f) broadcast instance at one processor.
@@ -33,10 +33,11 @@ pub struct OmBroadcast {
     decided: Option<Value>,
 }
 
-/// Longest path (`f + 1` ids) an instance handles; decoding parses into a
-/// stack array of this size. With `n > 3f`, a tree this deep is far beyond
-/// what [`EigTree::new`] can index.
-const MAX_DEPTH: usize = 16;
+/// Steps one OM(`f`) broadcast — and so one consensus over `n` of them —
+/// takes: the source's send, `f` relays, the resolve.
+pub const fn rounds(f: usize) -> u64 {
+    f as u64 + 2
+}
 
 /// Bytes of the relay payload a processor sends for another source's
 /// broadcast at relative round `t ≥ 1` once every level-`t` node reached
@@ -65,7 +66,6 @@ impl OmBroadcast {
         assert!(n > 3 * f, "oral messages require n > 3f");
         assert!(me < n && source < n, "ids in range");
         assert!(n <= 1 << 16, "processor ids must fit the wire's u16");
-        assert!(f < MAX_DEPTH, "OM paths are at most {MAX_DEPTH} ids deep");
         // Cap: a Byzantine sender cannot make a receiver loop over more
         // entries than a few full trees hold.
         let max_entries = u32::try_from(f + 1)
@@ -88,7 +88,13 @@ impl OmBroadcast {
     /// Builds the relay payload for `level`; the tree mirrors every relayed
     /// node `α·me` as it goes.
     fn relay_level(&mut self, level: usize) -> Vec<u8> {
-        let mut w = Writer::new();
+        // Nobody relays its own broadcast; anyone else's relay is at most
+        // `full_relay_len` bytes, and exactly that in an honest run.
+        let capacity = match full_relay_len(self.n, level) {
+            Some(len) if self.me != self.source => len,
+            _ => 4,
+        };
+        let mut w = Writer::with_capacity(capacity);
         w.put_u32(0); // the entry count, known after the scan
         let mut count = 0u32;
         self.tree.relay(level, self.me as u16, |path, value| {
@@ -104,29 +110,54 @@ impl OmBroadcast {
         payload
     }
 
-    fn decode_and_store(&mut self, sender: usize, payload: &[u8], expect_len: usize) {
-        let mut r = Reader::new(payload);
-        let Some(count) = r.get_u32() else { return };
-        let mut path = [0u16; MAX_DEPTH];
-        for _ in 0..count.min(self.max_entries) {
-            let Some(len) = r.get_u8() else { return };
-            let len = usize::from(len);
-            for i in 0..len {
-                let Some(id) = r.get_u16() else { return };
-                if let Some(slot) = path.get_mut(i) {
-                    *slot = id;
-                }
+    /// Stores the level-`level` entries of one relay `payload` from
+    /// `sender`: a `u32` count, then per entry a `u8` path length, that
+    /// many big-endian `u16` ids and a big-endian `u64` value.
+    ///
+    /// At most `min(count, max_entries)` entries are read, and reading
+    /// stops at the first one the payload ends inside. An entry of another
+    /// length is stepped over. One of this round's length enters the tree
+    /// iff
+    ///
+    /// * its first id is the source,
+    /// * every later id is below `n`,
+    /// * its last id is `sender` (a processor relays `α·itself`), and
+    /// * its slot's node bit is set (the ids are distinct);
+    ///
+    /// and then only if the node is still empty (first write wins).
+    fn decode_and_store(&mut self, sender: usize, payload: &[u8], level: usize) {
+        let Some((count, mut rest)) = payload.split_first_chunk::<4>() else {
+            return;
+        };
+        'entries: for _ in 0..u32::from_be_bytes(*count).min(self.max_entries) {
+            let Some(&len) = rest.first() else { return };
+            let Some((entry, tail)) = rest.split_at_checked(9 + 2 * usize::from(len)) else {
+                return;
+            };
+            rest = tail;
+            if usize::from(len) != level {
+                continue;
             }
-            let Some(value) = r.get_u64() else { return };
-            // A relayed path has this round's length and ends at the
-            // processor it arrived from; the tree checks the rest (declared
-            // source, ids in range and distinct).
-            if len == expect_len
-                && path[..len]
-                    .last()
-                    .is_some_and(|&q| usize::from(q) == sender)
-            {
-                self.tree.store(&path[..len], value);
+            let (ids, value) = entry[1..].split_at(2 * level);
+            let mut ids = ids
+                .chunks_exact(2)
+                .map(|id| usize::from(u16::from_be_bytes([id[0], id[1]])));
+            if ids.next() != Some(self.source) {
+                continue;
+            }
+            // The path after the source, read as a base-`n` number; with
+            // no such ids, the source is also the last hop.
+            let (mut slot, mut last) = (0usize, self.source);
+            for id in ids {
+                if id >= self.n {
+                    continue 'entries;
+                }
+                slot = slot * self.n + id;
+                last = id;
+            }
+            if last == sender {
+                let value = u64::from_be_bytes(value.try_into().expect("8 bytes after the ids"));
+                self.tree.store_slot(level, slot, value);
             }
         }
     }
@@ -177,7 +208,7 @@ impl BaInstance for OmBroadcast {
     }
 
     fn rounds(&self) -> u64 {
-        self.f as u64 + 2
+        rounds(self.f)
     }
 
     fn decided(&self) -> Option<Value> {
@@ -192,26 +223,57 @@ impl BaInstance for OmBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eig::reference::RefTree;
+    use crate::eig::reference::{all_nodes, RefTree};
+    use crate::eig::MAX_DEPTH;
     use crate::executor::{no_tamper as honest, run_pure};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// Every node of an `(n, f, source)` tree, level by level.
-    fn all_nodes(n: usize, f: usize, source: u16) -> Vec<Vec<u16>> {
-        let mut nodes = vec![vec![source]];
-        let mut level_begin = 0;
-        for _ in 0..f {
-            let level_end = nodes.len();
-            for i in level_begin..level_end {
-                let parent = nodes[i].clone();
-                for q in (0..n as u16).filter(|q| !parent.contains(q)) {
-                    nodes.push([parent.as_slice(), &[q]].concat());
+    /// The decoder [`OmBroadcast::decode_and_store`] replaced — field by
+    /// field through a [`Reader`](crate::wire::Reader), then into the tree
+    /// by path: the oracle of the decode property test.
+    fn decode_and_store_reference(
+        inst: &mut OmBroadcast,
+        sender: usize,
+        payload: &[u8],
+        expect_len: usize,
+    ) {
+        let mut r = crate::wire::Reader::new(payload);
+        let Some(count) = r.get_u32() else { return };
+        let mut path = [0u16; MAX_DEPTH];
+        for _ in 0..count.min(inst.max_entries) {
+            let Some(len) = r.get_u8() else { return };
+            let len = usize::from(len);
+            for i in 0..len {
+                let Some(id) = r.get_u16() else { return };
+                if let Some(slot) = path.get_mut(i) {
+                    *slot = id;
                 }
             }
-            level_begin = level_end;
+            let Some(value) = r.get_u64() else { return };
+            if len == expect_len
+                && path[..len]
+                    .last()
+                    .is_some_and(|&q| usize::from(q) == sender)
+            {
+                inst.tree.store(&path[..len], value);
+            }
         }
-        nodes
+    }
+
+    /// A relay payload as the wire carries it: `count`, then every
+    /// `(path, value)` entry.
+    fn payload(count: u32, entries: &[(Vec<u16>, Value)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u32(count);
+        for (path, value) in entries {
+            w.put_u8(path.len() as u8);
+            for &id in path {
+                w.put_u16(id);
+            }
+            w.put_u64(*value);
+        }
+        w.finish()
     }
 
     proptest! {
@@ -222,7 +284,7 @@ mod tests {
         /// missing nodes occur): same nodes, same decision, and the same
         /// relay payload byte for byte at every level for every relayer.
         #[test]
-        fn flat_tree_matches_the_reference(n in 4usize..=10, seed in any::<u64>()) {
+        fn flat_tree_matches_the_reference(n in 4usize..=13, seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let f = rng.gen_range(1..=(n - 1) / 3);
             let source = rng.gen_range(0..n as u16);
@@ -268,6 +330,140 @@ mod tests {
                         "me={} level={}", me, level
                     );
                     prop_assert!(same_nodes(&ours.tree, &theirs), "mirrored nodes, me={}", me);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stride decoder against the `Reader` one it replaced, on one
+        /// honest relay payload damaged in every way the accept conditions
+        /// name: same node count, same value at every node.
+        #[test]
+        fn decode_matches_the_reference_on_mutated_payloads(
+            n in 4usize..=13,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let f = rng.gen_range(0..=(n - 1) / 3);
+            let source = rng.gen_range(0..n);
+            let level = rng.gen_range(1..=f + 1);
+            // Level 1 comes from the source; deeper levels mostly from a
+            // relayer, sometimes (wrongly) from the source again.
+            let sender = if level == 1 || rng.gen_bool(0.1) {
+                source
+            } else {
+                (source + rng.gen_range(1..n)) % n
+            };
+            let nodes = all_nodes(n, f, source as u16);
+            let honest: Vec<(Vec<u16>, Value)> = nodes
+                .iter()
+                .filter(|path| path.len() == level && path[level - 1] == sender as u16)
+                .map(|path| (path.clone(), rng.gen_range(1..4u64)))
+                .collect();
+            let all = honest.len() as u32;
+            let stride = 9 + 2 * level;
+
+            let whole = payload(all, &honest);
+            let mut mutants: Vec<(&str, Vec<u8>)> = vec![
+                ("honest", whole.clone()),
+                ("count too large", payload(all + rng.gen_range(1..5u32), &honest)),
+                ("count u32::MAX", payload(u32::MAX, &honest)),
+                ("count too small", payload(rng.gen_range(0..=all / 2), &honest)),
+            ];
+            // Cut inside the count, and — in a random entry — before its
+            // length byte, after it, inside its first and its last id,
+            // and inside its value.
+            mutants.push(("cut in count", whole[..rng.gen_range(0..4)].to_vec()));
+            if !honest.is_empty() {
+                let at = 4 + rng.gen_range(0..honest.len()) * stride;
+                for (what, cut) in [
+                    ("cut before len", at),
+                    ("cut after len", at + 1),
+                    ("cut in first id", at + 2),
+                    ("cut in last id", at + 2 * level),
+                    ("cut in value", at + 1 + 2 * level + rng.gen_range(0..8usize)),
+                ] {
+                    mutants.push((what, whole[..cut].to_vec()));
+                }
+            }
+            // One entry replaced (`true`), or one inserted between two
+            // others.
+            let mut edits: Vec<(&str, Vec<u16>, Value, bool)> = Vec::new();
+            for len in [0, level - 1, level + 1, MAX_DEPTH + 1, rng.gen_range(0..40)] {
+                if len != level {
+                    let ids = (0..len).map(|_| rng.gen_range(0..n as u16 + 2)).collect();
+                    edits.push(("entry of another length", ids, 9, false));
+                }
+            }
+            if let Some((path, value)) = honest.first() {
+                let mut bad = path.clone();
+                bad[rng.gen_range(0..level)] = [n as u16, n as u16 + 1, u16::MAX][rng.gen_range(0..3usize)];
+                edits.push(("id out of range", bad, 9, true));
+
+                let mut bad = path.clone();
+                bad[0] = [sender as u16, (source as u16 + 1) % n as u16][rng.gen_range(0..2usize)];
+                edits.push(("wrong first id", bad, 9, true));
+
+                let mut bad = path.clone();
+                bad[level - 1] = loop {
+                    let id = rng.gen_range(0..n as u16);
+                    if !path.contains(&id) {
+                        break id;
+                    }
+                };
+                edits.push(("wrong last hop", bad, 9, true));
+
+                if level >= 2 {
+                    let mut bad = path.clone();
+                    bad[rng.gen_range(0..level - 1)] = sender as u16;
+                    edits.push(("repeated id", bad, 9, true));
+
+                    let mut bad = path.clone();
+                    bad[rng.gen_range(1..level)] = source as u16;
+                    edits.push(("source past position 0", bad, 9, true));
+                }
+                edits.push(("duplicate with another value", path.clone(), value + 1, false));
+            }
+            for (what, path, value, replace) in edits {
+                let mut entries = honest.clone();
+                let at = rng.gen_range(0..=entries.len().saturating_sub(1));
+                if replace {
+                    entries[at] = (path, value);
+                } else {
+                    entries.insert(at, (path, value));
+                }
+                mutants.push((what, payload(entries.len() as u32, &entries)));
+            }
+            // Past the entry cap nothing is read, however well-formed.
+            let mut ours = OmBroadcast::new(rng.gen_range(0..n), n, f, source);
+            let cap = ours.max_entries as usize;
+            if cap <= 5000 {
+                let mut entries = vec![(vec![], 9); cap];
+                entries.extend(honest.iter().cloned());
+                mutants.push(("past the cap", payload(entries.len() as u32, &entries)));
+            }
+
+            let mut oracle = ours.clone();
+            for (what, bytes) in &mutants {
+                ours.begin(0);
+                oracle.begin(0);
+                ours.decode_and_store(sender, bytes, level);
+                decode_and_store_reference(&mut oracle, sender, bytes, level);
+                prop_assert_eq!(ours.tree.len(), oracle.tree.len(), "{}", what);
+                for path in &nodes {
+                    prop_assert_eq!(
+                        ours.tree.get(path), oracle.tree.get(path), "{} at {:?}", what, path
+                    );
+                }
+                match *what {
+                    "honest" | "count too large" | "count u32::MAX" => {
+                        prop_assert_eq!(ours.tree.len(), honest.len(), "{}", what)
+                    }
+                    "past the cap" => prop_assert!(ours.tree.is_empty()),
+                    _ => {}
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Measurement harnesses for convergence (Lemma 2) and closure (Lemma 3).
 
 use ga_agreement::consensus::OmConsensus;
-use ga_agreement::traits::BaInstance;
+use ga_agreement::om;
 use ga_agreement::Value;
 use ga_simnet::adversary::Adversary;
 use ga_simnet::adversary::ByzantineProcess;
@@ -115,7 +115,7 @@ pub fn run_ssba(
 ) -> SsbaReport {
     assert!(byzantine_count <= f);
     let byzantine: Vec<usize> = (n - byzantine_count..n).collect();
-    let rounds = OmConsensus::new(0, n, f).rounds();
+    let rounds = om::rounds(f);
     let modulus = rounds + 2;
     let mut sim = Simulation::builder(Topology::complete(n))
         .seed(seed)

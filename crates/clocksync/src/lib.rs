@@ -39,6 +39,8 @@
 //! assert!(pulses < 2_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod harness;
 pub mod process;

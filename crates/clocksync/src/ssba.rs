@@ -250,11 +250,11 @@ mod tests {
     use super::*;
     use crate::process::ClockProcess;
     use ga_agreement::consensus::OmConsensus;
-    use ga_agreement::traits;
+    use ga_agreement::{om, traits};
     use std::iter;
 
     fn build(n: usize, f: usize, seed: u64) -> Simulation {
-        let rounds = OmConsensus::new(0, n, f).rounds();
+        let rounds = om::rounds(f);
         let modulus = rounds + 2;
         Simulation::builder(Topology::complete(n))
             .seed(seed)

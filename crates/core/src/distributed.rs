@@ -55,6 +55,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
+use ga_agreement::om;
 use ga_agreement::traits::{broadcast_others, BaInstance};
 use ga_agreement::wire::{Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
@@ -622,7 +623,7 @@ impl AuthorityCluster {
     /// Pulses per play: the clock modulus `3R + 4` for this cluster's
     /// OM round count.
     pub fn play_len(&self) -> u64 {
-        AuthorityProcess::schedule_len(OmConsensus::new(0, self.n(), self.f).rounds())
+        AuthorityProcess::schedule_len(om::rounds(self.f))
     }
 
     /// Constructs processor `id`, deriving its nonce stream from `seed`
@@ -690,7 +691,7 @@ mod tests {
     #[test]
     fn honest_plays_complete_and_agree() {
         let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let sim = run_plays(vec![AgentMode::Honest; n], modulus * 4 + 2, 3);
         let r0 = records(&sim, 0);
         assert!(r0.len() >= 2, "plays completed: {}", r0.len());
@@ -702,8 +703,7 @@ mod tests {
 
     #[test]
     fn worst_responder_is_caught_and_disconnected() {
-        let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let modes = vec![
             AgentMode::Honest,
             AgentMode::Honest,
@@ -728,8 +728,7 @@ mod tests {
 
     #[test]
     fn equivocal_reveal_is_caught() {
-        let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let modes = vec![
             AgentMode::Honest,
             AgentMode::EquivocalReveal,
@@ -747,8 +746,7 @@ mod tests {
 
     #[test]
     fn mute_agent_is_flagged_but_system_continues() {
-        let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let modes = vec![
             AgentMode::Honest,
             AgentMode::Honest,
@@ -771,9 +769,8 @@ mod tests {
         // convicts — resilience degrades with the threshold exactly as
         // the paper states it. (Regression: `f` used to be dead state,
         // so both configurations behaved identically.)
-        let n = 4;
         for (f, framed) in [(1usize, false), (0usize, true)] {
-            let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, f).rounds());
+            let modulus = AuthorityProcess::schedule_len(om::rounds(f));
             let modes = vec![
                 AgentMode::Honest,
                 AgentMode::Honest,
@@ -911,8 +908,7 @@ mod tests {
         // the range audit can catch it. Every honest auditor proposes
         // the foul, the quorum convicts, and the outcome records the
         // null action — identically everywhere.
-        let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let modes = vec![
             AgentMode::Honest,
             AgentMode::Honest,
@@ -970,7 +966,7 @@ mod tests {
     #[test]
     fn recovers_from_transient_fault() {
         let n = 4;
-        let modulus = AuthorityProcess::schedule_len(OmConsensus::new(0, n, 1).rounds());
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
         let mut sim = build_authority_sim(congestion(), vec![AgentMode::Honest; n], 1, 11);
         sim.run(modulus * 2);
         sim.inject(&TransientFault::total(n, 0xFA11));

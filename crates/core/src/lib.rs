@@ -55,6 +55,8 @@
 //! assert!(report.punished.contains(&1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod authority;
 pub mod distributed;

@@ -41,7 +41,7 @@
 use std::sync::Arc;
 
 use ga_agreement::consensus::OmConsensus;
-use ga_agreement::traits::BaInstance;
+use ga_agreement::om;
 use ga_clocksync::harness::{measure_convergence_with, run_ssba};
 use ga_clocksync::process::ClockProcess;
 use ga_clocksync::ssba::SsbaProcess;
@@ -130,7 +130,7 @@ fn ssba_family() -> Vec<Arc<dyn Scenario>> {
         let c = param(point, "c");
         let n = param(point, "n") as usize;
         let f = (n - 1) / 3;
-        let modulus = OmConsensus::new(0, n, f).rounds() + 2;
+        let modulus = om::rounds(f) + 2;
         ScenarioSpec::new(
             "stabilize_ssba",
             TopologyFamily::Complete(n),

@@ -15,8 +15,7 @@
 
 use std::sync::Arc;
 
-use game_authority_suite::agreement::consensus::OmConsensus;
-use game_authority_suite::agreement::traits::BaInstance;
+use game_authority_suite::agreement::om;
 use game_authority_suite::authority::distributed::{
     build_authority_sim, AgentMode, AuthorityProcess,
 };
@@ -45,7 +44,7 @@ fn main() {
     let mut sim = build_authority_sim(game, modes, 1, 42);
 
     // One play per clock period: 3 BA activations + commit/reveal/execute.
-    let ba_rounds = OmConsensus::new(0, 4, 1).rounds();
+    let ba_rounds = om::rounds(1);
     let modulus = AuthorityProcess::schedule_len(ba_rounds);
 
     println!("running 4 plays ({} pulses each)…", modulus);

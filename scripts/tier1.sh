@@ -142,10 +142,23 @@ echo "==> repo benchmark smoke (benchmark/ builds against the workspace API; 0 f
 # non-zero on any failed correctness check.
 bash benchmark/run.sh --quick > target/benchmark_quick.txt
 
-echo "==> no unsafe in the payload handle or the inbox store"
+echo "==> no unsafe in the payload handle, the inbox store or the agreement path"
 # The inline Bytes form and the flat inbox are safe Rust (the fill goes
-# through Message::default) and stay so.
-! grep -n unsafe vendor/bytes/src/lib.rs crates/simnet/src/inbox.rs
+# through Message::default) and stay so. ga-agreement, ga-clocksync and
+# game-authority forbid it crate-wide — the EIG kernels' speed is not to
+# be bought with unchecked indexing — so there the word may match the
+# three `forbid` lines and nothing else. (`if`, not `!`: set -e ignores a
+# negated command.)
+if grep -n unsafe vendor/bytes/src/lib.rs crates/simnet/src/inbox.rs; then
+    exit 1
+fi
+if grep -rn unsafe crates/agreement/src crates/clocksync/src crates/core/src \
+    | grep -v ':#!\[forbid(unsafe_code)\]$'; then
+    exit 1
+fi
+for crate in agreement clocksync core; do
+    grep -qx '#!\[forbid(unsafe_code)\]' "crates/$crate/src/lib.rs"
+done
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
