@@ -234,31 +234,24 @@ fn bench_substrate(c: &mut Criterion) {
     }
 
     // Dense activity at n=10⁵: every process broadcasts every round on a
-    // ring, sharded over 4 pool workers — the active set is all of 0..n
-    // and the topology never mutates, so the cached row pays the
-    // degree-balanced bin-pack once while the replan baseline re-runs it
-    // every round. Same trace either way; the gap is pure scheduler
-    // overhead.
+    // ring, sharded over 4 pool workers — the active set is all of 0..n.
     {
         let n = 100_000usize;
         g.throughput(Throughput::Elements(n as u64));
-        for (label, cache) in [("n100000", true), ("n100000_replan", false)] {
-            g.bench_function(BenchmarkId::new("step_loop_dense_active", label), |b| {
-                let runtime = Runtime::new(4);
-                let mut sim = Simulation::builder(Topology::ring(n))
-                    .shards(4)
-                    .runtime(runtime)
-                    .plan_cache(cache)
-                    .build_slab(|_| BytesBroadcaster {
-                        payload: Bytes::from_static(&[0xEE; 8]),
-                    });
-                sim.run(2);
-                b.iter(|| {
-                    sim.step();
-                    std::hint::black_box(sim.round())
-                })
-            });
-        }
+        g.bench_function(BenchmarkId::new("step_loop_dense_active", "n100000"), |b| {
+            let runtime = Runtime::new(4);
+            let mut sim = Simulation::builder(Topology::ring(n))
+                .shards(4)
+                .runtime(runtime)
+                .build_slab(|_| BytesBroadcaster {
+                    payload: Bytes::from_static(&[0xEE; 8]),
+                });
+            sim.run(2);
+            b.iter(|| {
+                sim.step();
+                std::hint::black_box(sim.round())
+            })
+        });
     }
     g.finish();
 }

@@ -277,8 +277,8 @@ pub trait Scenario: Send + Sync {
     /// Shards and pool are execution knobs, never semantic ones — the
     /// record must be identical at every shard count and on every pool
     /// (sharded stepping is byte-identical to serial, see
-    /// `ga_simnet::sim::StepExec`). The default ignores both, which is
-    /// trivially conformant for pure computations.
+    /// `ga_simnet::sim::Simulation::step`). The default ignores both,
+    /// which is trivially conformant for pure computations.
     fn run_on(&self, seed: u64, shards: usize, runtime: &Runtime) -> RunRecord {
         let _ = (shards, runtime);
         self.run(seed)

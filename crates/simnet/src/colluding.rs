@@ -68,7 +68,8 @@ impl Cabal {
     ///
     /// The lie is a pure function of `(key, round)` — *not* of whichever
     /// member happens to ask first — so colluders split across sharded
-    /// scheduler threads (see [`StepExec`](crate::sim::StepExec)) agree on
+    /// scheduler threads (see
+    /// [`Simulation::step`](crate::sim::Simulation::step)) agree on
     /// it without any ordering between them. The blackboard only caches
     /// the round's allocation so the whole cabal shares one buffer.
     fn lie_for(&self, round: u64) -> Bytes {

@@ -68,14 +68,13 @@
 //! ## Sharded stepping on the persistent runtime
 //!
 //! [`Simulation::step`](sim::Simulation::step) splits every round into a
-//! **compute phase** (each shard's process id set steps against the
-//! immutable prior-round inboxes, its sends routed straight into the
-//! shard's scratch) and a **deterministic merge phase** (a k-way walk over the
-//! shards' per-sender segment tables replays ascending process-id order,
-//! counters summed in fixed order). With
-//! [`StepExec::Sharded`](sim::StepExec) the compute phase is submitted as
-//! one indexed batch to a persistent [`Runtime`](runtime::Runtime) worker
-//! pool — created once, shared with the scenario sweep engine, zero
+//! **compute phase** (each shard's run of the ascending active list steps
+//! against the immutable prior-round inboxes, its sends routed straight
+//! into the shard's scratch) and a **deterministic merge phase** (the
+//! shards' buffers appended in shard order, which is ascending process-id
+//! order, counters summed in the same order). With more than one shard
+//! the compute phase is submitted as one indexed batch to a persistent
+//! [`Runtime`](runtime::Runtime) worker pool — created once, shared with the scenario sweep engine, zero
 //! threads spawned per round; because every random draw is derived
 //! from `(seed, id, round)` coordinates, the resulting trace is
 //! byte-for-byte identical to serial stepping at any shard count and any
@@ -110,14 +109,17 @@
 //!   O(active). Idle processes cost zero allocations and zero scan time;
 //!   a fully quiescent round still advances the clock and fires due
 //!   schedule entries.
-//! * **Degree-balanced sharding.** Under
-//!   [`StepExec::Sharded`](sim::StepExec) the active set is assigned to
-//!   shards by a deterministic greedy bin-pack over `degree + 1` weights
-//!   (heaviest first, ties toward the lower id; least-loaded bin, ties
-//!   toward the lower bin), so one hub can't serialize a shard. The merge
-//!   phase k-way-walks the shards' per-sender segment tables to replay
-//!   global ascending-id order, keeping traces and event streams
-//!   byte-identical at any workers × shards × pool size.
+//! * **Degree-balanced sharding.** A shard is a contiguous run of the
+//!   round's ascending active list. The list is cut where the prefix sum
+//!   of `degree + 1` weights reaches each `s / shards` of the total — a
+//!   pure function of (active list, degrees, shard count), recomputed
+//!   every sharded round — so a run weighs less than `total / shards` plus
+//!   its own last member: a hub cannot be split, and what shares its
+//!   shard is capped. Contiguous runs are id ranges, so the process table
+//!   is lent to the shard tasks by `split_at_mut`, and shard `s`'s senders
+//!   all precede shard `s + 1`'s, so the merge is concatenation: traces
+//!   and event streams are byte-identical at any workers × shards × pool
+//!   size.
 //!
 //! ### The build path
 //!
@@ -143,16 +145,6 @@
 //!   (one-time O(n)) only if
 //!   [`replace_process`](sim::Simulation::replace_process) introduces
 //!   heterogeneity mid-run. Traces are identical either way.
-//! * **Cached shard plans.** The degree-balanced bin-pack is fingerprinted
-//!   by `(topology generation, shard count, active set)` and reused while
-//!   all three match — the invalidation rule: any topology mutation
-//!   (cut/heal/isolate) bumps the generation, and any change to the active
-//!   set misses the exact-compare confirm. Dense-activity rounds (everyone
-//!   active) therefore pay the bin-pack once, not every round; the plan
-//!   only decides which thread steps whom, so caching can never change a
-//!   trace ([`SimulationBuilder::plan_cache`](sim::SimulationBuilder::plan_cache)
-//!   turns it off for one simulation, which is how the unit tests pin
-//!   cached vs uncached byte-identity).
 //!
 //! ## Two-plane telemetry
 //!
@@ -192,6 +184,10 @@
 //! assert_eq!(p0.heard, 6);
 //! ```
 
+// One exception, allowed where it stands: the scoped-task lifetime
+// transmute in `runtime.rs`.
+#![deny(unsafe_code)]
+
 pub mod adversary;
 pub mod colluding;
 pub mod fault;
@@ -218,7 +214,7 @@ pub mod prelude {
     pub use crate::process::{Context, Process};
     pub use crate::runtime::Runtime;
     pub use crate::schedule::{Recurrence, Schedule, ScheduledAction};
-    pub use crate::sim::{Delivery, Simulation, SimulationBuilder, StepExec};
+    pub use crate::sim::{Delivery, Simulation, SimulationBuilder};
     pub use crate::telemetry::{
         DropReason, Event, EventSink, ProfileData, Profiler, StepPhase, TelemetryConfig,
     };

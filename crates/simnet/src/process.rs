@@ -38,9 +38,9 @@ use crate::sim::{RoundEnv, ShardScratch};
 /// concrete protocol state after a run (decision values, clocks, ...).
 ///
 /// `Send` is a supertrait because the scheduler's sharded compute phase
-/// (see [`StepExec`](crate::sim::StepExec)) moves disjoint `&mut` process
-/// shards onto scoped worker threads. Processes are never *shared* between
-/// threads, so `Sync` is not required.
+/// (see [`Simulation::step`](crate::sim::Simulation::step)) moves disjoint
+/// `&mut` process ranges onto the pool's worker threads. Processes are
+/// never *shared* between threads, so `Sync` is not required.
 pub trait Process: Send {
     /// Executes one synchronous step.
     fn on_pulse(&mut self, ctx: &mut Context<'_>);

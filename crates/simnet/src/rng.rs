@@ -63,7 +63,8 @@ pub fn labeled_rng_u64(seed: u64, domain: u64, index: u64) -> StdRng {
 /// per-round loss stream: a sender's drops depend only on its coordinates,
 /// not on how many messages other senders routed first, which is what
 /// keeps sharded stepping (see
-/// [`StepExec`](crate::sim::StepExec)) byte-identical to serial stepping.
+/// [`Simulation::step`](crate::sim::Simulation::step)) byte-identical to
+/// serial stepping.
 pub fn labeled_rng_u64_pair(seed: u64, domain: u64, a: u64, b: u64) -> StdRng {
     let mut material = [0u8; 32];
     let x = mix(seed ^ mix(domain));

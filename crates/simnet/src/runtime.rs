@@ -323,6 +323,7 @@ impl Runtime {
                 // the 'env borrows captured by the task outlive its run.
                 // The transmute only erases that lifetime; the fat-Box
                 // layout is identical on both sides.
+                #[allow(unsafe_code)]
                 let run: ErasedTask =
                     unsafe { std::mem::transmute::<BatchTask<'env>, ErasedTask>(task) };
                 queue.tasks.push_back(QueuedTask {

@@ -25,81 +25,10 @@ use std::time::{Duration, Instant};
 ///
 /// The loss stream is derived per `(round, sender)`, never shared across
 /// senders, so a sender's drop pattern is independent of the order (or
-/// thread) in which senders are routed — the property that lets
-/// [`StepExec::Sharded`] reproduce serial traces byte-for-byte.
+/// thread) in which senders are routed — the property that lets sharded
+/// stepping ([`SimulationBuilder::shards`]) reproduce serial traces
+/// byte-for-byte.
 const LOSS_DOMAIN: u64 = 0x1055_1055_1055_1055;
-
-/// Fingerprint of the inputs the shard plan depends on: the topology
-/// generation (degrees), the shard count, and the active id set
-/// (length + endpoints + an FNV-1a rolling hash). A key match is only a
-/// *candidate* hit — the cached plan's exact active slice is compared
-/// before reuse, so a hash collision can never produce a stale plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
-    generation: u64,
-    shards: usize,
-    len: usize,
-    first: usize,
-    last: usize,
-    hash: u64,
-}
-
-impl PlanKey {
-    fn new(generation: u64, shards: usize, active: &[usize]) -> PlanKey {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &i in active {
-            hash ^= i as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        PlanKey {
-            generation,
-            shards,
-            len: active.len(),
-            first: active.first().copied().unwrap_or(usize::MAX),
-            last: active.last().copied().unwrap_or(usize::MAX),
-            hash,
-        }
-    }
-}
-
-/// How [`Simulation::step`] executes its compute phase.
-///
-/// Either way the observable round semantics are identical — sharded
-/// stepping is a pure throughput knob, verified byte-for-byte against
-/// serial stepping (`tests/sharding.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepExec {
-    /// One thread steps every active process in id order.
-    Serial,
-    /// The persistent [`Runtime`] pool's workers step degree-balanced
-    /// process index sets in parallel (a deterministic greedy bin-pack
-    /// over degrees, so one hub can't serialize a shard); a serial merge
-    /// then delivers what each shard routed in ascending process-id order.
-    Sharded {
-        /// Number of shards (clamped to `[1, n]`; 1 behaves like
-        /// [`StepExec::Serial`]).
-        shards: usize,
-    },
-}
-
-impl StepExec {
-    /// Canonicalizes a shard-count knob: `0` and `1` mean serial.
-    pub fn from_shards(shards: usize) -> StepExec {
-        if shards <= 1 {
-            StepExec::Serial
-        } else {
-            StepExec::Sharded { shards }
-        }
-    }
-
-    /// The effective shard count for a system of `n` processes.
-    pub fn shard_count(self, n: usize) -> usize {
-        match self {
-            StepExec::Serial => 1,
-            StepExec::Sharded { shards } => shards.clamp(1, n.max(1)),
-        }
-    }
-}
 
 /// Splits one step's wall time over its [`StepPhase`]s: each `lap` charges
 /// the time since the previous one to the phase that just ended. Built only
@@ -160,6 +89,8 @@ impl<'a> RoundEnv<'a> {
 /// Per-shard scratch buffers, persisted across rounds so steady-state
 /// stepping allocates nothing: `routed` carries the shard's link- and
 /// loss-filtered messages (plus drop and byte tallies) to the merge phase.
+/// A shard steps a contiguous run of the ascending active list, so both
+/// buffers are in ascending sender order and the merge concatenates them.
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
     /// Messages that survived link and loss filtering, in sender order.
@@ -171,16 +102,9 @@ pub(crate) struct ShardScratch {
     dropped_no_link: u64,
     /// Messages dropped by the loss model.
     dropped_lossy: u64,
-    /// Telemetry events generated by this shard's compute phase, in
-    /// per-sender order; drained into the run's [`EventSink`] by the merge
-    /// phase in ascending sender order (empty unless the event plane is on).
+    /// Telemetry events generated by this shard's compute phase, in sender
+    /// order (empty unless the event plane is on).
     events: Vec<Event>,
-    /// Per-sender segment table: one `(sender, routed end, events end)`
-    /// entry per stepped process (even quiet ones), recording cumulative
-    /// lengths of `routed`/`events` after that sender. Shard id sets are
-    /// no longer contiguous, so the merge k-way-walks these tables to
-    /// recover global ascending-sender order.
-    segs: Vec<(ProcessId, usize, usize)>,
 }
 
 impl ShardScratch {
@@ -291,27 +215,12 @@ pub struct Simulation {
     woken: Vec<usize>,
     /// Scratch for the round's active id list (ascending, deduplicated).
     active: Vec<usize>,
-    /// Recycled degree-balanced shard plan: `shard_plan[s]` = the ids shard
-    /// `s` steps this round, ascending.
-    shard_plan: Vec<Vec<usize>>,
-    /// Bin-pack scratch: `(weight, id)` pairs and per-bin load tallies.
-    plan_weights: Vec<(usize, usize)>,
-    plan_loads: Vec<usize>,
-    /// Fingerprint of the inputs `shard_plan` was computed from; `None`
-    /// until the first sharded round (or when caching is off).
-    plan_key: Option<PlanKey>,
-    /// The exact active set `shard_plan` was computed from — compared in
-    /// full on a key hit so fingerprint collisions are harmless.
-    plan_active: Vec<usize>,
-    /// Whether to reuse `shard_plan` across rounds when its inputs are
-    /// unchanged (never affects any trace; see
-    /// [`SimulationBuilder::plan_cache`]).
-    plan_cache: bool,
     /// Per-shard compute buffers, recycled across rounds (one entry when
     /// stepping serially).
     shard_scratch: Vec<ShardScratch>,
-    /// Compute-phase execution strategy.
-    exec: StepExec,
+    /// Requested shard count for the compute phase, as given: clamped to
+    /// `[1, n]` where [`step`](Simulation::step) reads it.
+    shards: usize,
     /// The persistent worker pool the sharded compute phase submits to.
     /// `None` until first needed; a sharded step without an explicit
     /// handle adopts [`Runtime::global`] — serial sims never touch a pool.
@@ -346,11 +255,10 @@ pub struct SimulationBuilder {
     seed: u64,
     delivery: Delivery,
     schedule: Schedule,
-    exec: StepExec,
+    shards: usize,
     runtime: Option<Runtime>,
     telemetry: Option<TelemetryConfig>,
     profiler: Option<Profiler>,
-    plan_cache: bool,
 }
 
 impl SimulationBuilder {
@@ -373,17 +281,14 @@ impl SimulationBuilder {
         self
     }
 
-    /// Shards the compute phase of every [`step`](Simulation::step) across
-    /// this many threads (default 1 = serial). Traces are byte-identical
-    /// at any shard count.
+    /// Shards the compute phase of every [`step`](Simulation::step): the
+    /// round's active list is cut into this many contiguous runs of
+    /// near-equal `Σ(degree + 1)`, stepped as one batch on the
+    /// [`Runtime`] pool (default 1 = serial, as is 0; more shards than
+    /// processes clamps to one each). Traces are byte-identical at any
+    /// shard count.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.exec = StepExec::from_shards(shards);
-        self
-    }
-
-    /// Sets the compute-phase execution strategy directly.
-    pub fn exec(mut self, exec: StepExec) -> Self {
-        self.exec = exec;
+        self.shards = shards;
         self
     }
 
@@ -416,14 +321,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Turns the shard-plan cache off (or back on) for this simulation;
-    /// it is on by default. Caching only skips re-running the
-    /// deterministic bin-pack when the active set and topology are
-    /// unchanged, so it never changes a trace — the off switch is what
-    /// the cached-vs-uncached byte-identity tests and the benchmark's
-    /// A/B row compare against.
-    pub fn plan_cache(mut self, enabled: bool) -> Self {
-        self.plan_cache = enabled;
+    /// Compatibility shim, selects nothing: there is no shard-plan cache
+    /// any more (the cuts are recomputed every sharded round). It exists
+    /// only because `benchmark/src/flood.rs` calls it and a PR may not
+    /// touch `benchmark/`; the next `[benchmark]` issue drops it together
+    /// with the `simnet.step_ms_s2_replan` row (ROADMAP 3(c)).
+    #[doc(hidden)]
+    pub fn plan_cache(self, _enabled: bool) -> Self {
         self
     }
 
@@ -478,14 +382,8 @@ impl SimulationBuilder {
             persistent,
             woken: Vec::new(),
             active: Vec::with_capacity(n),
-            shard_plan: Vec::new(),
-            plan_weights: Vec::new(),
-            plan_loads: Vec::new(),
-            plan_key: None,
-            plan_active: Vec::new(),
-            plan_cache: self.plan_cache,
             shard_scratch: Vec::new(),
-            exec: self.exec,
+            shards: self.shards,
             runtime: self.runtime,
             topology: self.topology,
             processes,
@@ -510,29 +408,28 @@ impl Simulation {
             seed: 0,
             delivery: Delivery::Reliable,
             schedule: Schedule::new(),
-            exec: StepExec::Serial,
+            shards: 1,
             runtime: None,
             telemetry: None,
             profiler: None,
-            plan_cache: true,
         }
     }
 
     /// Re-shards the compute phase mid-run (`0`/`1` mean serial). Changing
     /// the shard count never changes the trace.
     pub fn set_shards(&mut self, shards: usize) {
-        self.exec = StepExec::from_shards(shards);
+        self.shards = shards;
+    }
+
+    /// The effective shard count: the requested one clamped to `[1, n]`.
+    fn shard_count(&self) -> usize {
+        self.shards.clamp(1, self.processes.len().max(1))
     }
 
     /// Re-targets the sharded compute phase at `runtime` (the pool size
     /// never changes the trace) — see [`SimulationBuilder::runtime`].
     pub fn set_runtime(&mut self, runtime: Runtime) {
         self.runtime = Some(runtime);
-    }
-
-    /// The current compute-phase execution strategy.
-    pub fn exec(&self) -> StepExec {
-        self.exec
     }
 
     /// Number of processes.
@@ -626,22 +523,23 @@ impl Simulation {
     /// 1. **Compute** — every active process steps against the immutable
     ///    snapshot of last pulse's deliveries; each message is link- and
     ///    loss-filtered as it is sent, straight into the shard's `routed`
-    ///    buffer (nothing is queued first: see [`Context`]). Under
-    ///    [`StepExec::Sharded`] the active set is bin-packed into
-    ///    degree-balanced index sets run as one indexed batch on the
+    ///    buffer (nothing is queued first: see [`Context`]). With more
+    ///    than one shard the ascending active list is cut into contiguous
+    ///    runs of near-equal `Σ(degree + 1)` (`shard_cuts`, recomputed
+    ///    every round), the process table is split into the matching
+    ///    disjoint id ranges, and the runs go as one indexed batch to the
     ///    persistent [`Runtime`] pool — no threads are spawned per round;
     ///    every random draw is derived from `(seed, id, round)`
-    ///    coordinates, so nothing depends on the shard plan or thread
+    ///    coordinates, so nothing depends on the cuts or on thread
     ///    interleaving.
     /// 2. **Merge** — the shards' routed, byte and drop tallies are folded
     ///    into the trace once and every destination is counted, so the
-    ///    next-round inbox store can lay its one buffer out; then a k-way
-    ///    walk over the per-sender segment tables replays global ascending
-    ///    process-id order: surviving messages are placed into their
-    ///    destination's group sender-by-sender, exactly the order serial
-    ///    stepping produces, without looking inside a payload. Traces (and
-    ///    the event stream) are therefore byte-identical at any shard
-    ///    count.
+    ///    next-round inbox store can lay its one buffer out; then each
+    ///    shard's events and messages are appended in shard order. Shard
+    ///    `s`'s senders all precede shard `s + 1`'s, so that is ascending
+    ///    process-id order — exactly what serial stepping produces —
+    ///    without looking inside a payload. Traces (and the event stream)
+    ///    are therefore byte-identical at any shard count.
     ///
     /// Scheduled churn/fault events fire once, before the compute phase,
     /// so the whole round sees the post-event topology and delivery model.
@@ -652,11 +550,11 @@ impl Simulation {
     /// buffer across all its processes and rounds, and payloads move as
     /// [`Bytes`] — inline in the [`Message`] when short, else a
     /// broadcast's single refcounted buffer shared by every recipient,
-    /// the last of which takes the sender's own handle. The
-    /// sharded path additionally boxes one task header per shard per round
-    /// (a few ns each — the point of the persistent pool is eliminating
-    /// the ~tens of µs of per-round thread spawn/join the old
-    /// `thread::scope` compute phase paid).
+    /// the last of which takes the sender's own handle. The sharded path
+    /// additionally allocates the cut list and, per shard per round, one
+    /// task box and one process-range box (a few ns each — the point of
+    /// the persistent pool is eliminating the ~tens of µs of per-round
+    /// thread spawn/join the old `thread::scope` compute phase paid).
     pub fn step(&mut self) {
         let mut clock = self.profiler.as_ref().map(|_| PhaseClock::start());
         if let Some(sink) = &mut self.telemetry {
@@ -694,7 +592,7 @@ impl Simulation {
             self.active.dedup();
         }
 
-        let shards = self.exec.shard_count(n);
+        let shards = self.shard_count();
         if self.shard_scratch.len() < shards {
             self.shard_scratch
                 .resize_with(shards, ShardScratch::default);
@@ -724,56 +622,31 @@ impl Simulation {
                 );
             }
         } else {
-            // Bin-pack the active set into degree-balanced id sets and
-            // submit them as one indexed batch to the persistent pool
-            // (adopting the process-wide pool if none was attached). The
-            // merge below replays ascending sender order whatever the
-            // plan, so results are byte-identical at any pool size.
-            //
-            // The plan is a pure function of (degrees, shard count,
-            // active ids); when caching is on and all three are unchanged
-            // since the plan was built — degrees fingerprinted by the
-            // topology's mutation generation, the active set confirmed by
-            // an exact slice compare after the hash — the previous plan is
-            // reused. Dense-activity rounds (everyone active, no churn)
-            // therefore pay the bin-pack once, not every round.
-            let key = PlanKey::new(env.topology.generation(), shards, &self.active);
-            let hit =
-                self.plan_cache && self.plan_key == Some(key) && self.plan_active == self.active;
-            if !hit {
-                plan_shards(
-                    &self.active,
-                    env.topology,
-                    shards,
-                    &mut self.shard_plan,
-                    &mut self.plan_weights,
-                    &mut self.plan_loads,
-                );
-                self.plan_active.clear();
-                self.plan_active.extend_from_slice(&self.active);
-                self.plan_key = Some(key);
-            }
-            // Planning is active-set work, not compute.
+            // A run of the ascending active list lies in an id range no
+            // other run reaches, so the process table splits into one
+            // `&mut` range per non-empty run: that no two tasks alias a
+            // process is a borrow the compiler checks. The runs are
+            // submitted as one indexed batch to the persistent pool
+            // (adopting the process-wide pool if none was attached).
+            let weight = |i| env.topology.degree(ProcessId(i)) + 1;
+            let cuts = shard_cuts(&self.active, weight, shards);
+            let runs = cuts
+                .windows(2)
+                .map(|cut| &self.active[cut[0]..cut[1]])
+                .filter(|ids| !ids.is_empty());
+            let firsts: Vec<usize> = runs.clone().map(|ids| ids[0]).collect();
+            let ranges = self.processes.split_mut(&firsts);
+            // Cutting is active-set work, not compute.
             PhaseClock::lap(&mut clock, StepPhase::ActiveSet);
-            let shared = self.processes.shared();
             let runtime = &*self.runtime.get_or_insert_with(Runtime::global);
-            let tasks: Vec<BatchTask<'_>> = self
-                .shard_plan
-                .iter()
+            let tasks: Vec<BatchTask<'_>> = runs
+                .zip(ranges)
                 .zip(self.shard_scratch.iter_mut())
-                .filter(|(ids, _)| !ids.is_empty())
-                .map(|(ids, scratch)| {
-                    let (shared, env) = (&shared, &env);
+                .map(|((ids, mut range), scratch)| {
+                    let env = &env;
                     Box::new(move || {
                         for &i in ids {
-                            // SAFETY: the bins partition the active set
-                            // (each id lands in exactly one), all ids are
-                            // in range, and `run_batch` returns only after
-                            // every task completes — so no two tasks alias
-                            // a process and no reference outlives the
-                            // batch.
-                            let process = unsafe { &mut *shared.get_ptr(i) };
-                            step_one(process, ProcessId(i), scratch, consumed, env);
+                            step_one(range.get_mut(i), ProcessId(i), scratch, consumed, env);
                         }
                     }) as BatchTask<'_>
                 })
@@ -794,11 +667,10 @@ impl Simulation {
             }
         }
 
-        // Merge phase: k-way walk of the shards' per-sender segment tables
-        // in ascending sender order — the serial order. Counters (and
-        // buffered telemetry events) are consumed in the same fixed order,
-        // which is what keeps the event stream byte-identical at any shard
-        // count.
+        // Merge phase: the shards in order are the senders in ascending
+        // order — the serial order. Counters, buffered telemetry events
+        // and messages are consumed in that one fixed order, which is what
+        // keeps trace and event stream byte-identical at any shard count.
         PhaseClock::lap(&mut clock, StepPhase::Requery);
         let mut delivered_this_round = 0u64;
         for scratch in &mut self.shard_scratch[..shards] {
@@ -808,83 +680,23 @@ impl Simulation {
                 .record_routed(routed, std::mem::take(&mut scratch.bytes_routed));
             self.trace.messages_dropped_no_link += std::mem::take(&mut scratch.dropped_no_link);
             self.trace.messages_dropped_lossy += std::mem::take(&mut scratch.dropped_lossy);
-            // Pass one of the inbox fill: every destination's count, so the
-            // walk below can place each message where it stays.
+            // Pass one of the inbox fill: every destination's count, so
+            // pass two can place each message where it stays.
             for (to, _) in &scratch.routed {
                 self.trace.record_delivered_to(*to);
                 self.inboxes.count(to.index());
             }
         }
         self.inboxes.layout();
-        {
-            struct Cursor<'a> {
-                segs: std::slice::Iter<'a, (ProcessId, usize, usize)>,
-                next: Option<(ProcessId, usize, usize)>,
-                routed: std::vec::Drain<'a, (ProcessId, Message)>,
-                events: std::vec::Drain<'a, Event>,
-                routed_taken: usize,
-                events_taken: usize,
-            }
-            let mut cursors: Vec<Cursor<'_>> = self.shard_scratch[..shards]
-                .iter_mut()
-                .map(|scratch| {
-                    let ShardScratch {
-                        segs,
-                        routed,
-                        events,
-                        ..
-                    } = scratch;
-                    let mut segs = segs.iter();
-                    let next = segs.next().copied();
-                    Cursor {
-                        segs,
-                        next,
-                        routed: routed.drain(..),
-                        events: events.drain(..),
-                        routed_taken: 0,
-                        events_taken: 0,
-                    }
-                })
-                .collect();
-            loop {
-                // Pick the shard holding the smallest unmerged sender (the
-                // linear scan is over ≤ shard-count cursors, not senders).
-                let mut best: Option<(ProcessId, usize)> = None;
-                for (si, cursor) in cursors.iter().enumerate() {
-                    if let Some((sender, _, _)) = cursor.next {
-                        if best.is_none_or(|(s, _)| sender.index() < s.index()) {
-                            best = Some((sender, si));
-                        }
-                    }
-                }
-                let Some((_, si)) = best else { break };
-                let cursor = &mut cursors[si];
-                let (_, routed_end, events_end) = cursor.next.take().unwrap();
-                cursor.next = cursor.segs.next().copied();
-                if events_end > cursor.events_taken {
-                    for event in cursor
-                        .events
-                        .by_ref()
-                        .take(events_end - cursor.events_taken)
-                    {
-                        if let Some(sink) = &mut self.telemetry {
-                            sink.push(event);
-                        }
-                    }
-                    cursor.events_taken = events_end;
-                }
-                for (to, message) in cursor
-                    .routed
-                    .by_ref()
-                    .take(routed_end - cursor.routed_taken)
-                {
-                    self.inboxes.place(to.index(), message);
-                }
-                cursor.routed_taken = routed_end;
-            }
-        }
         for scratch in &mut self.shard_scratch[..shards] {
-            scratch.segs.clear();
+            if let Some(sink) = &mut self.telemetry {
+                for event in scratch.events.drain(..) {
+                    sink.push(event);
+                }
+            }
+            for (to, message) in scratch.routed.drain(..) {
+                self.inboxes.place(to.index(), message);
+            }
         }
         if let Some(sink) = &mut self.telemetry {
             sink.push(Event::RoundEnd {
@@ -1069,58 +881,39 @@ impl Simulation {
     }
 }
 
-/// Assigns the round's active ids to `shards` bins by a deterministic
-/// greedy bin-pack over `degree + 1` weights: heaviest first (ties toward
-/// the lower id), each to the currently least-loaded bin (ties toward the
-/// lower bin index), so a star hub can't serialize one shard. Bins come
-/// out sorted ascending. The plan only decides which thread steps whom —
-/// merge order and every RNG draw are id-keyed, so any plan produces the
+/// Cuts the ascending `active` list into `shards` contiguous runs of
+/// near-equal weight (`degree + 1` in [`Simulation::step`]): returns
+/// `shards + 1` ascending positions, the first 0 and the last
+/// `active.len()`; run `s` is `active[cuts[s]..cuts[s + 1]]`. Cut `s` is
+/// the first position whose prefix weight reaches `s / shards` of the
+/// total, so a run weighs less than `total / shards` plus its own last
+/// member — the bound greedy list-scheduling gives: a hub cannot be split
+/// either way, and what rides with it is capped. A run is empty where one
+/// member spans several shares or there are fewer ids than shards. A pure
+/// function of its arguments; it only decides which thread steps whom —
+/// merge order and every RNG draw are id-keyed, so any cuts produce the
 /// same trace.
-fn plan_shards(
-    active: &[usize],
-    topology: &Topology,
-    shards: usize,
-    plan: &mut Vec<Vec<usize>>,
-    weights: &mut Vec<(usize, usize)>,
-    loads: &mut Vec<usize>,
-) {
-    if plan.len() != shards {
-        plan.resize_with(shards, Vec::new);
-    }
-    for bin in plan.iter_mut() {
-        bin.clear();
-    }
-    weights.clear();
-    weights.extend(
-        active
-            .iter()
-            .map(|&i| (topology.neighbors(ProcessId(i)).len() + 1, i)),
-    );
-    weights.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    loads.clear();
-    loads.resize(shards, 0);
-    for &(weight, i) in weights.iter() {
-        let mut bin = 0;
-        for s in 1..shards {
-            if loads[s] < loads[bin] {
-                bin = s;
-            }
+fn shard_cuts(active: &[usize], weight: impl Fn(usize) -> usize, shards: usize) -> Vec<usize> {
+    let total: usize = active.iter().map(|&i| weight(i)).sum();
+    let mut cuts = Vec::with_capacity(shards + 1);
+    cuts.push(0);
+    let mut prefix = 0;
+    for (at, &i) in active.iter().enumerate() {
+        while cuts.len() < shards && prefix * shards >= cuts.len() * total {
+            cuts.push(at);
         }
-        plan[bin].push(i);
-        loads[bin] += weight;
+        prefix += weight(i);
     }
-    for bin in plan.iter_mut() {
-        bin.sort_unstable();
-    }
+    cuts.resize(shards + 1, active.len());
+    cuts
 }
 
-/// Steps one process against the immutable prior-round inboxes — its
-/// sends are routed into the owning shard's `routed` buffer as they are
-/// made (see [`ShardScratch::route`]) — and closes the shard's per-sender
-/// segment-table entry.
+/// Steps one process against the immutable prior-round inboxes; its sends
+/// are routed into the owning shard's `routed` buffer as they are made
+/// (see [`ShardScratch::route`]).
 ///
-/// Shard-plan independence: every draw a sender makes — its process RNG
-/// and its loss stream — is derived from `(seed, id, round)` alone, so the
+/// Shard independence: every draw a sender makes — its process RNG and
+/// its loss stream — is derived from `(seed, id, round)` alone, so the
 /// routed output for a sender is the same whichever shard (or thread)
 /// executes it. With the event plane on, per-message telemetry events are
 /// pushed into the shard's buffer in the same per-sender order, inheriting
@@ -1138,9 +931,6 @@ fn step_one(
         id,
         consumed.slot(id.index()),
     ));
-    scratch
-        .segs
-        .push((id, scratch.routed.len(), scratch.events.len()));
 }
 
 #[cfg(test)]
@@ -1237,16 +1027,18 @@ mod tests {
 
     #[test]
     fn step_exec_canonicalizes_and_clamps() {
-        assert_eq!(StepExec::from_shards(0), StepExec::Serial);
-        assert_eq!(StepExec::from_shards(1), StepExec::Serial);
-        assert_eq!(StepExec::from_shards(3), StepExec::Sharded { shards: 3 });
-        assert_eq!(StepExec::Serial.shard_count(8), 1);
-        assert_eq!(StepExec::Sharded { shards: 3 }.shard_count(8), 3);
-        assert_eq!(
-            StepExec::Sharded { shards: 64 }.shard_count(8),
-            8,
-            "never more shards than processes"
-        );
+        let mut reference = counters(Topology::complete(8), 42);
+        reference.run(6);
+        // 0 and 1 are serial, more shards than processes is one each, and
+        // a count that leaves ragged runs (8 ids over 3, 5 or 7) changes
+        // nothing either.
+        for (shards, effective) in [(0, 1), (1, 1), (3, 3), (5, 5), (7, 7), (8, 8), (64, 8)] {
+            let mut sim = counters(Topology::complete(8), 42);
+            sim.set_shards(shards);
+            assert_eq!(sim.shard_count(), effective, "shards={shards}");
+            sim.run(6);
+            assert_eq!(reference.trace(), sim.trace(), "shards={shards}");
+        }
     }
 
     #[test]
@@ -1271,10 +1063,8 @@ mod tests {
         let mut resharded = counters(Topology::complete(6), 7);
         resharded.run(3);
         resharded.set_shards(4);
-        assert_eq!(resharded.exec(), StepExec::Sharded { shards: 4 });
         resharded.run(3);
         resharded.set_shards(1);
-        assert_eq!(resharded.exec(), StepExec::Serial);
         resharded.run(3);
         assert_eq!(reference.trace(), resharded.trace());
     }
@@ -1715,100 +1505,166 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_cache_never_changes_the_trace() {
-        use crate::telemetry::TelemetryConfig;
-        // Dense activity with churn firing mid-window: the cut/heal bumps
-        // the topology generation, so a stale plan would misassign (or
-        // worse, mis-weight) ids if invalidation were broken. Cached and
-        // uncached runs must agree byte-for-byte at every shard count.
-        let build = |shards: usize, cache: bool| {
-            Simulation::builder(Topology::complete(8))
-                .seed(13)
-                .shards(shards)
-                .plan_cache(cache)
-                .telemetry(TelemetryConfig::default())
-                .schedule(
-                    Schedule::new()
-                        .at(
-                            3,
-                            ScheduledAction::CutLink {
-                                a: ProcessId(1),
-                                b: ProcessId(2),
-                            },
-                        )
-                        .at(
-                            5,
-                            ScheduledAction::HealLink {
-                                a: ProcessId(1),
-                                b: ProcessId(2),
-                            },
-                        )
-                        .at(6, ScheduledAction::Disconnect(ProcessId(7))),
-                )
-                .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>)
-        };
-        let mut reference = build(1, false);
-        reference.run(9);
-        let reference_events = reference.take_events();
-        for shards in [2, 4, 8] {
-            for cache in [false, true] {
-                let mut sim = build(shards, cache);
-                sim.run(9);
-                assert_eq!(
-                    reference.trace(),
-                    sim.trace(),
-                    "shards={shards} cache={cache}"
-                );
-                assert_eq!(
-                    reference_events,
-                    sim.take_events(),
-                    "shards={shards} cache={cache}"
-                );
+    /// Weight of `active[from..to]` under `weights`.
+    fn run_weight(weights: &[usize], active: &[usize], from: usize, to: usize) -> usize {
+        active[from..to].iter().map(|&i| weights[i]).sum()
+    }
+
+    mod cuts {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Mostly light members with the odd hub, any ascending subset
+            /// active: the cuts tile the active list and no run outweighs
+            /// its share by more than one member.
+            #[test]
+            fn shard_cuts_tile_the_active_list_within_the_bound(
+                raw in proptest::collection::vec((0usize..6, 1usize..400), 1..48),
+                mask in proptest::collection::vec(any::<bool>(), 48),
+                shards in 1usize..=9,
+            ) {
+                let weights: Vec<usize> = raw
+                    .iter()
+                    .map(|&(kind, w)| if kind == 0 { w } else { 1 + w % 5 })
+                    .collect();
+                let active: Vec<usize> = (0..weights.len()).filter(|&i| mask[i]).collect();
+                let cuts = shard_cuts(&active, |i| weights[i], shards);
+                prop_assert_eq!(cuts.len(), shards + 1);
+                prop_assert_eq!(cuts[0], 0);
+                prop_assert_eq!(cuts[shards], active.len());
+                prop_assert!(cuts.windows(2).all(|cut| cut[0] <= cut[1]), "ascending: {:?}", cuts);
+                let total = run_weight(&weights, &active, 0, active.len());
+                let heaviest = active.iter().map(|&i| weights[i]).max().unwrap_or(0);
+                for cut in cuts.windows(2) {
+                    let run = run_weight(&weights, &active, cut[0], cut[1]);
+                    prop_assert!(
+                        run <= total / shards + heaviest,
+                        "run {:?} weighs {} of {} over {} shards, heaviest member {}",
+                        cut, run, total, shards, heaviest
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn plan_cache_reuses_and_invalidates() {
-        // White-box: dense activity on a static topology converges to one
-        // plan; churn invalidates it.
-        let mut sim = Simulation::builder(Topology::complete(6))
-            .seed(3)
-            .shards(3)
-            .plan_cache(true)
-            .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>);
-        sim.run(2);
-        let key = sim.plan_key.expect("sharded rounds fingerprint the plan");
-        sim.run(3);
-        assert_eq!(
-            sim.plan_key,
-            Some(key),
-            "static dense rounds reuse the plan"
-        );
-        sim.disconnect(ProcessId(4));
-        sim.run(1);
-        let after = sim.plan_key.expect("replanned after churn");
-        assert_ne!(key, after, "isolation bumps the generation");
+    fn a_star_hub_rides_with_at_most_its_share() {
+        let n = 4097;
+        let star = Topology::star(n);
+        let weights: Vec<usize> = (0..n).map(|i| star.degree(ProcessId(i)) + 1).collect();
+        let active: Vec<usize> = (0..n).collect();
+        let total: usize = weights.iter().sum();
+        for shards in [2, 4] {
+            let cuts = shard_cuts(&active, |i| weights[i], shards);
+            for cut in cuts.windows(2) {
+                assert!(
+                    cut[0] < cut[1],
+                    "shards={shards}: no shard is empty ({cuts:?})"
+                );
+                // A run outweighs its share by less than its last member:
+                // the hub's by the hub, a run of leaves by one leaf.
+                let run = run_weight(&weights, &active, cut[0], cut[1]);
+                let last = weights[active[cut[1] - 1]];
+                assert!(
+                    run <= total / shards + last,
+                    "shards={shards}: run {cut:?} weighs {run}, share {}",
+                    total / shards
+                );
+            }
+            let hub = run_weight(&weights, &active, cuts[0], cuts[1]);
+            assert!(
+                hub <= total / shards + n,
+                "shards={shards}: hub shard {hub}"
+            );
+        }
+    }
+
+    /// The `tests/sparse.rs` token relay with many tokens: a starter emits
+    /// one, every holder passes each token to the neighbor after the one
+    /// it came from, everyone else sleeps. A scramble makes a starter.
+    struct Relay {
+        start: bool,
+    }
+
+    impl Process for Relay {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            let neighbors = ctx.neighbors();
+            let mut passes: Vec<(usize, Bytes)> = ctx
+                .inbox()
+                .iter()
+                .map(|m| {
+                    let from = neighbors.iter().position(|&nb| nb == m.from.index());
+                    let next = from.map_or(0, |at| (at + 1) % neighbors.len());
+                    (neighbors[next], m.payload.clone())
+                })
+                .collect();
+            if self.start {
+                self.start = false;
+                passes.push((neighbors[0], vec![ctx.id().index() as u8].into()));
+            }
+            for (to, token) in passes {
+                ctx.send(ProcessId(to), token);
+            }
+        }
+        fn scramble(&mut self, _rng: &mut StdRng) {
+            self.start = true;
+        }
+        fn always_active(&self) -> bool {
+            self.start
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
     }
 
     #[test]
-    fn plan_key_distinguishes_distinct_active_sets() {
-        // Same length, same endpoints, different interiors: the rolling
-        // hash (plus the exact compare in step()) must not treat these as
-        // one plan.
-        let a = PlanKey::new(0, 4, &[0, 2, 5, 9]);
-        let b = PlanKey::new(0, 4, &[0, 3, 5, 9]);
-        assert_ne!(a, b);
-        assert_ne!(
-            PlanKey::new(0, 4, &[0, 2, 5, 9]),
-            PlanKey::new(1, 4, &[0, 2, 5, 9])
-        );
-        assert_ne!(
-            PlanKey::new(0, 4, &[0, 2, 5, 9]),
-            PlanKey::new(0, 2, &[0, 2, 5, 9])
-        );
-        assert_eq!(a, PlanKey::new(0, 4, &[0, 2, 5, 9]));
+    fn partially_active_population_is_shard_invariant() {
+        use crate::fault::CorruptionTargets;
+        use crate::telemetry::TelemetryConfig;
+        // `sim/reference.rs` scripts always-active processes only; here
+        // the active list is a scattered, moving subset, the slab is
+        // promoted mid-run (both table shapes get split) and a corruption
+        // wakes sleepers — trace and event stream must not notice shards.
+        let family = CorruptionFamily {
+            targets: CorruptionTargets::RandomK(3),
+            corrupt_messages_p: 0.5,
+            drop_messages_p: 0.3,
+            salt: 5,
+        };
+        for topology in [Topology::star(12), Topology::grid(4, 5)] {
+            let n = topology.len();
+            let run = |shards: usize| {
+                let mut sim = Simulation::builder(topology.clone())
+                    .seed(17)
+                    .shards(shards)
+                    .telemetry(TelemetryConfig::default())
+                    .schedule(Schedule::new().at(
+                        10,
+                        ScheduledAction::Corrupt(family.clone(), Recurrence::Once),
+                    ))
+                    .build_slab(|id| Relay {
+                        start: id.index() % 5 == 1,
+                    });
+                sim.run(6);
+                let asleep = sim.quiescent_processes();
+                sim.replace_process(ProcessId(3), Box::new(Counter { received: 0 }))
+                    .unwrap();
+                sim.run(10);
+                (sim.trace().clone(), sim.take_events(), asleep)
+            };
+            let serial = run(1);
+            assert!(serial.2 > 0 && serial.2 < n, "{} of {n} asleep", serial.2);
+            assert!(serial.1.iter().any(|e| e.kind() == "scrambled"));
+            for shards in [2, 3, 7, n + 3] {
+                assert_eq!(serial, run(shards), "n={n} shards={shards}");
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! is introduced (a mid-run
 //! [`replace_process`](crate::sim::Simulation::replace_process)), a
 //! one-time O(n) move.
+//!
+//! The sharded compute phase borrows the table as disjoint id ranges
+//! ([`ProcessStore::split_mut`], `split_at_mut` underneath): each shard
+//! task owns the `&mut` to its range, so that no two tasks reach the same
+//! process is a borrow the compiler checks.
 
 use crate::process::Process;
 
@@ -71,15 +76,14 @@ impl ProcessStore {
         }
     }
 
-    /// Raw shared accessor for the sharded compute phase — see
-    /// [`SharedStore`].
-    pub(crate) fn shared(&mut self) -> SharedStore {
+    /// Splits the table into one mutable id range per entry of `firsts`
+    /// (ascending, in range): range `k` covers ids `firsts[k]` up to the
+    /// next entry, the last one up to the end of the table; ids below
+    /// `firsts[0]` are in no range.
+    pub(crate) fn split_mut(&mut self, firsts: &[usize]) -> Vec<Box<dyn ProcessRange + '_>> {
         match self {
-            ProcessStore::Boxed(v) => SharedStore {
-                ptr: v.as_mut_ptr() as *mut u8,
-                get: get_boxed_raw,
-            },
-            ProcessStore::Slab(s) => s.shared(),
+            ProcessStore::Boxed(v) => split_ranges(v, firsts),
+            ProcessStore::Slab(s) => s.split_mut(firsts),
         }
     }
 
@@ -111,7 +115,7 @@ pub(crate) trait Slab: Send {
     fn get_mut(&mut self, i: usize) -> &mut dyn Process;
     /// Moves every process into its own box (slab → boxed promotion).
     fn into_boxed(self: Box<Self>) -> Vec<Box<dyn Process>>;
-    fn shared(&mut self) -> SharedStore;
+    fn split_mut(&mut self, firsts: &[usize]) -> Vec<Box<dyn ProcessRange + '_>>;
 }
 
 struct TypedSlab<P: Process + 'static>(Vec<P>);
@@ -136,62 +140,58 @@ impl<P: Process + 'static> Slab for TypedSlab<P> {
             .collect()
     }
 
-    fn shared(&mut self) -> SharedStore {
-        SharedStore {
-            ptr: self.0.as_mut_ptr() as *mut u8,
-            get: get_slab_raw::<P>,
-        }
+    fn split_mut(&mut self, firsts: &[usize]) -> Vec<Box<dyn ProcessRange + '_>> {
+        split_ranges(&mut self.0, firsts)
     }
 }
 
-/// # Safety
-///
-/// `ptr` must be the base of a live `Vec<Box<dyn Process>>` and `i` in
-/// range; the caller upholds the aliasing contract described on
-/// [`SharedStore`].
-unsafe fn get_boxed_raw(ptr: *mut u8, i: usize) -> *mut dyn Process {
-    let boxes = ptr as *mut Box<dyn Process>;
-    unsafe { &mut **boxes.add(i) as *mut dyn Process }
-}
-
-/// # Safety
-///
-/// `ptr` must be the base of a live `Vec<P>` and `i` in range; the caller
-/// upholds the aliasing contract described on [`SharedStore`].
-unsafe fn get_slab_raw<P: Process + 'static>(ptr: *mut u8, i: usize) -> *mut dyn Process {
-    unsafe { (ptr as *mut P).add(i) as *mut dyn Process }
-}
-
-/// Raw shared access to the process table for the sharded compute phase:
-/// a base pointer plus a monomorphized element accessor, so shard tasks
-/// pay one indirect call per process instead of a store-shape match.
-///
-/// Each batch task dereferences only the indices of its own (disjoint)
-/// shard-plan bin, and the pointer never outlives `run_batch` (which
-/// joins every task before returning) — the same contract the `SAFETY`
-/// comment at the use site in [`crate::sim`] spells out.
-#[derive(Clone, Copy)]
-pub(crate) struct SharedStore {
-    ptr: *mut u8,
-    get: unsafe fn(*mut u8, usize) -> *mut dyn Process,
-}
-
-// SAFETY: tasks access disjoint, in-range indices only, and the pointer
-// never outlives `run_batch` (which joins every task before returning).
-unsafe impl Send for SharedStore {}
-unsafe impl Sync for SharedStore {}
-
-impl SharedStore {
-    /// Raw pointer to process `i`; the caller dereferences it.
+/// A contiguous id range of the process table, mutably borrowed by one
+/// shard task for the length of a compute phase.
+pub(crate) trait ProcessRange: Send {
+    /// Process `id`.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// `i` must be in range, no two live references derived from the
-    /// returned pointer may target the same index, and no derived borrow
-    /// may outlive the store it was created from.
-    pub(crate) unsafe fn get_ptr(&self, i: usize) -> *mut dyn Process {
-        unsafe { (self.get)(self.ptr, i) }
+    /// Panics if `id` lies outside the range.
+    fn get_mut(&mut self, id: usize) -> &mut dyn Process;
+}
+
+/// Elements `first..first + items.len()` of a boxed or slab table.
+struct Range<'a, T> {
+    first: usize,
+    items: &'a mut [T],
+}
+
+impl ProcessRange for Range<'_, Box<dyn Process>> {
+    fn get_mut(&mut self, id: usize) -> &mut dyn Process {
+        &mut *self.items[id - self.first]
     }
+}
+
+impl<P: Process> ProcessRange for Range<'_, P> {
+    fn get_mut(&mut self, id: usize) -> &mut dyn Process {
+        &mut self.items[id - self.first]
+    }
+}
+
+/// [`ProcessStore::split_mut`] over either table shape.
+fn split_ranges<'a, T>(table: &'a mut [T], firsts: &[usize]) -> Vec<Box<dyn ProcessRange + 'a>>
+where
+    Range<'a, T>: ProcessRange,
+{
+    let len = table.len();
+    // `rest` always begins at the id the next range starts with.
+    let mut rest = &mut table[firsts.first().copied().unwrap_or(len)..];
+    firsts
+        .iter()
+        .enumerate()
+        .map(|(k, &first)| {
+            let end = firsts.get(k + 1).copied().unwrap_or(len);
+            let (items, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+            rest = tail;
+            Box::new(Range { first, items }) as Box<dyn ProcessRange + 'a>
+        })
+        .collect()
 }
 
 /// The mutable per-process access fault injectors need, implemented by
@@ -236,14 +236,18 @@ mod tests {
         p.as_any().downcast_ref::<Tag>().unwrap().0
     }
 
+    fn boxed_tags(n: u32) -> ProcessStore {
+        ProcessStore::Boxed(
+            (0..n)
+                .map(|i| Box::new(Tag(i)) as Box<dyn Process>)
+                .collect(),
+        )
+    }
+
     #[test]
     fn slab_and_boxed_answer_identically() {
         let mut slab = ProcessStore::slab((0..5u32).map(Tag).collect());
-        let mut boxed = ProcessStore::Boxed(
-            (0..5u32)
-                .map(|i| Box::new(Tag(i)) as Box<dyn Process>)
-                .collect(),
-        );
+        let mut boxed = boxed_tags(5);
         for store in [&mut slab, &mut boxed] {
             assert_eq!(store.len(), 5);
             for i in 0..5 {
@@ -271,23 +275,74 @@ mod tests {
         assert_eq!(store.len(), 4);
     }
 
-    #[test]
-    fn shared_accessor_reaches_every_element() {
-        for mut store in [
-            ProcessStore::slab((0..6u32).map(Tag).collect()),
-            ProcessStore::Boxed(
-                (0..6u32)
-                    .map(|i| Box::new(Tag(i)) as Box<dyn Process>)
-                    .collect(),
-            ),
-        ] {
-            let shared = store.shared();
-            for i in 0..6 {
-                // SAFETY: indices are disjoint per iteration and in range;
-                // the borrow dies before the next call.
-                let p = unsafe { &mut *shared.get_ptr(i) };
-                assert_eq!(tag_of(p), i as u32);
+    /// Whether `range.get_mut(id)` panics, i.e. `id` is outside the range.
+    fn outside(range: &mut dyn ProcessRange, id: usize) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            range.get_mut(id);
+        }))
+        .is_err()
+    }
+
+    /// Splits `store` at `firsts`, adds 1000 to the tag of every id each
+    /// range owns, and checks the ranges tile `firsts[0]..n`: every id
+    /// there is reached exactly once and under its own id, ids below are
+    /// in no range, and a range ends where the next begins.
+    fn check_split(store: &mut ProcessStore, firsts: &[usize]) {
+        let n = store.len();
+        let mut ranges = store.split_mut(firsts);
+        assert_eq!(ranges.len(), firsts.len());
+        for (k, range) in ranges.iter_mut().enumerate() {
+            let end = firsts.get(k + 1).copied().unwrap_or(n);
+            for id in firsts[k]..end {
+                let tag = range
+                    .get_mut(id)
+                    .as_any_mut()
+                    .downcast_mut::<Tag>()
+                    .unwrap();
+                assert_eq!(tag.0, id as u32, "range {k} maps id {id} to its own slot");
+                tag.0 += 1000;
+            }
+            assert!(outside(range.as_mut(), end), "range {k} stops at {end}");
+            if firsts[k] > 0 {
+                assert!(
+                    outside(range.as_mut(), firsts[k] - 1),
+                    "range {k} starts at its first"
+                );
             }
         }
+        drop(ranges);
+        let lowest = firsts.first().copied().unwrap_or(n);
+        for id in 0..n {
+            let expected = if id < lowest { id } else { id + 1000 };
+            assert_eq!(tag_of(store.get(id).unwrap()), expected as u32, "id {id}");
+        }
+    }
+
+    mod split {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn split_mut_reaches_every_id_exactly_once(
+                n in 1u32..40,
+                mask in proptest::collection::vec(any::<bool>(), 40),
+            ) {
+                let firsts: Vec<usize> = (0..n as usize).filter(|&i| mask[i]).collect();
+                check_split(&mut ProcessStore::slab((0..n).map(Tag).collect()), &firsts);
+                check_split(&mut boxed_tags(n), &firsts);
+            }
+        }
+    }
+
+    #[test]
+    fn a_promoted_slab_splits_as_boxed() {
+        // What `replace_process` does to a slab-built table.
+        let mut store = ProcessStore::slab((0..9u32).map(Tag).collect());
+        store.make_boxed()[4] = Box::new(Tag(4));
+        assert!(matches!(store, ProcessStore::Boxed(_)));
+        check_split(&mut store, &[2, 3, 7]);
     }
 }

@@ -293,7 +293,7 @@ pub enum StepPhase {
     /// Swapping the inbox double buffer and clearing the consumed side
     /// (where last pulse's payload handles are dropped).
     SwapClear,
-    /// Building the round's active set (and the shard plan, if sharded).
+    /// Building the round's active set (and the shard cuts, if sharded).
     ActiveSet,
     /// Every active process's `on_pulse`, with its sends link- and
     /// loss-filtered in place into the per-shard `routed` buffers.

@@ -34,9 +34,7 @@
 //! per-row cursors) followed by an in-place per-row sort+dedup; duplicate
 //! edges become row slack. Either way a 10⁶-vertex build performs O(1)
 //! allocations instead of the n per-vertex `Vec`s the old adjacency-list
-//! intermediate cost. Every mutation bumps a generation counter so
-//! downstream caches (the simulator's shard-plan cache) can invalidate on
-//! topology change without diffing rows.
+//! intermediate cost.
 
 use crate::ids::ProcessId;
 use crate::SimError;
@@ -60,10 +58,6 @@ pub struct Topology {
     lens: Vec<usize>,
     /// Flat sorted neighbor array, one row per vertex.
     flat: Vec<usize>,
-    /// Bumped by every mutation (`link`/`cut_link`/`isolate`): the
-    /// invalidation key for caches derived from degrees or edges, e.g. the
-    /// simulator's shard-plan cache.
-    generation: u64,
 }
 
 impl PartialEq for Topology {
@@ -100,7 +94,6 @@ impl Topology {
             starts,
             lens,
             flat,
-            generation: 0,
         }
     }
 
@@ -173,12 +166,6 @@ impl Topology {
             lens.push(live); // duplicates leave slack at the row tail
         }
         Topology::finish(n, starts, lens, flat)
-    }
-
-    /// Mutation counter for cache invalidation — see the field docs.
-    #[inline]
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Live neighbor row of vertex `u`.
@@ -462,9 +449,6 @@ impl Topology {
     pub fn isolate(&mut self, id: ProcessId) {
         let victim = id.index();
         let peers: Vec<usize> = self.row(victim).to_vec();
-        if !peers.is_empty() {
-            self.generation += 1;
-        }
         self.lens[victim] = 0;
         for peer in peers {
             if let Ok(pos) = self.row(peer).binary_search(&victim) {
@@ -501,7 +485,6 @@ impl Topology {
         let Err(pos_a) = self.row(a).binary_search(&b) else {
             return Ok(false);
         };
-        self.generation += 1;
         if self.lens[a] < self.cap(a) && self.lens[b] < self.cap(b) {
             self.insert_at(a, pos_a, b);
             if let Err(pos_b) = self.row(b).binary_search(&a) {
@@ -542,7 +525,6 @@ impl Topology {
         let Ok(pos_a) = self.row(a).binary_search(&b) else {
             return Ok(false);
         };
-        self.generation += 1;
         self.remove_at(a, pos_a);
         if let Ok(pos_b) = self.row(b).binary_search(&a) {
             self.remove_at(b, pos_b);
@@ -1167,30 +1149,6 @@ mod tests {
         assert!(err.is_err());
         let err = Topology::from_edges(1_000_000, &[(0, 1), (7, 7)]);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn generation_counts_mutations_only() {
-        let mut t = Topology::ring(6);
-        assert_eq!(t.generation(), 0, "fresh builds start at zero");
-        t.cut_link(ProcessId(0), ProcessId(1)).unwrap();
-        assert_eq!(t.generation(), 1);
-        t.cut_link(ProcessId(0), ProcessId(1)).unwrap();
-        assert_eq!(t.generation(), 1, "no-op cut doesn't bump");
-        t.heal_link(ProcessId(0), ProcessId(1)).unwrap();
-        assert_eq!(t.generation(), 2);
-        t.heal_link(ProcessId(0), ProcessId(1)).unwrap();
-        assert_eq!(t.generation(), 2, "no-op link doesn't bump");
-        t.link(ProcessId(0), ProcessId(3)).unwrap();
-        assert_eq!(t.generation(), 3, "rebuild path bumps too");
-        t.isolate(ProcessId(2));
-        assert_eq!(t.generation(), 4);
-        t.isolate(ProcessId(2));
-        assert_eq!(
-            t.generation(),
-            4,
-            "isolating an isolated vertex doesn't bump"
-        );
     }
 
     mod streaming_matches_reference {

@@ -8,11 +8,12 @@ use std::sync::{Mutex, MutexGuard};
 
 use ga_simnet::colluding::Cabal;
 use ga_simnet::prelude::*;
+use ga_simnet::runtime::BatchTask;
 use ga_simnet::sim::Delivery;
 use rand::Rng;
 
-/// Serializes this binary's tests: the thread-accounting test reads the
-/// process-wide OS thread count, which sibling tests' pool creation and
+/// Serializes this binary's tests: the thread-accounting test counts the
+/// process's pool worker threads, which sibling tests' pool creation and
 /// teardown would otherwise perturb mid-measurement on multi-core hosts
 /// (the harness runs tests concurrently).
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
@@ -140,31 +141,48 @@ fn two_simulations_share_one_pool_concurrently_consistent() {
     assert_eq!(a.trace(), &solo.0);
 }
 
-/// Reads this process's OS thread count from /proc (Linux only; `None`
-/// elsewhere, which skips the assertion rather than faking one).
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Counts this process's pool worker threads — the tasks under /proc
+/// whose name begins `ga-runtime-`, as `Runtime::new` names them. The
+/// process-wide `Threads:` count would also see libtest starting the next
+/// test's thread mid-measurement. Linux only; `None` elsewhere, which
+/// skips the assertion rather than faking one.
+fn pool_thread_count() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("ga-runtime-"))
+            .count(),
+    )
 }
 
 #[test]
 fn steady_state_sharded_stepping_spawns_zero_threads_per_round() {
     let _exclusive = exclusive();
-    let Some(_) = os_thread_count() else {
-        eprintln!("no /proc/self/status; skipping thread accounting");
+    let Some(_) = pool_thread_count() else {
+        eprintln!("no /proc/self/task; skipping thread accounting");
         return;
     };
     let pool = Runtime::new(4);
+    // A thread names itself as it starts: a batch that needs all four
+    // threads at once returns only when every worker has.
+    let all_up = std::sync::Barrier::new(4);
+    pool.run_batch(
+        (0..4)
+            .map(|_| {
+                Box::new(|| {
+                    all_up.wait();
+                }) as BatchTask<'_>
+            })
+            .collect(),
+    );
     let mut sim = build(pool, 4);
-    // Warm up: the pool threads already exist (spawned at Runtime::new),
-    // and the first steps populate the recycled scratch.
+    // Warm up: the first steps populate the recycled scratch.
     sim.run(2);
-    let before = os_thread_count().unwrap();
+    let before = pool_thread_count().unwrap();
     sim.run(100);
-    let after = os_thread_count().unwrap();
+    let after = pool_thread_count().unwrap();
+    assert_eq!(before, 3, "a budget of 4 is three workers and the caller");
     assert_eq!(
         before, after,
         "steady-state sharded stepping must not spawn OS threads"

@@ -1,5 +1,5 @@
-//! Sharded-step determinism: `StepExec::Sharded` must reproduce serial
-//! stepping **byte-for-byte** — identical traces *and* identical
+//! Sharded-step determinism: stepping with `.shards(n)` must reproduce
+//! serial stepping **byte-for-byte** — identical traces *and* identical
 //! per-process delivery histories (sender, round, payload bytes, in inbox
 //! order) — on every topology shape, under lossy delivery, churn
 //! schedules, transient faults and colluding adversaries. Mirrors the

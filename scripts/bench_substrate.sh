@@ -30,8 +30,8 @@
 #   substrate/build_ring1m/streaming           — the 10⁶-ring build, and
 #   substrate/build_sim1m/{slab,boxed}         — one arena allocation vs 10⁶
 # boxes for the n=10⁶ process table, and
-#   substrate/step_loop_dense_active/n100000{,_replan} — all-active n=10⁵
-# sharded rounds with the shard plan cached vs re-binpacked every round.
+#   substrate/step_loop_dense_active/n100000   — all-active n=10⁵ rounds
+# sharded over 4 pool workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,10 +90,5 @@ slab = ns.get("substrate/build_sim1m/slab")
 boxed = ns.get("substrate/build_sim1m/boxed")
 if slab and boxed:
     print(f"n=10^6 sim build slab vs boxed: {boxed / slab:.2f}x")
-cached = ns.get("substrate/step_loop_dense_active/n100000")
-replan = ns.get("substrate/step_loop_dense_active/n100000_replan")
-if cached and replan:
-    print(f"dense-active n=10^5 cached plan vs per-round replan: "
-          f"{replan / cached:.2f}x")
 EOF
 fi
