@@ -187,17 +187,16 @@ impl OmConsensus {
     /// message behind a `u16` length compare it to [`FRAME_LIMIT`] up
     /// front instead of panicking mid-run.
     ///
-    /// Round 0 carries the processor's own announcement; round `t ≥ 1`
-    /// carries `n - 1` relays of at most [`full_relay_len`] bytes and an
-    /// empty one (nobody relays its own broadcast), each behind a 4-byte
-    /// part header.
+    /// Round 0 carries the processor's own 10-byte announcement; round
+    /// `t ≥ 1` carries `n - 1` relays (nobody relays its own broadcast) of
+    /// at most [`full_relay_len`] bytes, each behind a 4-byte part header.
     pub fn max_frame_len(n: usize, f: usize) -> Option<usize> {
-        let mut longest = 4 + 15;
+        let mut longest = 4 + 10;
         for t in 1..=f {
             let relays = n
                 .checked_sub(1)?
                 .checked_mul(full_relay_len(n, t)?.checked_add(4)?)?;
-            longest = longest.max(relays.checked_add(4 + 4)?);
+            longest = longest.max(relays);
         }
         Some(longest)
     }
@@ -337,10 +336,17 @@ mod tests {
             );
             assert!(
                 sent.iter().all(|(_, p)| same_buffer(p, &sent[0].1)),
-                "round {rel}: one allocation for all destinations"
+                "round {rel}: one frame for all destinations"
             );
-            // Both rounds' frames are past the inline cap, where "same"
-            // can only mean the very same allocation.
+            // The announcement frame (4 + 10 bytes) fits inline, where
+            // clones are equal copies; the relay frame — three parts, none
+            // for the processor's own broadcast — is past the inline cap,
+            // where "same" can only mean the very same allocation.
+            if rel == 0 {
+                assert_eq!(sent[0].1.len(), 4 + 10);
+                continue;
+            }
+            assert_eq!(sent[0].1.len(), 3 * (4 + 2));
             assert!(sent[0].1.len() > bytes::INLINE_CAP);
             assert!(sent.iter().all(|(_, p)| p.as_ptr() == sent[0].1.as_ptr()));
         }
@@ -364,7 +370,8 @@ mod tests {
         }
         // Clones of an empty or short part are inline copies at different
         // addresses; they must still count as the same part, or the whole
-        // frame is rebuilt for every destination.
+        // frame is rebuilt for every destination. (Every OM relay of
+        // round 1 is such a part: 10 bytes.)
         let parts = [
             Bytes::from(vec![1u8; 20]),
             Bytes::new(),
@@ -471,9 +478,24 @@ mod tests {
                 "n={n} f={f}"
             );
         }
-        assert_eq!(OmConsensus::max_frame_len(13, 3), Some(22_544));
-        assert_eq!(OmConsensus::max_frame_len(13, 4), Some(225_824));
         assert_eq!(OmConsensus::max_frame_len(usize::MAX, 3), None);
+    }
+
+    #[test]
+    fn max_frame_len_envelope_is_pinned() {
+        // (n - 1)(4 + 1 + ⌈K/8⌉ + 8K) with K = (n-2)…(n-f): a u16 length
+        // (65 535) carries f = 3 up to n = 22, and no f = 4 at its smallest n.
+        let envelope = [
+            ((10, 3), 4140),
+            ((13, 3), 10_788),
+            ((17, 3), 27_392),
+            ((22, 3), 64_953),
+            ((23, 3), 75_196),
+            ((13, 4), 96_588),
+        ];
+        for ((n, f), len) in envelope {
+            assert_eq!(OmConsensus::max_frame_len(n, f), Some(len), "n={n} f={f}");
+        }
     }
 
     #[test]

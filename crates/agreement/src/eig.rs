@@ -29,9 +29,8 @@
 //!   arithmetic;
 //! * all paths of a level share their length and first id, and every digit
 //!   is below `n`, so comparing slot numbers *is* comparing paths
-//!   lexicographically. A relay that scans a level's slots in ascending
-//!   order therefore emits its entries in exactly the order sorting the
-//!   paths would — the order the wire format has always carried.
+//!   lexicographically: ascending slot order is the one order both ends
+//!   of a relay know without being told.
 //!
 //! # Node bitmap
 //!
@@ -53,12 +52,42 @@
 //!
 //! A tree carries `⌈(1 + n + … + n^f) / 64⌉` words of it: 18 at
 //! `n = 10, f = 3`, beside 1111 eight-byte values.
+//!
+//! # Level payload
+//!
+//! Round `r` of EIG sends level `r` of the tree, so the tree is the
+//! message: what processor `q` tells everyone about one source's broadcast
+//! in one round is the level-`L` nodes whose path ends in `q` — the source's
+//! announcement (`L = 1`, the root) or `q`'s relay of its level `L - 1`.
+//! Sender and receiver both know which nodes those are (the set bits among
+//! the child slots `α·q`, ascending — `K` of them: one for `L ≤ 2`,
+//! `(n-2)(n-3)…(n-L+1)` after, none if `q` is the source and `L ≥ 2` or is
+//! not and `L = 1`), so a payload carries no path:
+//!
+//! ```text
+//! u8 L · ⌈K/8⌉ presence bytes · one big-endian u64 per set bit
+//! ```
+//!
+//! Presence bit `i` (bit `i % 8` of byte `i / 8`, least significant first)
+//! says whether the sender holds a value for the `i`-th of those nodes;
+//! the values follow in the same order. [`LevelPayload`] is the encoder —
+//! [`EigTree::relay`] fills one from the tree — and [`EigTree::absorb`]
+//! the decoder. A payload is **accepted** iff
+//!
+//! * its first byte is the level this round stores,
+//! * its length is exactly `1 + ⌈K/8⌉ + 8·popcount(presence bytes)`, and
+//! * the padding bits past `K` in the last presence byte are zero;
+//!
+//! anything else is ignored whole. An accepted payload writes only nodes
+//! of that level ending in its sender, and only empty ones (first write
+//! wins): a Byzantine sender can lie about values and presence, never
+//! about paths.
 
 use crate::{Value, DEFAULT_VALUE};
 
-/// Longest path (`f + 1` ids) a tree holds, so a relay builds its paths in
-/// a stack array. With `n > f`, a tree this deep is far beyond what
-/// [`EigTree::new`] can index.
+/// Longest path (`f + 1` ids) a tree holds: the constructor's odometer is
+/// a stack array of it, and a level fits the payload's `u8`. With `n > f`,
+/// a tree this deep is far beyond what [`EigTree::new`] can index.
 pub(crate) const MAX_DEPTH: usize = 16;
 
 /// The EIG tree of one broadcast instance at one processor.
@@ -173,17 +202,6 @@ impl EigTree {
         }
     }
 
-    /// [`store`](Self::store) for a caller that already folded the path
-    /// `(source, q2, …, q_level)` into `slot` (every `q < n`, so
-    /// `slot < n^(level-1)`): ignored unless the slot names a node.
-    pub(crate) fn store_slot(&mut self, level: usize, slot: usize, value: Value) {
-        let index = self.level_start[level - 1] + slot;
-        debug_assert!(index < self.level_start[level], "slot within its level");
-        if bit(&self.node, index) {
-            self.put(index, value);
-        }
-    }
-
     /// The stored value at `path`, if any.
     pub fn get(&self, path: &[u16]) -> Option<Value> {
         self.at(self.index(path)?)
@@ -205,35 +223,89 @@ impl EigTree {
         self.len = 0;
     }
 
-    /// One relay step by processor `me`: for every populated level-`level`
-    /// node `α` not containing `me`, in lexicographic path order, stores
-    /// `α·me` in the next level — in EIG terms, "me told myself" what it
+    /// How many level-`level` nodes end in `who` — the `K` of the module
+    /// docs' level payload.
+    fn fan_in(&self, level: usize, who: usize) -> usize {
+        if (level == 1) != (who == usize::from(self.source)) {
+            return 0;
+        }
+        // The ids between the source and `who` are distinct and neither.
+        (2..level).map(|k| self.n - k).product()
+    }
+
+    /// One relay step by processor `me`: for every level-`level` node `α`
+    /// not containing `me`, in slot order, stores a populated `α`'s value
+    /// at `α·me` in the next level — in EIG terms, "me told myself" what it
     /// tells everyone else, so the local resolve sees its own vote — and
-    /// hands `(α·me, value)` to `emit`.
+    /// returns the level-`level + 1` payload that tells the others.
     ///
     /// # Panics
     ///
     /// Panics unless `1 ≤ level ≤ f` and `me < n`.
-    pub fn relay(&mut self, level: usize, me: u16, mut emit: impl FnMut(&[u16], Value)) {
+    pub fn relay(&mut self, level: usize, me: u16) -> Vec<u8> {
         assert!((1..=self.f).contains(&level), "relayed levels are 1..=f");
-        assert!(usize::from(me) < self.n, "me in range");
-        let n = self.n;
+        let me = usize::from(me);
+        assert!(me < self.n, "me in range");
         let (from, to) = (self.level_start[level - 1], self.level_start[level]);
-        // `α·me`; the ids between the source and `me` are the scanned
-        // slot's digits, advanced like an odometer.
-        let mut path = [0u16; MAX_DEPTH];
-        let path = &mut path[..=level];
-        path[0] = self.source;
-        path[level] = me;
+        let mut payload = LevelPayload::new(level + 1, self.fan_in(level + 1, me));
         for slot in 0..to - from {
-            let child = to + slot * n + usize::from(me);
-            if bit(&self.present, from + slot) && bit(&self.node, child) {
-                let value = self.values[from + slot];
-                self.put(child, value);
-                emit(path, value);
+            let child = to + slot * self.n + me;
+            if bit(&self.node, child) {
+                let value = self.at(from + slot);
+                if let Some(value) = value {
+                    self.put(child, value);
+                }
+                payload.push(value);
             }
-            advance(&mut path[1..level], n);
         }
+        payload.finish()
+    }
+
+    /// Stores what `payload`, received from `sender`, says about the
+    /// level-`level` nodes ending in `sender`; the mirror image of
+    /// [`relay`](Self::relay), down to the scan. A payload the module
+    /// docs' accept rule refuses — or a `sender ≥ n` — changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ level ≤ f + 1`.
+    pub(crate) fn absorb(&mut self, level: usize, sender: usize, payload: &[u8]) {
+        assert!((1..=self.f + 1).contains(&level), "levels are 1..=f+1");
+        if sender >= self.n || payload.first() != Some(&(level as u8)) {
+            return;
+        }
+        let slots = self.fan_in(level, sender);
+        let Some((presence, values)) = payload[1..].split_at_checked(slots.div_ceil(8)) else {
+            return;
+        };
+        let (values, []) = values.as_chunks::<8>() else {
+            return;
+        };
+        let told: usize = presence.iter().map(|b| b.count_ones() as usize).sum();
+        let padded = !slots.is_multiple_of(8) && presence[slots / 8] >> (slots % 8) != 0;
+        if values.len() != told || padded || slots == 0 {
+            return;
+        }
+        // The root has no parent level to scan: it is the one child slot.
+        let (parents, to, last) = match level {
+            1 => (1, 0, 0),
+            _ => {
+                let (from, to) = (self.level_start[level - 2], self.level_start[level - 1]);
+                (to - from, to, sender)
+            }
+        };
+        let mut values = values.iter().map(|v| Value::from_be_bytes(*v));
+        let mut seen = 0;
+        for slot in 0..parents {
+            let child = to + slot * self.n + last;
+            if bit(&self.node, child) {
+                if presence[seen / 8] >> (seen % 8) & 1 == 1 {
+                    self.put(child, values.next().expect("one value per set bit"));
+                }
+                seen += 1;
+            }
+        }
+        debug_assert_eq!(seen, slots, "the scan meets every node fan_in counted");
     }
 
     /// Resolves the tree: the decision of the broadcast.
@@ -271,6 +343,61 @@ impl EigTree {
             }
         }
         resolved[0]
+    }
+}
+
+/// Encoder of one level payload (see the module docs): the level, then
+/// for each of `slots` nodes, in slot order, whether the sender holds a
+/// value and, if so, the value.
+#[derive(Debug, Clone)]
+pub struct LevelPayload {
+    buf: Vec<u8>,
+    slots: usize,
+    pushed: usize,
+}
+
+impl LevelPayload {
+    /// Starts the payload of `level` for `slots` nodes, with room for a
+    /// value at every one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` does not fit the payload's `u8`.
+    pub fn new(level: usize, slots: usize) -> LevelPayload {
+        let level = u8::try_from(level).expect("an EIG level fits a u8");
+        let presence = slots.div_ceil(8);
+        let mut buf = Vec::with_capacity(1 + presence + 8 * slots);
+        buf.push(level);
+        buf.resize(1 + presence, 0);
+        LevelPayload {
+            buf,
+            slots,
+            pushed: 0,
+        }
+    }
+
+    /// The next node's value, or `None` if the sender holds none.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a push past the last slot.
+    pub fn push(&mut self, value: Option<Value>) {
+        assert!(self.pushed < self.slots, "one push per slot");
+        if let Some(value) = value {
+            self.buf[1 + self.pushed / 8] |= 1 << (self.pushed % 8);
+            self.buf.extend_from_slice(&value.to_be_bytes());
+        }
+        self.pushed += 1;
+    }
+
+    /// The encoded payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every slot was pushed.
+    pub fn finish(self) -> Vec<u8> {
+        assert_eq!(self.pushed, self.slots, "one push per slot");
+        self.buf
     }
 }
 
@@ -420,27 +547,35 @@ pub(crate) mod reference {
                 .map_or(DEFAULT_VALUE, |(v, _)| v)
         }
 
-        /// The relay payload for `level` as `me` used to build it: collect
-        /// the level, append `me`, sort, mirror, encode.
-        pub(crate) fn relay_payload(&mut self, level: usize, me: u16) -> Vec<u8> {
-            let mut entries: Vec<(Path, Value)> = self
-                .nodes
-                .iter()
-                .filter(|(p, _)| p.len() == level && !p.contains(&me))
-                .map(|(p, &v)| ([p.as_slice(), &[me]].concat(), v))
+        /// The relay payload for `level` by `me`, built the long way
+        /// round: list the next level's nodes ending in `me`, sort them,
+        /// look each parent up by path; a bit per node, then the values.
+        /// Mirrors every relayed node like [`EigTree::relay`](super::EigTree::relay).
+        pub(crate) fn relay_payload(
+            &mut self,
+            level: usize,
+            me: u16,
+            n: usize,
+            f: usize,
+            source: u16,
+        ) -> Vec<u8> {
+            let mut children: Vec<Path> = all_nodes(n, f, source)
+                .into_iter()
+                .filter(|p| p.len() == level + 1 && p[level] == me)
                 .collect();
-            entries.sort();
-            let mut w = Writer::new();
-            w.put_u32(entries.len() as u32);
-            for (path, value) in entries {
-                w.put_u8(path.len() as u8);
-                for &id in &path {
-                    w.put_u16(id);
+            children.sort();
+            let mut presence = vec![0u8; children.len().div_ceil(8)];
+            let mut values = Writer::new();
+            for (i, child) in children.into_iter().enumerate() {
+                if let Some(value) = self.get(&child[..level]) {
+                    presence[i / 8] |= 1 << (i % 8);
+                    values.put_u64(value);
+                    self.store(child, value);
                 }
-                w.put_u64(value);
-                self.store(path, value);
             }
-            w.finish()
+            let mut w = Writer::new();
+            w.put_u8(level as u8 + 1);
+            [w.finish(), presence, values.finish()].concat()
         }
     }
 }
@@ -523,10 +658,13 @@ mod tests {
         t.store(&[0, 1], 2);
         t.store(&[0, 2], 3);
         t.store(&[0, 1, 2], 4);
-        let mut seen = Vec::new();
-        t.relay(2, 3, |path, v| seen.push((path.to_vec(), v)));
-        assert_eq!(seen, [(vec![0, 1, 3], 2), (vec![0, 2, 3], 3)]);
+        // Level-3 nodes ending in 3: [0,1,3], [0,2,3], [0,4,3], [0,5,3],
+        // [0,6,3]; the first two have a populated parent.
+        let mut expected = vec![3, 0b00011];
+        expected.extend([2u64.to_be_bytes(), 3u64.to_be_bytes()].concat());
+        assert_eq!(t.relay(2, 3), expected);
         assert_eq!(t.get(&[0, 1, 3]), Some(2), "mirrored into level 3");
+        assert_eq!(t.get(&[0, 2, 3]), Some(3), "mirrored into level 3");
         assert_eq!(t.get(&[0, 3]), None, "level 1 was not relayed");
         assert_eq!(t.len(), 6);
     }
@@ -536,13 +674,15 @@ mod tests {
         let mut t = EigTree::new(7, 2, 0);
         t.store(&[0, 1], 2);
         t.store(&[0, 3], 5);
-        let mut seen = Vec::new();
-        t.relay(2, 3, |path, v| seen.push((path.to_vec(), v)));
-        assert_eq!(seen, [(vec![0, 1, 3], 2)]);
-        // The source relays nothing of its own broadcast.
-        let mut count = 0;
-        t.relay(2, 0, |_, _| count += 1);
-        assert_eq!(count, 0);
+        // [0,3] is populated, but [0,3,3] is no node: one bit of five.
+        let mut expected = vec![3, 0b00001];
+        expected.extend(2u64.to_be_bytes());
+        assert_eq!(t.relay(2, 3), expected);
+        assert_eq!(t.len(), 3);
+        // The source has nothing of its own broadcast to relay: no node
+        // ends in it past the root.
+        assert_eq!(t.relay(2, 0), [3]);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -606,6 +746,30 @@ mod tests {
         assert_eq!(strict_majority(&[1, 1, 2, 2]), DEFAULT_VALUE);
         assert_eq!(strict_majority(&[4, 5, 6]), DEFAULT_VALUE);
         assert_eq!(strict_majority(&[]), DEFAULT_VALUE);
+    }
+
+    #[test]
+    fn level_payload_is_level_bits_values() {
+        let mut p = LevelPayload::new(4, 10);
+        for i in 0..10u64 {
+            p.push([0, 3, 9].contains(&i).then_some(0x0100 + i));
+        }
+        // Ten slots: bits 0 and 3 of the first presence byte, bit 1 of the
+        // second, six padding bits left zero.
+        let mut expected = vec![4, 0b0000_1001, 0b10];
+        for v in [0x0100u64, 0x0103, 0x0109] {
+            expected.extend(v.to_be_bytes());
+        }
+        assert_eq!(p.finish(), expected);
+        assert_eq!(LevelPayload::new(2, 0).finish(), [2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one push per slot")]
+    fn level_payload_refuses_a_missing_slot() {
+        let mut p = LevelPayload::new(2, 2);
+        p.push(None);
+        p.finish();
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! interactive consistency, the form the judicial service uses to agree on
 //! per-agent commitments.
 
-use crate::eig::EigTree;
+use crate::eig::{EigTree, LevelPayload};
 use crate::traits::{broadcast_others, BaInstance, Send};
-use crate::wire::Writer;
 use crate::{Value, DEFAULT_VALUE};
 
 /// One OM(f) broadcast instance at one processor.
@@ -28,8 +27,6 @@ pub struct OmBroadcast {
     source: usize,
     input: Value,
     tree: EigTree,
-    /// Entries decoded from one payload before the rest is ignored.
-    max_entries: u32,
     decided: Option<Value>,
 }
 
@@ -40,18 +37,20 @@ pub const fn rounds(f: usize) -> u64 {
 }
 
 /// Bytes of the relay payload a processor sends for another source's
-/// broadcast at relative round `t ≥ 1` once every level-`t` node reached
-/// it: the 4-byte count, then `(n-2)(n-3)…(n-t)` entries (the `t - 1` ids
-/// after the source are distinct and none is the source or `me`) of
-/// `11 + 2t` bytes. No payload of that round is longer. `None` on overflow.
+/// broadcast at relative round `t ≥ 1`: the level byte, a presence bit for
+/// each of the `K = (n-2)(n-3)…(n-t)` level-`t + 1` nodes ending in the
+/// sender (the `t - 1` ids between the source and it are distinct and
+/// neither), and — once every level-`t` node reached it — `K` values. No
+/// payload of that round is longer. `None` on overflow.
 pub fn full_relay_len(n: usize, t: usize) -> Option<usize> {
-    let mut entries = 1usize;
+    let mut slots = 1usize;
     for k in 2..=t {
-        entries = entries.checked_mul(n.checked_sub(k)?)?;
+        slots = slots.checked_mul(n.checked_sub(k)?)?;
     }
-    entries
-        .checked_mul(t.checked_mul(2)?.checked_add(11)?)?
-        .checked_add(4)
+    slots
+        .checked_mul(8)?
+        .checked_add(slots.div_ceil(8))?
+        .checked_add(1)
 }
 
 impl OmBroadcast {
@@ -60,19 +59,12 @@ impl OmBroadcast {
     ///
     /// # Panics
     ///
-    /// Panics unless `n > 3f` and ids are in range (and fit the wire's
+    /// Panics unless `n > 3f` and ids are in range (and fit the tree's
     /// `u16`), or if the EIG tree for `(n, f)` is too large to build.
     pub fn new(me: usize, n: usize, f: usize, source: usize) -> OmBroadcast {
         assert!(n > 3 * f, "oral messages require n > 3f");
         assert!(me < n && source < n, "ids in range");
-        assert!(n <= 1 << 16, "processor ids must fit the wire's u16");
-        // Cap: a Byzantine sender cannot make a receiver loop over more
-        // entries than a few full trees hold.
-        let max_entries = u32::try_from(f + 1)
-            .ok()
-            .and_then(|depth| u32::try_from(n).ok()?.checked_pow(depth))
-            .and_then(|nodes| nodes.checked_mul(4)?.checked_add(16))
-            .unwrap_or_else(|| panic!("OM broadcast at n={n}, f={f}: 4·n^(f+1) overflows u32"));
+        assert!(n <= 1 << 16, "processor ids must fit the tree's u16");
         OmBroadcast {
             me,
             n,
@@ -80,85 +72,14 @@ impl OmBroadcast {
             source,
             input: DEFAULT_VALUE,
             tree: EigTree::new(n, f, source as u16),
-            max_entries,
             decided: None,
         }
     }
 
-    /// Builds the relay payload for `level`; the tree mirrors every relayed
-    /// node `α·me` as it goes.
-    fn relay_level(&mut self, level: usize) -> Vec<u8> {
-        // Nobody relays its own broadcast; anyone else's relay is at most
-        // `full_relay_len` bytes, and exactly that in an honest run.
-        let capacity = match full_relay_len(self.n, level) {
-            Some(len) if self.me != self.source => len,
-            _ => 4,
-        };
-        let mut w = Writer::with_capacity(capacity);
-        w.put_u32(0); // the entry count, known after the scan
-        let mut count = 0u32;
-        self.tree.relay(level, self.me as u16, |path, value| {
-            w.put_u8(path.len() as u8);
-            for &id in path {
-                w.put_u16(id);
-            }
-            w.put_u64(value);
-            count += 1;
-        });
-        let mut payload = w.finish();
-        payload[..4].copy_from_slice(&count.to_be_bytes());
-        payload
-    }
-
-    /// Stores the level-`level` entries of one relay `payload` from
-    /// `sender`: a `u32` count, then per entry a `u8` path length, that
-    /// many big-endian `u16` ids and a big-endian `u64` value.
-    ///
-    /// At most `min(count, max_entries)` entries are read, and reading
-    /// stops at the first one the payload ends inside. An entry of another
-    /// length is stepped over. One of this round's length enters the tree
-    /// iff
-    ///
-    /// * its first id is the source,
-    /// * every later id is below `n`,
-    /// * its last id is `sender` (a processor relays `α·itself`), and
-    /// * its slot's node bit is set (the ids are distinct);
-    ///
-    /// and then only if the node is still empty (first write wins).
-    fn decode_and_store(&mut self, sender: usize, payload: &[u8], level: usize) {
-        let Some((count, mut rest)) = payload.split_first_chunk::<4>() else {
-            return;
-        };
-        'entries: for _ in 0..u32::from_be_bytes(*count).min(self.max_entries) {
-            let Some(&len) = rest.first() else { return };
-            let Some((entry, tail)) = rest.split_at_checked(9 + 2 * usize::from(len)) else {
-                return;
-            };
-            rest = tail;
-            if usize::from(len) != level {
-                continue;
-            }
-            let (ids, value) = entry[1..].split_at(2 * level);
-            let mut ids = ids
-                .chunks_exact(2)
-                .map(|id| usize::from(u16::from_be_bytes([id[0], id[1]])));
-            if ids.next() != Some(self.source) {
-                continue;
-            }
-            // The path after the source, read as a base-`n` number; with
-            // no such ids, the source is also the last hop.
-            let (mut slot, mut last) = (0usize, self.source);
-            for id in ids {
-                if id >= self.n {
-                    continue 'entries;
-                }
-                slot = slot * self.n + id;
-                last = id;
-            }
-            if last == sender {
-                let value = u64::from_be_bytes(value.try_into().expect("8 bytes after the ids"));
-                self.tree.store_slot(level, slot, value);
-            }
+    /// Stores the level-`level` payload of every inbox message.
+    fn absorb_all(&mut self, level: u64, inbox: &[(usize, &[u8])]) {
+        for &(sender, payload) in inbox {
+            self.tree.absorb(level as usize, sender, payload);
         }
     }
 }
@@ -181,26 +102,22 @@ impl BaInstance for OmBroadcast {
                     return;
                 }
                 self.tree.store(&[self.source as u16], self.input);
-                let mut w = Writer::new();
-                w.put_u32(1);
-                w.put_u8(1);
-                w.put_u16(self.source as u16);
-                w.put_u64(self.input);
-                broadcast_others(self.n, self.me, w.finish(), send);
+                let mut announcement = LevelPayload::new(1, 1);
+                announcement.push(Some(self.input));
+                broadcast_others(self.n, self.me, announcement.finish(), send);
             }
             // Steps 1..=f: store level-t nodes, relay as level-(t+1).
+            // Nobody relays its own broadcast.
             t if t <= f => {
-                for &(sender, payload) in inbox {
-                    self.decode_and_store(sender, payload, t as usize);
+                self.absorb_all(t, inbox);
+                if self.me != self.source {
+                    let relay = self.tree.relay(t as usize, self.me as u16);
+                    broadcast_others(self.n, self.me, relay, send);
                 }
-                let relay = self.relay_level(t as usize);
-                broadcast_others(self.n, self.me, relay, send);
             }
             // Step f+1: store the leaves and resolve.
             t if t == f + 1 => {
-                for &(sender, payload) in inbox {
-                    self.decode_and_store(sender, payload, t as usize);
-                }
+                self.absorb_all(t, inbox);
                 self.decided = Some(self.tree.resolve());
             }
             _ => {}
@@ -224,56 +141,94 @@ impl BaInstance for OmBroadcast {
 mod tests {
     use super::*;
     use crate::eig::reference::{all_nodes, RefTree};
-    use crate::eig::MAX_DEPTH;
     use crate::executor::{no_tamper as honest, run_pure};
+    use crate::wire::Reader;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// The decoder [`OmBroadcast::decode_and_store`] replaced — field by
-    /// field through a [`Reader`](crate::wire::Reader), then into the tree
-    /// by path: the oracle of the decode property test.
-    fn decode_and_store_reference(
-        inst: &mut OmBroadcast,
+    /// [`EigTree::absorb`] the long way round — field by field through a
+    /// [`Reader`], the receiving nodes listed from `nodes` (every path of
+    /// the tree) and written by path: the oracle of the decode property
+    /// test.
+    fn absorb_reference(
+        tree: &mut EigTree,
+        nodes: &[Vec<u16>],
+        level: usize,
         sender: usize,
         payload: &[u8],
-        expect_len: usize,
     ) {
-        let mut r = crate::wire::Reader::new(payload);
-        let Some(count) = r.get_u32() else { return };
-        let mut path = [0u16; MAX_DEPTH];
-        for _ in 0..count.min(inst.max_entries) {
-            let Some(len) = r.get_u8() else { return };
-            let len = usize::from(len);
-            for i in 0..len {
-                let Some(id) = r.get_u16() else { return };
-                if let Some(slot) = path.get_mut(i) {
-                    *slot = id;
-                }
-            }
+        let mut children: Vec<&Vec<u16>> = nodes
+            .iter()
+            .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
+            .collect();
+        children.sort();
+        let mut r = Reader::new(payload);
+        if r.get_u8() != Some(level as u8) {
+            return;
+        }
+        let mut present = Vec::new();
+        for _ in 0..children.len().div_ceil(8) {
+            let Some(byte) = r.get_u8() else { return };
+            present.extend((0..8).map(|i| byte >> i & 1 == 1));
+        }
+        if present[children.len()..].contains(&true) {
+            return;
+        }
+        let mut values = Vec::new();
+        for _ in present.iter().filter(|&&p| p) {
             let Some(value) = r.get_u64() else { return };
-            if len == expect_len
-                && path[..len]
-                    .last()
-                    .is_some_and(|&q| usize::from(q) == sender)
-            {
-                inst.tree.store(&path[..len], value);
-            }
+            values.push(value);
+        }
+        if !r.is_exhausted() {
+            return;
+        }
+        let mut values = values.into_iter();
+        for (path, _) in children.into_iter().zip(present).filter(|&(_, p)| p) {
+            tree.store(path, values.next().expect("one value per set bit"));
         }
     }
 
-    /// A relay payload as the wire carries it: `count`, then every
-    /// `(path, value)` entry.
-    fn payload(count: u32, entries: &[(Vec<u16>, Value)]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(count);
-        for (path, value) in entries {
-            w.put_u8(path.len() as u8);
-            for &id in path {
-                w.put_u16(id);
+    /// The level payload telling `values` of consecutive slots.
+    fn payload(level: usize, values: &[Option<Value>]) -> Vec<u8> {
+        let mut p = LevelPayload::new(level, values.len());
+        values.iter().for_each(|&v| p.push(v));
+        p.finish()
+    }
+
+    /// Proves `announcement` is what a source sends at round 0, so a test
+    /// that forges one tests what it says it does: from `source` at round 1
+    /// it populates exactly the root, with `value`; from anyone else, or
+    /// at round 0, nothing.
+    fn assert_announces(announcement: &[u8], n: usize, source: usize, value: Value) {
+        let (me, other) = ((source + 1) % n, (source + 2) % n);
+        let fresh = || {
+            let mut inst = OmBroadcast::new(me, n, 1, source);
+            inst.begin(0);
+            inst
+        };
+        let mut inst = fresh();
+        inst.absorb_all(1, &[(source, announcement)]);
+        assert_eq!(inst.tree.len(), 1);
+        assert_eq!(inst.tree.get(&[source as u16]), Some(value));
+        let mut inst = fresh();
+        inst.absorb_all(1, &[(other, announcement)]);
+        assert!(inst.tree.is_empty(), "only the source announces");
+        let mut inst = fresh();
+        inst.step(0, &[(source, announcement)], &mut |_, _| {});
+        assert!(inst.tree.is_empty(), "round 0 is deaf");
+    }
+
+    /// A random `(n, f, source)` and a partial tree over it.
+    fn random_tree(n: usize, rng: &mut StdRng, density: f64) -> (usize, u16, EigTree) {
+        let f = rng.gen_range(0..=(n - 1) / 3);
+        let source = rng.gen_range(0..n as u16);
+        let mut tree = EigTree::new(n, f, source);
+        for path in all_nodes(n, f, source) {
+            if rng.gen_bool(density) {
+                tree.store(&path, rng.gen_range(1..4));
             }
-            w.put_u64(*value);
         }
-        w.finish()
+        (f, source, tree)
     }
 
     proptest! {
@@ -282,7 +237,9 @@ mod tests {
         /// The flat table against the `HashMap` tree it replaced, over
         /// random partial trees with few distinct values (so ties and
         /// missing nodes occur): same nodes, same decision, and the same
-        /// relay payload byte for byte at every level for every relayer.
+        /// relay payload byte for byte at every level for every relayer —
+        /// which, absorbed by a fresh tree, populates exactly the relayed
+        /// children.
         #[test]
         fn flat_tree_matches_the_reference(n in 4usize..=13, seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -319,17 +276,30 @@ mod tests {
             prop_assert!(same_nodes(&flat, &reference));
             prop_assert_eq!(flat.resolve(), reference.resolve(&[source], n, f));
 
-            for me in 0..n {
+            for me in 0..n as u16 {
                 for level in 1..=f {
-                    let mut ours = OmBroadcast::new(me, n, f, source as usize);
-                    ours.tree = flat.clone();
+                    let mut ours = flat.clone();
                     let mut theirs = reference.clone();
+                    let relay = ours.relay(level, me);
                     prop_assert_eq!(
-                        ours.relay_level(level),
-                        theirs.relay_payload(level, me as u16),
+                        &relay,
+                        &theirs.relay_payload(level, me, n, f, source),
                         "me={} level={}", me, level
                     );
-                    prop_assert!(same_nodes(&ours.tree, &theirs), "mirrored nodes, me={}", me);
+                    prop_assert!(same_nodes(&ours, &theirs), "mirrored nodes, me={}", me);
+                    prop_assert!(full_relay_len(n, level).is_some_and(|len| relay.len() <= len));
+
+                    // Round trip: a receiver ends up with `α·me` for every
+                    // populated `α` off `me`'s path, and nothing else.
+                    let mut receiver = EigTree::new(n, f, source);
+                    receiver.absorb(level + 1, usize::from(me), &relay);
+                    let mut relayed = 0;
+                    for path in nodes.iter().filter(|p| p.len() == level + 1) {
+                        let expected = (path[level] == me).then(|| flat.get(&path[..level])).flatten();
+                        prop_assert_eq!(receiver.get(path), expected, "{:?} from {}", path, me);
+                        relayed += usize::from(expected.is_some());
+                    }
+                    prop_assert_eq!(receiver.len(), relayed);
                 }
             }
         }
@@ -338,161 +308,213 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The stride decoder against the `Reader` one it replaced, on one
-        /// honest relay payload damaged in every way the accept conditions
-        /// name: same node count, same value at every node.
+        /// [`EigTree::absorb`] against the `Reader` decoder, on one honest
+        /// payload damaged in every way the accept rule names, into a
+        /// partly populated tree: same node count, same value at every
+        /// node.
         #[test]
         fn decode_matches_the_reference_on_mutated_payloads(
             n in 4usize..=13,
             seed in any::<u64>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let f = rng.gen_range(0..=(n - 1) / 3);
-            let source = rng.gen_range(0..n);
+            let (f, source, base) = random_tree(n, &mut rng, 0.2);
             let level = rng.gen_range(1..=f + 1);
             // Level 1 comes from the source; deeper levels mostly from a
             // relayer, sometimes (wrongly) from the source again.
             let sender = if level == 1 || rng.gen_bool(0.1) {
-                source
+                usize::from(source)
             } else {
-                (source + rng.gen_range(1..n)) % n
+                (usize::from(source) + rng.gen_range(1..n)) % n
             };
-            let nodes = all_nodes(n, f, source as u16);
-            let honest: Vec<(Vec<u16>, Value)> = nodes
+            let nodes = all_nodes(n, f, source);
+            let slots = nodes
                 .iter()
-                .filter(|path| path.len() == level && path[level - 1] == sender as u16)
-                .map(|path| (path.clone(), rng.gen_range(1..4u64)))
+                .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
+                .count();
+            let told: Vec<Option<Value>> = (0..slots)
+                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(4..8)))
                 .collect();
-            let all = honest.len() as u32;
-            let stride = 9 + 2 * level;
+            let whole = payload(level, &told);
+            let presence = 1..1 + slots.div_ceil(8);
 
-            let whole = payload(all, &honest);
             let mut mutants: Vec<(&str, Vec<u8>)> = vec![
                 ("honest", whole.clone()),
-                ("count too large", payload(all + rng.gen_range(1..5u32), &honest)),
-                ("count u32::MAX", payload(u32::MAX, &honest)),
-                ("count too small", payload(rng.gen_range(0..=all / 2), &honest)),
+                ("empty", vec![]),
+                ("cut", whole[..rng.gen_range(0..whole.len())].to_vec()),
+                ("one value short", whole[..whole.len().saturating_sub(8)].to_vec()),
+                ("one trailing byte", [whole.as_slice(), &[0]].concat()),
+                ("one trailing value", [whole.as_slice(), &[0; 8]].concat()),
+                ("noise", (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect()),
             ];
-            // Cut inside the count, and — in a random entry — before its
-            // length byte, after it, inside its first and its last id,
-            // and inside its value.
-            mutants.push(("cut in count", whole[..rng.gen_range(0..4)].to_vec()));
-            if !honest.is_empty() {
-                let at = 4 + rng.gen_range(0..honest.len()) * stride;
-                for (what, cut) in [
-                    ("cut before len", at),
-                    ("cut after len", at + 1),
-                    ("cut in first id", at + 2),
-                    ("cut in last id", at + 2 * level),
-                    ("cut in value", at + 1 + 2 * level + rng.gen_range(0..8usize)),
-                ] {
-                    mutants.push((what, whole[..cut].to_vec()));
-                }
+            for tag in [0, level - 1, level + 1, 255] {
+                let mut bad = whole.clone();
+                bad[0] = tag as u8;
+                mutants.push(("wrong level byte", bad));
             }
-            // One entry replaced (`true`), or one inserted between two
-            // others.
-            let mut edits: Vec<(&str, Vec<u16>, Value, bool)> = Vec::new();
-            for len in [0, level - 1, level + 1, MAX_DEPTH + 1, rng.gen_range(0..40)] {
-                if len != level {
-                    let ids = (0..len).map(|_| rng.gen_range(0..n as u16 + 2)).collect();
-                    edits.push(("entry of another length", ids, 9, false));
-                }
+            if slots > 0 {
+                // Another presence bit with the old values, and with one
+                // value more or less so the length fits again.
+                let i = rng.gen_range(0..slots);
+                let mut flipped = told.clone();
+                flipped[i] = flipped[i].xor(Some(9));
+                let mut bad = whole.clone();
+                bad[1 + i / 8] ^= 1 << (i % 8);
+                mutants.push(("presence bit flipped", bad));
+                mutants.push(("another node told", payload(level, &flipped)));
             }
-            if let Some((path, value)) = honest.first() {
-                let mut bad = path.clone();
-                bad[rng.gen_range(0..level)] = [n as u16, n as u16 + 1, u16::MAX][rng.gen_range(0..3usize)];
-                edits.push(("id out of range", bad, 9, true));
-
-                let mut bad = path.clone();
-                bad[0] = [sender as u16, (source as u16 + 1) % n as u16][rng.gen_range(0..2usize)];
-                edits.push(("wrong first id", bad, 9, true));
-
-                let mut bad = path.clone();
-                bad[level - 1] = loop {
-                    let id = rng.gen_range(0..n as u16);
-                    if !path.contains(&id) {
-                        break id;
-                    }
-                };
-                edits.push(("wrong last hop", bad, 9, true));
-
-                if level >= 2 {
-                    let mut bad = path.clone();
-                    bad[rng.gen_range(0..level - 1)] = sender as u16;
-                    edits.push(("repeated id", bad, 9, true));
-
-                    let mut bad = path.clone();
-                    bad[rng.gen_range(1..level)] = source as u16;
-                    edits.push(("source past position 0", bad, 9, true));
-                }
-                edits.push(("duplicate with another value", path.clone(), value + 1, false));
+            if slots % 8 != 0 {
+                // A padding bit, alone and with a value to account for it.
+                let mut bad = whole.clone();
+                bad[presence.end - 1] |= 1 << rng.gen_range(slots % 8..8);
+                mutants.push(("padding bit set", bad.clone()));
+                bad.extend([0; 8]);
+                mutants.push(("padding bit set, with a value", bad));
             }
-            for (what, path, value, replace) in edits {
-                let mut entries = honest.clone();
-                let at = rng.gen_range(0..=entries.len().saturating_sub(1));
-                if replace {
-                    entries[at] = (path, value);
-                } else {
-                    entries.insert(at, (path, value));
-                }
-                mutants.push((what, payload(entries.len() as u32, &entries)));
-            }
-            // Past the entry cap nothing is read, however well-formed.
-            let mut ours = OmBroadcast::new(rng.gen_range(0..n), n, f, source);
-            let cap = ours.max_entries as usize;
-            if cap <= 5000 {
-                let mut entries = vec![(vec![], 9); cap];
-                entries.extend(honest.iter().cloned());
-                mutants.push(("past the cap", payload(entries.len() as u32, &entries)));
+            // A payload for one slot more or fewer.
+            for other in [slots + 1, slots.saturating_sub(1), slots + 8] {
+                let told = vec![Some(9); other];
+                mutants.push(("another slot count", payload(level, &told)));
             }
 
-            let mut oracle = ours.clone();
             for (what, bytes) in &mutants {
-                ours.begin(0);
-                oracle.begin(0);
-                ours.decode_and_store(sender, bytes, level);
-                decode_and_store_reference(&mut oracle, sender, bytes, level);
-                prop_assert_eq!(ours.tree.len(), oracle.tree.len(), "{}", what);
+                let (mut ours, mut oracle) = (base.clone(), base.clone());
+                ours.absorb(level, sender, bytes);
+                absorb_reference(&mut oracle, &nodes, level, sender, bytes);
+                prop_assert_eq!(ours.len(), oracle.len(), "{}", what);
                 for path in &nodes {
-                    prop_assert_eq!(
-                        ours.tree.get(path), oracle.tree.get(path), "{} at {:?}", what, path
-                    );
+                    prop_assert_eq!(ours.get(path), oracle.get(path), "{} at {:?}", what, path);
                 }
+                let mut fresh = EigTree::new(n, f, source);
+                fresh.absorb(level, sender, bytes);
                 match *what {
-                    "honest" | "count too large" | "count u32::MAX" => {
-                        prop_assert_eq!(ours.tree.len(), honest.len(), "{}", what)
-                    }
-                    "past the cap" => prop_assert!(ours.tree.is_empty()),
-                    _ => {}
+                    "honest" => prop_assert_eq!(fresh.len(), told.iter().flatten().count()),
+                    // Well-formed, or (eight slots told as seven) may be.
+                    "another node told" | "another slot count" => {}
+                    _ => prop_assert!(fresh.is_empty(), "{} is refused", what),
                 }
             }
         }
     }
 
-    #[test]
-    #[should_panic(expected = "n=2000, f=5: 4·n^(f+1) overflows u32")]
-    fn rejects_an_entry_cap_that_overflows() {
-        OmBroadcast::new(0, 2000, 5, 0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the bytes, [`EigTree::absorb`] writes only empty nodes
+        /// of this level that end in the sender.
+        #[test]
+        fn absorb_writes_only_empty_nodes_ending_in_the_sender(
+            n in 4usize..=13,
+            seed in any::<u64>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            shape in 0usize..3,
+        ) {
+            let mut bytes = bytes;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (f, source, before) = random_tree(n, &mut rng, 0.3);
+            let level = rng.gen_range(1..=f + 1);
+            let sender = rng.gen_range(0..n + 2);
+            let nodes = all_nodes(n, f, source);
+            let ends_in_sender =
+                |p: &Vec<u16>| p.len() == level && usize::from(p[level - 1]) == sender;
+            // Raw bytes rarely pass the accept rule: also try them behind
+            // the right level byte, and cut or padded to the length their
+            // presence bits promise, padding bits cleared.
+            if shape >= 1 && !bytes.is_empty() {
+                bytes[0] = level as u8;
+            }
+            let mut told: Vec<&Vec<u16>> = nodes.iter().filter(|p| ends_in_sender(p)).collect();
+            told.sort();
+            let presence = told.len().div_ceil(8);
+            let well_formed = shape == 2 && bytes.len() > presence;
+            if well_formed {
+                if !told.len().is_multiple_of(8) {
+                    bytes[presence] &= (1 << (told.len() % 8)) - 1;
+                }
+                let set: usize = bytes[1..=presence].iter().map(|b| b.count_ones() as usize).sum();
+                bytes.resize(1 + presence + 8 * set, 7);
+            }
+
+            let mut after = before.clone();
+            after.absorb(level, sender, &bytes);
+            let mut populated = 0;
+            for path in &nodes {
+                populated += usize::from(after.get(path).is_some());
+                if after.get(path) != before.get(path) {
+                    prop_assert_eq!(before.get(path), None, "{:?} overwritten", path);
+                    prop_assert!(ends_in_sender(path), "{:?} from {} at {}", path, sender, level);
+                }
+            }
+            // Nothing outside the node set either.
+            prop_assert_eq!(after.len(), populated);
+            // Not vacuous: every empty node a well-formed payload tells of
+            // is written.
+            if well_formed {
+                let written = told
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, p)| bytes[1 + i / 8] >> (i % 8) & 1 == 1 && before.get(p).is_none())
+                    .count();
+                prop_assert_eq!(after.len(), before.len() + written);
+            }
+        }
     }
 
     #[test]
     fn wrong_sender_or_length_never_enters_the_tree() {
-        let entry = |path: &[u16]| {
-            let mut w = Writer::new();
-            w.put_u32(1).put_u8(path.len() as u8);
-            for &id in path {
-                w.put_u16(id);
-            }
-            w.put_u64(7);
-            w.finish()
+        // n=7, f=2, source 0: the level-3 nodes ending in 3 are [0,q,3]
+        // for q in {1, 2, 4, 5, 6} — five slots, three padding bits.
+        let told = [Some(7), None, Some(8), Some(9), None];
+        let whole = payload(3, &told);
+        assert_eq!(whole.len(), 1 + 1 + 3 * 8);
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = whole.clone();
+            edit(&mut bytes);
+            bytes
         };
-        let mut inst = OmBroadcast::new(1, 4, 1, 0);
-        inst.decode_and_store(3, &entry(&[0, 2]), 2); // last hop is not the sender
-        inst.decode_and_store(2, &entry(&[0, 2]), 1); // not this round's length
-        inst.decode_and_store(2, &entry(&[]), 2); // empty path
-        assert!(inst.tree.is_empty());
-        inst.decode_and_store(2, &entry(&[0, 2]), 2);
-        assert_eq!(inst.tree.get(&[0, 2]), Some(7));
+        let refused: [(&str, usize, usize, Vec<u8>); 11] = [
+            ("level byte of the round before", 3, 3, with(&|b| b[0] = 2)),
+            ("level byte of the round after", 3, 3, with(&|b| b[0] = 4)),
+            ("this payload a round late", 2, 3, whole.clone()),
+            ("short bitmap", 3, 3, vec![3]),
+            ("one value short", 3, 3, with(&|b| b.truncate(b.len() - 8))),
+            ("one trailing byte", 3, 3, with(&|b| b.push(0))),
+            ("a set padding bit", 3, 3, with(&|b| b[1] |= 1 << 5)),
+            (
+                "a set padding bit with its value",
+                3,
+                3,
+                with(&|b| {
+                    b[1] |= 1 << 5;
+                    b.extend([0; 8]);
+                }),
+            ),
+            ("sender = source at level 3", 3, 0, whole.clone()),
+            ("sender = n", 3, 7, whole.clone()),
+            ("sender far out of range", 3, usize::MAX, whole.clone()),
+        ];
+        let mut tree = EigTree::new(7, 2, 0);
+        for (what, level, sender, bytes) in &refused {
+            tree.absorb(*level, *sender, bytes);
+            assert!(tree.is_empty(), "{what}");
+        }
+        // An announcement comes from the source, and is all it sends.
+        tree.absorb(1, 3, &payload(1, &[Some(7)]));
+        tree.absorb(2, 0, &payload(2, &[Some(7)]));
+        tree.absorb(2, 0, &[2]);
+        assert!(tree.is_empty());
+
+        tree.absorb(3, 3, &whole);
+        assert_eq!(tree.len(), 3);
+        assert_eq!(tree.get(&[0, 1, 3]), Some(7));
+        assert_eq!(tree.get(&[0, 2, 3]), None);
+        assert_eq!(tree.get(&[0, 4, 3]), Some(8));
+        assert_eq!(tree.get(&[0, 5, 3]), Some(9));
+        // First write wins, node by node.
+        tree.absorb(3, 3, &payload(3, &[Some(1), Some(2), None, None, None]));
+        assert_eq!(tree.get(&[0, 1, 3]), Some(7));
+        assert_eq!(tree.get(&[0, 2, 3]), Some(2));
+        assert_eq!(tree.len(), 4);
     }
 
     #[test]
@@ -525,6 +547,10 @@ mod tests {
         // Source 0 equivocates: tells evens 7, odds 8. Honest must *agree*
         // (any common value).
         let n = 4;
+        let lie = |to: usize| if to.is_multiple_of(2) { 7 } else { 8 };
+        for to in 1..n {
+            assert_announces(&payload(1, &[Some(lie(to))]), n, 0, lie(to));
+        }
         let instances: Vec<OmBroadcast> = (0..n).map(|me| OmBroadcast::new(me, n, 1, 0)).collect();
         let inputs = vec![7, 0, 0, 0];
         let decided = run_pure(
@@ -532,12 +558,7 @@ mod tests {
             &inputs,
             |from: usize, round: u64, to: usize, p: &[u8]| {
                 if from == 0 && round == 0 {
-                    let mut w = Writer::new();
-                    w.put_u32(1);
-                    w.put_u8(1);
-                    w.put_u16(0);
-                    w.put_u64(if to.is_multiple_of(2) { 7 } else { 8 });
-                    Some(w.finish())
+                    Some(payload(1, &[Some(lie(to))]))
                 } else if from == 0 {
                     Some(p.to_vec())
                 } else {
@@ -562,17 +583,15 @@ mod tests {
         // instance's round 0 must not enter the EIG tree.
         let mut inst = OmBroadcast::new(1, 4, 1, 0);
         inst.begin(0);
-        let mut w = Writer::new();
-        w.put_u32(1);
-        w.put_u8(1);
-        w.put_u16(0);
-        w.put_u64(99); // forged "source said 99"
-        let stale = w.finish();
-        let inbox: Vec<(usize, &[u8])> = vec![(3, stale.as_slice())];
+        // Forged "source said 99": a round later it would be believed.
+        let stale = payload(1, &[Some(99)]);
+        assert_announces(&stale, 4, 0, 99);
+        let inbox: Vec<(usize, &[u8])> = vec![(0, stale.as_slice()), (3, stale.as_slice())];
         let sent = std::cell::Cell::new(0usize);
         let mut send = |_to: usize, _p: bytes::Bytes| sent.set(sent.get() + 1);
         inst.step(0, &inbox, &mut send);
         assert_eq!(sent.get(), 0, "non-source stays silent at round 0");
+        assert!(inst.tree.is_empty(), "and deaf");
         // Run the remaining rounds with no traffic at all: the forged
         // round-0 message must not have seeded the tree with 99.
         for r in 1..inst.rounds() {

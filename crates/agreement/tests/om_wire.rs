@@ -1,8 +1,14 @@
-//! Pins the oral-messages wire: traffic totals at three sizes and a digest
-//! of every payload at two. The numbers were recorded from the `HashMap`
-//! tree the flat EIG table replaced; a change to entry order, framing or
-//! round structure fails here by name before it shows as a `bytes_per_op`
-//! drift in the benchmark.
+//! Pins the oral-messages wire: traffic totals at three sizes, derived a
+//! second time from the closed form, and a digest of every payload at two.
+//! A change to slot order, framing or round structure fails here by name
+//! before it shows as a `bytes_per_op` drift in the benchmark.
+//!
+//! Recorded at PR 21, when a relay stopped carrying paths (level byte,
+//! presence bits, values in slot order — see `ga_agreement::eig`). Before
+//! that the totals were 1080 / 27 678 / 902 160 bytes, unchanged since the
+//! `HashMap` tree of PR 13; messages and rounds are what they were. The
+//! two digests were computed from the format's description by a script
+//! that shares no code with this crate, then met by the first run.
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::executor::{run_pure_with_stats, ExecStats};
@@ -32,31 +38,52 @@ fn run(n: usize, f: usize) -> (ExecStats, String) {
     (stats, hex)
 }
 
-#[test]
-fn om_traffic_totals_are_pinned() {
-    let pinned = [
-        ((4, 1), (24, 1080, 3)),
-        ((7, 2), (126, 27_678, 4)),
-        ((10, 3), (360, 902_160, 5)),
-    ];
-    for ((n, f), (messages, bytes, rounds)) in pinned {
-        let expected = ExecStats {
-            messages,
-            bytes,
-            rounds,
-        };
-        assert_eq!(run(n, f).0, expected, "n={n} f={f}");
+/// `n`, `f`, and the traffic of one all-honest consensus.
+const PINNED: [(usize, usize, ExecStats); 3] = [
+    (4, 1, stats(24, 672, 3)),
+    (7, 2, stats(126, 15_708, 4)),
+    (10, 3, stats(360, 441_900, 5)),
+];
+
+const fn stats(messages: u64, bytes: u64, rounds: u64) -> ExecStats {
+    ExecStats {
+        messages,
+        bytes,
+        rounds,
     }
 }
 
 #[test]
-fn om_payload_digests_are_pinned() {
-    assert_eq!(
-        run(4, 1).1,
-        "b303ed0a4423c8a57f9bf503d6baa2c1b34565b6572f8b2a7fd96a2ac93c534d"
-    );
-    assert_eq!(
-        run(7, 2).1,
-        "7c2e3adf1012a1c0bb0cdb205fcfc2eafe31d3e440b2d9e30438e3d55682aae3"
-    );
+fn om_traffic_totals_are_pinned() {
+    for (n, f, expected) in PINNED {
+        assert_eq!(run(n, f).0, expected, "n={n} f={f}");
+    }
+}
+
+/// Why the totals are what they are. Each of `n` processors sends `n - 1`
+/// frames a round for `f + 1` rounds. Round 0's frame is one part: a
+/// 4-byte header and the 10-byte announcement. Round `t`'s is `n - 1`
+/// parts, one per other source: the header, a level byte, a presence bit
+/// and — all honest — an 8-byte value for each of the
+/// `K = (n-2)(n-3)…(n-t)` nodes ending in the sender.
+#[test]
+fn om_traffic_totals_follow_from_the_format() {
+    for (n, f, pinned) in PINNED {
+        let (n, f) = (n as u64, f as u64);
+        let mut per_destination = 4 + 10;
+        let mut slots = 1;
+        for t in 1..=f {
+            if t >= 2 {
+                slots *= n - t;
+            }
+            per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8 * slots);
+        }
+        let derived = stats(
+            n * (n - 1) * (f + 1),
+            n * (n - 1) * per_destination,
+            // The announcement, `f` relays, and the step that resolves.
+            f + 2,
+        );
+        assert_eq!(derived, pinned, "n={n} f={f}");
+    }
 }

@@ -36,14 +36,15 @@
 //!
 //! Every authority message is `tag u8, length u16, body`, so a body is at
 //! most 65 535 bytes. The largest body is a whole OM-consensus message of
-//! the last relay round — `n − 1` relays of `(n−2)(n−3)…(n−f)` entries of
-//! `11 + 2f` bytes each — which grows like `n^f`: 8.6 KB at `n = 10, f = 3`,
-//! 22 KB at `(13, 3)`, 226 KB at `(13, 4)`. So the authority runs `f ≤ 2`
-//! at any `n ≤ 64`, `f = 3` up to `n = 17`, and no `f ≥ 4`. A cluster
-//! whose largest round does not fit is refused at construction
+//! the last relay round — `n − 1` relays of `K = (n−2)(n−3)…(n−f)` values,
+//! eight bytes and a presence bit each — which grows like `n^f`: 4.1 KB at
+//! `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB at `(22, 3)`, 75 KB at
+//! `(23, 3)`, 97 KB at `(13, 4)`. So the authority runs `f ≤ 2` at any
+//! `n ≤ 64`, `f = 3` up to `n = 22`, and no `f ≥ 4`. A cluster whose
+//! largest round does not fit is refused at construction
 //! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle
-//! of its first play; widening the prefix would change every frame on the
-//! wire.
+//! of its first play; the limit is stated, not lifted — widening the
+//! prefix would change every frame on the wire.
 //!
 //! Disconnected agents are not expected to submit; the executive plays the
 //! null action 0 on their behalf (their demand is dropped) so the game
@@ -947,6 +948,14 @@ mod tests {
         // Regression: this legal (n > 3f) cluster used to build, then
         // panic inside the frame encoder on its first level-4 relay.
         let _ = AuthorityCluster::new(congestion_of(13), 4);
+    }
+
+    #[test]
+    fn three_faults_fit_the_frame_up_to_twenty_two_agents() {
+        for (n, f, fits) in [(17, 3, true), (22, 3, true), (23, 3, false), (13, 4, false)] {
+            let refused = std::panic::catch_unwind(|| assert_size_supported(n, f)).is_err();
+            assert_eq!(!refused, fits, "n={n} f={f}");
+        }
     }
 
     #[test]

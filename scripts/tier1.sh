@@ -30,11 +30,13 @@ echo "==> scenario authority suite (§3.3 plays; pooled workers 4/shards 4 vs se
 cmp target/scenario_auth_a.json target/scenario_auth_b.json
 
 echo "==> authority trace identity (summary + event JSONL against tests/golden/authority_seed1.sha256)"
-# The digests were taken from the binary before the flat EIG tree (PR 14)
-# and every play's bytes go through the agreement path: a change to entry
+# Every play's bytes go through the agreement path: a change to slot
 # order, framing or round structure there fails here, by name, instead of
-# surfacing later as a bytes_per_op drift in the benchmark. A deliberate
-# wire change regenerates the file with `sha256sum` from inside target/.
+# surfacing later as a bytes_per_op drift in the benchmark. The summary
+# digest dates from before the flat EIG tree (PR 14); the event digest is
+# PR 21's, when an OM relay stopped carrying paths and every
+# `Delivered.bytes` of an agreement frame shrank with it. A deliberate
+# wire change regenerates the file with scripts/regen_goldens.sh.
 ./target/release/scenario run --suite authority --seeds 1 \
     --events target/scenario_auth_golden_events.jsonl > target/scenario_auth_golden.json
 (cd target && sha256sum -c ../tests/golden/authority_seed1.sha256)
@@ -75,12 +77,14 @@ cmp target/scenario_unsup_a_events.jsonl target/scenario_unsup_b_events.jsonl
 
 echo "==> recovery trace identity (summaries against the committed snapshots, event JSONL against tests/golden/recovery_events.sha256)"
 # BENCH_stabilize.json / BENCH_unsupportive.json are exactly what the two
-# runs above summarise (scripts/bench_*.sh write the same --no-records
-# file), so a snapshot can no longer go stale unnoticed, and a change to
-# the clock pulse, the SSBA activation, the authority's recovery or the
-# BFS workloads fails here by name. A deliberate behaviour change
-# regenerates the snapshots with the scripts and the digest file with
-# `sha256sum` from inside target/.
+# runs above summarise (scripts/regen_goldens.sh copies the same
+# --no-records file), so a snapshot can no longer go stale unnoticed, and
+# a change to the clock pulse, the SSBA activation, the authority's
+# recovery or the BFS workloads fails here by name. The two snapshots and
+# the unsupportive digest (no agreement inside) predate PR 21; the
+# stabilize digest is PR 21's — the SSBA's OM frames, same reason as
+# above. A deliberate behaviour change regenerates all of them with
+# scripts/regen_goldens.sh, which prints the ones that moved.
 cmp target/scenario_stab_a.json BENCH_stabilize.json
 cmp target/scenario_unsup_a.json BENCH_unsupportive.json
 (cd target && sha256sum -c ../tests/golden/recovery_events.sha256)
@@ -99,8 +103,8 @@ echo "==> grid1m build smoke (streaming CSR constructs n=10^6 inside the timeout
 timeout 60 cargo test -q -p ga-simnet --release --offline \
     --test sparse grid1m_builds_fast -- --exact
 
-echo "==> n=13, f=3 authority smoke (one play, 22 KB agreement frames, inside the timeout)"
-# One play moves ~12 MB through three agreements, so an
+echo "==> n=13, f=3 authority smoke (one play, 10.8 KB agreement frames, inside the timeout)"
+# One play moves ~5.7 MB through three agreements, so an
 # exponential-constant regression in the EIG tree, or a frame that
 # outgrows its u16 length prefix mid-play, shows here.
 timeout 120 cargo test -q -p game-authority --release --offline --lib \

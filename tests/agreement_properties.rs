@@ -2,6 +2,7 @@
 //! cryptographic primitives — the invariants everything above relies on.
 
 use ga_agreement::consensus::OmConsensus;
+use ga_agreement::eig::LevelPayload;
 use ga_agreement::executor::{honest_agreement, run_pure, run_pure_instances};
 use ga_agreement::harness::{run_consensus_with, Backend, Misbehavior};
 use ga_agreement::king::PhaseKing;
@@ -10,6 +11,37 @@ use ga_agreement::wire::Writer;
 use game_authority_suite::crypto::commitment::{Commitment, Opening};
 use game_authority_suite::crypto::prg::{CommittedPrg, Prg};
 use proptest::prelude::*;
+
+/// The round-0 frame of an OM consensus in which source `from` announces
+/// `value`: its one part, behind the part header.
+fn announcement_frame(from: usize, value: u64) -> Vec<u8> {
+    let mut announcement = LevelPayload::new(1, 1);
+    announcement.push(Some(value));
+    let mut frame = Writer::new();
+    frame.put_u16(from as u16).put_bytes(&announcement.finish());
+    frame.finish()
+}
+
+/// Whether [`announcement_frame`] is a frame receivers act on — an
+/// equivocation built from it is well-formed, not one more kind of noise.
+/// In a consensus with no relay round (`f = 0`), where the agreed vector
+/// is what the announcements said: delivered by `from` in round 1 it sets
+/// `from`'s entry; delivered by anyone else, or a round early, it does
+/// not.
+fn announcement_frame_is_well_formed(n: usize, from: usize, value: u64) -> bool {
+    let frame = announcement_frame(from, value);
+    let (me, other) = ((from + 1) % n, (from + 2) % n);
+    let entry = |sender: usize, round: u64| {
+        let mut consensus = OmConsensus::new(me, n, 0);
+        consensus.begin(0);
+        for r in 0..2 {
+            let inbox: &[(usize, &[u8])] = if r == round { &[(sender, &frame)] } else { &[] };
+            consensus.step(r, inbox, &mut |_, _| {});
+        }
+        consensus.vector()[from]
+    };
+    entry(from, 1) == Some(value) && entry(other, 1) == Some(0) && entry(from, 0) == Some(0)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -61,14 +93,13 @@ proptest! {
         let equivocator = (byz_seed & 1 == 1).then_some(byz[0]);
         let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
         let inputs: Vec<u64> = (0..n).map(|_| common).collect();
+        if let Some(from) = equivocator {
+            prop_assert!(announcement_frame_is_well_formed(n, from, 1002));
+        }
         let mut salt = byz_seed;
         let (instances, _) = run_pure_instances(instances, &inputs, |from: usize, r: u64, to: usize, _p: &[u8]| {
             if r == 0 && Some(from) == equivocator {
-                let mut announce = Writer::new();
-                announce.put_u32(1).put_u8(1).put_u16(from as u16).put_u64(1000 + to as u64 % 3);
-                let mut frame = Writer::new();
-                frame.put_u16(from as u16).put_bytes(&announce.finish());
-                Some(frame.finish())
+                Some(announcement_frame(from, 1000 + to as u64 % 3))
             } else if byz.contains(&from) {
                 salt = salt.wrapping_mul(6364136223846793005).wrapping_add(r ^ to as u64);
                 Some(salt.to_be_bytes().to_vec())
