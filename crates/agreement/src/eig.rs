@@ -43,10 +43,11 @@
 //!
 //! * `store` / `get` fold the path into its slot and accept it iff the bit
 //!   is set;
-//! * `relay` by `me` must skip every `α` that contains `me`. `α` is a
-//!   populated slot `s` (so already a node) and `α·me` is slot `s·n + me`
-//!   one level down, whose bit is set iff `me` is neither in `α` nor the
-//!   source — the bit of `α·me` answers the question;
+//! * `relay` by `me` and `absorb` from `me` are about the nodes `α·me`
+//!   and must skip every `α` that contains `me`. `α·me` is slot `s·n + me`
+//!   one level below `α`'s slot `s`, and its bit is set iff `α` is a node
+//!   and `me` is neither in `α` nor the source — the bit of `α·me` answers
+//!   the question;
 //! * `resolve` takes the children of slot `s` to be the set bits among the
 //!   contiguous slots `s·n .. s·n + n`.
 //!
@@ -56,13 +57,15 @@
 //! # Level payload
 //!
 //! Round `r` of EIG sends level `r` of the tree, so the tree is the
-//! message: what processor `q` tells everyone about one source's broadcast
-//! in one round is the level-`L` nodes whose path ends in `q` — the source's
-//! announcement (`L = 1`, the root) or `q`'s relay of its level `L - 1`.
-//! Sender and receiver both know which nodes those are (the set bits among
-//! the child slots `α·q`, ascending — `K` of them: one for `L ≤ 2`,
-//! `(n-2)(n-3)…(n-L+1)` after, none if `q` is the source and `L ≥ 2` or is
-//! not and `L = 1`), so a payload carries no path:
+//! message. What processor `q` tells the others about one source's
+//! broadcast in one round is the level-`L` nodes whose path ends in `q`:
+//! the root if `q` is the source announcing (`L = 1`), else `α·q` for
+//! every level-`L - 1` node `α` that `q` relays. Both ends know which
+//! nodes those are — the set node bits among the slots `s·n + q`, in
+//! ascending order — and how many: `K = 1` for `L ≤ 2`,
+//! `(n-2)(n-3)…(n-L+1)` after (the ids between the source and `q` are
+//! distinct and neither), and none at all if `q` is the source and
+//! `L ≥ 2`, or is not and `L = 1`. So a payload carries no path:
 //!
 //! ```text
 //! u8 L · ⌈K/8⌉ presence bytes · one big-endian u64 per set bit
@@ -71,17 +74,20 @@
 //! Presence bit `i` (bit `i % 8` of byte `i / 8`, least significant first)
 //! says whether the sender holds a value for the `i`-th of those nodes;
 //! the values follow in the same order. [`LevelPayload`] is the encoder —
-//! [`EigTree::relay`] fills one from the tree — and [`EigTree::absorb`]
-//! the decoder. A payload is **accepted** iff
+//! [`EigTree::relay`] fills one from the tree — and `EigTree::absorb` the
+//! decoder, which runs the scan `relay` runs. A payload is **accepted**
+//! iff
 //!
-//! * its first byte is the level this round stores,
+//! * its first byte is the level the receiving round stores (a payload
+//!   that arrives a round late is stale traffic, which the
+//!   self-stabilizing wrap needs refused),
 //! * its length is exactly `1 + ⌈K/8⌉ + 8·popcount(presence bytes)`, and
 //! * the padding bits past `K` in the last presence byte are zero;
 //!
 //! anything else is ignored whole. An accepted payload writes only nodes
 //! of that level ending in its sender, and only empty ones (first write
 //! wins): a Byzantine sender can lie about values and presence, never
-//! about paths.
+//! about paths — there is no id on the wire to check.
 
 use crate::{Value, DEFAULT_VALUE};
 
@@ -573,9 +579,7 @@ pub(crate) mod reference {
                     self.store(child, value);
                 }
             }
-            let mut w = Writer::new();
-            w.put_u8(level as u8 + 1);
-            [w.finish(), presence, values.finish()].concat()
+            [vec![level as u8 + 1], presence, values.finish()].concat()
         }
     }
 }

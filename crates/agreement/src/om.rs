@@ -13,6 +13,17 @@
 //! source of its own input) and decides the majority of the agreed vector —
 //! interactive consistency, the form the judicial service uses to agree on
 //! per-agent commitments.
+//!
+//! # Wire
+//!
+//! Every message of a broadcast is one [level payload](crate::eig#level-payload)
+//! — level byte, presence bits, values in slot order; the format and its
+//! accept rule are stated there, once. At step 0 the source sends the
+//! level-1 payload of its input (10 bytes); at step `t` in `1..=f` every
+//! other processor stores the level-`t` payloads it received and sends the
+//! level-`t + 1` payload of what it now holds ([`full_relay_len`] bytes in
+//! an honest run). The source relays nothing of its own broadcast, so it
+//! sends nothing after step 0.
 
 use crate::eig::{EigTree, LevelPayload};
 use crate::traits::{broadcast_others, BaInstance, Send};
@@ -336,7 +347,6 @@ mod tests {
                 .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(4..8)))
                 .collect();
             let whole = payload(level, &told);
-            let presence = 1..1 + slots.div_ceil(8);
 
             let mut mutants: Vec<(&str, Vec<u8>)> = vec![
                 ("honest", whole.clone()),
@@ -366,7 +376,7 @@ mod tests {
             if slots % 8 != 0 {
                 // A padding bit, alone and with a value to account for it.
                 let mut bad = whole.clone();
-                bad[presence.end - 1] |= 1 << rng.gen_range(slots % 8..8);
+                bad[slots.div_ceil(8)] |= 1 << rng.gen_range(slots % 8..8);
                 mutants.push(("padding bit set", bad.clone()));
                 bad.extend([0; 8]);
                 mutants.push(("padding bit set, with a value", bad));

@@ -87,3 +87,15 @@ fn om_traffic_totals_follow_from_the_format() {
         assert_eq!(derived, pinned, "n={n} f={f}");
     }
 }
+
+#[test]
+fn om_payload_digests_are_pinned() {
+    assert_eq!(
+        run(4, 1).1,
+        "44777a36114283769ee8a996a58332d4e33f316fc87f418130c4dab3326b0b82"
+    );
+    assert_eq!(
+        run(7, 2).1,
+        "98542d89296c0d6ca3793b995c3fd57ca5ff75b7499ee279643d44abf587fd76"
+    );
+}
