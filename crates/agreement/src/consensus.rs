@@ -182,14 +182,18 @@ impl OmConsensus {
         VectorConsensus::from_instances(me, instances)
     }
 
-    /// The longest wire message an honest processor sends in one
-    /// consensus at `(n, f)`; `None` on overflow. Callers that frame the
-    /// message behind a `u16` length compare it to [`FRAME_LIMIT`] up
+    /// The longest wire message an honest processor can be made to send in
+    /// one consensus at `(n, f)`; `None` on overflow. Callers that frame
+    /// the message behind a `u16` length compare it to [`FRAME_LIMIT`] up
     /// front instead of panicking mid-run.
     ///
     /// Round 0 carries the processor's own 10-byte announcement; round
     /// `t ≥ 1` carries `n - 1` relays (nobody relays its own broadcast) of
     /// at most [`full_relay_len`] bytes, each behind a 4-byte part header.
+    /// A relay is that long only when its source equivocated, so the
+    /// envelope is reached when every source does; with honest sources a
+    /// relay's values are one value and the frame is
+    /// `(n - 1)(4 + 1 + ⌈K/8⌉ + 8)` bytes, 180 against 4140 at `(10, 3)`.
     pub fn max_frame_len(n: usize, f: usize) -> Option<usize> {
         let mut longest = 4 + 10;
         for t in 1..=f {
@@ -220,7 +224,8 @@ impl DolevStrongConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{no_tamper as honest, run_pure};
+    use crate::eig::LevelPayload;
+    use crate::executor::{no_tamper as honest, run_pure, Tamper};
     use ga_crypto::mac::KeyRing;
 
     #[test]
@@ -458,27 +463,56 @@ mod tests {
         }
     }
 
+    /// The longest frame of one consensus on equal inputs under `tamper`.
+    fn longest_frame(n: usize, f: usize, mut tamper: impl Tamper) -> usize {
+        let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
+        let mut longest = 0;
+        run_pure(
+            instances,
+            &vec![5; n],
+            |from: usize, round: u64, to: usize, p: &[u8]| {
+                let sent = tamper.tamper(from, round, to, p);
+                longest = longest.max(sent.as_deref().unwrap_or(p).len());
+                sent
+            },
+        );
+        longest
+    }
+
     #[test]
     fn max_frame_len_is_the_longest_message_of_a_run() {
+        // Every source tells every destination another value, so from
+        // level 3 on no two values of a relay part agree and every part
+        // is plain and full.
         for (n, f) in [(4, 1), (7, 2), (10, 3)] {
-            let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
-            let inputs = vec![5; n];
-            let mut longest = 0;
-            run_pure(
-                instances,
-                &inputs,
-                |_: usize, _: u64, _: usize, p: &[u8]| {
-                    longest = longest.max(p.len());
-                    None
-                },
-            );
+            let equivocate = |from: usize, round: u64, to: usize, _: &[u8]| {
+                (round == 0).then(|| {
+                    let mut lie = LevelPayload::new(1, 1);
+                    lie.push(Some((100 * from + to) as Value));
+                    mux(&[(from as u16, lie.finish().into())]).to_vec()
+                })
+            };
             assert_eq!(
                 OmConsensus::max_frame_len(n, f),
-                Some(longest),
+                Some(longest_frame(n, f, equivocate)),
                 "n={n} f={f}"
             );
         }
         assert_eq!(OmConsensus::max_frame_len(usize::MAX, 3), None);
+    }
+
+    #[test]
+    fn an_honest_frame_carries_one_value_a_part() {
+        // n - 1 parts of header, level byte, K = (n-2)…(n-f) presence
+        // bits and the one value every node of that source's tree holds:
+        // 180 bytes at (10, 3), where the envelope is 4140.
+        for ((n, f), slots) in [((4, 1), 1usize), ((7, 2), 5), ((10, 3), 8 * 7)] {
+            assert_eq!(
+                longest_frame(n, f, honest),
+                (n - 1) * (4 + 1 + slots.div_ceil(8) + 8),
+                "n={n} f={f}"
+            );
+        }
     }
 
     #[test]

@@ -68,33 +68,53 @@
 //! `L ≥ 2`, or is not and `L = 1`. So a payload carries no path:
 //!
 //! ```text
-//! u8 L · ⌈K/8⌉ presence bytes · one big-endian u64 per set bit
+//! plain    u8 L        · ⌈K/8⌉ presence bytes · one big-endian u64 per set bit
+//! uniform  u8 L | 0x80 · ⌈K/8⌉ presence bytes · one big-endian u64
 //! ```
 //!
 //! Presence bit `i` (bit `i % 8` of byte `i / 8`, least significant first)
 //! says whether the sender holds a value for the `i`-th of those nodes;
-//! the values follow in the same order. [`LevelPayload`] is the encoder —
-//! [`EigTree::relay`] fills one from the tree — and `EigTree::absorb` the
-//! decoder, which runs the scan `relay` runs. A payload is **accepted**
-//! iff
+//! the values follow in the same order. Every node of a tree holds what
+//! its source said, so unless the source told two processors two things
+//! the told values are all one value, and the uniform form says it once:
+//! it stands for the plain payload with that value at every set bit.
+//! [`LevelPayload`] is the encoder — [`EigTree::relay`] fills one from the
+//! tree — and sends the uniform form exactly when it tells two or more
+//! values and they are all equal, the plain form otherwise (so a level
+//! with `K = 1` is always plain). `EigTree::absorb` is the decoder, which
+//! runs the scan `relay` runs. A payload is **accepted** iff
 //!
-//! * its first byte is the level the receiving round stores (a payload
-//!   that arrives a round late is stale traffic, which the
+//! * its first byte, bit 7 aside, is the level the receiving round stores
+//!   (a payload that arrives a round late is stale traffic, which the
 //!   self-stabilizing wrap needs refused),
-//! * its length is exactly `1 + ⌈K/8⌉ + 8·popcount(presence bytes)`, and
+//! * its length is exactly `1 + ⌈K/8⌉ + 8·V`, where, with `told` the
+//!   popcount of the presence bytes, `V = told` if bit 7 is clear, and
+//!   `V = 1` with `told ≥ 2` required if it is set, and
 //! * the padding bits past `K` in the last presence byte are zero;
 //!
 //! anything else is ignored whole. An accepted payload writes only nodes
 //! of that level ending in its sender, and only empty ones (first write
 //! wins): a Byzantine sender can lie about values and presence, never
-//! about paths — there is no id on the wire to check.
+//! about paths — there is no id on the wire to check. The uniform form
+//! gives a liar nothing: whatever it is accepted as, the plain payload
+//! with the value repeated is accepted as too (the decoder takes that
+//! longer spelling for good, though the encoder never writes it). What a
+//! lying *source* can do is make honest relays of its tree tell different
+//! values and so fall back to the plain form — the cost every payload had
+//! before the uniform form existed, and the most any payload costs.
 
 use crate::{Value, DEFAULT_VALUE};
 
 /// Longest path (`f + 1` ids) a tree holds: the constructor's odometer is
-/// a stack array of it, and a level fits the payload's `u8`. With `n > f`,
-/// a tree this deep is far beyond what [`EigTree::new`] can index.
+/// a stack array of it, and a level fits the seven bits the payload's first
+/// byte has for it. With `n > f`, a tree this deep is far beyond what
+/// [`EigTree::new`] can index.
 pub(crate) const MAX_DEPTH: usize = 16;
+
+/// Bit 7 of a level payload's first byte: the payload is uniform — it
+/// carries one value, which stands at every set presence bit (see the
+/// module docs).
+const UNIFORM: u8 = 0x80;
 
 /// The EIG tree of one broadcast instance at one processor.
 #[derive(Debug, Clone)]
@@ -277,19 +297,24 @@ impl EigTree {
     /// Panics unless `1 ≤ level ≤ f + 1`.
     pub(crate) fn absorb(&mut self, level: usize, sender: usize, payload: &[u8]) {
         assert!((1..=self.f + 1).contains(&level), "levels are 1..=f+1");
-        if sender >= self.n || payload.first() != Some(&(level as u8)) {
+        let Some((&tag, body)) = payload.split_first() else {
+            return;
+        };
+        if sender >= self.n || usize::from(tag & !UNIFORM) != level {
             return;
         }
+        let uniform = tag & UNIFORM != 0;
         let slots = self.fan_in(level, sender);
-        let Some((presence, values)) = payload[1..].split_at_checked(slots.div_ceil(8)) else {
+        let Some((presence, values)) = body.split_at_checked(slots.div_ceil(8)) else {
             return;
         };
         let (values, []) = values.as_chunks::<8>() else {
             return;
         };
         let told: usize = presence.iter().map(|b| b.count_ones() as usize).sum();
+        let said = if uniform { 1 } else { told };
         let padded = !slots.is_multiple_of(8) && presence[slots / 8] >> (slots % 8) != 0;
-        if values.len() != told || padded || slots == 0 {
+        if values.len() != said || (uniform && told < 2) || padded || slots == 0 {
             return;
         }
         // The root has no parent level to scan: it is the one child slot.
@@ -300,7 +325,9 @@ impl EigTree {
                 (to - from, to, sender)
             }
         };
-        let mut values = values.iter().map(|v| Value::from_be_bytes(*v));
+        // Uniform, the one value comes round again at every set bit; plain,
+        // `told` values are read once each.
+        let mut values = values.iter().cycle().map(|v| Value::from_be_bytes(*v));
         let mut seen = 0;
         for slot in 0..parents {
             let child = to + slot * self.n + last;
@@ -354,31 +381,42 @@ impl EigTree {
 
 /// Encoder of one level payload (see the module docs): the level, then
 /// for each of `slots` nodes, in slot order, whether the sender holds a
-/// value and, if so, the value.
+/// value and, if so, the value — said once if two or more are told and
+/// they all agree.
 #[derive(Debug, Clone)]
 pub struct LevelPayload {
     buf: Vec<u8>,
     slots: usize,
     pushed: usize,
+    told: usize,
+    /// Whether every value told so far is the first one, the only one in
+    /// `buf` while this holds.
+    uniform: bool,
 }
 
 impl LevelPayload {
-    /// Starts the payload of `level` for `slots` nodes, with room for a
-    /// value at every one.
+    /// Starts the payload of `level` for `slots` nodes, with room for one
+    /// value.
     ///
     /// # Panics
     ///
-    /// Panics if `level` does not fit the payload's `u8`.
+    /// Panics unless `level` fits the low seven bits of the payload's
+    /// first byte; bit 7 marks the uniform form.
     pub fn new(level: usize, slots: usize) -> LevelPayload {
-        let level = u8::try_from(level).expect("an EIG level fits a u8");
+        let level = u8::try_from(level)
+            .ok()
+            .filter(|level| level & UNIFORM == 0)
+            .expect("an EIG level fits seven bits");
         let presence = slots.div_ceil(8);
-        let mut buf = Vec::with_capacity(1 + presence + 8 * slots);
+        let mut buf = Vec::with_capacity(1 + presence + 8);
         buf.push(level);
         buf.resize(1 + presence, 0);
         LevelPayload {
             buf,
             slots,
             pushed: 0,
+            told: 0,
+            uniform: true,
         }
     }
 
@@ -391,18 +429,34 @@ impl LevelPayload {
         assert!(self.pushed < self.slots, "one push per slot");
         if let Some(value) = value {
             self.buf[1 + self.pushed / 8] |= 1 << (self.pushed % 8);
-            self.buf.extend_from_slice(&value.to_be_bytes());
+            let value = value.to_be_bytes();
+            let first = 1 + self.slots.div_ceil(8);
+            if self.uniform && self.told > 0 && self.buf[first..] != value {
+                // The first value that differs: spell out the ones before.
+                self.uniform = false;
+                for _ in 1..self.told {
+                    self.buf.extend_from_within(first..first + 8);
+                }
+            }
+            if !self.uniform || self.told == 0 {
+                self.buf.extend_from_slice(&value);
+            }
+            self.told += 1;
         }
         self.pushed += 1;
     }
 
-    /// The encoded payload.
+    /// The encoded payload: uniform if two or more values were told and
+    /// all were equal, plain otherwise.
     ///
     /// # Panics
     ///
     /// Panics unless every slot was pushed.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
         assert_eq!(self.pushed, self.slots, "one push per slot");
+        if self.uniform && self.told >= 2 {
+            self.buf[0] |= UNIFORM;
+        }
         self.buf
     }
 }
@@ -494,7 +548,7 @@ pub fn strict_majority(
 /// oracle the property test in [`om`](crate::om) compares against.
 #[cfg(test)]
 pub(crate) mod reference {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     use crate::wire::Writer;
     use crate::{Value, DEFAULT_VALUE};
@@ -555,7 +609,9 @@ pub(crate) mod reference {
 
         /// The relay payload for `level` by `me`, built the long way
         /// round: list the next level's nodes ending in `me`, sort them,
-        /// look each parent up by path; a bit per node, then the values.
+        /// look each parent up by path; a bit per node, then the values —
+        /// or, if there are two or more and no two differ, the flag on the
+        /// level byte and the first value alone.
         /// Mirrors every relayed node like [`EigTree::relay`](super::EigTree::relay).
         pub(crate) fn relay_payload(
             &mut self,
@@ -571,15 +627,25 @@ pub(crate) mod reference {
                 .collect();
             children.sort();
             let mut presence = vec![0u8; children.len().div_ceil(8)];
-            let mut values = Writer::new();
+            let mut told = Vec::new();
             for (i, child) in children.into_iter().enumerate() {
                 if let Some(value) = self.get(&child[..level]) {
                     presence[i / 8] |= 1 << (i % 8);
-                    values.put_u64(value);
+                    told.push(value);
                     self.store(child, value);
                 }
             }
-            [vec![level as u8 + 1], presence, values.finish()].concat()
+            let distinct: HashSet<Value> = told.iter().copied().collect();
+            let mut tag = level as u8 + 1;
+            if told.len() >= 2 && distinct.len() == 1 {
+                tag += 0x80;
+                told.truncate(1);
+            }
+            let mut values = Writer::new();
+            for value in told {
+                values.put_u64(value);
+            }
+            [vec![tag], presence, values.finish()].concat()
         }
     }
 }
@@ -766,6 +832,35 @@ mod tests {
         }
         assert_eq!(p.finish(), expected);
         assert_eq!(LevelPayload::new(2, 0).finish(), [2]);
+    }
+
+    #[test]
+    fn level_payload_says_an_agreed_value_once() {
+        let finish = |told: &[Option<Value>]| {
+            let mut p = LevelPayload::new(3, told.len());
+            told.iter().for_each(|&v| p.push(v));
+            p.finish()
+        };
+        let seven = 7u64.to_be_bytes();
+        // Two or more told, all equal: the flag, the bits, one value.
+        assert_eq!(
+            finish(&[Some(7), None, Some(7), Some(7)]),
+            [&[3 | 0x80, 0b1101][..], &seven].concat()
+        );
+        // One told, or none: nothing to save, plain.
+        assert_eq!(finish(&[None, Some(7)]), [&[3, 0b10][..], &seven].concat());
+        assert_eq!(finish(&[None, None]), [3, 0]);
+        // A value that differs, however late, spells every one out.
+        assert_eq!(
+            finish(&[Some(7), Some(7), None, Some(8)]),
+            [&[3, 0b1011][..], &seven, &seven, &8u64.to_be_bytes()].concat()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "an EIG level fits seven bits")]
+    fn level_payload_refuses_a_level_that_reaches_the_flag_bit() {
+        LevelPayload::new(128, 1);
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //! # Wire
 //!
 //! Every message of a broadcast is one [level payload](crate::eig#level-payload)
-//! — level byte, presence bits, values in slot order; the format and its
-//! accept rule are stated there, once. At step 0 the source sends the
-//! level-1 payload of its input (10 bytes); at step `t` in `1..=f` every
-//! other processor stores the level-`t` payloads it received and sends the
-//! level-`t + 1` payload of what it now holds ([`full_relay_len`] bytes in
-//! an honest run). The source relays nothing of its own broadcast, so it
-//! sends nothing after step 0.
+//! — level byte, presence bits, values in slot order, or one value if they
+//! all agree; the format and its accept rule are stated there, once. At
+//! step 0 the source sends the level-1 payload of its input (10 bytes); at
+//! step `t` in `1..=f` every other processor stores the level-`t` payloads
+//! it received and sends the level-`t + 1` payload of what it now holds:
+//! the level byte, the presence bits and 8 bytes if the source told
+//! everyone one thing, up to [`full_relay_len`] bytes if it did not. The
+//! source relays nothing of its own broadcast, so it sends nothing after
+//! step 0.
 
 use crate::eig::{EigTree, LevelPayload};
 use crate::traits::{broadcast_others, BaInstance, Send};
@@ -47,12 +49,14 @@ pub const fn rounds(f: usize) -> u64 {
     f as u64 + 2
 }
 
-/// Bytes of the relay payload a processor sends for another source's
-/// broadcast at relative round `t ≥ 1`: the level byte, a presence bit for
-/// each of the `K = (n-2)(n-3)…(n-t)` level-`t + 1` nodes ending in the
-/// sender (the `t - 1` ids between the source and it are distinct and
-/// neither), and — once every level-`t` node reached it — `K` values. No
-/// payload of that round is longer. `None` on overflow.
+/// Bytes of the longest relay payload a processor sends for another
+/// source's broadcast at relative round `t ≥ 1`: the level byte, a presence
+/// bit for each of the `K = (n-2)(n-3)…(n-t)` level-`t + 1` nodes ending in
+/// the sender (the `t - 1` ids between the source and it are distinct and
+/// neither), and `K` values — every level-`t` node reached it and, past
+/// `K = 1`, no two agree, which takes a source that equivocates. No payload
+/// of that round is longer; with an honest source the `K` values are one.
+/// `None` on overflow.
 pub fn full_relay_len(n: usize, t: usize) -> Option<usize> {
     let mut slots = 1usize;
     for k in 2..=t {
@@ -158,7 +162,8 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// [`EigTree::absorb`] the long way round — field by field through a
-    /// [`Reader`], the receiving nodes listed from `nodes` (every path of
+    /// [`Reader`], a uniform payload's one value copied out to every node
+    /// it tells, the receiving nodes listed from `nodes` (every path of
     /// the tree) and written by path: the oracle of the decode property
     /// test.
     fn absorb_reference(
@@ -174,7 +179,9 @@ mod tests {
             .collect();
         children.sort();
         let mut r = Reader::new(payload);
-        if r.get_u8() != Some(level as u8) {
+        let Some(tag) = r.get_u8() else { return };
+        let uniform = tag >= 0x80;
+        if usize::from(tag % 0x80) != level {
             return;
         }
         let mut present = Vec::new();
@@ -185,13 +192,20 @@ mod tests {
         if present[children.len()..].contains(&true) {
             return;
         }
+        let told = present.iter().filter(|&&p| p).count();
+        if uniform && told < 2 {
+            return;
+        }
         let mut values = Vec::new();
-        for _ in present.iter().filter(|&&p| p) {
+        for _ in 0..if uniform { 1 } else { told } {
             let Some(value) = r.get_u64() else { return };
             values.push(value);
         }
         if !r.is_exhausted() {
             return;
+        }
+        if uniform {
+            values = vec![values[0]; told];
         }
         let mut values = values.into_iter();
         for (path, _) in children.into_iter().zip(present).filter(|&(_, p)| p) {
@@ -204,6 +218,18 @@ mod tests {
         let mut p = LevelPayload::new(level, values.len());
         values.iter().for_each(|&v| p.push(v));
         p.finish()
+    }
+
+    /// A payload forged field by field, well-formed or not: the first byte,
+    /// a presence bit per entry of `told`, then `values`.
+    fn forge(tag: u8, told: &[bool], values: &[Value]) -> Vec<u8> {
+        let mut bytes = vec![0; 1 + told.len().div_ceil(8)];
+        bytes[0] = tag;
+        for (i, _) in told.iter().enumerate().filter(|&(_, &t)| t) {
+            bytes[1 + i / 8] |= 1 << (i % 8);
+        }
+        bytes.extend(values.iter().flat_map(|v| v.to_be_bytes()));
+        bytes
     }
 
     /// Proves `announcement` is what a source sends at round 0, so a test
@@ -242,15 +268,40 @@ mod tests {
         (f, source, tree)
     }
 
+    /// A random level of the tree whose every path is in `nodes` — the
+    /// last, where a part tells most nodes, half the time — a sender for
+    /// it — level 1 comes from the source; deeper levels mostly from a
+    /// relayer, sometimes (wrongly) from the source again — and how many
+    /// nodes of that level end in the sender.
+    fn random_part(nodes: &[Vec<u16>], n: usize, rng: &mut StdRng) -> (usize, usize, usize) {
+        let source = usize::from(nodes[0][0]);
+        let depth = nodes[nodes.len() - 1].len();
+        let level = if rng.gen() {
+            depth
+        } else {
+            rng.gen_range(1..=depth)
+        };
+        let sender = if level == 1 || rng.gen_bool(0.1) {
+            source
+        } else {
+            (source + rng.gen_range(1..n)) % n
+        };
+        let slots = nodes
+            .iter()
+            .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
+            .count();
+        (level, sender, slots)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The flat table against the `HashMap` tree it replaced, over
-        /// random partial trees with few distinct values (so ties and
-        /// missing nodes occur): same nodes, same decision, and the same
-        /// relay payload byte for byte at every level for every relayer —
-        /// which, absorbed by a fresh tree, populates exactly the relayed
-        /// children.
+        /// random partial trees with one to three distinct values (so
+        /// ties, missing nodes and both payload forms occur): same nodes,
+        /// same decision, and the same relay payload byte for byte at
+        /// every level for every relayer — which, absorbed by a fresh
+        /// tree, populates exactly the relayed children.
         #[test]
         fn flat_tree_matches_the_reference(n in 4usize..=13, seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -258,6 +309,7 @@ mod tests {
             let source = rng.gen_range(0..n as u16);
             let nodes = all_nodes(n, f, source);
             let density = [0.3, 0.7, 0.97][rng.gen_range(0..3usize)];
+            let distinct = rng.gen_range(1..=3u64);
 
             let mut flat = EigTree::new(n, f, source);
             let mut reference = RefTree::default();
@@ -266,7 +318,7 @@ mod tests {
             for pass in 0..2 {
                 for path in &nodes {
                     if rng.gen_bool(if pass == 0 { density } else { 0.2 }) {
-                        let value = rng.gen_range(0..3u64);
+                        let value = rng.gen_range(0..distinct);
                         flat.store(path, value);
                         reference.store(path.clone(), value);
                     }
@@ -330,23 +382,15 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (f, source, base) = random_tree(n, &mut rng, 0.2);
-            let level = rng.gen_range(1..=f + 1);
-            // Level 1 comes from the source; deeper levels mostly from a
-            // relayer, sometimes (wrongly) from the source again.
-            let sender = if level == 1 || rng.gen_bool(0.1) {
-                usize::from(source)
-            } else {
-                (usize::from(source) + rng.gen_range(1..n)) % n
-            };
             let nodes = all_nodes(n, f, source);
-            let slots = nodes
-                .iter()
-                .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
-                .count();
+            let (level, sender, slots) = random_part(&nodes, n, &mut rng);
+            // One to three distinct values, so `whole` is of either form.
+            let distinct = rng.gen_range(1..=3u64);
             let told: Vec<Option<Value>> = (0..slots)
-                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(4..8)))
+                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(4..4 + distinct)))
                 .collect();
             let whole = payload(level, &told);
+            let uniform = whole[0] & 0x80 != 0;
 
             let mut mutants: Vec<(&str, Vec<u8>)> = vec![
                 ("honest", whole.clone()),
@@ -360,17 +404,41 @@ mod tests {
             for tag in [0, level - 1, level + 1, 255] {
                 let mut bad = whole.clone();
                 bad[0] = tag as u8;
-                mutants.push(("wrong level byte", bad));
+                mutants.push(("wrong level byte", bad.clone()));
+                bad[0] |= 0x80;
+                mutants.push(("flag on the wrong level", bad));
+            }
+            // The other form's first byte on this form's length.
+            let mut bad = whole.clone();
+            bad[0] ^= 0x80;
+            mutants.push(("flag bit flipped", bad));
+            // The flag over no value or one, and over two or more with
+            // no value, two, or one for each.
+            let flag = level as u8 | 0x80;
+            let first = |k: usize| -> Vec<bool> { (0..slots).map(|i| i < k).collect() };
+            for few in [0, 1] {
+                mutants.push(("flag with told < 2", forge(flag, &first(few), &[9])));
+            }
+            let many = rng.gen_range(2..=slots.max(2));
+            for values in [vec![], vec![9, 9], vec![9; many]] {
+                let bad = forge(flag, &first(many), &values);
+                mutants.push(("flag with 0, 2 or told values", bad));
             }
             if slots > 0 {
                 // Another presence bit with the old values, and with one
-                // value more or less so the length fits again.
+                // value more or less so the length fits again. Under the
+                // flag the old one value fits any two or more bits.
                 let i = rng.gen_range(0..slots);
                 let mut flipped = told.clone();
                 flipped[i] = flipped[i].xor(Some(9));
                 let mut bad = whole.clone();
                 bad[1 + i / 8] ^= 1 << (i % 8);
-                mutants.push(("presence bit flipped", bad));
+                let what = if uniform {
+                    "presence bit flipped under the flag"
+                } else {
+                    "presence bit flipped"
+                };
+                mutants.push((what, bad));
                 mutants.push(("another node told", payload(level, &flipped)));
             }
             if slots % 8 != 0 {
@@ -400,10 +468,52 @@ mod tests {
                 match *what {
                     "honest" => prop_assert_eq!(fresh.len(), told.iter().flatten().count()),
                     // Well-formed, or (eight slots told as seven) may be.
-                    "another node told" | "another slot count" => {}
+                    "another node told"
+                    | "another slot count"
+                    | "presence bit flipped under the flag" => {}
                     _ => prop_assert!(fresh.is_empty(), "{} is refused", what),
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The uniform form gives a liar nothing. Whatever the presence
+        /// bits and the value, into whatever partial tree: telling two or
+        /// more nodes, `L | 0x80 · bits · v` leaves the tree that the plain
+        /// `L · bits · v…v` leaves — a spelling no encoder writes and the
+        /// decoder must keep accepting; telling fewer, it is refused.
+        #[test]
+        fn a_uniform_payload_is_the_plain_one_with_its_value_repeated(
+            n in 4usize..=13,
+            seed in any::<u64>(),
+            value in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (f, source, base) = random_tree(n, &mut rng, 0.3);
+            let nodes = all_nodes(n, f, source);
+            let (level, sender, slots) = random_part(&nodes, n, &mut rng);
+            let density = [0.1, 0.5, 1.0][rng.gen_range(0..3usize)];
+            let bits: Vec<bool> = (0..slots).map(|_| rng.gen_bool(density)).collect();
+            let told = bits.iter().filter(|&&b| b).count();
+            let uniform = forge(level as u8 | 0x80, &bits, &[value]);
+            let plain = forge(level as u8, &bits, &vec![value; told]);
+
+            let (mut ours, mut expanded) = (base.clone(), base.clone());
+            ours.absorb(level, sender, &uniform);
+            if told >= 2 {
+                expanded.absorb(level, sender, &plain);
+            }
+            prop_assert_eq!(ours.len(), expanded.len());
+            for path in &nodes {
+                prop_assert_eq!(ours.get(path), expanded.get(path), "at {:?}", path);
+            }
+            // Not vacuous: the plain spelling is accepted, whole.
+            let mut fresh = EigTree::new(n, f, source);
+            fresh.absorb(level, sender, &plain);
+            prop_assert_eq!(fresh.len(), told);
         }
     }
 
@@ -482,7 +592,7 @@ mod tests {
             edit(&mut bytes);
             bytes
         };
-        let refused: [(&str, usize, usize, Vec<u8>); 11] = [
+        let refused: [(&str, usize, usize, Vec<u8>); 17] = [
             ("level byte of the round before", 3, 3, with(&|b| b[0] = 2)),
             ("level byte of the round after", 3, 3, with(&|b| b[0] = 4)),
             ("this payload a round late", 2, 3, whole.clone()),
@@ -498,6 +608,34 @@ mod tests {
                     b[1] |= 1 << 5;
                     b.extend([0; 8]);
                 }),
+            ),
+            // Bit 7 of the level byte promises one value for two or more
+            // nodes: not three values, not none or two, not one node's.
+            ("the flag on a plain payload", 3, 3, with(&|b| b[0] |= 0x80)),
+            ("the flag and no value", 3, 3, vec![3 | 0x80, 0b01101]),
+            (
+                "the flag and two values",
+                3,
+                3,
+                forge(3 | 0x80, &[true, false, true, true, false], &[7, 7]),
+            ),
+            (
+                "the flag over one node",
+                3,
+                3,
+                forge(3 | 0x80, &[false, false, true, false, false], &[7]),
+            ),
+            (
+                "the flag over no node",
+                3,
+                3,
+                forge(3 | 0x80, &[false; 5], &[7]),
+            ),
+            (
+                "the flag on another level",
+                3,
+                3,
+                forge(2 | 0x80, &[true, false, true, true, false], &[7]),
             ),
             ("sender = source at level 3", 3, 0, whole.clone()),
             ("sender = n", 3, 7, whole.clone()),
@@ -525,6 +663,16 @@ mod tests {
         assert_eq!(tree.get(&[0, 1, 3]), Some(7));
         assert_eq!(tree.get(&[0, 2, 3]), Some(2));
         assert_eq!(tree.len(), 4);
+        // One value for every set bit, first write still winning.
+        tree.absorb(
+            3,
+            3,
+            &forge(3 | 0x80, &[true, false, false, true, true], &[6]),
+        );
+        assert_eq!(tree.get(&[0, 1, 3]), Some(7));
+        assert_eq!(tree.get(&[0, 5, 3]), Some(9));
+        assert_eq!(tree.get(&[0, 6, 3]), Some(6));
+        assert_eq!(tree.len(), 5);
     }
 
     #[test]

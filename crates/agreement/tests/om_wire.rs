@@ -1,34 +1,51 @@
-//! Pins the oral-messages wire: traffic totals at three sizes, derived a
-//! second time from the closed form, and a digest of every payload at two.
-//! A change to slot order, framing or round structure fails here by name
-//! before it shows as a `bytes_per_op` drift in the benchmark.
+//! Pins the oral-messages wire: traffic totals at three sizes — with every
+//! source honest, with one that equivocates and with all of them at it —
+//! derived a second time from the closed form, and a digest of every
+//! payload at two sizes. A change to slot order, framing or round
+//! structure fails here by name before it shows as a `bytes_per_op` drift
+//! in the benchmark.
 //!
-//! Recorded at PR 21, when a relay stopped carrying paths (level byte,
-//! presence bits, values in slot order — see `ga_agreement::eig`). Before
-//! that the totals were 1080 / 27 678 / 902 160 bytes, unchanged since the
-//! `HashMap` tree of PR 13; messages and rounds are what they were. The
-//! two digests were computed from the format's description by a script
-//! that shares no code with this crate, then met by the first run.
+//! Recorded at PR 23, when a relay part whose values all agree began to
+//! say the value once (see `ga_agreement::eig`, "Level payload"). With
+//! every source honest that is every part, and the totals fell from PR 21's
+//! 672 / 15 708 / 441 900 bytes (before that, when a relay carried paths,
+//! 1080 / 27 678 / 902 160); at `(4, 1)` no part tells two values, so
+//! nothing there moved, the digest included. PR 21's totals are now what
+//! a consensus costs when every source equivocates, and the most honest
+//! processors can be made to send. Messages and rounds are what they
+//! always were. The digests and totals were computed from the format's
+//! description by `scripts/om_wire_digest.py`, which shares no code with
+//! this crate, then met by the first run.
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::executor::{run_pure_with_stats, ExecStats};
 use ga_crypto::sha256::Sha256;
 
-/// Runs one all-honest consensus on inputs `100 + i` and returns its
-/// traffic totals and the SHA-256 of all payloads in delivery order.
-fn run(n: usize, f: usize) -> (ExecStats, String) {
+/// Runs one consensus on inputs `100 + i` in which the sources below
+/// `liars` equivocate — each tells destination `to` that its input is
+/// `100 + to` — and returns its traffic totals and the SHA-256 of all
+/// payloads in delivery order.
+fn run(n: usize, f: usize, liars: usize) -> (ExecStats, String) {
     let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
     let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
     let mut hasher = Sha256::new();
     let (decided, stats) = run_pure_with_stats(
         instances,
         &inputs,
-        |_from: usize, _round: u64, _to: usize, payload: &[u8]| {
-            hasher.update(payload);
-            None
+        |from: usize, round: u64, to: usize, payload: &[u8]| {
+            // A liar's round-0 frame, byte by byte: part header (its own
+            // broadcast, 10 bytes), level 1, the one presence bit, the
+            // value.
+            let lie = (from < liars && round == 0).then(|| {
+                let head = [0, from as u8, 0, 10, 1, 1];
+                [&head[..], &(100 + to as u64).to_be_bytes()].concat()
+            });
+            hasher.update(lie.as_deref().unwrap_or(payload));
+            lie
         },
     );
-    // n distinct inputs: no strict majority, everyone falls to the default.
+    // n distinct inputs, or lies that agree on none: no strict majority,
+    // everyone falls to the default.
     assert!(decided.iter().all(|d| *d == Some(0)), "{decided:?}");
     let hex = hasher
         .finalize()
@@ -38,11 +55,28 @@ fn run(n: usize, f: usize) -> (ExecStats, String) {
     (stats, hex)
 }
 
-/// `n`, `f`, and the traffic of one all-honest consensus.
-const PINNED: [(usize, usize, ExecStats); 3] = [
-    (4, 1, stats(24, 672, 3)),
-    (7, 2, stats(126, 15_708, 4)),
-    (10, 3, stats(360, 441_900, 5)),
+/// `n`, `f`, and the traffic of one consensus: all honest, source 0
+/// equivocating, every source equivocating.
+const PINNED: [(usize, usize, [ExecStats; 3]); 3] = [
+    (4, 1, [stats(24, 672, 3); 3]),
+    (
+        7,
+        2,
+        [
+            stats(126, 7644, 4),
+            stats(126, 8796, 4),
+            stats(126, 15_708, 4),
+        ],
+    ),
+    (
+        10,
+        3,
+        [
+            stats(360, 40_140, 5),
+            stats(360, 80_316, 5),
+            stats(360, 441_900, 5),
+        ],
+    ),
 ];
 
 const fn stats(messages: u64, bytes: u64, rounds: u64) -> ExecStats {
@@ -55,8 +89,10 @@ const fn stats(messages: u64, bytes: u64, rounds: u64) -> ExecStats {
 
 #[test]
 fn om_traffic_totals_are_pinned() {
-    for (n, f, expected) in PINNED {
-        assert_eq!(run(n, f).0, expected, "n={n} f={f}");
+    for (n, f, pinned) in PINNED {
+        for (liars, expected) in [0, 1, n].into_iter().zip(pinned) {
+            assert_eq!(run(n, f, liars).0, expected, "n={n} f={f} liars={liars}");
+        }
     }
 }
 
@@ -64,38 +100,57 @@ fn om_traffic_totals_are_pinned() {
 /// frames a round for `f + 1` rounds. Round 0's frame is one part: a
 /// 4-byte header and the 10-byte announcement. Round `t`'s is `n - 1`
 /// parts, one per other source: the header, a level byte, a presence bit
-/// and — all honest — an 8-byte value for each of the
-/// `K = (n-2)(n-3)…(n-t)` nodes ending in the sender.
+/// for each of the `K = (n-2)(n-3)…(n-t)` nodes ending in the sender, and
+/// their values — which with an honest source are one value, so 8 bytes
+/// whether `K` is 1 (plain) or more (uniform), and never `8·K`.
+///
+/// A source `s` that tells every destination another value changes its
+/// own tree's parts alone: node `(s, q, …, p)` holds what `s` told `q`,
+/// so once `K ≥ 2` (level 3 on) the part each of the `n - 1` relayers
+/// sends each of its `n - 1` destinations is plain, `8·K` where it was 8.
+/// With every source at it every part is — the cost of every run before
+/// the uniform form.
 #[test]
 fn om_traffic_totals_follow_from_the_format() {
     for (n, f, pinned) in PINNED {
+        let liars = [0, 1, n as u64];
         let (n, f) = (n as u64, f as u64);
         let mut per_destination = 4 + 10;
+        let mut spelled_out = 0;
         let mut slots = 1;
         for t in 1..=f {
             if t >= 2 {
                 slots *= n - t;
             }
-            per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8 * slots);
+            per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8);
+            spelled_out += (n - 1) * (n - 1) * 8 * (slots - 1);
         }
-        let derived = stats(
-            n * (n - 1) * (f + 1),
-            n * (n - 1) * per_destination,
-            // The announcement, `f` relays, and the step that resolves.
-            f + 2,
-        );
-        assert_eq!(derived, pinned, "n={n} f={f}");
+        for (liars, pinned) in liars.into_iter().zip(pinned) {
+            let derived = stats(
+                n * (n - 1) * (f + 1),
+                n * (n - 1) * per_destination + liars * spelled_out,
+                // The announcement, `f` relays, and the step that resolves.
+                f + 2,
+            );
+            assert_eq!(derived, pinned, "n={n} f={f} liars={liars}");
+        }
     }
 }
 
 #[test]
 fn om_payload_digests_are_pinned() {
+    // No part of f = 1 tells two values: PR 21's digest.
     assert_eq!(
-        run(4, 1).1,
+        run(4, 1, 0).1,
         "44777a36114283769ee8a996a58332d4e33f316fc87f418130c4dab3326b0b82"
     );
+    // Every level-3 part uniform; then source 0's part of each frame plain.
     assert_eq!(
-        run(7, 2).1,
-        "98542d89296c0d6ca3793b995c3fd57ca5ff75b7499ee279643d44abf587fd76"
+        run(7, 2, 0).1,
+        "f98718300bc55fef30b8b3bbf2a70beaaa026ed45899e4b7702949901c09fc05"
+    );
+    assert_eq!(
+        run(7, 2, 1).1,
+        "f00480916af15963dfeb48a60208c8722a7c8df83b3d1bd03ef483688ba4d05f"
     );
 }

@@ -64,7 +64,12 @@ mod tests {
     fn all_backends_agree_and_scale_shapes_hold() {
         let points = run(&[4, 7], 11);
         assert!(points.iter().all(|p| p.agreement), "{points:?}");
-        // OM's message bytes grow much faster than phase-king's.
+        // OM's bytes with honest sources: n(n - 1) frames a round, and from
+        // round 1 on a frame has a part per other source, each saying its
+        // one value once — so (4, 1) → (7, 2), a round more of wider
+        // frames, is (f + 1)·n³ growth, ×8 here. The n^(f+1) of the
+        // textbook is the equivocation envelope (`max_frame_len`), which
+        // noise senders do not reach.
         let om4 = points
             .iter()
             .find(|p| p.backend == Backend::Om && p.n == 4)
@@ -73,7 +78,7 @@ mod tests {
             .iter()
             .find(|p| p.backend == Backend::Om && p.n == 7)
             .unwrap();
-        assert!(om7.bytes > om4.bytes * 4, "exponential growth visible");
+        assert!(om7.bytes > om4.bytes * 4, "(f + 1)·n³ growth visible");
     }
 
     #[test]

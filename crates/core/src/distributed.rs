@@ -35,13 +35,18 @@
 //! # Frame limit
 //!
 //! Every authority message is `tag u8, length u16, body`, so a body is at
-//! most 65 535 bytes. The largest body is a whole OM-consensus message of
-//! the last relay round — `n − 1` relays of `K = (n−2)(n−3)…(n−f)` values,
-//! eight bytes and a presence bit each — which grows like `n^f`: 4.1 KB at
-//! `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB at `(22, 3)`, 75 KB at
-//! `(23, 3)`, 97 KB at `(13, 4)`. So the authority runs `f ≤ 2` at any
-//! `n ≤ 64`, `f = 3` up to `n = 22`, and no `f ≥ 4`. A cluster whose
-//! largest round does not fit is refused at construction
+//! most 65 535 bytes. The largest body a processor can be made to send is
+//! a whole OM-consensus message of the last relay round when every source
+//! equivocated — `n − 1` relays of `K = (n−2)(n−3)…(n−f)` values that
+//! differ, eight bytes and a presence bit each — which grows like `n^f`:
+//! 4.1 KB at `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB at `(22, 3)`,
+//! 75 KB at `(23, 3)`, 97 KB at `(13, 4)`. Those are the equivocation
+//! case, and it sets the limit because a Byzantine source chooses it. A
+//! relay of an honest source's broadcast says its one value once, so the
+//! frames of a run without an equivocator are `n − 1` parts of a value and
+//! `K` presence bits: 180 bytes at `(10, 3)`. So the authority runs
+//! `f ≤ 2` at any `n ≤ 64`, `f = 3` up to `n = 22`, and no `f ≥ 4`. A
+//! cluster whose largest round does not fit is refused at construction
 //! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle
 //! of its first play; the limit is stated, not lifted — widening the
 //! prefix would change every frame on the wire.

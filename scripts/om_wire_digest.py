@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""OM(f) interactive consistency from the wire format's description alone.
+
+The second derivation behind crates/agreement/tests/om_wire.rs: written from
+the "Level payload" section of crates/agreement/src/eig.rs and the framing in
+consensus.rs, sharing no code with the crate. For (4, 1), (7, 2) and (10, 3)
+it runs one consensus on inputs 100 + i with 0, 1 and n equivocating sources
+(a liar tells destination `to` the value 100 + to at round 0) and prints
+messages, bytes, bytes per round and the SHA-256 of every frame in delivery
+order (round, sender ascending, destination ascending). After a deliberate
+wire change, change this file from the new description first, then pin what
+it prints.
+
+    python3 scripts/om_wire_digest.py
+"""
+import hashlib, itertools, struct
+
+
+def level_nodes(n, source, level, last=None):
+    """Paths of `level` distinct ids from `source`, ascending; ending in `last` if given."""
+    others = [q for q in range(n) if q != source]
+    out = []
+    for rest in itertools.permutations(others, level - 1):
+        path = (source,) + rest
+        if last is None or path[-1] == last:
+            out.append(path)
+    return sorted(out)
+
+
+def encode(level, told):
+    """told: list of value-or-None per node, slot order."""
+    presence = bytearray((len(told) + 7) // 8)
+    values = []
+    for i, v in enumerate(told):
+        if v is not None:
+            presence[i // 8] |= 1 << (i % 8)
+            values.append(v)
+    tag = level
+    if len(values) >= 2 and len(set(values)) == 1:
+        tag |= 0x80
+        values = values[:1]
+    return bytes([tag]) + bytes(presence) + b"".join(struct.pack(">Q", v) for v in values)
+
+
+def decode(level, nodes, payload):
+    """Returns {path: value} or {} when refused."""
+    if not payload or not nodes:
+        return {}
+    tag = payload[0]
+    if tag & 0x7F != level:
+        return {}
+    uniform = bool(tag & 0x80)
+    nbytes = (len(nodes) + 7) // 8
+    presence = payload[1 : 1 + nbytes]
+    if len(presence) != nbytes:
+        return {}
+    bits = [(presence[i // 8] >> (i % 8)) & 1 for i in range(nbytes * 8)]
+    if any(bits[len(nodes):]):
+        return {}
+    told = sum(bits)
+    rest = payload[1 + nbytes :]
+    if uniform:
+        if told < 2 or len(rest) != 8:
+            return {}
+        vals = [struct.unpack(">Q", rest)[0]] * told
+    else:
+        if len(rest) != 8 * told:
+            return {}
+        vals = [struct.unpack(">Q", rest[8 * i : 8 * i + 8])[0] for i in range(told)]
+    it = iter(vals)
+    return {path: next(it) for path, b in zip(nodes, bits) if b}
+
+
+def run(n, f, liars):
+    trees = [[{} for _ in range(n)] for _ in range(n)]  # trees[p][s]
+    inbox = [[] for _ in range(n)]
+    h = hashlib.sha256()
+    messages = total = 0
+    per_round = []
+    for rnd in range(f + 2):
+        nxt = [[] for _ in range(n)]
+        sent_this_round = 0
+        for p in range(n):
+            # absorb level-`rnd` payloads
+            if rnd >= 1:
+                for sender, frame in inbox[p]:
+                    off = 0
+                    while off < len(frame):
+                        s, ln = struct.unpack(">HH", frame[off : off + 4])
+                        part = frame[off + 4 : off + 4 + ln]
+                        off += 4 + ln
+                        nodes = level_nodes(n, s, rnd, sender) if (rnd == 1) == (sender == s) else []
+                        for path, v in decode(rnd, nodes, part).items():
+                            trees[p][s].setdefault(path, v)
+            frames = {}
+            if rnd == 0:
+                v = 100 + p
+                trees[p][p][(p,)] = v
+                frame = struct.pack(">HH", p, 10) + encode(1, [v])
+                frames = {to: frame for to in range(n) if to != p}
+                if p < liars:
+                    frames = {to: struct.pack(">HH", p, 10) + encode(1, [100 + to]) for to in frames}
+            elif rnd <= f:
+                frame = b""
+                for s in range(n):
+                    if s == p:
+                        continue
+                    told = []
+                    for child in level_nodes(n, s, rnd + 1, p):
+                        v = trees[p][s].get(child[:-1])
+                        if v is not None:
+                            trees[p][s].setdefault(child, v)
+                        told.append(v)
+                    part = encode(rnd + 1, told)
+                    frame += struct.pack(">HH", s, len(part)) + part
+                frames = {to: frame for to in range(n) if to != p}
+            for to in sorted(frames):
+                h.update(frames[to])
+                messages += 1
+                total += len(frames[to])
+                sent_this_round += len(frames[to])
+                nxt[to].append((p, frames[to]))
+        per_round.append(sent_this_round)
+        inbox = nxt
+    return messages, total, per_round, h.hexdigest()
+
+
+for n, f in [(4, 1), (7, 2), (10, 3)]:
+    for liars in [0, 1, n]:
+        print(f"({n}, {f}) liars={liars}:", *run(n, f, liars))

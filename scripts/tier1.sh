@@ -34,9 +34,11 @@ echo "==> authority trace identity (summary + event JSONL against tests/golden/a
 # order, framing or round structure there fails here, by name, instead of
 # surfacing later as a bytes_per_op drift in the benchmark. The summary
 # digest dates from before the flat EIG tree (PR 14); the event digest is
-# PR 21's, when an OM relay stopped carrying paths and every
-# `Delivered.bytes` of an agreement frame shrank with it. A deliberate
-# wire change regenerates the file with scripts/regen_goldens.sh.
+# PR 23's, when an OM relay part whose values all agree began to say the
+# value once and every `Delivered.bytes` of an agreement frame from the
+# second relay round on shrank with it (PR 21 moved it before, when a
+# relay stopped carrying paths). A deliberate wire change regenerates the
+# file with scripts/regen_goldens.sh.
 ./target/release/scenario run --suite authority --seeds 1 \
     --events target/scenario_auth_golden_events.jsonl > target/scenario_auth_golden.json
 (cd target && sha256sum -c ../tests/golden/authority_seed1.sha256)
@@ -82,7 +84,7 @@ echo "==> recovery trace identity (summaries against the committed snapshots, ev
 # a change to the clock pulse, the SSBA activation, the authority's
 # recovery or the BFS workloads fails here by name. The two snapshots and
 # the unsupportive digest (no agreement inside) predate PR 21; the
-# stabilize digest is PR 21's — the SSBA's OM frames, same reason as
+# stabilize digest is PR 23's — the SSBA's OM frames, same reason as
 # above. A deliberate behaviour change regenerates all of them with
 # scripts/regen_goldens.sh, which prints the ones that moved.
 cmp target/scenario_stab_a.json BENCH_stabilize.json
@@ -103,10 +105,11 @@ echo "==> grid1m build smoke (streaming CSR constructs n=10^6 inside the timeout
 timeout 60 cargo test -q -p ga-simnet --release --offline \
     --test sparse grid1m_builds_fast -- --exact
 
-echo "==> n=13, f=3 authority smoke (one play, 10.8 KB agreement frames, inside the timeout)"
-# One play moves ~5.7 MB through three agreements, so an
-# exponential-constant regression in the EIG tree, or a frame that
-# outgrows its u16 length prefix mid-play, shows here.
+echo "==> n=13, f=3 authority smoke (one play, 2380-slot EIG trees, inside the timeout)"
+# One play steps 13 x 13 trees of 1 + 13 + 169 + 2197 slots through three
+# agreements (0.3 MB on the wire with every source honest; the 10.8 KB
+# frames of the envelope take an equivocator), so an exponential-constant
+# regression in the tree's scans shows here.
 timeout 120 cargo test -q -p game-authority --release --offline --lib \
     distributed::tests::thirteen_agents_three_faults_complete_a_correct_play -- --exact
 

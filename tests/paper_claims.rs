@@ -54,8 +54,12 @@ fn claim_virus_pom() {
     }
 }
 
-/// §3.3 protocol cost shapes: OM grows exponentially in bytes with n;
-/// phase-king stays polynomial but needs more rounds.
+/// §3.3 protocol cost shapes at a fixed fault budget (f = 2). With
+/// honest sources an OM relay part says its one value once, so OM's bytes
+/// grow like n³ — n(n - 1) frames a round, n - 1 parts a frame — and the
+/// n^(f+1) of the textbook is left to the equivocation envelope, which
+/// noise senders do not reach; phase-king's constant-size messages stay an
+/// order of n below that, but it needs more rounds.
 #[test]
 fn claim_overhead_shapes() {
     let points = e6_overhead::run(&[7, 13], 23);
@@ -71,8 +75,8 @@ fn claim_overhead_shapes() {
         .iter()
         .find(|p| p.backend == ga_agreement::harness::Backend::PhaseKing && p.n == 13)
         .unwrap();
-    assert!(om13.bytes > 5 * om7.bytes, "exponential blowup");
-    assert!(pk13.bytes < om13.bytes / 5, "phase-king stays polynomial");
+    assert!(om13.bytes > 5 * om7.bytes, "n³: (13/7)³ ≈ 6.4");
+    assert!(pk13.bytes < om13.bytes / 5, "phase-king stays near n²");
     assert!(pk13.rounds > om13.rounds, "…at the cost of more rounds");
     assert!(points.iter().all(|p| p.agreement));
 }
