@@ -325,15 +325,15 @@ impl EigTree {
                 (to - from, to, sender)
             }
         };
-        // Uniform, the one value comes round again at every set bit; plain,
-        // `told` values are read once each.
-        let mut values = values.iter().cycle().map(|v| Value::from_be_bytes(*v));
-        let mut seen = 0;
+        // Plain, every set bit reads the next value; uniform, the first.
+        let stride = usize::from(!uniform);
+        let (mut seen, mut next) = (0, 0);
         for slot in 0..parents {
             let child = to + slot * self.n + last;
             if bit(&self.node, child) {
                 if presence[seen / 8] >> (seen % 8) & 1 == 1 {
-                    self.put(child, values.next().expect("one value per set bit"));
+                    self.put(child, Value::from_be_bytes(values[next]));
+                    next += stride;
                 }
                 seen += 1;
             }
@@ -389,8 +389,10 @@ pub struct LevelPayload {
     slots: usize,
     pushed: usize,
     told: usize,
-    /// Whether every value told so far is the first one, the only one in
-    /// `buf` while this holds.
+    /// The first value told.
+    first: Value,
+    /// Whether every value told so far is `first`, which is then the only
+    /// one in `buf`.
     uniform: bool,
 }
 
@@ -416,6 +418,7 @@ impl LevelPayload {
             slots,
             pushed: 0,
             told: 0,
+            first: DEFAULT_VALUE,
             uniform: true,
         }
     }
@@ -429,17 +432,19 @@ impl LevelPayload {
         assert!(self.pushed < self.slots, "one push per slot");
         if let Some(value) = value {
             self.buf[1 + self.pushed / 8] |= 1 << (self.pushed % 8);
-            let value = value.to_be_bytes();
-            let first = 1 + self.slots.div_ceil(8);
-            if self.uniform && self.told > 0 && self.buf[first..] != value {
-                // The first value that differs: spell out the ones before.
-                self.uniform = false;
-                for _ in 1..self.told {
-                    self.buf.extend_from_within(first..first + 8);
+            if self.told == 0 {
+                self.first = value;
+                self.buf.extend_from_slice(&value.to_be_bytes());
+            } else if !self.uniform || value != self.first {
+                if self.uniform {
+                    // The first value that differs: spell out the ones
+                    // before it.
+                    self.uniform = false;
+                    for _ in 1..self.told {
+                        self.buf.extend_from_slice(&self.first.to_be_bytes());
+                    }
                 }
-            }
-            if !self.uniform || self.told == 0 {
-                self.buf.extend_from_slice(&value);
+                self.buf.extend_from_slice(&value.to_be_bytes());
             }
             self.told += 1;
         }
