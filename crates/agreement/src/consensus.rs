@@ -46,7 +46,7 @@ impl<B: BaInstance> VectorConsensus<B> {
     /// # Panics
     ///
     /// Panics if `instances` is empty or `me` is out of range.
-    pub fn from_instances(me: usize, instances: Vec<B>) -> VectorConsensus<B> {
+    fn from_instances(me: usize, instances: Vec<B>) -> VectorConsensus<B> {
         assert!(!instances.is_empty(), "need at least one source");
         assert!(me < instances.len(), "me out of range");
         VectorConsensus {

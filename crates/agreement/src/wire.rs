@@ -42,12 +42,6 @@ impl Writer {
         self
     }
 
-    /// Appends a big-endian u32.
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Appends a big-endian u64.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -103,7 +97,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 
@@ -157,7 +151,9 @@ mod tests {
     #[test]
     fn round_trip_scalars() {
         let mut w = Writer::new();
-        w.put_u8(7).put_u16(300).put_u32(70_000).put_u64(u64::MAX);
+        // 70 000 = 0x0001_1170: two u16 halves read back as one u32.
+        w.put_u8(7).put_u16(300).put_u16(1).put_u16(0x1170);
+        w.put_u64(u64::MAX);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8(), Some(7));

@@ -30,7 +30,7 @@ pub struct CadencePoint {
 ///
 /// `epoch_len == 1` means the per-play support audit (the paper's default);
 /// larger values defer all mixed-strategy checking to the epoch boundary.
-pub fn run_cadence(epoch_len: u64, rounds: u64, seed: u64) -> CadencePoint {
+fn run_cadence(epoch_len: u64, rounds: u64, seed: u64) -> CadencePoint {
     let game = manipulated_matching_pennies();
     let per_play = epoch_len == 1;
     let config = AuthorityConfig {

@@ -15,7 +15,7 @@ use crate::ssba::SsbaProcess;
 /// random but well-formed* clock claim to every neighbor, every pulse —
 /// much stronger than random noise, which mostly fails to decode.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ClockEquivocator;
+struct ClockEquivocator;
 
 impl Adversary for ClockEquivocator {
     fn act(&mut self, ctx: &mut Context<'_>) {
@@ -35,13 +35,8 @@ impl Adversary for ClockEquivocator {
 /// last `byzantine_count` of them actively equivocating), scrambles every
 /// honest clock, and counts pulses until all honest clocks agree.
 ///
-/// Returns `None` if agreement is not reached within a generous bound
-/// (the rule is randomized; the paper's own bound is exponential-flavored).
-pub fn measure_convergence(n: usize, f: usize, modulus: u64, seed: u64) -> Option<u64> {
-    measure_convergence_with(n, f, f, modulus, seed, 200_000)
-}
-
-/// [`measure_convergence`] with explicit Byzantine count and pulse budget.
+/// Returns `None` if agreement is not reached within `max_pulses` (the
+/// rule is randomized; the paper's own bound is exponential-flavored).
 pub fn measure_convergence_with(
     n: usize,
     f: usize,
@@ -167,7 +162,8 @@ mod tests {
 
     #[test]
     fn convergence_with_equivocator() {
-        let pulses = measure_convergence(4, 1, 8, 13).expect("converges despite equivocator");
+        let pulses = measure_convergence_with(4, 1, 1, 8, 13, 200_000)
+            .expect("converges despite equivocator");
         assert!(pulses < 100_000, "pulses={pulses}");
     }
 

@@ -31,11 +31,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ga_clocksync::harness::measure_convergence;
+//! use ga_clocksync::harness::measure_convergence_with;
 //!
-//! // 4 processors, 1 Byzantine, clocks start arbitrary: how many pulses
-//! // until all honest clocks agree (and then stay agreeing)?
-//! let pulses = measure_convergence(4, 1, 8, 0xC10C).expect("converges");
+//! // 4 processors, 1 of the 1 budgeted Byzantine, clocks start arbitrary:
+//! // how many pulses until all honest clocks agree (and then stay agreeing)?
+//! let pulses = measure_convergence_with(4, 1, 1, 8, 0xC10C, 200_000).expect("converges");
 //! assert!(pulses < 2_000);
 //! ```
 

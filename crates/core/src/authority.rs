@@ -80,19 +80,6 @@ pub struct RoundReport {
     pub costs: Vec<f64>,
 }
 
-impl RoundReport {
-    /// Sum of the costs of agents for which `honest[i]` holds — the
-    /// paper's social cost (§2 counts honest agents only).
-    pub fn honest_social_cost(&self, honest: &[bool]) -> f64 {
-        self.costs
-            .iter()
-            .zip(honest)
-            .filter(|(_, &h)| h)
-            .map(|(c, _)| c)
-            .sum()
-    }
-}
-
 /// The reference game authority.
 pub struct Authority<'g> {
     game: &'g dyn Game,
@@ -164,19 +151,9 @@ impl<'g> Authority<'g> {
         &self.executive
     }
 
-    /// The outcome of the last non-void play.
-    pub fn previous_outcome(&self) -> Option<&PureProfile> {
-        self.prev_outcome.as_ref()
-    }
-
     /// Plays played so far.
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// Which agents count as honest for social-cost purposes.
-    pub fn honest_flags(&self) -> Vec<bool> {
-        self.behaviors.iter().map(Behavior::is_honest).collect()
     }
 
     /// Runs one play of the protocol.
@@ -538,18 +515,5 @@ mod tests {
         auth.play(10);
         assert!(auth.executive().log().verify().is_ok());
         assert_eq!(auth.executive().log().len(), 10);
-    }
-
-    #[test]
-    fn honest_social_cost_counts_only_honest() {
-        let g = prisoners_dilemma();
-        let mut auth = Authority::new(
-            &g,
-            vec![Behavior::honest_pure(1), Behavior::honest_pure(1)],
-            AuthorityConfig::default(),
-        );
-        let r = auth.play_round();
-        assert_eq!(r.honest_social_cost(&[true, true]), 4.0);
-        assert_eq!(r.honest_social_cost(&[true, false]), 2.0);
     }
 }

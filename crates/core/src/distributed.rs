@@ -81,9 +81,9 @@ use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
 /// Message tags on the authority's multiplexed channel.
 mod tag {
     /// The three agreement activations, in schedule order.
-    pub const BA: [u8; 3] = [0xA1, 0xA2, 0xA3];
-    pub const COMMIT: u8 = 0xC0;
-    pub const REVEAL: u8 = 0xD0;
+    pub(super) const BA: [u8; 3] = [0xA1, 0xA2, 0xA3];
+    pub(super) const COMMIT: u8 = 0xC0;
+    pub(super) const REVEAL: u8 = 0xD0;
 }
 
 /// How this processor's agent behaves in the distributed protocol.

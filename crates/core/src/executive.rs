@@ -83,11 +83,6 @@ impl Executive {
         }
     }
 
-    /// The punishment scheme in force.
-    pub fn scheme(&self) -> Punishment {
-        self.scheme
-    }
-
     /// Applies the verdicts of one play; returns the agents punished *this
     /// play*.
     pub fn apply_verdicts(&mut self, verdicts: &[Verdict]) -> Vec<usize> {
@@ -125,11 +120,6 @@ impl Executive {
         !self.disconnected.get(agent).copied().unwrap_or(true)
     }
 
-    /// Per-agent active flags (the complement of disconnection).
-    pub fn active_flags(&self) -> Vec<bool> {
-        self.disconnected.iter().map(|d| !d).collect()
-    }
-
     /// Accumulated fine of `agent`.
     pub fn fine(&self, agent: usize) -> f64 {
         self.fines.get(agent).copied().unwrap_or(0.0)
@@ -143,20 +133,6 @@ impl Executive {
     /// Offense count of `agent`.
     pub fn offenses(&self, agent: usize) -> u64 {
         self.offenses.get(agent).copied().unwrap_or(0)
-    }
-
-    /// Remaining deposit of `agent` (0 unless the scheme is deposits).
-    pub fn deposit(&self, agent: usize) -> f64 {
-        self.deposits.get(agent).copied().unwrap_or(0.0)
-    }
-
-    /// An agent's effective cost for a play: the raw game cost plus the
-    /// fines charged this play (under the fine scheme, `per_offense ×
-    /// offenses_this_play` is already folded into
-    /// [`apply_verdicts`](Self::apply_verdicts); this helper adds the raw
-    /// cost and cumulative fines for reporting).
-    pub fn effective_cost(&self, agent: usize, raw_cost: f64) -> f64 {
-        raw_cost + self.fine(agent)
     }
 
     /// Publishes a play outcome into the tamper-evident log; returns the
@@ -199,7 +175,6 @@ mod tests {
         assert_eq!(punished, vec![1]);
         assert!(!e.is_active(1));
         assert!(e.is_active(0) && e.is_active(2));
-        assert_eq!(e.active_flags(), vec![true, false, true]);
     }
 
     #[test]
@@ -209,7 +184,6 @@ mod tests {
         e.apply_verdicts(&verdicts(&[0], 2));
         assert_eq!(e.fine(0), 5.0);
         assert!(e.is_active(0), "fined agents keep playing");
-        assert_eq!(e.effective_cost(0, 1.0), 6.0);
         assert_eq!(e.offenses(0), 2);
     }
 
@@ -241,14 +215,11 @@ mod tests {
                 forfeit: 4.0,
             },
         );
-        assert_eq!(e.deposit(1), 10.0);
         e.apply_verdicts(&verdicts(&[1], 2));
         assert!(e.is_active(1), "6 left ≥ one more forfeit");
-        assert_eq!(e.deposit(1), 6.0);
         e.apply_verdicts(&verdicts(&[1], 2));
         assert!(!e.is_active(1), "2 left < forfeit: disconnected");
-        assert_eq!(e.deposit(1), 2.0);
-        assert_eq!(e.deposit(0), 10.0, "honest stake untouched");
+        assert!(e.is_active(0), "honest stake untouched");
     }
 
     #[test]

@@ -157,7 +157,7 @@ fn instant_runoff(ballots: &[&Ballot], m: usize) -> usize {
 }
 
 /// Canonical byte encoding of a ballot (for commitments and digests).
-pub fn ballot_bytes(ballot: &Ballot) -> Vec<u8> {
+fn ballot_bytes(ballot: &Ballot) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(ballot.ranking().len() * 8 + 8);
     bytes.extend_from_slice(&(ballot.ranking().len() as u64).to_be_bytes());
     for &c in ballot.ranking() {

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod audit_log;
-pub mod coin;
 pub mod commitment;
 pub mod hmac;
 pub mod mac;
@@ -65,8 +64,6 @@ pub enum CryptoError {
         /// Index of the first entry whose chaining hash is inconsistent.
         index: usize,
     },
-    /// A coin-flipping transcript is malformed (missing or out-of-order step).
-    BadTranscript(&'static str),
 }
 
 impl fmt::Display for CryptoError {
@@ -80,7 +77,6 @@ impl fmt::Display for CryptoError {
             CryptoError::BrokenChain { index } => {
                 write!(f, "audit log chain broken at entry {index}")
             }
-            CryptoError::BadTranscript(what) => write!(f, "malformed transcript: {what}"),
         }
     }
 }
@@ -105,54 +101,13 @@ pub fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a lowercase/uppercase hex string into bytes.
-///
-/// Returns `None` on odd length or non-hex characters.
-///
-/// ```
-/// assert_eq!(ga_crypto::from_hex("dead"), Some(vec![0xde, 0xad]));
-/// assert_eq!(ga_crypto::from_hex("xyz"), None);
-/// ```
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let nib = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let b = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for chunk in b.chunks(2) {
-        out.push((nib(chunk[0])? << 4) | nib(chunk[1])?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn hex_round_trip() {
-        let data = [0u8, 1, 2, 0xff, 0x80, 0x7f];
-        assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn hex_rejects_bad_input() {
-        assert_eq!(from_hex("abc"), None);
-        assert_eq!(from_hex("zz"), None);
-    }
-
-    #[test]
     fn hex_handles_empty() {
         assert_eq!(to_hex(&[]), "");
-        assert_eq!(from_hex(""), Some(vec![]));
     }
 
     #[test]
@@ -162,7 +117,6 @@ mod tests {
             CryptoError::BadTag.to_string(),
             CryptoError::SeedMismatch.to_string(),
             CryptoError::BrokenChain { index: 3 }.to_string(),
-            CryptoError::BadTranscript("x").to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "{m}");

@@ -13,15 +13,16 @@
 //! assumption Dolev–Strong-style protocols need.
 //!
 //! ```
-//! use ga_crypto::mac::KeyRing;
+//! use ga_crypto::mac::{KeyRing, SignatureChain};
 //!
 //! let ring = KeyRing::generate(4, 99);
 //! let alice = ring.authenticator(0);
 //! let bob = ring.authenticator(1);
-//! let sig = alice.sign(b"value=1");
-//! assert!(bob.verify(0, b"value=1", &sig));
-//! assert!(!bob.verify(0, b"value=2", &sig));
-//! assert!(!bob.verify(2, b"value=1", &sig)); // not Carol's signature
+//! let chain = SignatureChain::originate(&alice, b"value=1").extend(&bob);
+//! assert!(chain.valid(&ring.authenticator(2)));
+//! // The same links under another value are not Alice's and Bob's signatures.
+//! let forged = SignatureChain::from_parts(b"value=2".to_vec(), chain.links().to_vec());
+//! assert!(!forged.valid(&bob));
 //! ```
 
 use crate::hmac::{eq_digest, hmac_sha256};
@@ -93,7 +94,7 @@ impl Authenticator {
     }
 
     /// Signs `message` as this identity.
-    pub fn sign(&self, message: &[u8]) -> Tag {
+    fn sign(&self, message: &[u8]) -> Tag {
         hmac_sha256(&self.ring.keys[self.id], message)
     }
 

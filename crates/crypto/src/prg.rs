@@ -12,7 +12,7 @@
 //! action (see [`verify_samples`](CommittedPrg::verify_samples)).
 //!
 //! ```
-//! use ga_crypto::prg::{CommittedPrg, sample_index};
+//! use ga_crypto::prg::CommittedPrg;
 //!
 //! # fn main() -> Result<(), ga_crypto::CryptoError> {
 //! // Agent: commit to a seed, then sample actions with it.
@@ -70,7 +70,7 @@ impl Prg {
     }
 
     /// Produces a uniform float in `[0, 1)` (53 bits of precision).
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -91,7 +91,7 @@ impl Prg {
 ///
 /// Panics if `weights` is empty or sums to a non-positive/non-finite value —
 /// callers validate strategies before sampling.
-pub fn sample_index(prg: &mut Prg, weights: &[f64]) -> usize {
+fn sample_index(prg: &mut Prg, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weights must be non-empty");
     let total: f64 = weights.iter().sum();
     assert!(

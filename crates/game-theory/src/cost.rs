@@ -1,16 +1,14 @@
-//! Cost criteria: social cost, optimum, and the anarchy-family ratios.
-//!
-//! The paper's §1/§6 compare four ratios:
+//! Cost criteria: social cost, optimum, and the two anarchy ratios that
+//! are a function of one game.
 //!
 //! * **Price of anarchy** (PoA, Koutsoupias–Papadimitriou): worst
 //!   equilibrium vs. the centralistic optimum.
 //! * **Price of stability** (PoS, Anshelevich et al.): best equilibrium vs.
 //!   optimum.
-//! * **Price of malice** (PoM, Moscibroda–Schmid–Wattenhofer): selfish
-//!   system with `k` malicious agents vs. the purely selfish system.
-//! * **Multi-round anarchy cost** `R(k) = SC(k)/OPT(k)` (the paper's new
-//!   criterion, §6): the eventually-expected ratio for *repeated* games; see
-//!   [`MultiRoundCost`].
+//!
+//! The paper's other two ratios compare measured runs and are computed
+//! where the runs are made: the price of malice in `ga-bench`'s E2 and E5,
+//! the multi-round anarchy cost `R(k)` (§6) in `ga-games`' `RraProcess`.
 
 use crate::game::Game;
 use crate::nash::pure_nash_equilibria;
@@ -62,72 +60,6 @@ pub fn price_of_stability(game: &dyn Game) -> Option<f64> {
         .into_iter()
         .map(|p| social_cost(game, &p, None) / opt)
         .min_by(|a, b| a.partial_cmp(b).expect("finite ratios"))
-}
-
-/// Price of malice for measured social costs: the ratio between the honest
-/// agents' social cost when `k` malicious agents act, and the all-selfish
-/// baseline.
-///
-/// Returns `None` if the baseline is non-positive.
-pub fn price_of_malice(cost_with_malice: f64, cost_without_malice: f64) -> Option<f64> {
-    if cost_without_malice <= 0.0 {
-        None
-    } else {
-        Some(cost_with_malice / cost_without_malice)
-    }
-}
-
-/// Accumulates the paper's §6 multi-round anarchy cost for a repeated game.
-///
-/// Per round, feed the realized social cost and the round-optimum; the
-/// criterion is `R(k) = SC(k) / OPT(k)` where both sides accumulate over
-/// the first `k` rounds. For the RRA game the paper proves
-/// `R(k) ≤ 1 + 2b/k` and `R(∞) = 1` (Theorem 5).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MultiRoundCost {
-    rounds: u64,
-    /// Worst-case (or realized) cumulative max-load / social cost.
-    sc: f64,
-    /// Cumulative optimum.
-    opt: f64,
-    history: Vec<f64>,
-}
-
-impl MultiRoundCost {
-    /// Creates an empty accumulator.
-    pub fn new() -> MultiRoundCost {
-        MultiRoundCost::default()
-    }
-
-    /// Records one round's realized social cost and optimum contribution,
-    /// then returns the running ratio `R(k)`.
-    pub fn record(&mut self, social_cost: f64, optimum: f64) -> f64 {
-        self.rounds += 1;
-        self.sc = social_cost;
-        self.opt = optimum;
-        let r = self.ratio();
-        self.history.push(r);
-        r
-    }
-
-    /// Rounds recorded so far (`k`).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The current `R(k)` (`+∞` before any round or with a zero optimum).
-    pub fn ratio(&self) -> f64 {
-        if self.opt > 0.0 {
-            self.sc / self.opt
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// The whole `R(1), …, R(k)` trajectory.
-    pub fn trajectory(&self) -> &[f64] {
-        &self.history
-    }
 }
 
 #[cfg(test)]
@@ -195,24 +127,6 @@ mod tests {
         );
         assert_eq!(price_of_anarchy(&g), Some(3.0));
         assert_eq!(price_of_stability(&g), Some(1.0));
-    }
-
-    #[test]
-    fn pom_ratio() {
-        assert_eq!(price_of_malice(8.0, 4.0), Some(2.0));
-        assert_eq!(price_of_malice(8.0, 0.0), None);
-    }
-
-    #[test]
-    fn multi_round_cost_tracks_ratio() {
-        let mut mrc = MultiRoundCost::new();
-        assert!(mrc.ratio().is_infinite());
-        let r1 = mrc.record(10.0, 5.0);
-        assert_eq!(r1, 2.0);
-        let r2 = mrc.record(12.0, 10.0);
-        assert!((r2 - 1.2).abs() < 1e-12);
-        assert_eq!(mrc.rounds(), 2);
-        assert_eq!(mrc.trajectory(), &[2.0, 1.2]);
     }
 
     #[test]

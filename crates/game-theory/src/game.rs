@@ -120,84 +120,6 @@ impl Game for MatrixGame {
     }
 }
 
-/// An n-player game with an explicit cost table.
-///
-/// Cost lookup is `O(1)` via mixed-radix profile indexing; table size is the
-/// product of action counts, so this fits small games exactly (which is all
-/// the authority needs for rule distribution: the *elected* game must be
-/// communicable to every agent anyway).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableGame {
-    name: String,
-    dims: Vec<usize>,
-    /// `table[profile_index][agent] = cost`.
-    table: Vec<Vec<f64>>,
-}
-
-impl TableGame {
-    /// Builds a table game by evaluating `cost(agent, profile)` for every
-    /// profile of the given dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn tabulate(
-        name: impl Into<String>,
-        dims: Vec<usize>,
-        cost: impl Fn(usize, &PureProfile) -> f64,
-    ) -> TableGame {
-        assert!(dims.iter().all(|&d| d > 0), "dimensions must be positive");
-        let n = dims.len();
-        let total: usize = dims.iter().product();
-        let mut table = Vec::with_capacity(total);
-        for idx in 0..total {
-            let profile = Self::unindex(&dims, idx);
-            table.push((0..n).map(|agent| cost(agent, &profile)).collect());
-        }
-        TableGame {
-            name: name.into(),
-            dims,
-            table,
-        }
-    }
-
-    fn index(dims: &[usize], profile: &PureProfile) -> usize {
-        let mut idx = 0;
-        for (d, &a) in dims.iter().zip(profile.actions()) {
-            debug_assert!(a < *d);
-            idx = idx * d + a;
-        }
-        idx
-    }
-
-    fn unindex(dims: &[usize], mut idx: usize) -> PureProfile {
-        let mut actions = vec![0; dims.len()];
-        for i in (0..dims.len()).rev() {
-            actions[i] = idx % dims[i];
-            idx /= dims[i];
-        }
-        PureProfile::new(actions)
-    }
-}
-
-impl Game for TableGame {
-    fn num_agents(&self) -> usize {
-        self.dims.len()
-    }
-
-    fn num_actions(&self, agent: usize) -> usize {
-        self.dims[agent]
-    }
-
-    fn cost(&self, agent: usize, profile: &PureProfile) -> f64 {
-        self.table[Self::index(&self.dims, profile)][agent]
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// A game defined by a cost closure — for large or structured games
 /// (congestion, resource allocation) where tabulation is wasteful.
 pub struct ClosureGame<F> {
@@ -285,30 +207,6 @@ mod tests {
     #[should_panic(expected = "rectangular")]
     fn ragged_matrix_rejected() {
         MatrixGame::from_costs("bad", vec![vec![(0.0, 0.0)], vec![]]);
-    }
-
-    #[test]
-    fn table_game_round_trips_closure() {
-        let dims = vec![2, 3, 2];
-        let f = |agent: usize, p: &PureProfile| {
-            (agent + 1) as f64 * p.actions().iter().sum::<usize>() as f64
-        };
-        let t = TableGame::tabulate("t", dims.clone(), f);
-        for idx in 0..12 {
-            let p = TableGame::unindex(&dims, idx);
-            for agent in 0..3 {
-                assert_eq!(t.cost(agent, &p), f(agent, &p));
-            }
-        }
-    }
-
-    #[test]
-    fn table_index_unindex_inverse() {
-        let dims = vec![3, 4, 2];
-        for idx in 0..24 {
-            let p = TableGame::unindex(&dims, idx);
-            assert_eq!(TableGame::index(&dims, &p), idx);
-        }
     }
 
     #[test]

@@ -12,13 +12,9 @@
 //!   responses](best_response::best_response);
 //! * [pure Nash equilibria](nash::pure_nash_equilibria) by enumeration,
 //!   [mixed equilibria](mixed) for bimatrix games by support enumeration,
-//!   and learning dynamics ([fictitious play](fictitious_play), [best-response
-//!   dynamics](nash::best_response_dynamics));
-//! * a [repeated-game engine](repeated) — the paper's plays are repeated
-//!   games refereed by the authority;
-//! * the cost criteria the paper compares: social cost, optimum, price of
-//!   anarchy / stability / malice, and the paper's new **multi-round anarchy
-//!   cost** `R(k)` (§6), in [`cost`].
+//!   and [best-response dynamics](nash::best_response_dynamics);
+//! * the cost criteria computed from a game: social cost, optimum, price of
+//!   anarchy and price of stability, in [`cost`].
 //!
 //! ## Quickstart
 //!
@@ -39,24 +35,20 @@
 
 pub mod best_response;
 pub mod cost;
-pub mod fictitious_play;
 pub mod game;
 pub mod linalg;
 pub mod mixed;
 pub mod nash;
 pub mod profile;
-pub mod regret;
-pub mod repeated;
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::best_response::{best_response, is_best_response};
     pub use crate::cost::{optimal_social_cost, price_of_anarchy, price_of_stability, social_cost};
-    pub use crate::game::{ClosureGame, Game, MatrixGame, TableGame};
-    pub use crate::mixed::{expected_cost, support_enumeration};
+    pub use crate::game::{ClosureGame, Game, MatrixGame};
+    pub use crate::mixed::support_enumeration;
     pub use crate::nash::{best_response_dynamics, is_pure_nash, pure_nash_equilibria};
     pub use crate::profile::{MixedProfile, MixedStrategy, PureProfile};
-    pub use crate::repeated::{Policy, RepeatedGame, RoundRecord};
 }
 
 use std::error::Error;

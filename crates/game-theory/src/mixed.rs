@@ -18,7 +18,7 @@ use crate::{GameError, EPSILON};
 /// summation over all pure profiles.
 ///
 /// Exponential in agents — fine for the small games under audit.
-pub fn expected_cost(game: &dyn Game, profile: &MixedProfile, agent: usize) -> f64 {
+fn expected_cost(game: &dyn Game, profile: &MixedProfile, agent: usize) -> f64 {
     all_profiles(game)
         .map(|p| profile.prob_of(&p) * game.cost(agent, &p))
         .sum()
@@ -27,7 +27,7 @@ pub fn expected_cost(game: &dyn Game, profile: &MixedProfile, agent: usize) -> f
 /// Expected cost of `agent` when it deviates to pure `action` while others
 /// keep playing `profile` — the quantity a mixed-equilibrium check compares
 /// across actions.
-pub fn expected_cost_of_deviation(
+fn expected_cost_of_deviation(
     game: &dyn Game,
     profile: &MixedProfile,
     agent: usize,
@@ -77,8 +77,7 @@ pub struct BimatrixEquilibrium {
 /// # Errors
 ///
 /// Never errs for well-formed games; returns an empty vector only for
-/// degenerate corner cases where numerics reject every support pair
-/// (callers may fall back to [`fictitious_play`](crate::fictitious_play)).
+/// degenerate corner cases where numerics reject every support pair.
 pub fn support_enumeration(game: &MatrixGame) -> Result<Vec<BimatrixEquilibrium>, GameError> {
     let m = game.rows();
     let n = game.cols();

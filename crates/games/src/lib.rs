@@ -13,11 +13,7 @@
 //!   malice**; used by experiment E5.
 //! * [`prisoners_dilemma`](mod@prisoners_dilemma) — the classic complete-information game used in
 //!   examples and as the default "rules of the game" in authority demos.
-//! * [`load_balancing`] — a Koutsoupias–Papadimitriou-style machine
-//!   load-balancing game (the PoA's birthplace \[17, 18\]) for cost-criteria
-//!   tests.
 
-pub mod load_balancing;
 pub mod matching_pennies;
 pub mod prisoners_dilemma;
 pub mod resource_allocation;

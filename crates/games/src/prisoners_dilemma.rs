@@ -6,14 +6,9 @@
 
 use ga_game_theory::game::MatrixGame;
 
-/// Action index: cooperate (stay silent).
-pub const COOPERATE: usize = 0;
-/// Action index: defect (betray).
-pub const DEFECT: usize = 1;
-
-/// The standard prisoner's dilemma: mutual cooperation costs 1 year each,
-/// mutual defection 2 each, unilateral defection frees the defector (0)
-/// and costs the cooperator 3.
+/// The standard prisoner's dilemma (action 0 cooperates, 1 defects):
+/// mutual cooperation costs 1 year each, mutual defection 2 each,
+/// unilateral defection frees the defector (0) and costs the cooperator 3.
 pub fn prisoners_dilemma() -> MatrixGame {
     MatrixGame::from_costs(
         "prisoners-dilemma",
@@ -32,7 +27,7 @@ mod tests {
     fn defect_defect_is_the_unique_pne() {
         assert_eq!(
             pure_nash_equilibria(&prisoners_dilemma()),
-            vec![PureProfile::new(vec![DEFECT, DEFECT])]
+            vec![PureProfile::new(vec![1, 1])]
         );
     }
 

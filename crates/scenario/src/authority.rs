@@ -73,7 +73,7 @@ pub fn min_plays(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> u64 
 
 /// Whether the listed processors hold identical play-record sequences
 /// (non-authority slots are skipped).
-pub fn plays_agree(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> bool {
+fn plays_agree(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> bool {
     let mut reference: Option<&[PlayRecord]> = None;
     for id in ids {
         let Some(records) = play_records(sim, id) else {

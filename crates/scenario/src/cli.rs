@@ -293,8 +293,9 @@ fn list() {
 /// built: the seed range must end inside `u64`, and the sweep engine
 /// materialises `scenarios × seeds` jobs up front, so that list must have
 /// a length and fit in memory. Without this the range wraps to an empty
-/// sweep that exits 0, or the job list aborts the process.
-fn check_seed_plan(suite: &suites::Suite, seeds: Option<u64>) -> Result<(), String> {
+/// sweep that exits 0, or the job list aborts the process. Returns the
+/// number of jobs.
+fn check_seed_plan(suite: &suites::Suite, seeds: Option<u64>) -> Result<usize, String> {
     let count = seeds.unwrap_or(suite.default_seeds);
     if suite.seed_base.checked_add(count).is_none() {
         return Err(format!(
@@ -310,7 +311,8 @@ fn check_seed_plan(suite: &suites::Suite, seeds: Option<u64>) -> Result<(), Stri
         .ok_or_else(too_many)?;
     Vec::<Job>::new()
         .try_reserve_exact(jobs)
-        .map_err(|_| too_many())
+        .map_err(|_| too_many())?;
+    Ok(jobs)
 }
 
 fn run(opts: &Options) -> i32 {
@@ -320,12 +322,16 @@ fn run(opts: &Options) -> i32 {
             opts.suite
         ));
     };
-    if let Err(err) = check_seed_plan(&suite, opts.seeds) {
-        return usage(&err);
-    }
+    let jobs = match check_seed_plan(&suite, opts.seeds) {
+        Ok(jobs) => jobs,
+        Err(err) => return usage(&err),
+    };
     // The one pool behind the whole invocation: concurrent runs and their
-    // sharded step loops all draw from these `--workers` threads.
-    let runtime = Runtime::new(opts.workers);
+    // sharded step loops all draw from these `--workers` threads — capped
+    // at what the plan can occupy (every job running at once with all its
+    // shards), so an oversized budget spawns no thread it cannot use.
+    let occupiable = jobs.saturating_mul(opts.shard_hint().max(1));
+    let runtime = Runtime::new(opts.workers.min(occupiable));
     // Timing plane: attach a profiler to the pool so batch/task/step wall
     // clock accumulates while the sweep runs. Snapshotted to --profile
     // after the sweep; never folded into the summary.
@@ -1055,23 +1061,30 @@ mod tests {
         assert_eq!(lines.len(), scenarios * 2, "one JSONL line per run");
         assert!(lines.iter().all(|l| l.starts_with("{\"scenario\":")));
 
-        // A second invocation (different worker split) must write the
-        // identical file: streaming preserves job order.
+        // Another invocation (different worker split) must write the
+        // identical file: streaming preserves job order. A budget no
+        // machine has threads for is capped at what the plan can occupy.
         let path2 = dir.join("records2.jsonl");
         let path2_str = path2.to_str().unwrap().to_string();
-        let code = main(args(&[
-            "run",
-            "--suite",
-            "smoke",
-            "--seeds",
-            "2",
-            "--workers",
-            "1",
-            "--records",
-            &path2_str,
-        ]));
-        assert_eq!(code, 0);
-        assert_eq!(body, std::fs::read_to_string(&path2).unwrap());
+        for workers in ["1", "99999"] {
+            let code = main(args(&[
+                "run",
+                "--suite",
+                "smoke",
+                "--seeds",
+                "2",
+                "--workers",
+                workers,
+                "--records",
+                &path2_str,
+            ]));
+            assert_eq!(code, 0, "workers={workers}");
+            assert_eq!(
+                body,
+                std::fs::read_to_string(&path2).unwrap(),
+                "workers={workers}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -171,7 +171,7 @@ pub mod prelude {
     pub use crate::suites::Suite;
     pub use crate::sweep::{
         expand_grid, sweep, sweep_on, sweep_stream_on, MetricAgg, ParamGrid, RecordSink,
-        SummaryBuilder, SweepSummary,
+        SweepSummary,
     };
     pub use crate::workload::{Flood, MaxGossip};
     pub use ga_simnet::prelude::*;

@@ -1,5 +1,5 @@
-//! The paper's experiments (`ga-bench` e1–e8) and two `examples/`
-//! walkthroughs, re-expressed as scenarios.
+//! The paper's experiments (`ga-bench` e1–e8), the legislative service's
+//! election and three `examples/` walkthroughs, re-expressed as scenarios.
 //!
 //! Each port is a *thin* definition: it calls the shared experiment
 //! implementation in `ga-bench` (or the middleware directly), lifts the
@@ -18,8 +18,10 @@ use ga_games::prisoners_dilemma;
 use ga_games::resource_allocation::RraProcess;
 use game_authority::agent::Behavior;
 use game_authority::authority::{Authority, AuthorityConfig};
+use game_authority::legislative::{distributed_election, tally, Ballot, SealedBallot, VotingRule};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::record::{FnScenario, RunRecord, Scenario};
 
@@ -243,6 +245,78 @@ pub fn e8_cadence_port() -> Arc<dyn Scenario> {
     })
 }
 
+/// §3.1 — the legislative service elects the game over a Byzantine-agreed
+/// ballot set. At (4, 1) and (7, 2), with `f` faulty voters whose ids and
+/// faults are drawn from the seed, every voter seals its ballot, the
+/// reveals are checked against the seals, and the election must name the
+/// winner of the honest ballots and discard exactly the faulty voters.
+pub fn legislative_election_port() -> Arc<dyn Scenario> {
+    port("legislative_election", |seed, r| {
+        const CANDIDATES: usize = 3;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (n, f) in [(4usize, 1usize), (7, 2)] {
+            let rule = *[
+                VotingRule::Plurality,
+                VotingRule::Borda,
+                VotingRule::InstantRunoff,
+            ]
+            .choose(&mut rng)
+            .expect("three rules");
+            let mut faulty: Vec<usize> = (0..n).collect();
+            faulty.shuffle(&mut rng);
+            faulty.truncate(f);
+            faulty.sort_unstable();
+            // The first faulty voter withholds its reveal, the others
+            // reveal a malformed ballot; with f = 1 the seed picks which.
+            let withholder = (f > 1 || seed % 2 == 0).then_some(faulty[0]);
+
+            let mut honest = Vec::new();
+            let mut reveals = Vec::with_capacity(n);
+            for voter in 0..n {
+                let is_faulty = faulty.contains(&voter);
+                let ballot = if is_faulty && withholder != Some(voter) {
+                    // Out of range, or one candidate ranked twice.
+                    Ballot::new(if rng.gen() {
+                        vec![CANDIDATES]
+                    } else {
+                        vec![0, 0]
+                    })
+                } else {
+                    let mut ranking: Vec<usize> = (0..CANDIDATES).collect();
+                    ranking.shuffle(&mut rng);
+                    Ballot::new(ranking)
+                };
+                let mut nonce = [0u8; 32];
+                rng.fill_bytes(&mut nonce);
+                let (seal, opening) = SealedBallot::seal(&ballot, nonce);
+                r.require(
+                    seal.verify(&ballot, &opening),
+                    "a reveal must open its own seal",
+                );
+                if !is_faulty {
+                    honest.push(ballot.clone());
+                }
+                reveals.push((withholder != Some(voter)).then_some(ballot));
+            }
+
+            let expected = tally(rule, &honest, CANDIDATES);
+            let elected = distributed_election(rule, &reveals, CANDIDATES, n, f);
+            r.metric(
+                format!("winner_n{n}"),
+                elected.as_ref().map_or(-1.0, |e| e.winner as f64),
+            )
+            .require(
+                elected.as_ref().map(|e| e.winner).ok() == expected.ok(),
+                "the elected game should be the tally of the valid ballots",
+            )
+            .require(
+                elected.is_ok_and(|e| e.discarded_voters == faulty),
+                "exactly the malformed and withholding voters should be discarded",
+            );
+        }
+    })
+}
+
 /// Port of `examples/manipulation_audit.rs`: the Fig. 1 manipulation,
 /// unsupervised vs. audited, as one seeded scenario.
 pub fn manipulation_audit_port() -> Arc<dyn Scenario> {
@@ -385,6 +459,7 @@ mod tests {
             e5_virus_port(),
             e7_dynamics_port(),
             e8_cadence_port(),
+            legislative_election_port(),
             quickstart_port(),
         ] {
             for seed in [2010, 7] {

@@ -57,7 +57,7 @@ use crate::sweep::{expand_grid, ParamGrid};
 /// The round every frontier scenario fires its corruption at — late
 /// enough for a clean start to have synchronized first, so the probe
 /// measures recovery, not initial convergence.
-pub const CORRUPTION_ROUND: u64 = 12;
+const CORRUPTION_ROUND: u64 = 12;
 
 /// Round budget for the frontier families. Clean-start synchronization
 /// for n ∈ {4, 7} takes a handful of rounds in expectation, so a run

@@ -1,7 +1,8 @@
 //! Named scenario suites: the registry behind `scenario list` / `scenario
 //! run --suite <name>`.
 //!
-//! * **paper** — the e1–e8 experiment ports (see [`crate::ports`]).
+//! * **paper** — the e1–e8 experiment ports and the legislative election
+//!   (see [`crate::ports`]).
 //! * **stabilize** — the self-stabilization recovery frontier: scheduled
 //!   corruption families swept over loss × intensity × n with
 //!   stabilization-time probes (see [`crate::stabilize`]).
@@ -129,7 +130,8 @@ pub fn all() -> Vec<Suite> {
     vec![
         Suite {
             name: "paper",
-            description: "e1-e8 experiment ports: every figure/theorem artifact as a verdict",
+            description:
+                "e1-e8 experiment ports and the election: every figure/theorem artifact as a verdict",
             seed_base: 2010,
             default_seeds: 2,
             build: paper,
@@ -212,6 +214,7 @@ fn paper() -> Vec<Arc<dyn Scenario>> {
         ports::e6_overhead_port(),
         ports::e7_dynamics_port(),
         ports::e8_cadence_port(),
+        ports::legislative_election_port(),
     ]
 }
 
@@ -554,20 +557,21 @@ mod tests {
     }
 
     #[test]
-    fn paper_suite_has_all_eight_ports() {
+    fn paper_suite_has_all_nine_ports() {
         let names: Vec<String> = find("paper")
             .unwrap()
             .scenarios()
             .iter()
             .map(|s| s.name().to_string())
             .collect();
-        assert_eq!(names.len(), 8);
+        assert_eq!(names.len(), 9);
         for e in 1..=8 {
             assert!(
                 names.iter().any(|n| n.starts_with(&format!("e{e}_"))),
                 "missing e{e} port in {names:?}"
             );
         }
+        assert!(names.iter().any(|n| n == "legislative_election"));
     }
 
     #[test]

@@ -488,7 +488,7 @@ impl ScenarioGather {
 /// summaries without retaining the records themselves — the memory-bounded
 /// path behind both [`SweepSummary::new`] and the record-sink sweeps.
 #[derive(Debug, Default)]
-pub struct SummaryBuilder {
+struct SummaryBuilder {
     scenarios: Vec<ScenarioGather>,
 }
 

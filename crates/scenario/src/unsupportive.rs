@@ -45,11 +45,11 @@ use crate::sweep::{expand_grid, ParamGrid};
 /// The round the first burst fires at — late enough for the clean-start
 /// tree to have converged, so episode 0 measures recovery, not initial
 /// convergence.
-pub const BURST_START: u64 = 8;
+const BURST_START: u64 = 8;
 
 /// Last round (inclusive) a re-fire may be scheduled at: every period in
 /// the grid gets at least three bursts inside the window.
-pub const BURST_UNTIL: u64 = 38;
+const BURST_UNTIL: u64 = 38;
 
 /// Round budget: the burst window plus a recovery tail longer than any
 /// certified bound in the suite, so the *final* episode is never censored

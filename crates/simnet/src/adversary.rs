@@ -13,8 +13,6 @@
 //! * [`RandomNoise`] — fuzzes the protocol with random byte strings.
 //! * [`Equivocator`] — sends different payloads to different neighbors,
 //!   the canonical Byzantine-agreement attack.
-//! * [`Replayer`] — re-sends previously observed messages (stale state).
-//! * [`FlipFlopper`] — alternates between two fixed payloads per round.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -156,82 +154,6 @@ impl Adversary for Equivocator {
     }
 }
 
-/// Replays the newest message it has seen back at everyone (stale state /
-/// duplication attack).
-#[derive(Debug, Clone, Default)]
-pub struct Replayer {
-    stash: Option<Bytes>,
-}
-
-impl Adversary for Replayer {
-    fn act(&mut self, ctx: &mut Context<'_>) {
-        if let Some(m) = ctx.inbox().last() {
-            // Refcount bump — the replayed payload is never re-copied.
-            self.stash = Some(m.payload.clone());
-        }
-        if let Some(p) = &self.stash {
-            ctx.broadcast(p.clone());
-        }
-    }
-
-    /// The stash is real state: a transient fault may hand the replayer an
-    /// arbitrary payload it never observed.
-    fn scramble(&mut self, rng: &mut StdRng) {
-        let len = rng.gen_range(1..16);
-        let mut payload = vec![0u8; len];
-        rng.fill_bytes(&mut payload);
-        self.stash = Some(payload.into());
-    }
-
-    fn name(&self) -> &'static str {
-        "replayer"
-    }
-}
-
-/// Alternates between two payloads on successive rounds — a cheap way to
-/// keep a protocol from ever seeing a *stable* lie.
-#[derive(Debug, Clone)]
-pub struct FlipFlopper {
-    /// Payload on even rounds.
-    pub even: Bytes,
-    /// Payload on odd rounds.
-    pub odd: Bytes,
-}
-
-impl Adversary for FlipFlopper {
-    fn act(&mut self, ctx: &mut Context<'_>) {
-        let p = if ctx.round().value().is_multiple_of(2) {
-            self.even.clone()
-        } else {
-            self.odd.clone()
-        };
-        ctx.broadcast(p);
-    }
-
-    fn name(&self) -> &'static str {
-        "flip-flopper"
-    }
-}
-
-/// Observes the inbox like an honest process would, then sends `lie` to all
-/// neighbors — a targeted-value attack parameterized by the protocol under
-/// test.
-#[derive(Debug, Clone)]
-pub struct ConstantLiar {
-    /// The fixed payload to broadcast every round.
-    pub lie: Bytes,
-}
-
-impl Adversary for ConstantLiar {
-    fn act(&mut self, ctx: &mut Context<'_>) {
-        ctx.broadcast(self.lie.clone());
-    }
-
-    fn name(&self) -> &'static str {
-        "constant-liar"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,66 +204,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replayer_echoes_observed_message() {
-        let mut adv = Replayer::default();
-        assert!(run_one(&mut adv, 0, &[]).is_empty(), "nothing seen yet");
-        let long = vec![9u8; bytes::INLINE_CAP + 1];
-        let seen = [Message::new(ProcessId(0), Round(0), long.clone())];
-        let out = run_one(&mut adv, 1, &seen);
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|(_, p)| *p == long));
-        assert!(
-            out.iter()
-                .all(|(_, p)| p.as_ptr() == seen[0].payload.as_ptr()),
-            "replayed broadcast shares the observed buffer"
-        );
-        // A short message is replayed by value: nothing to share.
-        let seen = [Message::new(ProcessId(0), Round(1), vec![9, 9])];
-        let out = run_one(&mut adv, 2, &seen);
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|(_, p)| *p == vec![9u8, 9]));
-    }
+    /// Silent until a transient fault reaches it, then broadcasts.
+    struct Scrambled(bool);
 
-    #[test]
-    fn flip_flopper_alternates() {
-        let mut adv = FlipFlopper {
-            even: vec![0].into(),
-            odd: vec![1].into(),
-        };
-        assert!(run_one(&mut adv, 0, &[])
-            .iter()
-            .all(|(_, p)| *p == vec![0u8]));
-        assert!(run_one(&mut adv, 1, &[])
-            .iter()
-            .all(|(_, p)| *p == vec![1u8]));
-    }
+    impl Adversary for Scrambled {
+        fn act(&mut self, ctx: &mut Context<'_>) {
+            if self.0 {
+                ctx.broadcast(vec![1u8]);
+            }
+        }
 
-    #[test]
-    fn constant_liar_repeats_lie() {
-        let mut adv = ConstantLiar {
-            lie: vec![7, 7].into(),
-        };
-        for round in 0..3 {
-            assert!(run_one(&mut adv, round, &[])
-                .iter()
-                .all(|(_, p)| *p == vec![7u8, 7]));
+        fn scramble(&mut self, _rng: &mut StdRng) {
+            self.0 = true;
         }
     }
 
     #[test]
-    fn replayer_scramble_fabricates_a_stash() {
-        let mut adv = Replayer::default();
-        assert!(run_one(&mut adv, 0, &[]).is_empty(), "nothing seen yet");
-        let mut rng = process_rng(7, ProcessId(4), Round(0));
-        Adversary::scramble(&mut adv, &mut rng);
-        let out = run_one(&mut adv, 1, &[]);
-        assert_eq!(out.len(), 4, "replays a payload it never observed");
-    }
-
-    #[test]
     fn byzantine_process_scramble_reaches_the_strategy() {
-        let mut p = ByzantineProcess::new(Box::<Replayer>::default());
+        let mut p = ByzantineProcess::new(Box::new(Scrambled(false)));
         let mut rng = process_rng(7, ProcessId(4), Round(0));
         Process::scramble(&mut p, &mut rng);
         let topology = Topology::complete(3);
@@ -349,7 +229,7 @@ mod tests {
         let mut out = ShardScratch::default();
         let mut ctx = Context::new(&env, &mut out, ProcessId(2), &[]);
         p.on_pulse(&mut ctx);
-        assert_eq!(ctx.sent().len(), 2, "scrambled stash is broadcast");
+        assert_eq!(ctx.sent().len(), 2, "the scrambled strategy broadcasts");
     }
 
     #[test]

@@ -79,8 +79,7 @@
 //! from `(seed, id, round)` coordinates, the resulting trace is
 //! byte-for-byte identical to serial stepping at any shard count and any
 //! pool size (`tests/sharding.rs`, `tests/runtime.rs`). Select it with
-//! [`SimulationBuilder::shards`](sim::SimulationBuilder::shards) /
-//! [`Simulation::set_shards`](sim::Simulation::set_shards) and attach a
+//! [`SimulationBuilder::shards`](sim::SimulationBuilder::shards) and attach a
 //! pool with [`SimulationBuilder::runtime`](sim::SimulationBuilder::runtime)
 //! (default: the process-wide [`Runtime::global`](runtime::Runtime::global)).
 //!
@@ -141,10 +140,7 @@
 //!   for all n processes instead of n boxes. Trade-off: boxed storage
 //!   ([`build`](sim::SimulationBuilder::build) /
 //!   [`build_with`](sim::SimulationBuilder::build_with)) supports mixed
-//!   process types from the start; a slab is promoted to boxed storage
-//!   (one-time O(n)) only if
-//!   [`replace_process`](sim::Simulation::replace_process) introduces
-//!   heterogeneity mid-run. Traces are identical either way.
+//!   process types. Traces are identical either way.
 //!
 //! ## Two-plane telemetry
 //!
@@ -229,8 +225,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// A process id referenced a processor that does not exist.
-    UnknownProcess(ids::ProcessId),
     /// Topology constraint violated (e.g. requested connectivity impossible).
     BadTopology(String),
 }
@@ -238,7 +232,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::UnknownProcess(id) => write!(f, "unknown process {id}"),
             SimError::BadTopology(why) => write!(f, "bad topology: {why}"),
         }
     }

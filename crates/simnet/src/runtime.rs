@@ -213,11 +213,6 @@ impl Runtime {
         self.threads
     }
 
-    /// Whether this handle and `other` address the same pool.
-    pub fn same_pool(&self, other: &Runtime) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
-    }
-
     /// Attaches a wall-clock [`Profiler`] to the pool: subsequent batches
     /// record batch wall time and per-task queue-wait/busy time into it.
     /// Visible to every handle of the pool.
@@ -534,8 +529,8 @@ mod tests {
     fn global_pool_is_one_pool() {
         let a = Runtime::global();
         let b = Runtime::global();
-        assert!(a.same_pool(&b));
-        assert!(!a.same_pool(&Runtime::new(2)));
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert!(!Arc::ptr_eq(&a.shared, &Runtime::new(2).shared));
         assert!(a.threads() >= 1);
     }
 
@@ -562,7 +557,7 @@ mod tests {
     fn handles_share_the_pool() {
         let a = Runtime::new(2);
         let b = a.clone();
-        assert!(a.same_pool(&b));
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
         assert_eq!(indexed_squares(&b, 9), indexed_squares(&a, 9));
     }
 }

@@ -202,10 +202,8 @@ impl Schedule {
 
     /// Adds `action` to fire at the start of `round`.
     ///
-    /// Safe to call on a partially consumed schedule (e.g. one re-attached
-    /// mid-run via
-    /// [`Simulation::set_schedule`](crate::sim::Simulation::set_schedule)):
-    /// the entry is inserted at or after the consumption cursor, so
+    /// Safe to call on a partially consumed schedule (a recurring
+    /// corruption re-arms itself mid-run this way): the entry is inserted at or after the consumption cursor, so
     /// already-fired entries are never displaced into firing again, and an
     /// entry pushed for a round that has already passed fires exactly once,
     /// at the start of the next pulse — the same late-entry rule the

@@ -16,7 +16,6 @@ use crate::store::ProcessStore;
 use crate::telemetry::{DropReason, Event, EventSink, Profiler, StepPhase, TelemetryConfig};
 use crate::topology::Topology;
 use crate::trace::Trace;
-use crate::SimError;
 
 use std::time::{Duration, Instant};
 
@@ -350,9 +349,7 @@ impl SimulationBuilder {
     /// Builds a homogeneous population stored contiguously in one slab
     /// arena — one allocation for all n processes instead of n boxes,
     /// which is what makes million-process builds fast. Behaviorally
-    /// identical to [`build_with`](SimulationBuilder::build_with); a
-    /// mid-run [`replace_process`](Simulation::replace_process) promotes
-    /// the slab to boxed storage transparently (one-time O(n)).
+    /// identical to [`build_with`](SimulationBuilder::build_with).
     pub fn build_slab<P: Process + 'static>(
         self,
         mut make: impl FnMut(ProcessId) -> P,
@@ -415,21 +412,9 @@ impl Simulation {
         }
     }
 
-    /// Re-shards the compute phase mid-run (`0`/`1` mean serial). Changing
-    /// the shard count never changes the trace.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
-    }
-
     /// The effective shard count: the requested one clamped to `[1, n]`.
     fn shard_count(&self) -> usize {
         self.shards.clamp(1, self.processes.len().max(1))
-    }
-
-    /// Re-targets the sharded compute phase at `runtime` (the pool size
-    /// never changes the trace) — see [`SimulationBuilder::runtime`].
-    pub fn set_runtime(&mut self, runtime: Runtime) {
-        self.runtime = Some(runtime);
     }
 
     /// Number of processes.
@@ -460,11 +445,6 @@ impl Simulation {
         &self.trace
     }
 
-    /// Whether the deterministic event plane is enabled.
-    pub fn events_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// Mutable access to the attached [`EventSink`] (e.g. for the scenario
     /// layer to push probe-level events such as
     /// [`Event::LegalityFlip`]); `None` when the event plane is disabled.
@@ -479,12 +459,6 @@ impl Simulation {
             .as_mut()
             .map(EventSink::drain)
             .unwrap_or_default()
-    }
-
-    /// Attaches a wall-clock [`Profiler`] mid-run — see
-    /// [`SimulationBuilder::profiler`].
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = Some(profiler);
     }
 
     /// Messages pending delivery at the next pulse (total inbox depth).
@@ -502,11 +476,6 @@ impl Simulation {
     /// [`pending_messages`](Simulation::pending_messages).
     pub fn quiescent_processes(&self) -> usize {
         self.inboxes.quiescent()
-    }
-
-    /// Resets trace counters (e.g. to measure only steady-state costs).
-    pub fn reset_trace(&mut self) {
-        self.trace.reset();
     }
 
     /// Executes one pulse.
@@ -752,35 +721,6 @@ impl Simulation {
         self.processes
             .get_mut(id.index())
             .and_then(|p| p.as_any_mut().downcast_mut())
-    }
-
-    /// Replaces the program of processor `id` (e.g. corrupting an honest
-    /// processor into a Byzantine one mid-run). On a slab-built simulation
-    /// this promotes the whole table to boxed storage first (a one-time
-    /// O(n) move), since the table is no longer homogeneous.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownProcess`] for out-of-range ids.
-    pub fn replace_process(
-        &mut self,
-        id: ProcessId,
-        process: Box<dyn Process>,
-    ) -> Result<(), SimError> {
-        if id.index() >= self.processes.len() {
-            return Err(SimError::UnknownProcess(id));
-        }
-        self.processes.make_boxed()[id.index()] = process;
-        // The new program runs (and its quiescence opt-out is re-queried)
-        // at the next pulse.
-        self.woken.push(id.index());
-        Ok(())
-    }
-
-    /// Replaces the round-triggered event schedule. Entries scheduled for
-    /// rounds that already passed fire at the start of the next pulse.
-    pub fn set_schedule(&mut self, schedule: Schedule) {
-        self.schedule = schedule;
     }
 
     /// Applies one scheduled action immediately.
@@ -1034,7 +974,7 @@ mod tests {
         // nothing either.
         for (shards, effective) in [(0, 1), (1, 1), (3, 3), (5, 5), (7, 7), (8, 8), (64, 8)] {
             let mut sim = counters(Topology::complete(8), 42);
-            sim.set_shards(shards);
+            sim.shards = shards;
             assert_eq!(sim.shard_count(), effective, "shards={shards}");
             sim.run(6);
             assert_eq!(reference.trace(), sim.trace(), "shards={shards}");
@@ -1053,20 +993,6 @@ mod tests {
             sharded.run(10);
             assert_eq!(serial.trace(), sharded.trace(), "shards={shards}");
         }
-    }
-
-    #[test]
-    fn resharding_mid_run_preserves_the_trace() {
-        let mut reference = counters(Topology::complete(6), 7);
-        reference.run(9);
-
-        let mut resharded = counters(Topology::complete(6), 7);
-        resharded.run(3);
-        resharded.set_shards(4);
-        resharded.run(3);
-        resharded.set_shards(1);
-        resharded.run(3);
-        assert_eq!(reference.trace(), resharded.trace());
     }
 
     #[test]
@@ -1368,7 +1294,7 @@ mod tests {
     fn events_disabled_records_nothing() {
         let mut sim = counters(Topology::complete(3), 0);
         sim.run(3);
-        assert!(!sim.events_enabled());
+        assert!(sim.telemetry.is_none());
         assert!(sim.take_events().is_empty());
     }
 
@@ -1464,10 +1390,9 @@ mod tests {
         manual.step();
         manual.disconnect(ProcessId(2));
         manual.run(3);
-        // No public delivery setter: set_schedule mid-run covers it.
-        manual.set_schedule(
-            Schedule::new().at(4, ScheduledAction::SetDelivery(Delivery::Lossy { p: 0.4 })),
-        );
+        // There is no delivery setter: swap the schedule in mid-run.
+        manual.schedule =
+            Schedule::new().at(4, ScheduledAction::SetDelivery(Delivery::Lossy { p: 0.4 }));
         manual.run(4);
         assert_eq!(scheduled.trace(), manual.trace());
     }
@@ -1628,8 +1553,7 @@ mod tests {
         use crate::fault::CorruptionTargets;
         use crate::telemetry::TelemetryConfig;
         // `sim/reference.rs` scripts always-active processes only; here
-        // the active list is a scattered, moving subset, the slab is
-        // promoted mid-run (both table shapes get split) and a corruption
+        // the active list is a scattered, moving subset and a corruption
         // wakes sleepers — trace and event stream must not notice shards.
         let family = CorruptionFamily {
             targets: CorruptionTargets::RandomK(3),
@@ -1653,8 +1577,6 @@ mod tests {
                     });
                 sim.run(6);
                 let asleep = sim.quiescent_processes();
-                sim.replace_process(ProcessId(3), Box::new(Counter { received: 0 }))
-                    .unwrap();
                 sim.run(10);
                 (sim.trace().clone(), sim.take_events(), asleep)
             };
@@ -1665,49 +1587,5 @@ mod tests {
                 assert_eq!(serial, run(shards), "n={n} shards={shards}");
             }
         }
-    }
-
-    #[test]
-    fn replace_process_promotes_a_slab() {
-        // Swapping one program into a slab-built population promotes the
-        // store to boxed form without disturbing anyone's state.
-        let mut sim = Simulation::builder(Topology::complete(3))
-            .seed(0)
-            .build_slab(|_| Counter { received: 0 });
-        sim.run(2);
-        let heard = sim.process_as::<Counter>(ProcessId(0)).unwrap().received;
-        assert_eq!(heard, 2);
-        sim.replace_process(
-            ProcessId(1),
-            Box::new(crate::adversary::ByzantineProcess::new(Box::new(
-                crate::adversary::Silent,
-            ))),
-        )
-        .unwrap();
-        sim.run(2);
-        // p0 keeps its pre-promotion count and now only hears from p2.
-        assert_eq!(
-            sim.process_as::<Counter>(ProcessId(0)).unwrap().received,
-            heard + 2 + 1,
-            "one round of both peers still in flight, then p2 alone"
-        );
-    }
-
-    #[test]
-    fn replace_process_swaps_program() {
-        let mut sim = counters(Topology::complete(3), 0);
-        sim.replace_process(
-            ProcessId(1),
-            Box::new(crate::adversary::ByzantineProcess::new(Box::new(
-                crate::adversary::Silent,
-            ))),
-        )
-        .unwrap();
-        sim.run(3);
-        // p0 now only hears from p2.
-        assert_eq!(sim.process_as::<Counter>(ProcessId(0)).unwrap().received, 2);
-        assert!(sim
-            .replace_process(ProcessId(9), Box::new(Counter { received: 0 }))
-            .is_err());
     }
 }

@@ -4,8 +4,7 @@
 //! surface:
 //!
 //! * **Boxed** — `Vec<Box<dyn Process>>`, one heap allocation per
-//!   process. Fully general: any mix of process types, and programs can
-//!   be swapped mid-run. This is what
+//!   process. Fully general: any mix of process types. This is what
 //!   [`build`](crate::sim::SimulationBuilder::build) and
 //!   [`build_with`](crate::sim::SimulationBuilder::build_with) produce.
 //! * **Slab** — a homogeneous population stored contiguously in one
@@ -15,11 +14,7 @@
 //!   [`build_slab`](crate::sim::SimulationBuilder::build_slab).
 //!
 //! The two are behaviorally identical — every access goes through
-//! [`ProcessStore::get`]/[`ProcessStore::get_mut`], and a slab is
-//! transparently promoted to boxed storage the first time heterogeneity
-//! is introduced (a mid-run
-//! [`replace_process`](crate::sim::Simulation::replace_process)), a
-//! one-time O(n) move.
+//! [`ProcessStore::get`]/[`ProcessStore::get_mut`].
 //!
 //! The sharded compute phase borrows the table as disjoint id ranges
 //! ([`ProcessStore::split_mut`], `split_at_mut` underneath): each shard
@@ -86,24 +81,6 @@ impl ProcessStore {
             ProcessStore::Slab(s) => s.split_mut(firsts),
         }
     }
-
-    /// Converts a slab to boxed storage in place (no-op when already
-    /// boxed) and returns the boxed table — the promotion
-    /// [`replace_process`](crate::sim::Simulation::replace_process) uses
-    /// to introduce heterogeneity into a slab population.
-    pub(crate) fn make_boxed(&mut self) -> &mut Vec<Box<dyn Process>> {
-        if matches!(self, ProcessStore::Slab(_)) {
-            let ProcessStore::Slab(slab) = std::mem::replace(self, ProcessStore::Boxed(Vec::new()))
-            else {
-                unreachable!("just matched Slab");
-            };
-            *self = ProcessStore::Boxed(slab.into_boxed());
-        }
-        match self {
-            ProcessStore::Boxed(v) => v,
-            ProcessStore::Slab(_) => unreachable!("promoted above"),
-        }
-    }
 }
 
 /// Type-erased view of a homogeneous process arena. Implemented only by
@@ -113,8 +90,6 @@ pub(crate) trait Slab: Send {
     fn len(&self) -> usize;
     fn get(&self, i: usize) -> &dyn Process;
     fn get_mut(&mut self, i: usize) -> &mut dyn Process;
-    /// Moves every process into its own box (slab → boxed promotion).
-    fn into_boxed(self: Box<Self>) -> Vec<Box<dyn Process>>;
     fn split_mut(&mut self, firsts: &[usize]) -> Vec<Box<dyn ProcessRange + '_>>;
 }
 
@@ -131,13 +106,6 @@ impl<P: Process + 'static> Slab for TypedSlab<P> {
 
     fn get_mut(&mut self, i: usize) -> &mut dyn Process {
         &mut self.0[i]
-    }
-
-    fn into_boxed(self: Box<Self>) -> Vec<Box<dyn Process>> {
-        self.0
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Process>)
-            .collect()
     }
 
     fn split_mut(&mut self, firsts: &[usize]) -> Vec<Box<dyn ProcessRange + '_>> {
@@ -259,22 +227,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn promotion_preserves_contents() {
-        let mut store = ProcessStore::slab((0..4u32).map(Tag).collect());
-        {
-            let boxed = store.make_boxed();
-            assert_eq!(boxed.len(), 4);
-            boxed[2] = Box::new(Tag(99));
-        }
-        assert!(matches!(store, ProcessStore::Boxed(_)));
-        let tags: Vec<u32> = (0..4).map(|i| tag_of(store.get(i).unwrap())).collect();
-        assert_eq!(tags, vec![0, 1, 99, 3]);
-        // Idempotent on boxed stores.
-        store.make_boxed();
-        assert_eq!(store.len(), 4);
-    }
-
     /// Whether `range.get_mut(id)` panics, i.e. `id` is outside the range.
     fn outside(range: &mut dyn ProcessRange, id: usize) -> bool {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -335,14 +287,5 @@ mod tests {
                 check_split(&mut boxed_tags(n), &firsts);
             }
         }
-    }
-
-    #[test]
-    fn a_promoted_slab_splits_as_boxed() {
-        // What `replace_process` does to a slab-built table.
-        let mut store = ProcessStore::slab((0..9u32).map(Tag).collect());
-        store.make_boxed()[4] = Box::new(Tag(4));
-        assert!(matches!(store, ProcessStore::Boxed(_)));
-        check_split(&mut store, &[2, 3, 7]);
     }
 }

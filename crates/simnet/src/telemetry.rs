@@ -43,7 +43,7 @@ use crate::ids::ProcessId;
 
 /// Default [`EventSink`] ring capacity: enough to hold the full event volume
 /// of small-n runs while bounding large sweeps to a deterministic suffix.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Why a message never reached its destination inbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,12 +27,9 @@ pub struct Trace {
     /// [`delivered_to`](Trace::delivered_to) tallies and
     /// [`bytes_delivered`]) but that no recipient will ever read. Summing
     /// it with `messages_delivered` double-counts; subtracting it gives
-    /// [`delivered_net`](Trace::delivered_net), the messages that actually
-    /// reached a process step. It is likewise excluded from
-    /// [`messages_offered`](Trace::messages_offered) (routing-time
-    /// accounting) and from
-    /// [`lossy_drop_rate`](Trace::lossy_drop_rate) (a loss-model-only
-    /// rate).
+    /// the messages that actually reached a process step. It is likewise
+    /// excluded from [`lossy_drop_rate`](Trace::lossy_drop_rate) (a
+    /// loss-model-only rate).
     ///
     /// [`messages_delivered`]: Trace::messages_delivered
     /// [`bytes_delivered`]: Trace::bytes_delivered
@@ -84,35 +81,6 @@ impl Trace {
         self.per_process.get(id.index()).copied().unwrap_or(0)
     }
 
-    /// Messages that actually reached a recipient's step: deliveries minus
-    /// the in-flight messages a fault destroyed afterwards
-    /// ([`messages_dropped_fault`](Trace::messages_dropped_fault) overlaps
-    /// [`messages_delivered`](Trace::messages_delivered) — see its docs).
-    /// Saturating, since a hand-built trace could count a fault drop
-    /// without its delivery.
-    pub fn delivered_net(&self) -> u64 {
-        self.messages_delivered
-            .saturating_sub(self.messages_dropped_fault)
-    }
-
-    /// Average messages per round (0 if no rounds ran).
-    pub fn messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages_delivered as f64 / self.rounds as f64
-        }
-    }
-
-    /// Messages the scheduler attempted to route: deliveries plus the
-    /// routing-time drops (no link, loss model). Fault drops are *not*
-    /// added — a fault destroys messages that were already routed and
-    /// counted delivered (see
-    /// [`messages_dropped_fault`](Trace::messages_dropped_fault)).
-    pub fn messages_offered(&self) -> u64 {
-        self.messages_delivered + self.messages_dropped_no_link + self.messages_dropped_lossy
-    }
-
     /// Fraction of on-link messages the loss model dropped, in `[0, 1]`
     /// (0 if nothing was routed). Scenario run records report this as the
     /// observed drop rate under [`Delivery::Lossy`](crate::sim::Delivery).
@@ -123,12 +91,6 @@ impl Trace {
         } else {
             self.messages_dropped_lossy as f64 / on_link as f64
         }
-    }
-
-    /// Resets all counters (used between experiment phases).
-    pub fn reset(&mut self) {
-        let n = self.per_process.len();
-        *self = Trace::new(n);
     }
 }
 
@@ -147,35 +109,17 @@ mod tests {
         assert_eq!(t.bytes_delivered, 16);
         assert_eq!(t.delivered_to(ProcessId(1)), 2);
         assert_eq!(t.delivered_to(ProcessId(0)), 0);
-        assert!((t.messages_per_round() - 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn reset_clears_but_keeps_size() {
-        let mut t = Trace::new(2);
-        t.record_delivery(ProcessId(0), 1);
-        t.reset();
-        assert_eq!(t.messages_delivered, 0);
-        assert_eq!(t.delivered_to(ProcessId(0)), 0);
-    }
-
-    #[test]
-    fn messages_per_round_zero_when_empty() {
-        assert_eq!(Trace::new(1).messages_per_round(), 0.0);
-    }
-
-    #[test]
-    fn offered_sums_all_outcomes_and_drop_rate_is_lossy_share() {
+    fn drop_rate_is_the_lossy_share_of_on_link_messages() {
         let mut t = Trace::new(2);
         t.record_delivery(ProcessId(0), 1);
         t.record_delivery(ProcessId(1), 1);
         t.record_delivery(ProcessId(1), 1);
         t.messages_dropped_lossy = 1;
         t.messages_dropped_no_link = 5;
-        // Fault drops overlap `messages_delivered` (wiped *after* routing),
-        // so they must not inflate the offered count.
         t.messages_dropped_fault = 2;
-        assert_eq!(t.messages_offered(), 9);
         // 1 lossy drop out of 4 on-link messages; no-link and fault drops
         // do not dilute the loss-model rate.
         assert!((t.lossy_drop_rate() - 0.25).abs() < 1e-12);
@@ -184,21 +128,5 @@ mod tests {
     #[test]
     fn drop_rate_zero_when_nothing_routed() {
         assert_eq!(Trace::new(1).lossy_drop_rate(), 0.0);
-    }
-
-    #[test]
-    fn delivered_net_subtracts_the_fault_overlap() {
-        let mut t = Trace::new(2);
-        for _ in 0..5 {
-            t.record_delivery(ProcessId(0), 1);
-        }
-        // A fault wipes 2 of the 5 routed-and-counted messages: net is 3,
-        // offered stays 5 (fault drops are post-routing, not routing-time).
-        t.messages_dropped_fault = 2;
-        assert_eq!(t.delivered_net(), 3);
-        assert_eq!(t.messages_offered(), 5);
-        // Saturates rather than underflows on inconsistent hand-built data.
-        t.messages_dropped_fault = 99;
-        assert_eq!(t.delivered_net(), 0);
     }
 }

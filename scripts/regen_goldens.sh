@@ -3,8 +3,8 @@
 #
 #   tests/golden/authority_seed1.sha256   authority summary + event JSONL
 #   tests/golden/recovery_events.sha256   stabilize / unsupportive event JSONL
-#   BENCH_stabilize.json                  stabilize --no-records summary
-#   BENCH_unsupportive.json               unsupportive --no-records summary
+#   tests/golden/stabilize_summary.json     stabilize --no-records summary
+#   tests/golden/unsupportive_summary.json  unsupportive --no-records summary
 #
 # It refuses a dirty tree, so what it writes is the output of a commit,
 # and the diff it leaves holds goldens and nothing else: commit the code
@@ -36,8 +36,8 @@ run_recovery() {
 run_recovery stabilize target/scenario_stab_a.json target/scenario_stab_a_events.jsonl
 run_recovery unsupportive target/scenario_unsup_a.json target/scenario_unsup_a_events.jsonl
 
-cp target/scenario_stab_a.json BENCH_stabilize.json
-cp target/scenario_unsup_a.json BENCH_unsupportive.json
+cp target/scenario_stab_a.json tests/golden/stabilize_summary.json
+cp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
 (cd target && sha256sum scenario_auth_golden.json scenario_auth_golden_events.jsonl) \
     > tests/golden/authority_seed1.sha256
 (cd target && sha256sum scenario_stab_a_events.jsonl scenario_unsup_a_events.jsonl) \
@@ -48,7 +48,7 @@ for digests in tests/golden/authority_seed1.sha256 tests/golden/recovery_events.
     git diff --no-color -U0 -- "$digests" \
         | sed -n "s|^+[0-9a-f]\{64\}  \(.*\)$|  \1  ($digests)|p"
 done
-for snapshot in BENCH_stabilize.json BENCH_unsupportive.json; do
+for snapshot in tests/golden/stabilize_summary.json tests/golden/unsupportive_summary.json; do
     git diff --quiet -- "$snapshot" || echo "  $snapshot"
 done
 if [ -z "$(git status --porcelain)" ]; then

@@ -14,6 +14,10 @@ echo "==> scenario smoke suite (verdicts + cross-process summary determinism)"
 ./target/release/scenario run --suite smoke --workers 4 > target/scenario_smoke_a.json
 ./target/release/scenario run --suite smoke --workers 1 > target/scenario_smoke_b.json
 cmp target/scenario_smoke_a.json target/scenario_smoke_b.json
+# A budget the machine has no threads for is capped at what the plan can
+# occupy: exit 0 and the same bytes, not a failed spawn.
+./target/release/scenario run --suite smoke --workers 99999 > target/scenario_smoke_w.json
+cmp target/scenario_smoke_b.json target/scenario_smoke_w.json
 
 echo "==> scenario smoke suite (serial vs sharded step byte-identity)"
 ./target/release/scenario run --suite smoke --workers 4 --shards 1 > target/scenario_smoke_s1.json
@@ -78,8 +82,8 @@ cmp target/scenario_unsup_a.json target/scenario_unsup_b.json
 cmp target/scenario_unsup_a_events.jsonl target/scenario_unsup_b_events.jsonl
 
 echo "==> recovery trace identity (summaries against the committed snapshots, event JSONL against tests/golden/recovery_events.sha256)"
-# BENCH_stabilize.json / BENCH_unsupportive.json are exactly what the two
-# runs above summarise (scripts/regen_goldens.sh copies the same
+# tests/golden/{stabilize,unsupportive}_summary.json are exactly what the
+# two runs above summarise (scripts/regen_goldens.sh copies the same
 # --no-records file), so a snapshot can no longer go stale unnoticed, and
 # a change to the clock pulse, the SSBA activation, the authority's
 # recovery or the BFS workloads fails here by name. The two snapshots and
@@ -87,8 +91,8 @@ echo "==> recovery trace identity (summaries against the committed snapshots, ev
 # stabilize digest is PR 23's — the SSBA's OM frames, same reason as
 # above. A deliberate behaviour change regenerates all of them with
 # scripts/regen_goldens.sh, which prints the ones that moved.
-cmp target/scenario_stab_a.json BENCH_stabilize.json
-cmp target/scenario_unsup_a.json BENCH_unsupportive.json
+cmp target/scenario_stab_a.json tests/golden/stabilize_summary.json
+cmp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
 (cd target && sha256sum -c ../tests/golden/recovery_events.sha256)
 
 echo "==> large-n sparse smoke (quiescence-aware stepping at n=65536)"
@@ -177,6 +181,18 @@ if grep -rn unsafe crates/simnet/src \
     exit 1
 fi
 grep -qx '#!\[deny(unsafe_code)\]' crates/simnet/src/lib.rs
+
+echo "==> census (every pub module and item is named by a file other than its own)"
+# scripts/census.sh lists the ones that are not; scripts/census.expected
+# is the committed list, each line with the reason it stays: the module
+# is owned by an open ROADMAP item, or the struct is a result reached
+# through the function that returns it. A new unreached item fails here
+# by name — give it a caller, drop its `pub`, or delete it.
+scripts/census.sh > target/census.txt
+diff target/census.txt <(cut -f1 scripts/census.expected)
+if grep -vE $'\t(ROADMAP item [23]|returned by [^ ]+)$' scripts/census.expected; then
+    exit 1
+fi
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

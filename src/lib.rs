@@ -10,10 +10,11 @@
 //!   agreement, interactive consistency;
 //! * [`clocksync`] — self-stabilizing Byzantine clock synchronization and
 //!   the SSBA composition (the paper's Theorem 1);
-//! * [`game_theory`] — strategic games, equilibria, repeated games, and
-//!   the anarchy cost family (PoA/PoS/PoM/multi-round);
+//! * [`game_theory`] — strategic games, pure and mixed equilibria, best
+//!   responses, and the price of anarchy / stability;
 //! * [`games`] — matching pennies with Fig. 1's hidden manipulation,
-//!   repeated resource allocation (§6), virus inoculation, and more;
+//!   repeated resource allocation (§6), virus inoculation and the
+//!   prisoner's dilemma;
 //! * [`authority`] — the game authority middleware itself: legislative,
 //!   judicial and executive services, reference engine and the fully
 //!   distributed clock-driven protocol;

@@ -1,15 +1,15 @@
 //! Workspace-level checks of the scenario subsystem through the facade:
-//! the paper suite carries all eight experiment ports and every shipped
-//! suite passes its own verdicts.
+//! the paper suite carries all nine ports (e1–e8 and the legislative
+//! election) and every shipped suite passes its own verdicts.
 
 use game_authority_suite::scenario::prelude::*;
 use game_authority_suite::scenario::suites;
 
 #[test]
-fn paper_suite_carries_all_eight_experiment_ports_and_passes() {
+fn paper_suite_carries_all_nine_ports_and_passes() {
     let suite = suites::find("paper").expect("paper suite registered");
     let scenarios = suite.scenarios();
-    assert!(scenarios.len() >= 8, "got {}", scenarios.len());
+    assert!(scenarios.len() >= 9, "got {}", scenarios.len());
     for e in 1..=8 {
         assert!(
             scenarios
@@ -18,6 +18,7 @@ fn paper_suite_carries_all_eight_experiment_ports_and_passes() {
             "missing e{e} port"
         );
     }
+    assert!(scenarios.iter().any(|s| s.name() == "legislative_election"));
     let summary = suite.run(Some(1), 4);
     assert!(
         summary.all_passed(),
