@@ -41,23 +41,3 @@ pub fn run() -> Fig1Result {
     ];
     Fig1Result { matrix, expected }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matrix_matches_fig1() {
-        let r = run();
-        assert_eq!(r.matrix[0], vec![(1.0, -1.0), (-1.0, 1.0), (1.0, -1.0)]);
-        assert_eq!(r.matrix[1], vec![(-1.0, 1.0), (1.0, -1.0), (-9.0, 9.0)]);
-    }
-
-    #[test]
-    fn expected_profits_match_section_5_1() {
-        let r = run();
-        assert_eq!(r.expected[0], (0.0, 0.0));
-        assert_eq!(r.expected[1], (0.0, 0.0));
-        assert_eq!(r.expected[2], (-4.0, 4.0));
-    }
-}

@@ -122,48 +122,3 @@ pub fn run(rounds: u64, seed: u64) -> PomPenniesResult {
         rounds,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn authority_reduces_malice_damage() {
-        let r = run(60, 7);
-        let unsupervised = &r.regimes[0];
-        let disconnect = &r.regimes[1];
-        let fine = &r.regimes[2];
-
-        // Unsupervised: A loses roughly 4/round (the §5.1 number).
-        let per_round = -unsupervised.honest_payoff / 60.0;
-        assert!(per_round > 2.5, "A bleeds {per_round}/round unsupervised");
-        assert_eq!(unsupervised.detected_at, None);
-
-        // Authority catches B in the very first play.
-        assert_eq!(disconnect.detected_at, Some(0));
-        assert!(
-            -disconnect.honest_payoff <= 10.0,
-            "A's damage capped at one round: {}",
-            disconnect.honest_payoff
-        );
-
-        // Fines make manipulation unprofitable for B.
-        assert!(fine.manipulator_payoff < 0.0, "{}", fine.manipulator_payoff);
-
-        // Reduction factor is large.
-        assert!(
-            unsupervised.honest_payoff < 10.0 * disconnect.honest_payoff.min(-0.01),
-            "damage shrinks by >10x"
-        );
-    }
-
-    #[test]
-    fn baseline_is_near_zero() {
-        let r = run(200, 11);
-        assert!(
-            r.baseline_honest_payoff.abs() / 200.0 < 0.5,
-            "honest play is near-fair: {}",
-            r.baseline_honest_payoff
-        );
-    }
-}

@@ -57,27 +57,3 @@ pub fn run(configs: &[(usize, usize)], checkpoints: &[u64], seed: u64) -> Vec<Rr
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bounds_hold_across_configs() {
-        let points = run(&[(4, 2), (6, 3)], &[50, 500], 3);
-        for p in &points {
-            assert!(p.bounds_held_throughout, "{p:?}");
-            assert!(p.ratio <= p.bound + 1e-9);
-            assert!(p.gap <= p.gap_bound);
-        }
-    }
-
-    #[test]
-    fn ratio_approaches_one() {
-        let points = run(&[(4, 4)], &[10, 2000], 5);
-        let early = points.iter().find(|p| p.k == 10).unwrap();
-        let late = points.iter().find(|p| p.k == 2000).unwrap();
-        assert!(late.ratio <= early.ratio + 1e-9, "monotone-ish decrease");
-        assert!(late.ratio < 1.05, "R(2000) = {}", late.ratio);
-    }
-}

@@ -72,22 +72,3 @@ pub fn run_closure(n: usize, f: usize, seed: u64) -> (bool, usize) {
     let recovered = report.common_suffix(2);
     (recovered, report.logs[0].len())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_systems_converge() {
-        let points = run_convergence(&[(4, 1)], 3, 300_000, 42);
-        assert_eq!(points[0].converged, 3, "{points:?}");
-        assert!(points[0].mean_pulses > 0.0);
-    }
-
-    #[test]
-    fn closure_holds() {
-        let (recovered, plays) = run_closure(4, 1, 42);
-        assert!(recovered);
-        assert!(plays >= 2);
-    }
-}

@@ -128,34 +128,8 @@ pub fn run(side: usize, cost_c: f64, loss_l: f64, ks: &[usize]) -> Vec<VirusPoin
 mod tests {
     use super::*;
 
-    #[test]
-    fn malice_hurts_and_authority_repairs() {
-        let points = run(5, 1.0, 25.0, &[0, 3, 6]);
-        let k0 = &points[0];
-        assert!((k0.pom_unsupervised - 1.0).abs() < 1e-9, "k=0 is baseline");
-        for p in &points[1..] {
-            assert!(
-                p.pom_unsupervised > 1.0,
-                "malice degrades honest welfare: {p:?}"
-            );
-            assert!(
-                p.pom_supervised < p.pom_unsupervised,
-                "authority reduces PoM: {p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn supervised_is_close_to_baseline() {
-        let points = run(5, 1.0, 25.0, &[4]);
-        let p = &points[0];
-        assert!(
-            p.pom_supervised < 1.5,
-            "supervised PoM near 1: {}",
-            p.pom_supervised
-        );
-    }
-
+    // Not a paper claim, so no verdict states it: the helper is private
+    // and its picks do not reach `VirusPoint`.
     #[test]
     fn malicious_set_is_spread_and_sized() {
         let set = malicious_set(36, 4);

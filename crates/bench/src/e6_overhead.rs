@@ -23,9 +23,6 @@ pub struct OverheadPoint {
     pub messages: u64,
     /// Bytes per consensus.
     pub bytes: u64,
-    /// Estimated pulses for one full authority play (3 BAs + commit +
-    /// reveal + executive).
-    pub play_pulses: u64,
     /// Whether the honest processors agreed (sanity).
     pub agreement: bool,
 }
@@ -48,46 +45,9 @@ pub fn run(ns: &[usize], seed: u64) -> Vec<OverheadPoint> {
                 rounds: report.rounds,
                 messages: report.messages,
                 bytes: report.bytes,
-                play_pulses: 3 * report.rounds + 4,
                 agreement: report.agreement(),
             });
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_backends_agree_and_scale_shapes_hold() {
-        let points = run(&[4, 7], 11);
-        assert!(points.iter().all(|p| p.agreement), "{points:?}");
-        // OM's bytes with honest sources: n(n - 1) frames a round, and from
-        // round 1 on a frame has a part per other source, each saying its
-        // one value once — so (4, 1) → (7, 2), a round more of wider
-        // frames, is (f + 1)·n³ growth, ×8 here. The n^(f+1) of the
-        // textbook is the equivocation envelope (`max_frame_len`), which
-        // noise senders do not reach.
-        let om4 = points
-            .iter()
-            .find(|p| p.backend == Backend::Om && p.n == 4)
-            .unwrap();
-        let om7 = points
-            .iter()
-            .find(|p| p.backend == Backend::Om && p.n == 7)
-            .unwrap();
-        assert!(om7.bytes > om4.bytes * 4, "(f + 1)·n³ growth visible");
-    }
-
-    #[test]
-    fn phase_king_rounds_grow_with_f() {
-        let points = run(&[9, 13], 13);
-        let pk9 = points
-            .iter()
-            .find(|p| p.backend == Backend::PhaseKing && p.n == 9)
-            .unwrap();
-        assert!(pk9.rounds >= 5);
-    }
 }

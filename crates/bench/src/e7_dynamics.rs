@@ -72,27 +72,3 @@ pub fn run(n: usize, b: usize, checkpoints: &[u64], seed: u64) -> DynamicsResult
         envelope: 2 * n as u64 - 1,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trajectories_tell_the_story() {
-        let r = run(5, 2, &[1, 100, 500], 9);
-        let last = r.checkpoints.len() - 1;
-        // Honest stays in the envelope.
-        assert!(r.honest[last] <= r.envelope, "{:?}", r.honest);
-        // Unsupervised cheating diverges past the envelope.
-        assert!(r.cheated[last] > r.envelope, "{:?}", r.cheated);
-        // Supervision restores the envelope (cheater contributes only one
-        // cheated play's worth of skew, which honest play then absorbs
-        // or at least stops growing).
-        assert!(
-            r.supervised[last] < r.cheated[last] / 2,
-            "supervised {:?} vs cheated {:?}",
-            r.supervised,
-            r.cheated
-        );
-    }
-}

@@ -80,39 +80,3 @@ pub fn run(rounds: u64, seed: u64) -> Vec<CadencePoint> {
         .map(|&l| run_cadence(l, rounds, seed))
         .collect()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn per_play_detects_immediately() {
-        let p = run_cadence(1, 64, 3);
-        assert_eq!(p.detected_at, Some(0));
-        assert!(p.honest_loss_until_detection <= 10.0);
-    }
-
-    #[test]
-    fn epoch_audit_detects_at_boundary() {
-        for epoch in [4u64, 8] {
-            let p = run_cadence(epoch, 64, 3);
-            assert_eq!(
-                p.detected_at,
-                Some(epoch - 1),
-                "deferred detection lands on the epoch boundary"
-            );
-            assert!(
-                p.honest_loss_until_detection > (epoch as f64 - 1.0) * 2.0,
-                "interim bleeding grows with the epoch: {p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn latency_grows_with_epoch_length() {
-        let points = run(128, 5);
-        let latencies: Vec<u64> = points.iter().filter_map(|p| p.detected_at).collect();
-        assert_eq!(latencies.len(), points.len(), "always detected");
-        assert!(latencies.windows(2).all(|w| w[0] <= w[1]), "{latencies:?}");
-    }
-}

@@ -1,10 +1,10 @@
 //! # ga-bench — experiment library
 //!
 //! One module per paper artifact (`e1`–`e8`). Each `run` returns the
-//! experiment's result as plain data, so the `paper` suite's scenario
-//! ports (`ga_scenario::ports`, run with `scenario run --suite paper`) and
-//! the integration tests (`tests/paper_claims.rs`) share one
-//! implementation; rendering is the scenario CLI's job.
+//! experiment's result as plain data; the `paper` suite's scenario ports
+//! (`ga_scenario::ports`, run with `scenario run --suite paper`) lift it
+//! into metrics, and each paper claim is asserted once, as a `require` in
+//! its port's verdict. Rendering is the scenario CLI's job.
 
 pub mod e1_fig1;
 pub mod e2_pom_pennies;

@@ -27,9 +27,11 @@
 //! in memory. `--table METRIC` appends a cross-run convergence table
 //! (one row per scenario/grid point: parameter values, pass rate, and
 //! p50/p90/p99 of METRIC — `rounds` for rounds-to-stop) so E4-style
-//! plots read straight off the CLI output. No wall-clock figure ever
-//! enters a summary, so summaries stay reproducible; throughput is
-//! measured from outside, by `benchmark/run.sh`.
+//! plots read straight off the CLI output; a METRIC that no scenario
+//! carries is an error (exit 1, after the summary) that names the
+//! available ones. No wall-clock figure ever enters a summary, so
+//! summaries stay reproducible; throughput is measured from outside, by
+//! `benchmark/run.sh`.
 //!
 //! `--events FILE` switches the deterministic telemetry event plane on
 //! for every run and streams one JSON line per retained event to FILE
@@ -53,7 +55,8 @@
 //!
 //! Exit codes: 0 = every verdict passed, 2 = the suite ran but some
 //! verdict failed (e.g. censored stabilize points — frontier charted,
-//! tool healthy), 1 = real errors (usage, unknown suite, I/O).
+//! tool healthy), 1 = real errors (usage, unknown suite or `--table`
+//! metric, I/O).
 //!
 //! `scenario list` names every suite: `paper` (the e1–e8 experiment
 //! ports), `authority` (the §3.3 distributed-authority plays — honest,
@@ -62,8 +65,9 @@
 //! scheduled corruption over a loss × intensity × n grid; run it with
 //! `--table rounds_to_stabilize` — censored points surface as failed
 //! verdicts, so exit code 2 there means "frontier charted", not
-//! "suite broken"), `examples`, `smoke` (the tier-1 gate), and the
-//! `bench64`/`bench256` 64- and 256-processor workloads.
+//! "suite broken"), `unsupportive` (the recurring-corruption frontier,
+//! exit 2 by design too), `examples`, `smoke` (the tier-1 gate) and
+//! `sparse` (large-n quiescent wavefronts, the tier-1 timeout smoke).
 
 use std::io::Write;
 
@@ -76,7 +80,8 @@ use crate::suites;
 use crate::sweep::{Job, ScenarioSummary, SweepSummary};
 
 /// Entry point; returns the process exit code (0 = all verdicts passed,
-/// 2 = verdict failures, 1 = real errors: usage, unknown suite, I/O).
+/// 2 = verdict failures, 1 = real errors: usage, unknown suite or table
+/// metric, I/O).
 pub fn main(args: Vec<String>) -> i32 {
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -266,7 +271,8 @@ fn usage(err: &str) -> i32 {
     eprintln!("        [--profile FILE]    write wall-clock pool/step timing JSON to");
     eprintln!("                            FILE (never folded into summaries/events)");
     eprintln!("        [--table METRIC]    append a convergence-vs-param table of METRIC");
-    eprintln!("                            ('rounds' for rounds-to-stop percentiles)");
+    eprintln!("                            ('rounds' for rounds-to-stop percentiles;");
+    eprintln!("                            a METRIC no scenario carries is an error)");
     eprintln!("  trace EVENTS.jsonl        convert an --events file to Chrome trace-event");
     eprintln!("        [--out FILE]        JSON (Perfetto/chrome://tracing); stdout");
     eprintln!("                            unless --out is given");
@@ -458,7 +464,13 @@ fn run(opts: &Options) -> i32 {
         eprintln!("wrote {path}");
     }
     if let Some(metric) = &opts.table {
-        print!("{}", render_table(&summary, metric));
+        match render_table(&summary, metric) {
+            Ok(table) => print!("{table}"),
+            Err(err) => {
+                eprintln!("error: {err}");
+                return 1;
+            }
+        }
     }
     if summary.all_passed() {
         0
@@ -791,8 +803,22 @@ fn chrome_trace(body: &str) -> Result<(Json, usize), String> {
 /// selects the rounds-to-stop percentiles the summary always carries;
 /// any other name selects that probe metric (absent values render `-`).
 /// Rows keep the summary's deterministic first-appearance order, so the
-/// table is as byte-stable as the JSON above it.
-fn render_table(summary: &SweepSummary, metric: &str) -> String {
+/// table is as byte-stable as the JSON above it. A metric that no
+/// scenario carries is an error naming the ones they do, so a typo never
+/// reads as a column nobody emitted.
+fn render_table(summary: &SweepSummary, metric: &str) -> Result<String, String> {
+    if metric != "rounds" && summary.scenarios.iter().all(|s| s.metric(metric).is_none()) {
+        let mut available = vec!["rounds"];
+        for m in summary.scenarios.iter().flat_map(|s| &s.metrics) {
+            if !available.contains(&m.name.as_str()) {
+                available.push(&m.name);
+            }
+        }
+        return Err(format!(
+            "no scenario carries metric {metric}; available: {}",
+            available.join(", ")
+        ));
+    }
     let mut axes: Vec<&str> = Vec::new();
     for s in &summary.scenarios {
         for (name, _) in &s.params {
@@ -865,7 +891,7 @@ fn render_table(summary: &SweepSummary, metric: &str) -> String {
         out.push_str(line.trim_end());
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1212,7 +1238,7 @@ mod tests {
         }
         let summary = SweepSummary::new("t", records);
 
-        let rounds = render_table(&summary, "rounds");
+        let rounds = render_table(&summary, "rounds").unwrap();
         let lines: Vec<&str> = rounds.lines().collect();
         assert_eq!(lines[0], "table: rounds (p50/p90/p99) by scenario");
         assert!(lines[1].starts_with("scenario"));
@@ -1229,7 +1255,7 @@ mod tests {
         assert!(lines[3].contains("0.67"));
 
         // A probe metric present only on p=0.1: the other row renders '-'.
-        let conv = render_table(&summary, "conv");
+        let conv = render_table(&summary, "conv").unwrap();
         let lines: Vec<&str> = conv.lines().collect();
         assert!(
             lines[2].ends_with("3  1.00    6    7    7"),
@@ -1237,5 +1263,26 @@ mod tests {
             lines[2]
         );
         assert!(lines[3].ends_with("-    -    -"), "{:?}", lines[3]);
+    }
+
+    #[test]
+    fn a_table_metric_no_scenario_carries_is_an_error_naming_the_available_ones() {
+        use crate::record::RunRecord;
+        let mut r = RunRecord::new("probe", 0);
+        r.metric("conv", 5.0);
+        let summary = SweepSummary::new("t", vec![r, RunRecord::new("bare", 0)]);
+        assert_eq!(
+            render_table(&summary, "cnov"),
+            Err("no scenario carries metric cnov; available: rounds, conv".to_string())
+        );
+        // The summary still goes to stdout; the typo is exit 1, not a
+        // table of dashes under exit 0.
+        let run = |metric| {
+            main(args(&[
+                "run", "--suite", "smoke", "--seeds", "1", "--table", metric,
+            ]))
+        };
+        assert_eq!(run("no_such_metric"), 1);
+        assert_eq!(run("leaf_heard"), 0);
     }
 }

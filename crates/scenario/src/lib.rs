@@ -22,7 +22,8 @@
 //! * [`suites`] — named suites for the `scenario` CLI: `paper` (the e1–e8
 //!   experiment ports, see [`ports`]), `authority` (the §3.3 distributed-
 //!   authority plays, see [`authority`]), `stabilize` (the recovery
-//!   frontier, see [`stabilize`]), `examples`, `smoke`, `bench64`.
+//!   frontier, see [`stabilize`]), `unsupportive` (recurring corruption,
+//!   see [`unsupportive`]), `examples`, `smoke`, `sparse`.
 //! * [`spec::PlacementStrategy`] — seed-derived adversary placement
 //!   families (`RandomF`, `WorstCaseByDegree`), so one spec covers every
 //!   adversary position instead of one pinned id.

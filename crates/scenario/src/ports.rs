@@ -7,9 +7,12 @@
 //! verdict. The sweep engine then gives every experiment seed fan-out,
 //! parallelism and deterministic JSON summaries for free — replacing the
 //! eight hand-rolled harness `main`s as the way to vary and batch them.
+//! Each claim is asserted here and nowhere else; `tests/scenario_suite.rs`
+//! and the tests below run every port.
 
 use std::sync::Arc;
 
+use ga_agreement::harness::Backend;
 use ga_bench::{
     e1_fig1, e2_pom_pennies, e3_rra, e4_ssba, e5_virus, e6_overhead, e7_dynamics, e8_audit_cadence,
 };
@@ -77,6 +80,10 @@ pub fn e2_pom_port() -> Arc<dyn Scenario> {
                 disconnect.detected_at.map_or(-1.0, |d| d as f64),
             )
             .require(
+                out.baseline_honest_payoff.abs() / (rounds as f64) < 0.5,
+                "honest play should be near-fair",
+            )
+            .require(
                 unsupervised.detected_at.is_none() && per_round_loss > 2.5,
                 "unsupervised manipulation should bleed A ≈ 4/round",
             )
@@ -89,6 +96,10 @@ pub fn e2_pom_port() -> Arc<dyn Scenario> {
                 "disconnection should cap A's damage at one play",
             )
             .require(
+                unsupervised.honest_payoff < 10.0 * disconnect.honest_payoff.min(-0.01),
+                "the authority should shrink A's damage by more than 10x",
+            )
+            .require(
                 fine.manipulator_payoff < 0.0,
                 "fines should make manipulation unprofitable",
             );
@@ -98,7 +109,9 @@ pub fn e2_pom_port() -> Arc<dyn Scenario> {
 /// E3 — Theorem 5 / Lemma 6: RRA multi-round anarchy cost bounds.
 pub fn e3_rra_port() -> Arc<dyn Scenario> {
     port("e3_rra_bounds", |seed, r| {
-        let points = e3_rra::run(&[(4, 2), (8, 4)], &[10, 100, 1000], seed);
+        // Held through k = 2000, the bound puts R(2000) within 1 + 2b/2000
+        // (≤ 1.004) of optimal.
+        let points = e3_rra::run(&[(4, 2), (8, 4)], &[10, 100, 1000, 2000], seed);
         for p in &points {
             if p.k == 1000 {
                 r.metric(format!("ratio_n{}_b{}_k1000", p.n, p.b), p.ratio);
@@ -130,6 +143,10 @@ pub fn e4_ssba_port() -> Arc<dyn Scenario> {
             .require(
                 p.converged == trials,
                 "every trial should converge within the pulse budget",
+            )
+            .require(
+                p.mean_pulses > 0.0,
+                "a scrambled start should take pulses to converge",
             );
         let (recovered, plays) = e4_ssba::run_closure(4, 1, seed);
         r.metric("plays_after_fault", plays as f64).require(
@@ -146,6 +163,10 @@ pub fn e5_virus_port() -> Arc<dyn Scenario> {
         r.require(
             (points[0].pom_unsupervised - 1.0).abs() < 1e-9,
             "k = 0 must reproduce the baseline",
+        )
+        .require(
+            points[1].pom_unsupervised < points[2].pom_unsupervised,
+            "unsupervised, the price of malice should grow with k",
         );
         for p in &points[1..] {
             r.metric(format!("pom_unsupervised_k{}", p.k), p.pom_unsupervised)
@@ -157,16 +178,21 @@ pub fn e5_virus_port() -> Arc<dyn Scenario> {
                 .require(
                     p.pom_supervised < p.pom_unsupervised,
                     "the authority should reduce the price of malice",
+                )
+                .require(
+                    p.pom_supervised < 1.2,
+                    "supervised, the price of malice should collapse to ≈ 1",
                 );
         }
     })
 }
 
-/// E6 — per-consensus and per-play protocol cost of the authority.
+/// E6 — per-consensus protocol cost of the authority's agreement backends
+/// (§3.3). At n = 4, 7, 13 phase-king runs at f = 0, 1, 2 and the other
+/// two at f = 1, 2, 2, so 7 → 13 is OM's growth in n at a fixed f.
 pub fn e6_overhead_port() -> Arc<dyn Scenario> {
     port("e6_authority_overhead", |seed, r| {
-        let points = e6_overhead::run(&[4, 7], seed);
-        let mut om = Vec::new();
+        let points = e6_overhead::run(&[4, 7, 13], seed);
         for p in &points {
             r.metric(
                 format!("{}_n{}_messages", p.backend.label(), p.n),
@@ -177,13 +203,28 @@ pub fn e6_overhead_port() -> Arc<dyn Scenario> {
                 p.bytes as f64,
             )
             .require(p.agreement, "every backend must reach agreement");
-            if p.backend.label() == "om" {
-                om.push(p.bytes);
-            }
         }
+        let of = |backend| -> Vec<_> { points.iter().filter(|p| p.backend == backend).collect() };
+        let (om, pk) = (of(Backend::Om), of(Backend::PhaseKing));
         r.require(
-            om.len() == 2 && om[1] > om[0] * 4,
+            om[1].bytes > om[0].bytes * 4,
             "OM's byte cost should grow super-linearly with n",
+        )
+        .require(
+            om[2].bytes > om[1].bytes * 5,
+            "at f = 2 OM's bytes should grow like n³ ((13/7)³ ≈ 6.4)",
+        )
+        .require(
+            pk[2].bytes < om[2].bytes / 5,
+            "phase-king's bytes should stay an order of n below OM's",
+        )
+        .require(
+            pk[2].rounds > om[2].rounds,
+            "phase-king should pay for its bytes in rounds",
+        )
+        .require(
+            pk.windows(2).all(|w| w[0].rounds < w[1].rounds),
+            "phase-king's rounds should grow with f",
         );
     })
 }
@@ -208,6 +249,10 @@ pub fn e7_dynamics_port() -> Arc<dyn Scenario> {
             .require(
                 out.supervised[last] < out.cheated[last] / 2,
                 "disconnecting the cheater should collapse the gap",
+            )
+            .require(
+                out.supervised[last] <= out.envelope,
+                "disconnecting the cheater should bring Δ(k) back inside the envelope",
             );
     })
 }
@@ -234,13 +279,28 @@ pub fn e8_cadence_port() -> Arc<dyn Scenario> {
             );
             latencies.extend(p.detected_at);
         }
+        let (per_play, longest) = (&points[0], &points[points.len() - 1]);
         r.require(
-            points[0].detected_at == Some(0),
+            per_play.detected_at == Some(0),
             "the per-play audit should detect in play 0",
+        )
+        .require(
+            per_play.honest_loss_until_detection <= 10.0,
+            "the per-play audit should cap A's loss at one play",
+        )
+        .require(
+            points[1..]
+                .iter()
+                .all(|p| p.detected_at == Some(p.epoch_len - 1)),
+            "a deferred audit should detect at the first epoch boundary",
         )
         .require(
             latencies.windows(2).all(|w| w[0] <= w[1]),
             "detection latency should grow with the epoch length",
+        )
+        .require(
+            longest.honest_loss_until_detection > per_play.honest_loss_until_detection,
+            "deferring the audit should cost A more than the per-play audit",
         );
     })
 }

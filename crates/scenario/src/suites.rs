@@ -3,6 +3,8 @@
 //!
 //! * **paper** — the e1–e8 experiment ports and the legislative election
 //!   (see [`crate::ports`]).
+//! * **authority** — §3.3 distributed-authority plays: honest,
+//!   selfish-cluster, mute, churn, noise (see [`crate::authority`]).
 //! * **stabilize** — the self-stabilization recovery frontier: scheduled
 //!   corruption families swept over loss × intensity × n with
 //!   stabilization-time probes (see [`crate::stabilize`]).
@@ -15,7 +17,8 @@
 //!   axis: topology families, lossy delivery, adversaries, colluders,
 //!   churn schedules (healable partitions included) and transient faults.
 //!   Wired into `scripts/tier1.sh`.
-//! * **bench64** / **bench256** — 64- and 256-processor workloads.
+//! * **sparse** — large-n quiescent relay wavefronts (4k grid, 64k ring):
+//!   the tier-1 timeout smoke for O(active) stepping.
 
 use std::sync::Arc;
 
@@ -181,20 +184,6 @@ pub fn all() -> Vec<Suite> {
             seed_base: 100,
             default_seeds: 1,
             build: sparse,
-        },
-        Suite {
-            name: "bench64",
-            description: "64-processor sweep workloads for throughput tracking",
-            seed_base: 0,
-            default_seeds: 16,
-            build: bench64,
-        },
-        Suite {
-            name: "bench256",
-            description: "256-processor workloads where intra-run sharding (--shards) pays off",
-            seed_base: 0,
-            default_seeds: 4,
-            build: bench256,
         },
     ]
 }
@@ -459,90 +448,6 @@ fn sparse() -> Vec<Arc<dyn Scenario>> {
     ]
 }
 
-fn bench64() -> Vec<Arc<dyn Scenario>> {
-    vec![
-        Arc::new(
-            ScenarioSpec::new(
-                "bench_flood_complete64",
-                TopologyFamily::Complete(64),
-                flood,
-            )
-            .max_rounds(30),
-        ),
-        Arc::new(
-            ScenarioSpec::new(
-                "bench_lossy_random64",
-                TopologyFamily::RandomK {
-                    n: 64,
-                    k: 8,
-                    extra_p: 0.05,
-                },
-                gossip,
-            )
-            .delivery(Delivery::Lossy { p: 0.1 })
-            .max_rounds(30),
-        ),
-        Arc::new(
-            ScenarioSpec::new("bench_star_churn64", TopologyFamily::Star(64), gossip)
-                .schedule(
-                    Schedule::new()
-                        .at(5, ScheduledAction::Disconnect(ProcessId(0)))
-                        .at(
-                            15,
-                            ScheduledAction::Reconnect(
-                                ProcessId(0),
-                                (1..64).map(ProcessId).collect(),
-                            ),
-                        ),
-                )
-                .max_rounds(30),
-        ),
-        Arc::new(
-            ScenarioSpec::new("bench_grid_fault64", TopologyFamily::Grid(8, 8), gossip)
-                .schedule(
-                    Schedule::new().at(10, ScheduledAction::Inject(TransientFault::total(64, 2))),
-                )
-                .max_rounds(30),
-        ),
-    ]
-}
-
-/// 256-processor workloads: the population scale where one run stops
-/// fitting one core and the `--shards` knob starts mattering. Mirrors the
-/// bench64 shapes so the two suites read as one scaling series.
-fn bench256() -> Vec<Arc<dyn Scenario>> {
-    vec![
-        Arc::new(
-            ScenarioSpec::new(
-                "bench_flood_complete256",
-                TopologyFamily::Complete(256),
-                flood,
-            )
-            .max_rounds(15),
-        ),
-        Arc::new(
-            ScenarioSpec::new(
-                "bench_lossy_random256",
-                TopologyFamily::RandomK {
-                    n: 256,
-                    k: 8,
-                    extra_p: 0.02,
-                },
-                gossip,
-            )
-            .delivery(Delivery::Lossy { p: 0.1 })
-            .max_rounds(30),
-        ),
-        Arc::new(
-            ScenarioSpec::new("bench_grid_fault256", TopologyFamily::Grid(16, 16), gossip)
-                .schedule(
-                    Schedule::new().at(10, ScheduledAction::Inject(TransientFault::total(256, 2))),
-                )
-                .max_rounds(30),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,26 +574,5 @@ mod tests {
                 .map(|r| (&r.scenario, r.seed, &r.verdict))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn bench64_runs_one_seed() {
-        let summary = find("bench64").unwrap().run(Some(1), 4);
-        assert_eq!(summary.runs(), 4);
-        assert!(summary.all_passed());
-        assert!(summary.records[0].messages.delivered > 0);
-    }
-
-    #[test]
-    fn bench256_sharded_summary_matches_serial() {
-        let suite = find("bench256").unwrap();
-        let run = |shards| {
-            suite
-                .run_on(&Runtime::global(), Some(1), 2, shards)
-                .to_json(true)
-                .render()
-        };
-        let (serial, sharded) = (run(1), run(4));
-        assert_eq!(serial, sharded, "--shards must never change a summary");
     }
 }

@@ -160,24 +160,44 @@ fn traces_are_identical_across_exec_choices() {
 }
 
 #[test]
-fn grid1m_builds_fast() {
-    // Tier-1 build smoke: the streaming CSR builder must construct the
-    // 1000x1000 grid (n = 10^6, 2 * (999*1000 + 1000*999) directed rows)
-    // inside the gate's timeout — a reintroduced per-vertex Vec
-    // intermediate or an O(n^2) pass blows the bound immediately. The
-    // spot checks pin corner/interior degrees so a "fast but wrong"
-    // builder can't pass.
+fn grid1m_walks_a_token_in_o_active_rounds_under_a_memory_ceiling() {
+    // Tier-1 timeout smoke for the n = 10^6 substrate. The streaming CSR
+    // builder must construct the 1000x1000 grid (2 * (999*1000 + 1000*999)
+    // directed rows) fast — a reintroduced per-vertex Vec intermediate or
+    // an O(n^2) pass blows the bound immediately. The spot checks pin
+    // corner/interior degrees so a "fast but wrong" builder can't pass.
+    let n = 1_000_000;
     let topology = Topology::grid(1000, 1000);
-    assert_eq!(topology.len(), 1_000_000);
+    assert_eq!(topology.len(), n);
     assert_eq!(topology.edge_count(), 999 * 1000 + 1000 * 999);
     assert_eq!(topology.neighbors(ProcessId(0)).len(), 2, "corner");
     assert_eq!(topology.neighbors(ProcessId(500)).len(), 3, "edge");
     assert_eq!(topology.neighbors(ProcessId(500_500)).len(), 4, "interior");
-    // One slab-built process table on top: the whole n=10^6 substrate
-    // (topology + processes + inboxes) comes up in a handful of
-    // allocations.
-    let sim = Simulation::builder(topology).build_slab(|id| Walker {
+    // One slab-built process table on top: the whole substrate (topology +
+    // processes + inboxes) comes up in a handful of allocations.
+    let mut sim = Simulation::builder(topology).build_slab(|id| Walker {
         start: id.index() == 0,
     });
-    assert_eq!(sim.len(), 1_000_000);
+    assert_eq!(sim.len(), n);
+    // 10^5 rounds of one token while everyone else sleeps: a round costs
+    // O(active) (≈ 120 ns in release), so the loop takes milliseconds; an
+    // O(n) scan per round would be 10^11 visits and blow the timeout.
+    sim.run(2);
+    for _ in 0..100_000 {
+        assert_eq!(sim.pending_messages(), 1, "one token in flight");
+        assert_eq!(sim.quiescent_processes(), n - 1);
+        sim.step();
+    }
+    // Where Linux reports it, the peak RSS of all of the above: 66.2 MB
+    // (VmHWM 66 204 kB) when only the build ran; the ceiling is under 1.5x
+    // that, so a CSR, slab or inbox-arena memory regression fails here.
+    if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+        let peak_kib: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().strip_suffix("kB"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("VmHWM in kB");
+        assert!(peak_kib < 96 * 1024, "peak RSS {peak_kib} kB");
+    }
 }

@@ -101,13 +101,15 @@ echo "==> large-n sparse smoke (quiescence-aware stepping at n=65536)"
 # timeout rather than silently slowing every future gate run.
 timeout 120 ./target/release/scenario run --suite sparse --workers 2 > target/scenario_sparse.json
 
-echo "==> grid1m build smoke (streaming CSR constructs n=10^6 inside the timeout)"
-# Constructing the 1000x1000 grid topology must be fast: the streaming
-# CSR builder does it in O(1) allocations, so a reintroduced per-vertex
-# Vec intermediate (or an accidental O(n^2) pass) blows this bound long
-# before it blows a bench snapshot.
+echo "==> grid1m smoke (build n=10^6, then 10^5 O(active) token rounds under a peak-RSS ceiling, inside the timeout)"
+# The streaming CSR builder constructs the 1000x1000 grid in O(1)
+# allocations, and a round with one token in flight costs O(active)
+# (~120 ns): the whole test takes well under a second. A reintroduced
+# per-vertex Vec intermediate, an O(n^2) build pass or an O(n) scan per
+# round (10^11 visits over the loop) blows this bound; the VmHWM ceiling
+# in the test catches a CSR, slab or inbox-arena memory regression.
 timeout 60 cargo test -q -p ga-simnet --release --offline \
-    --test sparse grid1m_builds_fast -- --exact
+    --test sparse grid1m_walks_a_token_in_o_active_rounds_under_a_memory_ceiling -- --exact
 
 echo "==> n=13, f=3 authority smoke (one play, 2380-slot EIG trees, inside the timeout)"
 # One play steps 13 x 13 trees of 1 + 13 + 169 + 2197 slots through three
@@ -152,6 +154,10 @@ echo "==> repo benchmark smoke (benchmark/ builds against the workspace API; 0 f
 # the pipeline afterwards. --quick runs 1/100 of the ops and exits
 # non-zero on any failed correctness check.
 bash benchmark/run.sh --quick > target/benchmark_quick.txt
+# benchmark/Cargo.lock lists every crate benchmark/ reaches with its
+# dependencies: a PR that changes that graph fails here by name instead of
+# leaving a rewritten lock file in the tree.
+git diff --exit-code -- benchmark/Cargo.lock
 
 echo "==> no unsafe in the payload handle, the inbox store, the agreement path or the step"
 # The inline Bytes form and the flat inbox are safe Rust (the fill goes
