@@ -17,7 +17,8 @@
 //! ```
 //!
 //! of that block — the path after the source read as an `(L-1)`-digit
-//! base-`n` number. Each slot is a value plus a presence bit. Slots whose
+//! base-`n` number. Each slot is a value plus a presence bit (allocated the
+//! first time a column needs them; see [Columns](#columns)). Slots whose
 //! digits repeat an id (or the source) name no node and stay empty; they
 //! are the price of index addressing, about half of the last level at
 //! `n = 10, f = 3` (504 nodes in 1000 slots).
@@ -52,7 +53,7 @@
 //!   contiguous slots `s·n .. s·n + n`.
 //!
 //! A tree carries `⌈(1 + n + … + n^f) / 64⌉` words of it: 18 at
-//! `n = 10, f = 3`, beside 1111 eight-byte values.
+//! `n = 10, f = 3`, beside 1111 eight-byte values once it has a table.
 //!
 //! # Level payload
 //!
@@ -102,6 +103,41 @@
 //! lying *source* can do is make honest relays of its tree tell different
 //! values and so fall back to the plain form — the cost every payload had
 //! before the uniform form existed, and the most any payload costs.
+//!
+//! # Columns
+//!
+//! A **column** `(L, q)` is the set of `K` level-`L` nodes whose path ends
+//! in `q`: exactly what one level payload from `q` writes, and what `relay`
+//! by `q` mirrors. The tree keeps one state per column in front of the
+//! slot table:
+//!
+//! * `Empty` — no node of the column holds a value;
+//! * `One(v)` — every node of the column holds `v`;
+//! * `Table` — the column's nodes live in the slots and presence bits.
+//!
+//! Every column starts `Empty`, and [`EigTree::reset`] makes every one
+//! `Empty` again. A column leaves `Empty` at its first write and does not
+//! go back before a reset:
+//!
+//! * to `One(v)` when an accepted payload tells every node of it `v` (the
+//!   uniform form with every presence bit set, or plain with `K = 1`), when
+//!   a store writes its only node, or when `relay` by `q` finds every
+//!   level-`L - 1` column but `q`'s (and, past the root, the source's)
+//!   `One(v)` for one `v`. Then every parent holds `v`, and the relay sends
+//!   the bytes the scan would: `K` presence bits set and `v`, uniform past
+//!   `K = 1`;
+//! * to `Table` at any other write. The first such column allocates the
+//!   tree's table, so a tree that no source equivocated to never has one.
+//!
+//! First write still wins, node by node. A `One` column is full, so every
+//! later write to it is a no-op, which is why `absorb` and `relay` skip it
+//! without a scan. A `Table` column keeps the slot rule. No node's value
+//! changes once present, whatever state its column is in. `resolve`
+//! returns `v` without a scan when every leaf column is `One(v)` for one
+//! `v`: every leaf holds `v`, and so does every majority above them.
+//! Otherwise the scans run as before, reading each node through its
+//! column. With every source honest every column is `One`, and a round
+//! costs a tree `n` column states instead of `n^(L-1)` slots.
 
 use crate::{Value, DEFAULT_VALUE};
 
@@ -125,13 +161,29 @@ pub struct EigTree {
     /// `level_start[L-1]` is the first slot of level `L`; the last entry
     /// is the total slot count.
     level_start: Vec<usize>,
+    /// Column `(L, q)` is entry `(L-1)·n + q` (see the module docs).
+    columns: Vec<Column>,
+    /// One value per slot, read only in `Table` columns; empty until the
+    /// first column becomes one.
     values: Vec<Value>,
-    /// One presence bit per slot.
+    /// One presence bit per slot, allocated with `values`.
     present: Vec<u64>,
     /// One bit per slot: whether the slot names a node (see the module
     /// docs). Fixed at construction.
     node: Vec<u64>,
     len: usize,
+}
+
+/// What a tree holds of one column: the level-`L` nodes whose path ends in
+/// `q` (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    /// No node of the column holds a value.
+    Empty,
+    /// Every node of the column holds this value.
+    One(Value),
+    /// The column's nodes live in the value table and its presence bits.
+    Table,
 }
 
 /// The word and mask of bit `index` of a bitmap.
@@ -152,7 +204,7 @@ impl EigTree {
     ///
     /// Panics unless `source < n` and `n > f` (a leaf is a path of `f + 1`
     /// distinct ids), or if the `1 + n + … + n^f` slots overflow `usize` or
-    /// cannot be allocated.
+    /// their node bitmap cannot be allocated.
     pub fn new(n: usize, f: usize, source: u16) -> EigTree {
         assert!(usize::from(source) < n, "source in range");
         assert!(n > f, "an EIG tree of depth f+1 needs n > f");
@@ -161,17 +213,10 @@ impl EigTree {
         assert!(f < MAX_DEPTH, "EIG paths are at most {MAX_DEPTH} ids deep");
         let total = level_start[f + 1];
         let words = total.div_ceil(64);
-        let mut values = Vec::new();
-        let mut present = Vec::new();
         let mut node = Vec::new();
-        if values.try_reserve_exact(total).is_err()
-            || present.try_reserve_exact(words).is_err()
-            || node.try_reserve_exact(words).is_err()
-        {
-            panic!("EIG tree for n={n}, f={f}: cannot allocate {total} slots");
+        if node.try_reserve_exact(words).is_err() {
+            panic!("EIG tree for n={n}, f={f}: cannot allocate the node bitmap of {total} slots");
         }
-        values.resize(total, DEFAULT_VALUE);
-        present.resize(words, 0);
         node.resize(words, 0);
         mark_nodes(&mut node, n, source, &level_start);
         EigTree {
@@ -179,17 +224,18 @@ impl EigTree {
             f,
             source,
             level_start,
-            values,
-            present,
+            columns: vec![Column::Empty; (f + 1) * n],
+            values: Vec::new(),
+            present: Vec::new(),
             node,
             len: 0,
         }
     }
 
-    /// The table index of node `path`, or `None` if `path` is not a node
-    /// of this tree: empty, deeper than `f + 1`, not starting at the
-    /// source, naming an id `≥ n`, or repeating an id.
-    fn index(&self, path: &[u16]) -> Option<usize> {
+    /// The level and the slot within it of node `path`, or `None` if
+    /// `path` is not a node of this tree: empty, deeper than `f + 1`, not
+    /// starting at the source, naming an id `≥ n`, or repeating an id.
+    fn index(&self, path: &[u16]) -> Option<(usize, usize)> {
         if path.is_empty() || path.len() > self.f + 1 || path[0] != self.source {
             return None;
         }
@@ -200,16 +246,48 @@ impl EigTree {
             }
             slot = slot * self.n + usize::from(q);
         }
-        let index = self.level_start[path.len() - 1] + slot;
-        bit(&self.node, index).then_some(index)
+        let level = path.len();
+        bit(&self.node, self.level_start[level - 1] + slot).then_some((level, slot))
     }
 
-    fn at(&self, index: usize) -> Option<Value> {
-        bit(&self.present, index).then(|| self.values[index])
+    /// The entry of column `(level, last)` in `columns`.
+    fn column(&self, level: usize, last: usize) -> usize {
+        (level - 1) * self.n + last
     }
 
-    /// First write wins.
-    fn put(&mut self, index: usize, value: Value) {
+    /// The id the path of level-`level` slot `slot` ends in.
+    fn last(&self, level: usize, slot: usize) -> usize {
+        if level == 1 {
+            usize::from(self.source)
+        } else {
+            slot % self.n
+        }
+    }
+
+    /// The value of the node in level-`level` slot `slot`.
+    fn at(&self, level: usize, slot: usize) -> Option<Value> {
+        match self.columns[self.column(level, self.last(level, slot))] {
+            Column::Empty => None,
+            Column::One(value) => Some(value),
+            Column::Table => {
+                let index = self.level_start[level - 1] + slot;
+                bit(&self.present, index).then(|| self.values[index])
+            }
+        }
+    }
+
+    /// Stores `value` in the node in level-`level` slot `slot`; first
+    /// write wins.
+    fn put(&mut self, level: usize, slot: usize, value: Value) {
+        let last = self.last(level, slot);
+        let column = self.column(level, last);
+        match self.columns[column] {
+            Column::One(_) => return,
+            Column::Empty if self.fan_in(level, last) == 1 => return self.fill(column, value, 1),
+            Column::Empty => self.tabulate(column),
+            Column::Table => {}
+        }
+        let index = self.level_start[level - 1] + slot;
         let (word, mask) = locate(index);
         if self.present[word] & mask == 0 {
             self.present[word] |= mask;
@@ -218,19 +296,58 @@ impl EigTree {
         }
     }
 
+    /// Gives every one of the `nodes` nodes of empty column `column` the
+    /// value `value`.
+    fn fill(&mut self, column: usize, value: Value, nodes: usize) {
+        debug_assert_eq!(self.columns[column], Column::Empty);
+        self.columns[column] = Column::One(value);
+        self.len += nodes;
+    }
+
+    /// Moves empty column `column` to the table, allocating the table the
+    /// first time.
+    fn tabulate(&mut self, column: usize) {
+        if self.values.is_empty() {
+            let total = self.level_start[self.f + 1];
+            self.values = vec![DEFAULT_VALUE; total];
+            self.present = vec![0; total.div_ceil(64)];
+        }
+        self.columns[column] = Column::Table;
+    }
+
+    /// The value every level-`level` column but `skip`'s is `One` of, if
+    /// there is one: then every level-`level` node off `skip`'s column
+    /// holds it.
+    fn agreed(&self, level: usize, skip: Option<usize>) -> Option<Value> {
+        let mut agreed = None;
+        for q in 0..self.n {
+            // Level 1 is the source's column alone, and no other level
+            // has one.
+            if Some(q) == skip || (level == 1) != (q == usize::from(self.source)) {
+                continue;
+            }
+            match self.columns[self.column(level, q)] {
+                Column::One(value) if agreed.is_none_or(|v| v == value) => agreed = Some(value),
+                _ => return None,
+            }
+        }
+        agreed
+    }
+
     /// Stores `value` at node `path` (first write wins; Byzantine senders
     /// cannot overwrite an already-relayed value). A `path` that is not a
     /// node of this tree — wrong source, id out of range, repeated id, too
     /// deep — is ignored.
     pub fn store(&mut self, path: &[u16], value: Value) {
-        if let Some(index) = self.index(path) {
-            self.put(index, value);
+        if let Some((level, slot)) = self.index(path) {
+            self.put(level, slot, value);
         }
     }
 
     /// The stored value at `path`, if any.
     pub fn get(&self, path: &[u16]) -> Option<Value> {
-        self.at(self.index(path)?)
+        let (level, slot) = self.index(path)?;
+        self.at(level, slot)
     }
 
     /// Number of populated nodes.
@@ -243,9 +360,15 @@ impl EigTree {
         self.len == 0
     }
 
-    /// Clears the tree for reuse.
+    /// Clears the tree for reuse: whatever it held, it is then the tree
+    /// [`new`](Self::new) builds (the table, if allocated, stays so).
     pub fn reset(&mut self) {
-        self.present.fill(0);
+        self.columns.fill(Column::Empty);
+        // Not on a tree without a table: a zero fill of the empty vector
+        // still costs ≈ 0.1 µs, most of a (4, 1) activation's tree work.
+        if !self.present.is_empty() {
+            self.present.fill(0);
+        }
         self.len = 0;
     }
 
@@ -272,14 +395,25 @@ impl EigTree {
         assert!((1..=self.f).contains(&level), "relayed levels are 1..=f");
         let me = usize::from(me);
         assert!(me < self.n, "me in range");
+        let slots = self.fan_in(level + 1, me);
+        let mut payload = LevelPayload::new(level + 1, slots);
+        let mine = self.column(level + 1, me);
+        // Every parent holds one value and no child holds any yet: the scan
+        // would tell, and mirror, that value at every child.
+        if slots > 0 && self.columns[mine] == Column::Empty {
+            if let Some(value) = self.agreed(level, Some(me)) {
+                (0..slots).for_each(|_| payload.push(Some(value)));
+                self.fill(mine, value, slots);
+                return payload.finish();
+            }
+        }
         let (from, to) = (self.level_start[level - 1], self.level_start[level]);
-        let mut payload = LevelPayload::new(level + 1, self.fan_in(level + 1, me));
         for slot in 0..to - from {
-            let child = to + slot * self.n + me;
-            if bit(&self.node, child) {
-                let value = self.at(from + slot);
+            let child = slot * self.n + me;
+            if bit(&self.node, to + child) {
+                let value = self.at(level, slot);
                 if let Some(value) = value {
-                    self.put(child, value);
+                    self.put(level + 1, child, value);
                 }
                 payload.push(value);
             }
@@ -317,22 +451,33 @@ impl EigTree {
         if values.len() != said || (uniform && told < 2) || padded || slots == 0 {
             return;
         }
-        // The root has no parent level to scan: it is the one child slot.
-        let (parents, to, last) = match level {
-            1 => (1, 0, 0),
-            _ => {
-                let (from, to) = (self.level_start[level - 2], self.level_start[level - 1]);
-                (to - from, to, sender)
+        let column = self.column(level, sender);
+        match self.columns[column] {
+            // Every node already holds a value: first write wins.
+            Column::One(_) => return,
+            // One value for the whole column.
+            Column::Empty if told == slots && (uniform || slots == 1) => {
+                return self.fill(column, Value::from_be_bytes(values[0]), slots);
             }
+            _ => {}
+        }
+        // The root has no parent level to scan: it is the one child slot.
+        let (parents, last) = match level {
+            1 => (1, 0),
+            _ => (
+                self.level_start[level - 1] - self.level_start[level - 2],
+                sender,
+            ),
         };
+        let to = self.level_start[level - 1];
         // Plain, every set bit reads the next value; uniform, the first.
         let stride = usize::from(!uniform);
         let (mut seen, mut next) = (0, 0);
         for slot in 0..parents {
-            let child = to + slot * self.n + last;
-            if bit(&self.node, child) {
+            let child = slot * self.n + last;
+            if bit(&self.node, to + child) {
                 if presence[seen / 8] >> (seen % 8) & 1 == 1 {
-                    self.put(child, Value::from_be_bytes(values[next]));
+                    self.put(level, child, Value::from_be_bytes(values[next]));
                     next += stride;
                 }
                 seen += 1;
@@ -348,7 +493,12 @@ impl EigTree {
     /// and tied majorities resolve to [`DEFAULT_VALUE`].
     pub fn resolve(&self) -> Value {
         let (n, f) = (self.n, self.f);
-        let leaf = |index: usize| self.at(index).unwrap_or(DEFAULT_VALUE);
+        // Every leaf holds one value: so does every majority above them.
+        if let Some(value) = self.agreed(f + 1, None) {
+            return value;
+        }
+        let leaves = self.level_start[f];
+        let leaf = |index: usize| self.at(f + 1, index - leaves).unwrap_or(DEFAULT_VALUE);
         if f == 0 {
             return leaf(0);
         }
@@ -618,17 +768,12 @@ pub(crate) mod reference {
         /// or, if there are two or more and no two differ, the flag on the
         /// level byte and the first value alone.
         /// Mirrors every relayed node like [`EigTree::relay`](super::EigTree::relay).
-        pub(crate) fn relay_payload(
-            &mut self,
-            level: usize,
-            me: u16,
-            n: usize,
-            f: usize,
-            source: u16,
-        ) -> Vec<u8> {
-            let mut children: Vec<Path> = all_nodes(n, f, source)
-                .into_iter()
+        /// `nodes` is every path of the tree ([`all_nodes`]).
+        pub(crate) fn relay_payload(&mut self, level: usize, me: u16, nodes: &[Path]) -> Vec<u8> {
+            let mut children: Vec<Path> = nodes
+                .iter()
                 .filter(|p| p.len() == level + 1 && p[level] == me)
+                .cloned()
                 .collect();
             children.sort();
             let mut presence = vec![0u8; children.len().div_ceil(8)];

@@ -164,53 +164,54 @@ mod tests {
     /// [`EigTree::absorb`] the long way round — field by field through a
     /// [`Reader`], a uniform payload's one value copied out to every node
     /// it tells, the receiving nodes listed from `nodes` (every path of
-    /// the tree) and written by path: the oracle of the decode property
-    /// test.
-    fn absorb_reference(
-        tree: &mut EigTree,
+    /// the tree): the writes, by path, that the payload asks for, none if
+    /// it is refused. The oracle of the decode property tests.
+    fn decode_reference(
         nodes: &[Vec<u16>],
         level: usize,
         sender: usize,
         payload: &[u8],
-    ) {
+    ) -> Vec<(Vec<u16>, Value)> {
         let mut children: Vec<&Vec<u16>> = nodes
             .iter()
             .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
             .collect();
         children.sort();
         let mut r = Reader::new(payload);
-        let Some(tag) = r.get_u8() else { return };
+        let Some(tag) = r.get_u8() else { return vec![] };
         let uniform = tag >= 0x80;
         if usize::from(tag % 0x80) != level {
-            return;
+            return vec![];
         }
         let mut present = Vec::new();
         for _ in 0..children.len().div_ceil(8) {
-            let Some(byte) = r.get_u8() else { return };
+            let Some(byte) = r.get_u8() else {
+                return vec![];
+            };
             present.extend((0..8).map(|i| byte >> i & 1 == 1));
         }
         if present[children.len()..].contains(&true) {
-            return;
+            return vec![];
         }
         let told = present.iter().filter(|&&p| p).count();
         if uniform && told < 2 {
-            return;
+            return vec![];
         }
         let mut values = Vec::new();
         for _ in 0..if uniform { 1 } else { told } {
-            let Some(value) = r.get_u64() else { return };
+            let Some(value) = r.get_u64() else {
+                return vec![];
+            };
             values.push(value);
         }
         if !r.is_exhausted() {
-            return;
+            return vec![];
         }
         if uniform {
             values = vec![values[0]; told];
         }
-        let mut values = values.into_iter();
-        for (path, _) in children.into_iter().zip(present).filter(|&(_, p)| p) {
-            tree.store(path, values.next().expect("one value per set bit"));
-        }
+        let told = children.into_iter().zip(present).filter(|&(_, p)| p);
+        told.map(|(path, _)| path.clone()).zip(values).collect()
     }
 
     /// The level payload telling `values` of consecutive slots.
@@ -286,11 +287,186 @@ mod tests {
         } else {
             (source + rng.gen_range(1..n)) % n
         };
-        let slots = nodes
+        (level, sender, column_len(nodes, level, sender))
+    }
+
+    /// How many level-`level` paths of `nodes` end in `sender`.
+    fn column_len(nodes: &[Vec<u16>], level: usize, sender: usize) -> usize {
+        nodes
             .iter()
             .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
-            .count();
-        (level, sender, slots)
+            .count()
+    }
+
+    /// Paths that name no node of an `(n, f, source)` tree.
+    fn not_nodes(n: usize, f: usize, source: u16) -> [Vec<u16>; 5] {
+        [
+            vec![],
+            vec![source, source],
+            vec![(source + 1) % n as u16],
+            vec![source, n as u16],
+            (0..f as u16 + 2).map(|i| (source + i) % n as u16).collect(),
+        ]
+    }
+
+    /// One write into a tree, as the column oracle and the reset test
+    /// replay it: a payload `(level, sender, bytes)`, a store, a relay
+    /// `(level, me)`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Absorb(usize, usize, Vec<u8>),
+        Store(Vec<u16>, Value),
+        Relay(usize, u16),
+    }
+
+    /// A payload for the `slots` nodes of one column: the whole column
+    /// told `common`, as an honest relayer tells it, half the time; else
+    /// the whole column told another value, part of it told, two values,
+    /// nothing, a damaged copy, or noise.
+    fn column_payload(level: usize, slots: usize, common: Value, rng: &mut StdRng) -> Vec<u8> {
+        let other = common ^ 1;
+        let whole = |value| payload(level, &vec![Some(value); slots]);
+        // Each node told with probability `p`, one of `values`.
+        let part = |rng: &mut StdRng, p: f64, values: [Value; 2]| {
+            let told: Vec<_> = (0..slots)
+                .map(|_| rng.gen_bool(p).then(|| values[rng.gen_range(0..2usize)]))
+                .collect();
+            payload(level, &told)
+        };
+        match rng.gen_range(0..10) {
+            0..=4 => whole(common),
+            5 => whole(other),
+            6 => part(rng, 0.7, [common; 2]),
+            7 => part(rng, 0.8, [common, other]),
+            8 => payload(level, &vec![None; slots]),
+            _ if rng.gen() => (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect(),
+            _ => {
+                let mut bytes = whole(common);
+                let i = rng.gen_range(0..bytes.len());
+                match rng.gen_range(0..3) {
+                    0 => bytes[i] ^= 1 << rng.gen_range(0..8u8),
+                    1 => bytes.truncate(i),
+                    _ => bytes.extend([0; 8]),
+                }
+                bytes
+            }
+        }
+    }
+
+    /// Forty-odd random writes into a tree over `nodes`: rounds (one
+    /// level's payload from every sender, most of them the whole column
+    /// told one value, as an honest run delivers them, or one of two
+    /// values, as honest relays of an equivocating source do), single
+    /// payloads — now and then the same sender's again — stores, and
+    /// relays by any processor.
+    fn random_script(nodes: &[Vec<u16>], n: usize, f: usize, rng: &mut StdRng) -> Vec<Step> {
+        let source = usize::from(nodes[0][0]);
+        // Small, so `DEFAULT_VALUE` is told as often as not.
+        let common = rng.gen_range(0..3);
+        let mut script = Vec::new();
+        let mut last = (1, source);
+        while script.len() < 40 {
+            let level = rng.gen_range(1..=f + 1);
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    // Half the rounds follow a source that told two
+                    // values: each column says one, not every column the
+                    // same. Half lose or damage no part.
+                    let split = rng.gen_bool(0.5);
+                    let noise = if rng.gen() { 0.0 } else { 0.3 };
+                    for sender in (0..n).filter(|&q| (level == 1) == (q == source)) {
+                        let slots = column_len(nodes, level, sender);
+                        let value = common ^ u64::from(split && rng.gen());
+                        let bytes = if !rng.gen_bool(noise) {
+                            payload(level, &vec![Some(value); slots])
+                        } else if rng.gen() {
+                            continue;
+                        } else {
+                            column_payload(level, slots, common, rng)
+                        };
+                        script.push(Step::Absorb(level, sender, bytes));
+                    }
+                }
+                2 | 3 => {
+                    let (level, sender) = if rng.gen_bool(0.3) {
+                        last
+                    } else if rng.gen_bool(0.9) {
+                        let (level, sender, _) = random_part(nodes, n, rng);
+                        (level, sender)
+                    } else {
+                        (level, rng.gen_range(0..=n))
+                    };
+                    let slots = column_len(nodes, level, sender);
+                    let bytes = column_payload(level, slots, common, rng);
+                    script.push(Step::Absorb(level, sender, bytes));
+                    last = (level, sender);
+                }
+                4 => {
+                    let path = nodes[rng.gen_range(0..nodes.len())].clone();
+                    script.push(Step::Store(path, common ^ rng.gen_range(0..2u64)));
+                }
+                _ => script.push(Step::Relay(
+                    rng.gen_range(1..=f),
+                    rng.gen_range(0..n as u16),
+                )),
+            }
+        }
+        script
+    }
+
+    /// Takes `step` into `tree`; returns what a relay sent.
+    fn apply(tree: &mut EigTree, step: &Step) -> Vec<u8> {
+        match step {
+            Step::Absorb(level, sender, bytes) => tree.absorb(*level, *sender, bytes),
+            Step::Store(path, value) => tree.store(path, *value),
+            Step::Relay(level, me) => return tree.relay(*level, *me),
+        }
+        vec![]
+    }
+
+    /// [`apply`] for the reference tree over `nodes`.
+    fn apply_reference(tree: &mut RefTree, nodes: &[Vec<u16>], step: &Step) -> Vec<u8> {
+        match step {
+            Step::Absorb(level, sender, bytes) => {
+                for (path, value) in decode_reference(nodes, *level, *sender, bytes) {
+                    tree.store(path, value);
+                }
+            }
+            Step::Store(path, value) if nodes.contains(path) => tree.store(path.clone(), *value),
+            Step::Store(..) => {}
+            Step::Relay(level, me) => return tree.relay_payload(*level, *me, nodes),
+        }
+        vec![]
+    }
+
+    /// Everything a tree answers: its node count, the value at each of
+    /// `paths`, its decision, and the payload of every relay it could
+    /// make next, level by level, processor by processor.
+    type Seen = (usize, Vec<Option<Value>>, Value, Vec<Vec<u8>>);
+
+    fn seen(tree: &EigTree, paths: &[Vec<u16>], n: usize, f: usize) -> Seen {
+        let relays = (1..=f)
+            .flat_map(|level| (0..n as u16).map(move |me| tree.clone().relay(level, me)))
+            .collect();
+        let values = paths.iter().map(|p| tree.get(p)).collect();
+        (tree.len(), values, tree.resolve(), relays)
+    }
+
+    /// [`seen`] for the reference tree over `nodes`.
+    fn seen_reference(
+        tree: &RefTree,
+        nodes: &[Vec<u16>],
+        paths: &[Vec<u16>],
+        n: usize,
+        f: usize,
+    ) -> Seen {
+        let relays = (1..=f)
+            .flat_map(|level| {
+                (0..n as u16).map(move |me| tree.clone().relay_payload(level, me, nodes))
+            })
+            .collect();
+        let values = paths.iter().map(|p| tree.get(p)).collect();
+        (tree.len(), values, tree.resolve(&nodes[0], n, f), relays)
     }
 
     proptest! {
@@ -325,13 +501,7 @@ mod tests {
                 }
             }
 
-            let not_nodes: [Vec<u16>; 5] = [
-                vec![],
-                vec![source, source],
-                vec![(source + 1) % n as u16],
-                vec![source, n as u16],
-                (0..f as u16 + 2).map(|i| (source + i) % n as u16).collect(),
-            ];
+            let not_nodes = not_nodes(n, f, source);
             let same_nodes = |flat: &EigTree, reference: &RefTree| {
                 flat.len() == reference.len()
                     && nodes.iter().chain(&not_nodes).all(|p| flat.get(p) == reference.get(p))
@@ -346,7 +516,7 @@ mod tests {
                     let relay = ours.relay(level, me);
                     prop_assert_eq!(
                         &relay,
-                        &theirs.relay_payload(level, me, n, f, source),
+                        &theirs.relay_payload(level, me, &nodes),
                         "me={} level={}", me, level
                     );
                     prop_assert!(same_nodes(&ours, &theirs), "mirrored nodes, me={}", me);
@@ -458,7 +628,9 @@ mod tests {
             for (what, bytes) in &mutants {
                 let (mut ours, mut oracle) = (base.clone(), base.clone());
                 ours.absorb(level, sender, bytes);
-                absorb_reference(&mut oracle, &nodes, level, sender, bytes);
+                for (path, value) in decode_reference(&nodes, level, sender, bytes) {
+                    oracle.store(&path, value);
+                }
                 prop_assert_eq!(ours.len(), oracle.len(), "{}", what);
                 for path in &nodes {
                     prop_assert_eq!(ours.get(path), oracle.get(path), "{} at {:?}", what, path);
@@ -576,6 +748,63 @@ mod tests {
                     .filter(|&(i, p)| bytes[1 + i / 8] >> (i % 8) & 1 == 1 && before.get(p).is_none())
                     .count();
                 prop_assert_eq!(after.len(), before.len() + written);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The column summary against the `HashMap` tree, write by write:
+        /// whole columns told one value (the `One` state, and every fast
+        /// path built on it), columns told in part, in two values or
+        /// damaged (the table), second payloads from one sender, stores
+        /// and relays. After every write both trees hold the same nodes,
+        /// resolve alike and would relay the same bytes.
+        #[test]
+        fn columns_match_the_reference_write_by_write(n in 4usize..=13, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let f = rng.gen_range(1..=(n - 1) / 3);
+            let source = rng.gen_range(0..n as u16);
+            let nodes = all_nodes(n, f, source);
+            let paths = [&nodes[..], &not_nodes(n, f, source)].concat();
+            let mut flat = EigTree::new(n, f, source);
+            let mut reference = RefTree::default();
+            for step in random_script(&nodes, n, f, &mut rng) {
+                let sent = apply(&mut flat, &step);
+                prop_assert_eq!(sent, apply_reference(&mut reference, &nodes, &step), "{:?}", step);
+                prop_assert_eq!(
+                    seen(&flat, &paths, n, f),
+                    seen_reference(&reference, &nodes, &paths, n, f),
+                    "after {:?}", step
+                );
+            }
+        }
+
+        /// `reset` forgets everything. After any script — garbage, relays,
+        /// stores and table columns included — a reset tree takes a second
+        /// script exactly as a new tree does.
+        #[test]
+        fn a_reset_tree_is_a_new_tree(n in 4usize..=13, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let f = rng.gen_range(1..=(n - 1) / 3);
+            let source = rng.gen_range(0..n as u16);
+            let nodes = all_nodes(n, f, source);
+            let paths = [&nodes[..], &not_nodes(n, f, source)].concat();
+            let mut used = EigTree::new(n, f, source);
+            for step in random_script(&nodes, n, f, &mut rng) {
+                apply(&mut used, &step);
+            }
+            used.reset();
+            let mut fresh = EigTree::new(n, f, source);
+            prop_assert_eq!(seen(&used, &paths, n, f), seen(&fresh, &paths, n, f));
+            for step in random_script(&nodes, n, f, &mut rng) {
+                prop_assert_eq!(apply(&mut used, &step), apply(&mut fresh, &step), "{:?}", step);
+                prop_assert_eq!(
+                    seen(&used, &paths, n, f),
+                    seen(&fresh, &paths, n, f),
+                    "after {:?}", step
+                );
             }
         }
     }

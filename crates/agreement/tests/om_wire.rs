@@ -110,31 +110,43 @@ fn om_traffic_totals_are_pinned() {
 /// sends each of its `n - 1` destinations is plain, `8·K` where it was 8.
 /// With every source at it every part is — the cost of every run before
 /// the uniform form.
+fn derived(n: u64, f: u64, liars: u64) -> ExecStats {
+    let mut per_destination = 4 + 10;
+    let mut spelled_out = 0;
+    let mut slots = 1;
+    for t in 1..=f {
+        if t >= 2 {
+            slots *= n - t;
+        }
+        per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8);
+        spelled_out += (n - 1) * (n - 1) * 8 * (slots - 1);
+    }
+    stats(
+        n * (n - 1) * (f + 1),
+        n * (n - 1) * per_destination + liars * spelled_out,
+        // The announcement, `f` relays, and the step that resolves.
+        f + 2,
+    )
+}
+
 #[test]
 fn om_traffic_totals_follow_from_the_format() {
     for (n, f, pinned) in PINNED {
-        let liars = [0, 1, n as u64];
-        let (n, f) = (n as u64, f as u64);
-        let mut per_destination = 4 + 10;
-        let mut spelled_out = 0;
-        let mut slots = 1;
-        for t in 1..=f {
-            if t >= 2 {
-                slots *= n - t;
-            }
-            per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8);
-            spelled_out += (n - 1) * (n - 1) * 8 * (slots - 1);
-        }
-        for (liars, pinned) in liars.into_iter().zip(pinned) {
-            let derived = stats(
-                n * (n - 1) * (f + 1),
-                n * (n - 1) * per_destination + liars * spelled_out,
-                // The announcement, `f` relays, and the step that resolves.
-                f + 2,
-            );
-            assert_eq!(derived, pinned, "n={n} f={f} liars={liars}");
+        for (liars, pinned) in [0, 1, n].into_iter().zip(pinned) {
+            let (n, f, liars) = (n as u64, f as u64, liars as u64);
+            assert_eq!(derived(n, f, liars), pinned, "n={n} f={f} liars={liars}");
         }
     }
+}
+
+/// The slot scans at scale. With every source equivocating, no column of
+/// level 3 or 4 of any tree is told one value, so in all 13 × 13 trees of
+/// 2380 slots the relays of levels 2 and 3, the absorbs of levels 3 and 4
+/// and the resolve scan the table. Honest runs never do; tier1 times this
+/// one under a timeout.
+#[test]
+fn thirteen_sources_equivocating_take_the_table_everywhere() {
+    assert_eq!(run(13, 3, 13).0, derived(13, 3, 13));
 }
 
 #[test]
