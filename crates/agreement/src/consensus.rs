@@ -8,14 +8,39 @@
 //! order to ensure that all agents agree on the set of commitments" (§3.3)
 //! — each agent broadcasts its commitment digest, everyone agrees on the
 //! whole vector.
+//!
+//! # Frame
+//!
+//! A consensus round sends one frame, the same to every other processor
+//! (the [broadcast contract](crate::traits#the-broadcast-contract)): a part
+//! for each instance that speaks this round, in ascending instance order,
+//!
+//! ```text
+//! frame  part*
+//! part   u16 instance · u16 length · the instance's payload
+//! ```
+//!
+//! big-endian. The step writes a part's header with the length left open,
+//! the instance appends its payload behind it, and the length is patched
+//! ([`put_section`]): the frame is written once, in the caller's buffer,
+//! behind whatever header the caller has put there. An instance that
+//! appends nothing has no part, and a round in which no instance speaks
+//! has no frame, so nothing is sent.
+//!
+//! On receipt, one pass over the inbox reads every part header. A part
+//! naming an instance `≥ n` is dropped; a header or length that runs past
+//! the end of its message ends that message, and the parts before it
+//! stand. Every instance is then stepped on its own parts, in message
+//! order, then part order within a message — all of them: two parts from
+//! one sender for one instance both arrive, and it is the instance's
+//! accept rule, not the demux, that judges a Byzantine sender's bytes.
 
-use bytes::Bytes;
 use ga_crypto::mac::Authenticator;
 
 use crate::dolev_strong::DolevStrongBroadcast;
 use crate::om::{full_relay_len, OmBroadcast};
-use crate::traits::{BaInstance, Send};
-use crate::wire::{same_buffer, Reader, Writer, FRAME_LIMIT};
+use crate::traits::BaInstance;
+use crate::wire::{put_section, Reader, FRAME_LIMIT};
 use crate::{Value, DEFAULT_VALUE};
 
 /// Majority consensus over `n` parallel per-source broadcasts.
@@ -74,46 +99,19 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
         self.decided = None;
     }
 
-    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
-        // Demultiplex: each wire message is a sequence of
-        // (instance u16, inner payload) parts.
-        let mut per_instance: Vec<Vec<(usize, &[u8])>> = vec![Vec::new(); self.n];
-        for &(sender, payload) in inbox {
-            let mut r = Reader::new(payload);
-            while !r.is_exhausted() {
-                let Some(idx) = r.get_u16() else { break };
-                let Some(inner) = r.get_bytes() else { break };
-                if let Some(bucket) = per_instance.get_mut(idx as usize) {
-                    bucket.push((sender, inner));
-                }
-            }
-        }
-
-        // Step every instance, capturing sends; then re-multiplex per
-        // destination into a single wire message.
-        let mut outgoing: Vec<Vec<(u16, Bytes)>> = vec![Vec::new(); self.n];
+    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
+        let parts = demux(self.n, inbox);
+        let mail: Vec<(usize, &[u8])> = parts.iter().map(|&(_, part)| part).collect();
+        let mut from = 0;
         for (idx, inst) in self.instances.iter_mut().enumerate() {
-            let mut capture = |to: usize, payload: Bytes| {
-                if let Some(bucket) = outgoing.get_mut(to) {
-                    bucket.push((idx as u16, payload));
-                }
-            };
-            inst.step(rel_round, &per_instance[idx], &mut capture);
-        }
-        // A broadcast round hands every destination clones of the same
-        // parts; such destinations share one wire buffer. Parts that are
-        // not the very same buffers get a buffer of their own.
-        let mut last: Option<(&[(u16, Bytes)], Bytes)> = None;
-        for (to, parts) in outgoing.iter().enumerate() {
-            if parts.is_empty() {
-                continue;
-            }
-            let wire = match &last {
-                Some((prev, wire)) if same_parts(prev, parts) => wire.clone(),
-                _ => mux(parts),
-            };
-            send(to, wire.clone());
-            last = Some((parts, wire));
+            let mine = parts[from..]
+                .iter()
+                .take_while(|&&(i, _)| usize::from(i) == idx);
+            let to = from + mine.count();
+            put_section(out, &(idx as u16).to_be_bytes(), |out| {
+                inst.step(rel_round, &mail[from..to], out);
+            });
+            from = to;
         }
 
         if rel_round == self.rounds() - 1 {
@@ -135,24 +133,27 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
     }
 }
 
-/// Encodes `parts` as one wire message: `(instance u16, inner payload)*`.
-fn mux(parts: &[(u16, Bytes)]) -> Bytes {
-    let len = parts.iter().map(|(_, inner)| 4 + inner.len()).sum();
-    let mut w = Writer::with_capacity(len);
-    for (idx, inner) in parts {
-        w.put_u16(*idx);
-        w.put_bytes(inner);
+/// Every part of `inbox` addressed to one of `n` instances, as
+/// `(instance, (sender, payload))`, grouped by instance in ascending order
+/// and, within an instance, in message order then part order (see the
+/// module docs' frame).
+fn demux<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<(u16, (usize, &'a [u8]))> {
+    // Room for an honest round: a frame from each other processor, a part
+    // per instance in each. A flood of messages grows the list, not this.
+    let mut parts = Vec::with_capacity(inbox.len().min(n) * n);
+    for &(sender, message) in inbox {
+        let mut r = Reader::new(message);
+        while !r.is_exhausted() {
+            let Some(idx) = r.get_u16() else { break };
+            let Some(payload) = r.get_bytes() else { break };
+            if usize::from(idx) < n {
+                parts.push((idx, (sender, payload)));
+            }
+        }
     }
-    w.finish().into()
-}
-
-/// Whether two destinations were sent the very same buffers by the same
-/// instances, in the same order.
-fn same_parts(a: &[(u16, Bytes)], b: &[(u16, Bytes)]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|((ia, pa), (ib, pb))| ia == ib && same_buffer(pa, pb))
+    // Stable: one instance's parts keep their arrival order.
+    parts.sort_by_key(|&(idx, _)| idx);
+    parts
 }
 
 /// Strict-majority vote over `values` with population size `n`; falls back
@@ -226,7 +227,152 @@ mod tests {
     use super::*;
     use crate::eig::LevelPayload;
     use crate::executor::{no_tamper as honest, run_pure, Tamper};
+    use crate::wire::Writer;
     use ga_crypto::mac::KeyRing;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The demultiplexer the one-pass [`demux`] replaced, kept as its
+    /// oracle: one bucket per instance, filled message by message, part by
+    /// part.
+    fn per_instance<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<Vec<(usize, &'a [u8])>> {
+        let mut buckets = vec![Vec::new(); n];
+        for &(sender, payload) in inbox {
+            let mut r = Reader::new(payload);
+            while !r.is_exhausted() {
+                let Some(idx) = r.get_u16() else { break };
+                let Some(inner) = r.get_bytes() else { break };
+                if let Some(bucket) = buckets.get_mut(idx as usize) {
+                    bucket.push((sender, inner));
+                }
+            }
+        }
+        buckets
+    }
+
+    /// The multiplexer the in-place frame replaced, kept as its oracle:
+    /// `(instance u16, length u16, payload)` for each of `parts`, in order.
+    fn mux(parts: &[(u16, Vec<u8>)]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let mut w = Writer::new(&mut frame);
+        for (idx, payload) in parts {
+            w.put_u16(*idx).put_bytes(payload);
+        }
+        frame
+    }
+
+    /// What [`demux`] hands each of `n` instances, bucket by bucket.
+    fn demuxed<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<Vec<(usize, &'a [u8])>> {
+        let mut buckets = vec![Vec::new(); n];
+        for (idx, part) in demux(n, inbox) {
+            buckets[usize::from(idx)].push(part);
+        }
+        buckets
+    }
+
+    /// Appends a fixed payload every round, whatever it hears; or nothing,
+    /// if the payload is empty.
+    struct Fixed(Vec<u8>);
+
+    impl BaInstance for Fixed {
+        fn begin(&mut self, _: Value) {}
+        fn step(&mut self, _: u64, _: &[(usize, &[u8])], out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+        fn rounds(&self) -> u64 {
+            1
+        }
+        fn decided(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    /// The frame `c` appends at round `rel` on an empty inbox.
+    fn frame<B: BaInstance>(c: &mut VectorConsensus<B>, rel: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.step(rel, &[], &mut out);
+        out
+    }
+
+    /// A random inbox of up to `messages` messages for `n` instances, each
+    /// a run of parts — indices in and past range, in and out of order,
+    /// repeated; payloads empty, short or long — then, now and then, a
+    /// damaged tail: a header cut short, a length past the end, or stray
+    /// bytes. Some messages are empty.
+    fn random_inbox(n: usize, messages: usize, rng: &mut StdRng) -> Vec<(usize, Vec<u8>)> {
+        (0..rng.gen_range(0..=messages))
+            .map(|_| {
+                let sender = rng.gen_range(0..n + 2);
+                let mut message = Vec::new();
+                let mut w = Writer::new(&mut message);
+                for _ in 0..rng.gen_range(0..=2 * n) {
+                    let idx = if rng.gen_bool(0.9) {
+                        rng.gen_range(0..n as u16)
+                    } else {
+                        rng.gen_range(n as u16..=u16::MAX)
+                    };
+                    let len = [0, 1, rng.gen_range(0..40)][rng.gen_range(0..3usize)];
+                    let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    w.put_u16(idx).put_bytes(&payload);
+                }
+                match rng.gen_range(0..6) {
+                    0 => message.push(rng.gen()),
+                    1 => message.extend([0, 1, 0]),
+                    2 => message.extend([0, 0, 0, 9, 1, 2]),
+                    3 if !message.is_empty() => {
+                        let cut = rng.gen_range(0..message.len());
+                        message.truncate(cut);
+                    }
+                    _ => {}
+                }
+                (sender, message)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass demux against the bucket demux on arbitrary
+        /// inboxes: every instance gets the same `(sender, part)`
+        /// sequence — message order, then part order — repeated indices,
+        /// out-of-range indices, damaged headers, trailing bytes and empty
+        /// messages included.
+        #[test]
+        fn demux_gives_every_instance_what_the_buckets_give(
+            n in 1usize..=13,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inbox = random_inbox(n, 3 * n, &mut rng);
+            let inbox: Vec<(usize, &[u8])> = inbox.iter().map(|(s, m)| (*s, &m[..])).collect();
+            prop_assert_eq!(demuxed(n, &inbox), per_instance(n, &inbox));
+        }
+
+        /// A round's frame is the reference mux of what its instances
+        /// appended, byte for byte — an instance that appended nothing has
+        /// no part — and lands behind whatever the buffer already held.
+        #[test]
+        fn a_round_frame_is_the_mux_of_its_parts(n in 1usize..=13, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let payloads: Vec<Vec<u8>> = (0..n)
+                .map(|_| {
+                    let len = [0, rng.gen_range(1..20), rng.gen_range(0..300)][rng.gen_range(0..3usize)];
+                    (0..len).map(|_| rng.gen()).collect()
+                })
+                .collect();
+            let parts: Vec<(u16, Vec<u8>)> = (0..n as u16)
+                .zip(payloads.iter().cloned())
+                .filter(|(_, p)| !p.is_empty())
+                .collect();
+            let instances = payloads.into_iter().map(Fixed).collect();
+            let mut c = VectorConsensus::from_instances(0, instances);
+            let mut out = vec![0xA1, 0, 0];
+            c.step(0, &[], &mut out);
+            prop_assert_eq!(&out[..3], &[0xA1, 0, 0]);
+            prop_assert_eq!(&out[3..], &mux(&parts)[..]);
+        }
+    }
 
     #[test]
     fn om_consensus_all_honest_majority_wins() {
@@ -287,26 +433,24 @@ mod tests {
     #[test]
     fn vector_is_exposed_for_interactive_consistency() {
         let n = 4;
-        let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, 1)).collect();
-        let mut instances = instances;
+        let mut instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, 1)).collect();
         // Run manually to inspect the vector at the end.
         for (i, inst) in instances.iter_mut().enumerate() {
             inst.begin([10, 20, 30, 40][i]);
         }
         let rounds = instances[0].rounds();
-        let mut pending: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n];
+        let mut pending: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); n];
         for round in 0..rounds {
             let inboxes = std::mem::replace(&mut pending, vec![Vec::new(); n]);
             for (i, inst) in instances.iter_mut().enumerate() {
                 let inbox: Vec<(usize, &[u8])> =
                     inboxes[i].iter().map(|(s, p)| (*s, p.as_slice())).collect();
-                let mut outgoing = Vec::new();
-                {
-                    let mut send = |to: usize, p: Bytes| outgoing.push((to, p));
-                    inst.step(round, &inbox, &mut send);
-                }
-                for (to, p) in outgoing {
-                    pending[to].push((i, p));
+                let mut out = Vec::new();
+                inst.step(round, &inbox, &mut out);
+                for (to, mailbox) in pending.iter_mut().enumerate() {
+                    if to != i && !out.is_empty() {
+                        mailbox.push((i, out.clone()));
+                    }
                 }
             }
         }
@@ -321,146 +465,55 @@ mod tests {
         }
     }
 
-    /// Steps processor 0's consensus through round `rel` with an empty
-    /// inbox and returns what it sent.
-    fn sends<B: BaInstance>(c: &mut VectorConsensus<B>, rel: u64) -> Vec<(usize, Bytes)> {
-        let mut sent = Vec::new();
-        c.step(rel, &[], &mut |to, p| sent.push((to, p)));
-        sent
-    }
-
     #[test]
     fn broadcast_round_shares_one_wire_buffer() {
+        // Processor 0's consensus on an empty inbox: round 0 is its own
+        // announcement; round 1 relays, with nothing heard, an empty level
+        // of each of the three other sources' trees. Each round is one
+        // frame, the reference mux of what the instances appended.
         let mut c = OmConsensus::new(0, 4, 1);
         c.begin(9);
-        for rel in 0..2 {
-            let sent = sends(&mut c, rel);
-            assert_eq!(
-                sent.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
-                [1, 2, 3]
-            );
-            assert!(
-                sent.iter().all(|(_, p)| same_buffer(p, &sent[0].1)),
-                "round {rel}: one frame for all destinations"
-            );
-            // The announcement frame (4 + 10 bytes) fits inline, where
-            // clones are equal copies; the relay frame — three parts, none
-            // for the processor's own broadcast — is past the inline cap,
-            // where "same" can only mean the very same allocation.
-            if rel == 0 {
-                assert_eq!(sent[0].1.len(), 4 + 10);
-                continue;
+        let parts = |c: &OmConsensus, rel: u64| -> Vec<(u16, Vec<u8>)> {
+            let mut parts = Vec::new();
+            for (idx, inst) in c.instances.iter().enumerate() {
+                let mut payload = Vec::new();
+                inst.clone().step(rel, &[], &mut payload);
+                if !payload.is_empty() {
+                    parts.push((idx as u16, payload));
+                }
             }
-            assert_eq!(sent[0].1.len(), 3 * (4 + 2));
-            assert!(sent[0].1.len() > bytes::INLINE_CAP);
-            assert!(sent.iter().all(|(_, p)| p.as_ptr() == sent[0].1.as_ptr()));
+            parts
+        };
+        for (rel, len) in [(0, 4 + 10), (1, 3 * (4 + 2))] {
+            let expected = mux(&parts(&c, rel));
+            let frame = frame(&mut c, rel);
+            assert_eq!(frame.len(), len, "round {rel}");
+            assert_eq!(frame, expected, "round {rel}");
         }
+        assert!(
+            frame(&mut c, 2).is_empty(),
+            "the resolve round sends nothing"
+        );
     }
 
     #[test]
     fn an_empty_or_short_part_does_not_split_a_broadcast_frame() {
-        /// Broadcasts clones of one payload to processors 1..4.
-        struct Fixed(Bytes);
-        impl BaInstance for Fixed {
-            fn begin(&mut self, _: Value) {}
-            fn step(&mut self, _: u64, _: &[(usize, &[u8])], send: &mut Send<'_>) {
-                crate::traits::broadcast_others(4, 0, self.0.clone(), send);
-            }
-            fn rounds(&self) -> u64 {
-                1
-            }
-            fn decided(&self) -> Option<Value> {
-                None
-            }
-        }
-        // Clones of an empty or short part are inline copies at different
-        // addresses; they must still count as the same part, or the whole
-        // frame is rebuilt for every destination. (Every OM relay of
-        // round 1 is such a part: 10 bytes.)
+        // Whatever the parts' lengths, one frame; a part with nothing in it
+        // is no part, and a round with no part is no frame.
         let parts = [
-            Bytes::from(vec![1u8; 20]),
-            Bytes::new(),
-            Bytes::from(vec![2u8, 3]),
-            Bytes::from(vec![4u8; bytes::INLINE_CAP + 1]),
+            vec![1u8; 20],
+            vec![],
+            vec![2u8, 3],
+            vec![4u8; bytes::INLINE_CAP + 1],
         ];
         let instances = parts.iter().cloned().map(Fixed).collect();
         let mut c = VectorConsensus::from_instances(0, instances);
-        let sent = sends(&mut c, 0);
-        assert_eq!(sent.len(), 3);
-        assert_eq!(
-            sent[0].1,
-            mux(&[0u16, 1, 2, 3].map(|i| (i, parts[i as usize].clone())))
-        );
-        assert!(sent[0].1.len() > bytes::INLINE_CAP);
-        assert!(
-            sent.iter().all(|(_, p)| p.as_ptr() == sent[0].1.as_ptr()),
-            "one frame, shared by all three destinations"
-        );
-    }
-
-    #[test]
-    fn per_destination_content_is_never_merged() {
-        /// Sends each destination `len` copies of its own byte (`split`)
-        /// or of the same byte (`!split`), always from a fresh buffer.
-        struct PerDestination {
-            split: bool,
-            len: usize,
-        }
-        impl PerDestination {
-            fn byte(&self, to: usize) -> u8 {
-                if self.split {
-                    to as u8
-                } else {
-                    7
-                }
-            }
-        }
-        impl BaInstance for PerDestination {
-            fn begin(&mut self, _: Value) {}
-            fn step(&mut self, _: u64, _: &[(usize, &[u8])], send: &mut Send<'_>) {
-                for to in 1..4usize {
-                    send(to, vec![self.byte(to); self.len].into());
-                }
-            }
-            fn rounds(&self) -> u64 {
-                1
-            }
-            fn decided(&self) -> Option<Value> {
-                None
-            }
-        }
-        let long = bytes::INLINE_CAP + 1;
-        for (split, len) in [(true, 1), (true, long), (false, long), (false, 1)] {
-            let instances = (0..4).map(|_| PerDestination { split, len }).collect();
-            let mut c = VectorConsensus::from_instances(0, instances);
-            let sent = sends(&mut c, 0);
-            assert_eq!(sent.len(), 3);
-            for (to, wire) in &sent {
-                // Four parts `(idx, [byte; len])`, all naming this
-                // destination.
-                let byte = c.instances[0].byte(*to);
-                let expected: Vec<u8> = (0..4u8)
-                    .flat_map(|idx| [0, idx, 0, len as u8].into_iter().chain(vec![byte; len]))
-                    .collect();
-                assert_eq!(wire, &expected, "to={to} split={split} len={len}");
-            }
-            // Different content is never merged, and neither is equal
-            // content in distinct shared buffers: past the inline cap the
-            // dedupe goes by buffer identity alone. Equal *inline* parts
-            // have no identity to go by — they compare by content, and
-            // three destinations owed the same bytes get one frame.
-            let merged = !split && len <= bytes::INLINE_CAP;
-            assert_eq!(
-                same_buffer(&sent[0].1, &sent[1].1),
-                merged,
-                "split={split} len={len}"
-            );
-            assert_eq!(
-                same_buffer(&sent[1].1, &sent[2].1),
-                merged,
-                "split={split} len={len}"
-            );
-        }
+        let told: Vec<(u16, Vec<u8>)> = [0u16, 2, 3]
+            .map(|i| (i, parts[usize::from(i)].clone()))
+            .to_vec();
+        assert_eq!(frame(&mut c, 0), mux(&told));
+        let silent = (0..4).map(|_| Fixed(vec![])).collect();
+        assert!(frame(&mut VectorConsensus::from_instances(0, silent), 0).is_empty());
     }
 
     /// The longest frame of one consensus on equal inputs under `tamper`.
@@ -487,9 +540,11 @@ mod tests {
         for (n, f) in [(4, 1), (7, 2), (10, 3)] {
             let equivocate = |from: usize, round: u64, to: usize, _: &[u8]| {
                 (round == 0).then(|| {
-                    let mut lie = LevelPayload::new(1, 1);
-                    lie.push(Some((100 * from + to) as Value));
-                    mux(&[(from as u16, lie.finish().into())]).to_vec()
+                    let mut lie = Vec::new();
+                    let mut announcement = LevelPayload::new(&mut lie, 1, 1);
+                    announcement.push(Some((100 * from + to) as Value));
+                    announcement.finish();
+                    mux(&[(from as u16, lie)])
                 })
             };
             assert_eq!(

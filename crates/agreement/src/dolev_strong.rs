@@ -12,19 +12,23 @@
 //! `t ≤ f` — relays the chain extended with its own signature. After step
 //! `f+1`, a processor decides the unique accepted value, or the default if
 //! it accepted zero or several (the source equivocated).
+//!
+//! A round's payload is the chains the processor sends that round, each
+//! self-delimiting, back to back: one chain, except when a source that
+//! equivocated has this processor accept — and so relay — two values in
+//! one round.
 
 use std::collections::BTreeSet;
 
 use ga_crypto::mac::{Authenticator, SignatureChain, Tag};
 
-use crate::traits::{broadcast_others, BaInstance, Send};
+use crate::traits::BaInstance;
 use crate::wire::{Reader, Writer};
 use crate::{Value, DEFAULT_VALUE};
 
 /// One authenticated broadcast instance at one processor.
 pub struct DolevStrongBroadcast {
     me: usize,
-    n: usize,
     f: usize,
     source: usize,
     auth: Authenticator,
@@ -57,7 +61,6 @@ impl DolevStrongBroadcast {
         assert_eq!(auth.id(), me, "authenticator must belong to this processor");
         DolevStrongBroadcast {
             me,
-            n,
             f,
             source,
             auth,
@@ -68,23 +71,22 @@ impl DolevStrongBroadcast {
         }
     }
 
-    fn encode_chain(chain: &SignatureChain) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// Appends `chain` to `out`: the value, the signer count, the signers
+    /// and their tags in chain order.
+    fn encode_chain(chain: &SignatureChain, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
         w.put_bytes(chain.value());
         w.put_u16(chain.len() as u16);
         for signer in chain.signers() {
             w.put_u16(signer as u16);
         }
-        // Tags, in the same order.
-        for (signer, tag) in chain_links(chain) {
-            let _ = signer;
-            w.put_bytes(&tag);
+        for (_, tag) in chain.links() {
+            w.put_bytes(tag);
         }
-        w.finish()
     }
 
-    fn decode_chain(payload: &[u8]) -> Option<SignatureChain> {
-        let mut r = Reader::new(payload);
+    /// Reads one chain off `r`.
+    fn decode_chain(r: &mut Reader<'_>) -> Option<SignatureChain> {
         let value = r.get_bytes()?.to_vec();
         let count = r.get_u16()? as usize;
         if count == 0 || count > 1024 {
@@ -96,63 +98,55 @@ impl DolevStrongBroadcast {
         }
         let mut links = Vec::with_capacity(count);
         for signer in signers {
-            let tag_bytes = r.get_bytes()?;
-            let tag: Tag = tag_bytes.try_into().ok()?;
+            let tag: Tag = r.get_bytes()?.try_into().ok()?;
             links.push((signer, tag));
         }
-        Some(rebuild_chain(value, links))
+        Some(SignatureChain::from_parts(value, links))
     }
 
     fn value_of(chain: &SignatureChain) -> Option<Value> {
         chain.value().try_into().ok().map(u64::from_be_bytes)
     }
 
-    fn accept_and_relay(&mut self, step: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
+    /// Takes every chain of every inbox payload, in order, up to the first
+    /// that does not decode.
+    fn accept_all(&mut self, step: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
         for &(_, payload) in inbox {
-            let Some(chain) = Self::decode_chain(payload) else {
-                continue;
-            };
-            // Validity conditions per Dolev–Strong.
-            if !chain.valid(&self.auth) {
-                continue;
-            }
-            let signers: Vec<usize> = chain.signers().collect();
-            if signers.first() != Some(&self.source) {
-                continue;
-            }
-            if (chain.len() as u64) < step {
-                continue; // stale chain, too few signatures for this step
-            }
-            if signers.contains(&self.me) {
-                continue;
-            }
-            let Some(value) = Self::value_of(&chain) else {
-                continue;
-            };
-            let newly = self.accepted.insert(value);
-            // Track at most two values — enough to detect equivocation.
-            if newly
-                && self.accepted.len() <= 2
-                && step <= self.f as u64
-                && self.relayed.insert(value)
-            {
-                let extended = chain.extend(&self.auth);
-                broadcast_others(self.n, self.me, Self::encode_chain(&extended), send);
+            let mut r = Reader::new(payload);
+            while !r.is_exhausted() {
+                let Some(chain) = Self::decode_chain(&mut r) else {
+                    break;
+                };
+                self.accept_and_relay(step, &chain, out);
             }
         }
     }
-}
 
-/// Reconstructs a chain from decoded parts. Lives outside the impl so the
-/// crypto crate's private fields stay private: we re-create the chain
-/// through its public constructor path by replaying the links.
-fn rebuild_chain(value: Vec<u8>, links: Vec<(usize, Tag)>) -> SignatureChain {
-    SignatureChain::from_parts(value, links)
-}
-
-/// Extracts the chain's links.
-fn chain_links(chain: &SignatureChain) -> Vec<(usize, Tag)> {
-    chain.links().to_vec()
+    fn accept_and_relay(&mut self, step: u64, chain: &SignatureChain, out: &mut Vec<u8>) {
+        // Validity conditions per Dolev–Strong.
+        if !chain.valid(&self.auth) {
+            return;
+        }
+        let signers: Vec<usize> = chain.signers().collect();
+        if signers.first() != Some(&self.source) {
+            return;
+        }
+        if (chain.len() as u64) < step {
+            return; // stale chain, too few signatures for this step
+        }
+        if signers.contains(&self.me) {
+            return;
+        }
+        let Some(value) = Self::value_of(chain) else {
+            return;
+        };
+        let newly = self.accepted.insert(value);
+        // Track at most two values — enough to detect equivocation.
+        if newly && self.accepted.len() <= 2 && step <= self.f as u64 && self.relayed.insert(value)
+        {
+            Self::encode_chain(&chain.extend(&self.auth), out);
+        }
+    }
 }
 
 impl BaInstance for DolevStrongBroadcast {
@@ -163,7 +157,7 @@ impl BaInstance for DolevStrongBroadcast {
         self.decided = None;
     }
 
-    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
+    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
         let f = self.f as u64;
         match rel_round {
             // Step 0: only the source signs and sends; everyone else stays
@@ -177,10 +171,10 @@ impl BaInstance for DolevStrongBroadcast {
                 }
                 let chain = SignatureChain::originate(&self.auth, &self.input.to_be_bytes());
                 self.accepted.insert(self.input);
-                broadcast_others(self.n, self.me, Self::encode_chain(&chain), send);
+                Self::encode_chain(&chain, out);
             }
             t if t <= f + 1 => {
-                self.accept_and_relay(t, inbox, send);
+                self.accept_all(t, inbox, out);
                 if t == f + 1 {
                     self.decided = Some(if self.accepted.len() == 1 {
                         *self.accepted.iter().next().expect("len checked")
@@ -216,6 +210,19 @@ mod tests {
         KeyRing::generate(n, 2024)
     }
 
+    /// The encoding of `chain`, on its own.
+    fn chain_bytes(chain: &SignatureChain) -> Vec<u8> {
+        let mut out = Vec::new();
+        DolevStrongBroadcast::encode_chain(chain, &mut out);
+        out
+    }
+
+    /// The chains a payload carries, up to the first that does not decode.
+    fn chains(payload: &[u8]) -> Vec<SignatureChain> {
+        let mut r = Reader::new(payload);
+        std::iter::from_fn(|| DolevStrongBroadcast::decode_chain(&mut r)).collect()
+    }
+
     #[test]
     fn broadcast_honest_source() {
         let n = 4;
@@ -245,7 +252,7 @@ mod tests {
                 if from == 0 && round == 0 {
                     let v: u64 = if to.is_multiple_of(2) { 7 } else { 8 };
                     let chain = SignatureChain::originate(&auth0, &v.to_be_bytes());
-                    Some(DolevStrongBroadcast::encode_chain(&chain))
+                    Some(chain_bytes(&chain))
                 } else {
                     None
                 }
@@ -293,16 +300,15 @@ mod tests {
         // `chain.len() < step` staleness guard is vacuous at step 0.
         let r = ring(4);
         let stale_chain = SignatureChain::originate(&r.authenticator(0), &7u64.to_be_bytes());
-        let encoded = DolevStrongBroadcast::encode_chain(&stale_chain);
+        let encoded = chain_bytes(&stale_chain);
         let mut inst = DolevStrongBroadcast::new(1, 4, 1, 0, r.authenticator(1));
         inst.begin(0);
         let inbox: Vec<(usize, &[u8])> = vec![(3, encoded.as_slice())];
-        let sent = std::cell::Cell::new(0usize);
-        let mut send = |_to: usize, _p: bytes::Bytes| sent.set(sent.get() + 1);
-        inst.step(0, &inbox, &mut send);
-        assert_eq!(sent.get(), 0, "non-source stays silent at round 0");
+        let mut out = Vec::new();
+        inst.step(0, &inbox, &mut out);
+        assert!(out.is_empty(), "non-source stays silent at round 0");
         for rel in 1..inst.rounds() {
-            inst.step(rel, &[], &mut send);
+            inst.step(rel, &[], &mut out);
         }
         assert_eq!(
             inst.decided(),
@@ -316,10 +322,49 @@ mod tests {
         let r = ring(3);
         let chain = SignatureChain::originate(&r.authenticator(0), &42u64.to_be_bytes());
         let chain = chain.extend(&r.authenticator(1));
-        let encoded = DolevStrongBroadcast::encode_chain(&chain);
-        let decoded = DolevStrongBroadcast::decode_chain(&encoded).unwrap();
-        assert!(decoded.valid(&r.authenticator(2)));
-        assert_eq!(DolevStrongBroadcast::value_of(&decoded), Some(42),);
+        let decoded = chains(&chain_bytes(&chain));
+        assert_eq!(decoded.len(), 1);
+        assert!(decoded[0].valid(&r.authenticator(2)));
+        assert_eq!(DolevStrongBroadcast::value_of(&decoded[0]), Some(42));
+    }
+
+    #[test]
+    fn two_values_accepted_in_one_round_are_relayed_in_one_payload() {
+        // The source signs two values and sends both chains, back to back,
+        // to everyone. Each honest processor accepts both at step 1 and
+        // relays both — two chains, one payload — so all fall to the
+        // default together.
+        let n = 4;
+        let r = ring(n);
+        let auth0 = r.authenticator(0);
+        let both: Vec<u8> = [7u64, 8]
+            .iter()
+            .flat_map(|v| chain_bytes(&SignatureChain::originate(&auth0, &v.to_be_bytes())))
+            .collect();
+        let instances: Vec<DolevStrongBroadcast> = (0..n)
+            .map(|me| DolevStrongBroadcast::new(me, n, 1, 0, r.authenticator(me)))
+            .collect();
+        let mut relays = Vec::new();
+        let decided = run_pure(
+            instances,
+            &[7, 0, 0, 0],
+            |from: usize, round: u64, _to: usize, p: &[u8]| {
+                if from == 0 && round == 0 {
+                    return Some(both.clone());
+                }
+                if round == 1 {
+                    relays.push(chains(p));
+                }
+                None
+            },
+        );
+        assert_eq!(relays.len(), 3 * 3, "three relayers, three destinations");
+        for relayed in &relays {
+            let values: Vec<_> = relayed.iter().map(DolevStrongBroadcast::value_of).collect();
+            assert_eq!(values, [Some(7), Some(8)]);
+            assert!(relayed.iter().all(|chain| chain.len() == 2), "signed on");
+        }
+        assert!(decided[1..].iter().all(|d| *d == Some(DEFAULT_VALUE)));
     }
 
     #[test]

@@ -386,17 +386,18 @@ impl EigTree {
     /// not containing `me`, in slot order, stores a populated `α`'s value
     /// at `α·me` in the next level — in EIG terms, "me told myself" what it
     /// tells everyone else, so the local resolve sees its own vote — and
-    /// returns the level-`level + 1` payload that tells the others.
+    /// appends to `out` the level-`level + 1` payload that tells the
+    /// others.
     ///
     /// # Panics
     ///
     /// Panics unless `1 ≤ level ≤ f` and `me < n`.
-    pub fn relay(&mut self, level: usize, me: u16) -> Vec<u8> {
+    pub fn relay(&mut self, level: usize, me: u16, out: &mut Vec<u8>) {
         assert!((1..=self.f).contains(&level), "relayed levels are 1..=f");
         let me = usize::from(me);
         assert!(me < self.n, "me in range");
         let slots = self.fan_in(level + 1, me);
-        let mut payload = LevelPayload::new(level + 1, slots);
+        let mut payload = LevelPayload::new(out, level + 1, slots);
         let mine = self.column(level + 1, me);
         // Every parent holds one value and no child holds any yet: the scan
         // would tell, and mirror, that value at every child.
@@ -529,13 +530,15 @@ impl EigTree {
     }
 }
 
-/// Encoder of one level payload (see the module docs): the level, then
-/// for each of `slots` nodes, in slot order, whether the sender holds a
-/// value and, if so, the value — said once if two or more are told and
-/// they all agree.
-#[derive(Debug, Clone)]
-pub struct LevelPayload {
-    buf: Vec<u8>,
+/// Encoder of one level payload (see the module docs), written at the end
+/// of a caller's buffer: the level, then for each of `slots` nodes, in slot
+/// order, whether the sender holds a value and, if so, the value — said
+/// once if two or more are told and they all agree.
+#[derive(Debug)]
+pub struct LevelPayload<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where the payload starts in `buf`: its first byte.
+    start: usize,
     slots: usize,
     pushed: usize,
     told: usize,
@@ -546,25 +549,27 @@ pub struct LevelPayload {
     uniform: bool,
 }
 
-impl LevelPayload {
-    /// Starts the payload of `level` for `slots` nodes, with room for one
-    /// value.
+impl<'a> LevelPayload<'a> {
+    /// Starts the payload of `level` for `slots` nodes at the end of `buf`,
+    /// with room for one value.
     ///
     /// # Panics
     ///
     /// Panics unless `level` fits the low seven bits of the payload's
     /// first byte; bit 7 marks the uniform form.
-    pub fn new(level: usize, slots: usize) -> LevelPayload {
+    pub fn new(buf: &'a mut Vec<u8>, level: usize, slots: usize) -> LevelPayload<'a> {
         let level = u8::try_from(level)
             .ok()
             .filter(|level| level & UNIFORM == 0)
             .expect("an EIG level fits seven bits");
+        let start = buf.len();
         let presence = slots.div_ceil(8);
-        let mut buf = Vec::with_capacity(1 + presence + 8);
+        buf.reserve(1 + presence + 8);
         buf.push(level);
-        buf.resize(1 + presence, 0);
+        buf.resize(start + 1 + presence, 0);
         LevelPayload {
             buf,
+            start,
             slots,
             pushed: 0,
             told: 0,
@@ -581,7 +586,7 @@ impl LevelPayload {
     pub fn push(&mut self, value: Option<Value>) {
         assert!(self.pushed < self.slots, "one push per slot");
         if let Some(value) = value {
-            self.buf[1 + self.pushed / 8] |= 1 << (self.pushed % 8);
+            self.buf[self.start + 1 + self.pushed / 8] |= 1 << (self.pushed % 8);
             if self.told == 0 {
                 self.first = value;
                 self.buf.extend_from_slice(&value.to_be_bytes());
@@ -601,18 +606,17 @@ impl LevelPayload {
         self.pushed += 1;
     }
 
-    /// The encoded payload: uniform if two or more values were told and
+    /// Completes the payload: uniform if two or more values were told and
     /// all were equal, plain otherwise.
     ///
     /// # Panics
     ///
     /// Panics unless every slot was pushed.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub fn finish(self) {
         assert_eq!(self.pushed, self.slots, "one push per slot");
         if self.uniform && self.told >= 2 {
-            self.buf[0] |= UNIFORM;
+            self.buf[self.start] |= UNIFORM;
         }
-        self.buf
     }
 }
 
@@ -705,10 +709,18 @@ pub fn strict_majority(
 pub(crate) mod reference {
     use std::collections::{HashMap, HashSet};
 
+    use super::EigTree;
     use crate::wire::Writer;
     use crate::{Value, DEFAULT_VALUE};
 
     type Path = Vec<u16>;
+
+    /// What [`EigTree::relay`] appends, on its own.
+    pub(crate) fn relayed(tree: &mut EigTree, level: usize, me: u16) -> Vec<u8> {
+        let mut out = Vec::new();
+        tree.relay(level, me, &mut out);
+        out
+    }
 
     /// Every node of an `(n, f, source)` tree, level by level.
     pub(crate) fn all_nodes(n: usize, f: usize, source: u16) -> Vec<Path> {
@@ -791,22 +803,33 @@ pub(crate) mod reference {
                 tag += 0x80;
                 told.truncate(1);
             }
-            let mut values = Writer::new();
+            let mut values = Vec::new();
+            let mut w = Writer::new(&mut values);
             for value in told {
-                values.put_u64(value);
+                w.put_u64(value);
             }
-            [vec![tag], presence, values.finish()].concat()
+            [vec![tag], presence, values].concat()
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::relayed;
     use super::*;
 
     /// The vote-count form the tests below were written against.
     fn strict_majority(votes: &[Value]) -> Value {
         super::strict_majority(votes.iter().copied(), votes.len())
+    }
+
+    /// The level-`level` payload telling `told`, on its own.
+    fn encode(level: usize, told: &[Option<Value>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut p = LevelPayload::new(&mut out, level, told.len());
+        told.iter().for_each(|&v| p.push(v));
+        p.finish();
+        out
     }
 
     #[test]
@@ -882,7 +905,7 @@ mod tests {
         // [0,6,3]; the first two have a populated parent.
         let mut expected = vec![3, 0b00011];
         expected.extend([2u64.to_be_bytes(), 3u64.to_be_bytes()].concat());
-        assert_eq!(t.relay(2, 3), expected);
+        assert_eq!(relayed(&mut t, 2, 3), expected);
         assert_eq!(t.get(&[0, 1, 3]), Some(2), "mirrored into level 3");
         assert_eq!(t.get(&[0, 2, 3]), Some(3), "mirrored into level 3");
         assert_eq!(t.get(&[0, 3]), None, "level 1 was not relayed");
@@ -897,11 +920,11 @@ mod tests {
         // [0,3] is populated, but [0,3,3] is no node: one bit of five.
         let mut expected = vec![3, 0b00001];
         expected.extend(2u64.to_be_bytes());
-        assert_eq!(t.relay(2, 3), expected);
+        assert_eq!(relayed(&mut t, 2, 3), expected);
         assert_eq!(t.len(), 3);
         // The source has nothing of its own broadcast to relay: no node
         // ends in it past the root.
-        assert_eq!(t.relay(2, 0), [3]);
+        assert_eq!(relayed(&mut t, 2, 0), [3]);
         assert_eq!(t.len(), 3);
     }
 
@@ -970,53 +993,64 @@ mod tests {
 
     #[test]
     fn level_payload_is_level_bits_values() {
-        let mut p = LevelPayload::new(4, 10);
-        for i in 0..10u64 {
-            p.push([0, 3, 9].contains(&i).then_some(0x0100 + i));
-        }
+        let told: Vec<Option<Value>> = (0..10u64)
+            .map(|i| [0, 3, 9].contains(&i).then_some(0x0100 + i))
+            .collect();
         // Ten slots: bits 0 and 3 of the first presence byte, bit 1 of the
         // second, six padding bits left zero.
         let mut expected = vec![4, 0b0000_1001, 0b10];
         for v in [0x0100u64, 0x0103, 0x0109] {
             expected.extend(v.to_be_bytes());
         }
-        assert_eq!(p.finish(), expected);
-        assert_eq!(LevelPayload::new(2, 0).finish(), [2]);
+        assert_eq!(encode(4, &told), expected);
+        assert_eq!(encode(2, &[]), [2]);
+        // Behind whatever the buffer already holds, which it leaves be.
+        let mut out = vec![0xAB; 3];
+        let mut p = LevelPayload::new(&mut out, 4, 10);
+        told.iter().for_each(|&v| p.push(v));
+        p.finish();
+        assert_eq!(out, [&[0xAB; 3][..], &expected].concat());
     }
 
     #[test]
     fn level_payload_says_an_agreed_value_once() {
-        let finish = |told: &[Option<Value>]| {
-            let mut p = LevelPayload::new(3, told.len());
-            told.iter().for_each(|&v| p.push(v));
-            p.finish()
-        };
         let seven = 7u64.to_be_bytes();
         // Two or more told, all equal: the flag, the bits, one value.
         assert_eq!(
-            finish(&[Some(7), None, Some(7), Some(7)]),
+            encode(3, &[Some(7), None, Some(7), Some(7)]),
             [&[3 | 0x80, 0b1101][..], &seven].concat()
         );
         // One told, or none: nothing to save, plain.
-        assert_eq!(finish(&[None, Some(7)]), [&[3, 0b10][..], &seven].concat());
-        assert_eq!(finish(&[None, None]), [3, 0]);
+        assert_eq!(
+            encode(3, &[None, Some(7)]),
+            [&[3, 0b10][..], &seven].concat()
+        );
+        assert_eq!(encode(3, &[None, None]), [3, 0]);
         // A value that differs, however late, spells every one out.
         assert_eq!(
-            finish(&[Some(7), Some(7), None, Some(8)]),
+            encode(3, &[Some(7), Some(7), None, Some(8)]),
             [&[3, 0b1011][..], &seven, &seven, &8u64.to_be_bytes()].concat()
         );
+        // The flag goes on the payload's own first byte, not the buffer's.
+        let mut out = vec![0];
+        let mut p = LevelPayload::new(&mut out, 3, 2);
+        p.push(Some(7));
+        p.push(Some(7));
+        p.finish();
+        assert_eq!(out, [&[0, 3 | 0x80, 0b11][..], &seven].concat());
     }
 
     #[test]
     #[should_panic(expected = "an EIG level fits seven bits")]
     fn level_payload_refuses_a_level_that_reaches_the_flag_bit() {
-        LevelPayload::new(128, 1);
+        LevelPayload::new(&mut Vec::new(), 128, 1);
     }
 
     #[test]
     #[should_panic(expected = "one push per slot")]
     fn level_payload_refuses_a_missing_slot() {
-        let mut p = LevelPayload::new(2, 2);
+        let mut out = Vec::new();
+        let mut p = LevelPayload::new(&mut out, 2, 2);
         p.push(None);
         p.finish();
     }

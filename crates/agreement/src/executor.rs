@@ -1,9 +1,12 @@
 //! Pure synchronous executor for [`BaInstance`]s.
 //!
 //! Runs a protocol without the full `ga-simnet` machinery: useful for fast
-//! property tests and Criterion benches, and for exercising protocols under
-//! a programmable message-substitution adversary (the strongest adversary:
-//! it rewrites any Byzantine processor's outgoing traffic per-destination).
+//! property tests, and for exercising protocols under a programmable
+//! message-substitution adversary (the strongest adversary: it rewrites any
+//! Byzantine processor's outgoing traffic per-destination). Each round,
+//! every instance's frame goes to every other processor in ascending order
+//! — the broadcast the [contract](crate::traits#the-broadcast-contract)
+//! states — and the adversary sees, and may replace, each copy.
 //!
 //! For system-level runs (mixed protocols, faults mid-run, punishment by
 //! disconnection) use [`harness`](crate::harness) / `ga-simnet` instead.
@@ -90,7 +93,6 @@ pub fn run_pure_instances<I: BaInstance>(
     // mirrors the allocation-free steady state of `Simulation::step`.
     let mut pending: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n];
     let mut consumed: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n];
-    let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
     for round in 0..rounds {
         std::mem::swap(&mut pending, &mut consumed);
         for mailbox in &mut pending {
@@ -101,18 +103,17 @@ pub fn run_pure_instances<I: BaInstance>(
                 .iter()
                 .map(|(s, p)| (*s, p.as_slice()))
                 .collect();
-            {
-                let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
-                inst.step(round, &inbox, &mut send);
-            }
+            let mut frame = Vec::new();
+            inst.step(round, &inbox, &mut frame);
             drop(inbox);
-            for (to, payload) in outgoing.drain(..) {
-                if to >= n {
-                    continue;
-                }
-                let payload = match tamper.tamper(i, round, to, &payload) {
+            if frame.is_empty() {
+                continue;
+            }
+            let frame = Bytes::from(frame);
+            for to in (0..n).filter(|&to| to != i) {
+                let payload = match tamper.tamper(i, round, to, &frame) {
                     Some(replacement) => replacement.into(),
-                    None => payload,
+                    None => frame.clone(),
                 };
                 stats.messages += 1;
                 stats.bytes += payload.len() as u64;
@@ -162,6 +163,28 @@ mod tests {
         assert_eq!(stats.rounds, 3);
         assert!(stats.messages > 0);
         assert!(stats.bytes > 0);
+    }
+
+    #[test]
+    fn every_frame_reaches_every_other_processor_in_ascending_order() {
+        let n = 4;
+        let instances: Vec<OmBroadcast> = (0..n).map(|me| OmBroadcast::new(me, n, 1, 0)).collect();
+        let mut sends = Vec::new();
+        run_pure(
+            instances,
+            &[5, 0, 0, 0],
+            |from: usize, round: u64, to: usize, _: &[u8]| {
+                sends.push((round, from, to));
+                None
+            },
+        );
+        // Round 0 the source announces; round 1 the others relay; round 2
+        // resolves in silence.
+        let mut expected = vec![(0, 0, 1), (0, 0, 2), (0, 0, 3)];
+        for from in 1..n {
+            expected.extend((0..n).filter(|&to| to != from).map(|to| (1, from, to)));
+        }
+        assert_eq!(sends, expected);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use crate::traits::{broadcast_others, BaInstance, Send};
+use crate::traits::BaInstance;
 use crate::wire::{Reader, Writer};
 use crate::{Value, DEFAULT_VALUE};
 
@@ -58,11 +58,9 @@ impl PhaseKing {
         }
     }
 
-    fn encode(tag: u8, value: Value) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(tag);
-        w.put_u64(value);
-        w.finish()
+    /// Appends the message `tag · value` to `out`.
+    fn encode(tag: u8, value: Value, out: &mut Vec<u8>) {
+        Writer::new(out).put_u8(tag).put_u64(value);
     }
 
     fn decode(payload: &[u8]) -> Option<(u8, Value)> {
@@ -123,7 +121,7 @@ impl BaInstance for PhaseKing {
         self.decided = None;
     }
 
-    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
+    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
         let phases = self.f as u64 + 1;
         // Schedule: step 2p broadcasts VALUE; step 2p+1 tallies and the
         // phase's king broadcasts KING; step 2p+2 adopts (and broadcasts
@@ -132,7 +130,7 @@ impl BaInstance for PhaseKing {
             return;
         }
         if rel_round == 0 {
-            broadcast_others(self.n, self.me, Self::encode(TAG_VALUE, self.value), send);
+            Self::encode(TAG_VALUE, self.value, out);
             return;
         }
         if rel_round % 2 == 1 {
@@ -140,7 +138,7 @@ impl BaInstance for PhaseKing {
             let phase = ((rel_round - 1) / 2) as usize;
             self.tally(inbox);
             if self.me == phase % self.n {
-                broadcast_others(self.n, self.me, Self::encode(TAG_KING, self.maj), send);
+                Self::encode(TAG_KING, self.maj, out);
             }
         } else {
             // Adopt phase (rel_round/2 - 1)'s outcome.
@@ -149,7 +147,7 @@ impl BaInstance for PhaseKing {
             if rel_round == 2 * phases {
                 self.decided = Some(self.value);
             } else {
-                broadcast_others(self.n, self.me, Self::encode(TAG_VALUE, self.value), send);
+                Self::encode(TAG_VALUE, self.value, out);
             }
         }
     }
@@ -171,6 +169,13 @@ impl BaInstance for PhaseKing {
 mod tests {
     use super::*;
     use crate::executor::{no_tamper as honest, run_pure};
+
+    /// The message `tag · value`, on its own.
+    fn message(tag: u8, value: Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        PhaseKing::encode(tag, value, &mut out);
+        out
+    }
 
     #[test]
     fn all_honest_unanimous_input_decides_it() {
@@ -214,7 +219,7 @@ mod tests {
             instances,
             &[0, 1, 2, 1, 2],
             |from: usize, _r: u64, to: usize, _p: &[u8]| {
-                (from == 0).then(|| PhaseKing::encode(TAG_KING, to as u64))
+                (from == 0).then(|| message(TAG_KING, to as u64))
             },
         );
         let honest: Vec<_> = (1..5).map(|i| decided[i]).collect();
@@ -231,7 +236,7 @@ mod tests {
             instances,
             &inputs,
             |from: usize, _r: u64, to: usize, _p: &[u8]| {
-                (from >= 7).then(|| PhaseKing::encode(TAG_VALUE, (to * 31) as u64))
+                (from >= 7).then(|| message(TAG_VALUE, (to * 31) as u64))
             },
         );
         for (me, d) in decided.iter().enumerate().take(7) {
@@ -249,7 +254,7 @@ mod tests {
     fn duplicate_votes_from_one_sender_count_once() {
         let mut pk = PhaseKing::new(0, 5, 1);
         pk.begin(1);
-        let spam = PhaseKing::encode(TAG_VALUE, 9);
+        let spam = message(TAG_VALUE, 9);
         let inbox: Vec<(usize, &[u8])> = vec![
             (1, spam.as_slice()),
             (1, spam.as_slice()),

@@ -28,14 +28,13 @@
 //! step 0.
 
 use crate::eig::{EigTree, LevelPayload};
-use crate::traits::{broadcast_others, BaInstance, Send};
+use crate::traits::BaInstance;
 use crate::{Value, DEFAULT_VALUE};
 
 /// One OM(f) broadcast instance at one processor.
 #[derive(Debug, Clone)]
 pub struct OmBroadcast {
     me: usize,
-    n: usize,
     f: usize,
     source: usize,
     input: Value,
@@ -82,7 +81,6 @@ impl OmBroadcast {
         assert!(n <= 1 << 16, "processor ids must fit the tree's u16");
         OmBroadcast {
             me,
-            n,
             f,
             source,
             input: DEFAULT_VALUE,
@@ -106,7 +104,7 @@ impl BaInstance for OmBroadcast {
         self.decided = None;
     }
 
-    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
+    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
         let f = self.f as u64;
         match rel_round {
             // Step 0: the source announces; everyone else is silent and
@@ -117,17 +115,16 @@ impl BaInstance for OmBroadcast {
                     return;
                 }
                 self.tree.store(&[self.source as u16], self.input);
-                let mut announcement = LevelPayload::new(1, 1);
+                let mut announcement = LevelPayload::new(out, 1, 1);
                 announcement.push(Some(self.input));
-                broadcast_others(self.n, self.me, announcement.finish(), send);
+                announcement.finish();
             }
             // Steps 1..=f: store level-t nodes, relay as level-(t+1).
             // Nobody relays its own broadcast.
             t if t <= f => {
                 self.absorb_all(t, inbox);
                 if self.me != self.source {
-                    let relay = self.tree.relay(t as usize, self.me as u16);
-                    broadcast_others(self.n, self.me, relay, send);
+                    self.tree.relay(t as usize, self.me as u16, out);
                 }
             }
             // Step f+1: store the leaves and resolve.
@@ -155,7 +152,7 @@ impl BaInstance for OmBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eig::reference::{all_nodes, RefTree};
+    use crate::eig::reference::{all_nodes, relayed, RefTree};
     use crate::executor::{no_tamper as honest, run_pure};
     use crate::wire::Reader;
     use proptest::prelude::*;
@@ -216,9 +213,11 @@ mod tests {
 
     /// The level payload telling `values` of consecutive slots.
     fn payload(level: usize, values: &[Option<Value>]) -> Vec<u8> {
-        let mut p = LevelPayload::new(level, values.len());
+        let mut out = Vec::new();
+        let mut p = LevelPayload::new(&mut out, level, values.len());
         values.iter().for_each(|&v| p.push(v));
-        p.finish()
+        p.finish();
+        out
     }
 
     /// A payload forged field by field, well-formed or not: the first byte,
@@ -252,8 +251,10 @@ mod tests {
         inst.absorb_all(1, &[(other, announcement)]);
         assert!(inst.tree.is_empty(), "only the source announces");
         let mut inst = fresh();
-        inst.step(0, &[(source, announcement)], &mut |_, _| {});
+        let mut out = Vec::new();
+        inst.step(0, &[(source, announcement)], &mut out);
         assert!(inst.tree.is_empty(), "round 0 is deaf");
+        assert!(out.is_empty(), "and silent");
     }
 
     /// A random `(n, f, source)` and a partial tree over it.
@@ -419,7 +420,7 @@ mod tests {
         match step {
             Step::Absorb(level, sender, bytes) => tree.absorb(*level, *sender, bytes),
             Step::Store(path, value) => tree.store(path, *value),
-            Step::Relay(level, me) => return tree.relay(*level, *me),
+            Step::Relay(level, me) => return relayed(tree, *level, *me),
         }
         vec![]
     }
@@ -446,7 +447,7 @@ mod tests {
 
     fn seen(tree: &EigTree, paths: &[Vec<u16>], n: usize, f: usize) -> Seen {
         let relays = (1..=f)
-            .flat_map(|level| (0..n as u16).map(move |me| tree.clone().relay(level, me)))
+            .flat_map(|level| (0..n as u16).map(move |me| relayed(&mut tree.clone(), level, me)))
             .collect();
         let values = paths.iter().map(|p| tree.get(p)).collect();
         (tree.len(), values, tree.resolve(), relays)
@@ -513,7 +514,7 @@ mod tests {
                 for level in 1..=f {
                     let mut ours = flat.clone();
                     let mut theirs = reference.clone();
-                    let relay = ours.relay(level, me);
+                    let relay = relayed(&mut ours, level, me);
                     prop_assert_eq!(
                         &relay,
                         &theirs.relay_payload(level, me, &nodes),
@@ -974,15 +975,14 @@ mod tests {
         let stale = payload(1, &[Some(99)]);
         assert_announces(&stale, 4, 0, 99);
         let inbox: Vec<(usize, &[u8])> = vec![(0, stale.as_slice()), (3, stale.as_slice())];
-        let sent = std::cell::Cell::new(0usize);
-        let mut send = |_to: usize, _p: bytes::Bytes| sent.set(sent.get() + 1);
-        inst.step(0, &inbox, &mut send);
-        assert_eq!(sent.get(), 0, "non-source stays silent at round 0");
+        let mut out = Vec::new();
+        inst.step(0, &inbox, &mut out);
+        assert!(out.is_empty(), "non-source stays silent at round 0");
         assert!(inst.tree.is_empty(), "and deaf");
         // Run the remaining rounds with no traffic at all: the forged
         // round-0 message must not have seeded the tree with 99.
         for r in 1..inst.rounds() {
-            inst.step(r, &[], &mut send);
+            inst.step(r, &[], &mut out);
         }
         assert_eq!(inst.decided(), Some(DEFAULT_VALUE));
     }

@@ -6,30 +6,45 @@
 //! hard-reset all internal state (this is exactly what makes the composed
 //! system self-stabilizing — stale BA state from before a transient fault is
 //! discarded at the next wrap).
+//!
+//! # The broadcast contract
+//!
+//! Every honest message of every protocol here goes to all other
+//! processors alike: the source's announcement, each EIG relay (Aspnes'
+//! notes, PAPERS.md 2001.04235), each Dolev–Strong chain, each phase-king
+//! vote. So a round's output is one payload, not a list of sends:
+//! [`BaInstance::step`] appends to a caller's buffer the bytes this
+//! processor sends every other processor this round, and appends nothing
+//! to stay silent. Layers above append theirs around it into the same
+//! buffer — the consensus its part header, the activation its channel
+//! header — so a processor builds each round's frame once, and whoever
+//! owns the network hands that one frame to every other id in ascending
+//! order ([`send_to_others`], the executor).
+//!
+//! Byzantine senders are not `BaInstance`s. What they send differs per
+//! destination, or is not a protocol message at all, and it is produced
+//! where the network is: the executor's per-destination
+//! [`Tamper`](crate::executor::Tamper), the `ga-simnet` adversaries, the
+//! authority's `AgentMode`s. The honest state machine has no reason to
+//! know which destination a byte goes to.
 
 use bytes::Bytes;
 use ga_simnet::prelude::*;
 
 use crate::Value;
 
-/// A send callback: `(destination process, payload)`.
-///
-/// Payloads are refcounted [`Bytes`]: a broadcast hands every destination a
-/// clone of one shared buffer, so fan-out costs no per-recipient copies all
-/// the way down to the simulator's inboxes.
-pub type Send<'a> = dyn FnMut(usize, Bytes) + 'a;
-
 /// A synchronous-round Byzantine agreement state machine.
 ///
 /// The driver calls [`step`](BaInstance::step) with consecutive relative
 /// rounds `0, 1, …, rounds()-1`; at each step the instance sees the
-/// messages delivered this round (sent at the previous one) and may send.
-/// After the final step, [`decided`](BaInstance::decided) is `Some`.
+/// messages delivered this round (sent at the previous one) and may
+/// broadcast. After the final step, [`decided`](BaInstance::decided) is
+/// `Some`.
 ///
 /// `Send` is a supertrait so a boxed instance can live inside a simulator
 /// [`Process`], which the scheduler's sharded compute phase may step on a
 /// worker thread.
-pub trait BaInstance: std::marker::Send {
+pub trait BaInstance: Send {
     /// Hard-resets state and installs this processor's input value.
     fn begin(&mut self, input: Value);
 
@@ -37,7 +52,12 @@ pub trait BaInstance: std::marker::Send {
     ///
     /// `inbox` holds `(sender, payload)` pairs. Implementations must treat
     /// undecodable payloads as absent — senders may be Byzantine.
-    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>);
+    ///
+    /// Appends to `out` the one payload this processor sends every other
+    /// processor this round (see the module docs' broadcast contract), and
+    /// nothing to stay silent. `out` may already hold a caller's header:
+    /// only append to it.
+    fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>);
 
     /// Total number of rounds this instance needs.
     fn rounds(&self) -> u64;
@@ -48,6 +68,20 @@ pub trait BaInstance: std::marker::Send {
     /// Diagnostic label.
     fn name(&self) -> &'static str {
         "ba"
+    }
+}
+
+/// Sends `frame` to every processor id below `n` but the sender's, in
+/// ascending order; an empty frame is silence and sends nothing. The frame
+/// becomes one [`Bytes`] that every destination shares.
+pub fn send_to_others(ctx: &mut Context<'_>, n: usize, frame: Vec<u8>) {
+    if frame.is_empty() {
+        return;
+    }
+    let me = ctx.id().index();
+    let frame = Bytes::from(frame);
+    for to in (0..n).filter(|&to| to != me) {
+        ctx.send(ProcessId(to), frame.clone());
     }
 }
 
@@ -110,17 +144,10 @@ impl Process for BaProcess {
             .iter()
             .map(|m| (m.from.index(), m.bytes()))
             .collect();
-        // Collect sends first: ctx and the inbox borrow ctx disjointly only
-        // if we buffer.
-        let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
-        {
-            let mut send = |to: usize, payload: Bytes| outgoing.push((to, payload));
-            self.instance.step(rel, &inbox, &mut send);
-        }
+        let mut frame = Vec::new();
+        self.instance.step(rel, &inbox, &mut frame);
         drop(inbox);
-        for (to, payload) in outgoing {
-            ctx.send(ProcessId(to), payload);
-        }
+        send_to_others(ctx, ctx.n(), frame);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -136,31 +163,25 @@ impl Process for BaProcess {
     }
 }
 
-/// Broadcast helper for instances: send `payload` to every process except
-/// `me` (the instance also processes its own contribution locally).
-///
-/// The payload is converted to [`Bytes`] once; all `n - 1` destinations
-/// share the single refcounted buffer.
-pub fn broadcast_others(n: usize, me: usize, payload: impl Into<Bytes>, send: &mut Send<'_>) {
-    let payload = payload.into();
-    for to in 0..n {
-        if to != me {
-            send(to, payload.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A fake 2-round instance that decides the sum of inputs it saw.
     struct Echo {
-        me: usize,
-        n: usize,
         value: Value,
         seen: u64,
         decided: Option<Value>,
+    }
+
+    impl Echo {
+        fn new() -> Echo {
+            Echo {
+                value: 0,
+                seen: 0,
+                decided: None,
+            }
+        }
     }
 
     impl BaInstance for Echo {
@@ -169,9 +190,9 @@ mod tests {
             self.seen = 0;
             self.decided = None;
         }
-        fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], send: &mut Send<'_>) {
+        fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
             match rel_round {
-                0 => broadcast_others(self.n, self.me, self.value.to_be_bytes(), send),
+                0 => out.extend_from_slice(&self.value.to_be_bytes()),
                 1 => {
                     self.seen = self.value
                         + inbox
@@ -195,16 +216,8 @@ mod tests {
     fn ba_process_drives_instance_over_simnet() {
         let n = 4;
         let mut sim = Simulation::builder(Topology::complete(n)).build_with(|id| {
-            Box::new(BaProcess::new(
-                Box::new(Echo {
-                    me: id.index(),
-                    n,
-                    value: 0,
-                    seen: 0,
-                    decided: None,
-                }),
-                id.index() as u64 + 1,
-            )) as Box<dyn Process>
+            Box::new(BaProcess::new(Box::new(Echo::new()), id.index() as u64 + 1))
+                as Box<dyn Process>
         });
         sim.run(2);
         for i in 0..n {
@@ -215,20 +228,11 @@ mod tests {
 
     #[test]
     fn scramble_discards_the_decision_and_changes_input() {
-        let mut p = BaProcess::new(
-            Box::new(Echo {
-                me: 0,
-                n: 4,
-                value: 0,
-                seen: 0,
-                decided: None,
-            }),
-            7,
-        );
+        let mut p = BaProcess::new(Box::new(Echo::new()), 7);
         p.instance.begin(7);
         p.started = true;
-        p.instance.step(0, &[], &mut |_, _| {});
-        p.instance.step(1, &[], &mut |_, _| {});
+        p.instance.step(0, &[], &mut Vec::new());
+        p.instance.step(1, &[], &mut Vec::new());
         assert!(p.decided().is_some());
 
         let mut rng = ga_simnet::rng::process_rng(1, ProcessId(0), Round(3));
@@ -237,20 +241,70 @@ mod tests {
         assert_ne!(p.input, 7, "input perturbed");
     }
 
+    /// Records the address, length and sender of every message it is
+    /// delivered; process 2 broadcasts one long payload at pulse 0.
+    #[derive(Default)]
+    struct Listener {
+        heard: Vec<(usize, usize, usize)>,
+    }
+
+    impl Process for Listener {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            let heard = ctx.inbox().iter().map(|m| {
+                let bytes = m.bytes();
+                (m.from.index(), bytes.as_ptr() as usize, bytes.len())
+            });
+            self.heard.extend(heard);
+            if ctx.id() == ProcessId(2) && ctx.round() == Round(0) {
+                send_to_others(ctx, 4, vec![1; bytes::INLINE_CAP + 1]);
+                send_to_others(ctx, 4, Vec::new());
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Runs four [`Listener`]s for two pulses; returns what each heard and
+    /// how many messages the network delivered.
+    fn broadcast_from_2() -> (Vec<Vec<(usize, usize, usize)>>, u64) {
+        let mut sim = Simulation::builder(Topology::complete(4))
+            .build_with(|_| Box::new(Listener::default()) as Box<dyn Process>);
+        sim.run(2);
+        let heard = (0..4)
+            .map(|i| {
+                sim.process_as::<Listener>(ProcessId(i))
+                    .unwrap()
+                    .heard
+                    .clone()
+            })
+            .collect();
+        (heard, sim.trace().messages_delivered)
+    }
+
     #[test]
     fn broadcast_others_skips_self() {
-        let mut got = Vec::new();
-        let mut send = |to: usize, _p: Bytes| got.push(to);
-        broadcast_others(4, 2, b"x", &mut send);
-        assert_eq!(got, vec![0, 1, 3]);
+        let (heard, delivered) = broadcast_from_2();
+        assert!(heard[2].is_empty(), "nothing to self");
+        for i in [0, 1, 3] {
+            // One message each — the empty frame sent nothing — from 2.
+            assert_eq!(heard[i].len(), 1, "p{i}");
+            assert_eq!(heard[i][0].0, 2, "p{i}");
+        }
+        assert_eq!(delivered, 3);
     }
 
     #[test]
     fn broadcast_others_shares_one_buffer() {
-        let mut ptrs = Vec::new();
-        let mut send = |_to: usize, p: Bytes| ptrs.push(p.as_ptr());
-        broadcast_others(4, 0, vec![1u8; bytes::INLINE_CAP + 1], &mut send);
-        assert_eq!(ptrs.len(), 3);
-        assert!(ptrs.iter().all(|&p| p == ptrs[0]), "one allocation, shared");
+        let (heard, _) = broadcast_from_2();
+        let first = heard[0][0];
+        for i in [0, 1, 3] {
+            // The very buffer every other destination holds.
+            assert_eq!(heard[i], [first], "p{i}");
+        }
+        assert_eq!((first.0, first.2), (2, bytes::INLINE_CAP + 1));
     }
 }

@@ -5,29 +5,21 @@
 //! undecodable messages as absent (the oral-messages model's "no message"
 //! default).
 
-use bytes::Bytes;
-
-/// Longest byte string [`Writer::put_bytes`] can frame: its length prefix
-/// is a `u16`.
+/// Longest byte string [`Writer::put_bytes`] or [`put_section`] can frame:
+/// its length prefix is a `u16`.
 pub const FRAME_LIMIT: usize = u16::MAX as usize;
 
-/// Append-only encoder.
-#[derive(Debug, Default, Clone)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Appending encoder: every `put_*` writes at the end of the caller's
+/// buffer, so a message is built where it is sent from.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    /// Creates an empty writer with room for `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Writer {
-        Writer {
-            buf: Vec::with_capacity(capacity),
-        }
+impl<'a> Writer<'a> {
+    /// A writer appending to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer { buf }
     }
 
     /// Appends a single byte.
@@ -59,28 +51,29 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
         self
     }
-
-    /// Finishes, returning the encoded buffer.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
 }
 
-/// Whether `a` and `b` are known to hold the same content without reading
-/// a long payload: clones of one shared [`Bytes`] (same address and
-/// length), or two payloads short enough to live inline, compared byte for
-/// byte. Re-framing code uses this to wrap a broadcast payload once for all
-/// its destinations.
+/// Appends `head`, a `u16` length and whatever `body` appends after them:
+/// the byte string [`Writer::put_bytes`] would frame, written in place
+/// rather than copied in. The length is patched once `body` is done. If
+/// `body` appends nothing, the head and the length are taken back and
+/// `buf` is as it was: an empty body is no section.
 ///
-/// The inline case is not a shortcut but a requirement: clones of a payload
-/// of at most [`bytes::INLINE_CAP`] bytes are copies at different
-/// addresses, so identity alone would call two clones of a short — or
-/// empty — part different and a whole multi-kilobyte frame would be rebuilt
-/// per destination. Equal content ⇒ equal frame is all a re-framer needs,
-/// and the compare is at most `INLINE_CAP` bytes.
-pub fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
-    a.len() == b.len()
-        && (a.as_ptr() == b.as_ptr() || (a.len() <= bytes::INLINE_CAP && a[..] == b[..]))
+/// # Panics
+///
+/// Panics if `body` appends more than [`FRAME_LIMIT`] bytes.
+pub fn put_section(buf: &mut Vec<u8>, head: &[u8], body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(&[0, 0]);
+    let at = buf.len();
+    body(buf);
+    if buf.len() == at {
+        buf.truncate(start);
+        return;
+    }
+    let len = u16::try_from(buf.len() - at).expect("payload fits u16 length");
+    buf[at - 2..at].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Cursor-based decoder; every getter is failure-safe.
@@ -150,11 +143,11 @@ mod tests {
 
     #[test]
     fn round_trip_scalars() {
-        let mut w = Writer::new();
+        let mut buf = Vec::new();
         // 70 000 = 0x0001_1170: two u16 halves read back as one u32.
+        let mut w = Writer::new(&mut buf);
         w.put_u8(7).put_u16(300).put_u16(1).put_u16(0x1170);
         w.put_u64(u64::MAX);
-        let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8(), Some(7));
         assert_eq!(r.get_u16(), Some(300));
@@ -165,9 +158,8 @@ mod tests {
 
     #[test]
     fn round_trip_bytes() {
-        let mut w = Writer::new();
-        w.put_bytes(b"hello").put_bytes(b"");
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).put_bytes(b"hello").put_bytes(b"");
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_bytes(), Some(b"hello".as_slice()));
         assert_eq!(r.get_bytes(), Some(b"".as_slice()));
@@ -175,9 +167,8 @@ mod tests {
 
     #[test]
     fn truncated_input_yields_none() {
-        let mut w = Writer::new();
-        w.put_u64(42);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).put_u64(42);
         let mut r = Reader::new(&buf[..5]);
         assert_eq!(r.get_u64(), None);
     }
@@ -189,27 +180,29 @@ mod tests {
     }
 
     #[test]
-    fn same_buffer_is_identity_not_equality() {
-        let long = vec![1u8; bytes::INLINE_CAP + 1];
-        let a = Bytes::from(long.clone());
-        assert!(same_buffer(&a, &a.clone()));
-        assert!(!same_buffer(&a, &Bytes::from(long)), "equal, two buffers");
-        assert!(!same_buffer(&a, &Bytes::from(vec![1u8; 64])));
+    fn a_section_is_put_bytes_written_in_place() {
+        let mut buf = vec![9];
+        put_section(&mut buf, &[0xA1], |b| b.extend_from_slice(b"hello"));
+        let mut expected = vec![9, 0xA1];
+        Writer::new(&mut expected).put_bytes(b"hello");
+        assert_eq!(buf, expected);
+        // An empty body takes its head back.
+        put_section(&mut buf, &[0, 3], |_| {});
+        assert_eq!(buf, expected);
+        // Sections nest: the outer length counts the inner head.
+        let mut nested = Vec::new();
+        put_section(&mut nested, &[7], |b| {
+            put_section(b, &[0, 1], |b| b.push(5))
+        });
+        assert_eq!(nested, [7, 0, 5, 0, 1, 0, 1, 5]);
+        put_section(&mut nested, &[7], |b| put_section(b, &[0, 1], |_| {}));
+        assert_eq!(nested.len(), 8, "an empty inner section empties the outer");
     }
 
     #[test]
-    fn same_buffer_compares_inline_payloads_by_content() {
-        // A short payload lives in its handle: clones share no address, so
-        // content is all there is to go by.
-        let empty = Bytes::new();
-        assert!(same_buffer(&empty.clone(), &empty.clone()));
-        let a = Bytes::from(vec![1u8, 2, 3]);
-        assert!(same_buffer(&a, &a.clone()));
-        assert!(same_buffer(&a, &Bytes::from(vec![1u8, 2, 3])));
-        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2, 4])));
-        assert!(!same_buffer(&a, &Bytes::from(vec![1u8, 2])));
-        let cap = Bytes::from([9u8; bytes::INLINE_CAP]);
-        assert!(same_buffer(&cap, &Bytes::from([9u8; bytes::INLINE_CAP])));
+    #[should_panic(expected = "payload fits u16 length")]
+    fn a_section_past_the_frame_limit_is_refused() {
+        put_section(&mut Vec::new(), &[], |b| b.extend([0; FRAME_LIMIT + 1]));
     }
 
     #[test]

@@ -33,9 +33,8 @@ proptest! {
     #[test]
     fn codec_round_trip(a in any::<u8>(), b in any::<u16>(), c in any::<u64>(),
                         payload in proptest::collection::vec(any::<u8>(), 0..100)) {
-        let mut w = Writer::new();
-        w.put_u8(a).put_u16(b).put_u64(c).put_bytes(&payload);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).put_u8(a).put_u16(b).put_u64(c).put_bytes(&payload);
         let mut r = Reader::new(&buf);
         prop_assert_eq!(r.get_u8(), Some(a));
         prop_assert_eq!(r.get_u16(), Some(b));

@@ -16,6 +16,7 @@
 //!   synchronized regime. Expected convergence is exponential in the worst
 //!   case, matching the randomized flavor of the paper's reference \[11\].
 
+use ga_agreement::consensus::majority;
 use rand::Rng;
 
 /// The per-processor clock state and update rule.
@@ -67,28 +68,24 @@ impl ClockRule {
     /// Applies one pulse given `received` clock claims (at most one per
     /// other processor; own value is counted automatically) and private
     /// randomness. Returns the new clock value.
+    ///
+    /// The votes are the own value and the first `n − 1` claims, reduced
+    /// mod `M`: at most `n`. A value with `n − f` of them has more than
+    /// half of `n` (`n > 2f`), so it is the votes' strict
+    /// [`majority`]: a Boyer–Moore pass names the only candidate, and
+    /// counting the candidate's support decides. No table, and the coin is
+    /// drawn only when nothing is adopted.
     pub fn step(&mut self, received: &[u64], rng: &mut impl Rng) -> u64 {
-        // Tally support per value, own value included.
-        let mut counts: std::collections::HashMap<u64, usize> = Default::default();
-        *counts.entry(self.value).or_insert(0) += 1;
-        for &v in received.iter().take(self.n - 1) {
-            *counts.entry(v % self.modulus).or_insert(0) += 1;
-        }
-        let threshold = self.n - self.f;
-        let supported = counts
-            .iter()
-            .filter(|&(_, &c)| c >= threshold)
-            .map(|(&v, _)| v)
-            .max();
-        self.value = match supported {
-            Some(v) => (v + 1) % self.modulus,
-            None => {
-                if rng.gen_bool(0.5) {
-                    0
-                } else {
-                    self.value
-                }
-            }
+        let votes = std::iter::once(self.value)
+            .chain(received.iter().take(self.n - 1).map(|&v| v % self.modulus));
+        let candidate = majority(votes.clone(), self.n);
+        let support = votes.filter(|&v| v == candidate).count();
+        self.value = if support >= self.n - self.f {
+            (candidate + 1) % self.modulus
+        } else if rng.gen_bool(0.5) {
+            0
+        } else {
+            self.value
         };
         self.value
     }
@@ -102,6 +99,88 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The `HashMap` tally [`ClockRule::step`] replaced, kept as its
+    /// oracle: support per value, own value included, and the largest
+    /// value with `n − f` of it adopted.
+    fn reference_step(c: &mut ClockRule, received: &[u64], rng: &mut impl Rng) -> u64 {
+        let mut counts: std::collections::HashMap<u64, usize> = Default::default();
+        *counts.entry(c.value).or_insert(0) += 1;
+        for &v in received.iter().take(c.n - 1) {
+            *counts.entry(v % c.modulus).or_insert(0) += 1;
+        }
+        let threshold = c.n - c.f;
+        let supported = counts
+            .iter()
+            .filter(|&(_, &count)| count >= threshold)
+            .map(|(&v, _)| v)
+            .max();
+        c.value = match supported {
+            Some(v) => (v + 1) % c.modulus,
+            None if rng.gen_bool(0.5) => 0,
+            None => c.value,
+        };
+        c.value
+    }
+
+    #[test]
+    fn step_matches_the_reference_tally() {
+        use rand::RngCore;
+        // Every n in 4..=22 and every legal f, on claims of one common
+        // value — some spelled `v + k·M`, so reduction makes the quorum —
+        // mixed with none, a little or much noise: another value, or any
+        // u64. Fewer, exactly, and more than n − 1 claims.
+        let mut adopted = 0;
+        let mut cases = 0;
+        let mut draw = StdRng::seed_from_u64(0xC10C);
+        for n in 4..=22usize {
+            for f in 0..=(n - 1) / 3 {
+                for _ in 0..64 {
+                    let modulus = draw.gen_range(2..40u64);
+                    let own = draw.gen_range(0..modulus);
+                    let common = [own, draw.gen_range(0..modulus)][usize::from(draw.gen_bool(0.3))];
+                    let noise = [0.0, 0.1, 0.4][draw.gen_range(0..3usize)];
+                    let count = if draw.gen() {
+                        draw.gen_range(n - 1..=n + 2)
+                    } else {
+                        draw.gen_range(0..=n + 2)
+                    };
+                    let claims: Vec<u64> = (0..count)
+                        .map(|_| {
+                            if draw.gen_bool(noise) {
+                                [draw.gen(), draw.gen_range(0..modulus)][draw.gen_range(0..2usize)]
+                            } else if draw.gen_bool(0.2) {
+                                common + modulus * draw.gen_range(1..4u64)
+                            } else {
+                                common
+                            }
+                        })
+                        .collect();
+                    let seed = draw.gen();
+                    let (mut ours, mut theirs) = (
+                        ClockRule::new(n, f, modulus, own),
+                        ClockRule::new(n, f, modulus, own),
+                    );
+                    let (mut ours_rng, mut theirs_rng) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let value = ours.step(&claims, &mut ours_rng);
+                    let expected = reference_step(&mut theirs, &claims, &mut theirs_rng);
+                    let at = format!("n={n} f={f} M={modulus} own={own} claims={claims:?}");
+                    assert_eq!(value, expected, "{at}");
+                    assert_eq!(ours, theirs, "{at}");
+                    let next = ours_rng.next_u64();
+                    assert_eq!(next, theirs_rng.next_u64(), "draws, {at}");
+                    // No coin drawn: the quorum branch ran.
+                    adopted += usize::from(next == StdRng::seed_from_u64(seed).next_u64());
+                    cases += 1;
+                }
+            }
+        }
+        assert!(
+            cases / 4 < adopted && adopted < cases * 3 / 4,
+            "both branches ran: {adopted} of {cases} adopted"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! authority — calls [`pulse`] once per round and keys its schedule off
 //! the value it returns.
 
-use ga_agreement::wire::{Reader, Writer};
+use ga_agreement::wire::Reader;
 use ga_simnet::prelude::*;
 use rand::Rng;
 
@@ -39,12 +39,13 @@ impl ClockProcess {
         self.rule.value()
     }
 
-    /// Encodes a clock announcement.
-    pub fn encode(value: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(tags::CLOCK);
-        w.put_u64(value);
-        w.finish()
+    /// Encodes a clock announcement: the tag, then the value, big-endian.
+    /// Nine bytes, sized at compile time, and short enough to travel
+    /// inline: a pulse's broadcast allocates nothing.
+    pub fn encode(value: u64) -> [u8; 9] {
+        let mut claim = [tags::CLOCK; 9];
+        claim[1..].copy_from_slice(&value.to_be_bytes());
+        claim
     }
 
     /// Decodes a clock announcement (None for foreign/garbled payloads).
@@ -161,7 +162,7 @@ mod tests {
     }
 
     fn claim(v: u64) -> Vec<u8> {
-        ClockProcess::encode(v)
+        ClockProcess::encode(v).to_vec()
     }
 
     #[test]

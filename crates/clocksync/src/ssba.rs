@@ -19,9 +19,8 @@
 //! * **Closure (Lemma 3)** — once synchronized, every period of `M` pulses
 //!   contains exactly one complete agreement, forever.
 
-use bytes::Bytes;
-use ga_agreement::traits::BaInstance;
-use ga_agreement::wire::{same_buffer, Reader, Writer};
+use ga_agreement::traits::{send_to_others, BaInstance};
+use ga_agreement::wire::{put_section, Reader};
 use ga_agreement::Value;
 use ga_simnet::prelude::*;
 use rand::Rng;
@@ -29,14 +28,6 @@ use rand::Rng;
 use crate::clock::ClockRule;
 use crate::process::pulse;
 use crate::tags;
-
-/// Wraps an inner BA payload into channel `tag`'s frame.
-fn frame(tag: u8, inner: &[u8]) -> Bytes {
-    let mut w = Writer::with_capacity(3 + inner.len());
-    w.put_u8(tag);
-    w.put_bytes(inner);
-    w.finish().into()
-}
 
 /// Unwraps a frame of channel `tag` (None for any other payload).
 fn unframe(tag: u8, payload: &[u8]) -> Option<&[u8]> {
@@ -48,14 +39,27 @@ fn unframe(tag: u8, payload: &[u8]) -> Option<&[u8]> {
 }
 
 /// One clock-scheduled activation of a Byzantine agreement protocol: the
-/// instance, the channel tag its traffic travels under (`tag u8, len u16,
-/// body` frames) and how far the agreement in flight has got.
+/// instance, the channel tag its traffic travels under and how far the
+/// agreement in flight has got.
 ///
 /// The caller owns the stepping rule — at which clock values to
 /// [`start`](Activation::start) and [`advance`](Activation::advance): SSBA
 /// advances an agreement in flight whatever the clock says, the authority
 /// only inside the activation's clock window. The activation owns the
 /// round order, the tag demux and the framing.
+///
+/// A round's output is the instance's broadcast (the [broadcast
+/// contract](ga_agreement::traits#the-broadcast-contract)) behind the
+/// channel header, appended to the caller's buffer in place:
+///
+/// ```text
+/// u8 tag · u16 length · what the instance appended
+/// ```
+///
+/// An instance that appends nothing leaves the buffer as it was, so a
+/// silent round sends no frame. The caller hands the buffer to every other
+/// processor ([`send_to_others`]). On receipt, only frames of this tag
+/// reach the instance, unwrapped.
 pub struct Activation<B> {
     instance: B,
     tag: u8,
@@ -80,49 +84,41 @@ impl<B: BaInstance> Activation<B> {
     }
 
     /// Executes relative round `rel` on this channel's share of `inbox`
-    /// and appends the framed sends to `out`.
+    /// and appends the round's frame, if any, to `out`.
     fn step<'a>(
         &mut self,
         rel: u64,
         inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<(usize, Bytes)>,
+        out: &mut Vec<u8>,
     ) {
         let tag = self.tag;
         let view: Vec<(usize, &[u8])> = inbox
             .filter_map(|(from, payload)| Some((from, unframe(tag, payload)?)))
             .collect();
-        // Destinations handed the same buffer (a broadcast round: all of
-        // them) share one frame.
-        let mut last: Option<(Bytes, Bytes)> = None;
-        let mut send = |to: usize, inner: Bytes| {
-            let framed = match &last {
-                Some((prev, framed)) if same_buffer(prev, &inner) => framed.clone(),
-                _ => frame(tag, &inner),
-            };
-            out.push((to, framed.clone()));
-            last = Some((inner, framed));
-        };
-        self.instance.step(rel, &view, &mut send);
+        let instance = &mut self.instance;
+        put_section(out, &[tag], |out| instance.step(rel, &view, out));
         self.progress = Some(rel);
     }
 
-    /// Freshly invokes the protocol on `input` and runs its round 0.
+    /// Freshly invokes the protocol on `input`, runs its round 0 and
+    /// appends that round's frame to `out`.
     pub fn start<'a>(
         &mut self,
         input: Value,
         inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<(usize, Bytes)>,
+        out: &mut Vec<u8>,
     ) {
         self.instance.begin(input);
         self.step(0, inbox, out);
     }
 
-    /// Runs the next round of the agreement in flight, if any; the last
-    /// round ends the activation and returns the decision.
+    /// Runs the next round of the agreement in flight, if any, appending
+    /// its frame to `out`; the last round ends the activation and returns
+    /// the decision.
     pub fn advance<'a>(
         &mut self,
         inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<(usize, Bytes)>,
+        out: &mut Vec<u8>,
     ) -> Option<Value> {
         let rel = self.progress? + 1;
         if rel >= self.instance.rounds() {
@@ -213,15 +209,13 @@ impl<B: BaInstance + 'static> Process for SsbaProcess<B> {
         // from a transient fault cannot outlive one wrap; an agreement in
         // flight advances whatever the clock says.
         let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
-        let mut out: Vec<(usize, Bytes)> = Vec::new();
+        let mut frame = Vec::new();
         if clock_value == 1 {
-            self.ba.start(self.input, inbox, &mut out);
-        } else if let Some(decision) = self.ba.advance(inbox, &mut out) {
+            self.ba.start(self.input, inbox, &mut frame);
+        } else if let Some(decision) = self.ba.advance(inbox, &mut frame) {
             self.agreements.push(decision);
         }
-        for (to, frame) in out {
-            ctx.send(ProcessId(to), frame);
-        }
+        send_to_others(ctx, self.n, frame);
     }
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
@@ -250,8 +244,15 @@ mod tests {
     use super::*;
     use crate::process::ClockProcess;
     use ga_agreement::consensus::OmConsensus;
-    use ga_agreement::{om, traits};
+    use ga_agreement::om;
     use std::iter;
+
+    /// `inner` framed on channel `tag`, as an activation sends it.
+    fn frame(tag: u8, inner: &[u8]) -> Vec<u8> {
+        let mut framed = Vec::new();
+        put_section(&mut framed, &[tag], |out| out.extend_from_slice(inner));
+        framed
+    }
 
     fn build(n: usize, f: usize, seed: u64) -> Simulation {
         let rounds = om::rounds(f);
@@ -328,6 +329,7 @@ mod tests {
     #[test]
     fn tag_untag_round_trip() {
         let tagged = frame(tags::BA, b"inner");
+        assert_eq!(tagged, [&[tags::BA, 0, 5][..], b"inner"].concat());
         assert_eq!(unframe(tags::BA, &tagged), Some(b"inner".as_slice()));
         assert_eq!(unframe(tags::BA, b"junk"), None);
         assert_eq!(unframe(0xA1, &tagged), None, "another channel's frame");
@@ -335,30 +337,28 @@ mod tests {
         assert_eq!(unframe(tags::BA, &ClockProcess::encode(5)), None);
     }
 
-    /// A 3-round instance: broadcasts `[round]` every round, decides its
-    /// input after the last, and logs the rounds and mail it was given
-    /// since `begin`.
+    /// A 3-round instance: broadcasts `[round]` every round but the
+    /// `silent` one, decides its input after the last, and logs the rounds
+    /// and mail it was given since `begin`.
     #[derive(Default)]
     struct Probe {
         input: Value,
         rounds: Vec<u64>,
         mail: Vec<(usize, Vec<u8>)>,
-        /// Zero bytes appended to each broadcast (to outgrow the inline
-        /// `Bytes` form).
-        pad: usize,
+        silent: Option<u64>,
     }
 
     impl BaInstance for Probe {
         fn begin(&mut self, input: Value) {
             (self.input, self.rounds, self.mail) = (input, vec![], vec![]);
         }
-        fn step(&mut self, rel: u64, inbox: &[(usize, &[u8])], send: &mut traits::Send<'_>) {
+        fn step(&mut self, rel: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
             self.rounds.push(rel);
             self.mail
                 .extend(inbox.iter().map(|(s, p)| (*s, p.to_vec())));
-            let mut payload = vec![rel as u8];
-            payload.resize(1 + self.pad, 0);
-            traits::broadcast_others(4, 0, payload, send);
+            if self.silent != Some(rel) {
+                out.push(rel as u8);
+            }
         }
         fn rounds(&self) -> u64 {
             3
@@ -385,7 +385,11 @@ mod tests {
         );
         assert_eq!(a.advance(iter::empty(), &mut out), None, "exactly once");
         assert_eq!(a.instance().rounds, [0, 1, 2]);
-        assert_eq!(out.len(), 9, "three broadcasts to three peers, no more");
+        assert_eq!(
+            out,
+            [frame(0xA1, &[0]), frame(0xA1, &[1]), frame(0xA1, &[2])].concat(),
+            "one frame a round, no more"
+        );
 
         // A fresh start abandons whatever was in flight; so does a reset.
         a.start(8, iter::empty(), &mut out);
@@ -405,36 +409,24 @@ mod tests {
         let mut out = Vec::new();
         a.start(0, inbox.into_iter(), &mut out);
         assert_eq!(a.instance().mail, [(1, b"mine".to_vec())]);
-        for (i, (to, sent)) in out.iter().enumerate() {
-            assert_eq!((*to, unframe(0xA2, sent)), (i + 1, Some(&[0u8][..])));
-        }
+        assert_eq!(unframe(0xA2, &out), Some(&[0u8][..]));
     }
 
     #[test]
     fn activation_broadcast_shares_one_frame() {
-        let two_rounds = |pad: usize| {
-            let probe = Probe {
-                pad,
-                ..Probe::default()
-            };
-            let mut a = Activation::new(probe, tags::BA);
-            let mut out = Vec::new();
-            a.start(0, iter::empty(), &mut out);
-            a.advance(iter::empty(), &mut out);
-            assert_eq!(out.len(), 6);
-            out
+        // Each round's broadcast is one frame, behind whatever the buffer
+        // held; a round in which the instance appends nothing leaves it be.
+        let probe = Probe {
+            silent: Some(1),
+            ..Probe::default()
         };
-        // Frames past the inline cap: one shared buffer per round.
-        let out = two_rounds(bytes::INLINE_CAP);
-        let ptrs: Vec<_> = out.iter().map(|(_, f)| f.as_ptr()).collect();
-        assert!(ptrs[..3].iter().all(|&p| p == ptrs[0]), "one allocation");
-        assert!(ptrs[3..].iter().all(|&p| p == ptrs[3]), "per round");
-        assert_ne!(ptrs[0], ptrs[3]);
-        // Inline frames have no allocation to share: equal content per
-        // round.
-        let out = two_rounds(0);
-        assert!(out[..3].iter().all(|(_, f)| f == &out[0].1));
-        assert!(out[3..].iter().all(|(_, f)| f == &out[3].1));
-        assert_ne!(out[0].1, out[3].1);
+        let mut a = Activation::new(probe, tags::BA);
+        let mut out = vec![0xEE];
+        a.start(0, iter::empty(), &mut out);
+        assert_eq!(out, [&[0xEE][..], &frame(tags::BA, &[0])].concat());
+        let before = out.clone();
+        a.advance(iter::empty(), &mut out);
+        assert_eq!(out, before, "a silent round has no frame");
+        assert_eq!(a.instance().rounds, [0, 1], "but it ran");
     }
 }

@@ -62,7 +62,7 @@ use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::om;
-use ga_agreement::traits::{broadcast_others, BaInstance};
+use ga_agreement::traits::{send_to_others, BaInstance};
 use ga_agreement::wire::{Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
 use ga_clocksync::process::pulse;
@@ -388,8 +388,16 @@ impl AuthorityProcess {
         mask
     }
 
+    /// Queues `payload` in `out` for every other processor, in ascending
+    /// order: every recipient shares the one buffer.
+    fn to_others(&self, payload: Vec<u8>, out: &mut Vec<(usize, Bytes)>) {
+        let payload = Bytes::from(payload);
+        let others = (0..self.n).filter(|&to| to != self.me);
+        out.extend(others.map(|to| (to, payload.clone())));
+    }
+
     /// The commit phase: choose this play's action and broadcast its
-    /// commitment (one allocation; every recipient shares the buffer).
+    /// commitment.
     fn commit_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
         if self.mode == AgentMode::Mute || self.punished[self.me] {
             return;
@@ -400,10 +408,11 @@ impl AuthorityProcess {
         self.play.my_action = Some(action);
         self.play.my_opening = Some(o);
         self.play.commitments.insert(self.me, c);
-        let mut w = Writer::new();
-        w.put_u8(tag::COMMIT);
-        w.put_bytes(c.digest());
-        broadcast_others(self.n, self.me, w.finish(), &mut |to, p| out.push((to, p)));
+        let mut payload = Vec::with_capacity(3 + 32);
+        Writer::new(&mut payload)
+            .put_u8(tag::COMMIT)
+            .put_bytes(c.digest());
+        self.to_others(payload, out);
     }
 
     /// The reveal phase: open the commitment to everyone.
@@ -419,11 +428,12 @@ impl AuthorityProcess {
         // Same quarantine as harvested reveals: an out-of-range
         // self-reveal is foul evidence, never outcome input.
         self.harvest_reveal(self.me, revealed_action, opening);
-        let mut w = Writer::new();
-        w.put_u8(tag::REVEAL);
-        w.put_u64(revealed_action as u64);
-        w.put_bytes(opening.nonce());
-        broadcast_others(self.n, self.me, w.finish(), &mut |to, p| out.push((to, p)));
+        let mut payload = Vec::with_capacity(1 + 8 + 2 + 32);
+        Writer::new(&mut payload)
+            .put_u8(tag::REVEAL)
+            .put_u64(revealed_action as u64)
+            .put_bytes(opening.nonce());
+        self.to_others(payload, out);
     }
 
     /// The executive phase: convict the agreed fouls, disconnect them,
@@ -496,27 +506,29 @@ impl Process for AuthorityProcess {
         }
 
         let r = self.ba_rounds;
-        let mut out: Vec<(usize, Bytes)> = Vec::new();
         if v == 1 {
             // Fresh play: reset per-play state.
             self.play = PlayState::default();
             self.ba.iter_mut().for_each(Activation::reset);
         }
-        // An activation is stepped only inside its clock window.
+        // An activation is stepped only inside its clock window. The
+        // windows are disjoint, so at most one activation writes `frame`.
         let punished = &self.punished;
         let mail = || {
             let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
             inbox.filter(|(from, _)| hears(punished, *from))
         };
+        let mut frame = Vec::new();
         for i in 0..3 {
             let start = 1 + i as u64 * (r + 1);
             if v == start {
                 let input = self.ba_input(i);
-                self.ba[i].start(input, mail(), &mut out);
+                self.ba[i].start(input, mail(), &mut frame);
             } else if start < v && v < start + r {
-                self.ba[i].advance(mail(), &mut out);
+                self.ba[i].advance(mail(), &mut frame);
             }
         }
+        let mut out: Vec<(usize, Bytes)> = Vec::new();
         if v == r + 1 {
             self.commit_phase(&mut out);
         } else if v == 2 * r + 2 {
@@ -525,6 +537,7 @@ impl Process for AuthorityProcess {
             self.conclude_play();
         }
 
+        send_to_others(ctx, self.n, frame);
         for (to, payload) in out {
             ctx.send(ProcessId(to), payload);
         }

@@ -7,7 +7,7 @@ use ga_agreement::executor::{honest_agreement, run_pure, run_pure_instances};
 use ga_agreement::harness::{run_consensus_with, Backend, Misbehavior};
 use ga_agreement::king::PhaseKing;
 use ga_agreement::traits::BaInstance;
-use ga_agreement::wire::Writer;
+use ga_agreement::wire::put_section;
 use game_authority_suite::crypto::commitment::{Commitment, Opening};
 use game_authority_suite::crypto::prg::{CommittedPrg, Prg};
 use proptest::prelude::*;
@@ -15,11 +15,13 @@ use proptest::prelude::*;
 /// The round-0 frame of an OM consensus in which source `from` announces
 /// `value`: its one part, behind the part header.
 fn announcement_frame(from: usize, value: u64) -> Vec<u8> {
-    let mut announcement = LevelPayload::new(1, 1);
-    announcement.push(Some(value));
-    let mut frame = Writer::new();
-    frame.put_u16(from as u16).put_bytes(&announcement.finish());
-    frame.finish()
+    let mut frame = Vec::new();
+    put_section(&mut frame, &(from as u16).to_be_bytes(), |out| {
+        let mut announcement = LevelPayload::new(out, 1, 1);
+        announcement.push(Some(value));
+        announcement.finish();
+    });
+    frame
 }
 
 /// Whether [`announcement_frame`] is a frame receivers act on — an
@@ -36,7 +38,7 @@ fn announcement_frame_is_well_formed(n: usize, from: usize, value: u64) -> bool 
         consensus.begin(0);
         for r in 0..2 {
             let inbox: &[(usize, &[u8])] = if r == round { &[(sender, &frame)] } else { &[] };
-            consensus.step(r, inbox, &mut |_, _| {});
+            consensus.step(r, inbox, &mut Vec::new());
         }
         consensus.vector()[from]
     };
