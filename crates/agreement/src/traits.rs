@@ -241,11 +241,14 @@ mod tests {
         assert_ne!(p.input, 7, "input perturbed");
     }
 
+    /// The sender, buffer address and length of one delivered message.
+    type Heard = (usize, usize, usize);
+
     /// Records the address, length and sender of every message it is
     /// delivered; process 2 broadcasts one long payload at pulse 0.
     #[derive(Default)]
     struct Listener {
-        heard: Vec<(usize, usize, usize)>,
+        heard: Vec<Heard>,
     }
 
     impl Process for Listener {
@@ -270,7 +273,7 @@ mod tests {
 
     /// Runs four [`Listener`]s for two pulses; returns what each heard and
     /// how many messages the network delivered.
-    fn broadcast_from_2() -> (Vec<Vec<(usize, usize, usize)>>, u64) {
+    fn broadcast_from_2() -> (Vec<Vec<Heard>>, u64) {
         let mut sim = Simulation::builder(Topology::complete(4))
             .build_with(|_| Box::new(Listener::default()) as Box<dyn Process>);
         sim.run(2);

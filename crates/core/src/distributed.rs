@@ -55,7 +55,6 @@
 //! null action 0 on their behalf (their demand is dropped) so the game
 //! stays well-formed for the survivors.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -109,18 +108,42 @@ pub enum AgentMode {
 }
 
 /// One play's transient state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct PlayState {
     my_action: Option<usize>,
     my_opening: Option<Opening>,
-    commitments: HashMap<usize, Commitment>,
-    reveals: HashMap<usize, (usize, Opening)>,
+    /// Each agent's harvested commitment, indexed by agent.
+    commitments: Vec<Option<Commitment>>,
+    /// Each agent's harvested in-range reveal, indexed by agent.
+    reveals: Vec<Option<(usize, Opening)>>,
     /// Agents whose harvested reveal named an action outside their
     /// action space. Quarantined foul evidence: such a reveal never
     /// enters `reveals` (and thus never the outcome) and is proposed as
     /// a foul in this processor's BA 3 input, so conviction flows
     /// through the agreed quorum like every other foul.
     invalid: u64,
+}
+
+impl PlayState {
+    /// The state before an `n`-agent play's commit phase.
+    fn new(n: usize) -> PlayState {
+        PlayState {
+            my_action: None,
+            my_opening: None,
+            commitments: vec![None; n],
+            reveals: vec![None; n],
+            invalid: 0,
+        }
+    }
+
+    /// Back to [`new`](Self::new), in place.
+    fn reset(&mut self) {
+        self.my_action = None;
+        self.my_opening = None;
+        self.commitments.fill(None);
+        self.reveals.fill(None);
+        self.invalid = 0;
+    }
 }
 
 /// The complete outcome of one finished play, as recorded by a processor.
@@ -213,7 +236,7 @@ impl AuthorityProcess {
             clock: ClockRule::new(n, f, modulus, 0),
             ba_rounds,
             ba,
-            play: PlayState::default(),
+            play: PlayState::new(n),
             nonce_prg: Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16),
             prev_outcome: None,
             punished: vec![false; n],
@@ -241,38 +264,37 @@ impl AuthorityProcess {
         self.clock.value()
     }
 
-    fn digest64(bytes: &[u8]) -> u64 {
-        let d = Sha256::digest(bytes);
+    /// The first eight bytes of `h`'s digest.
+    fn digest64(h: Sha256) -> u64 {
+        let d = h.finalize();
         u64::from_be_bytes(d[..8].try_into().expect("digest has 32 bytes"))
     }
 
+    /// The previous outcome's actions, each as a big-endian `u64`, hashed.
     fn outcome_digest(&self) -> u64 {
         match &self.prev_outcome {
             None => 0,
             Some(p) => {
-                let mut bytes = Vec::with_capacity(p.len() * 8);
+                let mut h = Sha256::new();
                 for &a in p.actions() {
-                    bytes.extend_from_slice(&(a as u64).to_be_bytes());
+                    h.update(&(a as u64).to_be_bytes());
                 }
-                Self::digest64(&bytes)
+                Self::digest64(h)
             }
         }
     }
 
+    /// Every harvested commitment as `agent ‖ digest`, in agent order,
+    /// hashed.
     fn commitment_set_digest(&self) -> u64 {
-        let mut entries: Vec<(usize, [u8; 32])> = self
-            .play
-            .commitments
-            .iter()
-            .map(|(&a, c)| (a, *c.digest()))
-            .collect();
-        entries.sort();
-        let mut bytes = Vec::new();
-        for (agent, digest) in entries {
-            bytes.extend_from_slice(&(agent as u64).to_be_bytes());
-            bytes.extend_from_slice(&digest);
+        let mut h = Sha256::new();
+        for (agent, c) in self.play.commitments.iter().enumerate() {
+            if let Some(c) = c {
+                h.update(&(agent as u64).to_be_bytes());
+                h.update(c.digest());
+            }
         }
-        Self::digest64(&bytes)
+        Self::digest64(h)
     }
 
     /// Local audit producing the foul bitmask this processor proposes:
@@ -281,8 +303,8 @@ impl AuthorityProcess {
     fn local_foul_mask(&self) -> u64 {
         let submissions: Vec<Submission> = (0..self.n)
             .map(|agent| Submission {
-                commitment: self.play.commitments.get(&agent).copied(),
-                reveal: self.play.reveals.get(&agent).copied(),
+                commitment: self.play.commitments[agent],
+                reveal: self.play.reveals[agent],
                 claimed_strategy: None,
             })
             .collect();
@@ -342,10 +364,9 @@ impl AuthorityProcess {
     /// Records a harvested commitment digest (the first one per agent
     /// wins; commitments are binding, not amendable).
     fn harvest_commit(&mut self, from: usize, digest: [u8; 32]) {
-        self.play
-            .commitments
-            .entry(from)
-            .or_insert_with(|| Commitment::from_digest(digest));
+        if let Some(slot @ None) = self.play.commitments.get_mut(from) {
+            *slot = Some(Commitment::from_digest(digest));
+        }
     }
 
     /// Records a harvested reveal. An action outside the agent's action
@@ -360,7 +381,7 @@ impl AuthorityProcess {
             self.play.invalid |= 1 << from;
             return;
         }
-        self.play.reveals.entry(from).or_insert((action, opening));
+        self.play.reveals[from].get_or_insert((action, opening));
     }
 
     /// Folds BA 3's interactive-consistency vector into the agreed foul
@@ -407,7 +428,7 @@ impl AuthorityProcess {
         let (c, o) = Commitment::commit(&action_bytes(action), nonce);
         self.play.my_action = Some(action);
         self.play.my_opening = Some(o);
-        self.play.commitments.insert(self.me, c);
+        self.play.commitments[self.me] = Some(c);
         let mut payload = Vec::with_capacity(3 + 32);
         Writer::new(&mut payload)
             .put_u8(tag::COMMIT)
@@ -459,8 +480,8 @@ impl AuthorityProcess {
                 if self.punished[agent] {
                     return 0;
                 }
-                match self.play.reveals.get(&agent) {
-                    Some((a, _)) if *a < self.game.num_actions(agent) => *a,
+                match self.play.reveals[agent] {
+                    Some((a, _)) if a < self.game.num_actions(agent) => a,
                     _ => 0,
                 }
             })
@@ -508,7 +529,7 @@ impl Process for AuthorityProcess {
         let r = self.ba_rounds;
         if v == 1 {
             // Fresh play: reset per-play state.
-            self.play = PlayState::default();
+            self.play.reset();
             self.ba.iter_mut().for_each(Activation::reset);
         }
         // An activation is stepped only inside its clock window. The
@@ -546,7 +567,7 @@ impl Process for AuthorityProcess {
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
         self.clock.set_arbitrary(rng.gen());
         self.ba.iter_mut().for_each(|ba| ba.scramble(rng));
-        self.play = PlayState::default();
+        self.play.reset();
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -828,7 +849,7 @@ mod tests {
         let mut p = AuthorityProcess::new(congestion(), 0, 4, 1, AgentMode::Honest, 1);
         p.harvest_reveal(2, 9, Opening::from_nonce([0u8; 32]));
         assert_eq!(p.play.invalid, 1 << 2, "quarantined, not stored");
-        assert!(!p.play.reveals.contains_key(&2));
+        assert!(p.play.reveals[2].is_none());
         assert!(
             p.local_foul_mask() & (1 << 2) != 0,
             "invalid reveal is proposed as a foul"
@@ -844,7 +865,7 @@ mod tests {
         assert!(!p.punished()[2], "no unilateral conviction");
         // An in-range reveal still lands in the outcome path.
         p.harvest_reveal(1, 1, Opening::from_nonce([1u8; 32]));
-        assert_eq!(p.play.reveals.get(&1).map(|(a, _)| *a), Some(1));
+        assert_eq!(p.play.reveals[1].map(|(a, _)| a), Some(1));
     }
 
     /// The inline audit `local_foul_mask` ran before it was routed
@@ -861,7 +882,7 @@ mod tests {
                 mask |= 1 << agent; // revealed outside the action space
                 continue;
             }
-            let fouled = match (p.play.commitments.get(&agent), p.play.reveals.get(&agent)) {
+            let fouled = match (&p.play.commitments[agent], &p.play.reveals[agent]) {
                 (Some(c), Some((action, opening))) => {
                     if c.verify(&action_bytes(*action), opening).is_err()
                         || *action >= p.game.num_actions(agent)
@@ -905,12 +926,12 @@ mod tests {
                 let committed = rng.gen_range(0..3);
                 let (c, o) = Commitment::commit(&action_bytes(committed), [rng.gen::<u8>(); 32]);
                 if rng.gen_bool(0.8) {
-                    p.play.commitments.insert(agent, c);
+                    p.play.commitments[agent] = Some(c);
                 }
                 if rng.gen_bool(0.8) {
                     // One time in five, a bad opening.
                     let revealed = (committed + usize::from(rng.gen_bool(0.2))) % 3;
-                    p.play.reveals.insert(agent, (revealed, o));
+                    p.play.reveals[agent] = Some((revealed, o));
                 }
             }
             let mask = p.local_foul_mask();

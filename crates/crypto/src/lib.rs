@@ -35,6 +35,10 @@
 //! # }
 //! ```
 
+// One exception, allowed where it stands: the call of the SHA-NI
+// compression in `sha256.rs`, behind the CPU check.
+#![deny(unsafe_code)]
+
 pub mod audit_log;
 pub mod commitment;
 pub mod hmac;

@@ -25,7 +25,9 @@
 //! assert!(!forged.valid(&bob));
 //! ```
 
-use crate::hmac::{eq_digest, hmac_sha256};
+use std::sync::Arc;
+
+use crate::hmac::{eq_digest, HmacKey};
 use crate::prg::Prg;
 use crate::Digest;
 
@@ -38,16 +40,21 @@ pub type Tag = Digest;
 /// by the harness and each processor only ever holds its own
 /// [`Authenticator`]. Verification uses the ring's *public* view (tag
 /// recomputation), mirroring signature verification.
+///
+/// Each key is held as an [`HmacKey`], its padded blocks absorbed once, so
+/// a sign or a verify costs two compressions for a short input; the ring
+/// is shared, so cloning it (and handing out authenticators) copies a
+/// pointer.
 #[derive(Debug, Clone)]
 pub struct KeyRing {
-    keys: Vec<[u8; 32]>,
+    keys: Arc<[HmacKey]>,
 }
 
 impl KeyRing {
     /// Derives `n` independent identity keys from `seed`.
     pub fn generate(n: usize, seed: u64) -> KeyRing {
         let mut prg = Prg::from_seed_material(b"ga-keyring", seed);
-        let keys = (0..n).map(|_| prg.next_block()).collect();
+        let keys = (0..n).map(|_| HmacKey::new(&prg.next_block())).collect();
         KeyRing { keys }
     }
 
@@ -95,7 +102,7 @@ impl Authenticator {
 
     /// Signs `message` as this identity.
     fn sign(&self, message: &[u8]) -> Tag {
-        hmac_sha256(&self.ring.keys[self.id], message)
+        self.ring.keys[self.id].mac(message)
     }
 
     /// Verifies that `tag` is `signer`'s signature over `message`.
@@ -104,7 +111,7 @@ impl Authenticator {
     /// protocol code can treat garbage identities as forgeries.
     pub fn verify(&self, signer: usize, message: &[u8], tag: &Tag) -> bool {
         match self.ring.keys.get(signer) {
-            Some(key) => eq_digest(&hmac_sha256(key, message), tag),
+            Some(key) => eq_digest(&key.mac(message), tag),
             None => false,
         }
     }

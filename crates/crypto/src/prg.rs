@@ -29,7 +29,7 @@
 //! ```
 
 use crate::commitment::{Commitment, Nonce, Opening};
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 use crate::{CryptoError, Digest};
 
 const DOMAIN: &[u8] = b"ga-prg-v1";
@@ -37,14 +37,18 @@ const DOMAIN: &[u8] = b"ga-prg-v1";
 /// Counter-mode deterministic generator over a 32-byte seed.
 #[derive(Debug, Clone)]
 pub struct Prg {
-    seed: [u8; 32],
+    /// The seed as an HMAC key, absorbed once at construction.
+    key: HmacKey,
     counter: u64,
 }
 
 impl Prg {
     /// Creates a generator from a raw 32-byte seed.
     pub fn new(seed: [u8; 32]) -> Prg {
-        Prg { seed, counter: 0 }
+        Prg {
+            key: HmacKey::new(&seed),
+            counter: 0,
+        }
     }
 
     /// Derives a generator from a label and a small integer seed, for
@@ -54,13 +58,14 @@ impl Prg {
         Prg::new(material)
     }
 
-    /// Produces the next 32-byte pseudo-random block.
+    /// Produces the next 32-byte pseudo-random block: two compressions,
+    /// no allocation.
     pub fn next_block(&mut self) -> Digest {
-        let mut msg = Vec::with_capacity(DOMAIN.len() + 8);
-        msg.extend_from_slice(DOMAIN);
-        msg.extend_from_slice(&self.counter.to_be_bytes());
+        let mut msg = [0u8; DOMAIN.len() + 8];
+        msg[..DOMAIN.len()].copy_from_slice(DOMAIN);
+        msg[DOMAIN.len()..].copy_from_slice(&self.counter.to_be_bytes());
         self.counter += 1;
-        hmac_sha256(&self.seed, &msg)
+        self.key.mac(&msg)
     }
 
     /// Produces the next pseudo-random `u64`.

@@ -167,7 +167,7 @@ bash benchmark/run.sh --quick > target/benchmark_quick.txt
 # leaving a rewritten lock file in the tree.
 git diff --exit-code -- benchmark/Cargo.lock
 
-echo "==> no unsafe in the payload handle, the inbox store, the agreement path or the step"
+echo "==> no unsafe in the payload handle, the inbox store, the agreement path or the step; one call in the hash"
 # The inline Bytes form and the flat inbox are safe Rust (the fill goes
 # through Message::default) and stay so. ga-agreement, ga-clocksync and
 # game-authority forbid it crate-wide — the EIG kernels' speed is not to
@@ -195,6 +195,19 @@ if grep -rn unsafe crates/simnet/src \
     exit 1
 fi
 grep -qx '#!\[deny(unsafe_code)\]' crates/simnet/src/lib.rs
+# ga-crypto denies it crate-wide with one exception, the call of the
+# SHA-NI compression behind the CPU check in sha256.rs: the word may match
+# the `deny` line in lib.rs and, in sha256.rs, the one `allow` and the one
+# call under it, whose SAFETY line names the detected features.
+if grep -rn unsafe crates/crypto/src \
+    | grep -v -e '^crates/crypto/src/lib.rs:[0-9]*:#!\[deny(unsafe_code)\]$' \
+        -e '^crates/crypto/src/sha256.rs:[0-9]*: *#\[allow(unsafe_code)\]$' \
+        -e '^crates/crypto/src/sha256.rs:[0-9]*: *return unsafe { compress_sha_ni(&mut self.state, block) };$'; then
+    exit 1
+fi
+grep -qx '#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs
+[ "$(grep -c unsafe crates/crypto/src/sha256.rs)" -eq 2 ]
+grep -q 'SAFETY: compress_sha_ni enables sha, sse2, ssse3 and sse4.1,' crates/crypto/src/sha256.rs
 
 echo "==> census (every pub module and item is named by a file other than its own)"
 # scripts/census.sh lists the ones that are not; scripts/census.expected
