@@ -25,7 +25,7 @@
 //! destination, or is not a protocol message at all, and it is produced
 //! where the network is: the executor's per-destination
 //! [`Tamper`](crate::executor::Tamper), the `ga-simnet` adversaries, the
-//! authority's `AgentMode`s. The honest state machine has no reason to
+//! authority's deviant `Behavior`s. The honest state machine has no reason to
 //! know which destination a byte goes to.
 
 use bytes::Bytes;

@@ -10,7 +10,8 @@
 //! Per play:
 //!
 //! 1. every active agent picks an action (per its
-//!    [`Behavior`]) and publishes a commitment;
+//!    [`Behavior`], through `Agent::submit`) and
+//!    publishes a commitment;
 //! 2. after all commitments are in, agents reveal;
 //! 3. the judicial service audits (legitimacy, opening, best response /
 //!    claimed support);
@@ -25,13 +26,12 @@
 
 use ga_crypto::commitment::Commitment;
 use ga_crypto::prg::{CommittedPrg, Prg};
-use ga_game_theory::best_response::best_response;
 use ga_game_theory::game::Game;
 use ga_game_theory::profile::PureProfile;
 
-use crate::agent::{Behavior, BehaviorKind};
+use crate::agent::{Agent, Behavior};
 use crate::executive::{Executive, Punishment};
-use crate::judicial::{action_bytes, audit_epoch, audit_play_with, Submission, Verdict};
+use crate::judicial::{audit_play_with, Submission, Verdict};
 
 /// Configuration of the reference engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,18 +83,12 @@ pub struct RoundReport {
 /// The reference game authority.
 pub struct Authority<'g> {
     game: &'g dyn Game,
-    behaviors: Vec<Behavior>,
+    agents: Vec<Agent>,
     executive: Executive,
     config: AuthorityConfig,
-    /// Per-agent committed PRG driving *auditable* randomness.
-    prgs: Vec<CommittedPrg>,
-    /// Public seed commitments published before play started.
+    /// Public seed commitments of the agents' committed PRGs, published
+    /// before play started.
     seed_commitments: Vec<Commitment>,
-    /// Per-agent nonce stream for commitments (separate from the committed
-    /// PRG: nonces are never audited, samples are).
-    nonce_prgs: Vec<Prg>,
-    /// Per-agent transcript for the epoch audit.
-    transcripts: Vec<Vec<(Vec<f64>, usize)>>,
     prev_outcome: Option<PureProfile>,
     round: u64,
 }
@@ -117,30 +111,24 @@ impl<'g> Authority<'g> {
     pub fn new(game: &'g dyn Game, behaviors: Vec<Behavior>, config: AuthorityConfig) -> Self {
         assert_eq!(behaviors.len(), game.num_agents(), "one behavior per agent");
         let n = behaviors.len();
-        let mut prgs = Vec::with_capacity(n);
+        let mut agents = Vec::with_capacity(n);
         let mut seed_commitments = Vec::with_capacity(n);
-        let mut nonce_prgs = Vec::with_capacity(n);
-        for i in 0..n {
+        for (i, behavior) in behaviors.into_iter().enumerate() {
             let mut boot = Prg::from_seed_material(b"ga-authority-agent", config.seed ^ i as u64);
             let seed = boot.next_block();
             let nonce = boot.next_block();
-            let cp = CommittedPrg::new(seed, nonce);
-            seed_commitments.push(cp.commitment());
-            prgs.push(cp);
-            nonce_prgs.push(Prg::from_seed_material(
-                b"ga-authority-nonce",
-                config.seed ^ (i as u64) << 8,
-            ));
+            let sampler = CommittedPrg::new(seed, nonce);
+            seed_commitments.push(sampler.commitment());
+            let nonces =
+                Prg::from_seed_material(b"ga-authority-nonce", config.seed ^ (i as u64) << 8);
+            agents.push(Agent::new(i, behavior, nonces, Some(sampler)));
         }
         Authority {
             game,
-            behaviors,
+            agents,
             executive: Executive::new(n, config.punishment),
             config,
-            prgs,
             seed_commitments,
-            nonce_prgs,
-            transcripts: vec![Vec::new(); n],
             prev_outcome: None,
             round: 0,
         }
@@ -158,7 +146,7 @@ impl<'g> Authority<'g> {
 
     /// Runs one play of the protocol.
     pub fn play_round(&mut self) -> RoundReport {
-        let n = self.behaviors.len();
+        let n = self.agents.len();
         let active: Vec<bool> = (0..n).map(|i| self.executive.is_active(i)).collect();
 
         // Phase 1+2: per-agent action choice, commitment, reveal.
@@ -173,7 +161,7 @@ impl<'g> Authority<'g> {
                 });
                 continue;
             }
-            let (submission, action) = self.submit(i);
+            let (submission, action) = self.agents[i].submit(self.game, self.prev_outcome.as_ref());
             actions[i] = action;
             submissions.push(submission);
         }
@@ -202,19 +190,9 @@ impl<'g> Authority<'g> {
 
         // Epoch-end mixed audit (§5.3).
         if self.config.audits_enabled && (self.round + 1).is_multiple_of(self.config.epoch_len) {
-            for i in 0..n {
-                if !active[i] || !verdicts[i].is_honest() {
-                    continue;
-                }
-                if self.behaviors[i].claimed_strategy().is_some() {
-                    let v = audit_epoch(
-                        self.seed_commitments[i],
-                        self.prgs[i].reveal(),
-                        &self.transcripts[i],
-                    );
-                    if !v.is_honest() {
-                        verdicts[i] = v;
-                    }
+            for i in (0..n).filter(|&i| active[i]) {
+                if verdicts[i].is_honest() {
+                    verdicts[i] = self.agents[i].audit_epoch(self.seed_commitments[i]);
                 }
             }
         }
@@ -261,116 +239,6 @@ impl<'g> Authority<'g> {
     pub fn play(&mut self, rounds: u64) -> Vec<RoundReport> {
         (0..rounds).map(|_| self.play_round()).collect()
     }
-
-    /// Builds agent `i`'s submission for this play.
-    fn submit(&mut self, i: usize) -> (Submission, Option<usize>) {
-        let kind = self.behaviors[i].kind().clone();
-        let claimed = self.behaviors[i].claimed_strategy().map(<[f64]>::to_vec);
-        match kind {
-            BehaviorKind::HonestPure { initial } => {
-                let action = match &self.prev_outcome {
-                    Some(prev) => best_response(self.game, i, prev),
-                    None => initial.min(self.game.num_actions(i) - 1),
-                };
-                (self.honest_submission(i, action, None), Some(action))
-            }
-            BehaviorKind::HonestMixed { strategy } => {
-                let action = self.prgs[i].sample(&strategy);
-                self.transcripts[i].push((strategy.clone(), action));
-                (
-                    self.honest_submission(i, action, Some(strategy)),
-                    Some(action),
-                )
-            }
-            BehaviorKind::HiddenManipulator {
-                claimed: c,
-                manipulation,
-            } => {
-                // Burns a PRG sample to look busy, then plays the hidden
-                // strategy; the transcript records what it *claims*.
-                let _ = self.prgs[i].sample(&pad(&c, self.game.num_actions(i)));
-                self.transcripts[i].push((c.clone(), manipulation));
-                (
-                    self.honest_submission(i, manipulation, Some(c)),
-                    Some(manipulation),
-                )
-            }
-            BehaviorKind::SubtleManipulator {
-                claimed: c,
-                preferred,
-            } => {
-                let sampled = self.prgs[i].sample(&pad(&c, self.game.num_actions(i)));
-                let action = preferred.min(self.game.num_actions(i) - 1);
-                // Claims the sample was `action` — the seed replay will say
-                // otherwise at epoch end.
-                self.transcripts[i].push((c.clone(), action));
-                let _ = sampled;
-                (self.honest_submission(i, action, Some(c)), Some(action))
-            }
-            BehaviorKind::Equivocator { reveal, commit } => {
-                let nonce = self.next_nonce(i);
-                let (c, o) = Commitment::commit(&action_bytes(commit), nonce);
-                (
-                    Submission {
-                        commitment: Some(c),
-                        reveal: Some((reveal, o)),
-                        claimed_strategy: claimed,
-                    },
-                    Some(reveal),
-                )
-            }
-            BehaviorKind::NoReveal { action } => {
-                let nonce = self.next_nonce(i);
-                let (c, _) = Commitment::commit(&action_bytes(action), nonce);
-                (
-                    Submission {
-                        commitment: Some(c),
-                        reveal: None,
-                        claimed_strategy: claimed,
-                    },
-                    None,
-                )
-            }
-            BehaviorKind::Silent => (
-                Submission {
-                    commitment: None,
-                    reveal: None,
-                    claimed_strategy: claimed,
-                },
-                None,
-            ),
-            BehaviorKind::Illegal { action } => {
-                (self.honest_submission(i, action, claimed), Some(action))
-            }
-        }
-    }
-
-    fn honest_submission(
-        &mut self,
-        i: usize,
-        action: usize,
-        claimed: Option<Vec<f64>>,
-    ) -> Submission {
-        let nonce = self.next_nonce(i);
-        let (c, o) = Commitment::commit(&action_bytes(action), nonce);
-        Submission {
-            commitment: Some(c),
-            reveal: Some((action, o)),
-            claimed_strategy: claimed,
-        }
-    }
-
-    fn next_nonce(&mut self, i: usize) -> [u8; 32] {
-        self.nonce_prgs[i].next_block()
-    }
-}
-
-/// Pads a claimed strategy to the game's action count (missing weights are
-/// zero) so sampling never indexes out of range.
-fn pad(weights: &[f64], len: usize) -> Vec<f64> {
-    let mut w = weights.to_vec();
-    w.resize(len.max(weights.len()), 0.0);
-    w
 }
 
 #[cfg(test)]

@@ -51,9 +51,16 @@
 //! of its first play; the limit is stated, not lifted — widening the
 //! prefix would change every frame on the wire.
 //!
-//! Disconnected agents are not expected to submit; the executive plays the
-//! null action 0 on their behalf (their demand is dropped) so the game
-//! stays well-formed for the survivors.
+//! # Agents and executive
+//!
+//! A processor's agent is the centralized engine's `Agent`: the commit
+//! and reveal phases broadcast what `Agent::submit` returns, and only a
+//! framer acts beyond that, accusing its target in its BA 3 proposal.
+//! Mixed strategies are refused until the seed audit runs here (ROADMAP
+//! item 3(b)). Punishment is an [`Executive`] under
+//! [`Punishment::Disconnect`], driven by the agreed foul mask: a convicted
+//! agent's traffic is dropped and the outcome takes the null action 0 for
+//! it. Its outcome log is not kept (one record per play).
 
 use std::sync::Arc;
 
@@ -69,13 +76,14 @@ use ga_clocksync::ssba::Activation;
 use ga_crypto::commitment::{Commitment, Opening};
 use ga_crypto::prg::Prg;
 use ga_crypto::sha256::Sha256;
-use ga_game_theory::best_response::{best_response, best_responses};
 use ga_game_theory::game::Game;
 use ga_game_theory::profile::PureProfile;
 use ga_simnet::prelude::*;
 use rand::Rng;
 
-use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
+use crate::agent::{Agent, Behavior, BehaviorKind};
+use crate::executive::{Executive, Punishment};
+use crate::judicial::{audit_play, Submission, Verdict};
 
 /// Message tags on the authority's multiplexed channel.
 mod tag {
@@ -85,33 +93,11 @@ mod tag {
     pub(super) const REVEAL: u8 = 0xD0;
 }
 
-/// How this processor's agent behaves in the distributed protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgentMode {
-    /// Best-responds to the previous outcome and follows the protocol.
-    Honest,
-    /// Follows the protocol but plays a *worst* response — §3.2's foul.
-    WorstResponse,
-    /// Commits to one action, reveals another.
-    EquivocalReveal,
-    /// Never commits or reveals (but still participates in agreement —
-    /// a lazy free-rider rather than a crashed node).
-    Mute,
-    /// Plays honestly but frames processor 0 in the foul agreement:
-    /// its BA 3 proposal always carries agent 0's foul bit, evidence or
-    /// not. The executive's `f`-quorum is what keeps this harmless.
-    Framer,
-    /// Commits to — and faithfully reveals — an action outside its own
-    /// action space (the commitment verifies; only the range audit can
-    /// catch it).
-    OutOfRangeReveal,
-}
-
 /// One play's transient state.
 #[derive(Debug, Clone)]
 struct PlayState {
-    my_action: Option<usize>,
-    my_opening: Option<Opening>,
+    /// This processor's own reveal, held from the commit phase.
+    my_reveal: Option<(usize, Opening)>,
     /// Each agent's harvested commitment, indexed by agent.
     commitments: Vec<Option<Commitment>>,
     /// Each agent's harvested in-range reveal, indexed by agent.
@@ -128,8 +114,7 @@ impl PlayState {
     /// The state before an `n`-agent play's commit phase.
     fn new(n: usize) -> PlayState {
         PlayState {
-            my_action: None,
-            my_opening: None,
+            my_reveal: None,
             commitments: vec![None; n],
             reveals: vec![None; n],
             invalid: 0,
@@ -138,8 +123,7 @@ impl PlayState {
 
     /// Back to [`new`](Self::new), in place.
     fn reset(&mut self) {
-        self.my_action = None;
-        self.my_opening = None;
+        self.my_reveal = None;
         self.commitments.fill(None);
         self.reveals.fill(None);
         self.invalid = 0;
@@ -166,10 +150,17 @@ fn assert_size_supported(n: usize, f: usize) {
     );
 }
 
-/// Whether traffic from `from` is admitted: the executive's disconnection
-/// (`punished`, one flag per agent) cuts an agent off from every channel.
-fn hears(punished: &[bool], from: usize) -> bool {
-    !punished.get(from).copied().unwrap_or(false)
+/// Refuses a behaviour `n` distributed agents cannot run: a mixed strategy
+/// (the per-play audit would convict it) or a framer of a non-agent.
+fn assert_supported(behavior: &Behavior, n: usize) {
+    assert!(
+        behavior.claimed_strategy().is_none(),
+        "distributed authority: {behavior:?} claims a mixed strategy; mixed \
+         agents need the distributed seed audit of ROADMAP item 3(b)"
+    );
+    if let BehaviorKind::Framer { target } = *behavior.kind() {
+        assert!(target < n, "framer target {target} ≥ n={n}");
+    }
 }
 
 /// One processor of the distributed authority.
@@ -178,17 +169,16 @@ pub struct AuthorityProcess {
     me: usize,
     n: usize,
     f: usize,
-    mode: AgentMode,
+    agent: Agent,
     clock: ClockRule,
     ba_rounds: u64,
     /// The three agreement activations of a play, in schedule order.
     ba: [Activation<OmConsensus>; 3],
     play: PlayState,
-    nonce_prg: Prg,
     /// Locally recorded previous outcome (None before the first play).
     prev_outcome: Option<PureProfile>,
-    /// Executive view: disconnected agents.
-    punished: Vec<bool>,
+    /// Executive view: who is disconnected.
+    executive: Executive,
     /// Completed plays.
     records: Vec<PlayRecord>,
 }
@@ -197,7 +187,7 @@ impl std::fmt::Debug for AuthorityProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuthorityProcess")
             .field("me", &self.me)
-            .field("mode", &self.mode)
+            .field("behavior", self.agent.behavior())
             .field("clock", &self.clock.value())
             .field("plays", &self.records.len())
             .finish_non_exhaustive()
@@ -206,24 +196,26 @@ impl std::fmt::Debug for AuthorityProcess {
 
 impl AuthorityProcess {
     /// Creates the processor `me` of an `n`-agent authority tolerating `f`
-    /// Byzantine agents, playing `game` in `mode`.
+    /// Byzantine agents, whose agent plays `game` as `behavior`.
     ///
     /// # Panics
     ///
     /// Panics unless `n > 3f` (OM backend + clock rule), `n ≤ 64` (the
     /// foul bitmask), the largest agreement message at `(n, f)` fits the
-    /// 65 535-byte [frame limit](self#frame-limit), and the game has `n`
-    /// agents.
+    /// 65 535-byte [frame limit](self#frame-limit), the game has `n`
+    /// agents, and `behavior` is pure and frames only agents below `n`.
     pub fn new(
         game: Arc<dyn Game + Send + Sync>,
         me: usize,
         n: usize,
         f: usize,
-        mode: AgentMode,
+        behavior: Behavior,
         seed: u64,
     ) -> AuthorityProcess {
         assert_size_supported(n, f);
         assert_eq!(game.num_agents(), n, "game arity must match n");
+        assert_supported(&behavior, n);
+        let nonces = Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16);
         let ba = tag::BA.map(|t| Activation::new(OmConsensus::new(me, n, f), t));
         let ba_rounds = ba[0].instance().rounds();
         let modulus = Self::schedule_len(ba_rounds);
@@ -232,14 +224,13 @@ impl AuthorityProcess {
             me,
             n,
             f,
-            mode,
+            agent: Agent::new(me, behavior, nonces, None),
             clock: ClockRule::new(n, f, modulus, 0),
             ba_rounds,
             ba,
             play: PlayState::new(n),
-            nonce_prg: Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16),
             prev_outcome: None,
-            punished: vec![false; n],
+            executive: Executive::new(n, Punishment::Disconnect),
             records: Vec::new(),
         }
     }
@@ -254,9 +245,9 @@ impl AuthorityProcess {
         &self.records
     }
 
-    /// The executive's local disconnection flags.
+    /// The executive's local disconnection flags, one per agent.
     pub fn punished(&self) -> &[bool] {
-        &self.punished
+        self.executive.disconnected()
     }
 
     /// Current clock value (diagnostics).
@@ -312,7 +303,7 @@ impl AuthorityProcess {
             self.game.as_ref(),
             self.prev_outcome.as_ref(),
             &submissions,
-            &self.punished,
+            self.executive.disconnected(),
         );
         let mut mask = 0u64;
         for (agent, verdict) in verdicts.into_iter().enumerate() {
@@ -333,31 +324,11 @@ impl AuthorityProcess {
         match i {
             0 => self.outcome_digest(),
             1 => self.commitment_set_digest(),
-            // The false accusation against agent 0 rides on the audit.
-            _ => self.local_foul_mask() | u64::from(self.mode == AgentMode::Framer),
-        }
-    }
-
-    fn choose_action(&self) -> usize {
-        let actions = self.game.num_actions(self.me);
-        match self.mode {
-            AgentMode::Honest
-            | AgentMode::EquivocalReveal
-            | AgentMode::Mute
-            | AgentMode::Framer => match &self.prev_outcome {
-                Some(prev) => best_response(self.game.as_ref(), self.me, prev),
-                None => 0,
+            // A framer's false accusation rides on the audit.
+            _ => match self.agent.behavior().kind() {
+                BehaviorKind::Framer { target } => self.local_foul_mask() | 1 << target,
+                _ => self.local_foul_mask(),
             },
-            AgentMode::WorstResponse => match &self.prev_outcome {
-                Some(prev) => {
-                    // Deliberately pick a non-best response if one exists.
-                    let best = best_responses(self.game.as_ref(), self.me, prev);
-                    (0..actions).find(|a| !best.contains(a)).unwrap_or(0)
-                }
-                None => 0,
-            },
-            // The smallest action outside the agent's space.
-            AgentMode::OutOfRangeReveal => actions,
         }
     }
 
@@ -398,7 +369,7 @@ impl AuthorityProcess {
         let proposals: Vec<u64> = vector.into_iter().flatten().collect();
         let mut mask = 0u64;
         for agent in 0..self.n {
-            if self.punished[agent] {
+            if !self.executive.is_active(agent) {
                 continue;
             }
             let votes = proposals.iter().filter(|&&p| p & (1 << agent) != 0).count();
@@ -417,17 +388,19 @@ impl AuthorityProcess {
         out.extend(others.map(|to| (to, payload.clone())));
     }
 
-    /// The commit phase: choose this play's action and broadcast its
-    /// commitment.
+    /// The commit phase: the agent submits this play, and its commitment
+    /// (if any) is broadcast.
     fn commit_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
-        if self.mode == AgentMode::Mute || self.punished[self.me] {
+        if !self.executive.is_active(self.me) {
             return;
         }
-        let action = self.choose_action();
-        let nonce = self.nonce_prg.next_block();
-        let (c, o) = Commitment::commit(&action_bytes(action), nonce);
-        self.play.my_action = Some(action);
-        self.play.my_opening = Some(o);
+        let (submission, _) = self
+            .agent
+            .submit(self.game.as_ref(), self.prev_outcome.as_ref());
+        self.play.my_reveal = submission.reveal;
+        let Some(c) = submission.commitment else {
+            return;
+        };
         self.play.commitments[self.me] = Some(c);
         let mut payload = Vec::with_capacity(3 + 32);
         Writer::new(&mut payload)
@@ -436,23 +409,18 @@ impl AuthorityProcess {
         self.to_others(payload, out);
     }
 
-    /// The reveal phase: open the commitment to everyone.
+    /// The reveal phase: broadcast the submission's reveal (if any).
     fn reveal_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
-        let (Some(action), Some(opening)) = (self.play.my_action, self.play.my_opening) else {
+        let Some((action, opening)) = self.play.my_reveal else {
             return;
-        };
-        let revealed_action = match self.mode {
-            // Reveal something other than the committed action.
-            AgentMode::EquivocalReveal => (action + 1) % self.game.num_actions(self.me),
-            _ => action,
         };
         // Same quarantine as harvested reveals: an out-of-range
         // self-reveal is foul evidence, never outcome input.
-        self.harvest_reveal(self.me, revealed_action, opening);
+        self.harvest_reveal(self.me, action, opening);
         let mut payload = Vec::with_capacity(1 + 8 + 2 + 32);
         Writer::new(&mut payload)
             .put_u8(tag::REVEAL)
-            .put_u64(revealed_action as u64)
+            .put_u64(action as u64)
             .put_bytes(opening.nonce());
         self.to_others(payload, out);
     }
@@ -463,21 +431,19 @@ impl AuthorityProcess {
     /// Conviction flows **only** through the agreed mask — local
     /// evidence (`PlayState::invalid`) enters via this processor's BA 3
     /// proposal, never unilaterally, so a reveal delivered selectively
-    /// to some processors can not split the executives' `punished`
+    /// to some processors can not split the executives' disconnection
     /// state. The quarantine still guarantees an invalid reveal is
     /// never adopted as an outcome action.
     fn conclude_play(&mut self) {
         let fouls = self.agreed_foul_mask();
-        for agent in 0..self.n {
-            if fouls & (1 << agent) != 0 {
-                self.punished[agent] = true;
-            }
+        for agent in (0..self.n).filter(|agent| fouls & (1 << agent) != 0) {
+            self.executive.convict(agent);
         }
         // Outcome: revealed actions of surviving agents whose reveals
         // audit clean; null action 0 otherwise.
         let actions: Vec<usize> = (0..self.n)
             .map(|agent| {
-                if self.punished[agent] {
+                if !self.executive.is_active(agent) {
                     return 0;
                 }
                 match self.play.reveals[agent] {
@@ -495,15 +461,16 @@ impl AuthorityProcess {
 impl Process for AuthorityProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
         // The clock tick drives the schedule.
+        let executive = &self.executive;
         let v = pulse(&mut self.clock, self.n, ctx, |from| {
-            hears(&self.punished, from)
+            executive.is_active(from)
         });
 
         // Harvest commitments/reveals whenever they arrive (they are sent
         // in their phase, delivered one pulse later).
         for m in ctx.inbox() {
             let from = m.from.index();
-            if !hears(&self.punished, from) {
+            if !self.executive.is_active(from) {
                 continue;
             }
             let mut rd = Reader::new(m.bytes());
@@ -534,10 +501,10 @@ impl Process for AuthorityProcess {
         }
         // An activation is stepped only inside its clock window. The
         // windows are disjoint, so at most one activation writes `frame`.
-        let punished = &self.punished;
+        let executive = &self.executive;
         let mail = || {
             let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
-            inbox.filter(|(from, _)| hears(punished, *from))
+            inbox.filter(|(from, _)| executive.is_active(*from))
         };
         let mut frame = Vec::new();
         for i in 0..3 {
@@ -585,7 +552,7 @@ impl Process for AuthorityProcess {
 
 /// The construction half of a distributed authority, decoupled from
 /// simulator wiring: which game is played, the fault threshold, and each
-/// agent's [`AgentMode`].
+/// agent's [`Behavior`].
 ///
 /// Spec-driven frontends (e.g. the scenario engine) own the topology,
 /// delivery model, churn schedule and run seed themselves and call
@@ -596,15 +563,15 @@ impl Process for AuthorityProcess {
 pub struct AuthorityCluster {
     game: Arc<dyn Game + Send + Sync>,
     f: usize,
-    modes: Vec<AgentMode>,
+    behaviors: Vec<Behavior>,
 }
 
 impl std::fmt::Debug for AuthorityCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuthorityCluster")
-            .field("n", &self.modes.len())
+            .field("n", &self.behaviors.len())
             .field("f", &self.f)
-            .field("modes", &self.modes)
+            .field("behaviors", &self.behaviors)
             .finish_non_exhaustive()
     }
 }
@@ -623,36 +590,41 @@ impl AuthorityCluster {
         AuthorityCluster {
             game,
             f,
-            modes: vec![AgentMode::Honest; n],
+            behaviors: vec![Behavior::honest_pure(0); n],
         }
     }
 
-    /// Sets one agent's mode (builder-style).
+    /// Sets one agent's behaviour (builder-style).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
+    /// Panics if `id` is out of range or [`AuthorityProcess::new`] would
+    /// refuse `behavior`.
     #[must_use]
-    pub fn mode(mut self, id: usize, mode: AgentMode) -> Self {
-        self.modes[id] = mode;
+    pub fn mode(mut self, id: usize, behavior: Behavior) -> Self {
+        assert_supported(&behavior, self.n());
+        self.behaviors[id] = behavior;
         self
     }
 
-    /// Replaces the whole mode vector.
+    /// Replaces the whole behaviour vector.
     ///
     /// # Panics
     ///
-    /// Panics unless `modes.len()` matches the game arity.
+    /// Panics unless `behaviors.len()` matches the game arity and
+    /// [`AuthorityProcess::new`] accepts every behaviour.
     #[must_use]
-    pub fn modes(mut self, modes: Vec<AgentMode>) -> Self {
-        assert_eq!(modes.len(), self.modes.len(), "one mode per agent");
-        self.modes = modes;
+    pub fn modes(mut self, behaviors: Vec<Behavior>) -> Self {
+        assert_eq!(behaviors.len(), self.n(), "one behavior per agent");
+        let n = self.n();
+        behaviors.iter().for_each(|b| assert_supported(b, n));
+        self.behaviors = behaviors;
         self
     }
 
     /// Number of agents.
     pub fn n(&self) -> usize {
-        self.modes.len()
+        self.behaviors.len()
     }
 
     /// The fault threshold.
@@ -678,21 +650,28 @@ impl AuthorityCluster {
             id,
             self.n(),
             self.f,
-            self.modes[id],
+            self.behaviors[id].clone(),
             seed,
         ))
     }
 }
 
-/// Builds a distributed authority over a complete graph; returns the
-/// simulation for inspection. Thin wiring over [`AuthorityCluster`].
-pub fn build_authority_sim(
-    game: Arc<dyn Game + Send + Sync>,
-    modes: Vec<AgentMode>,
-    f: usize,
-    seed: u64,
-) -> Simulation {
-    let cluster = AuthorityCluster::new(game, f).modes(modes);
+/// Whether the authority processors among `ids` hold equal play-record
+/// sequences: what every pair of honest processors must keep, whatever
+/// the deviants do. Slots that run no authority processor (a simnet-level
+/// adversary) are skipped.
+pub fn records_agree(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> bool {
+    let mut records = ids
+        .into_iter()
+        .filter_map(|id| sim.process_as::<AuthorityProcess>(ProcessId(id)))
+        .map(AuthorityProcess::records);
+    let first = records.next();
+    records.all(|r| Some(r) == first)
+}
+
+/// Builds `cluster` over a complete graph; returns the simulation for
+/// inspection.
+pub fn build_authority_sim(cluster: &AuthorityCluster, seed: u64) -> Simulation {
     Simulation::builder(Topology::complete(cluster.n()))
         .seed(seed)
         .build_with(|id| cluster.process(id.index(), seed))
@@ -701,23 +680,20 @@ pub fn build_authority_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_game_theory::game::ClosureGame;
+    use crate::judicial::action_bytes;
+    use ga_crypto::commitment::Commitment;
+    use ga_games::congestion;
 
-    /// An `n`-agent, 2-action congestion game: cost = #agents on my
-    /// resource.
-    fn congestion_of(n: usize) -> Arc<dyn Game + Send + Sync> {
-        Arc::new(ClosureGame::new("cong", n, vec![2; n], |agent, p| {
-            let mine = p.action(agent);
-            p.actions().iter().filter(|&&a| a == mine).count() as f64
-        }))
+    /// `n` honest agents, except `deviant` at `at`.
+    fn one_deviant(n: usize, at: usize, deviant: Behavior) -> Vec<Behavior> {
+        let mut behaviors = vec![Behavior::honest_pure(0); n];
+        behaviors[at] = deviant;
+        behaviors
     }
 
-    fn congestion() -> Arc<dyn Game + Send + Sync> {
-        congestion_of(4)
-    }
-
-    fn run_plays(modes: Vec<AgentMode>, pulses: u64, seed: u64) -> Simulation {
-        let mut sim = build_authority_sim(congestion(), modes, 1, seed);
+    fn run_plays(behaviors: Vec<Behavior>, pulses: u64, seed: u64) -> Simulation {
+        let cluster = AuthorityCluster::new(congestion(4), 1).modes(behaviors);
+        let mut sim = build_authority_sim(&cluster, seed);
         sim.run(pulses);
         sim
     }
@@ -732,25 +708,24 @@ mod tests {
     fn honest_plays_complete_and_agree() {
         let n = 4;
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let sim = run_plays(vec![AgentMode::Honest; n], modulus * 4 + 2, 3);
+        let sim = run_plays(vec![Behavior::honest_pure(0); n], modulus * 4 + 2, 3);
         let r0 = records(&sim, 0);
         assert!(r0.len() >= 2, "plays completed: {}", r0.len());
-        for i in 1..n {
-            assert_eq!(records(&sim, i), r0, "identical play records everywhere");
-        }
+        assert!(
+            records_agree(&sim, 0..n),
+            "identical play records everywhere"
+        );
         assert!(r0.iter().all(|rec| rec.fouls == 0), "no honest fouls");
     }
 
     #[test]
     fn worst_responder_is_caught_and_disconnected() {
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let modes = vec![
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::WorstResponse,
-        ];
-        let sim = run_plays(modes, modulus * 4 + 2, 5);
+        let sim = run_plays(
+            one_deviant(4, 3, Behavior::worst_response()),
+            modulus * 4 + 2,
+            5,
+        );
         // Play 0 has no previous outcome (no best-response obligation);
         // play 1 exposes the worst responder.
         let r0 = records(&sim, 0);
@@ -769,13 +744,11 @@ mod tests {
     #[test]
     fn equivocal_reveal_is_caught() {
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let modes = vec![
-            AgentMode::Honest,
-            AgentMode::EquivocalReveal,
-            AgentMode::Honest,
-            AgentMode::Honest,
-        ];
-        let sim = run_plays(modes, modulus * 3 + 2, 7);
+        let sim = run_plays(
+            one_deviant(4, 1, Behavior::equivocator(0, 1)),
+            modulus * 3 + 2,
+            7,
+        );
         let r0 = records(&sim, 0);
         assert!(!r0.is_empty());
         assert!(
@@ -787,13 +760,7 @@ mod tests {
     #[test]
     fn mute_agent_is_flagged_but_system_continues() {
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let modes = vec![
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::Mute,
-        ];
-        let sim = run_plays(modes, modulus * 4 + 2, 9);
+        let sim = run_plays(one_deviant(4, 3, Behavior::silent()), modulus * 4 + 2, 9);
         let r0 = records(&sim, 0);
         assert!(r0.len() >= 2, "plays continue");
         assert!(r0[0].fouls & (1 << 3) != 0, "mute agent flagged");
@@ -811,13 +778,9 @@ mod tests {
         // so both configurations behaved identically.)
         for (f, framed) in [(1usize, false), (0usize, true)] {
             let modulus = AuthorityProcess::schedule_len(om::rounds(f));
-            let modes = vec![
-                AgentMode::Honest,
-                AgentMode::Honest,
-                AgentMode::Honest,
-                AgentMode::Framer,
-            ];
-            let mut sim = build_authority_sim(congestion(), modes, f, 13);
+            let behaviors = one_deviant(4, 3, Behavior::framer(0));
+            let cluster = AuthorityCluster::new(congestion(4), f).modes(behaviors);
+            let mut sim = build_authority_sim(&cluster, 13);
             sim.run(modulus * 3 + 2);
             let r1 = records(&sim, 1);
             assert!(r1.len() >= 2, "plays complete at f={f}");
@@ -846,7 +809,7 @@ mod tests {
         // action in the outcome. (Regression: it used to sit in
         // `reveals` and be mapped to 0 with no foul whenever the foul
         // agreement had not decided.)
-        let mut p = AuthorityProcess::new(congestion(), 0, 4, 1, AgentMode::Honest, 1);
+        let mut p = AuthorityProcess::new(congestion(4), 0, 4, 1, Behavior::honest_pure(0), 1);
         p.harvest_reveal(2, 9, Opening::from_nonce([0u8; 32]));
         assert_eq!(p.play.invalid, 1 << 2, "quarantined, not stored");
         assert!(p.play.reveals[2].is_none());
@@ -875,7 +838,7 @@ mod tests {
         use ga_game_theory::best_response::is_best_response;
         let mut mask = 0u64;
         for agent in 0..p.n {
-            if p.punished[agent] {
+            if !p.executive.is_active(agent) {
                 continue; // already out; no fresh foul
             }
             if p.play.invalid & (1 << agent) != 0 {
@@ -910,14 +873,16 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xF001);
         let mut seen = std::collections::HashSet::new();
         for case in 0..2000 {
-            let mut p = AuthorityProcess::new(congestion(), 0, n, 1, AgentMode::Honest, 1);
+            let mut p = AuthorityProcess::new(congestion(n), 0, n, 1, Behavior::honest_pure(0), 1);
             if rng.gen_bool(0.7) {
                 p.prev_outcome = Some(PureProfile::new(
                     (0..n).map(|_| rng.gen_range(0..2)).collect(),
                 ));
             }
             for agent in 0..n {
-                p.punished[agent] = rng.gen_bool(0.2);
+                if rng.gen_bool(0.2) {
+                    p.executive.convict(agent);
+                }
                 if rng.gen_bool(0.3) {
                     p.play.invalid |= 1 << agent; // with or without a reveal below
                 }
@@ -949,13 +914,7 @@ mod tests {
         // the foul, the quorum convicts, and the outcome records the
         // null action — identically everywhere.
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let modes = vec![
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::Honest,
-            AgentMode::OutOfRangeReveal,
-        ];
-        let sim = run_plays(modes, modulus * 3 + 2, 21);
+        let sim = run_plays(one_deviant(4, 3, Behavior::illegal(2)), modulus * 3 + 2, 21);
         let r0 = records(&sim, 0);
         assert!(!r0.is_empty());
         assert_eq!(
@@ -964,8 +923,8 @@ mod tests {
             "convicted in play 0: {r0:?}"
         );
         assert_eq!(r0[0].outcome.action(3), 0, "never adopted as an outcome");
+        assert!(records_agree(&sim, 0..3), "identical play records");
         for i in 0..3 {
-            assert_eq!(records(&sim, i), r0, "identical play records at p{i}");
             let p = sim.process_as::<AuthorityProcess>(ProcessId(i)).unwrap();
             assert!(p.punished()[3], "agent 3 disconnected at p{i}");
         }
@@ -976,7 +935,7 @@ mod tests {
         expected = "n=13, f=4: the largest agreement message exceeds the 65535-byte frame limit"
     )]
     fn process_refuses_a_size_whose_frames_cannot_be_carried() {
-        AuthorityProcess::new(congestion_of(13), 0, 13, 4, AgentMode::Honest, 1);
+        AuthorityProcess::new(congestion(13), 0, 13, 4, Behavior::honest_pure(0), 1);
     }
 
     #[test]
@@ -986,7 +945,20 @@ mod tests {
     fn cluster_refuses_a_size_whose_frames_cannot_be_carried() {
         // Regression: this legal (n > 3f) cluster used to build, then
         // panic inside the frame encoder on its first level-4 relay.
-        let _ = AuthorityCluster::new(congestion_of(13), 4);
+        let _ = AuthorityCluster::new(congestion(13), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed agents need the distributed seed audit of ROADMAP item 3(b)")]
+    fn cluster_refuses_a_mixed_strategy() {
+        let _ =
+            AuthorityCluster::new(congestion(4), 1).mode(2, Behavior::honest_mixed(vec![0.5, 0.5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "framer target 4 ≥ n=4")]
+    fn cluster_refuses_a_framer_whose_target_is_not_an_agent() {
+        let _ = AuthorityCluster::new(congestion(4), 1).mode(2, Behavior::framer(4));
     }
 
     #[test]
@@ -1000,22 +972,20 @@ mod tests {
     #[test]
     fn thirteen_agents_three_faults_complete_a_correct_play() {
         let n = 13;
-        let cluster = AuthorityCluster::new(congestion_of(n), 3);
-        let mut sim = build_authority_sim(congestion_of(n), vec![AgentMode::Honest; n], 3, 17);
+        let cluster = AuthorityCluster::new(congestion(n), 3);
+        let mut sim = build_authority_sim(&cluster, 17);
         sim.run(cluster.play_len() + 1);
         let r0 = records(&sim, 0);
         assert_eq!(r0.len(), 1, "one play completed");
         assert_eq!(r0[0].fouls, 0, "no honest fouls");
-        for i in 1..n {
-            assert_eq!(records(&sim, i), r0, "identical play record at p{i}");
-        }
+        assert!(records_agree(&sim, 0..n), "identical play records");
     }
 
     #[test]
     fn recovers_from_transient_fault() {
         let n = 4;
         let modulus = AuthorityProcess::schedule_len(om::rounds(1));
-        let mut sim = build_authority_sim(congestion(), vec![AgentMode::Honest; n], 1, 11);
+        let mut sim = build_authority_sim(&AuthorityCluster::new(congestion(n), 1), 11);
         sim.run(modulus * 2);
         sim.inject(&TransientFault::total(n, 0xFA11));
         // Give the clock time to re-synchronize, then verify fresh plays

@@ -13,6 +13,9 @@
 //!   offender per offense;
 //! * [`Punishment::Reputation`] — reputation loss; agents below the
 //!   threshold are shunned (treated as disconnected).
+//!
+//! Both authorities punish through [`Executive::convict`]: the centralized
+//! engine per judicial verdict, each distributed processor per agreed foul.
 
 use ga_crypto::audit_log::AuditLog;
 use ga_crypto::Digest;
@@ -91,33 +94,43 @@ impl Executive {
             if v.is_honest() || *v == Verdict::AlreadyPunished {
                 continue;
             }
-            self.offenses[agent] += 1;
-            match self.scheme {
-                Punishment::Disconnect => self.disconnected[agent] = true,
-                Punishment::Fine(amount) => self.fines[agent] += amount,
-                Punishment::Reputation {
-                    penalty, threshold, ..
-                } => {
-                    self.reputation[agent] -= penalty;
-                    if self.reputation[agent] <= threshold {
-                        self.disconnected[agent] = true;
-                    }
-                }
-                Punishment::Deposit { forfeit, .. } => {
-                    self.deposits[agent] -= forfeit;
-                    if self.deposits[agent] < forfeit {
-                        self.disconnected[agent] = true;
-                    }
-                }
-            }
+            self.convict(agent);
             punished.push(agent);
         }
         punished
     }
 
+    /// Punishes one offense of `agent` under the scheme in force.
+    pub fn convict(&mut self, agent: usize) {
+        self.offenses[agent] += 1;
+        match self.scheme {
+            Punishment::Disconnect => self.disconnected[agent] = true,
+            Punishment::Fine(amount) => self.fines[agent] += amount,
+            Punishment::Reputation {
+                penalty, threshold, ..
+            } => {
+                self.reputation[agent] -= penalty;
+                if self.reputation[agent] <= threshold {
+                    self.disconnected[agent] = true;
+                }
+            }
+            Punishment::Deposit { forfeit, .. } => {
+                self.deposits[agent] -= forfeit;
+                if self.deposits[agent] < forfeit {
+                    self.disconnected[agent] = true;
+                }
+            }
+        }
+    }
+
     /// Whether `agent` may still participate.
     pub fn is_active(&self, agent: usize) -> bool {
         !self.disconnected.get(agent).copied().unwrap_or(true)
+    }
+
+    /// One flag per agent: disconnected (or shunned) for good.
+    pub fn disconnected(&self) -> &[bool] {
+        &self.disconnected
     }
 
     /// Accumulated fine of `agent`.

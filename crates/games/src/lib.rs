@@ -13,11 +13,15 @@
 //!   malice**; used by experiment E5.
 //! * [`prisoners_dilemma`](mod@prisoners_dilemma) — the classic complete-information game used in
 //!   examples and as the default "rules of the game" in authority demos.
+//! * [`congestion`](mod@congestion) — the `n`-agent, 2-resource congestion
+//!   game the distributed authority plays in its scenarios and tests.
 
+pub mod congestion;
 pub mod matching_pennies;
 pub mod prisoners_dilemma;
 pub mod resource_allocation;
 pub mod virus_inoculation;
 
+pub use congestion::congestion;
 pub use matching_pennies::{manipulated_matching_pennies, matching_pennies};
 pub use prisoners_dilemma::prisoners_dilemma;

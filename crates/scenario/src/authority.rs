@@ -31,28 +31,13 @@
 
 use std::sync::Arc;
 
-use ga_game_theory::game::{ClosureGame, Game};
+use ga_games::congestion;
 use ga_simnet::prelude::*;
-use game_authority::distributed::{AgentMode, AuthorityCluster, AuthorityProcess, PlayRecord};
+use game_authority::agent::Behavior;
+use game_authority::distributed::{records_agree, AuthorityCluster, AuthorityProcess, PlayRecord};
 
 use crate::record::{Scenario, Verdict};
 use crate::spec::{PlacementStrategy, Role, ScenarioSpec, TopologyFamily};
-
-/// The n-agent, 2-resource congestion game every authority spec plays:
-/// an agent's cost is the number of agents sharing its resource, so the
-/// best response is always the less crowded resource. Shared with the
-/// `stabilize` suite's authority-recovery port.
-pub(crate) fn congestion(n: usize) -> Arc<dyn Game + Send + Sync> {
-    Arc::new(ClosureGame::new(
-        "authority-congestion",
-        n,
-        vec![2; n],
-        |agent, p| {
-            let mine = p.action(agent);
-            p.actions().iter().filter(|&&a| a == mine).count() as f64
-        },
-    ))
-}
 
 /// Play records of processor `id`, if it runs the authority protocol
 /// (`None` for simnet-level adversaries occupying the slot).
@@ -69,21 +54,6 @@ pub fn min_plays(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> u64 
         .map(|records| records.len() as u64)
         .min()
         .unwrap_or(0)
-}
-
-/// Whether the listed processors hold identical play-record sequences
-/// (non-authority slots are skipped).
-fn plays_agree(sim: &Simulation, ids: impl IntoIterator<Item = usize>) -> bool {
-    let mut reference: Option<&[PlayRecord]> = None;
-    for id in ids {
-        let Some(records) = play_records(sim, id) else {
-            continue;
-        };
-        if *reference.get_or_insert(records) != records {
-            return false;
-        }
-    }
-    true
 }
 
 /// The base spec for a cluster: complete graph, stop once every
@@ -129,7 +99,7 @@ fn honest() -> Arc<dyn Scenario> {
         .verdict(move |sim, record| {
             Verdict::check(record.stopped_at.is_some(), "3 plays within the budget")
                 .and(Verdict::check(
-                    plays_agree(sim, 0..n),
+                    records_agree(sim, 0..n),
                     "identical play records everywhere",
                 ))
                 .and(Verdict::check(
@@ -149,8 +119,8 @@ fn honest() -> Arc<dyn Scenario> {
 fn selfish_cluster() -> Arc<dyn Scenario> {
     let n = 7;
     let cluster = AuthorityCluster::new(congestion(n), 2)
-        .mode(5, AgentMode::WorstResponse)
-        .mode(6, AgentMode::WorstResponse);
+        .mode(5, Behavior::worst_response())
+        .mode(6, Behavior::worst_response());
     Arc::new(
         authority_spec("authority_selfish_cluster", cluster, 3).verdict(move |sim, record| {
             let caught = play_records(sim, 0).is_some_and(|r| {
@@ -170,7 +140,7 @@ fn selfish_cluster() -> Arc<dyn Scenario> {
                     "every survivor disconnects exactly the cluster",
                 ))
                 .and(Verdict::check(
-                    plays_agree(sim, 0..n),
+                    records_agree(sim, 0..n),
                     "identical play records everywhere",
                 ))
         }),
@@ -181,7 +151,7 @@ fn selfish_cluster() -> Arc<dyn Scenario> {
 /// reveals. Convicted as missing in play 0; the survivors play on.
 fn mute() -> Arc<dyn Scenario> {
     let n = 4;
-    let cluster = AuthorityCluster::new(congestion(n), 1).mode(3, AgentMode::Mute);
+    let cluster = AuthorityCluster::new(congestion(n), 1).mode(3, Behavior::silent());
     Arc::new(
         authority_spec("authority_mute", cluster, 3).verdict(move |sim, record| {
             let records = play_records(sim, 0).unwrap_or(&[]);
@@ -195,7 +165,7 @@ fn mute() -> Arc<dyn Scenario> {
                     "the survivors play on foul-free",
                 ))
                 .and(Verdict::check(
-                    plays_agree(sim, 0..n),
+                    records_agree(sim, 0..n),
                     "identical play records everywhere",
                 ))
         }),
@@ -231,7 +201,7 @@ fn churn() -> Arc<dyn Scenario> {
                         "the disconnected agent's demand is dropped (convicted as absent)",
                     ))
                     .and(Verdict::check(
-                        plays_agree(sim, 0..3),
+                        records_agree(sim, 0..3),
                         "the survivors agree on every play",
                     ))
             }),
@@ -266,7 +236,7 @@ fn noise() -> Arc<dyn Scenario> {
                         "the noise position is convicted wherever it lands",
                     ))
                     .and(Verdict::check(
-                        plays_agree(sim, honest.iter().copied()),
+                        records_agree(sim, honest.iter().copied()),
                         "the honest majority agrees on every play",
                     ))
             }),
@@ -323,7 +293,7 @@ mod tests {
         .max_rounds(2)
         .probe(|sim, r| {
             r.metric("min_plays", min_plays(sim, 0..3) as f64);
-            r.metric("agree", f64::from(plays_agree(sim, 0..3)));
+            r.metric("agree", f64::from(records_agree(sim, 0..3)));
         });
         let record = spec.run(0);
         assert_eq!(record.get_metric("min_plays"), Some(0.0));

@@ -17,12 +17,11 @@
 //! sweep-level parallelism (concurrent runs) and intra-run parallelism
 //! (`--shards`) draw from it — never more than N threads total, enforced
 //! by the pool rather than estimated. `--shards N` shards each run's
-//! `Simulation::step` across N of those threads (absent: each scenario's
-//! own setting applies; `--shards 1` forces serial); concurrent runs are
-//! scaled down to `workers / shards` so the two levels share the budget —
-//! only for suites whose scenarios actually step the simulator;
-//! pure-computation suites keep the whole budget and the ignored flag is
-//! noted on stderr. `--records FILE` streams one JSON line per run to
+//! `Simulation::step` across N of those threads (default 1, serial);
+//! concurrent runs are scaled down to `workers / shards` so the two
+//! levels share the budget — only for suites whose scenarios actually
+//! step the simulator; pure-computation suites keep the whole budget and
+//! the ignored flag is noted on stderr. `--records FILE` streams one JSON line per run to
 //! FILE as runs complete (stable job order), without holding the records
 //! in memory. `--table METRIC` appends a cross-run convergence table
 //! (one row per scenario/grid point: parameter values, pass rate, and
@@ -102,9 +101,8 @@ struct Options {
     suite: String,
     seeds: Option<u64>,
     workers: usize,
-    /// `None` = not passed: each scenario keeps its own shard default.
-    /// `Some(n)` (1 included, forcing serial) overrides every run.
-    shards: Option<usize>,
+    /// Every run's step is sharded this many ways (default 1, serial).
+    shards: usize,
     out: Option<String>,
     records: bool,
     record_sink: Option<String>,
@@ -125,7 +123,7 @@ impl Options {
             suite: "paper".to_string(),
             seeds: None,
             workers: default_workers(),
-            shards: None,
+            shards: 1,
             out: None,
             records: true,
             record_sink: None,
@@ -170,7 +168,7 @@ impl Options {
                     if shards == 0 {
                         return Err("--shards must be positive".into());
                     }
-                    opts.shards = Some(shards);
+                    opts.shards = shards;
                     i += 2;
                 }
                 "--out" => {
@@ -213,10 +211,8 @@ impl Options {
     /// the full budget — carving it up would slow the sweep for nothing —
     /// and a warning flags the ignored `--shards`.
     fn sweep_workers(&self, suite: &suites::Suite) -> usize {
-        let Some(shards) = self.shards else {
-            return self.workers;
-        };
-        if shards <= 1 {
+        let shards = self.shards;
+        if shards == 1 {
             return self.workers;
         }
         let shardable = suite.scenarios().iter().any(|s| s.supports_sharding());
@@ -228,12 +224,6 @@ impl Options {
             return self.workers;
         }
         (self.workers / shards).max(1)
-    }
-
-    /// The shard hint handed to every run: 0 = unspecified (scenario
-    /// defaults apply), any explicit `--shards` value otherwise.
-    fn shard_hint(&self) -> usize {
-        self.shards.unwrap_or(0)
     }
 }
 
@@ -259,7 +249,7 @@ fn usage(err: &str) -> i32 {
     eprintln!("                            each run's sharded step loop — never more");
     eprintln!("                            than N threads in total");
     eprintln!("        [--shards N]        pool threads per run's step loop (default:");
-    eprintln!("                            each scenario's own setting; 1 forces serial;");
+    eprintln!("                            1, serial;");
     eprintln!("                            for simulator suites, concurrent runs scale");
     eprintln!("                            to workers/shards inside the same budget)");
     eprintln!("        [--out FILE]        also write the summary to FILE");
@@ -336,7 +326,7 @@ fn run(opts: &Options) -> i32 {
     // sharded step loops all draw from these `--workers` threads — capped
     // at what the plan can occupy (every job running at once with all its
     // shards), so an oversized budget spawns no thread it cannot use.
-    let occupiable = jobs.saturating_mul(opts.shard_hint().max(1));
+    let occupiable = jobs.saturating_mul(opts.shards);
     let runtime = Runtime::new(opts.workers.min(occupiable));
     // Timing plane: attach a profiler to the pool so batch/task/step wall
     // clock accumulates while the sweep runs. Snapshotted to --profile
@@ -402,7 +392,7 @@ fn run(opts: &Options) -> i32 {
             &runtime,
             opts.seeds,
             opts.sweep_workers(&suite),
-            opts.shard_hint(),
+            opts.shards,
             telemetry.as_ref(),
             &mut sink,
         );
@@ -432,7 +422,7 @@ fn run(opts: &Options) -> i32 {
             &runtime,
             opts.seeds,
             opts.sweep_workers(&suite),
-            opts.shard_hint(),
+            opts.shards,
         );
         failures = summary
             .records
@@ -923,7 +913,7 @@ mod tests {
         assert_eq!(opts.suite, "smoke");
         assert_eq!(opts.seeds, Some(5));
         assert_eq!(opts.workers, 3);
-        assert_eq!(opts.shards, Some(2));
+        assert_eq!(opts.shards, 2);
         assert_eq!(opts.out.as_deref(), Some("x.json"));
         assert_eq!(opts.record_sink.as_deref(), Some("runs.jsonl"));
         assert!(!opts.records);
@@ -1017,7 +1007,7 @@ mod tests {
         assert_eq!(opts.seeds, None);
         assert!(opts.records);
         assert!(opts.workers >= 1);
-        assert_eq!(opts.shards, None);
+        assert_eq!(opts.shards, 1);
         assert!(opts.record_sink.is_none());
     }
 
@@ -1028,36 +1018,30 @@ mod tests {
         let smoke = suites::find("smoke").unwrap();
         let paper = suites::find("paper").unwrap();
         let mut opts = Options::parse(&args(&["--workers", "8", "--shards", "4"])).unwrap();
-        assert_eq!(opts.shard_hint(), 4);
+        assert_eq!(opts.shards, 4);
         assert_eq!(opts.sweep_workers(&smoke), 2);
         assert_eq!(
             opts.sweep_workers(&paper),
             8,
             "non-sharding suites keep the whole budget"
         );
-        opts.shards = Some(16);
+        opts.shards = 16;
         assert_eq!(
             opts.sweep_workers(&smoke),
             1,
             "budget never starves the sweep"
         );
-        opts.shards = Some(3);
+        opts.shards = 3;
         assert_eq!(
             opts.sweep_workers(&smoke),
             2,
             "integer division rounds down"
         );
-        opts.shards = Some(1);
+        opts.shards = 1;
         assert_eq!(
             opts.sweep_workers(&smoke),
             8,
-            "explicit serial keeps the whole budget"
-        );
-        opts.shards = None;
-        assert_eq!(
-            opts.shard_hint(),
-            0,
-            "absent flag defers to scenario defaults"
+            "serial keeps the whole budget"
         );
         assert_eq!(opts.sweep_workers(&paper), 8);
     }

@@ -267,12 +267,10 @@ pub trait Scenario: Send + Sync {
 
     /// Executes one run with an intra-run parallelism hint, drawing that
     /// parallelism from `runtime`: simulator-backed scenarios shard
-    /// `Simulation::step` across `shards` threads of the pool. A hint of 0
-    /// means "unspecified" — scenarios carrying their own shard default
-    /// (`ScenarioSpec::shards`) fall back to it; any explicit value (1 =
-    /// force serial) wins. The sweep engine calls this so one persistent
-    /// pool backs both the sweep's workers and every run's sharded
-    /// stepping (`--workers` is one global thread budget).
+    /// `Simulation::step` across `shards` threads of the pool (1 = serial).
+    /// The sweep engine calls this so one persistent pool backs both the
+    /// sweep's workers and every run's sharded stepping (`--workers` is
+    /// one global thread budget).
     ///
     /// Shards and pool are execution knobs, never semantic ones — the
     /// record must be identical at every shard count and on every pool

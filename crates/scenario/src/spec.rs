@@ -212,7 +212,6 @@ pub struct ScenarioSpec {
     strategies: Vec<PlacementStrategy>,
     schedule: Schedule,
     max_rounds: u64,
-    shards: usize,
     protocol: ProtocolFactory,
     stop: Option<StopPredicate>,
     verdict: Option<VerdictFn>,
@@ -260,7 +259,6 @@ impl ScenarioSpec {
             strategies: Vec::new(),
             schedule: Schedule::new(),
             max_rounds: 100,
-            shards: 1,
             protocol: Arc::new(protocol),
             stop: None,
             verdict: None,
@@ -348,17 +346,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn max_rounds(mut self, rounds: u64) -> Self {
         self.max_rounds = rounds;
-        self
-    }
-
-    /// Shards each run's `Simulation::step` compute phase across this many
-    /// threads (default 1 = serial). Purely a throughput knob for large-n
-    /// specs: records are identical at every shard count. An explicit
-    /// sweep-level hint ([`Scenario::run_on`], the CLI's `--shards` — 1
-    /// included, forcing serial) overrides this; a hint of 0 defers to it.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -519,10 +506,6 @@ impl ScenarioSpec {
         runtime: &Runtime,
         telemetry: Option<&TelemetryConfig>,
     ) -> RunRecord {
-        // A hint of 0 means "unspecified" (the sweep default): fall back
-        // to the spec's own knob so `.shards(n)` survives every sweep
-        // path. Any explicit hint — including 1 = force serial — wins.
-        let shards = if shards == 0 { self.shards } else { shards };
         let topology = self.topology.build(seed);
         let n = topology.len();
         let placements = self.resolve_placements(&topology, seed);

@@ -45,11 +45,12 @@ use ga_agreement::om;
 use ga_clocksync::harness::{measure_convergence_with, run_ssba};
 use ga_clocksync::process::ClockProcess;
 use ga_clocksync::ssba::SsbaProcess;
+use ga_games::congestion;
 use ga_simnet::prelude::*;
 use ga_simnet::sim::Delivery;
 use game_authority::distributed::AuthorityCluster;
 
-use crate::authority::{congestion, min_plays, play_records};
+use crate::authority::{min_plays, play_records};
 use crate::record::{FnScenario, RunRecord, Scenario, Verdict};
 use crate::spec::{ScenarioSpec, TopologyFamily};
 use crate::sweep::{expand_grid, ParamGrid};

@@ -73,18 +73,16 @@ impl Suite {
 
     /// Runs the suite over `seeds` seeds (default plan if `None`) on
     /// `workers` threads of the process-wide [`Runtime::global`] pool:
-    /// the plain form of [`run_on`](Suite::run_on), with every scenario's
-    /// own shard default.
+    /// the plain form of [`run_on`](Suite::run_on), every run serial.
     pub fn run(&self, seeds: Option<u64>, workers: usize) -> SweepSummary {
-        self.run_on(&Runtime::global(), seeds, workers, 0)
+        self.run_on(&Runtime::global(), seeds, workers, 1)
     }
 
     /// Runs the suite drawing sweep workers *and* every run's shard tasks
     /// from `runtime` — the CLI builds one pool from `--workers` and
     /// passes it here, so the flag is a true global thread budget.
-    /// `shards` is each run's `Simulation::step` shard hint (0 defers to
-    /// each scenario's own default, 1 forces serial). Summaries are
-    /// byte-identical at any `(pool, workers, shards)` combination.
+    /// `shards` is each run's `Simulation::step` shard hint (1 = serial).
+    /// Summaries are byte-identical at any `(pool, workers, shards)` combination.
     pub fn run_on(
         &self,
         runtime: &Runtime,

@@ -648,22 +648,21 @@ impl SweepSummary {
 
 /// Runs `scenarios × seeds` on `workers` threads of the process-wide
 /// [`Runtime::global`] pool and aggregates: the plain form of
-/// [`sweep_on`], with every scenario's own shard default.
+/// [`sweep_on`], every run serial.
 pub fn sweep(
     name: &str,
     scenarios: &[Arc<dyn Scenario>],
     seeds: std::ops::Range<u64>,
     workers: usize,
 ) -> SweepSummary {
-    sweep_on(&Runtime::global(), name, scenarios, seeds, workers, 0)
+    sweep_on(&Runtime::global(), name, scenarios, seeds, workers, 1)
 }
 
 /// Runs `scenarios × seeds` and aggregates, drawing both the `workers`
 /// sweep workers and every run's shard tasks from `runtime` — one pool,
 /// one thread budget. `shards` is every run's `Simulation::step` shard
-/// hint ([`Scenario::run_on`]; 0 defers to each scenario's own default, 1
-/// forces serial). The summary is byte-identical at any `(pool size,
-/// workers, shards)` combination.
+/// hint ([`Scenario::run_on`]; 1 = serial). The summary is byte-identical
+/// at any `(pool size, workers, shards)` combination.
 pub fn sweep_on(
     runtime: &Runtime,
     name: &str,

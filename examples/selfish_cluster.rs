@@ -5,7 +5,7 @@
 //! a sequence of Byzantine agreement activations (agree on the previous
 //! outcome, on the commitment set, and on the foul set) — §3.3 of the
 //! paper executed literally. One processor plays deliberate non-best
-//! responses and gets disconnected by unanimous agreement; then a
+//! responses and its executive disconnects it on the agreed foul set; then a
 //! transient fault scrambles everything and the middleware recovers
 //! (Theorem 1's self-stabilization).
 //!
@@ -13,35 +13,27 @@
 //! cargo run --example selfish_cluster
 //! ```
 
-use std::sync::Arc;
-
 use game_authority_suite::agreement::om;
+use game_authority_suite::authority::agent::Behavior;
 use game_authority_suite::authority::distributed::{
-    build_authority_sim, AgentMode, AuthorityProcess,
+    build_authority_sim, AuthorityCluster, AuthorityProcess,
 };
-use game_authority_suite::game_theory::game::ClosureGame;
+use game_authority_suite::games::congestion;
 use game_authority_suite::simnet::fault::TransientFault;
 use game_authority_suite::simnet::ids::ProcessId;
 
 fn main() {
     // A 4-agent, 2-resource congestion game: cost = peers on my resource.
-    let game = Arc::new(ClosureGame::new(
-        "cluster",
-        4,
-        vec![2, 2, 2, 2],
-        |agent, p| {
-            let mine = p.action(agent);
-            p.actions().iter().filter(|&&a| a == mine).count() as f64
-        },
-    ));
-
-    let modes = vec![
-        AgentMode::Honest,
-        AgentMode::Honest,
-        AgentMode::Honest,
-        AgentMode::WorstResponse, // processor 3 plays foul
+    // Every agent is a `Behavior` of the same model the centralized
+    // `Authority` audits; processor 3 plays foul.
+    let behaviors = vec![
+        Behavior::honest_pure(0),
+        Behavior::honest_pure(0),
+        Behavior::honest_pure(0),
+        Behavior::worst_response(),
     ];
-    let mut sim = build_authority_sim(game, modes, 1, 42);
+    let cluster = AuthorityCluster::new(congestion(4), 1).modes(behaviors);
+    let mut sim = build_authority_sim(&cluster, 42);
 
     // One play per clock period: 3 BA activations + commit/reveal/execute.
     let ba_rounds = om::rounds(1);

@@ -15,10 +15,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use game_authority_suite::authority::distributed::AuthorityCluster;
-use game_authority_suite::game_theory::game::{ClosureGame, Game};
+use game_authority_suite::games::congestion;
 use game_authority_suite::simnet::prelude::*;
 
 /// Counts every allocation and reallocation, then lets [`System`] do it.
@@ -51,15 +50,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// The `n`-agent, 2-resource congestion game the `authority` suite and
-/// the benchmark play.
-fn congestion(n: usize) -> Arc<dyn Game + Send + Sync> {
-    Arc::new(ClosureGame::new("congestion", n, vec![2; n], |agent, p| {
-        let mine = p.action(agent);
-        p.actions().iter().filter(|&&a| a == mine).count() as f64
-    }))
-}
 
 /// Allocations per play of a warm all-honest `(n, f)` cluster: the mean
 /// over `plays` plays after two warm-up plays.
