@@ -12,7 +12,6 @@ use ga_simnet::prelude::*;
 
 use crate::consensus::{DolevStrongConsensus, OmConsensus};
 use crate::executor::honest_agreement;
-use crate::king::PhaseKing;
 use crate::traits::{BaInstance, BaProcess};
 use crate::Value;
 
@@ -21,21 +20,18 @@ use crate::Value;
 pub enum Backend {
     /// Oral messages over EIG: `n > 3f`, exponential messages.
     Om,
-    /// Phase-king: `n > 4f`, polynomial messages, `O(f)` rounds.
-    PhaseKing,
     /// Authenticated (Dolev–Strong chains): honest majority.
     DolevStrong,
 }
 
 impl Backend {
     /// All backends, for sweeps.
-    pub const ALL: [Backend; 3] = [Backend::Om, Backend::PhaseKing, Backend::DolevStrong];
+    pub const ALL: [Backend; 2] = [Backend::Om, Backend::DolevStrong];
 
     /// Short name for report rows.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Om => "om",
-            Backend::PhaseKing => "phase-king",
             Backend::DolevStrong => "dolev-strong",
         }
     }
@@ -48,7 +44,6 @@ impl Backend {
     pub fn instance(self, me: usize, n: usize, f: usize, ring: &KeyRing) -> Box<dyn BaInstance> {
         match self {
             Backend::Om => Box::new(OmConsensus::new(me, n, f)),
-            Backend::PhaseKing => Box::new(PhaseKing::new(me, n, f)),
             Backend::DolevStrong => {
                 Box::new(DolevStrongConsensus::new(me, n, f, ring.authenticator(me)))
             }
@@ -59,7 +54,6 @@ impl Backend {
     pub fn max_faults(self, n: usize) -> usize {
         match self {
             Backend::Om => (n - 1) / 3,
-            Backend::PhaseKing => (n - 1) / 4,
             Backend::DolevStrong => (n - 1) / 2,
         }
     }
@@ -197,13 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_king_backend_agrees() {
-        let report = run_consensus(Backend::PhaseKing, 5, 1, &[4], |_| 6, 2);
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(6), "validity");
-    }
-
-    #[test]
     fn dolev_strong_backend_agrees_with_two_faults_of_five() {
         let report = run_consensus(Backend::DolevStrong, 5, 2, &[3, 4], |_| 9, 3);
         assert!(report.agreement());
@@ -233,7 +220,6 @@ mod tests {
     #[test]
     fn max_faults_thresholds() {
         assert_eq!(Backend::Om.max_faults(7), 2);
-        assert_eq!(Backend::PhaseKing.max_faults(9), 2);
         assert_eq!(Backend::DolevStrong.max_faults(7), 3);
     }
 

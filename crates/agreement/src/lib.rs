@@ -9,10 +9,6 @@
 //!   exponential-information-gathering ([`eig`]) tree: `f+1` communication
 //!   rounds, tolerates `f < n/3`, message complexity `O(n^f)` (the paper's
 //!   reference \[19\]).
-//! * [`king`] — the Berman–Garay–Perry **phase-king** consensus: `O(f)`
-//!   rounds and polynomial messages, tolerating `f < n/4` in the simple
-//!   2-round-per-phase variant implemented here (the paper's reference
-//!   \[16\] is the fully polynomial family this stands in for).
 //! * [`dolev_strong`] — **authenticated** broadcast with signature chains,
 //!   tolerating any number of faults for broadcast and an honest majority
 //!   for consensus — covering the paper's footnote 2: "authentication
@@ -44,7 +40,6 @@ pub mod dolev_strong;
 pub mod eig;
 pub mod executor;
 pub mod harness;
-pub mod king;
 pub mod om;
 pub mod traits;
 pub mod wire;

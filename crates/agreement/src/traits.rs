@@ -11,8 +11,8 @@
 //!
 //! Every honest message of every protocol here goes to all other
 //! processors alike: the source's announcement, each EIG relay (Aspnes'
-//! notes, PAPERS.md 2001.04235), each Dolev–Strong chain, each phase-king
-//! vote. So a round's output is one payload, not a list of sends:
+//! notes, PAPERS.md 2001.04235) and each Dolev–Strong chain. So a round's
+//! output is one payload, not a list of sends:
 //! [`BaInstance::step`] appends to a caller's buffer the bytes this
 //! processor sends every other processor this round, and appends nothing
 //! to stay silent. Layers above append theirs around it into the same

@@ -3,7 +3,6 @@
 
 use ga_agreement::consensus::majority;
 use ga_agreement::executor::{honest_agreement, no_tamper, run_pure};
-use ga_agreement::king::PhaseKing;
 use ga_agreement::om::OmBroadcast;
 use ga_agreement::wire::{Reader, Writer};
 use proptest::prelude::*;
@@ -55,18 +54,6 @@ proptest! {
             .collect();
         let decided = run_pure(instances, &inputs, no_tamper);
         prop_assert!(decided.iter().all(|d| *d == Some(source_value)));
-    }
-
-    /// Phase-king validity: unanimous honest inputs always survive a
-    /// crash-faulty processor.
-    #[test]
-    fn phase_king_validity(n in 5usize..10, v in any::<u64>(), byz in 0usize..10) {
-        let byz = byz % n;
-        let instances: Vec<PhaseKing> = (0..n).map(|me| PhaseKing::new(me, n, 1)).collect();
-        let inputs = vec![v; n];
-        let decided = run_pure(instances, &inputs,
-            move |from: usize, _r: u64, _t: usize, _p: &[u8]| (from == byz).then(Vec::new));
-        prop_assert!(honest_agreement(&decided, &[byz], Some(v)));
     }
 
     /// Strict majority helper: a value with > n/2 occurrences always wins;

@@ -2,9 +2,9 @@
 //!
 //! Each play is three BA activations plus a commit and a reveal round.
 //! This experiment measures rounds, messages and bytes per consensus for
-//! every backend across `n`, exposing the scalability trade-offs the paper
-//! alludes to ("further research can improve the design and allow better
-//! scalability").
+//! OM, the authority's protocol, and for authenticated Dolev–Strong across
+//! `n`, exposing the scalability trade-offs the paper alludes to ("further
+//! research can improve the design and allow better scalability").
 
 use ga_agreement::harness::{run_consensus, Backend};
 
@@ -33,9 +33,6 @@ pub fn run(ns: &[usize], seed: u64) -> Vec<OverheadPoint> {
     for &n in ns {
         for backend in Backend::ALL {
             let f = backend.max_faults(n).min(2);
-            if f == 0 && n > 4 {
-                continue;
-            }
             let byz: Vec<usize> = (n - f..n).collect();
             let report = run_consensus(backend, n, f, &byz, |i| (i % 2) as u64, seed);
             out.push(OverheadPoint {

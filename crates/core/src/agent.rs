@@ -88,6 +88,23 @@ pub enum BehaviorKind {
         /// The agent it accuses.
         target: usize,
     },
+    /// Plays like `HonestPure { initial: 0 }`, but its distributed reveal
+    /// reaches only the processors outside `withhold_from`. The centralized
+    /// engine has no channel to withhold on, so there it is honest.
+    SelectiveReveal {
+        /// The processors that never receive its reveal, as a bitmask.
+        withhold_from: u64,
+    },
+    /// Plays like `HonestPure { initial: 0 }`, but its distributed commit
+    /// phase sends the processors in `split` a commitment to a second
+    /// opening (the next action under the same nonce); every processor
+    /// receives the reveal of the first. Honest in the centralized engine,
+    /// like `SelectiveReveal`.
+    SplitCommit {
+        /// The processors that receive the second commitment, as a
+        /// bitmask.
+        split: u64,
+    },
 }
 
 /// An agent's behaviour, with constructors for every kind.
@@ -152,6 +169,18 @@ impl Behavior {
     /// Plays honestly, accuses `target` in every foul agreement.
     pub fn framer(target: usize) -> Behavior {
         Behavior::of(BehaviorKind::Framer { target })
+    }
+
+    /// Plays honestly, withholds its reveal from the processors in
+    /// `withhold_from`.
+    pub fn selective_reveal(withhold_from: u64) -> Behavior {
+        Behavior::of(BehaviorKind::SelectiveReveal { withhold_from })
+    }
+
+    /// Plays honestly, commits to a second opening toward the processors in
+    /// `split`.
+    pub fn split_commit(split: u64) -> Behavior {
+        Behavior::of(BehaviorKind::SplitCommit { split })
     }
 
     /// The behaviour kind.
@@ -250,7 +279,9 @@ impl Agent {
         // (committed action, revealed action, claimed strategy)
         let (committed, revealed, claimed) = match &self.behavior.kind {
             BehaviorKind::HonestPure { initial } => honest(best_or(*initial)),
-            BehaviorKind::Framer { .. } => honest(best_or(0)),
+            BehaviorKind::Framer { .. }
+            | BehaviorKind::SelectiveReveal { .. }
+            | BehaviorKind::SplitCommit { .. } => honest(best_or(0)),
             BehaviorKind::WorstResponse => honest(prev.map_or(0, |prev| {
                 let best = best_responses(game, me, prev);
                 (0..actions).find(|a| !best.contains(a)).unwrap_or(0)
@@ -316,6 +347,8 @@ mod tests {
         assert!(!Behavior::equivocator(0, 1).is_honest());
         assert!(!Behavior::worst_response().is_honest());
         assert!(!Behavior::framer(0).is_honest());
+        assert!(!Behavior::selective_reveal(0b10).is_honest());
+        assert!(!Behavior::split_commit(0b10).is_honest());
     }
 
     #[test]

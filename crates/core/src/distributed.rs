@@ -32,32 +32,41 @@
 //! the activations run and their bytes are on the wire, but no state
 //! depends on what they decide (ROADMAP: BA 1 buys nothing observable).
 //!
-//! # Frame limit
+//! # The OM assumption
 //!
-//! Every authority message is `tag u8, length u16, body`, so a body is at
-//! most 65 535 bytes. The largest body a processor can be made to send is
-//! a whole OM-consensus message of the last relay round when every source
-//! equivocated — `n − 1` relays of `K = (n−2)(n−3)…(n−f)` values that
-//! differ, eight bytes and a presence bit each — which grows like `n^f`:
-//! 4.1 KB at `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB at `(22, 3)`,
-//! 75 KB at `(23, 3)`, 97 KB at `(13, 4)`. Those are the equivocation
-//! case, and it sets the limit because a Byzantine source chooses it. A
-//! relay of an honest source's broadcast says its one value once, so the
-//! frames of a run without an equivocator are `n − 1` parts of a value and
-//! `K` presence bits: 180 bytes at `(10, 3)`. So the authority runs
-//! `f ≤ 2` at any `n ≤ 64`, `f = 3` up to `n = 22`, and no `f ≥ 4`. A
-//! cluster whose largest round does not fit is refused at construction
-//! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle
-//! of its first play; the limit is stated, not lifted — widening the
-//! prefix would change every frame on the wire.
+//! The authority runs OM and nothing else, with `f ≤ 3`. All three
+//! activations are OM interactive consistency: BA 3 needs the per-source
+//! vector, because conviction counts votes, and one protocol keeps one
+//! wire. The price is a bound on `f`, stated here as an assumption of the
+//! authority. Every authority message is `tag u8, length u16, body`, so a
+//! body is at most 65 535 bytes. The largest body a processor can be made
+//! to send is a whole OM-consensus message of the last relay round when
+//! every source equivocated — `n − 1` relays of `K = (n−2)(n−3)…(n−f)`
+//! values that differ, eight bytes and a presence bit each — which grows
+//! like `n^f`: 4.1 KB at `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB
+//! at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at `(13, 4)`. Those are the
+//! equivocation case, and it sets the bound because a Byzantine source
+//! chooses it. A relay of an honest source's broadcast says its one value
+//! once, so the frames of a run without an equivocator are `n − 1` parts
+//! of a value and `K` presence bits: 180 bytes at `(10, 3)`. So the
+//! authority assumes `f ≤ 2` at any `n ≤ 64` and `f = 3` up to `n = 22`;
+//! there is no `f ≥ 4`. A cluster outside that is refused at construction
+//! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle of
+//! its first play; widening the prefix would change every frame on the
+//! wire. ROADMAP item 7 (a protocol per activation, to run past `f = 3`)
+//! is closed on this assumption: no workload needs `f ≥ 4`, and
+//! Dolev–Strong, the polynomial backend the agreement crate keeps, is
+//! measured beside OM (E6, the benchmark) but run by no authority.
 //!
 //! # Agents and executive
 //!
 //! A processor's agent is the centralized engine's `Agent`: the commit
-//! and reveal phases broadcast what `Agent::submit` returns, and only a
-//! framer acts beyond that, accusing its target in its BA 3 proposal.
-//! Mixed strategies are refused until the seed audit runs here (ROADMAP
-//! item 3(b)). Punishment is an [`Executive`] under
+//! and reveal phases broadcast what `Agent::submit` returns. Three
+//! deviants act beyond that: a framer accuses its target in its BA 3
+//! proposal, a selective revealer withholds its reveal from some
+//! processors, and a split committer sends some processors a commitment to
+//! a second opening. Mixed strategies are refused until the seed audit
+//! runs here (ROADMAP item 3(b)). Punishment is an [`Executive`] under
 //! [`Punishment::Disconnect`], driven by the agreed foul mask: a convicted
 //! agent's traffic is dropped and the outcome takes the null action 0 for
 //! it. Its outcome log is not kept (one record per play).
@@ -83,7 +92,7 @@ use rand::Rng;
 
 use crate::agent::{Agent, Behavior, BehaviorKind};
 use crate::executive::{Executive, Punishment};
-use crate::judicial::{audit_play, Submission, Verdict};
+use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
 
 /// Message tags on the authority's multiplexed channel.
 mod tag {
@@ -175,11 +184,9 @@ pub struct AuthorityProcess {
     /// The three agreement activations of a play, in schedule order.
     ba: [Activation<OmConsensus>; 3],
     play: PlayState,
-    /// Locally recorded previous outcome (None before the first play).
-    prev_outcome: Option<PureProfile>,
     /// Executive view: who is disconnected.
     executive: Executive,
-    /// Completed plays.
+    /// Completed plays; the last one's outcome is the previous outcome.
     records: Vec<PlayRecord>,
 }
 
@@ -202,7 +209,7 @@ impl AuthorityProcess {
     ///
     /// Panics unless `n > 3f` (OM backend + clock rule), `n ≤ 64` (the
     /// foul bitmask), the largest agreement message at `(n, f)` fits the
-    /// 65 535-byte [frame limit](self#frame-limit), the game has `n`
+    /// 65 535-byte [frame limit](self#the-om-assumption), the game has `n`
     /// agents, and `behavior` is pure and frames only agents below `n`.
     pub fn new(
         game: Arc<dyn Game + Send + Sync>,
@@ -229,7 +236,6 @@ impl AuthorityProcess {
             ba_rounds,
             ba,
             play: PlayState::new(n),
-            prev_outcome: None,
             executive: Executive::new(n, Punishment::Disconnect),
             records: Vec::new(),
         }
@@ -263,11 +269,11 @@ impl AuthorityProcess {
 
     /// The previous outcome's actions, each as a big-endian `u64`, hashed.
     fn outcome_digest(&self) -> u64 {
-        match &self.prev_outcome {
+        match self.records.last() {
             None => 0,
-            Some(p) => {
+            Some(prev) => {
                 let mut h = Sha256::new();
-                for &a in p.actions() {
+                for &a in prev.outcome.actions() {
                     h.update(&(a as u64).to_be_bytes());
                 }
                 Self::digest64(h)
@@ -301,7 +307,7 @@ impl AuthorityProcess {
             .collect();
         let verdicts = audit_play(
             self.game.as_ref(),
-            self.prev_outcome.as_ref(),
+            self.records.last().map(|r| &r.outcome),
             &submissions,
             self.executive.disconnected(),
         );
@@ -388,25 +394,60 @@ impl AuthorityProcess {
         out.extend(others.map(|to| (to, payload.clone())));
     }
 
+    /// A deviant's [`to_others`](Self::to_others): the processors in
+    /// `mask` get `alt` instead of `payload`, or nothing when it is `None`.
+    fn to_split(
+        &self,
+        payload: Vec<u8>,
+        alt: Option<Vec<u8>>,
+        mask: u64,
+        out: &mut Vec<(usize, Bytes)>,
+    ) {
+        let (payload, alt) = (Bytes::from(payload), alt.map(Bytes::from));
+        for to in (0..self.n).filter(|&to| to != self.me) {
+            let sent = if mask & 1 << to != 0 {
+                alt.clone()
+            } else {
+                Some(payload.clone())
+            };
+            out.extend(sent.map(|p| (to, p)));
+        }
+    }
+
+    /// A commit message for `digest`.
+    fn commit_payload(digest: &[u8; 32]) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(3 + 32);
+        Writer::new(&mut payload)
+            .put_u8(tag::COMMIT)
+            .put_bytes(digest);
+        payload
+    }
+
     /// The commit phase: the agent submits this play, and its commitment
     /// (if any) is broadcast.
     fn commit_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
         if !self.executive.is_active(self.me) {
             return;
         }
-        let (submission, _) = self
-            .agent
-            .submit(self.game.as_ref(), self.prev_outcome.as_ref());
+        let prev = self.records.last().map(|r| &r.outcome);
+        let (submission, _) = self.agent.submit(self.game.as_ref(), prev);
         self.play.my_reveal = submission.reveal;
         let Some(c) = submission.commitment else {
             return;
         };
         self.play.commitments[self.me] = Some(c);
-        let mut payload = Vec::with_capacity(3 + 32);
-        Writer::new(&mut payload)
-            .put_u8(tag::COMMIT)
-            .put_bytes(c.digest());
-        self.to_others(payload, out);
+        let payload = Self::commit_payload(c.digest());
+        match *self.agent.behavior().kind() {
+            // The second opening: the next action under the same nonce.
+            BehaviorKind::SplitCommit { split } => {
+                let (action, opening) = submission.reveal.expect("a split committer reveals");
+                let second = (action + 1) % self.game.num_actions(self.me);
+                let (c2, _) = Commitment::commit(&action_bytes(second), *opening.nonce());
+                let alt = Self::commit_payload(c2.digest());
+                self.to_split(payload, Some(alt), split, out);
+            }
+            _ => self.to_others(payload, out),
+        }
     }
 
     /// The reveal phase: broadcast the submission's reveal (if any).
@@ -422,7 +463,12 @@ impl AuthorityProcess {
             .put_u8(tag::REVEAL)
             .put_u64(action as u64)
             .put_bytes(opening.nonce());
-        self.to_others(payload, out);
+        match *self.agent.behavior().kind() {
+            BehaviorKind::SelectiveReveal { withhold_from } => {
+                self.to_split(payload, None, withhold_from, out);
+            }
+            _ => self.to_others(payload, out),
+        }
     }
 
     /// The executive phase: convict the agreed fouls, disconnect them,
@@ -453,7 +499,6 @@ impl AuthorityProcess {
             })
             .collect();
         let outcome = PureProfile::new(actions);
-        self.prev_outcome = Some(outcome.clone());
         self.records.push(PlayRecord { outcome, fouls });
     }
 }
@@ -680,8 +725,6 @@ pub fn build_authority_sim(cluster: &AuthorityCluster, seed: u64) -> Simulation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::judicial::action_bytes;
-    use ga_crypto::commitment::Commitment;
     use ga_games::congestion;
 
     /// `n` honest agents, except `deviant` at `at`.
@@ -851,8 +894,9 @@ mod tests {
                         || *action >= p.game.num_actions(agent)
                     {
                         true
-                    } else if let Some(prev) = &p.prev_outcome {
-                        !is_best_response(p.game.as_ref(), agent, &prev.with_action(agent, *action))
+                    } else if let Some(prev) = p.records.last() {
+                        let played = prev.outcome.with_action(agent, *action);
+                        !is_best_response(p.game.as_ref(), agent, &played)
                     } else {
                         false
                     }
@@ -875,9 +919,8 @@ mod tests {
         for case in 0..2000 {
             let mut p = AuthorityProcess::new(congestion(n), 0, n, 1, Behavior::honest_pure(0), 1);
             if rng.gen_bool(0.7) {
-                p.prev_outcome = Some(PureProfile::new(
-                    (0..n).map(|_| rng.gen_range(0..2)).collect(),
-                ));
+                let outcome = PureProfile::new((0..n).map(|_| rng.gen_range(0..2)).collect());
+                p.records.push(PlayRecord { outcome, fouls: 0 });
             }
             for agent in 0..n {
                 if rng.gen_bool(0.2) {

@@ -6,8 +6,8 @@
 //!   adversaries and transient-fault injection;
 //! * [`crypto`] — SHA-256, commitments, committed PRGs, signature chains,
 //!   hash-chained audit logs (all from scratch);
-//! * [`agreement`] — OM(f)/EIG, phase-king and authenticated Byzantine
-//!   agreement, interactive consistency;
+//! * [`agreement`] — OM(f)/EIG and authenticated (Dolev–Strong)
+//!   Byzantine agreement, interactive consistency;
 //! * [`clocksync`] — self-stabilizing Byzantine clock synchronization and
 //!   the SSBA composition (the paper's Theorem 1);
 //! * [`game_theory`] — strategic games, pure and mixed equilibria, best

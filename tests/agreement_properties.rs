@@ -3,9 +3,8 @@
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::eig::LevelPayload;
-use ga_agreement::executor::{honest_agreement, run_pure, run_pure_instances};
+use ga_agreement::executor::{honest_agreement, run_pure_instances};
 use ga_agreement::harness::{run_consensus_with, Backend, Misbehavior};
-use ga_agreement::king::PhaseKing;
 use ga_agreement::traits::BaInstance;
 use ga_agreement::wire::put_section;
 use game_authority_suite::crypto::commitment::{Commitment, Opening};
@@ -116,22 +115,6 @@ proptest! {
             prop_assert_eq!(instances[honest].vector(), vector.clone(), "p{}'s vector", honest);
             prop_assert_eq!(vector[honest], Some(common), "validity for source {}", honest);
         }
-    }
-
-    /// Phase-king: agreement under a garbling minority for n in 5..=9.
-    #[test]
-    fn phase_king_agreement(n in 5usize..10, inputs_seed in any::<u64>()) {
-        let byz = n - 1;
-        let instances: Vec<PhaseKing> = (0..n).map(|me| PhaseKing::new(me, n, 1)).collect();
-        let mut x = inputs_seed;
-        let inputs: Vec<u64> = (0..n).map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x % 3
-        }).collect();
-        let decided = run_pure(instances, &inputs, move |from: usize, r: u64, to: usize, _p: &[u8]| {
-            (from == byz).then(|| vec![(r as u8) ^ to as u8; 3])
-        });
-        prop_assert!(honest_agreement(&decided, &[byz], None));
     }
 
     /// Deterministic PRG streams never collide across seeds (sanity over
