@@ -17,30 +17,33 @@
 //!
 //! ```text
 //! frame  part*
-//! part   u16 instance · u16 length · the instance's payload
+//! part   LEB128 instance · LEB128 length · the instance's payload
 //! ```
 //!
-//! big-endian. The step writes a part's header with the length left open,
-//! the instance appends its payload behind it, and the length is patched
-//! ([`put_section`]): the frame is written once, in the caller's buffer,
-//! behind whatever header the caller has put there. An instance that
-//! appends nothing has no part, and a round in which no instance speaks
-//! has no frame, so nothing is sent.
+//! Below 128 instances and for a payload below 128 bytes, which is every
+//! part of an honest run up to `(13, 3)`, the header is two bytes. The step
+//! writes a part's header with the length left open, the instance appends
+//! its payload behind it, and the length is patched ([`put_section`]): the
+//! frame is written once, in the caller's buffer, behind whatever the
+//! caller has put there (the authority's clock claim and tag). An instance
+//! that appends nothing has no part, and a round in which no instance
+//! speaks has no frame.
 //!
 //! On receipt, one pass over the inbox reads every part header. A part
 //! naming an instance `≥ n` is dropped; a header or length that runs past
-//! the end of its message ends that message, and the parts before it
-//! stand. Every instance is then stepped on its own parts, in message
-//! order, then part order within a message — all of them: two parts from
-//! one sender for one instance both arrive, and it is the instance's
-//! accept rule, not the demux, that judges a Byzantine sender's bytes.
+//! the end of its message drops that message whole, the parts before it
+//! included, so a truncated frame says nothing. Every instance is then
+//! stepped on its own parts, in message order, then part order within a
+//! message — all of them: two parts from one sender for one instance both
+//! arrive, and it is the instance's accept rule, not the demux, that
+//! judges a Byzantine sender's bytes.
 
 use ga_crypto::mac::Authenticator;
 
 use crate::dolev_strong::DolevStrongBroadcast;
 use crate::om::{full_relay_len, OmBroadcast};
 use crate::traits::BaInstance;
-use crate::wire::{put_section, Reader, FRAME_LIMIT};
+use crate::wire::{put_section, varint_len, Reader, FRAME_LIMIT};
 use crate::{Value, DEFAULT_VALUE};
 
 /// Majority consensus over `n` parallel per-source broadcasts.
@@ -104,11 +107,9 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
         let mail: Vec<(usize, &[u8])> = parts.iter().map(|&(_, part)| part).collect();
         let mut from = 0;
         for (idx, inst) in self.instances.iter_mut().enumerate() {
-            let mine = parts[from..]
-                .iter()
-                .take_while(|&&(i, _)| usize::from(i) == idx);
+            let mine = parts[from..].iter().take_while(|&&(i, _)| i == idx);
             let to = from + mine.count();
-            put_section(out, &(idx as u16).to_be_bytes(), |out| {
+            put_section(out, idx as u64, |out| {
                 inst.step(rel_round, &mail[from..to], out);
             });
             from = to;
@@ -136,18 +137,21 @@ impl<B: BaInstance> BaInstance for VectorConsensus<B> {
 /// Every part of `inbox` addressed to one of `n` instances, as
 /// `(instance, (sender, payload))`, grouped by instance in ascending order
 /// and, within an instance, in message order then part order (see the
-/// module docs' frame).
-fn demux<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<(u16, (usize, &'a [u8]))> {
+/// module docs' frame). A damaged message gives no part.
+fn demux<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<(usize, (usize, &'a [u8]))> {
     // Room for an honest round: a frame from each other processor, a part
     // per instance in each. A flood of messages grows the list, not this.
     let mut parts = Vec::with_capacity(inbox.len().min(n) * n);
     for &(sender, message) in inbox {
+        let before = parts.len();
         let mut r = Reader::new(message);
         while !r.is_exhausted() {
-            let Some(idx) = r.get_u16() else { break };
-            let Some(payload) = r.get_bytes() else { break };
-            if usize::from(idx) < n {
-                parts.push((idx, (sender, payload)));
+            let Some((idx, payload)) = r.get_section() else {
+                parts.truncate(before);
+                break;
+            };
+            if idx < n as u64 {
+                parts.push((idx as usize, (sender, payload)));
             }
         }
     }
@@ -170,8 +174,7 @@ impl OmConsensus {
     /// # Panics
     ///
     /// Panics unless `n > 3f`, or if one source's relay payload at
-    /// `(n, f)` can outgrow the `u16` length prefix its part is framed
-    /// with.
+    /// `(n, f)` can outgrow the [`FRAME_LIMIT`] on a part.
     pub fn new(me: usize, n: usize, f: usize) -> OmConsensus {
         assert!(n > 3 * f, "oral messages require n > 3f");
         assert!(
@@ -184,23 +187,24 @@ impl OmConsensus {
     }
 
     /// The longest wire message an honest processor can be made to send in
-    /// one consensus at `(n, f)`; `None` on overflow. Callers that frame
-    /// the message behind a `u16` length compare it to [`FRAME_LIMIT`] up
-    /// front instead of panicking mid-run.
+    /// one consensus at `(n, f)`; `None` on overflow. Callers that bound a
+    /// frame by [`FRAME_LIMIT`] compare it up front instead of panicking
+    /// mid-run.
     ///
     /// Round 0 carries the processor's own 10-byte announcement; round
     /// `t ≥ 1` carries `n - 1` relays (nobody relays its own broadcast) of
-    /// at most [`full_relay_len`] bytes, each behind a 4-byte part header.
-    /// A relay is that long only when its source equivocated, so the
-    /// envelope is reached when every source does; with honest sources a
-    /// relay's values are one value and the frame is
-    /// `(n - 1)(4 + 1 + ⌈K/8⌉ + 8)` bytes, 180 against 4140 at `(10, 3)`.
+    /// at most [`full_relay_len`] bytes, each behind its part header: the
+    /// instance and the length as varints. A relay is that long only when
+    /// its source equivocated, so the envelope is reached when every source
+    /// does; with honest sources a relay's values are one value and the
+    /// frame is `(n - 1)(2 + 1 + ⌈K/8⌉ + 8)` bytes, 162 against 4131 at
+    /// `(10, 3)`.
     pub fn max_frame_len(n: usize, f: usize) -> Option<usize> {
-        let mut longest = 4 + 10;
+        let instance = varint_len(n.checked_sub(1)? as u64);
+        let part = |len: usize| len.checked_add(instance + varint_len(len as u64));
+        let mut longest = part(10)?;
         for t in 1..=f {
-            let relays = n
-                .checked_sub(1)?
-                .checked_mul(full_relay_len(n, t)?.checked_add(4)?)?;
+            let relays = (n - 1).checked_mul(part(full_relay_len(n, t)?)?)?;
             longest = longest.max(relays);
         }
         Some(longest)
@@ -234,14 +238,25 @@ mod tests {
 
     /// The demultiplexer the one-pass [`demux`] replaced, kept as its
     /// oracle: one bucket per instance, filled message by message, part by
-    /// part.
+    /// part, from a message read to its end first — a damaged one gives
+    /// nothing.
     fn per_instance<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<Vec<(usize, &'a [u8])>> {
         let mut buckets = vec![Vec::new(); n];
-        for &(sender, payload) in inbox {
+        'messages: for &(sender, payload) in inbox {
             let mut r = Reader::new(payload);
+            let mut parts = Vec::new();
             while !r.is_exhausted() {
-                let Some(idx) = r.get_u16() else { break };
-                let Some(inner) = r.get_bytes() else { break };
+                let (Some(idx), Some(len)) = (r.get_varint(), r.get_varint()) else {
+                    continue 'messages;
+                };
+                let rest = r.rest();
+                let Some(inner) = rest.get(..len as usize) else {
+                    continue 'messages;
+                };
+                r = Reader::new(&rest[inner.len()..]);
+                parts.push((idx, inner));
+            }
+            for (idx, inner) in parts {
                 if let Some(bucket) = buckets.get_mut(idx as usize) {
                     bucket.push((sender, inner));
                 }
@@ -251,12 +266,15 @@ mod tests {
     }
 
     /// The multiplexer the in-place frame replaced, kept as its oracle:
-    /// `(instance u16, length u16, payload)` for each of `parts`, in order.
+    /// `(instance, length, payload)` for each of `parts`, in order, the
+    /// first two as varints.
     fn mux(parts: &[(u16, Vec<u8>)]) -> Vec<u8> {
         let mut frame = Vec::new();
-        let mut w = Writer::new(&mut frame);
         for (idx, payload) in parts {
-            w.put_u16(*idx).put_bytes(payload);
+            Writer::new(&mut frame)
+                .put_varint(u64::from(*idx))
+                .put_varint(payload.len() as u64);
+            frame.extend_from_slice(payload);
         }
         frame
     }
@@ -265,7 +283,7 @@ mod tests {
     fn demuxed<'a>(n: usize, inbox: &[(usize, &'a [u8])]) -> Vec<Vec<(usize, &'a [u8])>> {
         let mut buckets = vec![Vec::new(); n];
         for (idx, part) in demux(n, inbox) {
-            buckets[usize::from(idx)].push(part);
+            buckets[idx].push(part);
         }
         buckets
     }
@@ -296,29 +314,32 @@ mod tests {
 
     /// A random inbox of up to `messages` messages for `n` instances, each
     /// a run of parts — indices in and past range, in and out of order,
-    /// repeated; payloads empty, short or long — then, now and then, a
-    /// damaged tail: a header cut short, a length past the end, or stray
-    /// bytes. Some messages are empty.
+    /// repeated; payloads empty, short or long enough for a two-byte
+    /// length — then, now and then, a damaged tail: a header or a payload
+    /// cut short, a length past the end, or a stray byte. Some messages are
+    /// empty.
     fn random_inbox(n: usize, messages: usize, rng: &mut StdRng) -> Vec<(usize, Vec<u8>)> {
         (0..rng.gen_range(0..=messages))
             .map(|_| {
                 let sender = rng.gen_range(0..n + 2);
                 let mut message = Vec::new();
-                let mut w = Writer::new(&mut message);
                 for _ in 0..rng.gen_range(0..=2 * n) {
                     let idx = if rng.gen_bool(0.9) {
-                        rng.gen_range(0..n as u16)
+                        rng.gen_range(0..n as u64)
                     } else {
-                        rng.gen_range(n as u16..=u16::MAX)
+                        rng.gen_range(n as u64..=u64::MAX)
                     };
-                    let len = [0, 1, rng.gen_range(0..40)][rng.gen_range(0..3usize)];
+                    let len = [0, 1, rng.gen_range(0..200)][rng.gen_range(0..3usize)];
                     let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                    w.put_u16(idx).put_bytes(&payload);
+                    Writer::new(&mut message)
+                        .put_varint(idx)
+                        .put_varint(len as u64);
+                    message.extend(payload);
                 }
                 match rng.gen_range(0..6) {
                     0 => message.push(rng.gen()),
-                    1 => message.extend([0, 1, 0]),
-                    2 => message.extend([0, 0, 0, 9, 1, 2]),
+                    1 => message.extend([0, 1]),
+                    2 => message.extend([0, 9, 1, 2]),
                     3 if !message.is_empty() => {
                         let cut = rng.gen_range(0..message.len());
                         message.truncate(cut);
@@ -336,8 +357,8 @@ mod tests {
         /// The one-pass demux against the bucket demux on arbitrary
         /// inboxes: every instance gets the same `(sender, part)`
         /// sequence — message order, then part order — repeated indices,
-        /// out-of-range indices, damaged headers, trailing bytes and empty
-        /// messages included.
+        /// out-of-range indices, damaged messages (which give nothing) and
+        /// empty messages included.
         #[test]
         fn demux_gives_every_instance_what_the_buckets_give(
             n in 1usize..=13,
@@ -371,6 +392,61 @@ mod tests {
             c.step(0, &[], &mut out);
             prop_assert_eq!(&out[..3], &[0xA1, 0, 0]);
             prop_assert_eq!(&out[3..], &mux(&parts)[..]);
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_short_gives_only_the_parts_it_holds_whole() {
+        // Every frame of honest consensuses at (4, 1) and (7, 2), and of
+        // one at (10, 3) whose sources all equivocate (parts of 456 bytes,
+        // two-byte lengths), cut at every byte: a cut between parts leaves
+        // a shorter frame of whole parts, and any other cut drops the
+        // message whole.
+        let liar = |from: usize, round: u64, to: usize, _: &[u8]| {
+            (round == 0).then(|| {
+                let mut lie = Vec::new();
+                let mut announcement = LevelPayload::new(&mut lie, 1, 1);
+                announcement.push(Some((100 * from + to) as Value));
+                announcement.finish();
+                mux(&[(from as u16, lie)])
+            })
+        };
+        for (n, f, liars) in [(4, 1, false), (7, 2, false), (10, 3, true)] {
+            let mut frames = Vec::new();
+            let instances: Vec<OmConsensus> = (0..n).map(|me| OmConsensus::new(me, n, f)).collect();
+            run_pure(
+                instances,
+                &vec![5; n],
+                |from: usize, round: u64, to: usize, p: &[u8]| {
+                    let sent = if liars {
+                        liar(from, round, to, p)
+                    } else {
+                        None
+                    };
+                    frames.push(sent.clone().unwrap_or_else(|| p.to_vec()));
+                    sent
+                },
+            );
+            for frame in &frames {
+                let whole = demux(n, &[(1, &frame[..])]);
+                // Where each part ends; an honest frame's parts ascend, so
+                // the first k of them are the first k `demux` gives.
+                let mut ends = vec![0];
+                let mut r = Reader::new(frame);
+                while r.get_section().is_some() {
+                    ends.push(frame.len() - { r }.rest().len());
+                }
+                assert_eq!(ends.last(), Some(&frame.len()));
+                for cut in 0..=frame.len() {
+                    let held = ends.iter().position(|&end| end == cut).unwrap_or(0);
+                    assert_eq!(
+                        demux(n, &[(1, &frame[..cut])]),
+                        whole[..held],
+                        "n={n} f={f}, cut at {cut} of {}",
+                        frame.len()
+                    );
+                }
+            }
         }
     }
 
@@ -484,7 +560,7 @@ mod tests {
             }
             parts
         };
-        for (rel, len) in [(0, 4 + 10), (1, 3 * (4 + 2))] {
+        for (rel, len) in [(0, 2 + 10), (1, 3 * (2 + 2))] {
             let expected = mux(&parts(&c, rel));
             let frame = frame(&mut c, rel);
             assert_eq!(frame.len(), len, "round {rel}");
@@ -558,13 +634,13 @@ mod tests {
 
     #[test]
     fn an_honest_frame_carries_one_value_a_part() {
-        // n - 1 parts of header, level byte, K = (n-2)…(n-f) presence
-        // bits and the one value every node of that source's tree holds:
-        // 180 bytes at (10, 3), where the envelope is 4140.
+        // n - 1 parts of a two-byte header, level byte, K = (n-2)…(n-f)
+        // presence bits and the one value every node of that source's tree
+        // holds: 162 bytes at (10, 3), where the envelope is 4131.
         for ((n, f), slots) in [((4, 1), 1usize), ((7, 2), 5), ((10, 3), 8 * 7)] {
             assert_eq!(
                 longest_frame(n, f, honest),
-                (n - 1) * (4 + 1 + slots.div_ceil(8) + 8),
+                (n - 1) * (2 + 1 + slots.div_ceil(8) + 8),
                 "n={n} f={f}"
             );
         }
@@ -572,15 +648,16 @@ mod tests {
 
     #[test]
     fn max_frame_len_envelope_is_pinned() {
-        // (n - 1)(4 + 1 + ⌈K/8⌉ + 8K) with K = (n-2)…(n-f): a u16 length
-        // (65 535) carries f = 3 up to n = 22, and no f = 4 at its smallest n.
+        // (n - 1)(3 + 1 + ⌈K/8⌉ + 8K) with K = (n-2)…(n-f), the header a
+        // one-byte instance and a two-byte length: the 65 535-byte frame
+        // limit carries f = 3 up to n = 22, and no f = 4 at its smallest n.
         let envelope = [
-            ((10, 3), 4140),
-            ((13, 3), 10_788),
-            ((17, 3), 27_392),
-            ((22, 3), 64_953),
-            ((23, 3), 75_196),
-            ((13, 4), 96_588),
+            ((10, 3), 4131),
+            ((13, 3), 10_776),
+            ((17, 3), 27_376),
+            ((22, 3), 64_932),
+            ((23, 3), 75_174),
+            ((13, 4), 96_576),
         ];
         for ((n, f), len) in envelope {
             assert_eq!(OmConsensus::max_frame_len(n, f), Some(len), "n={n} f={f}");

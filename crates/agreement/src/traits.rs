@@ -16,10 +16,11 @@
 //! [`BaInstance::step`] appends to a caller's buffer the bytes this
 //! processor sends every other processor this round, and appends nothing
 //! to stay silent. Layers above append theirs around it into the same
-//! buffer — the consensus its part header, the activation its channel
-//! header — so a processor builds each round's frame once, and whoever
-//! owns the network hands that one frame to every other id in ascending
-//! order ([`send_to_others`], the executor).
+//! buffer — the consensus its part header, the activation its body tag
+//! behind the pulse's clock claim — so a processor builds each round's
+//! frame once, and whoever owns the network hands that one frame to every
+//! other id in ascending order ([`BaProcess`], the executor, a pulse's
+//! broadcast).
 //!
 //! Byzantine senders are not `BaInstance`s. What they send differs per
 //! destination, or is not a protocol message at all, and it is produced
@@ -74,7 +75,7 @@ pub trait BaInstance: Send {
 /// Sends `frame` to every processor id below `n` but the sender's, in
 /// ascending order; an empty frame is silence and sends nothing. The frame
 /// becomes one [`Bytes`] that every destination shares.
-pub fn send_to_others(ctx: &mut Context<'_>, n: usize, frame: Vec<u8>) {
+fn send_to_others(ctx: &mut Context<'_>, n: usize, frame: Vec<u8>) {
     if frame.is_empty() {
         return;
     }

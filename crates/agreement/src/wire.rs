@@ -1,13 +1,41 @@
-//! Tiny length-prefixed binary codec for protocol messages.
+//! Tiny binary codec for protocol messages: fixed-width big-endian
+//! scalars, `u16`-length-prefixed byte strings, and unsigned LEB128
+//! varints (seven bits a byte, low group first, the high bit set on every
+//! byte but the last), which is how a frame states small numbers — a clock
+//! value, an instance, a part's length — in one byte below 128.
 //!
 //! Byzantine processes send arbitrary bytes, so every decoder here is
 //! total: malformed input yields `None`, never a panic. Protocols treat
 //! undecodable messages as absent (the oral-messages model's "no message"
 //! default).
 
-/// Longest byte string [`Writer::put_bytes`] or [`put_section`] can frame:
-/// its length prefix is a `u16`.
+/// The bound on a part ([`put_section`]) and on a frame: 65 535 bytes.
+/// [`Writer::put_bytes`] can frame no longer a string, its prefix being a
+/// `u16`.
 pub const FRAME_LIMIT: usize = u16::MAX as usize;
+
+/// The longest LEB128 encoding of a `u64`: ten bytes.
+const VARINT_MAX_LEN: usize = 10;
+
+/// The length of `v`'s LEB128 encoding ([`Writer::put_varint`]).
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// `v` as an unsigned LEB128 varint, seven bits a byte, low group first:
+/// the first [`varint_len`]`(v)` bytes of the array.
+pub fn varint(mut v: u64) -> [u8; VARINT_MAX_LEN] {
+    let mut bytes = [0; VARINT_MAX_LEN];
+    for byte in &mut bytes {
+        *byte = v as u8 & 0x7F;
+        v >>= 7;
+        if v == 0 {
+            break;
+        }
+        *byte |= 0x80;
+    }
+    bytes
+}
 
 /// Appending encoder: every `put_*` writes at the end of the caller's
 /// buffer, so a message is built where it is sent from.
@@ -40,6 +68,13 @@ impl<'a> Writer<'a> {
         self
     }
 
+    /// Appends `v` as an unsigned LEB128 varint: one byte below 128, at
+    /// most ten.
+    pub fn put_varint(&mut self, v: u64) -> &mut Self {
+        self.buf.extend_from_slice(&varint(v)[..varint_len(v)]);
+        self
+    }
+
     /// Appends a u16-length-prefixed byte string.
     ///
     /// # Panics
@@ -53,27 +88,39 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Appends `head`, a `u16` length and whatever `body` appends after them:
-/// the byte string [`Writer::put_bytes`] would frame, written in place
-/// rather than copied in. The length is patched once `body` is done. If
-/// `body` appends nothing, the head and the length are taken back and
-/// `buf` is as it was: an empty body is no section.
+/// Appends a section: `head` and the length of whatever `body` appends,
+/// each an LEB128 varint, then the body, written in place rather than
+/// copied in. One byte is held for the length and patched once `body` is
+/// done; a body of 128 bytes or more moves over for the longer length. If
+/// `body` appends nothing, the head is taken back and `buf` is as it was:
+/// an empty body is no section.
 ///
 /// # Panics
 ///
 /// Panics if `body` appends more than [`FRAME_LIMIT`] bytes.
-pub fn put_section(buf: &mut Vec<u8>, head: &[u8], body: impl FnOnce(&mut Vec<u8>)) {
+pub fn put_section(buf: &mut Vec<u8>, head: u64, body: impl FnOnce(&mut Vec<u8>)) {
     let start = buf.len();
-    buf.extend_from_slice(head);
-    buf.extend_from_slice(&[0, 0]);
+    Writer::new(buf).put_varint(head).put_u8(0);
     let at = buf.len();
     body(buf);
-    if buf.len() == at {
+    let len = buf.len() - at;
+    if len == 0 {
         buf.truncate(start);
         return;
     }
-    let len = u16::try_from(buf.len() - at).expect("payload fits u16 length");
-    buf[at - 2..at].copy_from_slice(&len.to_be_bytes());
+    assert!(
+        len <= FRAME_LIMIT,
+        "a section of {len} bytes exceeds the {FRAME_LIMIT}-byte frame limit"
+    );
+    if len < 0x80 {
+        buf[at - 1] = len as u8;
+        return;
+    }
+    // Append the length, turn it to the front, and drop the held byte.
+    Writer::new(buf).put_varint(len as u64);
+    let k = buf.len() - at - len;
+    buf[at - 1..].rotate_right(k);
+    buf.remove(at - 1 + k);
 }
 
 /// Cursor-based decoder; every getter is failure-safe.
@@ -135,6 +182,44 @@ impl<'a> Reader<'a> {
         let len = self.get_u16()? as usize;
         self.take(len)
     }
+
+    /// Reads an unsigned LEB128 varint; `None` if it runs past the end or
+    /// past 64 bits. The cursor stays put on failure.
+    pub fn get_varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for (i, &byte) in self.buf.get(self.pos..)?.iter().enumerate() {
+            let group = u64::from(byte & 0x7F);
+            if i == VARINT_MAX_LEN - 1 && group > 1 {
+                return None;
+            }
+            v |= group << (7 * i);
+            if byte & 0x80 == 0 {
+                self.pos += i + 1;
+                return Some(v);
+            }
+            if i == VARINT_MAX_LEN - 1 {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// Reads a section ([`put_section`]): its head and its body.
+    pub fn get_section(&mut self) -> Option<(u64, &'a [u8])> {
+        let mut r = *self;
+        let head = r.get_varint()?;
+        let len = usize::try_from(r.get_varint()?).ok()?;
+        let body = r.take(len)?;
+        *self = r;
+        Some((head, body))
+    }
+
+    /// Everything not yet read, consuming it.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        self.pos = self.buf.len();
+        rest
+    }
 }
 
 #[cfg(test)]
@@ -180,29 +265,83 @@ mod tests {
     }
 
     #[test]
-    fn a_section_is_put_bytes_written_in_place() {
-        let mut buf = vec![9];
-        put_section(&mut buf, &[0xA1], |b| b.extend_from_slice(b"hello"));
-        let mut expected = vec![9, 0xA1];
-        Writer::new(&mut expected).put_bytes(b"hello");
-        assert_eq!(buf, expected);
-        // An empty body takes its head back.
-        put_section(&mut buf, &[0, 3], |_| {});
-        assert_eq!(buf, expected);
-        // Sections nest: the outer length counts the inner head.
-        let mut nested = Vec::new();
-        put_section(&mut nested, &[7], |b| {
-            put_section(b, &[0, 1], |b| b.push(5))
-        });
-        assert_eq!(nested, [7, 0, 5, 0, 1, 0, 1, 5]);
-        put_section(&mut nested, &[7], |b| put_section(b, &[0, 1], |_| {}));
-        assert_eq!(nested.len(), 8, "an empty inner section empties the outer");
+    fn varints_take_seven_bits_a_byte() {
+        let cases: [(u64, &[u8]); 6] = [
+            (0, &[0]),
+            (127, &[0x7F]),
+            (128, &[0x80, 1]),
+            (300, &[0xAC, 2]),
+            (65_535, &[0xFF, 0xFF, 3]),
+            (
+                u64::MAX,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1],
+            ),
+        ];
+        for (v, bytes) in cases {
+            let mut buf = Vec::new();
+            Writer::new(&mut buf).put_varint(v);
+            assert_eq!(buf, bytes, "{v}");
+            assert_eq!(varint_len(v), bytes.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.get_varint(), Some(v));
+            assert!(r.is_exhausted());
+            // Cut short, it is no varint, and the cursor stays put.
+            let mut r = Reader::new(&buf[..buf.len() - 1]);
+            assert_eq!(r.get_varint(), None);
+            assert_eq!(r.rest(), &buf[..buf.len() - 1]);
+        }
+        // Past 64 bits: a tenth byte above 1, or an eleventh byte.
+        let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2]);
+        assert_eq!(r.get_varint(), None);
+        assert_eq!(Reader::new(&[0x80; 11]).get_varint(), None);
     }
 
     #[test]
-    #[should_panic(expected = "payload fits u16 length")]
+    fn a_section_is_its_head_and_length_written_in_place() {
+        let mut buf = vec![9];
+        put_section(&mut buf, 0xA1, |b| b.extend_from_slice(b"hello"));
+        assert_eq!(buf, [&[9, 0xA1, 1, 5][..], b"hello"].concat());
+        assert_eq!(
+            Reader::new(&buf[1..]).get_section(),
+            Some((0xA1, &b"hello"[..]))
+        );
+        let expected = buf.clone();
+        // An empty body takes its head back.
+        put_section(&mut buf, 300, |_| {});
+        assert_eq!(buf, expected);
+        // Sections nest: the outer length counts the inner head.
+        let mut nested = Vec::new();
+        put_section(&mut nested, 7, |b| put_section(b, 1, |b| b.push(5)));
+        assert_eq!(nested, [7, 3, 1, 1, 5]);
+        put_section(&mut nested, 7, |b| put_section(b, 1, |_| {}));
+        assert_eq!(nested.len(), 5, "an empty inner section empties the outer");
+        // A body of 128 bytes or more takes a longer length, and keeps its
+        // bytes.
+        for len in [127, 128, 300, FRAME_LIMIT] {
+            let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut buf = vec![9];
+            put_section(&mut buf, 2, |b| b.extend_from_slice(&body));
+            let mut r = Reader::new(&buf[1..]);
+            assert_eq!(r.get_section(), Some((2, &body[..])), "len {len}");
+            assert!(r.is_exhausted());
+        }
+    }
+
+    #[test]
+    fn a_damaged_section_reads_as_none_and_leaves_the_cursor() {
+        let mut buf = Vec::new();
+        put_section(&mut buf, 3, |b| b.extend_from_slice(b"abc"));
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut]);
+            assert_eq!(r.get_section(), None, "cut at {cut}");
+            assert_eq!(r.rest(), &buf[..cut]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65535-byte frame limit")]
     fn a_section_past_the_frame_limit_is_refused() {
-        put_section(&mut Vec::new(), &[], |b| b.extend([0; FRAME_LIMIT + 1]));
+        put_section(&mut Vec::new(), 0, |b| b.extend([0; FRAME_LIMIT + 1]));
     }
 
     #[test]

@@ -5,20 +5,22 @@
 //! structure fails here by name before it shows as a `bytes_per_op` drift
 //! in the benchmark.
 //!
-//! Recorded at PR 23, when a relay part whose values all agree began to
-//! say the value once (see `ga_agreement::eig`, "Level payload"). With
-//! every source honest that is every part, and the totals fell from PR 21's
-//! 672 / 15 708 / 441 900 bytes (before that, when a relay carried paths,
-//! 1080 / 27 678 / 902 160); at `(4, 1)` no part tells two values, so
-//! nothing there moved, the digest included. PR 21's totals are now what
-//! a consensus costs when every source equivocates, and the most honest
-//! processors can be made to send. Messages and rounds are what they
-//! always were. The digests and totals were computed from the format's
-//! description by `scripts/om_wire_digest.py`, which shares no code with
-//! this crate, then met by the first run.
+//! Recorded when a part's header became two LEB128 varints, the instance
+//! and the length (`ga_agreement::consensus`, "Frame"), where they had been
+//! two `u16`s: two bytes a part where there were four, and three for a
+//! payload of 128 bytes or more. With every source honest the totals fell
+//! from 672 / 7644 / 40 140 bytes to 576 / 6552 / 35 100, and every digest
+//! moved. Before that, a relay part whose values all agree began to say
+//! the value once (see `ga_agreement::eig`, "Level payload"); the all-liars
+//! column is what a consensus costs when every source equivocates, and the
+//! most honest processors can be made to send. Messages and rounds are
+//! what they always were. The digests and totals were computed from the
+//! format's description by `scripts/om_wire_digest.py`, which shares no
+//! code with this crate, then met by the first run.
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::executor::{run_pure_with_stats, ExecStats};
+use ga_agreement::wire::varint_len;
 use ga_crypto::sha256::Sha256;
 
 /// Runs one consensus on inputs `100 + i` in which the sources below
@@ -37,7 +39,7 @@ fn run(n: usize, f: usize, liars: usize) -> (ExecStats, String) {
             // broadcast, 10 bytes), level 1, the one presence bit, the
             // value.
             let lie = (from < liars && round == 0).then(|| {
-                let head = [0, from as u8, 0, 10, 1, 1];
+                let head = [from as u8, 10, 1, 1];
                 [&head[..], &(100 + to as u64).to_be_bytes()].concat()
             });
             hasher.update(lie.as_deref().unwrap_or(payload));
@@ -57,24 +59,33 @@ fn run(n: usize, f: usize, liars: usize) -> (ExecStats, String) {
 
 /// `n`, `f`, and the traffic of one consensus: all honest, source 0
 /// equivocating, every source equivocating.
-const PINNED: [(usize, usize, [ExecStats; 3]); 3] = [
-    (4, 1, [stats(24, 672, 3); 3]),
+const PINNED: [(usize, usize, [ExecStats; 3]); 4] = [
+    (4, 1, [stats(24, 576, 3); 3]),
     (
         7,
         2,
         [
-            stats(126, 7644, 4),
-            stats(126, 8796, 4),
-            stats(126, 15_708, 4),
+            stats(126, 6552, 4),
+            stats(126, 7704, 4),
+            stats(126, 14_616, 4),
         ],
     ),
     (
         10,
         3,
         [
-            stats(360, 40_140, 5),
-            stats(360, 80_316, 5),
-            stats(360, 441_900, 5),
+            stats(360, 35_100, 5),
+            stats(360, 75_357, 5),
+            stats(360, 437_670, 5),
+        ],
+    ),
+    (
+        13,
+        2,
+        [
+            stats(468, 48_672, 4),
+            stats(468, 60_192, 4),
+            stats(468, 198_432, 4),
         ],
     ),
 ];
@@ -97,29 +108,33 @@ fn om_traffic_totals_are_pinned() {
 }
 
 /// Why the totals are what they are. Each of `n` processors sends `n - 1`
-/// frames a round for `f + 1` rounds. Round 0's frame is one part: a
-/// 4-byte header and the 10-byte announcement. Round `t`'s is `n - 1`
-/// parts, one per other source: the header, a level byte, a presence bit
-/// for each of the `K = (n-2)(n-3)…(n-t)` nodes ending in the sender, and
-/// their values — which with an honest source are one value, so 8 bytes
-/// whether `K` is 1 (plain) or more (uniform), and never `8·K`.
+/// frames a round for `f + 1` rounds. Every part is headed by its instance
+/// (one byte, `n < 128`) and its payload's length as a varint (one byte
+/// below 128, two from there). Round 0's frame is one part, the 10-byte
+/// announcement. Round `t`'s is `n - 1` parts, one per other source: a
+/// level byte, a presence bit for each of the `K = (n-2)(n-3)…(n-t)` nodes
+/// ending in the sender, and their values — which with an honest source
+/// are one value, so 8 bytes whether `K` is 1 (plain) or more (uniform),
+/// and never `8·K`.
 ///
 /// A source `s` that tells every destination another value changes its
 /// own tree's parts alone: node `(s, q, …, p)` holds what `s` told `q`,
 /// so once `K ≥ 2` (level 3 on) the part each of the `n - 1` relayers
-/// sends each of its `n - 1` destinations is plain, `8·K` where it was 8.
-/// With every source at it every part is — the cost of every run before
-/// the uniform form.
+/// sends each of its `n - 1` destinations is plain, `8·K` where it was 8,
+/// and its length may take the second byte. With every source at it every
+/// part is — the cost of every run before the uniform form.
 fn derived(n: u64, f: u64, liars: u64) -> ExecStats {
-    let mut per_destination = 4 + 10;
+    let part = |len: u64| 1 + varint_len(len) as u64 + len;
+    let mut per_destination = part(10);
     let mut spelled_out = 0;
     let mut slots = 1;
     for t in 1..=f {
         if t >= 2 {
             slots *= n - t;
         }
-        per_destination += (n - 1) * (4 + 1 + slots.div_ceil(8) + 8);
-        spelled_out += (n - 1) * (n - 1) * 8 * (slots - 1);
+        let said_once = 1 + slots.div_ceil(8) + 8;
+        per_destination += (n - 1) * part(said_once);
+        spelled_out += (n - 1) * (n - 1) * (part(said_once + 8 * (slots - 1)) - part(said_once));
     }
     stats(
         n * (n - 1) * (f + 1),
@@ -151,18 +166,23 @@ fn thirteen_sources_equivocating_take_the_table_everywhere() {
 
 #[test]
 fn om_payload_digests_are_pinned() {
-    // No part of f = 1 tells two values: PR 21's digest.
+    // No part of f = 1 tells two values.
     assert_eq!(
         run(4, 1, 0).1,
-        "44777a36114283769ee8a996a58332d4e33f316fc87f418130c4dab3326b0b82"
+        "c92d3dd538c22993a98fe1c7480fcf6474a2944469ca313fa41bd4e958e476fa"
     );
     // Every level-3 part uniform; then source 0's part of each frame plain.
     assert_eq!(
         run(7, 2, 0).1,
-        "f98718300bc55fef30b8b3bbf2a70beaaa026ed45899e4b7702949901c09fc05"
+        "58e52372a4754a9f1cd5ed9d3ee641ad262ef8c010ba38cb9a591bf4cc7ca280"
     );
     assert_eq!(
         run(7, 2, 1).1,
-        "f00480916af15963dfeb48a60208c8722a7c8df83b3d1bd03ef483688ba4d05f"
+        "623961444e9ff47ceb70f7f34553f39f2db795a7335f93d1d7ac623e1336441d"
+    );
+    // A plain level-4 part of 456 bytes takes a two-byte length.
+    assert_eq!(
+        run(10, 3, 1).1,
+        "707505f692d14b45548b32e4e60507caf88621927ab7934a947e319614fa391d"
     );
 }

@@ -12,15 +12,15 @@ use crate::process::ClockProcess;
 use crate::ssba::SsbaProcess;
 
 /// A Byzantine strategy speaking the clock protocol: sends a *different
-/// random but well-formed* clock claim to every neighbor, every pulse —
-/// much stronger than random noise, which mostly fails to decode.
+/// random* clock claim below 64 to every neighbor, every pulse. Random
+/// noise is read as claims too, but of values spread over the whole `u64`
+/// range, which reduce to scattered votes.
 #[derive(Debug, Clone, Copy, Default)]
 struct ClockEquivocator;
 
 impl Adversary for ClockEquivocator {
     fn act(&mut self, ctx: &mut Context<'_>) {
-        let neighbors: Vec<usize> = ctx.neighbors().to_vec();
-        for nb in neighbors {
+        for &nb in ctx.neighbors() {
             let v = ctx.rng().gen_range(0..64);
             ctx.send(ProcessId(nb), ClockProcess::encode(v));
         }

@@ -9,9 +9,10 @@
 //!    that, from *any* starting configuration and despite `f` Byzantine
 //!    processors, eventually tick in unison ([`clock::ClockRule`]). Run
 //!    over the network it is §3.3's **Byzantine common pulse generator**:
-//!    [`process::pulse`] takes one clock claim per admitted sender, steps
-//!    the rule and broadcasts the new value; [`process::ClockProcess`] is
-//!    that function as a simulator process.
+//!    [`process::pulse`] takes one clock claim per admitted sender and
+//!    steps the rule, and the processor states the new value at the head
+//!    of the one frame it sends each peer ([`process`](process#frame));
+//!    [`process::ClockProcess`] is that function as a simulator process.
 //! 2. **Theorem 1's composition**: whenever the synchronized clock reaches
 //!    a designated value, a (non-stabilizing) Byzantine agreement protocol
 //!    is freshly invoked and then run round by round —
@@ -46,11 +47,8 @@ pub mod harness;
 pub mod process;
 pub mod ssba;
 
-/// Channel tags distinguishing multiplexed traffic inside one simulation
-/// payload.
+/// Body tags of a pulse's frame ([`process`](process#frame)).
 pub mod tags {
-    /// Clock-synchronization messages.
-    pub const CLOCK: u8 = 0x0C;
-    /// Byzantine-agreement messages (relayed to the embedded instance).
+    /// SSBA's agreement (relayed to the embedded instance).
     pub const BA: u8 = 0xBA;
 }

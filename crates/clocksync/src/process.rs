@@ -7,13 +7,28 @@
 //! process that keeps a clock — [`ClockProcess`], SSBA, the distributed
 //! authority — calls [`pulse`] once per round and keys its schedule off
 //! the value it returns.
+//!
+//! # Frame
+//!
+//! On each pulse a processor sends each peer one frame: its clock claim,
+//! then the body of whatever its clock has scheduled, if anything.
+//!
+//! ```text
+//! frame  claim · body?
+//! claim  LEB128 u64: the sender's clock value, one byte below 128
+//! body   tag u8 · the rest of the frame, no length
+//! ```
+//!
+//! The tag names who reads the body: an agreement activation
+//! ([`Activation`](crate::ssba::Activation)), or the authority's commit or
+//! reveal. A frame whose claim is cut short says nothing, body included.
 
-use ga_agreement::wire::Reader;
+use bytes::Bytes;
+use ga_agreement::wire::{varint, varint_len, Reader};
 use ga_simnet::prelude::*;
 use rand::Rng;
 
 use crate::clock::ClockRule;
-use crate::tags;
 
 /// The pulse generator alone as a `ga-simnet` process: [`pulse`] every
 /// round, nothing scheduled off it (the `stabilize` suite sweeps it).
@@ -39,52 +54,56 @@ impl ClockProcess {
         self.rule.value()
     }
 
-    /// Encodes a clock announcement: the tag, then the value, big-endian.
-    /// Nine bytes, sized at compile time, and short enough to travel
-    /// inline: a pulse's broadcast allocates nothing.
-    pub fn encode(value: u64) -> [u8; 9] {
-        let mut claim = [tags::CLOCK; 9];
-        claim[1..].copy_from_slice(&value.to_be_bytes());
-        claim
+    /// A frame that is a clock claim and nothing else. At most ten bytes,
+    /// so it travels inline: a pulse's broadcast allocates nothing.
+    pub fn encode(value: u64) -> Bytes {
+        Bytes::copy_from_slice(&varint(value)[..varint_len(value)])
     }
 
-    /// Decodes a clock announcement (None for foreign/garbled payloads).
-    pub fn decode(payload: &[u8]) -> Option<u64> {
-        let mut r = Reader::new(payload);
-        if r.get_u8()? != tags::CLOCK {
-            return None;
-        }
-        let v = r.get_u64()?;
-        r.is_exhausted().then_some(v)
+    /// Splits a frame into its clock claim and its body (empty if it has
+    /// none); `None` when the claim is cut short.
+    pub fn decode(frame: &[u8]) -> Option<(u64, &[u8])> {
+        let mut r = Reader::new(frame);
+        let claim = r.get_varint()?;
+        Some((claim, r.rest()))
     }
 }
 
-/// One pulse of the common pulse generator: steps `rule` on the first
-/// well-formed clock claim of every sender below `n` that `heard` admits
-/// (one claim per sender — a Byzantine flood must not multiply votes),
-/// broadcasts the new clock value and returns it.
-pub fn pulse(
+/// One pulse of the common pulse generator, in one pass over the inbox:
+/// steps `rule` on the first clock claim of every sender below `n` that
+/// `heard` admits (one claim per sender — a Byzantine flood must not
+/// multiply votes) and returns the new clock value, with the body of every
+/// such sender's frame that has one, as `(sender, body)` in inbox order.
+/// The caller sends the value's claim, then its own body, in one frame.
+pub fn pulse<'a>(
     rule: &mut ClockRule,
     n: usize,
-    ctx: &mut Context<'_>,
+    ctx: &mut Context<'a>,
     heard: impl Fn(usize) -> bool,
-) -> u64 {
+) -> (u64, Vec<(usize, &'a [u8])>) {
     let mut claims: Vec<Option<u64>> = vec![None; n];
+    let mut bodies = Vec::new();
     for m in ctx.inbox() {
         let idx = m.from.index();
-        if idx < n && claims[idx].is_none() && heard(idx) {
-            claims[idx] = ClockProcess::decode(m.bytes());
+        if idx >= n || !heard(idx) {
+            continue;
+        }
+        let Some((claim, body)) = ClockProcess::decode(m.bytes()) else {
+            continue;
+        };
+        claims[idx].get_or_insert(claim);
+        if !body.is_empty() {
+            bodies.push((idx, body));
         }
     }
     let received: Vec<u64> = claims.into_iter().flatten().collect();
-    let value = rule.step(&received, ctx.rng());
-    ctx.broadcast(ClockProcess::encode(value));
-    value
+    (rule.step(&received, ctx.rng()), bodies)
 }
 
 impl Process for ClockProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        pulse(&mut self.rule, self.n, ctx, |_| true);
+        let (value, _) = pulse(&mut self.rule, self.n, ctx, |_| true);
+        ctx.broadcast(ClockProcess::encode(value));
     }
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
@@ -110,10 +129,47 @@ mod tests {
 
     #[test]
     fn codec_round_trip() {
-        let p = ClockProcess::encode(17);
-        assert_eq!(ClockProcess::decode(&p), Some(17));
-        assert_eq!(ClockProcess::decode(b"junk"), None);
+        for v in [0, 17, 127, 128, 300, u64::MAX] {
+            let p = ClockProcess::encode(v);
+            assert_eq!(ClockProcess::decode(&p), Some((v, &[][..])));
+        }
+        assert_eq!(ClockProcess::encode(17), [17], "one byte below 128");
+        // A claim cut short is no claim; a body rides behind a whole one.
         assert_eq!(ClockProcess::decode(&[]), None);
+        assert_eq!(ClockProcess::decode(&[0x80]), None);
+        assert_eq!(
+            ClockProcess::decode(&[0xAC, 2, 0xBA, 1]),
+            Some((300, &[0xBA, 1][..]))
+        );
+    }
+
+    #[test]
+    fn a_frame_yields_a_claim_iff_its_varint_is_complete() {
+        // Frames of every claim length (1 to 10 bytes) with and without a
+        // body, cut at every byte; then random bytes.
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF4A3E);
+        for bits in 0..64 {
+            let value = rng.gen::<u64>() >> bits;
+            let claim = ClockProcess::encode(value);
+            let mut body = vec![0u8; rng.gen_range(0..40)];
+            rng.fill_bytes(&mut body);
+            let frame = [&claim[..], &body].concat();
+            for cut in 0..=frame.len() {
+                let read = ClockProcess::decode(&frame[..cut]);
+                let expected = (cut >= claim.len()).then(|| (value, &frame[claim.len()..cut]));
+                assert_eq!(read, expected, "{value} cut at {cut}");
+            }
+        }
+        for _ in 0..10_000 {
+            let mut bytes = vec![0u8; rng.gen_range(0..16)];
+            rng.fill_bytes(&mut bytes);
+            let claimed = bytes.iter().take(10).any(|b| b & 0x80 == 0);
+            assert!(
+                ClockProcess::decode(&bytes).is_some() <= claimed,
+                "{bytes:?}"
+            );
+        }
     }
 
     /// Process 0 runs [`pulse`] admitting `heard`; the others send it their
@@ -176,10 +232,10 @@ mod tests {
 
     #[test]
     fn pulse_takes_the_first_well_formed_claim_per_sender() {
-        // A non-clock first message does not shadow the claim behind it;
-        // a second claim from the same sender is ignored.
+        // A message whose claim is cut short does not shadow the claim
+        // behind it; a second claim from the same sender is ignored.
         let scripts = [
-            vec![b"junk".to_vec(), claim(7), claim(3)],
+            vec![vec![0x80], claim(7), claim(3)],
             vec![vec![], claim(7)],
             vec![claim(7)],
         ];

@@ -19,8 +19,8 @@
 //! * **Closure (Lemma 3)** — once synchronized, every period of `M` pulses
 //!   contains exactly one complete agreement, forever.
 
-use ga_agreement::traits::{send_to_others, BaInstance};
-use ga_agreement::wire::{put_section, Reader};
+use ga_agreement::traits::BaInstance;
+use ga_agreement::wire::Writer;
 use ga_agreement::Value;
 use ga_simnet::prelude::*;
 use rand::Rng;
@@ -29,13 +29,12 @@ use crate::clock::ClockRule;
 use crate::process::pulse;
 use crate::tags;
 
-/// Unwraps a frame of channel `tag` (None for any other payload).
-fn unframe(tag: u8, payload: &[u8]) -> Option<&[u8]> {
-    let mut r = Reader::new(payload);
-    if r.get_u8()? != tag {
-        return None;
+/// The rest of a frame body of channel `tag` (None for any other body).
+fn unframe(tag: u8, body: &[u8]) -> Option<&[u8]> {
+    match body.split_first() {
+        Some((&t, rest)) if t == tag => Some(rest),
+        _ => None,
     }
-    r.get_bytes()
 }
 
 /// One clock-scheduled activation of a Byzantine agreement protocol: the
@@ -49,17 +48,18 @@ fn unframe(tag: u8, payload: &[u8]) -> Option<&[u8]> {
 /// round order, the tag demux and the framing.
 ///
 /// A round's output is the instance's broadcast (the [broadcast
-/// contract](ga_agreement::traits#the-broadcast-contract)) behind the
-/// channel header, appended to the caller's buffer in place:
+/// contract](ga_agreement::traits#the-broadcast-contract)) as the body of
+/// the pulse's frame ([`process`](crate::process#frame)), appended to the
+/// caller's buffer behind the clock claim:
 ///
 /// ```text
-/// u8 tag · u16 length · what the instance appended
+/// u8 tag · what the instance appended, to the end of the frame
 /// ```
 ///
 /// An instance that appends nothing leaves the buffer as it was, so a
-/// silent round sends no frame. The caller hands the buffer to every other
-/// processor ([`send_to_others`]). On receipt, only frames of this tag
-/// reach the instance, unwrapped.
+/// silent round's frame is the claim alone. The caller sends the buffer to
+/// every peer. On receipt, only bodies of this tag reach the instance,
+/// without it.
 pub struct Activation<B> {
     instance: B,
     tag: u8,
@@ -83,49 +83,41 @@ impl<B: BaInstance> Activation<B> {
         &self.instance
     }
 
-    /// Executes relative round `rel` on this channel's share of `inbox`
-    /// and appends the round's frame, if any, to `out`.
-    fn step<'a>(
-        &mut self,
-        rel: u64,
-        inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<u8>,
-    ) {
+    /// Executes relative round `rel` on this channel's share of `bodies`
+    /// (`(sender, body)`, as [`pulse`] returns them) and appends the round's
+    /// body, if any, to `out`.
+    fn step(&mut self, rel: u64, bodies: &[(usize, &[u8])], out: &mut Vec<u8>) {
         let tag = self.tag;
-        let view: Vec<(usize, &[u8])> = inbox
-            .filter_map(|(from, payload)| Some((from, unframe(tag, payload)?)))
+        let view: Vec<(usize, &[u8])> = bodies
+            .iter()
+            .filter_map(|&(from, body)| Some((from, unframe(tag, body)?)))
             .collect();
-        let instance = &mut self.instance;
-        put_section(out, &[tag], |out| instance.step(rel, &view, out));
+        out.push(tag);
+        let at = out.len();
+        self.instance.step(rel, &view, out);
+        if out.len() == at {
+            out.pop();
+        }
         self.progress = Some(rel);
     }
 
     /// Freshly invokes the protocol on `input`, runs its round 0 and
-    /// appends that round's frame to `out`.
-    pub fn start<'a>(
-        &mut self,
-        input: Value,
-        inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<u8>,
-    ) {
+    /// appends that round's body to `out`.
+    pub fn start(&mut self, input: Value, bodies: &[(usize, &[u8])], out: &mut Vec<u8>) {
         self.instance.begin(input);
-        self.step(0, inbox, out);
+        self.step(0, bodies, out);
     }
 
     /// Runs the next round of the agreement in flight, if any, appending
-    /// its frame to `out`; the last round ends the activation and returns
+    /// its body to `out`; the last round ends the activation and returns
     /// the decision.
-    pub fn advance<'a>(
-        &mut self,
-        inbox: impl Iterator<Item = (usize, &'a [u8])>,
-        out: &mut Vec<u8>,
-    ) -> Option<Value> {
+    pub fn advance(&mut self, bodies: &[(usize, &[u8])], out: &mut Vec<u8>) -> Option<Value> {
         let rel = self.progress? + 1;
         if rel >= self.instance.rounds() {
             self.progress = None;
             return None;
         }
-        self.step(rel, inbox, out);
+        self.step(rel, bodies, out);
         if rel + 1 < self.instance.rounds() {
             return None;
         }
@@ -203,19 +195,19 @@ impl<B: BaInstance> SsbaProcess<B> {
 
 impl<B: BaInstance + 'static> Process for SsbaProcess<B> {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        let clock_value = pulse(&mut self.clock, self.n, ctx, |_| true);
+        let (clock_value, bodies) = pulse(&mut self.clock, self.n, ctx, |_| true);
 
         // The wrap to 1 invokes the protocol afresh, so a scrambled epoch
         // from a transient fault cannot outlive one wrap; an agreement in
         // flight advances whatever the clock says.
-        let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
         let mut frame = Vec::new();
+        Writer::new(&mut frame).put_varint(clock_value);
         if clock_value == 1 {
-            self.ba.start(self.input, inbox, &mut frame);
-        } else if let Some(decision) = self.ba.advance(inbox, &mut frame) {
+            self.ba.start(self.input, &bodies, &mut frame);
+        } else if let Some(decision) = self.ba.advance(&bodies, &mut frame) {
             self.agreements.push(decision);
         }
-        send_to_others(ctx, self.n, frame);
+        ctx.broadcast(frame);
     }
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
@@ -245,13 +237,10 @@ mod tests {
     use crate::process::ClockProcess;
     use ga_agreement::consensus::OmConsensus;
     use ga_agreement::om;
-    use std::iter;
 
-    /// `inner` framed on channel `tag`, as an activation sends it.
+    /// `inner` as a body of channel `tag`, as an activation sends it.
     fn frame(tag: u8, inner: &[u8]) -> Vec<u8> {
-        let mut framed = Vec::new();
-        put_section(&mut framed, &[tag], |out| out.extend_from_slice(inner));
-        framed
+        [&[tag][..], inner].concat()
     }
 
     fn build(n: usize, f: usize, seed: u64) -> Simulation {
@@ -329,12 +318,13 @@ mod tests {
     #[test]
     fn tag_untag_round_trip() {
         let tagged = frame(tags::BA, b"inner");
-        assert_eq!(tagged, [&[tags::BA, 0, 5][..], b"inner"].concat());
+        assert_eq!(tagged, [&[tags::BA][..], b"inner"].concat());
         assert_eq!(unframe(tags::BA, &tagged), Some(b"inner".as_slice()));
         assert_eq!(unframe(tags::BA, b"junk"), None);
         assert_eq!(unframe(0xA1, &tagged), None, "another channel's frame");
-        // Clock messages are not BA messages.
+        // A clock claim is not a BA body.
         assert_eq!(unframe(tags::BA, &ClockProcess::encode(5)), None);
+        assert_eq!(unframe(tags::BA, &[]), None);
     }
 
     /// A 3-round instance: broadcasts `[round]` every round but the
@@ -372,18 +362,14 @@ mod tests {
     fn activation_runs_rounds_in_order_and_decides_once_on_the_last() {
         let mut a = Activation::new(Probe::default(), 0xA1);
         let mut out = Vec::new();
-        assert_eq!(a.advance(iter::empty(), &mut out), None);
+        assert_eq!(a.advance(&[], &mut out), None);
         assert!(out.is_empty(), "an idle activation sends nothing");
         assert!(a.instance().rounds.is_empty(), "and steps nothing");
 
-        a.start(7, iter::empty(), &mut out);
-        assert_eq!(a.advance(iter::empty(), &mut out), None, "round 1 of 3");
-        assert_eq!(
-            a.advance(iter::empty(), &mut out),
-            Some(7),
-            "the last round"
-        );
-        assert_eq!(a.advance(iter::empty(), &mut out), None, "exactly once");
+        a.start(7, &[], &mut out);
+        assert_eq!(a.advance(&[], &mut out), None, "round 1 of 3");
+        assert_eq!(a.advance(&[], &mut out), Some(7), "the last round");
+        assert_eq!(a.advance(&[], &mut out), None, "exactly once");
         assert_eq!(a.instance().rounds, [0, 1, 2]);
         assert_eq!(
             out,
@@ -392,22 +378,21 @@ mod tests {
         );
 
         // A fresh start abandons whatever was in flight; so does a reset.
-        a.start(8, iter::empty(), &mut out);
-        a.advance(iter::empty(), &mut out);
-        a.start(9, iter::empty(), &mut out);
+        a.start(8, &[], &mut out);
+        a.advance(&[], &mut out);
+        a.start(9, &[], &mut out);
         assert_eq!(a.instance().rounds, [0], "begun afresh");
         a.reset();
-        assert_eq!(a.advance(iter::empty(), &mut out), None, "idle after reset");
+        assert_eq!(a.advance(&[], &mut out), None, "idle after reset");
     }
 
     #[test]
     fn activation_frames_and_demuxes_its_own_tag_only() {
         let mut a = Activation::new(Probe::default(), 0xA2);
         let (mine, other) = (frame(0xA2, b"mine"), frame(0xA3, b"other"));
-        let clock = ClockProcess::encode(1);
-        let inbox = [(1, &mine[..]), (2, &other[..]), (3, &clock[..]), (2, &[])];
+        let inbox = [(1, &mine[..]), (2, &other[..]), (3, &[0xA1][..]), (2, &[])];
         let mut out = Vec::new();
-        a.start(0, inbox.into_iter(), &mut out);
+        a.start(0, &inbox, &mut out);
         assert_eq!(a.instance().mail, [(1, b"mine".to_vec())]);
         assert_eq!(unframe(0xA2, &out), Some(&[0u8][..]));
     }
@@ -422,10 +407,10 @@ mod tests {
         };
         let mut a = Activation::new(probe, tags::BA);
         let mut out = vec![0xEE];
-        a.start(0, iter::empty(), &mut out);
+        a.start(0, &[], &mut out);
         assert_eq!(out, [&[0xEE][..], &frame(tags::BA, &[0])].concat());
         let before = out.clone();
-        a.advance(iter::empty(), &mut out);
+        a.advance(&[], &mut out);
         assert_eq!(out, before, "a silent round has no frame");
         assert_eq!(a.instance().rounds, [0, 1], "but it ran");
     }

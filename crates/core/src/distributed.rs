@@ -32,40 +32,60 @@
 //! the activations run and their bytes are on the wire, but no state
 //! depends on what they decide (ROADMAP: BA 1 buys nothing observable).
 //!
+//! # Wire
+//!
+//! On every pulse a processor sends each peer exactly one frame: its clock
+//! claim, then the body of the phase its clock has scheduled, if that phase
+//! says anything ([`ga_clocksync::process`](ga_clocksync::process#frame)).
+//! The phases' windows are disjoint, so a frame has at most one body.
+//!
+//! | body                                   | sent at                                  |
+//! |----------------------------------------|------------------------------------------|
+//! | none                                   | the wrap, a resolve round, the executive |
+//! | `0xA1` / `0xA2` / `0xA3` · parts       | a round of BA 1 / BA 2 / BA 3 (`OmConsensus`, "Frame") |
+//! | `0xC0` · digest\[32\]                  | the commit phase                         |
+//! | `0xD0` · LEB128 action · nonce\[32\]   | the reveal phase                         |
+//!
+//! A body runs to the end of its frame and has no length. A commit or
+//! reveal body of any other length, a truncated one included, is dropped
+//! whole; so is an agreement body whose last part is cut short. The two
+//! split deviants below send the peers in their mask a variant of the
+//! frame in place of it, still one frame each.
+//!
 //! # The OM assumption
 //!
 //! The authority runs OM and nothing else, with `f ≤ 3`. All three
 //! activations are OM interactive consistency: BA 3 needs the per-source
 //! vector, because conviction counts votes, and one protocol keeps one
 //! wire. The price is a bound on `f`, stated here as an assumption of the
-//! authority. Every authority message is `tag u8, length u16, body`, so a
-//! body is at most 65 535 bytes. The largest body a processor can be made
-//! to send is a whole OM-consensus message of the last relay round when
-//! every source equivocated — `n − 1` relays of `K = (n−2)(n−3)…(n−f)`
-//! values that differ, eight bytes and a presence bit each — which grows
-//! like `n^f`: 4.1 KB at `n = 10, f = 3`, 10.8 KB at `(13, 3)`, 65.0 KB
-//! at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at `(13, 4)`. Those are the
-//! equivocation case, and it sets the bound because a Byzantine source
-//! chooses it. A relay of an honest source's broadcast says its one value
-//! once, so the frames of a run without an equivocator are `n − 1` parts
-//! of a value and `K` presence bits: 180 bytes at `(10, 3)`. So the
-//! authority assumes `f ≤ 2` at any `n ≤ 64` and `f = 3` up to `n = 22`;
-//! there is no `f ≥ 4`. A cluster outside that is refused at construction
-//! ([`OmConsensus::max_frame_len`]) rather than panicking in the middle of
-//! its first play; widening the prefix would change every frame on the
-//! wire. ROADMAP item 7 (a protocol per activation, to run past `f = 3`)
-//! is closed on this assumption: no workload needs `f ≥ 4`, and
-//! Dolev–Strong, the polynomial backend the agreement crate keeps, is
-//! measured beside OM (E6, the benchmark) but run by no authority.
+//! authority. A frame, and each part inside it, is held to
+//! [`FRAME_LIMIT`], 65 535 bytes. The largest frame a processor can be
+//! made to send carries a whole OM-consensus message of the last relay
+//! round when every source equivocated — `n − 1` relays of
+//! `K = (n−2)(n−3)…(n−f)` values that differ, eight bytes and a presence
+//! bit each — which grows like `n^f`: 4.1 KB at `n = 10, f = 3`, 10.8 KB
+//! at `(13, 3)`, 64.9 KB at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at
+//! `(13, 4)`. Those are the equivocation case, and it sets the bound
+//! because a Byzantine source chooses it. A relay of an honest source's
+//! broadcast says its one value once, so the frames of a run without an
+//! equivocator are `n − 1` parts of a value and `K` presence bits: 162
+//! bytes at `(10, 3)`. So the authority assumes `f ≤ 2` at any `n ≤ 64`
+//! and `f = 3` up to `n = 22`; there is no `f ≥ 4`. A cluster outside
+//! that is refused at construction ([`OmConsensus::max_frame_len`]) rather
+//! than panicking in the middle of its first play. ROADMAP item 7 (a
+//! protocol per activation, to run past `f = 3`) is closed on this
+//! assumption: no workload needs `f ≥ 4`, and Dolev–Strong, the polynomial
+//! backend the agreement crate keeps, is measured beside OM (E6, the
+//! benchmark) but run by no authority.
 //!
 //! # Agents and executive
 //!
 //! A processor's agent is the centralized engine's `Agent`: the commit
-//! and reveal phases broadcast what `Agent::submit` returns. Three
+//! and reveal phases send every peer what `Agent::submit` returns. Three
 //! deviants act beyond that: a framer accuses its target in its BA 3
-//! proposal, a selective revealer withholds its reveal from some
-//! processors, and a split committer sends some processors a commitment to
-//! a second opening. Mixed strategies are refused until the seed audit
+//! proposal, a selective revealer sends some processors its reveal
+//! pulse's frame without the reveal, and a split committer sends some
+//! processors a commitment to a second opening. Mixed strategies are refused until the seed audit
 //! runs here (ROADMAP item 3(b)). Punishment is an [`Executive`] under
 //! [`Punishment::Disconnect`], driven by the agreed foul mask: a convicted
 //! agent's traffic is dropped and the outcome takes the null action 0 for
@@ -77,8 +97,8 @@ use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::om;
-use ga_agreement::traits::{send_to_others, BaInstance};
-use ga_agreement::wire::{Reader, Writer, FRAME_LIMIT};
+use ga_agreement::traits::BaInstance;
+use ga_agreement::wire::{varint_len, Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
 use ga_clocksync::process::pulse;
 use ga_clocksync::ssba::Activation;
@@ -94,7 +114,7 @@ use crate::agent::{Agent, Behavior, BehaviorKind};
 use crate::executive::{Executive, Punishment};
 use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
 
-/// Message tags on the authority's multiplexed channel.
+/// Body tags of the authority's frames (see the module's wire table).
 mod tag {
     /// The three agreement activations, in schedule order.
     pub(super) const BA: [u8; 3] = [0xA1, 0xA2, 0xA3];
@@ -152,8 +172,11 @@ pub struct PlayRecord {
 fn assert_size_supported(n: usize, f: usize) {
     assert!(n > 3 * f, "distributed authority requires n > 3f");
     assert!(n <= 64, "foul bitmask supports up to 64 agents");
+    // The largest frame: the largest claim, a tag and the agreement's
+    // largest message.
+    let claim = varint_len(AuthorityProcess::schedule_len(om::rounds(f)) - 1);
     assert!(
-        OmConsensus::max_frame_len(n, f).is_some_and(|len| len <= FRAME_LIMIT),
+        OmConsensus::max_frame_len(n, f).is_some_and(|len| claim + 1 + len <= FRAME_LIMIT),
         "distributed authority at n={n}, f={f}: the largest agreement message \
          exceeds the {FRAME_LIMIT}-byte frame limit"
     );
@@ -188,6 +211,9 @@ pub struct AuthorityProcess {
     executive: Executive,
     /// Completed plays; the last one's outcome is the previous outcome.
     records: Vec<PlayRecord>,
+    /// The frame a pulse builds, kept for its capacity: scratch, cleared
+    /// every pulse, not state.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for AuthorityProcess {
@@ -238,6 +264,7 @@ impl AuthorityProcess {
             play: PlayState::new(n),
             executive: Executive::new(n, Punishment::Disconnect),
             records: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
@@ -386,88 +413,77 @@ impl AuthorityProcess {
         mask
     }
 
-    /// Queues `payload` in `out` for every other processor, in ascending
-    /// order: every recipient shares the one buffer.
-    fn to_others(&self, payload: Vec<u8>, out: &mut Vec<(usize, Bytes)>) {
-        let payload = Bytes::from(payload);
-        let others = (0..self.n).filter(|&to| to != self.me);
-        out.extend(others.map(|to| (to, payload.clone())));
-    }
-
-    /// A deviant's [`to_others`](Self::to_others): the processors in
-    /// `mask` get `alt` instead of `payload`, or nothing when it is `None`.
-    fn to_split(
-        &self,
-        payload: Vec<u8>,
-        alt: Option<Vec<u8>>,
-        mask: u64,
-        out: &mut Vec<(usize, Bytes)>,
-    ) {
-        let (payload, alt) = (Bytes::from(payload), alt.map(Bytes::from));
-        for to in (0..self.n).filter(|&to| to != self.me) {
-            let sent = if mask & 1 << to != 0 {
-                alt.clone()
-            } else {
-                Some(payload.clone())
-            };
-            out.extend(sent.map(|p| (to, p)));
+    /// Harvests a commit or reveal body; any other body is an
+    /// activation's. A body of the wrong length is dropped whole.
+    fn harvest(&mut self, from: usize, body: &[u8]) {
+        let mut rd = Reader::new(body);
+        match rd.get_u8() {
+            Some(tag::COMMIT) => {
+                if let Ok(digest) = <[u8; 32]>::try_from(rd.rest()) {
+                    self.harvest_commit(from, digest);
+                }
+            }
+            Some(tag::REVEAL) => {
+                if let (Some(action), Ok(nonce)) =
+                    (rd.get_varint(), <[u8; 32]>::try_from(rd.rest()))
+                {
+                    self.harvest_reveal(from, action as usize, Opening::from_nonce(nonce));
+                }
+            }
+            _ => {}
         }
     }
 
-    /// A commit message for `digest`.
-    fn commit_payload(digest: &[u8; 32]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(3 + 32);
-        Writer::new(&mut payload)
-            .put_u8(tag::COMMIT)
-            .put_bytes(digest);
-        payload
+    /// Appends a commit body for `digest` to `frame`.
+    fn put_commit(frame: &mut Vec<u8>, digest: &[u8; 32]) {
+        frame.push(tag::COMMIT);
+        frame.extend_from_slice(digest);
     }
 
     /// The commit phase: the agent submits this play, and its commitment
-    /// (if any) is broadcast.
-    fn commit_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
+    /// (if any) is the body of `frame`. A split committer returns its mask
+    /// and the frame the processors in it get instead: a commitment to a
+    /// second opening.
+    fn commit_phase(&mut self, frame: &mut Vec<u8>) -> Option<(u64, Vec<u8>)> {
         if !self.executive.is_active(self.me) {
-            return;
+            return None;
         }
         let prev = self.records.last().map(|r| &r.outcome);
         let (submission, _) = self.agent.submit(self.game.as_ref(), prev);
         self.play.my_reveal = submission.reveal;
-        let Some(c) = submission.commitment else {
-            return;
-        };
+        let c = submission.commitment?;
         self.play.commitments[self.me] = Some(c);
-        let payload = Self::commit_payload(c.digest());
-        match *self.agent.behavior().kind() {
-            // The second opening: the next action under the same nonce.
-            BehaviorKind::SplitCommit { split } => {
-                let (action, opening) = submission.reveal.expect("a split committer reveals");
-                let second = (action + 1) % self.game.num_actions(self.me);
-                let (c2, _) = Commitment::commit(&action_bytes(second), *opening.nonce());
-                let alt = Self::commit_payload(c2.digest());
-                self.to_split(payload, Some(alt), split, out);
-            }
-            _ => self.to_others(payload, out),
-        }
+        let BehaviorKind::SplitCommit { split } = *self.agent.behavior().kind() else {
+            Self::put_commit(frame, c.digest());
+            return None;
+        };
+        // The second opening: the next action under the same nonce.
+        let (action, opening) = submission.reveal.expect("a split committer reveals");
+        let second = (action + 1) % self.game.num_actions(self.me);
+        let (c2, _) = Commitment::commit(&action_bytes(second), *opening.nonce());
+        let mut alt = frame.clone();
+        Self::put_commit(&mut alt, c2.digest());
+        Self::put_commit(frame, c.digest());
+        Some((split, alt))
     }
 
-    /// The reveal phase: broadcast the submission's reveal (if any).
-    fn reveal_phase(&mut self, out: &mut Vec<(usize, Bytes)>) {
-        let Some((action, opening)) = self.play.my_reveal else {
-            return;
-        };
+    /// The reveal phase: the submission's reveal (if any) is the body of
+    /// `frame`. A selective revealer returns its mask and the frame the
+    /// processors in it get instead: the claim alone.
+    fn reveal_phase(&mut self, frame: &mut Vec<u8>) -> Option<(u64, Vec<u8>)> {
+        let (action, opening) = self.play.my_reveal?;
         // Same quarantine as harvested reveals: an out-of-range
         // self-reveal is foul evidence, never outcome input.
         self.harvest_reveal(self.me, action, opening);
-        let mut payload = Vec::with_capacity(1 + 8 + 2 + 32);
-        Writer::new(&mut payload)
-            .put_u8(tag::REVEAL)
-            .put_u64(action as u64)
-            .put_bytes(opening.nonce());
+        let claim = frame.len();
+        frame.push(tag::REVEAL);
+        Writer::new(frame).put_varint(action as u64);
+        frame.extend_from_slice(opening.nonce());
         match *self.agent.behavior().kind() {
             BehaviorKind::SelectiveReveal { withhold_from } => {
-                self.to_split(payload, None, withhold_from, out);
+                Some((withhold_from, frame[..claim].to_vec()))
             }
-            _ => self.to_others(payload, out),
+            _ => None,
         }
     }
 
@@ -505,37 +521,17 @@ impl AuthorityProcess {
 
 impl Process for AuthorityProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        // The clock tick drives the schedule.
+        // The clock tick drives the schedule; the bodies of the same
+        // frames feed it.
         let executive = &self.executive;
-        let v = pulse(&mut self.clock, self.n, ctx, |from| {
+        let (v, bodies) = pulse(&mut self.clock, self.n, ctx, |from| {
             executive.is_active(from)
         });
 
         // Harvest commitments/reveals whenever they arrive (they are sent
         // in their phase, delivered one pulse later).
-        for m in ctx.inbox() {
-            let from = m.from.index();
-            if !self.executive.is_active(from) {
-                continue;
-            }
-            let mut rd = Reader::new(m.bytes());
-            match rd.get_u8() {
-                Some(tag::COMMIT) => {
-                    if let Some(digest) = rd.get_bytes().and_then(|b| <[u8; 32]>::try_from(b).ok())
-                    {
-                        self.harvest_commit(from, digest);
-                    }
-                }
-                Some(tag::REVEAL) => {
-                    if let (Some(action), Some(nonce)) = (
-                        rd.get_u64(),
-                        rd.get_bytes().and_then(|b| <[u8; 32]>::try_from(b).ok()),
-                    ) {
-                        self.harvest_reveal(from, action as usize, Opening::from_nonce(nonce));
-                    }
-                }
-                _ => {}
-            }
+        for &(from, body) in &bodies {
+            self.harvest(from, body);
         }
 
         let r = self.ba_rounds;
@@ -544,35 +540,44 @@ impl Process for AuthorityProcess {
             self.play.reset();
             self.ba.iter_mut().for_each(Activation::reset);
         }
-        // An activation is stepped only inside its clock window. The
-        // windows are disjoint, so at most one activation writes `frame`.
-        let executive = &self.executive;
-        let mail = || {
-            let inbox = ctx.inbox().iter().map(|m| (m.from.index(), m.bytes()));
-            inbox.filter(|(from, _)| executive.is_active(*from))
-        };
-        let mut frame = Vec::new();
+        // This pulse's frame: the claim, then at most one body. An
+        // activation is stepped only inside its clock window; the windows
+        // and the single-pulse phases are disjoint.
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        Writer::new(&mut frame).put_varint(v);
         for i in 0..3 {
             let start = 1 + i as u64 * (r + 1);
             if v == start {
                 let input = self.ba_input(i);
-                self.ba[i].start(input, mail(), &mut frame);
+                self.ba[i].start(input, &bodies, &mut frame);
             } else if start < v && v < start + r {
-                self.ba[i].advance(mail(), &mut frame);
+                self.ba[i].advance(&bodies, &mut frame);
             }
         }
-        let mut out: Vec<(usize, Bytes)> = Vec::new();
-        if v == r + 1 {
-            self.commit_phase(&mut out);
+        let split = if v == r + 1 {
+            self.commit_phase(&mut frame)
         } else if v == 2 * r + 2 {
-            self.reveal_phase(&mut out);
-        } else if v == 3 * r + 3 {
-            self.conclude_play();
-        }
+            self.reveal_phase(&mut frame)
+        } else {
+            if v == 3 * r + 3 {
+                self.conclude_play();
+            }
+            None
+        };
 
-        send_to_others(ctx, self.n, frame);
-        for (to, payload) in out {
-            ctx.send(ProcessId(to), payload);
+        let sent = Bytes::copy_from_slice(&frame);
+        self.frame = frame;
+        match split {
+            None => ctx.broadcast(sent),
+            // A split deviant: the peers in `mask` get `alt`.
+            Some((mask, alt)) => {
+                let alt = Bytes::from(alt);
+                for &to in ctx.neighbors() {
+                    let masked = to < 64 && mask >> to & 1 != 0;
+                    ctx.send(ProcessId(to), if masked { &alt } else { &sent }.clone());
+                }
+            }
         }
     }
 
@@ -872,6 +877,114 @@ mod tests {
         // An in-range reveal still lands in the outcome path.
         p.harvest_reveal(1, 1, Opening::from_nonce([1u8; 32]));
         assert_eq!(p.play.reveals[1].map(|(a, _)| a), Some(1));
+    }
+
+    /// An authority processor that keeps a copy of every message it hears.
+    struct Tap {
+        inner: AuthorityProcess,
+        heard: Vec<Vec<u8>>,
+    }
+
+    impl Process for Tap {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            self.heard
+                .extend(ctx.inbox().iter().map(|m| m.bytes().to_vec()));
+            self.inner.on_pulse(ctx);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Every frame processor 0 of an all-honest `(n, f)` cluster hears in
+    /// one play.
+    fn one_play_of_frames(n: usize, f: usize) -> Vec<Vec<u8>> {
+        let cluster = AuthorityCluster::new(congestion(n), f);
+        let mut sim = Simulation::builder(Topology::complete(n))
+            .seed(1)
+            .build_with(|id| {
+                let inner = AuthorityProcess::new(
+                    congestion(n),
+                    id.index(),
+                    n,
+                    f,
+                    Behavior::honest_pure(0),
+                    1,
+                );
+                Box::new(Tap {
+                    inner,
+                    heard: Vec::new(),
+                })
+            });
+        sim.run(cluster.play_len() + 1);
+        let tap = sim.process_as_mut::<Tap>(ProcessId(0)).unwrap();
+        std::mem::take(&mut tap.heard)
+    }
+
+    /// What a fresh processor harvests from `body`, sent by processor 1.
+    fn harvested(body: &[u8]) -> (Option<Commitment>, Option<usize>, u64) {
+        let mut p = AuthorityProcess::new(congestion(4), 0, 4, 1, Behavior::honest_pure(0), 1);
+        p.harvest(1, body);
+        (
+            p.play.commitments[1],
+            p.play.reveals[1].map(|(a, _)| a),
+            p.play.invalid,
+        )
+    }
+
+    #[test]
+    fn a_frame_cut_short_yields_its_claim_and_drops_its_body_whole() {
+        // Every frame of an honest play at (4, 1) and (7, 2) — claims
+        // alone, agreement rounds, commits and reveals — cut at every
+        // byte: the claim is read iff its varint is whole, and a commit or
+        // reveal is harvested iff its body is. (An agreement body's parts
+        // are `consensus`'s test.) Then random bytes, a commit or reveal
+        // tag in front of half of them: nothing panics, and a harvest
+        // needs a body of exactly the right length.
+        use ga_clocksync::process::ClockProcess;
+        use rand::{RngCore, SeedableRng};
+        let mut bodies = 0;
+        for (n, f) in [(4, 1), (7, 2)] {
+            let frames = one_play_of_frames(n, f);
+            assert_eq!(
+                frames.len() as u64,
+                (n as u64 - 1) * (AuthorityCluster::new(congestion(n), f).play_len()),
+                "one frame a peer a pulse"
+            );
+            for frame in &frames {
+                let (claim, body) = ClockProcess::decode(frame).expect("an honest frame claims");
+                let claim_len = frame.len() - body.len();
+                let whole = harvested(body);
+                if whole != harvested(&[]) {
+                    bodies += 1;
+                }
+                for cut in 0..frame.len() {
+                    let read = ClockProcess::decode(&frame[..cut]);
+                    assert_eq!(read.map(|(c, _)| c), (cut >= claim_len).then_some(claim));
+                    if let Some((_, body)) = read {
+                        assert_eq!(harvested(body), harvested(&[]), "cut at {cut} of {frame:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(bodies, 2 * (3 + 6), "a commit and a reveal from each peer");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0D1);
+        for _ in 0..4000 {
+            let mut body = vec![0u8; rng.gen_range(0..40)];
+            rng.fill_bytes(&mut body);
+            if let Some(first) = body.first_mut().filter(|_| rng.gen_bool(0.5)) {
+                *first = [tag::COMMIT, tag::REVEAL][rng.gen_range(0..2usize)];
+            }
+            let (commitment, reveal, invalid) = harvested(&body);
+            assert!(commitment.is_none() || body.len() == 33, "{body:?}");
+            assert!(
+                reveal.is_none() && invalid == 0 || body.len() >= 34,
+                "{body:?}"
+            );
+        }
     }
 
     /// The inline audit `local_foul_mask` ran before it was routed

@@ -63,7 +63,6 @@ pub mod distributed;
 pub mod executive;
 pub mod judicial;
 pub mod legislative;
-pub mod supervised_rra;
 
 use std::error::Error;
 use std::fmt;

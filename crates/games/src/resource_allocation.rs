@@ -14,62 +14,13 @@
 //!   `R(k) ≤ 1 + 2b/k` for every `k`, hence `R → 1`: supervised RRA is
 //!   asymptotically optimal.
 //!
-//! [`RraProcess`] simulates the repeated dynamics; [`RraStageGame`] exposes
-//! one round as a [`Game`] so the judicial service can audit choices
-//! (a resource pick is honest iff it is a best response — a least-expected-
-//! load resource).
+//! [`RraProcess`] simulates the repeated dynamics. One round as a `Game`,
+//! the stage game an audit of a resource pick needs (a pick is honest iff
+//! it is a best response — a least-expected-load resource), is stated in
+//! this module's tests only: nothing audits RRA picks until ROADMAP item 4
+//! brings the supervised game back.
 
-use ga_game_theory::game::Game;
-use ga_game_theory::profile::PureProfile;
 use rand::Rng;
-
-/// The one-shot stage game given accumulated loads.
-///
-/// Cost of agent `i` choosing resource `a` in profile `π`:
-/// `ℓ_a + #{j : π_j = a}` — the backlog plus this round's contention.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RraStageGame {
-    loads: Vec<u64>,
-    n: usize,
-}
-
-impl RraStageGame {
-    /// Creates the stage game for `n` agents over the given loads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are fewer than 2 resources or zero agents.
-    pub fn new(n: usize, loads: Vec<u64>) -> RraStageGame {
-        assert!(loads.len() >= 2, "need at least two resources");
-        assert!(n > 0, "need at least one agent");
-        RraStageGame { loads, n }
-    }
-
-    /// The accumulated loads this stage plays against.
-    pub fn loads(&self) -> &[u64] {
-        &self.loads
-    }
-}
-
-impl Game for RraStageGame {
-    fn num_agents(&self) -> usize {
-        self.n
-    }
-
-    fn num_actions(&self, _agent: usize) -> usize {
-        self.loads.len()
-    }
-
-    fn cost(&self, agent: usize, profile: &PureProfile) -> f64 {
-        let mine = profile.action(agent);
-        let contention = profile.actions().iter().filter(|&&a| a == mine).count();
-        self.loads[mine] as f64 + contention as f64
-    }
-
-    fn name(&self) -> &str {
-        "rra-stage"
-    }
-}
 
 /// The symmetric mixed equilibrium of the stage game: probabilities `x_a`
 /// such that every supported resource has equal expected load
@@ -183,11 +134,6 @@ impl RraProcess {
         }
     }
 
-    /// Number of resources `b`.
-    pub fn resources(&self) -> usize {
-        self.loads.len()
-    }
-
     /// Current loads.
     pub fn loads(&self) -> &[u64] {
         &self.loads
@@ -294,8 +240,53 @@ fn sample(weights: &[f64], rng: &mut impl Rng) -> usize {
 mod tests {
     use super::*;
     use ga_game_theory::best_response::is_best_response;
+    use ga_game_theory::game::Game;
+    use ga_game_theory::profile::PureProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The one-shot stage game given accumulated loads.
+    ///
+    /// Cost of agent `i` choosing resource `a` in profile `π`:
+    /// `ℓ_a + #{j : π_j = a}` — the backlog plus this round's contention.
+    #[derive(Debug, Clone, PartialEq)]
+    struct RraStageGame {
+        loads: Vec<u64>,
+        n: usize,
+    }
+
+    impl RraStageGame {
+        /// Creates the stage game for `n` agents over the given loads.
+        ///
+        /// # Panics
+        ///
+        /// Panics if there are fewer than 2 resources or zero agents.
+        fn new(n: usize, loads: Vec<u64>) -> RraStageGame {
+            assert!(loads.len() >= 2, "need at least two resources");
+            assert!(n > 0, "need at least one agent");
+            RraStageGame { loads, n }
+        }
+    }
+
+    impl Game for RraStageGame {
+        fn num_agents(&self) -> usize {
+            self.n
+        }
+
+        fn num_actions(&self, _agent: usize) -> usize {
+            self.loads.len()
+        }
+
+        fn cost(&self, agent: usize, profile: &PureProfile) -> f64 {
+            let mine = profile.action(agent);
+            let contention = profile.actions().iter().filter(|&&a| a == mine).count();
+            self.loads[mine] as f64 + contention as f64
+        }
+
+        fn name(&self) -> &str {
+            "rra-stage"
+        }
+    }
 
     #[test]
     fn equilibrium_weights_uniform_on_equal_loads() {

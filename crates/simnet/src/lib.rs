@@ -191,7 +191,6 @@ pub mod ids;
 pub(crate) mod inbox;
 pub mod message;
 pub mod process;
-pub mod relay;
 pub mod rng;
 pub mod runtime;
 pub mod schedule;

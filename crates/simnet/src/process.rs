@@ -143,13 +143,16 @@ impl<'a> Context<'a> {
         self.env.topology.len()
     }
 
-    /// Sorted neighbor indices.
-    pub fn neighbors(&self) -> &[usize] {
+    /// Sorted neighbor indices. They outlive the borrow of `self`, so a
+    /// process can walk them while it sends.
+    pub fn neighbors(&self) -> &'a [usize] {
         self.neighbors
     }
 
     /// Messages delivered at this pulse (sent by neighbors last pulse).
-    pub fn inbox(&self) -> &[Message] {
+    /// They outlive the borrow of `self`, so a process can hold what it
+    /// read from them while it draws randomness and sends.
+    pub fn inbox(&self) -> &'a [Message] {
         self.inbox
     }
 

@@ -324,7 +324,7 @@ impl SimulationBuilder {
     /// any more (the cuts are recomputed every sharded round). It exists
     /// only because `benchmark/src/flood.rs` calls it and a PR may not
     /// touch `benchmark/`; the next `[benchmark]` issue drops it together
-    /// with the `simnet.step_ms_s2_replan` row (ROADMAP 3(c)).
+    /// with the `simnet.step_ms_s2_replan` row (ROADMAP item 10(b)).
     #[doc(hidden)]
     pub fn plan_cache(self, _enabled: bool) -> Self {
         self

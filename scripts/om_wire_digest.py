@@ -3,8 +3,9 @@
 
 The second derivation behind crates/agreement/tests/om_wire.rs: written from
 the "Level payload" section of crates/agreement/src/eig.rs and the framing in
-consensus.rs, sharing no code with the crate. For (4, 1), (7, 2) and (10, 3)
-it runs one consensus on inputs 100 + i with 0, 1 and n equivocating sources
+consensus.rs ("Frame": a part is the instance and the payload's length as
+LEB128 varints, then the payload), sharing no code with the crate. For
+(4, 1), (7, 2), (10, 3) and (13, 2) it runs one consensus on inputs 100 + i with 0, 1 and n equivocating sources
 (a liar tells destination `to` the value 100 + to at round 0) and prints
 messages, bytes, bytes per round and the SHA-256 of every frame in delivery
 order (round, sender ascending, destination ascending). After a deliberate
@@ -14,6 +15,37 @@ it prints.
     python3 scripts/om_wire_digest.py
 """
 import hashlib, itertools, struct
+
+
+def leb128(v):
+    """v as an unsigned LEB128 varint: seven bits a byte, low group first."""
+    out = bytearray()
+    while True:
+        byte = v & 0x7F
+        v >>= 7
+        if v:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def read_leb128(buf, off):
+    """(value, next offset) of the varint at buf[off:], or None if it runs past the end."""
+    v = shift = 0
+    while off < len(buf):
+        byte = buf[off]
+        off += 1
+        v |= (byte & 0x7F) << shift
+        shift += 7
+        if not byte & 0x80:
+            return v, off
+    return None
+
+
+def part(instance, payload):
+    """One part of a consensus frame: instance, length, payload."""
+    return leb128(instance) + leb128(len(payload)) + payload
 
 
 def level_nodes(n, source, level, last=None):
@@ -86,20 +118,21 @@ def run(n, f, liars):
                 for sender, frame in inbox[p]:
                     off = 0
                     while off < len(frame):
-                        s, ln = struct.unpack(">HH", frame[off : off + 4])
-                        part = frame[off + 4 : off + 4 + ln]
-                        off += 4 + ln
+                        s, off = read_leb128(frame, off)
+                        ln, off = read_leb128(frame, off)
+                        payload = frame[off : off + ln]
+                        off += ln
                         nodes = level_nodes(n, s, rnd, sender) if (rnd == 1) == (sender == s) else []
-                        for path, v in decode(rnd, nodes, part).items():
+                        for path, v in decode(rnd, nodes, payload).items():
                             trees[p][s].setdefault(path, v)
             frames = {}
             if rnd == 0:
                 v = 100 + p
                 trees[p][p][(p,)] = v
-                frame = struct.pack(">HH", p, 10) + encode(1, [v])
+                frame = part(p, encode(1, [v]))
                 frames = {to: frame for to in range(n) if to != p}
                 if p < liars:
-                    frames = {to: struct.pack(">HH", p, 10) + encode(1, [100 + to]) for to in frames}
+                    frames = {to: part(p, encode(1, [100 + to])) for to in frames}
             elif rnd <= f:
                 frame = b""
                 for s in range(n):
@@ -111,8 +144,7 @@ def run(n, f, liars):
                         if v is not None:
                             trees[p][s].setdefault(child, v)
                         told.append(v)
-                    part = encode(rnd + 1, told)
-                    frame += struct.pack(">HH", s, len(part)) + part
+                    frame += part(s, encode(rnd + 1, told))
                 frames = {to: frame for to in range(n) if to != p}
             for to in sorted(frames):
                 h.update(frames[to])
@@ -125,6 +157,6 @@ def run(n, f, liars):
     return messages, total, per_round, h.hexdigest()
 
 
-for n, f in [(4, 1), (7, 2), (10, 3)]:
+for n, f in [(4, 1), (7, 2), (10, 3), (13, 2)]:
     for liars in [0, 1, n]:
         print(f"({n}, {f}) liars={liars}:", *run(n, f, liars))

@@ -211,13 +211,13 @@ grep -q 'SAFETY: compress_sha_ni enables sha, sse2, ssse3 and sse4.1,' crates/cr
 
 echo "==> census (every pub module and item is named by a file other than its own)"
 # scripts/census.sh lists the ones that are not; scripts/census.expected
-# is the committed list, each line with the reason it stays: the module
-# is owned by an open ROADMAP item, or the struct is a result reached
-# through the function that returns it. A new unreached item fails here
+# is the committed list, each line with the reason it stays: the struct
+# is a result reached through the function that returns it. A new
+# unreached item fails here
 # by name — give it a caller, drop its `pub`, or delete it.
 scripts/census.sh > target/census.txt
 diff target/census.txt <(cut -f1 scripts/census.expected)
-if grep -vE $'\t(ROADMAP item (4|11)|returned by [^ ]+)$' scripts/census.expected; then
+if grep -vE $'\treturned by [^ ]+$' scripts/census.expected; then
     exit 1
 fi
 

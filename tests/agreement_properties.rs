@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// `value`: its one part, behind the part header.
 fn announcement_frame(from: usize, value: u64) -> Vec<u8> {
     let mut frame = Vec::new();
-    put_section(&mut frame, &(from as u16).to_be_bytes(), |out| {
+    put_section(&mut frame, from as u64, |out| {
         let mut announcement = LevelPayload::new(out, 1, 1);
         announcement.push(Some(value));
         announcement.finish();
