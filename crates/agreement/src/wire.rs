@@ -187,7 +187,8 @@ impl<'a> Reader<'a> {
     /// past 64 bits. The cursor stays put on failure.
     pub fn get_varint(&mut self) -> Option<u64> {
         let mut v = 0u64;
-        for (i, &byte) in self.buf.get(self.pos..)?.iter().enumerate() {
+        let bytes = self.buf.get(self.pos..)?.iter().take(VARINT_MAX_LEN);
+        for (i, &byte) in bytes.enumerate() {
             let group = u64::from(byte & 0x7F);
             if i == VARINT_MAX_LEN - 1 && group > 1 {
                 return None;
@@ -196,9 +197,6 @@ impl<'a> Reader<'a> {
             if byte & 0x80 == 0 {
                 self.pos += i + 1;
                 return Some(v);
-            }
-            if i == VARINT_MAX_LEN - 1 {
-                return None;
             }
         }
         None

@@ -85,8 +85,8 @@
 //! deviants act beyond that: a framer accuses its target in its BA 3
 //! proposal, a selective revealer sends some processors its reveal
 //! pulse's frame without the reveal, and a split committer sends some
-//! processors a commitment to a second opening. Mixed strategies are refused until the seed audit
-//! runs here (ROADMAP item 3(b)). Punishment is an [`Executive`] under
+//! processors a commitment to a second opening. Mixed strategies are
+//! refused until the seed audit runs here (ROADMAP item 3(b)). Punishment is an [`Executive`] under
 //! [`Punishment::Disconnect`], driven by the agreed foul mask: a convicted
 //! agent's traffic is dropped and the outcome takes the null action 0 for
 //! it. Its outcome log is not kept (one record per play).
