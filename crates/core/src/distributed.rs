@@ -6,31 +6,33 @@
 //!
 //! Each play occupies one period of the self-stabilizing clock
 //! (`ga-clocksync`); the clock value schedules the phases. With R = rounds
-//! of one OM-consensus activation, activation `i ∈ {0, 1, 2}` starts at
-//! clock value `start_i = 1 + i(R+1)`, runs its R rounds at `start_i ..
-//! start_i + R`, and is followed by one single-pulse phase at
-//! `start_i + R`; the modulus is M = 3(R+1) + 1 = 3R + 4:
+//! of one OM-consensus activation, the modulus is M = 3R + 4
+//! ([`schedule_len`](AuthorityProcess::schedule_len)):
 //!
-//! | clock value        | phase                                                |
-//! |--------------------|------------------------------------------------------|
-//! | `start_0 = 1` …    | **BA 1** — agree on the previous play's outcome digest |
-//! | `start_0 + R`      | broadcast commitments (Blum)                         |
-//! | `start_1 = R+2` …  | **BA 2** — agree on the commitment-set digest        |
-//! | `start_1 + R`      | broadcast reveals                                    |
-//! | `start_2 = 2R+3` … | **BA 3** — agree on the foul set (bitmask)           |
-//! | `start_2 + R`      | executive: punish the agreed fouls, record the outcome |
+//! | clock value         | phase                                                  |
+//! |---------------------|--------------------------------------------------------|
+//! | `1` … `R`           | claim only                                             |
+//! | `R + 1`             | broadcast commitments (Blum)                           |
+//! | `R + 2` … `2R + 1`  | claim only                                             |
+//! | `2R + 2`            | broadcast reveals                                      |
+//! | `2R + 3` … `3R + 2` | **BA 3** — agree on the foul set (bitmask), R rounds   |
+//! | `3R + 3`            | executive: punish the agreed fouls, record the outcome |
 //!
-//! Each agreement is an [`Activation`] — Theorem 1's composition, the same
+//! The agreement is an [`Activation`] — Theorem 1's composition, the same
 //! one `SsbaProcess` runs — stepped only inside its clock window. Because
 //! every phase is *derived from the clock value*, a transient fault that
 //! scrambles play state (misaligned epochs, stale commitments, arbitrary
 //! clock) heals at the next clock wrap — the same argument as Theorem 1,
 //! now for the whole middleware loop.
 //!
-//! Only BA 3's decision is consumed (the executive folds its vector into
-//! the foul mask). BA 1's decision is read by nothing and BA 2's neither:
-//! the activations run and their bytes are on the wire, but no state
-//! depends on what they decide (ROADMAP: BA 1 buys nothing observable).
+//! A play runs only an agreement whose decision some state reads: the
+//! executive folds BA 3's vector into the foul mask. The two agreements
+//! that once filled the claim-only windows, on the previous outcome's
+//! digest and on the commitment set's, were read by nothing and are gone;
+//! one comes back only with a consumer (ROADMAP item 20(c)). The windows
+//! keep their pulses, so a play is still 3R + 4 pulses long and every
+//! schedule counted in pulses keeps its plays (ROADMAP item 20(b) drops
+//! them).
 //!
 //! # Wire
 //!
@@ -41,8 +43,8 @@
 //!
 //! | body                                   | sent at                                  |
 //! |----------------------------------------|------------------------------------------|
-//! | none                                   | the wrap, a resolve round, the executive |
-//! | `0xA1` / `0xA2` / `0xA3` · parts       | a round of BA 1 / BA 2 / BA 3 (`OmConsensus`, "Frame") |
+//! | none                                   | the wrap, a claim-only pulse, a resolve round, the executive |
+//! | `0xA3` · parts                         | a round of BA 3 (`OmConsensus`, "Frame") |
 //! | `0xC0` · digest\[32\]                  | the commit phase                         |
 //! | `0xD0` · LEB128 action · nonce\[32\]   | the reveal phase                         |
 //!
@@ -54,29 +56,28 @@
 //!
 //! # The OM assumption
 //!
-//! The authority runs OM and nothing else, with `f ≤ 3`. All three
-//! activations are OM interactive consistency: BA 3 needs the per-source
-//! vector, because conviction counts votes, and one protocol keeps one
-//! wire. The price is a bound on `f`, stated here as an assumption of the
-//! authority. A frame, and each part inside it, is held to
-//! [`FRAME_LIMIT`], 65 535 bytes. The largest frame a processor can be
+//! The authority runs OM and nothing else, with `f ≤ 3`. Its one activation
+//! is OM interactive consistency: BA 3 needs the per-source vector, because
+//! conviction counts votes. The price is a bound on `f`, stated here as an
+//! assumption of the authority. A frame, and each part inside it, is held
+//! to [`FRAME_LIMIT`], 65 535 bytes. The largest frame a processor can be
 //! made to send carries a whole OM-consensus message of the last relay
 //! round when every source equivocated — `n − 1` relays of
 //! `K = (n−2)(n−3)…(n−f)` values that differ, eight bytes and a presence
-//! bit each — which grows like `n^f`: 4.1 KB at `n = 10, f = 3`, 10.8 KB
-//! at `(13, 3)`, 64.9 KB at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at
-//! `(13, 4)`. Those are the equivocation case, and it sets the bound
-//! because a Byzantine source chooses it. A relay of an honest source's
-//! broadcast says its one value once, so the frames of a run without an
-//! equivocator are `n − 1` parts of a value and `K` presence bits: 162
-//! bytes at `(10, 3)`. So the authority assumes `f ≤ 2` at any `n ≤ 64`
-//! and `f = 3` up to `n = 22`; there is no `f ≥ 4`. A cluster outside
-//! that is refused at construction ([`OmConsensus::max_frame_len`]) rather
-//! than panicking in the middle of its first play. ROADMAP item 7 (a
-//! protocol per activation, to run past `f = 3`) is closed on this
-//! assumption: no workload needs `f ≥ 4`, and Dolev–Strong, the polynomial
-//! backend the agreement crate keeps, is measured beside OM (E6, the
-//! benchmark) but run by no authority.
+//! bit each — which grows like `n^f`: 4.1 KB at `n = 10, f = 3`, 10.8 KB at
+//! `(13, 3)`, 64.9 KB at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at `(13, 4)`.
+//! Those are the equivocation case, and it sets the bound because a
+//! Byzantine source chooses it. A relay of an honest source's broadcast
+//! says its one value once, so the frames of a run without an equivocator
+//! are `n − 1` parts of a value and `K` presence bits: 162 bytes at
+//! `(10, 3)`. So the authority assumes `f ≤ 2` at any `n ≤ 64` and `f = 3`
+//! up to `n = 22`; there is no `f ≥ 4`. A cluster outside that is refused
+//! at construction ([`OmConsensus::max_frame_len`]) rather than panicking
+//! in the middle of its first play. ROADMAP item 7 (a protocol per
+//! activation, to run past `f = 3`) is closed on this assumption: no
+//! workload needs `f ≥ 4`, and Dolev–Strong, the polynomial backend the
+//! agreement crate keeps, is measured beside OM (E6, the benchmark) but run
+//! by no authority.
 //!
 //! # Agents and executive
 //!
@@ -104,7 +105,6 @@ use ga_clocksync::process::pulse;
 use ga_clocksync::ssba::Activation;
 use ga_crypto::commitment::{Commitment, Opening};
 use ga_crypto::prg::Prg;
-use ga_crypto::sha256::Sha256;
 use ga_game_theory::game::Game;
 use ga_game_theory::profile::PureProfile;
 use ga_simnet::prelude::*;
@@ -116,8 +116,8 @@ use crate::judicial::{action_bytes, audit_play, Submission, Verdict};
 
 /// Body tags of the authority's frames (see the module's wire table).
 mod tag {
-    /// The three agreement activations, in schedule order.
-    pub(super) const BA: [u8; 3] = [0xA1, 0xA2, 0xA3];
+    /// The foul agreement, BA 3.
+    pub(super) const BA: u8 = 0xA3;
     pub(super) const COMMIT: u8 = 0xC0;
     pub(super) const REVEAL: u8 = 0xD0;
 }
@@ -204,8 +204,8 @@ pub struct AuthorityProcess {
     agent: Agent,
     clock: ClockRule,
     ba_rounds: u64,
-    /// The three agreement activations of a play, in schedule order.
-    ba: [Activation<OmConsensus>; 3],
+    /// The play's one agreement, on the foul set.
+    ba: Activation<OmConsensus>,
     play: PlayState,
     /// Executive view: who is disconnected.
     executive: Executive,
@@ -249,8 +249,8 @@ impl AuthorityProcess {
         assert_eq!(game.num_agents(), n, "game arity must match n");
         assert_supported(&behavior, n);
         let nonces = Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16);
-        let ba = tag::BA.map(|t| Activation::new(OmConsensus::new(me, n, f), t));
-        let ba_rounds = ba[0].instance().rounds();
+        let ba = Activation::new(OmConsensus::new(me, n, f), tag::BA);
+        let ba_rounds = ba.instance().rounds();
         let modulus = Self::schedule_len(ba_rounds);
         AuthorityProcess {
             game,
@@ -288,39 +288,6 @@ impl AuthorityProcess {
         self.clock.value()
     }
 
-    /// The first eight bytes of `h`'s digest.
-    fn digest64(h: Sha256) -> u64 {
-        let d = h.finalize();
-        u64::from_be_bytes(d[..8].try_into().expect("digest has 32 bytes"))
-    }
-
-    /// The previous outcome's actions, each as a big-endian `u64`, hashed.
-    fn outcome_digest(&self) -> u64 {
-        match self.records.last() {
-            None => 0,
-            Some(prev) => {
-                let mut h = Sha256::new();
-                for &a in prev.outcome.actions() {
-                    h.update(&(a as u64).to_be_bytes());
-                }
-                Self::digest64(h)
-            }
-        }
-    }
-
-    /// Every harvested commitment as `agent ‖ digest`, in agent order,
-    /// hashed.
-    fn commitment_set_digest(&self) -> u64 {
-        let mut h = Sha256::new();
-        for (agent, c) in self.play.commitments.iter().enumerate() {
-            if let Some(c) = c {
-                h.update(&(agent as u64).to_be_bytes());
-                h.update(c.digest());
-            }
-        }
-        Self::digest64(h)
-    }
-
     /// Local audit producing the foul bitmask this processor proposes:
     /// the judicial service's pure-strategy audit of what was harvested,
     /// plus the quarantined out-of-range reveals.
@@ -352,16 +319,12 @@ impl AuthorityProcess {
         mask
     }
 
-    /// The value this processor contributes to activation `i`.
-    fn ba_input(&self, i: usize) -> u64 {
-        match i {
-            0 => self.outcome_digest(),
-            1 => self.commitment_set_digest(),
-            // A framer's false accusation rides on the audit.
-            _ => match self.agent.behavior().kind() {
-                BehaviorKind::Framer { target } => self.local_foul_mask() | 1 << target,
-                _ => self.local_foul_mask(),
-            },
+    /// The foul mask this processor proposes to BA 3: its audit, with a
+    /// framer's false accusation on top.
+    fn foul_proposal(&self) -> u64 {
+        match self.agent.behavior().kind() {
+            BehaviorKind::Framer { target } => self.local_foul_mask() | 1 << target,
+            _ => self.local_foul_mask(),
         }
     }
 
@@ -398,7 +361,7 @@ impl AuthorityProcess {
     /// fresh foul (a persistent accuser must not re-stamp their bit into
     /// every later play record).
     fn agreed_foul_mask(&self) -> u64 {
-        let vector = self.ba[2].instance().vector();
+        let vector = self.ba.instance().vector();
         let proposals: Vec<u64> = vector.into_iter().flatten().collect();
         let mut mask = 0u64;
         for agent in 0..self.n {
@@ -538,22 +501,20 @@ impl Process for AuthorityProcess {
         if v == 1 {
             // Fresh play: reset per-play state.
             self.play.reset();
-            self.ba.iter_mut().for_each(Activation::reset);
+            self.ba.reset();
         }
-        // This pulse's frame: the claim, then at most one body. An
-        // activation is stepped only inside its clock window; the windows
-        // and the single-pulse phases are disjoint.
+        // This pulse's frame: the claim, then at most one body. The
+        // agreement is stepped only inside its clock window, which the
+        // single-pulse phases do not overlap.
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         Writer::new(&mut frame).put_varint(v);
-        for i in 0..3 {
-            let start = 1 + i as u64 * (r + 1);
-            if v == start {
-                let input = self.ba_input(i);
-                self.ba[i].start(input, &bodies, &mut frame);
-            } else if start < v && v < start + r {
-                self.ba[i].advance(&bodies, &mut frame);
-            }
+        let start = 2 * r + 3;
+        if v == start {
+            let proposal = self.foul_proposal();
+            self.ba.start(proposal, &bodies, &mut frame);
+        } else if start < v && v < start + r {
+            self.ba.advance(&bodies, &mut frame);
         }
         let split = if v == r + 1 {
             self.commit_phase(&mut frame)
@@ -583,7 +544,7 @@ impl Process for AuthorityProcess {
 
     fn scramble(&mut self, rng: &mut rand::rngs::StdRng) {
         self.clock.set_arbitrary(rng.gen());
-        self.ba.iter_mut().for_each(|ba| ba.scramble(rng));
+        self.ba.scramble(rng);
         self.play.reset();
     }
 
@@ -1135,6 +1096,182 @@ mod tests {
         assert_eq!(r0.len(), 1, "one play completed");
         assert_eq!(r0[0].fouls, 0, "no honest fouls");
         assert!(records_agree(&sim, 0..n), "identical play records");
+    }
+
+    /// The bytes an all-honest `(n, f)` cluster delivers in its second
+    /// play, per phase of the module's schedule table: wrap, the first
+    /// claim-only window, commit, the second window, reveal, BA 3, exec.
+    /// A pulse is attributed to the phase of the clock value it leaves
+    /// behind.
+    fn phase_bytes(n: usize, f: usize) -> [u64; 7] {
+        let cluster = AuthorityCluster::new(congestion(n), f);
+        let mut sim = build_authority_sim(&cluster, 1);
+        sim.run(cluster.play_len());
+        let r = om::rounds(f);
+        let mut phases = [0; 7];
+        let mut before = sim.trace().bytes_delivered;
+        for _ in 0..cluster.play_len() {
+            sim.step();
+            let v = sim
+                .process_as::<AuthorityProcess>(ProcessId(0))
+                .unwrap()
+                .clock_value();
+            let phase = match v {
+                0 => 0,
+                v if v <= r => 1,
+                v if v == r + 1 => 2,
+                v if v <= 2 * r + 1 => 3,
+                v if v == 2 * r + 2 => 4,
+                v if v <= 3 * r + 2 => 5,
+                _ => 6,
+            };
+            let now = sim.trace().bytes_delivered;
+            phases[phase] += now - before;
+            before = now;
+        }
+        phases
+    }
+
+    #[test]
+    fn a_play_runs_one_agreement_and_its_idle_windows_carry_claims_alone() {
+        // Each phase is (n − 1)·n pairs times one frame a pulse: a 1-byte
+        // claim, a 34-byte commit body, a 35-byte reveal body, and BA 3's
+        // OM rounds. An activation put back into a claim-only window, or
+        // a second agreement tag, fails here.
+        for (n, f, expected, total) in [
+            (4, 1, [12, 36, 408, 36, 420, 636, 12], 1_560),
+            (10, 3, [90, 450, 3_060, 450, 3_150, 35_910, 90], 43_200),
+        ] {
+            let phases = phase_bytes(n, f);
+            assert_eq!(
+                phases[1], expected[1],
+                "(n={n}, f={f}): window 1 is claims alone"
+            );
+            assert_eq!(
+                phases[3], expected[3],
+                "(n={n}, f={f}): window 2 is claims alone"
+            );
+            assert_eq!(phases, expected, "(n={n}, f={f}): bytes per phase");
+            assert_eq!(phases.iter().sum::<u64>(), total, "(n={n}, f={f})");
+            let agreements: Vec<u8> = one_play_of_frames(n, f)
+                .iter()
+                .filter_map(|frame| ga_clocksync::process::ClockProcess::decode(frame))
+                .filter_map(|(_, body)| body.first().copied())
+                .filter(|&t| t != tag::COMMIT && t != tag::REVEAL)
+                .collect();
+            assert!(!agreements.is_empty(), "(n={n}, f={f}): BA 3 was heard");
+            assert!(
+                agreements.iter().all(|&t| t == 0xA3),
+                "(n={n}, f={f}): every agreement body is BA 3's, 0xA3: {agreements:x?}"
+            );
+        }
+    }
+
+    /// The clock trap's adversary (ROADMAP item 15). Stateless: it never
+    /// reads its inbox, and every pulse it claims 0 to processor `at_one`,
+    /// whose clock the trap holds at 1, and 5 to every other processor.
+    struct Pinner {
+        at_one: usize,
+    }
+
+    impl ga_simnet::adversary::Adversary for Pinner {
+        fn act(&mut self, ctx: &mut Context<'_>) {
+            use ga_clocksync::process::ClockProcess;
+            for &to in ctx.neighbors() {
+                let claim = if to == self.at_one { 0 } else { 5 };
+                ctx.send(ProcessId(to), ClockProcess::encode(claim));
+            }
+        }
+    }
+
+    /// The first of `build`'s seeds whose honest clocks read
+    /// `[1, 0, …, 0]` after pulse 0. Pulse 0 hears nothing, so processor
+    /// 0, started at 1, flips a coin between keeping 1 and 0; the trap
+    /// starts where it kept 1.
+    fn enter_trap(
+        build: impl Fn(u64) -> Simulation,
+        clocks: impl Fn(&Simulation) -> Vec<u64>,
+    ) -> Simulation {
+        (0..64)
+            .map(|seed| {
+                let mut sim = build(seed);
+                sim.step();
+                sim
+            })
+            .find(|sim| {
+                let values = clocks(sim);
+                values[0] == 1 && values[1..].iter().all(|&v| v == 0)
+            })
+            .expect("a coin keeps 1 within 64 seeds")
+    }
+
+    #[test]
+    #[ignore = "trap: ROADMAP item 15"]
+    fn pinners_cannot_hold_the_honest_clocks_apart() {
+        // Processor 0 counts n − 1 zeros and adopts 0 + 1 = 1. Every other
+        // honest processor counts n − f − 1 zeros, below the quorum, and
+        // its coin picks between 0 and 0: a fixed point.
+        use ga_clocksync::process::ClockProcess;
+        use ga_simnet::adversary::ByzantineProcess;
+        let mut held = Vec::new();
+        for (n, f) in [(4, 1), (7, 2), (10, 3)] {
+            let honest = n - f;
+            let clocks = |sim: &Simulation| -> Vec<u64> {
+                (0..honest)
+                    .map(|i| {
+                        let p = sim.process_as::<ClockProcess>(ProcessId(i));
+                        p.unwrap().value()
+                    })
+                    .collect()
+            };
+            let build = |seed| {
+                Simulation::builder(Topology::complete(n))
+                    .seed(seed)
+                    .build_with(|id| match id.index() {
+                        i if i < honest => Box::new(ClockProcess::new(n, f, 13, u64::from(i == 0))),
+                        _ => Box::new(ByzantineProcess::new(Box::new(Pinner { at_one: 0 }))),
+                    })
+            };
+            let mut sim = enter_trap(build, clocks);
+            let synced = sim.run_until(10_000, |sim| clocks(sim).windows(2).all(|w| w[0] == w[1]));
+            if synced.is_none() {
+                held.push(((n, f), clocks(&sim)));
+            }
+        }
+        assert!(held.is_empty(), "held apart for 10 000 pulses: {held:?}");
+    }
+
+    #[test]
+    #[ignore = "trap: ROADMAP item 15"]
+    fn a_pinned_authority_still_records_plays() {
+        use ga_simnet::adversary::ByzantineProcess;
+        let cluster = AuthorityCluster::new(congestion(4), 1);
+        let clocks = |sim: &Simulation| -> Vec<u64> {
+            (0..3)
+                .map(|i| {
+                    let p = sim.process_as::<AuthorityProcess>(ProcessId(i));
+                    p.unwrap().clock_value()
+                })
+                .collect()
+        };
+        let build = |seed| {
+            let mut sim = Simulation::builder(Topology::complete(4))
+                .seed(seed)
+                .build_with(|id| match id.index() {
+                    3 => Box::new(ByzantineProcess::new(Box::new(Pinner { at_one: 0 }))),
+                    i => cluster.process(i, seed),
+                });
+            let p0 = sim.process_as_mut::<AuthorityProcess>(ProcessId(0));
+            p0.unwrap().clock.set_arbitrary(1);
+            sim
+        };
+        let mut sim = enter_trap(build, clocks);
+        let played = sim.run_until(10_000, |sim| (0..3).any(|i| !records(sim, i).is_empty()));
+        assert!(
+            played.is_some(),
+            "no play in 10 000 pulses; clocks {:?}",
+            clocks(&sim)
+        );
     }
 
     #[test]

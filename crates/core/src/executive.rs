@@ -149,7 +149,7 @@ impl Executive {
     }
 
     /// Publishes a play outcome into the tamper-evident log; returns the
-    /// outcome digest (the value subsequent Byzantine agreements reference).
+    /// log's head digest after it, which commits to every outcome so far.
     pub fn publish_outcome(&mut self, round: u64, outcome: &PureProfile) -> Digest {
         let mut payload = Vec::with_capacity(8 + outcome.len() * 8);
         payload.extend_from_slice(&round.to_be_bytes());

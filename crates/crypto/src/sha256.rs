@@ -6,10 +6,10 @@
 //!
 //! # Two compressions, one function
 //!
-//! Everything a play hashes (commitments, the commitment-set and outcome
-//! digests, nonce and MAC HMACs) comes down to the 64-round compression of
-//! one 64-byte block. It has two implementations, and a hasher picks one
-//! per block by asking the CPU:
+//! Everything a play hashes (commitments and their openings, nonce and MAC
+//! HMACs) comes down to the 64-round compression of one 64-byte block. It
+//! has two implementations, and a hasher picks one per block by asking the
+//! CPU:
 //!
 //! * on x86-64 with the SHA extensions (and the SSSE3 / SSE4.1 they come
 //!   with), `compress_sha_ni` runs two rounds per `sha256rnds2` and four

@@ -83,10 +83,10 @@ use crate::sweep::{Job, ScenarioSummary, SweepSummary};
 /// metric, I/O).
 pub fn main(args: Vec<String>) -> i32 {
     match args.first().map(String::as_str) {
-        Some("list") => {
-            list();
-            0
-        }
+        Some("list") => match write_stdout(&list()) {
+            Ok(()) => 0,
+            Err(code) => code,
+        },
         Some("run") => match Options::parse(&args[1..]) {
             Ok(opts) => run(&opts),
             Err(err) => usage(&err),
@@ -271,18 +271,33 @@ fn usage(err: &str) -> i32 {
     1
 }
 
-fn list() {
-    println!("available suites:");
+/// Writes `text` to stdout, the one way the CLI does. A reader that has
+/// gone (`scenario list | true`) makes the write fail: that is exit 1
+/// with one line on stderr, as for any other file, not a panic.
+fn write_stdout(text: &str) -> Result<(), i32> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|_| {
+            eprintln!("error: cannot write stdout");
+            1
+        })
+}
+
+/// What `scenario list` prints: every suite and its scenarios.
+fn list() -> String {
+    let mut text = String::from("available suites:\n");
     for suite in suites::all() {
         let n = suite.scenarios().len();
-        println!(
-            "  {:<10} {:>2} scenarios × {} seeds — {}",
+        text += &format!(
+            "  {:<10} {:>2} scenarios × {} seeds — {}\n",
             suite.name, n, suite.default_seeds, suite.description
         );
         for scenario in suite.scenarios() {
-            println!("             - {}", scenario.name());
+            text += &format!("             - {}\n", scenario.name());
         }
     }
+    text
 }
 
 /// Refuses a `--seeds` value whose sweep cannot exist, before any job is
@@ -437,7 +452,9 @@ fn run(opts: &Options) -> i32 {
     let json = summary
         .to_json(opts.records && opts.record_sink.is_none())
         .render();
-    println!("{json}");
+    if let Err(code) = write_stdout(&format!("{json}\n")) {
+        return code;
+    }
     if let Some(path) = &opts.out {
         if let Err(err) = std::fs::write(path, format!("{json}\n")) {
             eprintln!("error: cannot write {path}: {err}");
@@ -455,7 +472,11 @@ fn run(opts: &Options) -> i32 {
     }
     if let Some(metric) = &opts.table {
         match render_table(&summary, metric) {
-            Ok(table) => print!("{table}"),
+            Ok(table) => {
+                if let Err(code) = write_stdout(&table) {
+                    return code;
+                }
+            }
             Err(err) => {
                 eprintln!("error: {err}");
                 return 1;
@@ -581,7 +602,11 @@ fn trace(args: &[String]) -> i32 {
             }
             eprintln!("wrote {path} ({count} trace events)");
         }
-        None => println!("{rendered}"),
+        None => {
+            if let Err(code) = write_stdout(&format!("{rendered}\n")) {
+                return code;
+            }
+        }
     }
     0
 }
