@@ -1134,10 +1134,10 @@ mod tests {
 
     #[test]
     fn a_play_runs_one_agreement_and_its_idle_windows_carry_claims_alone() {
-        // Each phase is (n − 1)·n pairs times one frame a pulse: a 1-byte
-        // claim, a 34-byte commit body, a 35-byte reveal body, and BA 3's
-        // OM rounds. An activation put back into a claim-only window, or
-        // a second agreement tag, fails here.
+        // Each of the n·(n − 1) pairs gets one frame a pulse: a 1-byte
+        // claim, then a 33-byte commit body, a 34-byte reveal body or BA
+        // 3's OM parts in their phases. An activation put back into a
+        // claim-only window, or a second agreement tag, fails here.
         for (n, f, expected, total) in [
             (4, 1, [12, 36, 408, 36, 420, 636, 12], 1_560),
             (10, 3, [90, 450, 3_060, 450, 3_150, 35_910, 90], 43_200),
@@ -1168,17 +1168,15 @@ mod tests {
     }
 
     /// The clock trap's adversary (ROADMAP item 15). Stateless: it never
-    /// reads its inbox, and every pulse it claims 0 to processor `at_one`,
-    /// whose clock the trap holds at 1, and 5 to every other processor.
-    struct Pinner {
-        at_one: usize,
-    }
+    /// reads its inbox, and every pulse it claims 0 to processor 0, whose
+    /// clock the trap holds at 1, and 5 to every other processor.
+    struct Pinner;
 
     impl ga_simnet::adversary::Adversary for Pinner {
         fn act(&mut self, ctx: &mut Context<'_>) {
             use ga_clocksync::process::ClockProcess;
             for &to in ctx.neighbors() {
-                let claim = if to == self.at_one { 0 } else { 5 };
+                let claim = if to == 0 { 0 } else { 5 };
                 ctx.send(ProcessId(to), ClockProcess::encode(claim));
             }
         }
@@ -1229,7 +1227,7 @@ mod tests {
                     .seed(seed)
                     .build_with(|id| match id.index() {
                         i if i < honest => Box::new(ClockProcess::new(n, f, 13, u64::from(i == 0))),
-                        _ => Box::new(ByzantineProcess::new(Box::new(Pinner { at_one: 0 }))),
+                        _ => Box::new(ByzantineProcess::new(Box::new(Pinner))),
                     })
             };
             let mut sim = enter_trap(build, clocks);
@@ -1258,7 +1256,7 @@ mod tests {
             let mut sim = Simulation::builder(Topology::complete(4))
                 .seed(seed)
                 .build_with(|id| match id.index() {
-                    3 => Box::new(ByzantineProcess::new(Box::new(Pinner { at_one: 0 }))),
+                    3 => Box::new(ByzantineProcess::new(Box::new(Pinner))),
                     i => cluster.process(i, seed),
                 });
             let p0 = sim.process_as_mut::<AuthorityProcess>(ProcessId(0));
