@@ -1,6 +1,6 @@
 //! E6 — the authority's per-play protocol cost (§3.3, implicit).
 //!
-//! Each play is three BA activations plus a commit and a reveal round.
+//! Each play is one BA activation plus a commit and a reveal round.
 //! This experiment measures rounds, messages and bytes per consensus for
 //! OM, the authority's protocol, and for authenticated Dolev–Strong across
 //! `n`, exposing the scalability trade-offs the paper alludes to ("further

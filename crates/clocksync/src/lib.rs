@@ -6,20 +6,24 @@
 //!
 //! 1. a **self-stabilizing Byzantine clock synchronization** algorithm "in
 //!    the spirit of Dolev–Welch (JACM 2004)" — digital clocks over `0..M`
-//!    that, from *any* starting configuration and despite `f` Byzantine
-//!    processors, eventually tick in unison ([`clock::ClockRule`]). Run
-//!    over the network it is §3.3's **Byzantine common pulse generator**:
-//!    [`process::pulse`] takes one clock claim per admitted sender and
-//!    steps the rule, and the processor states the new value at the head
-//!    of the one frame it sends each peer ([`process`](process#frame));
+//!    meant to tick in unison from *any* starting configuration despite
+//!    `f` Byzantine processors ([`clock::ClockRule`]). They do against
+//!    random votes, but a stateless pinner holds them apart for ever
+//!    (the ignored `pinners_cannot_hold_the_honest_clocks_apart` in
+//!    `game_authority::distributed`; ROADMAP item 15). Run over the
+//!    network it is §3.3's **Byzantine common pulse generator**:
+//!    [`process::pulse`] takes one clock claim per sender and steps the
+//!    rule, and the processor states the new value at the head of the one
+//!    frame it sends each peer ([`process`](process#frame));
 //!    [`process::ClockProcess`] is that function as a simulator process.
 //! 2. **Theorem 1's composition**: whenever the synchronized clock reaches
 //!    a designated value, a (non-stabilizing) Byzantine agreement protocol
 //!    is freshly invoked and then run round by round —
 //!    [`ssba::Activation`]. One activation per clock period, started at
 //!    value 1 with `M` sized to fit exactly one agreement, is **SSBA**, the
-//!    *self-stabilizing Byzantine agreement* ([`ssba::SsbaProcess`]); three
-//!    activations per period are one play of the distributed authority
+//!    *self-stabilizing Byzantine agreement* ([`ssba::SsbaProcess`]); one
+//!    activation per period, after a commit and a reveal pulse and before
+//!    the executive's, is one play of the distributed authority
 //!    (`game_authority::distributed`).
 //!
 //! The clock rule here is randomized; as in the paper's reference \[11\],

@@ -70,22 +70,21 @@ impl ClockProcess {
 }
 
 /// One pulse of the common pulse generator, in one pass over the inbox:
-/// steps `rule` on the first clock claim of every sender below `n` that
-/// `heard` admits (one claim per sender — a Byzantine flood must not
-/// multiply votes) and returns the new clock value, with the body of every
-/// such sender's frame that has one, as `(sender, body)` in inbox order.
-/// The caller sends the value's claim, then its own body, in one frame.
+/// steps `rule` on the first clock claim of every sender below `n` (one
+/// claim per sender — a Byzantine flood must not multiply votes) and
+/// returns the new clock value, with the body of every such sender's frame
+/// that has one, as `(sender, body)` in inbox order. The caller sends the
+/// value's claim, then its own body, in one frame.
 pub fn pulse<'a>(
     rule: &mut ClockRule,
     n: usize,
     ctx: &mut Context<'a>,
-    heard: impl Fn(usize) -> bool,
 ) -> (u64, Vec<(usize, &'a [u8])>) {
     let mut claims: Vec<Option<u64>> = vec![None; n];
     let mut bodies = Vec::new();
     for m in ctx.inbox() {
         let idx = m.from.index();
-        if idx >= n || !heard(idx) {
+        if idx >= n {
             continue;
         }
         let Some((claim, body)) = ClockProcess::decode(m.bytes()) else {
@@ -102,7 +101,7 @@ pub fn pulse<'a>(
 
 impl Process for ClockProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        let (value, _) = pulse(&mut self.rule, self.n, ctx, |_| true);
+        let (value, _) = pulse(&mut self.rule, self.n, ctx);
         ctx.broadcast(ClockProcess::encode(value));
     }
 
@@ -172,18 +171,17 @@ mod tests {
         }
     }
 
-    /// Process 0 runs [`pulse`] admitting `heard`; the others send it their
+    /// Process 0 runs [`pulse`] with n = 4; the others send it their
     /// `script` at pulse 0.
     struct Peer {
         rule: ClockRule,
-        heard: fn(usize) -> bool,
         script: Vec<Vec<u8>>,
     }
 
     impl Process for Peer {
         fn on_pulse(&mut self, ctx: &mut Context<'_>) {
             if ctx.id() == ProcessId(0) {
-                pulse(&mut self.rule, 4, ctx, self.heard);
+                pulse(&mut self.rule, 4, ctx);
             }
             for payload in self.script.drain(..) {
                 ctx.send(ProcessId(0), payload);
@@ -198,15 +196,14 @@ mod tests {
     }
 
     /// Process 0's clock (n = 4, f = 1; its own value is 5 or 0, never 7)
-    /// after hearing `scripts[i - 1]` from process `i`: 8 iff three claims
-    /// of 7 were counted.
-    fn listen(scripts: [Vec<Vec<u8>>; 3], heard: fn(usize) -> bool) -> u64 {
-        let mut sim = Simulation::builder(Topology::complete(4))
+    /// after hearing `scripts[i - 1]` from process `i` of a complete graph
+    /// on `scripts.len() + 1` nodes: 8 iff three claims of 7 were counted.
+    fn listen(scripts: &[Vec<Vec<u8>>]) -> u64 {
+        let mut sim = Simulation::builder(Topology::complete(scripts.len() + 1))
             .seed(1)
             .build_with(|id| {
                 Box::new(Peer {
                     rule: ClockRule::new(4, 1, 10, 5),
-                    heard,
                     script: id
                         .index()
                         .checked_sub(1)
@@ -225,9 +222,9 @@ mod tests {
     fn pulse_counts_a_flood_from_one_sender_once() {
         // A multiplied vote would reach the n − f = 3 quorum and adopt 8.
         let flood = [vec![claim(7), claim(7), claim(7)], vec![claim(7)], vec![]];
-        assert_ne!(listen(flood, |_| true), 8, "two senders are no quorum");
+        assert_ne!(listen(&flood), 8, "two senders are no quorum");
         let three = [vec![claim(7)], vec![claim(7)], vec![claim(7)]];
-        assert_eq!(listen(three, |_| true), 8);
+        assert_eq!(listen(&three), 8);
     }
 
     #[test]
@@ -239,14 +236,17 @@ mod tests {
             vec![vec![], claim(7)],
             vec![claim(7)],
         ];
-        assert_eq!(listen(scripts, |_| true), 8);
+        assert_eq!(listen(&scripts), 8);
     }
 
     #[test]
-    fn pulse_ignores_senders_heard_rejects() {
-        let three = || [vec![claim(7)], vec![claim(7)], vec![claim(7)]];
-        assert_eq!(listen(three(), |from| from != 0), 8);
-        assert_ne!(listen(three(), |from| from != 3), 8, "vote not counted");
+    fn pulse_ignores_senders_at_or_above_n() {
+        // Five nodes, n = 4: processor 4's claim is the third 7 and must
+        // not make the quorum; processor 3's is counted.
+        let from_4 = [vec![claim(7)], vec![claim(7)], vec![], vec![claim(7)]];
+        assert_ne!(listen(&from_4), 8, "a sender at n is no voter");
+        let from_3 = [vec![claim(7)], vec![claim(7)], vec![claim(7)], vec![]];
+        assert_eq!(listen(&from_3), 8);
     }
 
     #[test]

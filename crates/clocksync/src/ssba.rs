@@ -195,7 +195,7 @@ impl<B: BaInstance> SsbaProcess<B> {
 
 impl<B: BaInstance + 'static> Process for SsbaProcess<B> {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
-        let (clock_value, bodies) = pulse(&mut self.clock, self.n, ctx, |_| true);
+        let (clock_value, bodies) = pulse(&mut self.clock, self.n, ctx);
 
         // The wrap to 1 invokes the protocol afresh, so a scrambled epoch
         // from a transient fault cannot outlive one wrap; an agreement in

@@ -88,9 +88,11 @@
 //! pulse's frame without the reveal, and a split committer sends some
 //! processors a commitment to a second opening. Mixed strategies are
 //! refused until the seed audit runs here (ROADMAP item 3(b)). Punishment is an [`Executive`] under
-//! [`Punishment::Disconnect`], driven by the agreed foul mask: a convicted
-//! agent's traffic is dropped and the outcome takes the null action 0 for
-//! it. Its outcome log is not kept (one record per play).
+//! [`Punishment::Disconnect`], driven by the agreed foul mask, with no
+//! outcome log (one record per play). It masks a convicted agent's game
+//! inputs alone (the audit, the agreed mask, the outcome's null action 0,
+//! its processor's commitment); that processor still votes on the clock
+//! and sends and relays OM, like any of the `f` Byzantine processors.
 
 use std::sync::Arc;
 
@@ -486,10 +488,7 @@ impl Process for AuthorityProcess {
     fn on_pulse(&mut self, ctx: &mut Context<'_>) {
         // The clock tick drives the schedule; the bodies of the same
         // frames feed it.
-        let executive = &self.executive;
-        let (v, bodies) = pulse(&mut self.clock, self.n, ctx, |from| {
-            executive.is_active(from)
-        });
+        let (v, bodies) = pulse(&mut self.clock, self.n, ctx);
 
         // Harvest commitments/reveals whenever they arrive (they are sent
         // in their phase, delivered one pulse later).
@@ -748,6 +747,77 @@ mod tests {
             assert!(p.punished()[3], "agent 3 disconnected at p{i}");
             assert!(!p.punished()[i], "honest agents stay");
         }
+    }
+
+    #[test]
+    fn convicting_more_than_f_selfish_agents_keeps_the_clock() {
+        // Two worst responders at (4, 1): both are convicted, yet their
+        // processors follow the protocol, so they stay clock voters and
+        // OM sources and relays. Dropping their claims would leave two
+        // voters, below the n − f = 3 quorum, and stall the clock.
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let mut behaviors = vec![Behavior::honest_pure(0); 4];
+        behaviors[2] = Behavior::worst_response();
+        behaviors[3] = Behavior::worst_response();
+        let mut sim = run_plays(behaviors, modulus * 3, 1);
+        for i in 0..4 {
+            let p = sim.process_as::<AuthorityProcess>(ProcessId(i)).unwrap();
+            assert_eq!(p.punished(), [false, false, true, true], "p{i}");
+        }
+        for period in 0..200 {
+            let before: Vec<usize> = (0..4).map(|i| records(&sim, i).len()).collect();
+            sim.run(modulus);
+            for (i, &len) in before.iter().enumerate() {
+                assert_eq!(records(&sim, i).len(), len + 1, "p{i}, period {period}");
+            }
+        }
+        assert!(records_agree(&sim, 0..4), "identical play records");
+    }
+
+    /// An honest (4, 1) cluster after ten plays, when processor 0's
+    /// executive flag for honest agent 1 is flipped: a transient fault in
+    /// state that no agreement covers.
+    fn flip_after_ten_plays(seed: u64) -> Simulation {
+        let mut sim = run_plays(vec![Behavior::honest_pure(0); 4], 0, seed);
+        sim.run_until(1_000, |sim| records(sim, 0).len() == 10)
+            .expect("ten plays");
+        let p0 = sim.process_as_mut::<AuthorityProcess>(ProcessId(0));
+        p0.unwrap().executive.convict(1);
+        sim
+    }
+
+    #[test]
+    fn a_flipped_flag_and_a_crash_keep_the_clock() {
+        // With processor 3 crashed as well, processors 0–2 are the only
+        // voters, exactly the n − f = 3 quorum: processor 0 must keep
+        // counting processor 1's claims whatever it thinks of agent 1.
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        for seed in 0..3 {
+            let mut sim = flip_after_ten_plays(seed);
+            sim.disconnect(ProcessId(3));
+            sim.run(modulus * 200);
+            for i in 0..3 {
+                let plays = records(&sim, i).len() - 10;
+                assert_eq!(plays, 200, "p{i}, seed {seed}: one play a period");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "divergence: ROADMAP item 2(c)"]
+    fn a_flipped_flag_heals() {
+        // The flag is local and never agreed, so processor 0 records the
+        // null action for agent 1 in every later play.
+        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let mut sim = flip_after_ten_plays(0);
+        sim.run(modulus * 50);
+        let tails: Vec<&[PlayRecord]> = (0..4)
+            .map(|i| {
+                let r = records(&sim, i);
+                &r[r.len() - 2..]
+            })
+            .collect();
+        assert!(tails.windows(2).all(|w| w[0] == w[1]), "{tails:?}");
     }
 
     #[test]

@@ -114,8 +114,12 @@ fn honest() -> Arc<dyn Scenario> {
 /// has no previous outcome (no best-response obligation); play 1 exposes
 /// and convicts both, and the five honest survivors keep agreeing.
 ///
-/// Punishing an agent removes its clock claims too, so liveness needs
-/// `punished ≤ f`: a cluster of two takes `f = 2`, hence `n = 7`.
+/// The cluster stays inside the fault budget, `f = 2`, hence `n = 7`, so
+/// its two processors could as well be Byzantine ones; the goldens pin
+/// that size. Liveness does not need it: conviction stops at the game
+/// layer, and the clock keeps ticking past `f` convicted agents
+/// (`convicting_more_than_f_selfish_agents_keeps_the_clock` in
+/// `game_authority::distributed`).
 fn selfish_cluster() -> Arc<dyn Scenario> {
     let n = 7;
     let cluster = AuthorityCluster::new(congestion(n), 2)
