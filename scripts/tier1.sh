@@ -37,12 +37,12 @@ echo "==> authority trace identity (summary + event JSONL against tests/golden/a
 # Every play's bytes go through the agreement path: a change to slot
 # order, framing or round structure there fails here, by name, instead of
 # surfacing later as a bytes_per_op drift in the benchmark. The summary
-# digest dates from before the flat EIG tree (PR 14); the event digest is
-# PR 23's, when an OM relay part whose values all agree began to say the
-# value once and every `Delivered.bytes` of an agreement frame from the
-# second relay round on shrank with it (PR 21 moved it before, when a
-# relay stopped carrying paths). A deliberate wire change regenerates the
-# file with scripts/regen_goldens.sh.
+# digest last moved when a pulse became one frame per peer (fewer messages,
+# so a lower inbox_depth_mean). The event digest last moved when
+# conviction stopped at the game layer: a convicted agent's processor is
+# heard again, so BA 3's relay frames after a conviction carry its part
+# (120 of 4 402 lines, `bytes` only). A deliberate wire or decision
+# change regenerates the file with scripts/regen_goldens.sh.
 ./target/release/scenario run --suite authority --seeds 1 \
     --events target/scenario_auth_golden_events.jsonl > target/scenario_auth_golden.json
 (cd target && sha256sum -c ../tests/golden/authority_seed1.sha256)
