@@ -1,9 +1,9 @@
 //! # ga-agreement — Byzantine agreement protocols
 //!
 //! The game authority's judicial service runs "a sequence of several
-//! activations of the Byzantine agreement protocol" every play (§3.3):
-//! agree on the previous outcome, agree on the commitment set, agree on the
-//! foul set. This crate supplies the protocols:
+//! activations of the Byzantine agreement protocol" every play (§3.3); the
+//! distributed authority runs one, on the foul set, as OM interactive
+//! consistency. This crate supplies the protocols:
 //!
 //! * [`om`] — the Lamport–Shostak–Pease **oral messages** algorithm over an
 //!   exponential-information-gathering ([`eig`]) tree: `f+1` communication
@@ -46,9 +46,10 @@ pub mod wire;
 
 /// The value domain all protocols agree on.
 ///
-/// Larger objects (commitment sets, outcome vectors) are agreed upon by
-/// first hashing them — the authority agrees on digests and transfers bodies
-/// separately.
+/// The distributed authority's one agreement is on a foul bitmask of up to
+/// 64 agents, which fits as it is. A larger object is agreed on by its
+/// hash: the legislative election agrees on 64-bit ballot digests and
+/// checks the ballots it receives against them.
 pub type Value = u64;
 
 /// The fallback decision when no value gathers enough support.

@@ -7,16 +7,20 @@
 //! Each play occupies one period of the self-stabilizing clock
 //! (`ga-clocksync`); the clock value schedules the phases. With R = rounds
 //! of one OM-consensus activation, the modulus is M = 3R + 4
-//! ([`schedule_len`](AuthorityProcess::schedule_len)):
+//! ([`schedule_len`](AuthorityProcess::schedule_len)), and
+//! [`phase_of`](AuthorityProcess::phase_of) is the one place that maps a
+//! clock value to its [`Phase`] (`tests/schedule_table.rs` holds this table
+//! to it):
 //!
-//! | clock value         | phase                                                  |
-//! |---------------------|--------------------------------------------------------|
-//! | `1` … `R`           | claim only                                             |
-//! | `R + 1`             | broadcast commitments (Blum)                           |
-//! | `R + 2` … `2R + 1`  | claim only                                             |
-//! | `2R + 2`            | broadcast reveals                                      |
-//! | `2R + 3` … `3R + 2` | **BA 3** — agree on the foul set (bitmask), R rounds   |
-//! | `3R + 3`            | executive: punish the agreed fouls, record the outcome |
+//! | clock value         | [`Phase`]  | what the processor does                                |
+//! |---------------------|------------|--------------------------------------------------------|
+//! | `0`                 | `Wrap`     | claim only; the next pulse starts a fresh play         |
+//! | `1` … `R`           | `Claims`   | claim only                                             |
+//! | `R + 1`             | `Commit`   | broadcast commitments (Blum)                           |
+//! | `R + 2` … `2R + 1`  | `Claims`   | claim only                                             |
+//! | `2R + 2`            | `Reveal`   | broadcast reveals                                      |
+//! | `2R + 3` … `3R + 2` | `Agree(k)` | **BA 3** round k — agree on the foul set (bitmask)     |
+//! | `3R + 3`            | `Exec`     | executive: punish the agreed fouls, record the outcome |
 //!
 //! The agreement is an [`Activation`] — Theorem 1's composition, the same
 //! one `SsbaProcess` runs — stepped only inside its clock window. Because
@@ -100,7 +104,6 @@ use bytes::Bytes;
 
 use ga_agreement::consensus::OmConsensus;
 use ga_agreement::om;
-use ga_agreement::traits::BaInstance;
 use ga_agreement::wire::{varint_len, Reader, Writer, FRAME_LIMIT};
 use ga_clocksync::clock::ClockRule;
 use ga_clocksync::process::pulse;
@@ -197,6 +200,23 @@ fn assert_supported(behavior: &Behavior, n: usize) {
     }
 }
 
+/// What a clock value schedules in a play (the module's schedule table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Clock value 0: the claim alone.
+    Wrap,
+    /// A claim-only pulse of the two idle windows.
+    Claims,
+    /// Broadcast this play's commitment.
+    Commit,
+    /// Broadcast this play's reveal.
+    Reveal,
+    /// Relative round `k` of BA 3.
+    Agree(u64),
+    /// The executive convicts the agreed fouls and records the play.
+    Exec,
+}
+
 /// One processor of the distributed authority.
 pub struct AuthorityProcess {
     game: Arc<dyn Game + Send + Sync>,
@@ -205,7 +225,6 @@ pub struct AuthorityProcess {
     f: usize,
     agent: Agent,
     clock: ClockRule,
-    ba_rounds: u64,
     /// The play's one agreement, on the foul set.
     ba: Activation<OmConsensus>,
     play: PlayState,
@@ -251,9 +270,7 @@ impl AuthorityProcess {
         assert_eq!(game.num_agents(), n, "game arity must match n");
         assert_supported(&behavior, n);
         let nonces = Prg::from_seed_material(b"ga-dist-nonce", seed ^ (me as u64) << 16);
-        let ba = Activation::new(OmConsensus::new(me, n, f), tag::BA);
-        let ba_rounds = ba.instance().rounds();
-        let modulus = Self::schedule_len(ba_rounds);
+        let modulus = Self::schedule_len(om::rounds(f));
         AuthorityProcess {
             game,
             me,
@@ -261,8 +278,7 @@ impl AuthorityProcess {
             f,
             agent: Agent::new(me, behavior, nonces, None),
             clock: ClockRule::new(n, f, modulus, 0),
-            ba_rounds,
-            ba,
+            ba: Activation::new(OmConsensus::new(me, n, f), tag::BA),
             play: PlayState::new(n),
             executive: Executive::new(n, Punishment::Disconnect),
             records: Vec::new(),
@@ -273,6 +289,23 @@ impl AuthorityProcess {
     /// The clock modulus for a given BA round count: `3R + 4`.
     pub fn schedule_len(ba_rounds: u64) -> u64 {
         3 * ba_rounds + 4
+    }
+
+    /// The phase clock value `v` schedules when an agreement takes
+    /// `ba_rounds` rounds: the module's schedule table. With
+    /// [`schedule_len`](Self::schedule_len), the only place the play's
+    /// layout is written.
+    pub fn phase_of(ba_rounds: u64, v: u64) -> Phase {
+        let r = ba_rounds;
+        let agree = 2 * r + 3;
+        match v {
+            0 => Phase::Wrap,
+            v if v == r + 1 => Phase::Commit,
+            v if v == 2 * r + 2 => Phase::Reveal,
+            v if v == 3 * r + 3 => Phase::Exec,
+            v if (agree..agree + r).contains(&v) => Phase::Agree(v - agree),
+            _ => Phase::Claims,
+        }
     }
 
     /// Completed play records.
@@ -496,34 +529,32 @@ impl Process for AuthorityProcess {
             self.harvest(from, body);
         }
 
-        let r = self.ba_rounds;
         if v == 1 {
             // Fresh play: reset per-play state.
             self.play.reset();
             self.ba.reset();
         }
-        // This pulse's frame: the claim, then at most one body. The
-        // agreement is stepped only inside its clock window, which the
-        // single-pulse phases do not overlap.
+        // This pulse's frame: the claim, then the body of its phase, if
+        // that phase says anything.
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         Writer::new(&mut frame).put_varint(v);
-        let start = 2 * r + 3;
-        if v == start {
-            let proposal = self.foul_proposal();
-            self.ba.start(proposal, &bodies, &mut frame);
-        } else if start < v && v < start + r {
-            self.ba.advance(&bodies, &mut frame);
-        }
-        let split = if v == r + 1 {
-            self.commit_phase(&mut frame)
-        } else if v == 2 * r + 2 {
-            self.reveal_phase(&mut frame)
-        } else {
-            if v == 3 * r + 3 {
-                self.conclude_play();
+        let split = match Self::phase_of(om::rounds(self.f), v) {
+            Phase::Commit => self.commit_phase(&mut frame),
+            Phase::Reveal => self.reveal_phase(&mut frame),
+            Phase::Agree(0) => {
+                self.ba.start(self.foul_proposal(), &bodies, &mut frame);
+                None
             }
-            None
+            Phase::Agree(_) => {
+                self.ba.advance(&bodies, &mut frame);
+                None
+            }
+            Phase::Exec => {
+                self.conclude_play();
+                None
+            }
+            Phase::Wrap | Phase::Claims => None,
         };
 
         let sent = Bytes::copy_from_slice(&frame);
@@ -706,6 +737,11 @@ mod tests {
         sim
     }
 
+    /// Pulses per play of the (4, 1) clusters `run_plays` builds.
+    fn period() -> u64 {
+        AuthorityCluster::new(congestion(4), 1).play_len()
+    }
+
     fn records(sim: &Simulation, i: usize) -> &[PlayRecord] {
         sim.process_as::<AuthorityProcess>(ProcessId(i))
             .unwrap()
@@ -715,7 +751,7 @@ mod tests {
     #[test]
     fn honest_plays_complete_and_agree() {
         let n = 4;
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let sim = run_plays(vec![Behavior::honest_pure(0); n], modulus * 4 + 2, 3);
         let r0 = records(&sim, 0);
         assert!(r0.len() >= 2, "plays completed: {}", r0.len());
@@ -728,7 +764,7 @@ mod tests {
 
     #[test]
     fn worst_responder_is_caught_and_disconnected() {
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let sim = run_plays(
             one_deviant(4, 3, Behavior::worst_response()),
             modulus * 4 + 2,
@@ -755,7 +791,7 @@ mod tests {
         // processors follow the protocol, so they stay clock voters and
         // OM sources and relays. Dropping their claims would leave two
         // voters, below the n − f = 3 quorum, and stall the clock.
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let mut behaviors = vec![Behavior::honest_pure(0); 4];
         behaviors[2] = Behavior::worst_response();
         behaviors[3] = Behavior::worst_response();
@@ -791,7 +827,7 @@ mod tests {
         // With processor 3 crashed as well, processors 0–2 are the only
         // voters, exactly the n − f = 3 quorum: processor 0 must keep
         // counting processor 1's claims whatever it thinks of agent 1.
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         for seed in 0..3 {
             let mut sim = flip_after_ten_plays(seed);
             sim.disconnect(ProcessId(3));
@@ -808,7 +844,7 @@ mod tests {
     fn a_flipped_flag_heals() {
         // The flag is local and never agreed, so processor 0 records the
         // null action for agent 1 in every later play.
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let mut sim = flip_after_ten_plays(0);
         sim.run(modulus * 50);
         let tails: Vec<&[PlayRecord]> = (0..4)
@@ -822,7 +858,7 @@ mod tests {
 
     #[test]
     fn equivocal_reveal_is_caught() {
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let sim = run_plays(
             one_deviant(4, 1, Behavior::equivocator(0, 1)),
             modulus * 3 + 2,
@@ -838,7 +874,7 @@ mod tests {
 
     #[test]
     fn mute_agent_is_flagged_but_system_continues() {
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let sim = run_plays(one_deviant(4, 3, Behavior::silent()), modulus * 4 + 2, 9);
         let r0 = records(&sim, 0);
         assert!(r0.len() >= 2, "plays continue");
@@ -856,11 +892,10 @@ mod tests {
         // the paper states it. (Regression: `f` used to be dead state,
         // so both configurations behaved identically.)
         for (f, framed) in [(1usize, false), (0usize, true)] {
-            let modulus = AuthorityProcess::schedule_len(om::rounds(f));
             let behaviors = one_deviant(4, 3, Behavior::framer(0));
             let cluster = AuthorityCluster::new(congestion(4), f).modes(behaviors);
             let mut sim = build_authority_sim(&cluster, 13);
-            sim.run(modulus * 3 + 2);
+            sim.run(cluster.play_len() * 3 + 2);
             let r1 = records(&sim, 1);
             assert!(r1.len() >= 2, "plays complete at f={f}");
             assert_eq!(
@@ -1100,7 +1135,7 @@ mod tests {
         // the range audit can catch it. Every honest auditor proposes
         // the foul, the quorum convicts, and the outcome records the
         // null action — identically everywhere.
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let sim = run_plays(one_deviant(4, 3, Behavior::illegal(2)), modulus * 3 + 2, 21);
         let r0 = records(&sim, 0);
         assert!(!r0.is_empty());
@@ -1169,16 +1204,15 @@ mod tests {
     }
 
     /// The bytes an all-honest `(n, f)` cluster delivers in its second
-    /// play, per phase of the module's schedule table: wrap, the first
-    /// claim-only window, commit, the second window, reveal, BA 3, exec.
-    /// A pulse is attributed to the phase of the clock value it leaves
-    /// behind.
+    /// play, per run of one [`Phase`] (BA 3's rounds are one run): wrap,
+    /// the first claim-only window, commit, the second window, reveal,
+    /// BA 3, exec. A pulse is attributed to the phase of the clock value it
+    /// leaves behind.
     fn phase_bytes(n: usize, f: usize) -> [u64; 7] {
         let cluster = AuthorityCluster::new(congestion(n), f);
         let mut sim = build_authority_sim(&cluster, 1);
         sim.run(cluster.play_len());
-        let r = om::rounds(f);
-        let mut phases = [0; 7];
+        let mut runs: Vec<(Phase, u64)> = Vec::new();
         let mut before = sim.trace().bytes_delivered;
         for _ in 0..cluster.play_len() {
             sim.step();
@@ -1186,20 +1220,19 @@ mod tests {
                 .process_as::<AuthorityProcess>(ProcessId(0))
                 .unwrap()
                 .clock_value();
-            let phase = match v {
-                0 => 0,
-                v if v <= r => 1,
-                v if v == r + 1 => 2,
-                v if v <= 2 * r + 1 => 3,
-                v if v == 2 * r + 2 => 4,
-                v if v <= 3 * r + 2 => 5,
-                _ => 6,
+            let phase = match AuthorityProcess::phase_of(om::rounds(f), v) {
+                Phase::Agree(_) => Phase::Agree(0),
+                phase => phase,
             };
+            if runs.last().map(|&(last, _)| last) != Some(phase) {
+                runs.push((phase, 0));
+            }
             let now = sim.trace().bytes_delivered;
-            phases[phase] += now - before;
+            runs.last_mut().unwrap().1 += now - before;
             before = now;
         }
-        phases
+        let bytes: Vec<u64> = runs.iter().map(|&(_, bytes)| bytes).collect();
+        bytes.try_into().expect("seven runs of one phase")
     }
 
     #[test]
@@ -1223,17 +1256,24 @@ mod tests {
             );
             assert_eq!(phases, expected, "(n={n}, f={f}): bytes per phase");
             assert_eq!(phases.iter().sum::<u64>(), total, "(n={n}, f={f})");
-            let agreements: Vec<u8> = one_play_of_frames(n, f)
-                .iter()
-                .filter_map(|frame| ga_clocksync::process::ClockProcess::decode(frame))
-                .filter_map(|(_, body)| body.first().copied())
-                .filter(|&t| t != tag::COMMIT && t != tag::REVEAL)
-                .collect();
-            assert!(!agreements.is_empty(), "(n={n}, f={f}): BA 3 was heard");
-            assert!(
-                agreements.iter().all(|&t| t == 0xA3),
-                "(n={n}, f={f}): every agreement body is BA 3's, 0xA3: {agreements:x?}"
-            );
+            // Every frame carries what its sender's claim schedules. BA 3's
+            // last round resolves and sends nothing.
+            let r = om::rounds(f);
+            for frame in one_play_of_frames(n, f) {
+                let (claim, body) = ga_clocksync::process::ClockProcess::decode(&frame)
+                    .expect("an honest frame claims");
+                let scheduled = match AuthorityProcess::phase_of(r, claim) {
+                    Phase::Commit => Some(tag::COMMIT),
+                    Phase::Reveal => Some(tag::REVEAL),
+                    Phase::Agree(k) if k + 1 < r => Some(tag::BA),
+                    _ => None,
+                };
+                assert_eq!(
+                    body.first().copied(),
+                    scheduled,
+                    "(n={n}, f={f}): the body of a frame claiming {claim}"
+                );
+            }
         }
     }
 
@@ -1345,7 +1385,7 @@ mod tests {
     #[test]
     fn recovers_from_transient_fault() {
         let n = 4;
-        let modulus = AuthorityProcess::schedule_len(om::rounds(1));
+        let modulus = period();
         let mut sim = build_authority_sim(&AuthorityCluster::new(congestion(n), 1), 11);
         sim.run(modulus * 2);
         sim.inject(&TransientFault::total(n, 0xFA11));

@@ -2,9 +2,8 @@
 //!
 //! Four processors run the *fully distributed* game authority over the
 //! synchronous simulator: a self-stabilizing clock schedules each play as
-//! a sequence of Byzantine agreement activations (agree on the previous
-//! outcome, on the commitment set, and on the foul set) — §3.3 of the
-//! paper executed literally. One processor plays deliberate non-best
+//! commit, reveal and one Byzantine agreement on the foul set — §3.3 of
+//! the paper executed literally. One processor plays deliberate non-best
 //! responses and its executive disconnects it on the agreed foul set; then a
 //! transient fault scrambles everything and the middleware recovers
 //! (Theorem 1's self-stabilization).
@@ -13,7 +12,6 @@
 //! cargo run --example selfish_cluster
 //! ```
 
-use game_authority_suite::agreement::om;
 use game_authority_suite::authority::agent::Behavior;
 use game_authority_suite::authority::distributed::{
     build_authority_sim, AuthorityCluster, AuthorityProcess,
@@ -35,9 +33,8 @@ fn main() {
     let cluster = AuthorityCluster::new(congestion(4), 1).modes(behaviors);
     let mut sim = build_authority_sim(&cluster, 42);
 
-    // One play per clock period: 3 BA activations + commit/reveal/execute.
-    let ba_rounds = om::rounds(1);
-    let modulus = AuthorityProcess::schedule_len(ba_rounds);
+    // One play per clock period: commit, reveal, BA 3 and the executive.
+    let modulus = cluster.play_len();
 
     println!("running 4 plays ({} pulses each)…", modulus);
     sim.run(modulus * 4 + 2);
