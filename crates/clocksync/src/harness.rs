@@ -58,7 +58,7 @@ pub fn measure_convergence_with(
         });
     // Arbitrary starting configuration: scramble every honest clock and the
     // channels.
-    sim.inject(&TransientFault::total(n, seed ^ 0xFA17));
+    sim.corrupt(&CorruptionFamily::total(seed ^ 0xFA17));
 
     let honest: Vec<usize> = (0..n - byzantine_count).collect();
     let synced = |sim: &Simulation| {
@@ -130,7 +130,7 @@ pub fn run_ssba(
     match fault_at {
         Some(at) if at < pulses => {
             sim.run(at);
-            sim.inject(&TransientFault::total(n, seed ^ 0xBAD));
+            sim.corrupt(&CorruptionFamily::total(seed ^ 0xBAD));
             sim.run(pulses - at);
         }
         _ => sim.run(pulses),

@@ -287,7 +287,7 @@ mod tests {
         let n = 4;
         let mut sim = build(n, 1, 6);
         sim.run(20);
-        sim.inject(&TransientFault::total(n, 99));
+        sim.corrupt(&CorruptionFamily::total(99));
         // Convergence: give the clock time to re-synchronize, then closure:
         // compare agreement logs appended after recovery.
         sim.run(400);

@@ -26,8 +26,11 @@
 //! one `SsbaProcess` runs — stepped only inside its clock window. Because
 //! every phase is *derived from the clock value*, a transient fault that
 //! scrambles play state (misaligned epochs, stale commitments, arbitrary
-//! clock) heals at the next clock wrap — the same argument as Theorem 1,
-//! now for the whole middleware loop.
+//! clock) heals at the first clock wrap after the honest clocks agree —
+//! the same argument as Theorem 1, now for the whole middleware loop. The
+//! honest clocks need not come to agree: `f` Byzantine "pinners" can hold
+//! them apart for ever (ROADMAP item 15; its fix states how many pulses
+//! agreement takes).
 //!
 //! A play runs only an agreement whose decision some state reads: the
 //! executive folds BA 3's vector into the foul mask. The two agreements
@@ -1388,7 +1391,7 @@ mod tests {
         let modulus = period();
         let mut sim = build_authority_sim(&AuthorityCluster::new(congestion(n), 1), 11);
         sim.run(modulus * 2);
-        sim.inject(&TransientFault::total(n, 0xFA11));
+        sim.corrupt(&CorruptionFamily::total(0xFA11));
         // Give the clock time to re-synchronize, then verify fresh plays
         // complete identically everywhere.
         sim.run(modulus * 60);

@@ -199,10 +199,9 @@ mod tests {
         // channels intact one pulse re-adopts the pre-fault claims and the
         // scramble is unobservable) — the genuine worst case the bound is
         // stated for.
-        let fault = TransientFault {
-            scramble: (0..8).map(ProcessId).collect(),
+        let fault = CorruptionFamily {
             drop_messages_p: 1.0,
-            ..TransientFault::default()
+            ..CorruptionFamily::state_only(0..8, 0)
         };
         for seed_salt in [3, 4, 5] {
             let topology = Topology::ring(8);
@@ -212,7 +211,7 @@ mod tests {
                 sim.step();
             }
             assert!(bfs_tree_legal(&sim));
-            sim.inject(&TransientFault {
+            sim.corrupt(&CorruptionFamily {
                 salt: seed_salt,
                 ..fault.clone()
             });

@@ -955,6 +955,7 @@ mod tests {
                     targets: CorruptionTargets::All,
                     corrupt_messages_p: 0.0,
                     drop_messages_p: 0.0,
+                    garbage_messages: 0,
                     salt: 1,
                 },
                 Recurrence::Once,
@@ -1028,6 +1029,7 @@ mod tests {
             targets: CorruptionTargets::All,
             corrupt_messages_p: 0.0,
             drop_messages_p: 1.0,
+            garbage_messages: 0,
             salt: 2,
         }
     }

@@ -258,6 +258,7 @@ pub fn authority_recovery_port() -> Arc<dyn Scenario> {
         targets: CorruptionTargets::All,
         corrupt_messages_p: 0.0,
         drop_messages_p: 1.0,
+        garbage_messages: 0,
         salt: SALT,
     };
     Arc::new(

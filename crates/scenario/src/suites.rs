@@ -293,7 +293,10 @@ fn smoke() -> Vec<Arc<dyn Scenario>> {
             TopologyFamily::Grid(4, 4),
             gossip,
         )
-        .schedule(Schedule::new().at(6, ScheduledAction::Inject(TransientFault::total(16, 1))))
+        .schedule(Schedule::new().at(
+            6,
+            ScheduledAction::Corrupt(CorruptionFamily::total(1), Recurrence::Once),
+        ))
         .max_rounds(40)
         .verdict(|sim, r| {
             Verdict::check(

@@ -232,7 +232,7 @@ mod tests {
         let mut sim = Simulation::builder(Topology::complete(n))
             .build_with(|id| Box::new(MaxGossip::new(id.index() as u64)) as Box<dyn Process>);
         sim.run(3);
-        sim.inject(&TransientFault::total(n, 0xBEEF));
+        sim.corrupt(&CorruptionFamily::total(0xBEEF));
         sim.run(4);
         assert!(gossip_agreed(&sim, 0..n), "agreement restored after fault");
     }

@@ -173,6 +173,7 @@ fn recurring_corruption_events_identical_at_1_1_1_vs_4_4_4() {
                 targets: CorruptionTargets::All,
                 corrupt_messages_p: 0.0,
                 drop_messages_p: 1.0,
+                garbage_messages: 0,
                 salt: 21,
             },
             Recurrence::Every {
@@ -343,7 +344,10 @@ fn schedule_events_are_reflected_identically_in_parallel_records() {
     })
     .schedule(
         Schedule::new()
-            .at(4, ScheduledAction::Inject(TransientFault::total(16, 3)))
+            .at(
+                4,
+                ScheduledAction::Corrupt(CorruptionFamily::total(3), Recurrence::Once),
+            )
             .at(8, ScheduledAction::Disconnect(ProcessId(15)))
             .at(
                 14,
@@ -373,7 +377,10 @@ fn event_stream_identical_at_1_1_1_vs_4_4_4() {
     .delivery(Delivery::Lossy { p: 0.2 })
     .schedule(
         Schedule::new()
-            .at(4, ScheduledAction::Inject(TransientFault::total(16, 3)))
+            .at(
+                4,
+                ScheduledAction::Corrupt(CorruptionFamily::total(3), Recurrence::Once),
+            )
             .at(
                 6,
                 ScheduledAction::Corrupt(
@@ -381,6 +388,7 @@ fn event_stream_identical_at_1_1_1_vs_4_4_4() {
                         targets: CorruptionTargets::RandomK(4),
                         corrupt_messages_p: 0.5,
                         drop_messages_p: 0.5,
+                        garbage_messages: 0,
                         salt: 9,
                     },
                     Recurrence::Once,

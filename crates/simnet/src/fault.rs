@@ -1,21 +1,17 @@
 //! Transient-fault injection.
 //!
 //! Self-stabilization is proved "assuming an arbitrary starting state of the
-//! automaton" (§1.1/§4.1). Two descriptors produce such arbitrary
-//! configurations inside a running [`Simulation`](crate::sim::Simulation):
-//!
-//! * [`TransientFault`] — the imperative original: one sequential RNG
-//!   stream scrambles process states (via `Process::scramble`) and
-//!   corrupts, drops or fabricates in-flight messages. Fine for
-//!   [`Simulation::inject`](crate::sim::Simulation::inject) calls between
-//!   runs.
-//! * [`CorruptionFamily`] — the schedulable, coordinate-keyed form used by
-//!   [`ScheduledAction::Corrupt`](crate::schedule::ScheduledAction):
-//!   targets are *selected* by strategy (fixed ids, random-k,
-//!   worst-case-by-degree — mirroring the scenario engine's adversary
-//!   placement), and every RNG draw derives from `(seed, id, round)`
-//!   coordinates so a corruption firing mid-run reproduces byte-for-byte
-//!   at any workers × shards × pool size.
+//! automaton" (§1.1/§4.1). One descriptor, [`CorruptionFamily`], produces
+//! such arbitrary configurations inside a running
+//! [`Simulation`](crate::sim::Simulation): it scrambles a strategy-chosen
+//! set of process states (via `Process::scramble`) and drops, corrupts or
+//! fabricates in-flight messages. Targets are *selected* by strategy (fixed
+//! ids, random-k, worst-case-by-degree, all — mirroring the scenario
+//! engine's adversary placement), and every RNG draw derives from
+//! `(seed, id, round)` coordinates, so a fault fired mid-run, once through
+//! [`Simulation::corrupt`](crate::sim::Simulation::corrupt) or recurring
+//! through [`ScheduledAction::Corrupt`](crate::schedule::ScheduledAction),
+//! reproduces byte-for-byte at any workers × shards × pool size.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,10 +28,6 @@ use crate::store::ProcessAccess;
 use crate::telemetry::{DropReason, Event, EventSink};
 use crate::topology::Topology;
 
-/// Numeric RNG domain for transient-fault injection (see
-/// [`labeled_rng_u64`]).
-const FAULT_DOMAIN: u64 = 0xFA17_FA17_FA17_FA17;
-
 /// Numeric RNG domain for [`CorruptionFamily`] target selection (one draw
 /// per firing, keyed by round).
 const CORRUPT_SELECT_DOMAIN: u64 = 0xC022_5E1E_C022_5E1E;
@@ -45,137 +37,13 @@ const CORRUPT_SELECT_DOMAIN: u64 = 0xC022_5E1E_C022_5E1E;
 /// which other processes are also targeted.
 const CORRUPT_STATE_DOMAIN: u64 = 0xC022_57A7_C022_57A7;
 
-/// Numeric RNG domain for per-inbox channel degradation, keyed by
-/// `(round, inbox owner)` — an inbox's drop/corrupt pattern is independent
-/// of every other inbox.
+/// Numeric RNG domain for per-inbox channel degradation and garbage, keyed
+/// by `(round, inbox owner)` — an inbox's drop/corrupt pattern and its
+/// garbage are independent of every other inbox.
 const CORRUPT_CHANNEL_DOMAIN: u64 = 0xC022_C4A9_C022_C4A9;
 
-/// What a transient fault does to the system configuration.
-#[derive(Debug, Clone)]
-pub struct TransientFault {
-    /// Scramble the internal state of these processes.
-    pub scramble: Vec<ProcessId>,
-    /// Corrupt each in-flight message with this probability.
-    pub corrupt_messages_p: f64,
-    /// Drop each in-flight message with this probability.
-    pub drop_messages_p: f64,
-    /// Inject this many random garbage messages per process inbox.
-    pub garbage_messages: usize,
-    /// Extra entropy so repeated injections differ.
-    pub salt: u64,
-}
-
-impl Default for TransientFault {
-    fn default() -> Self {
-        TransientFault {
-            scramble: Vec::new(),
-            corrupt_messages_p: 0.0,
-            drop_messages_p: 0.0,
-            garbage_messages: 0,
-            salt: 0,
-        }
-    }
-}
-
-impl TransientFault {
-    /// The classic total fault: scramble *every* process state and wipe all
-    /// channel contents into garbage — the adversarial "arbitrary
-    /// configuration" of the self-stabilization literature.
-    pub fn total(n: usize, salt: u64) -> TransientFault {
-        TransientFault {
-            scramble: (0..n).map(ProcessId).collect(),
-            corrupt_messages_p: 1.0,
-            drop_messages_p: 0.25,
-            garbage_messages: 2,
-            salt,
-        }
-    }
-
-    /// Scramble only the given processes, leave channels alone.
-    pub fn state_only(targets: impl IntoIterator<Item = usize>, salt: u64) -> TransientFault {
-        TransientFault {
-            scramble: targets.into_iter().map(ProcessId).collect(),
-            salt,
-            ..TransientFault::default()
-        }
-    }
-
-    /// Applies the fault; returns the number of in-flight messages dropped
-    /// (the caller accounts them in the trace). When `events` is attached,
-    /// [`Scrambled`](Event::Scrambled) and fault-reason
-    /// [`Dropped`](Event::Dropped) events are emitted in the same
-    /// deterministic order the sequential RNG stream visits them.
-    pub(crate) fn apply(
-        &self,
-        seed: u64,
-        round: Round,
-        processes: &mut impl ProcessAccess,
-        inboxes: &mut Inboxes,
-        mut events: Option<&mut EventSink>,
-    ) -> u64 {
-        let mut rng = labeled_rng_u64(seed ^ self.salt, FAULT_DOMAIN, round.value());
-
-        for id in &self.scramble {
-            if let Some(p) = processes.get_mut(id.index()) {
-                p.scramble(&mut rng);
-                if let Some(sink) = events.as_deref_mut() {
-                    sink.push(Event::Scrambled {
-                        round: round.value(),
-                        id: *id,
-                    });
-                }
-            }
-        }
-
-        let mut dropped = 0u64;
-        let n = inboxes.len();
-        let drop_p = self.drop_messages_p.clamp(0.0, 1.0);
-        let corrupt_p = self.corrupt_messages_p.clamp(0.0, 1.0);
-        // Which inboxes the sequential stream visits: garbage lands in
-        // every inbox, but the drop/corrupt knobs only draw for existing
-        // messages, so with no garbage the empty inboxes can be skipped —
-        // draw-for-draw identical, and a channel-only fault then doesn't
-        // wake every idle process of a sparse run.
-        if self.garbage_messages > 0 {
-            inboxes.edit(0..n, |owner, inbox| {
-                degrade_inbox(
-                    inbox,
-                    &mut rng,
-                    owner,
-                    round,
-                    drop_p,
-                    corrupt_p,
-                    &mut dropped,
-                    &mut events,
-                );
-                for _ in 0..self.garbage_messages {
-                    let len = rng.gen_range(0..24);
-                    let mut payload = vec![0u8; len];
-                    rng.fill_bytes(&mut payload);
-                    let from = ProcessId(rng.gen_range(0..n));
-                    inbox.push(Message::new(from, round, payload));
-                }
-            });
-        } else if drop_p > 0.0 || corrupt_p > 0.0 {
-            inboxes.edit(nonempty_ascending(inboxes), |owner, inbox| {
-                degrade_inbox(
-                    inbox,
-                    &mut rng,
-                    owner,
-                    round,
-                    drop_p,
-                    corrupt_p,
-                    &mut dropped,
-                    &mut events,
-                );
-            });
-        }
-        dropped
-    }
-}
-
-/// The inboxes holding messages, ascending: the owners a channel-only fault
-/// visits.
+/// The inboxes holding messages, ascending: the owners a fault without
+/// garbage visits.
 fn nonempty_ascending(inboxes: &Inboxes) -> Vec<usize> {
     let mut owners = inboxes.touched_sorted();
     owners.retain(|&owner| !inboxes.slot(owner).is_empty());
@@ -183,8 +51,7 @@ fn nonempty_ascending(inboxes: &Inboxes) -> Vec<usize> {
 }
 
 /// Drops then bit-flips the messages of one inbox, emitting fault-reason
-/// [`Dropped`](Event::Dropped) events in visit order. Shared by both
-/// injectors — only the RNG keying differs.
+/// [`Dropped`](Event::Dropped) events in visit order.
 #[allow(clippy::too_many_arguments)]
 fn degrade_inbox(
     inbox: &mut Vec<Message>,
@@ -241,17 +108,16 @@ pub enum CorruptionTargets {
     All,
 }
 
-/// A seed-derived corruption event, designed to live in a [`Schedule`]
+/// A seed-derived transient fault, designed to live in a [`Schedule`]
 /// (via [`ScheduledAction::Corrupt`](crate::schedule::ScheduledAction)) so
 /// corruption is spec data like churn.
 ///
-/// Unlike [`TransientFault`], whose draws come from one sequential stream,
-/// every draw here is a pure function of `(seed ^ salt, round, id)`
+/// Every draw is a pure function of `(seed ^ salt, round, id)`
 /// coordinates: target selection is keyed by round, each victim's scramble
-/// stream by its process id, and each inbox's channel degradation by its
-/// owner id. Nothing depends on visit order, so a corruption firing inside
-/// a sharded run leaves traces byte-identical at any workers × shards ×
-/// pool size.
+/// stream by its process id, and each inbox's channel degradation and
+/// garbage by its owner id. Nothing depends on visit order, so a
+/// corruption firing inside a sharded run leaves traces byte-identical at
+/// any workers × shards × pool size.
 ///
 /// [`Schedule`]: crate::schedule::Schedule
 #[derive(Debug, Clone)]
@@ -262,18 +128,30 @@ pub struct CorruptionFamily {
     pub corrupt_messages_p: f64,
     /// Drop each in-flight message with this probability.
     pub drop_messages_p: f64,
+    /// Push this many random garbage messages into every inbox, after the
+    /// drop/corrupt pass.
+    pub garbage_messages: usize,
     /// Extra entropy so repeated corruption events differ.
     pub salt: u64,
 }
 
 impl CorruptionFamily {
+    /// State-only corruption of the given processes.
+    pub fn state_only(ids: impl IntoIterator<Item = usize>, salt: u64) -> CorruptionFamily {
+        CorruptionFamily {
+            targets: CorruptionTargets::Fixed(ids.into_iter().map(ProcessId).collect()),
+            corrupt_messages_p: 0.0,
+            drop_messages_p: 0.0,
+            garbage_messages: 0,
+            salt,
+        }
+    }
+
     /// State-only corruption of `k` uniformly chosen processes.
     pub fn random_k(k: usize, salt: u64) -> CorruptionFamily {
         CorruptionFamily {
             targets: CorruptionTargets::RandomK(k),
-            corrupt_messages_p: 0.0,
-            drop_messages_p: 0.0,
-            salt,
+            ..CorruptionFamily::state_only([], salt)
         }
     }
 
@@ -282,9 +160,21 @@ impl CorruptionFamily {
     /// per-message corrupt *and* drop probability `intensity`.
     pub fn intensity(k: usize, intensity: f64, salt: u64) -> CorruptionFamily {
         CorruptionFamily {
-            targets: CorruptionTargets::RandomK(k),
             corrupt_messages_p: intensity,
             drop_messages_p: intensity,
+            ..CorruptionFamily::random_k(k, salt)
+        }
+    }
+
+    /// The classic total fault: scramble *every* process state and wipe all
+    /// channel contents into garbage — the adversarial "arbitrary
+    /// configuration" of the self-stabilization literature.
+    pub fn total(salt: u64) -> CorruptionFamily {
+        CorruptionFamily {
+            targets: CorruptionTargets::All,
+            corrupt_messages_p: 1.0,
+            drop_messages_p: 0.25,
+            garbage_messages: 2,
             salt,
         }
     }
@@ -351,30 +241,44 @@ impl CorruptionFamily {
 
         let corrupt_p = self.corrupt_messages_p.clamp(0.0, 1.0);
         let drop_p = self.drop_messages_p.clamp(0.0, 1.0);
+        let n = inboxes.len();
+        // Garbage lands in every inbox. Without it, per-owner keyed streams
+        // make skipping the untouched (empty) inboxes draw-for-draw
+        // identical to visiting all n: an empty inbox consumes no draws and
+        // emits no events, and a channel-only fault doesn't wake every idle
+        // process of a sparse run.
+        let owners: Vec<usize> = if self.garbage_messages > 0 {
+            (0..n).collect()
+        } else if corrupt_p > 0.0 || drop_p > 0.0 {
+            nonempty_ascending(inboxes)
+        } else {
+            Vec::new()
+        };
         let mut dropped = 0u64;
-        if corrupt_p > 0.0 || drop_p > 0.0 {
-            // Per-owner keyed streams make skipping the untouched (empty)
-            // inboxes draw-for-draw identical to visiting all n: an empty
-            // inbox consumes no draws and emits no events.
-            inboxes.edit(nonempty_ascending(inboxes), |owner, inbox| {
-                let mut rng = labeled_rng_u64_pair(
-                    seed ^ self.salt,
-                    CORRUPT_CHANNEL_DOMAIN,
-                    round.value(),
-                    owner as u64,
-                );
-                degrade_inbox(
-                    inbox,
-                    &mut rng,
-                    owner,
-                    round,
-                    drop_p,
-                    corrupt_p,
-                    &mut dropped,
-                    &mut events,
-                );
-            });
-        }
+        inboxes.edit(owners, |owner, inbox| {
+            let mut rng = labeled_rng_u64_pair(
+                seed ^ self.salt,
+                CORRUPT_CHANNEL_DOMAIN,
+                round.value(),
+                owner as u64,
+            );
+            degrade_inbox(
+                inbox,
+                &mut rng,
+                owner,
+                round,
+                drop_p,
+                corrupt_p,
+                &mut dropped,
+                &mut events,
+            );
+            for _ in 0..self.garbage_messages {
+                let mut payload = vec![0u8; rng.gen_range(0..24)];
+                rng.fill_bytes(&mut payload);
+                let from = ProcessId(rng.gen_range(0..n));
+                inbox.push(Message::new(from, round, payload));
+            }
+        });
         dropped
     }
 }
@@ -426,61 +330,6 @@ mod tests {
         (processes, inboxes)
     }
 
-    #[test]
-    fn state_only_scrambles_targets() {
-        let (mut ps, mut inboxes) = fixture();
-        TransientFault::state_only([0, 2], 1).apply(9, Round(0), &mut ps, &mut inboxes, None);
-        let flags: Vec<bool> = ps
-            .iter()
-            .map(|p| p.as_any().downcast_ref::<Scrambleable>().unwrap().scrambled)
-            .collect();
-        assert_eq!(flags, vec![true, false, true]);
-        // Channels untouched.
-        assert_eq!(inboxes.slot(0).len(), 1);
-        assert_eq!(inboxes.slot(0)[0].bytes(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn total_fault_touches_everything() {
-        let (mut ps, mut inboxes) = fixture();
-        TransientFault::total(3, 2).apply(9, Round(0), &mut ps, &mut inboxes, None);
-        assert!(ps
-            .iter()
-            .all(|p| p.as_any().downcast_ref::<Scrambleable>().unwrap().scrambled));
-        // Garbage injected into every inbox.
-        assert!((0..3).all(|i| !inboxes.slot(i).is_empty()));
-    }
-
-    #[test]
-    fn corruption_changes_payload() {
-        let (mut ps, mut inboxes) = fixture();
-        let fault = TransientFault {
-            corrupt_messages_p: 1.0,
-            ..TransientFault::default()
-        };
-        fault.apply(9, Round(0), &mut ps, &mut inboxes, None);
-        assert_ne!(inboxes.slot(0)[0].bytes(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn different_salts_differ() {
-        let (mut ps1, mut in1) = fixture();
-        let (mut ps2, mut in2) = fixture();
-        TransientFault::total(3, 1).apply(9, Round(0), &mut ps1, &mut in1, None);
-        TransientFault::total(3, 2).apply(9, Round(0), &mut ps2, &mut in2, None);
-        let v1 = ps1[0]
-            .as_any()
-            .downcast_ref::<Scrambleable>()
-            .unwrap()
-            .value;
-        let v2 = ps2[0]
-            .as_any()
-            .downcast_ref::<Scrambleable>()
-            .unwrap()
-            .value;
-        assert_ne!(v1, v2);
-    }
-
     fn scrambled(ps: &[Box<dyn Process>]) -> Vec<bool> {
         ps.iter()
             .map(|p| p.as_any().downcast_ref::<Scrambleable>().unwrap().scrambled)
@@ -494,10 +343,60 @@ mod tests {
     fn family(targets: CorruptionTargets) -> CorruptionFamily {
         CorruptionFamily {
             targets,
-            corrupt_messages_p: 0.0,
-            drop_messages_p: 0.0,
-            salt: 5,
+            ..CorruptionFamily::state_only([], 5)
         }
+    }
+
+    #[test]
+    fn state_only_scrambles_targets() {
+        let (mut ps, mut inboxes) = fixture();
+        let topo = Topology::complete(3);
+        CorruptionFamily::state_only([0, 2], 1).apply(
+            9,
+            Round(0),
+            &topo,
+            &mut ps,
+            &mut inboxes,
+            None,
+        );
+        assert_eq!(scrambled(&ps), vec![true, false, true]);
+        // Channels untouched.
+        assert_eq!(inboxes.slot(0).len(), 1);
+        assert_eq!(inboxes.slot(0)[0].bytes(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn total_fault_touches_everything() {
+        let (mut ps, mut inboxes) = fixture();
+        let topo = Topology::complete(3);
+        CorruptionFamily::total(2).apply(9, Round(0), &topo, &mut ps, &mut inboxes, None);
+        assert_eq!(scrambled(&ps), vec![true, true, true]);
+        // Garbage injected into every inbox.
+        assert!((0..3).all(|i| !inboxes.slot(i).is_empty()));
+    }
+
+    #[test]
+    fn corruption_changes_payload() {
+        let (mut ps, mut inboxes) = fixture();
+        let topo = Topology::complete(3);
+        let f = CorruptionFamily {
+            corrupt_messages_p: 1.0,
+            ..family(CorruptionTargets::Fixed(Vec::new()))
+        };
+        f.apply(9, Round(0), &topo, &mut ps, &mut inboxes, None);
+        assert_ne!(inboxes.slot(0)[0].bytes(), &[1, 2, 3]);
+        assert_ne!(inboxes.slot(2)[0].bytes(), &[4]);
+        assert_eq!(scrambled(&ps), vec![false, false, false]);
+    }
+
+    #[test]
+    fn different_salts_differ() {
+        let (mut ps1, mut in1) = fixture();
+        let (mut ps2, mut in2) = fixture();
+        let topo = Topology::complete(3);
+        CorruptionFamily::total(1).apply(9, Round(0), &topo, &mut ps1, &mut in1, None);
+        CorruptionFamily::total(2).apply(9, Round(0), &topo, &mut ps2, &mut in2, None);
+        assert_ne!(value_of(&ps1, 0), value_of(&ps2, 0));
     }
 
     #[test]
@@ -587,24 +486,17 @@ mod tests {
     fn intensity_family_degrades_channels() {
         let (mut ps, mut inboxes) = fixture();
         let topo = Topology::complete(3);
-        let f = CorruptionFamily {
-            targets: CorruptionTargets::Fixed(Vec::new()),
-            corrupt_messages_p: 1.0,
-            drop_messages_p: 0.0,
-            salt: 0,
-        };
-        f.apply(9, Round(0), &topo, &mut ps, &mut inboxes, None);
-        assert_ne!(inboxes.slot(0)[0].bytes(), &[1, 2, 3]);
-        assert_eq!(scrambled(&ps), vec![false, false, false]);
-
-        let (mut ps, mut inboxes) = fixture();
-        let dropped = CorruptionFamily {
-            drop_messages_p: 1.0,
-            ..f
-        }
-        .apply(9, Round(0), &topo, &mut ps, &mut inboxes, None);
+        let dropped = CorruptionFamily::intensity(0, 1.0, 0).apply(
+            9,
+            Round(0),
+            &topo,
+            &mut ps,
+            &mut inboxes,
+            None,
+        );
         assert_eq!(dropped, 2, "both in-flight messages dropped");
         assert_eq!(inboxes.pending(), 0);
+        assert_eq!(scrambled(&ps), vec![false, false, false]);
     }
 
     /// A seeded mix of empty, short and long inboxes over `n` processes.
@@ -630,89 +522,26 @@ mod tests {
     }
 
     #[test]
-    fn transient_fault_rewrites_the_store_like_plain_vecs() {
-        // The injector's channel half, written over one `Vec` per process
-        // with the same sequential stream: the store must end up with the
-        // same contents, drop count and events.
-        let (n, seed, round) = (9, 11, Round(3));
-        let faults = [
-            // The total fault's channel half (nobody to scramble).
-            TransientFault::total(0, 4),
-            TransientFault {
-                garbage_messages: 1,
-                ..TransientFault::default()
-            },
-            TransientFault {
-                corrupt_messages_p: 0.5,
-                drop_messages_p: 0.4,
-                salt: 6,
-                ..TransientFault::default()
-            },
-            TransientFault {
-                drop_messages_p: 1.0,
-                ..TransientFault::default()
-            },
-        ];
-        for fault in faults {
-            let mut plain = random_slots(n, seed);
-            let mut inboxes = Inboxes::from_slots(plain.clone());
-            let mut sink = EventSink::with_capacity(1 << 12);
-            let dropped = fault.apply(
-                seed,
-                round,
-                &mut unscrambled(n),
-                &mut inboxes,
-                Some(&mut sink),
-            );
-
-            let mut rng = labeled_rng_u64(seed ^ fault.salt, FAULT_DOMAIN, round.value());
-            let mut expected_sink = EventSink::with_capacity(1 << 12);
-            let mut events = Some(&mut expected_sink);
-            let mut expected_dropped = 0;
-            let (drop_p, corrupt_p) = (fault.drop_messages_p, fault.corrupt_messages_p);
-            // Garbage lands in every inbox; drop/corrupt alone visit only
-            // the ones holding messages.
-            let everywhere = fault.garbage_messages > 0;
-            let touched: Vec<usize> = (0..n)
-                .filter(|&i| everywhere || !plain[i].is_empty())
-                .collect();
-            for (owner, inbox) in plain.iter_mut().enumerate() {
-                if !everywhere && inbox.is_empty() {
-                    continue;
-                }
-                degrade_inbox(
-                    inbox,
-                    &mut rng,
-                    owner,
-                    round,
-                    drop_p,
-                    corrupt_p,
-                    &mut expected_dropped,
-                    &mut events,
-                );
-                for _ in 0..fault.garbage_messages {
-                    let mut payload = vec![0u8; rng.gen_range(0..24)];
-                    rng.fill_bytes(&mut payload);
-                    let from = ProcessId(rng.gen_range(0..n));
-                    inbox.push(Message::new(from, round, payload));
-                }
-            }
-            assert_same_slots(&inboxes, &plain, &touched);
-            assert_eq!(dropped, expected_dropped);
-            assert!(dropped > 0 || drop_p == 0.0, "the fault did something");
-            assert_eq!(sink.drain(), expected_sink.drain());
-        }
-    }
-
-    #[test]
     fn corruption_family_rewrites_the_store_like_plain_vecs() {
+        // The channel half, written over one `Vec` per process with the
+        // same per-owner keyed streams: the store must end up with the same
+        // contents, drop count and events.
         let (n, seed, round) = (9, 12, Round(5));
         let topo = Topology::ring(n);
-        for (corrupt_p, drop_p) in [(0.5, 0.4), (1.0, 0.0), (0.0, 1.0)] {
+        let inputs = [
+            (0.5, 0.4, 0),
+            (1.0, 0.0, 0),
+            (0.0, 1.0, 0),
+            // The total fault's channel half.
+            (1.0, 0.25, 2),
+            (0.0, 0.0, 1),
+        ];
+        for (corrupt_p, drop_p, garbage) in inputs {
             let f = CorruptionFamily {
                 targets: CorruptionTargets::Fixed(Vec::new()),
                 corrupt_messages_p: corrupt_p,
                 drop_messages_p: drop_p,
+                garbage_messages: garbage,
                 salt: 3,
             };
             let mut plain = random_slots(n, seed);
@@ -730,7 +559,11 @@ mod tests {
             let mut expected_sink = EventSink::with_capacity(1 << 12);
             let mut events = Some(&mut expected_sink);
             let mut expected_dropped = 0;
-            let touched: Vec<usize> = (0..n).filter(|&i| !plain[i].is_empty()).collect();
+            // Garbage lands in every inbox; drop/corrupt alone visit only
+            // the ones holding messages.
+            let touched: Vec<usize> = (0..n)
+                .filter(|&i| garbage > 0 || !plain[i].is_empty())
+                .collect();
             for (owner, inbox) in plain.iter_mut().enumerate() {
                 let mut rng = labeled_rng_u64_pair(
                     seed ^ f.salt,
@@ -748,6 +581,12 @@ mod tests {
                     &mut expected_dropped,
                     &mut events,
                 );
+                for _ in 0..garbage {
+                    let mut payload = vec![0u8; rng.gen_range(0..24)];
+                    rng.fill_bytes(&mut payload);
+                    let from = ProcessId(rng.gen_range(0..n));
+                    inbox.push(Message::new(from, round, payload));
+                }
             }
             assert_same_slots(&inboxes, &plain, &touched);
             assert_eq!(dropped, expected_dropped);

@@ -180,7 +180,7 @@ impl Inboxes {
     }
 
     /// Touched slot indices in ascending order — the deterministic visit
-    /// order fault injectors use so their event streams stay coordinate-
+    /// order a transient fault uses so its event stream stays coordinate-
     /// ordered.
     pub(crate) fn touched_sorted(&self) -> Vec<usize> {
         let mut ids = self.touched.clone();

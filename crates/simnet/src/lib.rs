@@ -13,9 +13,11 @@
 //!   in lock-step rounds over a [`Topology`](topology::Topology);
 //! * [`adversary`] wraps processes in Byzantine behaviours (silence,
 //!   equivocation, random noise, collusion);
-//! * [`fault`] injects *transient faults*: scrambling process states and
-//!   in-flight messages so self-stabilization can be exercised from genuinely
-//!   arbitrary configurations;
+//! * [`fault`] describes every *transient fault* as one
+//!   [`CorruptionFamily`](fault::CorruptionFamily): it scrambles process
+//!   states, drops, corrupts and fabricates in-flight messages, each draw
+//!   keyed by `(seed, id, round)`, so self-stabilization can be exercised
+//!   from genuinely arbitrary configurations, once or on a schedule;
 //! * everything is seeded and deterministic — a run is a pure function of
 //!   `(program, topology, seed)` — so experiments are replayable.
 //!
@@ -203,7 +205,7 @@ pub mod trace;
 /// Convenient glob import for simulator users.
 pub mod prelude {
     pub use crate::adversary::{Adversary, ByzantineProcess};
-    pub use crate::fault::{CorruptionFamily, CorruptionTargets, TransientFault};
+    pub use crate::fault::{CorruptionFamily, CorruptionTargets};
     pub use crate::ids::{ProcessId, Round};
     pub use crate::message::Message;
     pub use crate::process::{Context, Process};

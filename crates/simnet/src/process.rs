@@ -48,8 +48,10 @@ pub trait Process: Send {
     /// Transient-fault hook: overwrite internal state with arbitrary values.
     ///
     /// Self-stabilization proofs quantify over *arbitrary starting
-    /// configurations*; the fault injector calls this to produce them. The
-    /// default is a no-op for stateless processes.
+    /// configurations*; a [`CorruptionFamily`](crate::fault::CorruptionFamily)
+    /// calls this on each process it targets, with an RNG keyed by
+    /// `(seed, round, id)`, to produce them. The default is a no-op for
+    /// stateless processes.
     fn scramble(&mut self, rng: &mut StdRng) {
         let _ = rng;
     }

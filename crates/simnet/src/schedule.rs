@@ -2,7 +2,8 @@
 //!
 //! The scenario engine describes *when* a run's environment changes —
 //! a processor is punitively disconnected, a partition heals, a transient
-//! fault scrambles the configuration, the loss model degrades — as a
+//! fault (a [`CorruptionFamily`], once or recurring) scrambles the
+//! configuration, the loss model degrades — as a
 //! [`Schedule`] attached to the [`Simulation`](crate::sim::Simulation).
 //! Each entry fires at the *start* of its round, before any process takes
 //! its step, so the round's deliveries already reflect the new topology
@@ -10,7 +11,7 @@
 //! specs `Clone + Send + Sync` and lets sweep workers share one spec
 //! across threads.
 
-use crate::fault::{CorruptionFamily, TransientFault};
+use crate::fault::CorruptionFamily;
 use crate::ids::{ProcessId, Round};
 use crate::sim::Delivery;
 use crate::topology::Topology;
@@ -43,8 +44,6 @@ pub enum ScheduledAction {
         /// The other endpoint.
         b: ProcessId,
     },
-    /// Inject a transient fault (arbitrary-configuration scrambling).
-    Inject(TransientFault),
     /// Apply a seed-derived corruption family: scramble a strategy-chosen
     /// set of process states and degrade in-flight messages, with every
     /// RNG draw keyed by `(seed, id, round)` coordinates — see
@@ -115,7 +114,6 @@ impl ScheduledAction {
             ScheduledAction::Reconnect(..) => "reconnect",
             ScheduledAction::CutLink { .. } => "cut_link",
             ScheduledAction::HealLink { .. } => "heal_link",
-            ScheduledAction::Inject(_) => "inject",
             ScheduledAction::Corrupt(..) => "corrupt",
             ScheduledAction::SetDelivery(_) => "set_delivery",
         }

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::fault::{CorruptionFamily, TransientFault};
+use crate::fault::CorruptionFamily;
 use crate::ids::{ProcessId, Round};
 use crate::inbox::Inboxes;
 use crate::message::Message;
@@ -748,7 +748,6 @@ impl Simulation {
             ScheduledAction::HealLink { a, b } => {
                 let _ = self.topology.heal_link(a, b);
             }
-            ScheduledAction::Inject(fault) => self.inject(&fault),
             // Recurrence is the schedule's concern: by the time the entry
             // pops out of `next_due` the re-fire (if any) is already armed.
             ScheduledAction::Corrupt(family, _) => self.corrupt(&family),
@@ -756,35 +755,15 @@ impl Simulation {
         }
     }
 
-    /// Applies a transient fault (see [`fault`](crate::fault)).
-    pub fn inject(&mut self, fault: &TransientFault) {
-        let dropped = fault.apply(
-            self.seed,
-            self.round,
-            &mut self.processes,
-            &mut self.inboxes,
-            self.telemetry.as_mut(),
-        );
-        self.trace.messages_dropped_fault += dropped;
-        // Scrambled states must be re-examined at the next pulse even if
-        // their inboxes stay empty (touched inboxes wake themselves).
-        let n = self.processes.len();
-        self.woken.extend(
-            fault
-                .scramble
-                .iter()
-                .map(|id| id.index())
-                .filter(|&i| i < n),
-        );
-    }
-
-    /// Applies a [`CorruptionFamily`]: scrambles the strategy-selected
-    /// process states and degrades pending in-flight messages, with every
-    /// draw keyed by `(seed, id, round)` coordinates (see
-    /// [`fault`](crate::fault)). Dropped messages are accounted to
-    /// [`Trace::messages_dropped_fault`]. Usually reached through
-    /// [`ScheduledAction::Corrupt`], which fires at the start of its round
-    /// so the round's deliveries already reflect the corrupted channels.
+    /// Applies a transient fault, described by a [`CorruptionFamily`]:
+    /// scrambles the strategy-selected process states, degrades pending
+    /// in-flight messages and adds garbage ones, with every draw keyed by
+    /// `(seed, id, round)` coordinates (see [`fault`](crate::fault)).
+    /// Dropped messages are accounted to
+    /// [`Trace::messages_dropped_fault`]. Call it between runs, or schedule
+    /// it as [`ScheduledAction::Corrupt`], which fires at the start of its
+    /// round so the round's deliveries already reflect the corrupted
+    /// channels.
     pub fn corrupt(&mut self, family: &CorruptionFamily) {
         let dropped = family.apply(
             self.seed,
@@ -797,7 +776,7 @@ impl Simulation {
         // resolve_targets is a pure function of (seed ^ salt, round), so
         // re-resolving after `apply` replays the same selection; the
         // scrambled victims must be re-examined at the next pulse even if
-        // their inboxes stay empty.
+        // their inboxes stay empty (touched inboxes wake themselves).
         let targets = family.resolve_targets(&self.topology, self.seed, self.round);
         self.woken.extend(targets.iter().map(|id| id.index()));
         if let Some(sink) = &mut self.telemetry {
@@ -1128,57 +1107,47 @@ mod tests {
     }
 
     #[test]
-    fn schedule_injects_fault_and_counts_drops() {
-        let schedule = Schedule::new().at(
-            2,
-            ScheduledAction::Inject(TransientFault {
-                drop_messages_p: 1.0,
-                ..TransientFault::default()
-            }),
-        );
-        let mut sim = Simulation::builder(Topology::complete(3))
-            .schedule(schedule)
-            .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>);
-        sim.run(3);
-        // The fault fires at the start of round 2 and wipes the 6 messages
-        // sent during round 1.
-        assert_eq!(sim.trace().messages_dropped_fault, 6);
-        assert_eq!(
-            sim.process_as::<Counter>(ProcessId(0)).unwrap().received,
-            2,
-            "only round 0's broadcasts survived"
-        );
-    }
-
-    #[test]
     fn scheduled_corruption_counts_drops_and_is_shard_invariant() {
         use crate::fault::CorruptionTargets;
-        let family = CorruptionFamily {
+        let wipe = CorruptionFamily {
+            drop_messages_p: 1.0,
+            ..CorruptionFamily::state_only([], 0)
+        };
+        let scramble_and_wipe = CorruptionFamily {
             targets: CorruptionTargets::RandomK(2),
             corrupt_messages_p: 0.5,
             drop_messages_p: 1.0,
+            garbage_messages: 0,
             salt: 3,
         };
-        let build = |shards: usize| {
-            Simulation::builder(Topology::complete(6))
-                .seed(11)
-                .shards(shards)
-                .schedule(Schedule::new().at(
-                    2,
-                    ScheduledAction::Corrupt(family.clone(), Recurrence::Once),
-                ))
-                .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>)
-        };
-        let mut serial = build(1);
-        serial.run(5);
-        // The corruption fires at the start of round 2 and drops all 30
-        // messages sent during round 1.
-        assert_eq!(serial.trace().messages_dropped_fault, 30);
+        for (n, family) in [(3, wipe), (6, scramble_and_wipe)] {
+            let build = |shards: usize| {
+                Simulation::builder(Topology::complete(n))
+                    .seed(11)
+                    .shards(shards)
+                    .schedule(Schedule::new().at(
+                        2,
+                        ScheduledAction::Corrupt(family.clone(), Recurrence::Once),
+                    ))
+                    .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>)
+            };
+            let mut serial = build(1);
+            serial.run(5);
+            // The corruption fires at the start of round 2 and drops all
+            // n(n - 1) messages sent during round 1, so of rounds 1–4 only
+            // round 2 delivers nothing.
+            assert_eq!(serial.trace().messages_dropped_fault, (n * (n - 1)) as u64);
+            assert_eq!(
+                serial.process_as::<Counter>(ProcessId(0)).unwrap().received,
+                3 * (n - 1),
+                "n={n}"
+            );
 
-        for shards in [2, 3, 6] {
-            let mut sharded = build(shards);
-            sharded.run(5);
-            assert_eq!(serial.trace(), sharded.trace(), "shards={shards}");
+            for shards in [2, 3, 6].into_iter().filter(|&s| s <= n) {
+                let mut sharded = build(shards);
+                sharded.run(5);
+                assert_eq!(serial.trace(), sharded.trace(), "n={n} shards={shards}");
+            }
         }
     }
 
@@ -1190,6 +1159,7 @@ mod tests {
             targets: CorruptionTargets::RandomK(2),
             corrupt_messages_p: 0.0,
             drop_messages_p: 1.0,
+            garbage_messages: 0,
             salt: 3,
         };
         let build = |shards: usize| {
@@ -1241,6 +1211,7 @@ mod tests {
             targets: CorruptionTargets::RandomK(2),
             corrupt_messages_p: 0.5,
             drop_messages_p: 0.7,
+            garbage_messages: 0,
             salt: 3,
         };
         let build = |shards: usize| {
@@ -1559,6 +1530,7 @@ mod tests {
             targets: CorruptionTargets::RandomK(3),
             corrupt_messages_p: 0.5,
             drop_messages_p: 0.3,
+            garbage_messages: 0,
             salt: 5,
         };
         for topology in [Topology::star(12), Topology::grid(4, 5)] {

@@ -162,7 +162,7 @@ where
         .collect()
 }
 
-/// The mutable per-process access fault injectors need, implemented by
+/// The mutable per-process access a transient fault needs, implemented by
 /// the simulator's store and by plain boxed vectors (the fault fixtures).
 pub(crate) trait ProcessAccess {
     fn get_mut(&mut self, i: usize) -> Option<&mut dyn Process>;

@@ -54,11 +54,10 @@ fn build(runtime: Runtime, shards: usize) -> Simulation {
     Simulation::builder(Topology::grid(4, 4))
         .seed(99)
         .delivery(Delivery::Lossy { p: 0.25 })
-        .schedule(
-            Schedule::new()
-                .bisect(&Topology::grid(4, 4), 3, 9)
-                .at(5, ScheduledAction::Inject(TransientFault::total(16, 2))),
-        )
+        .schedule(Schedule::new().bisect(&Topology::grid(4, 4), 3, 9).at(
+            5,
+            ScheduledAction::Corrupt(CorruptionFamily::total(2), Recurrence::Once),
+        ))
         .shards(shards)
         .runtime(runtime)
         .build_with(|id| {

@@ -57,10 +57,13 @@ impl Process for HistoryChatter {
 
 /// A churn schedule touching every intervention kind: a disconnect, a
 /// reconnect, a delivery-model switch and a transient fault.
-fn churn_schedule(n: usize) -> Schedule {
+fn churn_schedule() -> Schedule {
     Schedule::new()
         .at(2, ScheduledAction::Disconnect(ProcessId(1)))
-        .at(4, ScheduledAction::Inject(TransientFault::total(n, 5)))
+        .at(
+            4,
+            ScheduledAction::Corrupt(CorruptionFamily::total(5), Recurrence::Once),
+        )
         .at(
             6,
             ScheduledAction::Reconnect(ProcessId(1), vec![ProcessId(0), ProcessId(2)]),
@@ -74,7 +77,7 @@ fn build(topology: Topology, shards: usize, colluders: bool) -> Simulation {
     Simulation::builder(topology)
         .seed(1234)
         .delivery(Delivery::Lossy { p: 0.2 })
-        .schedule(churn_schedule(n))
+        .schedule(churn_schedule())
         .shards(shards)
         .build_with(|id| {
             if colluders && id.index() >= n - 2 {

@@ -92,7 +92,7 @@ fn a_scramble_wakes_exactly_the_scrambled_processes() {
     let mut sim = Simulation::builder(Topology::ring(n))
         .build_with(|_| Box::new(StepCounter { steps: 0 }) as Box<dyn Process>);
     sim.run(5);
-    sim.inject(&TransientFault::state_only([3, 9], 1));
+    sim.corrupt(&CorruptionFamily::state_only([3, 9], 1));
     sim.run(5);
     for i in 0..n {
         let expected = usize::from(i == 3 || i == 9);
@@ -105,7 +105,7 @@ fn a_due_schedule_entry_fires_in_an_otherwise_quiescent_round() {
     let n = 8;
     let schedule = Schedule::new().at(
         3,
-        ScheduledAction::Inject(TransientFault::state_only([0], 7)),
+        ScheduledAction::Corrupt(CorruptionFamily::state_only([0], 7), Recurrence::Once),
     );
     let mut sim = Simulation::builder(Topology::ring(n))
         .schedule(schedule)

@@ -5,8 +5,9 @@
 //! commit, reveal and one Byzantine agreement on the foul set — §3.3 of
 //! the paper executed literally. One processor plays deliberate non-best
 //! responses and its executive disconnects it on the agreed foul set; then a
-//! transient fault scrambles everything and the middleware recovers
-//! (Theorem 1's self-stabilization).
+//! total transient fault (`CorruptionFamily::total`) scrambles every
+//! processor's state and turns the channels to garbage, and the middleware
+//! recovers (Theorem 1's self-stabilization).
 //!
 //! ```text
 //! cargo run --example selfish_cluster
@@ -17,7 +18,7 @@ use game_authority_suite::authority::distributed::{
     build_authority_sim, AuthorityCluster, AuthorityProcess,
 };
 use game_authority_suite::games::congestion;
-use game_authority_suite::simnet::fault::TransientFault;
+use game_authority_suite::simnet::fault::CorruptionFamily;
 use game_authority_suite::simnet::ids::ProcessId;
 
 fn main() {
@@ -49,7 +50,7 @@ fn main() {
     println!("processor 3 disconnected? {}\n", p0.punished()[3]);
 
     println!("injecting a total transient fault (arbitrary configuration)…");
-    sim.inject(&TransientFault::total(4, 0xDEAD));
+    sim.corrupt(&CorruptionFamily::total(0xDEAD));
     sim.run(modulus * 40);
     let before = sim
         .process_as::<AuthorityProcess>(ProcessId(0))
