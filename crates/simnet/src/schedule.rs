@@ -45,9 +45,9 @@ pub enum ScheduledAction {
         b: ProcessId,
     },
     /// Apply a seed-derived corruption family: scramble a strategy-chosen
-    /// set of process states and degrade in-flight messages, with every
-    /// RNG draw keyed by `(seed, id, round)` coordinates — see
-    /// [`CorruptionFamily`].
+    /// set of process states, degrade in-flight messages and add garbage
+    /// ones, with every RNG draw keyed by `(seed, id, round)` coordinates —
+    /// see [`CorruptionFamily`].
     ///
     /// The [`Recurrence`] makes sustained adversity (the "unsupportive
     /// environment" of Dolev & Herman) schedulable without materializing

@@ -86,11 +86,13 @@ echo "==> recovery trace identity (summaries against the committed snapshots, ev
 # two runs above summarise (scripts/regen_goldens.sh copies the same
 # --no-records file), so a snapshot can no longer go stale unnoticed, and
 # a change to the clock pulse, the SSBA activation, the authority's
-# recovery or the BFS workloads fails here by name. The two snapshots and
-# the unsupportive digest (no agreement inside) predate PR 21; the
-# stabilize digest is PR 23's — the SSBA's OM frames, same reason as
-# above. A deliberate behaviour change regenerates all of them with
-# scripts/regen_goldens.sh, which prints the ones that moved.
+# recovery or the BFS workloads fails here by name. The unsupportive
+# snapshot and digest carry no agreement; the stabilize digest carries the
+# SSBA's OM frames, so it moves with them, same reason as above. The
+# stabilize snapshot last moved when the total transient fault became a
+# coordinate-keyed CorruptionFamily (stabilize_port_ssba_closure's
+# agreements alone). A deliberate behaviour change regenerates all of
+# them with scripts/regen_goldens.sh, which prints the ones that moved.
 cmp target/scenario_stab_a.json tests/golden/stabilize_summary.json
 cmp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
 (cd target && sha256sum -c ../tests/golden/recovery_events.sha256)
