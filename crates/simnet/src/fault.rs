@@ -521,77 +521,103 @@ mod tests {
         assert_eq!(inboxes.touched_sorted(), touched);
     }
 
+    /// Applies `f`'s channel half to a seeded store and to one `Vec` per
+    /// process written with the same per-owner keyed streams: the store
+    /// must end up with the same contents, drop count and events.
+    fn assert_rewrites_like_plain_vecs(f: &CorruptionFamily, n: usize, seed: u64, round: Round) {
+        let topo = Topology::ring(n);
+        let (drop_p, corrupt_p, garbage) =
+            (f.drop_messages_p, f.corrupt_messages_p, f.garbage_messages);
+        let mut plain = random_slots(n, seed);
+        let mut inboxes = Inboxes::from_slots(plain.clone());
+        let mut sink = EventSink::with_capacity(1 << 12);
+        let dropped = f.apply(
+            seed,
+            round,
+            &topo,
+            &mut unscrambled(n),
+            &mut inboxes,
+            Some(&mut sink),
+        );
+
+        let mut expected_sink = EventSink::with_capacity(1 << 12);
+        let mut events = Some(&mut expected_sink);
+        let mut expected_dropped = 0;
+        // Garbage lands in every inbox; drop/corrupt alone visit only the
+        // ones holding messages.
+        let touched: Vec<usize> = (0..n)
+            .filter(|&i| garbage > 0 || !plain[i].is_empty())
+            .collect();
+        for (owner, inbox) in plain.iter_mut().enumerate() {
+            let mut rng = labeled_rng_u64_pair(
+                seed ^ f.salt,
+                CORRUPT_CHANNEL_DOMAIN,
+                round.value(),
+                owner as u64,
+            );
+            degrade_inbox(
+                inbox,
+                &mut rng,
+                owner,
+                round,
+                drop_p,
+                corrupt_p,
+                &mut expected_dropped,
+                &mut events,
+            );
+            for _ in 0..garbage {
+                let mut payload = vec![0u8; rng.gen_range(0..24)];
+                rng.fill_bytes(&mut payload);
+                let from = ProcessId(rng.gen_range(0..n));
+                inbox.push(Message::new(from, round, payload));
+            }
+        }
+        assert_same_slots(&inboxes, &plain, &touched);
+        assert_eq!(dropped, expected_dropped);
+        assert!(dropped > 0 || drop_p == 0.0, "the fault did something");
+        assert_eq!(sink.drain(), expected_sink.drain());
+    }
+
+    #[test]
+    fn transient_fault_rewrites_the_store_like_plain_vecs() {
+        // The inputs of the retired sequential injector, now carried by the
+        // family's channel half: the total fault (nobody to scramble),
+        // garbage alone, a corrupt/drop mix and drop-everything.
+        let channels_only = CorruptionFamily::state_only([], 0);
+        let faults = [
+            CorruptionFamily {
+                targets: CorruptionTargets::Fixed(Vec::new()),
+                ..CorruptionFamily::total(4)
+            },
+            CorruptionFamily {
+                garbage_messages: 1,
+                ..channels_only.clone()
+            },
+            CorruptionFamily {
+                corrupt_messages_p: 0.5,
+                drop_messages_p: 0.4,
+                salt: 6,
+                ..channels_only.clone()
+            },
+            CorruptionFamily {
+                drop_messages_p: 1.0,
+                ..channels_only
+            },
+        ];
+        for f in &faults {
+            assert_rewrites_like_plain_vecs(f, 9, 11, Round(3));
+        }
+    }
+
     #[test]
     fn corruption_family_rewrites_the_store_like_plain_vecs() {
-        // The channel half, written over one `Vec` per process with the
-        // same per-owner keyed streams: the store must end up with the same
-        // contents, drop count and events.
-        let (n, seed, round) = (9, 12, Round(5));
-        let topo = Topology::ring(n);
-        let inputs = [
-            (0.5, 0.4, 0),
-            (1.0, 0.0, 0),
-            (0.0, 1.0, 0),
-            // The total fault's channel half.
-            (1.0, 0.25, 2),
-            (0.0, 0.0, 1),
-        ];
-        for (corrupt_p, drop_p, garbage) in inputs {
+        for (corrupt_p, drop_p) in [(0.5, 0.4), (1.0, 0.0), (0.0, 1.0)] {
             let f = CorruptionFamily {
-                targets: CorruptionTargets::Fixed(Vec::new()),
                 corrupt_messages_p: corrupt_p,
                 drop_messages_p: drop_p,
-                garbage_messages: garbage,
-                salt: 3,
+                ..CorruptionFamily::state_only([], 3)
             };
-            let mut plain = random_slots(n, seed);
-            let mut inboxes = Inboxes::from_slots(plain.clone());
-            let mut sink = EventSink::with_capacity(1 << 12);
-            let dropped = f.apply(
-                seed,
-                round,
-                &topo,
-                &mut unscrambled(n),
-                &mut inboxes,
-                Some(&mut sink),
-            );
-
-            let mut expected_sink = EventSink::with_capacity(1 << 12);
-            let mut events = Some(&mut expected_sink);
-            let mut expected_dropped = 0;
-            // Garbage lands in every inbox; drop/corrupt alone visit only
-            // the ones holding messages.
-            let touched: Vec<usize> = (0..n)
-                .filter(|&i| garbage > 0 || !plain[i].is_empty())
-                .collect();
-            for (owner, inbox) in plain.iter_mut().enumerate() {
-                let mut rng = labeled_rng_u64_pair(
-                    seed ^ f.salt,
-                    CORRUPT_CHANNEL_DOMAIN,
-                    round.value(),
-                    owner as u64,
-                );
-                degrade_inbox(
-                    inbox,
-                    &mut rng,
-                    owner,
-                    round,
-                    drop_p,
-                    corrupt_p,
-                    &mut expected_dropped,
-                    &mut events,
-                );
-                for _ in 0..garbage {
-                    let mut payload = vec![0u8; rng.gen_range(0..24)];
-                    rng.fill_bytes(&mut payload);
-                    let from = ProcessId(rng.gen_range(0..n));
-                    inbox.push(Message::new(from, round, payload));
-                }
-            }
-            assert_same_slots(&inboxes, &plain, &touched);
-            assert_eq!(dropped, expected_dropped);
-            assert!(dropped > 0 || drop_p == 0.0, "the fault did something");
-            assert_eq!(sink.drain(), expected_sink.drain());
+            assert_rewrites_like_plain_vecs(&f, 9, 12, Round(5));
         }
     }
 }
