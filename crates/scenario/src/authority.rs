@@ -29,14 +29,17 @@
 //!   following the protocol; the authority convicts whichever position it
 //!   landed on.
 
-use std::sync::Arc;
+use std::io::{self, Write};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use ga_games::congestion;
 use ga_simnet::prelude::*;
 use game_authority::agent::Behavior;
 use game_authority::distributed::{records_agree, AuthorityCluster, AuthorityProcess, PlayRecord};
 
-use crate::record::{Scenario, Verdict};
+use crate::json::Json;
+use crate::record::{RunRecord, Scenario, Verdict};
 use crate::spec::{PlacementStrategy, Role, ScenarioSpec, TopologyFamily};
 
 /// Play records of processor `id`, if it runs the authority protocol
@@ -88,26 +91,24 @@ fn authority_spec(name: &str, cluster: AuthorityCluster, plays: u64) -> Scenario
 }
 
 /// All agents honest: every play completes foul-free and identically.
-fn honest() -> Arc<dyn Scenario> {
+fn honest(plays: u64) -> ScenarioSpec {
     let n = 4;
-    Arc::new(
-        authority_spec(
-            "authority_honest",
-            AuthorityCluster::new(congestion(n), 1),
-            3,
-        )
-        .verdict(move |sim, record| {
-            Verdict::check(record.stopped_at.is_some(), "3 plays within the budget")
-                .and(Verdict::check(
-                    records_agree(sim, 0..n),
-                    "identical play records everywhere",
-                ))
-                .and(Verdict::check(
-                    play_records(sim, 0).is_some_and(|r| r.iter().all(|rec| rec.fouls == 0)),
-                    "honest plays carry no fouls",
-                ))
-        }),
+    authority_spec(
+        "authority_honest",
+        AuthorityCluster::new(congestion(n), 1),
+        plays,
     )
+    .verdict(move |sim, record| {
+        Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+            .and(Verdict::check(
+                records_agree(sim, 0..n),
+                "identical play records everywhere",
+            ))
+            .and(Verdict::check(
+                play_records(sim, 0).is_some_and(|r| r.iter().all(|rec| rec.fouls == 0)),
+                "honest plays carry no fouls",
+            ))
+    })
 }
 
 /// §3.2's selfish cluster: agents 5 and 6 play worst responses. Play 0
@@ -120,136 +121,244 @@ fn honest() -> Arc<dyn Scenario> {
 /// layer, and the clock keeps ticking past `f` convicted agents
 /// (`convicting_more_than_f_selfish_agents_keeps_the_clock` in
 /// `game_authority::distributed`).
-fn selfish_cluster() -> Arc<dyn Scenario> {
+fn selfish_cluster(plays: u64) -> ScenarioSpec {
     let n = 7;
     let cluster = AuthorityCluster::new(congestion(n), 2)
         .mode(5, Behavior::worst_response())
         .mode(6, Behavior::worst_response());
-    Arc::new(
-        authority_spec("authority_selfish_cluster", cluster, 3).verdict(move |sim, record| {
-            let caught = play_records(sim, 0).is_some_and(|r| {
-                r.len() >= 2 && r[0].fouls == 0 && r[1].fouls & 0b110_0000 == 0b110_0000
-            });
-            let survivors_clean = (0..5).all(|i| {
-                sim.process_as::<AuthorityProcess>(ProcessId(i))
-                    .is_some_and(|p| p.punished()[5] && p.punished()[6] && !p.punished()[i])
-            });
-            Verdict::check(record.stopped_at.is_some(), "3 plays within the budget")
-                .and(Verdict::check(
-                    caught,
-                    "the cluster must be convicted in the first audited play",
-                ))
-                .and(Verdict::check(
-                    survivors_clean,
-                    "every survivor disconnects exactly the cluster",
-                ))
-                .and(Verdict::check(
-                    records_agree(sim, 0..n),
-                    "identical play records everywhere",
-                ))
-        }),
-    )
+    authority_spec("authority_selfish_cluster", cluster, plays).verdict(move |sim, record| {
+        let caught = play_records(sim, 0).is_some_and(|r| {
+            r.len() >= 2 && r[0].fouls == 0 && r[1].fouls & 0b110_0000 == 0b110_0000
+        });
+        let survivors_clean = (0..5).all(|i| {
+            sim.process_as::<AuthorityProcess>(ProcessId(i))
+                .is_some_and(|p| p.punished()[5] && p.punished()[6] && !p.punished()[i])
+        });
+        Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+            .and(Verdict::check(
+                caught,
+                "the cluster must be convicted in the first audited play",
+            ))
+            .and(Verdict::check(
+                survivors_clean,
+                "every survivor disconnects exactly the cluster",
+            ))
+            .and(Verdict::check(
+                records_agree(sim, 0..n),
+                "identical play records everywhere",
+            ))
+    })
 }
 
 /// A lazy free-rider: participates in agreement but never commits or
 /// reveals. Convicted as missing in play 0; the survivors play on.
-fn mute() -> Arc<dyn Scenario> {
+fn mute(plays: u64) -> ScenarioSpec {
     let n = 4;
     let cluster = AuthorityCluster::new(congestion(n), 1).mode(3, Behavior::silent());
-    Arc::new(
-        authority_spec("authority_mute", cluster, 3).verdict(move |sim, record| {
-            let records = play_records(sim, 0).unwrap_or(&[]);
-            Verdict::check(record.stopped_at.is_some(), "3 plays within the budget")
-                .and(Verdict::check(
-                    records.first().is_some_and(|rec| rec.fouls & 0b1000 != 0),
-                    "the mute agent is convicted in play 0",
-                ))
-                .and(Verdict::check(
-                    records.last().is_some_and(|rec| rec.fouls & 0b0111 == 0),
-                    "the survivors play on foul-free",
-                ))
-                .and(Verdict::check(
-                    records_agree(sim, 0..n),
-                    "identical play records everywhere",
-                ))
-        }),
-    )
+    authority_spec("authority_mute", cluster, plays).verdict(move |sim, record| {
+        let records = play_records(sim, 0).unwrap_or(&[]);
+        Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+            .and(Verdict::check(
+                records.first().is_some_and(|rec| rec.fouls & 0b1000 != 0),
+                "the mute agent is convicted in play 0",
+            ))
+            .and(Verdict::check(
+                records.last().is_some_and(|rec| rec.fouls & 0b0111 == 0),
+                "the survivors play on foul-free",
+            ))
+            .and(Verdict::check(
+                records_agree(sim, 0..n),
+                "identical play records everywhere",
+            ))
+    })
 }
 
 /// Churn: a scheduled disconnect silences honest agent 3 during play 1,
 /// so the executive drops its demand (it is convicted as absent) and the
 /// survivors keep completing identical plays after the reconnect.
-fn churn() -> Arc<dyn Scenario> {
+fn churn(plays: u64) -> ScenarioSpec {
     let n = 4;
     let cluster = AuthorityCluster::new(congestion(n), 1);
     let period = cluster.play_len();
-    Arc::new(
-        authority_spec("authority_churn", cluster, 4)
-            .schedule(
-                Schedule::new()
-                    .at(period + 1, ScheduledAction::Disconnect(ProcessId(3)))
-                    .at(
-                        period * 2 + 1,
-                        ScheduledAction::Reconnect(ProcessId(3), (0..3).map(ProcessId).collect()),
-                    ),
-            )
-            .stop_when(move |sim| min_plays(sim, 0..3) >= 4)
-            .verdict(move |sim, record| {
-                let convicted = (0..3).all(|i| {
-                    sim.process_as::<AuthorityProcess>(ProcessId(i))
-                        .is_some_and(|p| p.punished()[3] && !p.punished()[i])
-                });
-                Verdict::check(record.stopped_at.is_some(), "4 plays within the budget")
-                    .and(Verdict::check(
-                        convicted,
-                        "the disconnected agent's demand is dropped (convicted as absent)",
-                    ))
-                    .and(Verdict::check(
-                        records_agree(sim, 0..3),
-                        "the survivors agree on every play",
-                    ))
-            }),
-    )
+    authority_spec("authority_churn", cluster, plays)
+        .schedule(
+            Schedule::new()
+                .at(period + 1, ScheduledAction::Disconnect(ProcessId(3)))
+                .at(
+                    period * 2 + 1,
+                    ScheduledAction::Reconnect(ProcessId(3), (0..3).map(ProcessId).collect()),
+                ),
+        )
+        .stop_when(move |sim| min_plays(sim, 0..3) >= plays)
+        .verdict(move |sim, record| {
+            let convicted = (0..3).all(|i| {
+                sim.process_as::<AuthorityProcess>(ProcessId(i))
+                    .is_some_and(|p| p.punished()[3] && !p.punished()[i])
+            });
+            Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+                .and(Verdict::check(
+                    convicted,
+                    "the disconnected agent's demand is dropped (convicted as absent)",
+                ))
+                .and(Verdict::check(
+                    records_agree(sim, 0..3),
+                    "the survivors agree on every play",
+                ))
+        })
 }
 
 /// A simnet-level noise adversary — random bytes, no protocol — placed
 /// per run seed by [`PlacementStrategy::RandomF`], so one spec covers
 /// the whole adversary-position family. The honest majority convicts
 /// whichever position it landed on.
-fn noise() -> Arc<dyn Scenario> {
+fn noise(plays: u64) -> ScenarioSpec {
     let n = 4;
     let cluster = AuthorityCluster::new(congestion(n), 1);
-    Arc::new(
-        authority_spec("authority_noise", cluster, 3)
-            .place(PlacementStrategy::RandomF {
-                f: 1,
-                role: Role::Noise { max_len: 24 },
-            })
-            .verdict(move |sim, record| {
-                let Some(noisy) = (0..n).find(|&id| play_records(sim, id).is_none()) else {
-                    return Verdict::Fail("no noise slot placed".into());
-                };
-                let honest: Vec<usize> = (0..n).filter(|&id| id != noisy).collect();
-                let convicted = honest.iter().all(|&i| {
-                    sim.process_as::<AuthorityProcess>(ProcessId(i))
-                        .is_some_and(|p| p.punished()[noisy] && !p.punished()[i])
-                });
-                Verdict::check(record.stopped_at.is_some(), "3 plays within the budget")
-                    .and(Verdict::check(
-                        convicted,
-                        "the noise position is convicted wherever it lands",
-                    ))
-                    .and(Verdict::check(
-                        records_agree(sim, honest.iter().copied()),
-                        "the honest majority agrees on every play",
-                    ))
-            }),
-    )
+    authority_spec("authority_noise", cluster, plays)
+        .place(PlacementStrategy::RandomF {
+            f: 1,
+            role: Role::Noise { max_len: 24 },
+        })
+        .verdict(move |sim, record| {
+            let Some(noisy) = (0..n).find(|&id| play_records(sim, id).is_none()) else {
+                return Verdict::Fail("no noise slot placed".into());
+            };
+            let honest: Vec<usize> = (0..n).filter(|&id| id != noisy).collect();
+            let convicted = honest.iter().all(|&i| {
+                sim.process_as::<AuthorityProcess>(ProcessId(i))
+                    .is_some_and(|p| p.punished()[noisy] && !p.punished()[i])
+            });
+            Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+                .and(Verdict::check(
+                    convicted,
+                    "the noise position is convicted wherever it lands",
+                ))
+                .and(Verdict::check(
+                    records_agree(sim, honest.iter().copied()),
+                    "the honest majority agrees on every play",
+                ))
+        })
 }
 
-/// The `authority` suite: every §3.3 play family as a spec.
+fn within_budget(plays: u64) -> String {
+    format!("{plays} plays within the budget")
+}
+
+/// The five configurations at `plays` plays each, every one with the ids
+/// whose agents deviate. The noise slot runs no authority processor, so it
+/// needs no entry.
+fn configurations(plays: u64) -> [(ScenarioSpec, &'static [usize]); 5] {
+    [
+        (honest(plays), &[]),
+        (selfish_cluster(plays), &[5, 6]),
+        (mute(plays), &[3]),
+        (churn(plays), &[3]),
+        (noise(plays), &[]),
+    ]
+}
+
+/// The `authority` suite: every §3.3 play family as a spec, three plays
+/// each (four under churn, whose second play loses agent 3).
 pub fn suite() -> Vec<Arc<dyn Scenario>> {
-    vec![honest(), selfish_cluster(), mute(), churn(), noise()]
+    [honest(3), selfish_cluster(3), mute(3), churn(4), noise(3)]
+        .into_iter()
+        .map(|spec| Arc::new(spec) as Arc<dyn Scenario>)
+        .collect()
+}
+
+/// Writes what every authority processor decided in the suite's five
+/// configurations, each run for `plays` plays at every one of `seeds`, as
+/// JSON lines in configuration, seed and processor order:
+///
+/// * one line per `(scenario, seed, processor, play)`: the outcome profile
+///   it recorded and the agreed foul mask;
+/// * then one line per `(scenario, seed, processor)`: the agents it has
+///   punished by the end of the run, and `records_agree`, whether every
+///   processor of an honest agent recorded the same plays (one value per
+///   run, repeated on each of its lines).
+///
+/// Lines are keyed by play index, never by pulse, and a processor's
+/// records past `plays` are left out, so a change to the wire, the
+/// encoding, the schedule or the speed leaves every line as it is, and a
+/// change to a decision names the play, the processor and the field that
+/// moved. A simnet-level adversary slot records nothing and has no line.
+/// `tests/golden/authority_plays.jsonl` holds this at seeds 0–7 and 10
+/// plays.
+pub fn write_plays(out: &mut impl Write, plays: u64, seeds: Range<u64>) -> io::Result<()> {
+    for (spec, deviants) in configurations(plays) {
+        let lines = Arc::new(Mutex::new(String::new()));
+        let sink = Arc::clone(&lines);
+        let spec = spec.probe(move |sim, record| {
+            let mut lines = sink.lock().expect("one run at a time");
+            decisions(&mut lines, sim, record, plays, deviants);
+        });
+        for seed in seeds.clone() {
+            spec.run(seed);
+            let mut lines = lines.lock().expect("the run is over");
+            out.write_all(lines.as_bytes())?;
+            lines.clear();
+        }
+    }
+    Ok(())
+}
+
+/// [`write_plays`]'s lines for one finished run.
+fn decisions(
+    lines: &mut String,
+    sim: &Simulation,
+    record: &RunRecord,
+    plays: u64,
+    deviants: &[usize],
+) {
+    let ids: Vec<usize> = (0..sim.len())
+        .filter(|&id| play_records(sim, id).is_some())
+        .collect();
+    let honest = ids.iter().copied().filter(|id| !deviants.contains(id));
+    let agree = records_agree(sim, honest);
+    let head = |id: usize| {
+        vec![
+            ("scenario", Json::str(&record.scenario)),
+            ("seed", Json::Uint(record.seed)),
+            ("processor", Json::Uint(id as u64)),
+        ]
+    };
+    let line = |lines: &mut String, fields| {
+        lines.push_str(&Json::obj(fields).render());
+        lines.push('\n');
+    };
+    for &id in &ids {
+        let p = sim
+            .process_as::<AuthorityProcess>(ProcessId(id))
+            .expect("an authority slot");
+        for (play, rec) in p.records().iter().take(plays as usize).enumerate() {
+            let outcome = rec.outcome.actions().iter();
+            let mut fields = head(id);
+            fields.extend([
+                ("play", Json::Uint(play as u64)),
+                (
+                    "outcome",
+                    Json::Arr(outcome.map(|&a| Json::Uint(a as u64)).collect()),
+                ),
+                ("fouls", Json::Uint(rec.fouls)),
+            ]);
+            line(lines, fields);
+        }
+    }
+    for &id in &ids {
+        let p = sim
+            .process_as::<AuthorityProcess>(ProcessId(id))
+            .expect("an authority slot");
+        let punished = (0..p.punished().len()).filter(|&agent| p.punished()[agent]);
+        let mut fields = head(id);
+        fields.extend([
+            (
+                "punished",
+                Json::Arr(punished.map(|a| Json::Uint(a as u64)).collect()),
+            ),
+            ("records_agree", Json::Bool(agree)),
+        ]);
+        line(lines, fields);
+    }
 }
 
 #[cfg(test)]

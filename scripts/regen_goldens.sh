@@ -5,6 +5,8 @@
 #   tests/golden/recovery_events.sha256   stabilize / unsupportive event JSONL
 #   tests/golden/stabilize_summary.json     stabilize --no-records summary
 #   tests/golden/unsupportive_summary.json  unsupportive --no-records summary
+#   tests/golden/authority_plays.jsonl     what each authority processor decided,
+#                                          play by play (tests/authority_plays.rs)
 #
 # It refuses a dirty tree, so what it writes is the output of a commit,
 # and the diff it leaves holds goldens and nothing else: commit the code
@@ -43,6 +45,14 @@ cp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
 (cd target && sha256sum scenario_stab_a_events.jsonl scenario_unsup_a_events.jsonl) \
     > tests/golden/recovery_events.sha256
 
+# The decision golden: the test writes what it computed before it compares
+# (and fails here whenever the golden is about to move).
+plays=target/tmp/authority_plays.jsonl
+rm -f "$plays"
+cargo test -q --offline --test authority_plays > /dev/null 2>&1 || true
+[ -s "$plays" ] || { echo "regen_goldens: tests/authority_plays.rs wrote no $plays" >&2; exit 1; }
+cp "$plays" tests/golden/authority_plays.jsonl
+
 echo "==> goldens that moved"
 for digests in tests/golden/authority_seed1.sha256 tests/golden/recovery_events.sha256; do
     git diff --no-color -U0 -- "$digests" \
@@ -51,6 +61,10 @@ done
 for snapshot in tests/golden/stabilize_summary.json tests/golden/unsupportive_summary.json; do
     git diff --quiet -- "$snapshot" || echo "  $snapshot"
 done
+if ! git diff --quiet -- tests/golden/authority_plays.jsonl; then
+    echo "  tests/golden/authority_plays.jsonl — decisions moved; its first changed lines:"
+    git diff --no-color -U0 -- tests/golden/authority_plays.jsonl | grep '^[-+]{' | head -n 12 | sed 's/^/    /'
+fi
 if [ -z "$(git status --porcelain)" ]; then
     echo "  none"
 fi
