@@ -10,6 +10,12 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> play cost model (scripts/play_cost.py against scripts/play_cost.expected)"
+# The model is derived from the format descriptions and shares no code
+# with the crates; tests/play_cost.rs (in cargo test above) holds an
+# honest play at five sizes to the same file, phase by phase.
+python3 scripts/play_cost.py | diff - scripts/play_cost.expected
+
 echo "==> scenario smoke suite (verdicts + cross-process summary determinism)"
 ./target/release/scenario run --suite smoke --workers 4 > target/scenario_smoke_a.json
 ./target/release/scenario run --suite smoke --workers 1 > target/scenario_smoke_b.json
