@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 
 use ga_crypto::mac::{Authenticator, SignatureChain, Tag};
 
+use crate::consensus::Broadcast;
 use crate::traits::BaInstance;
 use crate::wire::{Reader, Writer};
 use crate::{Value, DEFAULT_VALUE};
@@ -148,6 +149,10 @@ impl DolevStrongBroadcast {
         }
     }
 }
+
+/// A chain is never told in one value: a consensus of these sends its
+/// rounds plain.
+impl Broadcast for DolevStrongBroadcast {}
 
 impl BaInstance for DolevStrongBroadcast {
     fn begin(&mut self, input: Value) {

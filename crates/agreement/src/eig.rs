@@ -104,6 +104,15 @@
 //! values and so fall back to the plain form — the cost every payload had
 //! before the uniform form existed, and the most any payload costs.
 //!
+//! A payload that tells every one of its `K` nodes one value — every
+//! presence bit set, one value — carries nothing but that value. The
+//! encoder says so ([`LevelPayload::finish`] returns the value), and a
+//! consensus round in which every payload is such goes as one short frame
+//! of varint values ([`consensus`](crate::consensus#short-frame)), whose
+//! entries a tree takes without bytes (`absorb_whole`: exactly what the
+//! payload it stands for writes). The 8-byte values above stay: the plain
+//! form sets the longest frame, and a varint can take ten bytes.
+//!
 //! # Columns
 //!
 //! A **column** `(L, q)` is the set of `K` level-`L` nodes whose path ends
@@ -387,12 +396,13 @@ impl EigTree {
     /// at `α·me` in the next level — in EIG terms, "me told myself" what it
     /// tells everyone else, so the local resolve sees its own vote — and
     /// appends to `out` the level-`level + 1` payload that tells the
-    /// others.
+    /// others. Returns what [`LevelPayload::finish`] returns: the value, if
+    /// the payload tells every one of its nodes that one value.
     ///
     /// # Panics
     ///
     /// Panics unless `1 ≤ level ≤ f` and `me < n`.
-    pub fn relay(&mut self, level: usize, me: u16, out: &mut Vec<u8>) {
+    pub fn relay(&mut self, level: usize, me: u16, out: &mut Vec<u8>) -> Option<Value> {
         assert!((1..=self.f).contains(&level), "relayed levels are 1..=f");
         let me = usize::from(me);
         assert!(me < self.n, "me in range");
@@ -462,6 +472,48 @@ impl EigTree {
             }
             _ => {}
         }
+        // Plain, every set bit reads the next value; uniform, the first.
+        let stride = usize::from(!uniform);
+        let mut next = 0;
+        self.scan_column(level, sender, |i| {
+            let value = (presence[i / 8] >> (i % 8) & 1 == 1).then(|| values[next]);
+            next += stride * usize::from(value.is_some());
+            value.map(Value::from_be_bytes)
+        });
+    }
+
+    /// Stores what the level-`level` payload from `sender` that tells every
+    /// one of its nodes `value` stores — the payload of a short frame's
+    /// entry (`consensus`, "Short frame"), taken without its bytes. A
+    /// `sender ≥ n`, or one with no node at this level, changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ level ≤ f + 1`.
+    pub(crate) fn absorb_whole(&mut self, level: usize, sender: usize, value: Value) {
+        assert!((1..=self.f + 1).contains(&level), "levels are 1..=f+1");
+        if sender >= self.n {
+            return;
+        }
+        let slots = self.fan_in(level, sender);
+        let column = self.column(level, sender);
+        match self.columns[column] {
+            _ if slots == 0 => {}
+            Column::One(_) => {}
+            Column::Empty => self.fill(column, value, slots),
+            Column::Table => self.scan_column(level, sender, |_| Some(value)),
+        }
+    }
+
+    /// Stores `told(i)`, if any, at the `i`-th node of column
+    /// `(level, sender)`, in slot order: the scan `absorb` runs, whatever
+    /// the column's state.
+    fn scan_column(
+        &mut self,
+        level: usize,
+        sender: usize,
+        mut told: impl FnMut(usize) -> Option<Value>,
+    ) {
         // The root has no parent level to scan: it is the one child slot.
         let (parents, last) = match level {
             1 => (1, 0),
@@ -471,20 +523,21 @@ impl EigTree {
             ),
         };
         let to = self.level_start[level - 1];
-        // Plain, every set bit reads the next value; uniform, the first.
-        let stride = usize::from(!uniform);
-        let (mut seen, mut next) = (0, 0);
+        let mut seen = 0;
         for slot in 0..parents {
             let child = slot * self.n + last;
             if bit(&self.node, to + child) {
-                if presence[seen / 8] >> (seen % 8) & 1 == 1 {
-                    self.put(level, child, Value::from_be_bytes(values[next]));
-                    next += stride;
+                if let Some(value) = told(seen) {
+                    self.put(level, child, value);
                 }
                 seen += 1;
             }
         }
-        debug_assert_eq!(seen, slots, "the scan meets every node fan_in counted");
+        debug_assert_eq!(
+            seen,
+            self.fan_in(level, sender),
+            "the scan meets every node fan_in counted"
+        );
     }
 
     /// Resolves the tree: the decision of the broadcast.
@@ -607,16 +660,19 @@ impl<'a> LevelPayload<'a> {
     }
 
     /// Completes the payload: uniform if two or more values were told and
-    /// all were equal, plain otherwise.
+    /// all were equal, plain otherwise. Returns the value if every slot
+    /// was told it — every presence bit set, one value — the payload a
+    /// short frame's entry stands for (`consensus`, "Short frame").
     ///
     /// # Panics
     ///
     /// Panics unless every slot was pushed.
-    pub fn finish(self) {
+    pub fn finish(self) -> Option<Value> {
         assert_eq!(self.pushed, self.slots, "one push per slot");
         if self.uniform && self.told >= 2 {
             self.buf[self.start] |= UNIFORM;
         }
+        (self.uniform && self.told == self.slots && self.slots > 0).then_some(self.first)
     }
 }
 
@@ -710,7 +766,7 @@ pub(crate) mod reference {
     use std::collections::{HashMap, HashSet};
 
     use super::EigTree;
-    use crate::wire::Writer;
+    use crate::wire::{Reader, Writer};
     use crate::{Value, DEFAULT_VALUE};
 
     type Path = Vec<u16>;
@@ -720,6 +776,60 @@ pub(crate) mod reference {
         let mut out = Vec::new();
         tree.relay(level, me, &mut out);
         out
+    }
+
+    /// [`EigTree::absorb`] the long way round — field by field through a
+    /// [`Reader`], a uniform payload's one value copied out to every node
+    /// it tells, the receiving nodes listed from `nodes` (every path of
+    /// the tree): the writes, by path, that the payload asks for, none if
+    /// it is refused. The oracle of the decode property tests in `om`,
+    /// and of the short frame's in `consensus`.
+    pub(crate) fn decode_reference(
+        nodes: &[Vec<u16>],
+        level: usize,
+        sender: usize,
+        payload: &[u8],
+    ) -> Vec<(Vec<u16>, Value)> {
+        let mut children: Vec<&Vec<u16>> = nodes
+            .iter()
+            .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
+            .collect();
+        children.sort();
+        let mut r = Reader::new(payload);
+        let Some(tag) = r.get_u8() else { return vec![] };
+        let uniform = tag >= 0x80;
+        if usize::from(tag % 0x80) != level {
+            return vec![];
+        }
+        let mut present = Vec::new();
+        for _ in 0..children.len().div_ceil(8) {
+            let Some(byte) = r.get_u8() else {
+                return vec![];
+            };
+            present.extend((0..8).map(|i| byte >> i & 1 == 1));
+        }
+        if present[children.len()..].contains(&true) {
+            return vec![];
+        }
+        let told = present.iter().filter(|&&p| p).count();
+        if uniform && told < 2 {
+            return vec![];
+        }
+        let mut values = Vec::new();
+        for _ in 0..if uniform { 1 } else { told } {
+            let Some(value) = r.get_u64() else {
+                return vec![];
+            };
+            values.push(value);
+        }
+        if !r.is_exhausted() {
+            return vec![];
+        }
+        if uniform {
+            values = vec![values[0]; told];
+        }
+        let told = children.into_iter().zip(present).filter(|&(_, p)| p);
+        told.map(|(path, _)| path.clone()).zip(values).collect()
     }
 
     /// Every node of an `(n, f, source)` tree, level by level.

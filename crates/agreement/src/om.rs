@@ -26,7 +26,17 @@
 //! everyone one thing, up to [`full_relay_len`] bytes if it did not. The
 //! source relays nothing of its own broadcast, so it sends nothing after
 //! step 0.
+//!
+//! Each step reports whether its payload tells every one of its nodes one
+//! value ([`Broadcast::step_part`]): the announcement always does, and a
+//! relay does unless the source equivocated or a payload was lost. When
+//! every instance of a consensus round does, the round goes as one short
+//! frame, a varint value per instance
+//! ([`consensus`](crate::consensus#short-frame)), and each receiving
+//! instance takes its value as the payload it stands for
+//! ([`Broadcast::take_whole`]).
 
+use crate::consensus::Broadcast;
 use crate::eig::{EigTree, LevelPayload};
 use crate::traits::BaInstance;
 use crate::{Value, DEFAULT_VALUE};
@@ -89,11 +99,64 @@ impl OmBroadcast {
         }
     }
 
+    /// The instance's tree, for the consensus tests.
+    #[cfg(test)]
+    pub(crate) fn tree_mut(&mut self) -> &mut EigTree {
+        &mut self.tree
+    }
+
     /// Stores the level-`level` payload of every inbox message.
     fn absorb_all(&mut self, level: u64, inbox: &[(usize, &[u8])]) {
         for &(sender, payload) in inbox {
             self.tree.absorb(level as usize, sender, payload);
         }
+    }
+}
+
+impl Broadcast for OmBroadcast {
+    const SHORT_FRAMES: bool = true;
+
+    fn step_part(
+        &mut self,
+        rel_round: u64,
+        inbox: &[(usize, &[u8])],
+        out: &mut Vec<u8>,
+    ) -> Option<Value> {
+        let f = self.f as u64;
+        match rel_round {
+            // Step 0: the source announces; everyone else is silent and
+            // ignores its round-0 inbox (stale cross-period traffic must
+            // not enter the tree — the self-stabilizing wrap relies on it).
+            0 => {
+                if self.me != self.source {
+                    return None;
+                }
+                self.tree.store(&[self.source as u16], self.input);
+                let mut announcement = LevelPayload::new(out, 1, 1);
+                announcement.push(Some(self.input));
+                announcement.finish()
+            }
+            // Steps 1..=f: store level-t nodes, relay as level-(t+1).
+            // Nobody relays its own broadcast.
+            t if t <= f => {
+                self.absorb_all(t, inbox);
+                if self.me == self.source {
+                    return None;
+                }
+                self.tree.relay(t as usize, self.me as u16, out)
+            }
+            // Step f+1: store the leaves and resolve.
+            t if t == f + 1 => {
+                self.absorb_all(t, inbox);
+                self.decided = Some(self.tree.resolve());
+                None
+            }
+            _ => None,
+        }
+    }
+
+    fn take_whole(&mut self, level: usize, sender: usize, value: Value) {
+        self.tree.absorb_whole(level, sender, value);
     }
 }
 
@@ -105,35 +168,7 @@ impl BaInstance for OmBroadcast {
     }
 
     fn step(&mut self, rel_round: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
-        let f = self.f as u64;
-        match rel_round {
-            // Step 0: the source announces; everyone else is silent and
-            // ignores its round-0 inbox (stale cross-period traffic must
-            // not enter the tree — the self-stabilizing wrap relies on it).
-            0 => {
-                if self.me != self.source {
-                    return;
-                }
-                self.tree.store(&[self.source as u16], self.input);
-                let mut announcement = LevelPayload::new(out, 1, 1);
-                announcement.push(Some(self.input));
-                announcement.finish();
-            }
-            // Steps 1..=f: store level-t nodes, relay as level-(t+1).
-            // Nobody relays its own broadcast.
-            t if t <= f => {
-                self.absorb_all(t, inbox);
-                if self.me != self.source {
-                    self.tree.relay(t as usize, self.me as u16, out);
-                }
-            }
-            // Step f+1: store the leaves and resolve.
-            t if t == f + 1 => {
-                self.absorb_all(t, inbox);
-                self.decided = Some(self.tree.resolve());
-            }
-            _ => {}
-        }
+        self.step_part(rel_round, inbox, out);
     }
 
     fn rounds(&self) -> u64 {
@@ -152,64 +187,10 @@ impl BaInstance for OmBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eig::reference::{all_nodes, relayed, RefTree};
+    use crate::eig::reference::{all_nodes, decode_reference, relayed, RefTree};
     use crate::executor::{no_tamper as honest, run_pure};
-    use crate::wire::Reader;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    /// [`EigTree::absorb`] the long way round — field by field through a
-    /// [`Reader`], a uniform payload's one value copied out to every node
-    /// it tells, the receiving nodes listed from `nodes` (every path of
-    /// the tree): the writes, by path, that the payload asks for, none if
-    /// it is refused. The oracle of the decode property tests.
-    fn decode_reference(
-        nodes: &[Vec<u16>],
-        level: usize,
-        sender: usize,
-        payload: &[u8],
-    ) -> Vec<(Vec<u16>, Value)> {
-        let mut children: Vec<&Vec<u16>> = nodes
-            .iter()
-            .filter(|p| p.len() == level && usize::from(p[level - 1]) == sender)
-            .collect();
-        children.sort();
-        let mut r = Reader::new(payload);
-        let Some(tag) = r.get_u8() else { return vec![] };
-        let uniform = tag >= 0x80;
-        if usize::from(tag % 0x80) != level {
-            return vec![];
-        }
-        let mut present = Vec::new();
-        for _ in 0..children.len().div_ceil(8) {
-            let Some(byte) = r.get_u8() else {
-                return vec![];
-            };
-            present.extend((0..8).map(|i| byte >> i & 1 == 1));
-        }
-        if present[children.len()..].contains(&true) {
-            return vec![];
-        }
-        let told = present.iter().filter(|&&p| p).count();
-        if uniform && told < 2 {
-            return vec![];
-        }
-        let mut values = Vec::new();
-        for _ in 0..if uniform { 1 } else { told } {
-            let Some(value) = r.get_u64() else {
-                return vec![];
-            };
-            values.push(value);
-        }
-        if !r.is_exhausted() {
-            return vec![];
-        }
-        if uniform {
-            values = vec![values[0]; told];
-        }
-        let told = children.into_iter().zip(present).filter(|&(_, p)| p);
-        told.map(|(path, _)| path.clone()).zip(values).collect()
-    }
 
     /// The level payload telling `values` of consecutive slots.
     fn payload(level: usize, values: &[Option<Value>]) -> Vec<u8> {

@@ -5,16 +5,18 @@
 //! structure fails here by name before it shows as a `bytes_per_op` drift
 //! in the benchmark.
 //!
-//! Recorded when a part's header became two LEB128 varints, the instance
-//! and the length (`ga_agreement::consensus`, "Frame"), where they had been
-//! two `u16`s: two bytes a part where there were four, and three for a
-//! payload of 128 bytes or more. With every source honest the totals fell
-//! from 672 / 7644 / 40 140 bytes to 576 / 6552 / 35 100, and every digest
-//! moved. Before that, a relay part whose values all agree began to say
-//! the value once (see `ga_agreement::eig`, "Level payload"); the all-liars
-//! column is what a consensus costs when every source equivocates, and the
-//! most honest processors can be made to send. Messages and rounds are
-//! what they always were. The digests and totals were computed from the
+//! Recorded when a round whose every part tells every node one value
+//! became one short frame (`ga_agreement::consensus`, "Short frame"): the
+//! level byte and a varint value per instance the sender speaks for. With
+//! every source honest every round is short, and the totals fell from
+//! 576 / 6552 / 35 100 / 48 672 bytes to 72 / 672 / 2880 / 4368; every
+//! digest moved. Before that, a part's header became two LEB128 varints,
+//! the instance and the length ("Frame"), where they had been two `u16`s,
+//! and before that a relay part whose values all agree began to say the
+//! value once (`ga_agreement::eig`, "Level payload"). The all-liars column
+//! is what a consensus costs when every source equivocates, and the most
+//! honest processors can be made to send. Messages and rounds are what
+//! they always were. The digests and totals were computed from the
 //! format's description by `scripts/om_wire_digest.py`, which shares no
 //! code with this crate, then met by the first run.
 
@@ -60,32 +62,36 @@ fn run(n: usize, f: usize, liars: usize) -> (ExecStats, String) {
 /// `n`, `f`, and the traffic of one consensus: all honest, source 0
 /// equivocating, every source equivocating.
 const PINNED: [(usize, usize, [ExecStats; 3]); 4] = [
-    (4, 1, [stats(24, 576, 3); 3]),
+    (
+        4,
+        1,
+        [stats(24, 72, 3), stats(24, 102, 3), stats(24, 192, 3)],
+    ),
     (
         7,
         2,
         [
-            stats(126, 6552, 4),
-            stats(126, 7704, 4),
-            stats(126, 14_616, 4),
+            stats(126, 672, 4),
+            stats(126, 4224, 4),
+            stats(126, 11_886, 4),
         ],
     ),
     (
         10,
         3,
         [
-            stats(360, 35_100, 5),
-            stats(360, 75_357, 5),
-            stats(360, 437_670, 5),
+            stats(360, 2880, 5),
+            stats(360, 63_477, 5),
+            stats(360, 428_850, 5),
         ],
     ),
     (
         13,
         2,
         [
-            stats(468, 48_672, 4),
-            stats(468, 60_192, 4),
-            stats(468, 198_432, 4),
+            stats(468, 4368, 4),
+            stats(468, 36_600, 4),
+            stats(468, 177_996, 4),
         ],
     ),
 ];
@@ -108,37 +114,52 @@ fn om_traffic_totals_are_pinned() {
 }
 
 /// Why the totals are what they are. Each of `n` processors sends `n - 1`
-/// frames a round for `f + 1` rounds. Every part is headed by its instance
-/// (one byte, `n < 128`) and its payload's length as a varint (one byte
-/// below 128, two from there). Round 0's frame is one part, the 10-byte
-/// announcement. Round `t`'s is `n - 1` parts, one per other source: a
-/// level byte, a presence bit for each of the `K = (n-2)(n-3)…(n-t)` nodes
-/// ending in the sender, and their values — which with an honest source
-/// are one value, so 8 bytes whether `K` is 1 (plain) or more (uniform),
-/// and never `8·K`.
+/// frames a round for `f + 1` rounds, and every value here (an input
+/// `100 + i`, a lie `100 + to`) is one varint byte. An honest round is a
+/// short frame: the level byte and a value per instance the sender speaks
+/// for — round 0 its own announcement, 2 bytes; a relay round the `n - 1`
+/// other sources, `n` bytes.
 ///
-/// A source `s` that tells every destination another value changes its
-/// own tree's parts alone: node `(s, q, …, p)` holds what `s` told `q`,
-/// so once `K ≥ 2` (level 3 on) the part each of the `n - 1` relayers
-/// sends each of its `n - 1` destinations is plain, `8·K` where it was 8,
-/// and its length may take the second byte. With every source at it every
-/// part is — the cost of every run before the uniform form.
+/// A liar's round-0 frame is the plain part it forges, 12 bytes: the
+/// instance, the length and the 10-byte announcement. Relay round 1 tells
+/// one node per part (`K = 1`), so it stays short whatever the liars said.
+/// From round 2 on, a relay part tells `K = (n-2)(n-3)…(n-t)` nodes, and in
+/// a liar's tree node `(s, q, …, p)` holds what `s` told `q`, so no two of
+/// them agree: the column is not `One(v)`, that part is plain and `8·K`
+/// bytes of values, and the round falls back to plain parts for every
+/// sender with a liar among the other sources. Every other part of such a
+/// frame is the uniform one — a level byte, `⌈K/8⌉` presence bytes with
+/// every bit set and the value in 8 bytes — behind its instance and its
+/// length, which may take a second byte. A liar relays the other sources'
+/// trees honestly, so with one liar its own relay frames stay short; with
+/// every source lying every frame is plain and full, the cost of every run
+/// before the uniform form.
 fn derived(n: u64, f: u64, liars: u64) -> ExecStats {
     let part = |len: u64| 1 + varint_len(len) as u64 + len;
-    let mut per_destination = part(10);
-    let mut spelled_out = 0;
+    let mut per_pair_total = n * (n - 1) * 2 + liars * (n - 1) * (part(10) - 2);
     let mut slots = 1;
     for t in 1..=f {
         if t >= 2 {
             slots *= n - t;
         }
-        let said_once = 1 + slots.div_ceil(8) + 8;
-        per_destination += (n - 1) * part(said_once);
-        spelled_out += (n - 1) * (n - 1) * (part(said_once + 8 * (slots - 1)) - part(said_once));
+        // A sender's frame when `lying` of the other sources lied.
+        let frame = |lying: u64| {
+            if t == 1 || lying == 0 {
+                return 1 + (n - 1);
+            }
+            let said_once = 1 + slots.div_ceil(8) + 8;
+            let spelled_out = said_once + 8 * (slots - 1);
+            (n - 1 - lying) * part(said_once) + lying * part(spelled_out)
+        };
+        // A liar hears one liar fewer; with every source lying, no
+        // honest sender is left.
+        let senders =
+            liars * frame(liars.saturating_sub(1)) + (n - liars) * frame(liars.min(n - 1));
+        per_pair_total += (n - 1) * senders;
     }
     stats(
         n * (n - 1) * (f + 1),
-        n * (n - 1) * per_destination + liars * spelled_out,
+        per_pair_total,
         // The announcement, `f` relays, and the step that resolves.
         f + 2,
     )
@@ -166,23 +187,24 @@ fn thirteen_sources_equivocating_take_the_table_everywhere() {
 
 #[test]
 fn om_payload_digests_are_pinned() {
-    // No part of f = 1 tells two values.
+    // Every frame short: no part tells two values.
     assert_eq!(
         run(4, 1, 0).1,
-        "c92d3dd538c22993a98fe1c7480fcf6474a2944469ca313fa41bd4e958e476fa"
+        "d2000b95f533bcd61377287637ac5e168a2355a48010086a45dd169fa24349a1"
     );
-    // Every level-3 part uniform; then source 0's part of each frame plain.
     assert_eq!(
         run(7, 2, 0).1,
-        "58e52372a4754a9f1cd5ed9d3ee641ad262ef8c010ba38cb9a591bf4cc7ca280"
+        "ca8482e44d9cfc4f575704655ae9faf6f44ed97c00d6e402c9ac2fbd454f224a"
     );
+    // Source 0 lies: its round-0 frames plain; at level 3 its part of every
+    // other sender's frame plain, so those frames plain, its own short.
     assert_eq!(
         run(7, 2, 1).1,
-        "623961444e9ff47ceb70f7f34553f39f2db795a7335f93d1d7ac623e1336441d"
+        "4c50e225fff56a56b8cbe31f8eca35f21b1f029a62eb8781e1ca5f7f3cd89a08"
     );
     // A plain level-4 part of 456 bytes takes a two-byte length.
     assert_eq!(
         run(10, 3, 1).1,
-        "707505f692d14b45548b32e4e60507caf88621927ab7934a947e319614fa391d"
+        "092ed703bbd72d25c7d312081a3a77bea73e9cd10768a4d9234274a8f28dd989"
     );
 }

@@ -52,14 +52,15 @@
 //! |----------------------------------------|------------------------------------------|
 //! | none                                   | the wrap, a claim-only pulse, a resolve round, the executive |
 //! | `0xA3` · parts                         | a round of BA 3 (`OmConsensus`, "Frame") |
+//! | `0xA3` · `0x80 \| L` · LEB128 value*    | a round of BA 3 whose every part tells one value ("Short frame") |
 //! | `0xC0` · digest\[32\]                  | the commit phase                         |
 //! | `0xD0` · LEB128 action · nonce\[32\]   | the reveal phase                         |
 //!
 //! A body runs to the end of its frame and has no length. A commit or
 //! reveal body of any other length, a truncated one included, is dropped
-//! whole; so is an agreement body whose last part is cut short. The two
-//! split deviants below send the peers in their mask a variant of the
-//! frame in place of it, still one frame each.
+//! whole; so is an agreement body whose last part or value is cut short.
+//! The two split deviants below send the peers in their mask a variant of
+//! the frame in place of it, still one frame each.
 //!
 //! # The OM assumption
 //!
@@ -75,9 +76,9 @@
 //! `(13, 3)`, 64.9 KB at `(22, 3)`, 75 KB at `(23, 3)`, 97 KB at `(13, 4)`.
 //! Those are the equivocation case, and it sets the bound because a
 //! Byzantine source chooses it. A relay of an honest source's broadcast
-//! says its one value once, so the frames of a run without an equivocator
-//! are `n − 1` parts of a value and `K` presence bits: 162 bytes at
-//! `(10, 3)`. So the authority assumes `f ≤ 2` at any `n ≤ 64` and `f = 3`
+//! tells its one value, so a round of a run without an equivocator goes as
+//! one short frame, a varint value per source: `n` bytes, 10 at `(10, 3)`
+//! (with the claim and the tag, 12). So the authority assumes `f ≤ 2` at any `n ≤ 64` and `f = 3`
 //! up to `n = 22`; there is no `f ≥ 4`. A cluster outside that is refused
 //! at construction ([`OmConsensus::max_frame_len`]) rather than panicking
 //! in the middle of its first play. ROADMAP item 7 (a protocol per
@@ -1245,8 +1246,8 @@ mod tests {
         // 3's OM parts in their phases. An activation put back into a
         // claim-only window, or a second agreement tag, fails here.
         for (n, f, expected, total) in [
-            (4, 1, [12, 36, 408, 36, 420, 636, 12], 1_560),
-            (10, 3, [90, 450, 3_060, 450, 3_150, 35_910, 90], 43_200),
+            (4, 1, [12, 36, 408, 36, 420, 132, 12], 1_056),
+            (10, 3, [90, 450, 3_060, 450, 3_150, 3_690, 90], 10_980),
         ] {
             let phases = phase_bytes(n, f);
             assert_eq!(

@@ -4,7 +4,9 @@
 The second derivation behind crates/agreement/tests/om_wire.rs: written from
 the "Level payload" section of crates/agreement/src/eig.rs and the framing in
 consensus.rs ("Frame": a part is the instance and the payload's length as
-LEB128 varints, then the payload), sharing no code with the crate. For
+LEB128 varints, then the payload; "Short frame": a round whose every part
+tells every node one value is the byte 0x80 | level, then one LEB128 value
+per instance the sender speaks for), sharing no code with the crate. For
 (4, 1), (7, 2), (10, 3) and (13, 2) it runs one consensus on inputs 100 + i with 0, 1 and n equivocating sources
 (a liar tells destination `to` the value 100 + to at round 0) and prints
 messages, bytes, bytes per round and the SHA-256 of every frame in delivery
@@ -74,6 +76,32 @@ def encode(level, told):
     return bytes([tag]) + bytes(presence) + b"".join(struct.pack(">Q", v) for v in values)
 
 
+def whole(told):
+    """The one value every node is told, or None."""
+    if told and None not in told and len(set(told)) == 1:
+        return told[0]
+    return None
+
+
+def short(level, values):
+    """A short frame: the level with bit 7 set, then each value as a varint."""
+    return bytes([0x80 | level]) + b"".join(leb128(v) for v in values)
+
+
+def read_short(n, level, sender, frame):
+    """{source: value} of a short frame received at `level`, or {} when refused."""
+    if frame[0] & 0x7F != level or sender >= n:
+        return {}
+    sources = [sender] if level == 1 else [s for s in range(n) if s != sender]
+    out, off = {}, 1
+    for s in sources:
+        got = read_leb128(frame, off)
+        if got is None:
+            return {}
+        out[s], off = got
+    return out if off == len(frame) else {}
+
+
 def decode(level, nodes, payload):
     """Returns {path: value} or {} when refused."""
     if not payload or not nodes:
@@ -116,6 +144,12 @@ def run(n, f, liars):
             # absorb level-`rnd` payloads
             if rnd >= 1:
                 for sender, frame in inbox[p]:
+                    if frame[0] & 0x80:
+                        # Each value stands for the part telling every node it.
+                        for s, v in read_short(n, rnd, sender, frame).items():
+                            for path in level_nodes(n, s, rnd, sender):
+                                trees[p][s].setdefault(path, v)
+                        continue
                     off = 0
                     while off < len(frame):
                         s, off = read_leb128(frame, off)
@@ -129,12 +163,12 @@ def run(n, f, liars):
             if rnd == 0:
                 v = 100 + p
                 trees[p][p][(p,)] = v
-                frame = part(p, encode(1, [v]))
+                frame = short(1, [v])
                 frames = {to: frame for to in range(n) if to != p}
                 if p < liars:
                     frames = {to: part(p, encode(1, [100 + to])) for to in frames}
             elif rnd <= f:
-                frame = b""
+                frame, values = b"", []
                 for s in range(n):
                     if s == p:
                         continue
@@ -145,6 +179,9 @@ def run(n, f, liars):
                             trees[p][s].setdefault(child, v)
                         told.append(v)
                     frame += part(s, encode(rnd + 1, told))
+                    values.append(whole(told))
+                if None not in values:
+                    frame = short(rnd + 1, values)
                 frames = {to: frame for to in range(n) if to != p}
             for to in sorted(frames):
                 h.update(frames[to])

@@ -69,7 +69,9 @@ fn allocations_per_play(n: usize, f: usize, plays: u64) -> u64 {
 /// One test, so no other test thread allocates while a count is taken.
 #[test]
 fn a_play_stays_within_its_allocation_budget() {
-    for (n, f, measured) in [(4, 1, 249), (10, 3, 1642)] {
+    // Measured when an honest agreement round became one short frame,
+    // whose receipt builds no list of parts (249 and 1642 before).
+    for (n, f, measured) in [(4, 1, 225), (10, 3, 1502)] {
         let per_play = allocations_per_play(n, f, 4);
         eprintln!("(n={n}, f={f}): {per_play} allocations per play");
         let budget = measured + measured / 10;

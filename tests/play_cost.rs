@@ -14,7 +14,7 @@ use game_authority_suite::simnet::prelude::*;
 const EXPECTED: &str = include_str!("../scripts/play_cost.expected");
 
 /// The layout of the agreement's frames the code sends.
-const LAYOUT: &str = "today";
+const LAYOUT: &str = "short";
 
 /// `(phase, [pulses, messages, bytes])` for the second play of an
 /// all-honest `(n, f)` cluster at seed 1, BA 3's rounds apart, then the
