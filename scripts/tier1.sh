@@ -44,11 +44,11 @@ echo "==> authority trace identity (summary + event JSONL against tests/golden/a
 # order, framing or round structure there fails here, by name, instead of
 # surfacing later as a bytes_per_op drift in the benchmark. The summary
 # digest last moved when a pulse became one frame per peer (fewer messages,
-# so a lower inbox_depth_mean). The event digest last moved when
-# conviction stopped at the game layer: a convicted agent's processor is
-# heard again, so BA 3's relay frames after a conviction carry its part
-# (120 of 4 402 lines, `bytes` only). A deliberate wire or decision
-# change regenerates the file with scripts/regen_goldens.sh.
+# so a lower inbox_depth_mean). The event digest last moved when an
+# honest agreement round became one short frame (627 of 4 402 lines,
+# `bytes` only). A deliberate wire or decision change regenerates the file
+# with scripts/regen_goldens.sh; tests/authority_plays.rs (cargo test
+# above) holds the decisions themselves.
 ./target/release/scenario run --suite authority --seeds 1 \
     --events target/scenario_auth_golden_events.jsonl > target/scenario_auth_golden.json
 (cd target && sha256sum -c ../tests/golden/authority_seed1.sha256)
@@ -94,10 +94,14 @@ echo "==> recovery trace identity (summaries against the committed snapshots, ev
 # a change to the clock pulse, the SSBA activation, the authority's
 # recovery or the BFS workloads fails here by name. The unsupportive
 # snapshot and digest carry no agreement; the stabilize digest carries the
-# SSBA's OM frames, so it moves with them, same reason as above. The
-# stabilize snapshot last moved when the total transient fault became a
-# coordinate-keyed CorruptionFamily (stabilize_port_ssba_closure's
-# agreements alone). A deliberate behaviour change regenerates all of
+# SSBA's OM frames, so it moves with them, same reason as above. Both
+# stabilize files last moved when an honest agreement round became one
+# short frame: 50 of 52 runs' events moved in `bytes` alone, and a
+# corrupted channel flips a bit at a uniform position of a frame, so in
+# two runs (seed 60 of stabilize_ssba[loss=0 and 0.05, c=0.3, n=4]) the
+# draw that hit a value byte of a 14-byte plain frame hits the clock
+# claim of the 4-byte short one: one more illegal pulse, legal_fraction
+# alone. A deliberate behaviour change regenerates all of
 # them with scripts/regen_goldens.sh, which prints the ones that moved.
 cmp target/scenario_stab_a.json tests/golden/stabilize_summary.json
 cmp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
