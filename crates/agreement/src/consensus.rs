@@ -96,7 +96,8 @@ pub trait Broadcast: BaInstance {
 
     /// [`BaInstance::step`], returning `Some(v)` if it appended a part
     /// that tells every node it speaks for `v` — what a short frame's entry
-    /// stands for — and `None` otherwise.
+    /// stands for — and `None` otherwise. Such a part is a level payload,
+    /// and ends in `v`'s eight big-endian bytes.
     fn step_part(
         &mut self,
         rel_round: u64,

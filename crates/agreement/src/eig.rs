@@ -476,9 +476,12 @@ impl EigTree {
         let stride = usize::from(!uniform);
         let mut next = 0;
         self.scan_column(level, sender, |i| {
-            let value = (presence[i / 8] >> (i % 8) & 1 == 1).then(|| values[next]);
-            next += stride * usize::from(value.is_some());
-            value.map(Value::from_be_bytes)
+            if presence[i / 8] >> (i % 8) & 1 == 0 {
+                return None;
+            }
+            let value = Value::from_be_bytes(values[next]);
+            next += stride;
+            Some(value)
         });
     }
 
@@ -492,13 +495,17 @@ impl EigTree {
     /// Panics unless `1 ≤ level ≤ f + 1`.
     pub(crate) fn absorb_whole(&mut self, level: usize, sender: usize, value: Value) {
         assert!((1..=self.f + 1).contains(&level), "levels are 1..=f+1");
-        if sender >= self.n {
+        let slots = if sender < self.n {
+            self.fan_in(level, sender)
+        } else {
+            0
+        };
+        if slots == 0 {
             return;
         }
-        let slots = self.fan_in(level, sender);
         let column = self.column(level, sender);
         match self.columns[column] {
-            _ if slots == 0 => {}
+            // Every node already holds a value: first write wins.
             Column::One(_) => {}
             Column::Empty => self.fill(column, value, slots),
             Column::Table => self.scan_column(level, sender, |_| Some(value)),
