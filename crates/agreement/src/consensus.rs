@@ -459,6 +459,41 @@ mod tests {
         }
     }
 
+    /// Appends, if it speaks, a one-node level payload telling 7 — a part
+    /// a short frame can stand for — at the level round `rel` sends.
+    struct Whole(bool);
+
+    impl Broadcast for Whole {
+        const SHORT_FRAMES: bool = true;
+
+        fn step_part(
+            &mut self,
+            rel: u64,
+            _: &[(usize, &[u8])],
+            out: &mut Vec<u8>,
+        ) -> Option<Value> {
+            if !self.0 {
+                return None;
+            }
+            let mut payload = LevelPayload::new(out, rel as usize + 1, 1);
+            payload.push(Some(7));
+            payload.finish()
+        }
+    }
+
+    impl BaInstance for Whole {
+        fn begin(&mut self, _: Value) {}
+        fn step(&mut self, rel: u64, inbox: &[(usize, &[u8])], out: &mut Vec<u8>) {
+            self.step_part(rel, inbox, out);
+        }
+        fn rounds(&self) -> u64 {
+            3
+        }
+        fn decided(&self) -> Option<Value> {
+            None
+        }
+    }
+
     /// The frame `c` appends at round `rel` on an empty inbox.
     fn frame<B: Broadcast>(c: &mut VectorConsensus<B>, rel: u64) -> Vec<u8> {
         let mut out = Vec::new();
@@ -782,6 +817,22 @@ mod tests {
                 let parts = demux(n, &[(lost, &out[..])], |_| false);
                 assert_eq!(parts.len(), n - 1, "n={n} f={f} me={me}");
             }
+        }
+    }
+
+    #[test]
+    fn a_round_of_other_speakers_than_its_level_names_goes_plain() {
+        // Processor 0 of 3 in relay round 1: a level-2 short frame stands
+        // for instances 1 and 2. Whole parts from exactly those go short;
+        // from instance 1 alone, or from all three, plain.
+        for (speakers, short) in [
+            ([false, true, true], true),
+            ([false, true, false], false),
+            ([true, true, true], false),
+        ] {
+            let mut c = VectorConsensus::from_instances(0, speakers.map(Whole).into());
+            let sent = frame(&mut c, 1);
+            assert_eq!(sent[0] & SHORT_FRAME != 0, short, "{speakers:?}");
         }
     }
 
