@@ -1139,9 +1139,7 @@ mod tests {
     fn max_frame_len_is_the_longest_message_of_a_run() {
         // Every source tells every destination another value, so from
         // level 3 on no two values of a relay part agree and every part
-        // is plain and full. At f = 1 a relay part tells one node, so a
-        // relay round whose every part tells it goes short: the bound
-        // holds and is not reached.
+        // is plain and full.
         for (n, f) in [(7, 2), (10, 3)] {
             assert_eq!(
                 OmConsensus::max_frame_len(n, f),
@@ -1149,7 +1147,21 @@ mod tests {
                 "n={n} f={f}"
             );
         }
-        assert!(OmConsensus::max_frame_len(4, 1) > Some(longest_frame(4, 1, equivocate)));
+        // At f = 1 a relay part tells one node, so a relay round whose
+        // every part tells it goes short and the bound, three full parts
+        // of 2 + 10 bytes, is not reached. The longest frame a run reaches
+        // has one source silent: relay round 1 goes plain, an empty part
+        // of 2 + 2 bytes beside two told ones (4 + 12 + 12), whether or
+        // not another source equivocates.
+        assert_eq!(OmConsensus::max_frame_len(4, 1), Some(36));
+        let silent_and_equivocate = |from: usize, round: u64, to: usize, p: &[u8]| match from {
+            0 if round == 0 => Some(Vec::new()),
+            _ => equivocate(from, round, to, p),
+        };
+        assert_eq!(longest_frame(4, 1, silent_and_equivocate), 28);
+        assert!(
+            OmConsensus::max_frame_len(4, 1) >= Some(longest_frame(4, 1, silent_and_equivocate))
+        );
         assert_eq!(OmConsensus::max_frame_len(usize::MAX, 3), None);
     }
 
