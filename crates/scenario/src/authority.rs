@@ -90,10 +90,15 @@ fn authority_spec(name: &str, cluster: AuthorityCluster, plays: u64) -> Scenario
     })
 }
 
+/// A configuration's spec and the ids whose agents deviate in it. Each
+/// builder sets those agents' modes or schedule from the same list it
+/// returns, so the two cannot fall out of step.
+type Configuration = (ScenarioSpec, &'static [usize]);
+
 /// All agents honest: every play completes foul-free and identically.
-fn honest(plays: u64) -> ScenarioSpec {
+fn honest(plays: u64) -> Configuration {
     let n = 4;
-    authority_spec(
+    let spec = authority_spec(
         "authority_honest",
         AuthorityCluster::new(congestion(n), 1),
         plays,
@@ -108,7 +113,8 @@ fn honest(plays: u64) -> ScenarioSpec {
                 play_records(sim, 0).is_some_and(|r| r.iter().all(|rec| rec.fouls == 0)),
                 "honest plays carry no fouls",
             ))
-    })
+    });
+    (spec, &[])
 }
 
 /// §3.2's selfish cluster: agents 5 and 6 play worst responses. Play 0
@@ -121,41 +127,47 @@ fn honest(plays: u64) -> ScenarioSpec {
 /// layer, and the clock keeps ticking past `f` convicted agents
 /// (`convicting_more_than_f_selfish_agents_keeps_the_clock` in
 /// `game_authority::distributed`).
-fn selfish_cluster(plays: u64) -> ScenarioSpec {
+fn selfish_cluster(plays: u64) -> Configuration {
+    const SELFISH: &[usize] = &[5, 6];
     let n = 7;
-    let cluster = AuthorityCluster::new(congestion(n), 2)
-        .mode(5, Behavior::worst_response())
-        .mode(6, Behavior::worst_response());
-    authority_spec("authority_selfish_cluster", cluster, plays).verdict(move |sim, record| {
-        let caught = play_records(sim, 0).is_some_and(|r| {
-            r.len() >= 2 && r[0].fouls == 0 && r[1].fouls & 0b110_0000 == 0b110_0000
+    let cluster = SELFISH
+        .iter()
+        .fold(AuthorityCluster::new(congestion(n), 2), |cluster, &id| {
+            cluster.mode(id, Behavior::worst_response())
         });
-        let survivors_clean = (0..5).all(|i| {
-            sim.process_as::<AuthorityProcess>(ProcessId(i))
-                .is_some_and(|p| p.punished()[5] && p.punished()[6] && !p.punished()[i])
+    let spec =
+        authority_spec("authority_selfish_cluster", cluster, plays).verdict(move |sim, record| {
+            let caught = play_records(sim, 0).is_some_and(|r| {
+                r.len() >= 2 && r[0].fouls == 0 && r[1].fouls & 0b110_0000 == 0b110_0000
+            });
+            let survivors_clean = (0..5).all(|i| {
+                sim.process_as::<AuthorityProcess>(ProcessId(i))
+                    .is_some_and(|p| SELFISH.iter().all(|&id| p.punished()[id]) && !p.punished()[i])
+            });
+            Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
+                .and(Verdict::check(
+                    caught,
+                    "the cluster must be convicted in the first audited play",
+                ))
+                .and(Verdict::check(
+                    survivors_clean,
+                    "every survivor disconnects exactly the cluster",
+                ))
+                .and(Verdict::check(
+                    records_agree(sim, 0..n),
+                    "identical play records everywhere",
+                ))
         });
-        Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
-            .and(Verdict::check(
-                caught,
-                "the cluster must be convicted in the first audited play",
-            ))
-            .and(Verdict::check(
-                survivors_clean,
-                "every survivor disconnects exactly the cluster",
-            ))
-            .and(Verdict::check(
-                records_agree(sim, 0..n),
-                "identical play records everywhere",
-            ))
-    })
+    (spec, SELFISH)
 }
 
 /// A lazy free-rider: participates in agreement but never commits or
 /// reveals. Convicted as missing in play 0; the survivors play on.
-fn mute(plays: u64) -> ScenarioSpec {
+fn mute(plays: u64) -> Configuration {
+    const MUTE: &[usize] = &[3];
     let n = 4;
-    let cluster = AuthorityCluster::new(congestion(n), 1).mode(3, Behavior::silent());
-    authority_spec("authority_mute", cluster, plays).verdict(move |sim, record| {
+    let cluster = AuthorityCluster::new(congestion(n), 1).mode(MUTE[0], Behavior::silent());
+    let spec = authority_spec("authority_mute", cluster, plays).verdict(move |sim, record| {
         let records = play_records(sim, 0).unwrap_or(&[]);
         Verdict::check(record.stopped_at.is_some(), &within_budget(plays))
             .and(Verdict::check(
@@ -170,23 +182,26 @@ fn mute(plays: u64) -> ScenarioSpec {
                 records_agree(sim, 0..n),
                 "identical play records everywhere",
             ))
-    })
+    });
+    (spec, MUTE)
 }
 
 /// Churn: a scheduled disconnect silences honest agent 3 during play 1,
 /// so the executive drops its demand (it is convicted as absent) and the
 /// survivors keep completing identical plays after the reconnect.
-fn churn(plays: u64) -> ScenarioSpec {
+fn churn(plays: u64) -> Configuration {
+    const ABSENT: &[usize] = &[3];
     let n = 4;
     let cluster = AuthorityCluster::new(congestion(n), 1);
     let period = cluster.play_len();
-    authority_spec("authority_churn", cluster, plays)
+    let absent = ProcessId(ABSENT[0]);
+    let spec = authority_spec("authority_churn", cluster, plays)
         .schedule(
             Schedule::new()
-                .at(period + 1, ScheduledAction::Disconnect(ProcessId(3)))
+                .at(period + 1, ScheduledAction::Disconnect(absent))
                 .at(
                     period * 2 + 1,
-                    ScheduledAction::Reconnect(ProcessId(3), (0..3).map(ProcessId).collect()),
+                    ScheduledAction::Reconnect(absent, (0..3).map(ProcessId).collect()),
                 ),
         )
         .stop_when(move |sim| min_plays(sim, 0..3) >= plays)
@@ -204,17 +219,18 @@ fn churn(plays: u64) -> ScenarioSpec {
                     records_agree(sim, 0..3),
                     "the survivors agree on every play",
                 ))
-        })
+        });
+    (spec, ABSENT)
 }
 
 /// A simnet-level noise adversary — random bytes, no protocol — placed
 /// per run seed by [`PlacementStrategy::RandomF`], so one spec covers
 /// the whole adversary-position family. The honest majority convicts
 /// whichever position it landed on.
-fn noise(plays: u64) -> ScenarioSpec {
+fn noise(plays: u64) -> Configuration {
     let n = 4;
     let cluster = AuthorityCluster::new(congestion(n), 1);
-    authority_spec("authority_noise", cluster, plays)
+    let spec = authority_spec("authority_noise", cluster, plays)
         .place(PlacementStrategy::RandomF {
             f: 1,
             role: Role::Noise { max_len: 24 },
@@ -237,24 +253,12 @@ fn noise(plays: u64) -> ScenarioSpec {
                     records_agree(sim, honest.iter().copied()),
                     "the honest majority agrees on every play",
                 ))
-        })
+        });
+    (spec, &[])
 }
 
 fn within_budget(plays: u64) -> String {
     format!("{plays} plays within the budget")
-}
-
-/// The five configurations at `plays` plays each, every one with the ids
-/// whose agents deviate. The noise slot runs no authority processor, so it
-/// needs no entry.
-fn configurations(plays: u64) -> [(ScenarioSpec, &'static [usize]); 5] {
-    [
-        (honest(plays), &[]),
-        (selfish_cluster(plays), &[5, 6]),
-        (mute(plays), &[3]),
-        (churn(plays), &[3]),
-        (noise(plays), &[]),
-    ]
 }
 
 /// The `authority` suite: every §3.3 play family as a spec, three plays
@@ -262,7 +266,7 @@ fn configurations(plays: u64) -> [(ScenarioSpec, &'static [usize]); 5] {
 pub fn suite() -> Vec<Arc<dyn Scenario>> {
     [honest(3), selfish_cluster(3), mute(3), churn(4), noise(3)]
         .into_iter()
-        .map(|spec| Arc::new(spec) as Arc<dyn Scenario>)
+        .map(|(spec, _)| Arc::new(spec) as Arc<dyn Scenario>)
         .collect()
 }
 
@@ -285,7 +289,10 @@ pub fn suite() -> Vec<Arc<dyn Scenario>> {
 /// `tests/golden/authority_plays.jsonl` holds this at seeds 0–7 and 10
 /// plays.
 pub fn write_plays(out: &mut impl Write, plays: u64, seeds: Range<u64>) -> io::Result<()> {
-    for (spec, deviants) in configurations(plays) {
+    // The noise slot runs no authority processor, so it deviates in no
+    // authority id.
+    let configurations = [honest, selfish_cluster, mute, churn, noise].map(|build| build(plays));
+    for (spec, deviants) in configurations {
         let lines = Arc::new(Mutex::new(String::new()));
         let sink = Arc::clone(&lines);
         let spec = spec.probe(move |sim, record| {
