@@ -23,20 +23,16 @@ schedules:
                                    nothing in its last round, which resolves
 
 In an honest play every processor proposes the foul mask 0, so every value
-BA 3 tells is 0, and every level-L part a processor sends tells each of
-its K nodes that value, K = 1 for L <= 2 and (n-2)(n-3)...(n-L+1) after.
-Two layouts of BA 3's frame:
+BA 3 tells is 0, and every part a processor sends tells each of its nodes
+that value. Such a round goes as the short frame: one byte 0x80 | level,
+then the value as a varint per instance the sender speaks for, its own at
+level 1 and each other source's at level >= 2. (The plain parts a round
+with an absent or differing value falls back to never occur here; the
+figures of the plain layout every round had before the short frame are
+kept in ROADMAP.md's BA 3 table.)
 
-    today  every part plain: LEB128 instance, LEB128 length, then the
-           level byte, ceil(K/8) presence bytes and the value in 8 bytes
-           (round 0: the sender's own part; round k >= 1: one part per
-           other source)
-    short  one byte 0x80 | level, then the value as a varint per instance
-           the sender speaks for: its own at level 1, each other source's
-           at level >= 2
-
-For each (n, f) and layout it prints a line per phase, BA 3's rounds
-apart, then the play: n, f, layout, phase, pulses, messages, bytes.
+For each (n, f) it prints a line per phase, BA 3's rounds apart, then the
+play: n, f, phase, pulses, messages, bytes.
 tests/play_cost.rs plays each size once and checks its phases against
 scripts/play_cost.expected, which is this script's output; tier1 diffs
 the two. A change to the wire or the schedule changes this file first.
@@ -45,7 +41,6 @@ the two. A change to the wire or the schedule changes this file first.
 """
 
 SIZES = [(4, 1), (7, 2), (10, 3), (13, 2), (22, 3)]
-LAYOUTS = ["today", "short"]
 
 CLAIM = 1
 COMMIT = 1 + 32
@@ -63,51 +58,36 @@ def leb128_len(v):
     return n
 
 
-def fan_in(n, level):
-    """K: the level-`level` nodes of one source's tree ending in one relayer."""
-    k = 1
-    for j in range(2, level):
-        k *= n - j
-    return k
-
-
-def ba3_round(n, f, k, layout):
+def ba3_round(n, f, k):
     """Bytes of one BA 3 frame at relative round k, behind the claim."""
     if k == f + 1:
         return 0  # the resolve round sends nothing
     level = k + 1
     speaks = 1 if level == 1 else n - 1
-    if layout == "short":
-        return TAG + 1 + speaks * leb128_len(MASK)
-    payload = 1 + (fan_in(n, level) + 7) // 8 + 8
-    # Round 0 names the sender's own instance; a relay round every other
-    # source's. Below 128 processors an instance is one byte.
-    assert n <= 128
-    return TAG + speaks * (1 + leb128_len(payload) + payload)
+    return TAG + 1 + speaks * leb128_len(MASK)
 
 
-def phases(n, f, layout):
+def phases(n, f):
     """(phase, pulses, body bytes per frame) in schedule order."""
     r = f + 2
     assert 3 * r + 4 <= 128, "every claim one byte"
     out = [("wrap", 1, 0), ("claims1", r, 0), ("commit", 1, COMMIT), ("claims2", r, 0)]
     out.append(("reveal", 1, REVEAL))
-    out += [(f"ba3.{k}", 1, ba3_round(n, f, k, layout)) for k in range(r)]
+    out += [(f"ba3.{k}", 1, ba3_round(n, f, k)) for k in range(r)]
     out.append(("exec", 1, 0))
     return out
 
 
 def main():
-    print("# n f layout phase pulses messages bytes")
+    print("# n f phase pulses messages bytes")
     for n, f in SIZES:
-        for layout in LAYOUTS:
-            pairs = n * (n - 1)
-            total = [0, 0, 0]
-            for phase, pulses, body in phases(n, f, layout):
-                row = [pulses, pulses * pairs, pulses * pairs * (CLAIM + body)]
-                total = [a + b for a, b in zip(total, row)]
-                print(n, f, layout, phase, *row)
-            print(n, f, layout, "play", *total)
+        pairs = n * (n - 1)
+        total = [0, 0, 0]
+        for phase, pulses, body in phases(n, f):
+            row = [pulses, pulses * pairs, pulses * pairs * (CLAIM + body)]
+            total = [a + b for a, b in zip(total, row)]
+            print(n, f, phase, *row)
+        print(n, f, "play", *total)
 
 
 main()

@@ -13,9 +13,6 @@ use game_authority_suite::simnet::prelude::*;
 
 const EXPECTED: &str = include_str!("../scripts/play_cost.expected");
 
-/// The layout of the agreement's frames the code sends.
-const LAYOUT: &str = "short";
-
 /// `(phase, [pulses, messages, bytes])` for the second play of an
 /// all-honest `(n, f)` cluster at seed 1, BA 3's rounds apart, then the
 /// play. A pulse counts toward the phase of the clock value it leaves
@@ -62,16 +59,16 @@ fn measured(n: usize, f: usize) -> Vec<(String, [u64; 3])> {
     rows
 }
 
-/// The expected file's rows for `(n, f)` in [`LAYOUT`].
+/// The expected file's rows for `(n, f)`.
 fn expected(n: usize, f: usize) -> Vec<(String, [u64; 3])> {
     EXPECTED
         .lines()
         .filter(|line| !line.starts_with('#'))
         .map(|line| line.split_whitespace().collect::<Vec<_>>())
-        .filter(|row| row[..3] == [&n.to_string(), &f.to_string(), LAYOUT])
+        .filter(|row| row[..2] == [&n.to_string(), &f.to_string()])
         .map(|row| {
             let count = |i: usize| row[i].parse().expect("a count");
-            (row[3].to_string(), [count(4), count(5), count(6)])
+            (row[2].to_string(), [count(3), count(4), count(5)])
         })
         .collect()
 }
@@ -81,6 +78,6 @@ fn an_honest_play_costs_what_the_model_says() {
     for (n, f) in [(4, 1), (7, 2), (10, 3), (13, 2), (22, 3)] {
         let expected = expected(n, f);
         assert!(!expected.is_empty(), "({n}, {f}) is in the expected file");
-        assert_eq!(measured(n, f), expected, "({n}, {f}) {LAYOUT}");
+        assert_eq!(measured(n, f), expected, "({n}, {f})");
     }
 }
