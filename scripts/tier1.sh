@@ -101,7 +101,9 @@ echo "==> recovery trace identity (summaries against the committed snapshots, ev
 # two runs (seed 60 of stabilize_ssba[loss=0 and 0.05, c=0.3, n=4]) the
 # draw that hit a value byte of a 14-byte plain frame hits the clock
 # claim of the 4-byte short one: one more illegal pulse, legal_fraction
-# alone. A deliberate behaviour change regenerates all of
+# alone. That figure moved with the frame's length, not with the
+# protocol; ROADMAP item 29 keys the flip to protocol fields so a pure
+# wire change stops moving it. A deliberate behaviour change regenerates all of
 # them with scripts/regen_goldens.sh, which prints the ones that moved.
 cmp target/scenario_stab_a.json tests/golden/stabilize_summary.json
 cmp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
