@@ -5,6 +5,8 @@
 #   tests/golden/recovery_events.sha256   stabilize / unsupportive event JSONL
 #   tests/golden/stabilize_summary.json     stabilize --no-records summary
 #   tests/golden/unsupportive_summary.json  unsupportive --no-records summary
+#   tests/golden/paper_summary.json         paper summary, records included
+#   tests/golden/examples_summary.json      examples summary, records included
 #   tests/golden/authority_plays.jsonl     what each authority processor decided,
 #                                          play by play (tests/authority_plays.rs)
 #
@@ -38,8 +40,14 @@ run_recovery() {
 run_recovery stabilize target/scenario_stab_a.json target/scenario_stab_a_events.jsonl
 run_recovery unsupportive target/scenario_unsup_a.json target/scenario_unsup_a_events.jsonl
 
+for suite in paper examples; do
+    ./target/release/scenario run --suite "$suite" --workers 1 > "target/scenario_${suite}_a.json"
+done
+
 cp target/scenario_stab_a.json tests/golden/stabilize_summary.json
 cp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
+cp target/scenario_paper_a.json tests/golden/paper_summary.json
+cp target/scenario_examples_a.json tests/golden/examples_summary.json
 (cd target && sha256sum scenario_auth_golden.json scenario_auth_golden_events.jsonl) \
     > tests/golden/authority_seed1.sha256
 (cd target && sha256sum scenario_stab_a_events.jsonl scenario_unsup_a_events.jsonl) \
@@ -58,7 +66,7 @@ for digests in tests/golden/authority_seed1.sha256 tests/golden/recovery_events.
     git diff --no-color -U0 -- "$digests" \
         | sed -n "s|^+[0-9a-f]\{64\}  \(.*\)$|  \1  ($digests)|p"
 done
-for snapshot in tests/golden/stabilize_summary.json tests/golden/unsupportive_summary.json; do
+for snapshot in tests/golden/{stabilize,unsupportive,paper,examples}_summary.json; do
     git diff --quiet -- "$snapshot" || echo "  $snapshot"
 done
 if ! git diff --quiet -- tests/golden/authority_plays.jsonl; then

@@ -109,6 +109,18 @@ cmp target/scenario_stab_a.json tests/golden/stabilize_summary.json
 cmp target/scenario_unsup_a.json tests/golden/unsupportive_summary.json
 (cd target && sha256sum -c ../tests/golden/recovery_events.sha256)
 
+echo "==> paper and examples suites (workers 1 vs 4 byte-identity; summaries against tests/golden/{paper,examples}_summary.json)"
+# The paper's claims (the e1-e8 ports and the legislative election) and
+# the examples' walkthroughs, records included, at the default seeds:
+# a change to an experiment's code that moves any metric or verdict
+# fails here by name. Both suites take well under a second.
+for suite in paper examples; do
+    ./target/release/scenario run --suite "$suite" --workers 1 > "target/scenario_${suite}_a.json"
+    ./target/release/scenario run --suite "$suite" --workers 4 > "target/scenario_${suite}_b.json"
+    cmp "target/scenario_${suite}_a.json" "target/scenario_${suite}_b.json"
+    cmp "target/scenario_${suite}_a.json" "tests/golden/${suite}_summary.json"
+done
+
 echo "==> large-n sparse smoke (quiescence-aware stepping at n=65536)"
 # A 65536-ring and a 64x64 grid relay wavefront: viable only because a
 # round costs O(active), so a hang or an O(n)-scan regression blows the
