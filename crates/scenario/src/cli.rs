@@ -83,9 +83,9 @@ use crate::sweep::{Job, ScenarioSummary, SweepSummary};
 /// metric, I/O).
 pub fn main(args: Vec<String>) -> i32 {
     match args.first().map(String::as_str) {
-        Some("list") => match write_stdout(&list()) {
-            Ok(()) => 0,
-            Err(code) => code,
+        Some("list") => match args.get(1) {
+            Some(extra) => usage(&format!("list takes no arguments: {extra}")),
+            None => write_stdout(&list()).map_or_else(|code| code, |()| 0),
         },
         Some("run") => match Options::parse(&args[1..]) {
             Ok(opts) => run(&opts),
@@ -131,8 +131,10 @@ impl Options {
             profile: None,
             table: None,
         };
+        let mut seen: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < args.len() {
+            once(&mut seen, &args[i])?;
             let take = |i: usize| -> Result<&String, String> {
                 args.get(i + 1)
                     .ok_or_else(|| format!("{} needs a value", args[i]))
@@ -225,6 +227,16 @@ impl Options {
         }
         (self.workers / shards).max(1)
     }
+}
+
+/// Refuses a flag that `seen` already holds: a repeated option would
+/// otherwise keep its last value without a word.
+fn once<'a>(seen: &mut Vec<&'a str>, flag: &'a str) -> Result<(), String> {
+    if seen.contains(&flag) {
+        return Err(format!("{flag} given twice"));
+    }
+    seen.push(flag);
+    Ok(())
 }
 
 /// Worker default: the machine's parallelism, capped — sweeps are CPU
@@ -554,10 +566,14 @@ fn profile_json(data: &ProfileData) -> Json {
 fn trace(args: &[String]) -> i32 {
     let mut input: Option<String> = None;
     let mut out: Option<String> = None;
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
+                if let Err(err) = once(&mut seen, &args[i]) {
+                    return usage(&err);
+                }
                 let Some(path) = args.get(i + 1) else {
                     return usage("--out needs a value");
                 };
@@ -987,6 +1003,42 @@ mod tests {
         ] {
             assert_eq!(main(args(gone)), 1, "{gone:?}");
         }
+    }
+
+    #[test]
+    fn extra_and_repeated_arguments_are_usage_errors() {
+        // `list` used to ignore what followed it and exit 0.
+        assert_eq!(main(args(&["list", "extra"])), 1);
+        // A repeated option used to keep its last value: `--suite smoke
+        // --suite paper` ran `paper`, `--seeds 1 --seeds 3` ran 3 seeds.
+        for repeated in [
+            &["--suite", "smoke", "--suite", "paper"][..],
+            &["--seeds", "1", "--seeds", "3"],
+            &["--no-records", "--suite", "smoke", "--no-records"],
+        ] {
+            let err = Options::parse(&args(repeated)).err().unwrap();
+            assert_eq!(err, format!("{} given twice", repeated[0]));
+            let mut run = args(&["run"]);
+            run.extend(args(repeated));
+            assert_eq!(main(run), 1, "{repeated:?}");
+        }
+        // `trace F --out a --out b` used to write only `b`.
+        let dir = std::env::temp_dir().join("ga-scenario-cli-trace-twice");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (events, a, b) = (dir.join("events.jsonl"), dir.join("a"), dir.join("b"));
+        std::fs::write(&events, "").unwrap();
+        let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
+        let code = main(vec![
+            "trace".into(),
+            path(&events),
+            "--out".into(),
+            path(&a),
+            "--out".into(),
+            path(&b),
+        ]);
+        assert_eq!(code, 1);
+        assert!(!a.exists() && !b.exists(), "no file is written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
