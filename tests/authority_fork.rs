@@ -120,5 +120,6 @@ proptest! {
 #[test]
 #[ignore = "fork: ROADMAP item 1(c)"]
 fn a_reveal_withheld_from_one_processor_does_not_fork_the_records() {
-    assert_eq!(fork(4, 1, 3, Behavior::selective_reveal(1 << 0), 1), None);
+    let play = fork(4, 1, 3, Behavior::selective_reveal(1 << 0), 1);
+    assert_eq!(play, None, "the records fork in play {play:?}");
 }
