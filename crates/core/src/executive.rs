@@ -6,11 +6,16 @@
 //! service, this service restricts the action of dishonest agents according
 //! to the punishment scheme."
 //!
-//! Punishment schemes implemented (all three the paper discusses):
+//! Punishment schemes implemented: the paper discusses three
+//! (disconnection, real-money deposits and reputation), and deposits come
+//! in two forms here, so four variants:
 //! * [`Punishment::Disconnect`] — "the only effective option [against a
 //!   complete Byzantine agent] is to disconnect \[them\] from the network";
-//! * [`Punishment::Fine`] — real-money deposits: a fixed cost added to the
-//!   offender per offense;
+//! * [`Punishment::Fine`] — real-money deposits as a fixed cost added to
+//!   the offender per offense;
+//! * [`Punishment::Deposit`] — real-money deposits as an up-front stake,
+//!   part of which each offense forfeits; an agent whose remaining deposit
+//!   cannot cover another forfeit is disconnected;
 //! * [`Punishment::Reputation`] — reputation loss; agents below the
 //!   threshold are shunned (treated as disconnected).
 //!

@@ -7,8 +7,9 @@
 //!   optimum.
 //!
 //! The paper's other two ratios compare measured runs and are computed
-//! where the runs are made: the price of malice in `ga-bench`'s E2 and E5,
-//! the multi-round anarchy cost `R(k)` (§6) in `ga-games`' `RraProcess`.
+//! where the runs are made: the price of malice in `ga-scenario`'s E2 and
+//! E5 ports, the multi-round anarchy cost `R(k)` (§6) in `ga-games`'
+//! `RraProcess`.
 
 use crate::game::Game;
 use crate::nash::pure_nash_equilibria;
