@@ -134,7 +134,11 @@ impl Options {
         let mut seen: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < args.len() {
-            once(&mut seen, &args[i])?;
+            // A repeated option would otherwise keep its last value.
+            if seen.contains(&args[i].as_str()) {
+                return Err(format!("{} given twice", args[i]));
+            }
+            seen.push(&args[i]);
             let take = |i: usize| -> Result<&String, String> {
                 args.get(i + 1)
                     .ok_or_else(|| format!("{} needs a value", args[i]))
@@ -227,16 +231,6 @@ impl Options {
         }
         (self.workers / shards).max(1)
     }
-}
-
-/// Refuses a flag that `seen` already holds: a repeated option would
-/// otherwise keep its last value without a word.
-fn once<'a>(seen: &mut Vec<&'a str>, flag: &'a str) -> Result<(), String> {
-    if seen.contains(&flag) {
-        return Err(format!("{flag} given twice"));
-    }
-    seen.push(flag);
-    Ok(())
 }
 
 /// Worker default: the machine's parallelism, capped — sweeps are CPU
@@ -566,13 +560,12 @@ fn profile_json(data: &ProfileData) -> Json {
 fn trace(args: &[String]) -> i32 {
     let mut input: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
-                if let Err(err) = once(&mut seen, &args[i]) {
-                    return usage(&err);
+                if out.is_some() {
+                    return usage("--out given twice");
                 }
                 let Some(path) = args.get(i + 1) else {
                     return usage("--out needs a value");
